@@ -158,10 +158,6 @@ def build_correctors(model: ModelKind, coeff: ModelCoefficients,
              + eps**2 * (-rho0 / (2.0 * c2) * dzphi**2
                          - nu / c2 * (ops.d(dzphi, "z") if ops.has("z")
                                       else np.zeros_like(phi))))
-        if not ops.has("z"):
-            # without a z axis the eps^2 viscous dz^2 Phi term is dropped;
-            # experiments default to J anyway
-            pass
         return CorrectorSet(model, Field(grid, I.copy()), Field(grid, J),
                             Field(grid, H), Field(grid, phi))
 
@@ -179,8 +175,7 @@ def build_correctors(model: ModelKind, coeff: ModelCoefficients,
 
 
 def assemble_ansatz(model: ModelKind, coeff: ModelCoefficients,
-                    primary: ModelState, correctors: CorrectorSet,
-                    use_full_second: bool = False):
+                    primary: ModelState, correctors: CorrectorSet):
     """Assemble the expanded flow state from a model solution.
 
     Kuznetsov returns a FlowState on the physical grid; KZK and NPE return an
@@ -193,10 +188,8 @@ def assemble_ansatz(model: ModelKind, coeff: ModelCoefficients,
     ops = _Ops(grid)
     eps = coeff.eps
     c, rho0 = coeff.c, coeff.rho0
-    second = correctors.second_full if (
-        use_full_second and correctors.second_full is not None
-    ) else correctors.second
-    rho = rho0 + eps * correctors.first.scalar + eps**2 * second.scalar
+    rho = (rho0 + eps * correctors.first.scalar
+           + eps**2 * correctors.second.scalar)
 
     if model is ModelKind.KUZNETSOV or model is ModelKind.WESTERVELT:
         u = primary.primary.scalar

@@ -39,6 +39,7 @@ from .models.base import (
     SolverDiverged,
     SolverNaN,
     StepControl,
+    resolve_steps,
 )
 from .models.oneway import solve_kzk, solve_npe
 from .models.waves import solve_kuznetsov, solve_westervelt
@@ -157,16 +158,18 @@ def load_config(path: str) -> dict:
 
 
 def _coeff_from(data: dict | None) -> ModelCoefficients:
-    return ModelCoefficients(**(data or {}))
+    try:
+        return ModelCoefficients(**(data or {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"coeff: {exc}") from exc
 
 
 def _grid_from(data: dict) -> Grid:
-    axes = tuple(Axis(**a) for a in data["axes"])
-    frame = Frame(data.get("frame", "physical"))
     try:
-        return Grid(axes, frame)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        axes = tuple(Axis(**a) for a in data["axes"])
+        return Grid(axes, Frame(data.get("frame", "physical")))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid: {exc}") from exc
 
 
 def _initial_field(data: dict, grid: Grid) -> Field:
@@ -196,19 +199,6 @@ def _out_dir(args, cfg: dict, default: str) -> str:
     return args.out or cfg.get("output_dir") or default
 
 
-def _threads() -> int:
-    raw = os.environ.get("THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError("THREADS must be >= 1")
-    return n
-
-
 # ----------------------------------------------------------------------
 # solve
 
@@ -234,7 +224,7 @@ def _run_solve(args, argv) -> int:
     if args.dry_run:
         print(json.dumps({"action": "solve", "model": model,
                           "grid": [a.name for a in grid.axes],
-                          "span": span, "steps": math.ceil(span / ctl.step),
+                          "span": span, "steps": resolve_steps(span, ctl)[0],
                           "samples": n_samples, "output_dir": out},
                          sort_keys=True))
         return 0
@@ -316,10 +306,10 @@ def _run_study(args, argv, key: str) -> int:
                           "eps_list": list(ecfg.eps_list),
                           "horizon": ecfg.horizon,
                           "config_sha256": config_hash(ecfg),
-                          "threads": _threads(), "output_dir": out},
+                          "output_dir": out},
                          sort_keys=True))
         return 0
-    report = scaling_study(ecfg, max_workers=_threads())
+    report = scaling_study(ecfg)
     emit_report(report, out)
     _manifest(out, cfg, argv)
     failed_runs = [s for s in report.series if s["status"] != "ok"]
@@ -546,15 +536,17 @@ def main(argv=None) -> int:
             return _run_transform(args, argv)
         raise ConfigError(f"unknown subcommand {args.cmd!r}")
     except (ConfigError, KeyError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverDiverged, SolverNaN, FloatingPointError, ValueError,
             RuntimeError) as exc:
-        log.error("%s", exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:  # console-script wrapper
+    sys.exit(main())
+
+
+if __name__ == "__main__":
     sys.exit(main())

@@ -22,7 +22,6 @@ import math
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
@@ -48,7 +47,7 @@ from .models.base import (
 )
 from .models.oneway import solve_kzk, solve_npe
 from .models.waves import solve_kuznetsov, solve_westervelt
-from .spectral import deriv_array
+from .spectral import deriv_array, rfftn_wavenumbers
 
 __all__ = [
     "PRESETS",
@@ -75,7 +74,6 @@ _PAIR_RULES = {
     "kuznetsov-westervelt": {"slope_floor": 1.8},
     "kuznetsov-npe": {"slope_floor": 1.8},
     "kuznetsov-kzk": {"gronwall": True},
-    "kuznetsov-kuznetsov": {"self_check": True},
 }
 
 
@@ -372,16 +370,7 @@ def _sobolev_norm(f: Field, order: int) -> float:
     v = f.scalar
     axes = range(len(grid.axes))
     vh = np.fft.rfftn(v, axes=axes)
-    ksq = np.zeros(vh.shape)
-    nax = len(grid.axes)
-    for i, a in enumerate(grid.axes):
-        if i == nax - 1:
-            k = 2 * np.pi * np.fft.rfftfreq(a.points, d=a.length / a.points)
-        else:
-            k = 2 * np.pi * np.fft.fftfreq(a.points, d=a.length / a.points)
-        shape = [1] * nax
-        shape[i] = k.size
-        ksq = ksq + k.reshape(shape) ** 2
+    ksq = sum(k**2 for k in rfftn_wavenumbers(grid))
     weight = (1.0 + ksq) ** order
     # Parseval with rfft: double every mode that has a conjugate partner
     n_last = grid.axes[-1].points
@@ -437,16 +426,12 @@ def _substeps(span: float, n_int: int, step_hint: float) -> StepControl:
     return StepControl(step=span / (n_int * per)), n_int * per
 
 
-def _default_wave_step(cfg: ExperimentConfig, coeff: ModelCoefficients) -> float:
-    if cfg.model_step is not None:
-        return cfg.model_step
-    kmax = math.pi * cfg.points / cfg.length
-    return 0.5 / (coeff.c * kmax)
-
-
-def _default_flow_step(cfg: ExperimentConfig, coeff: ModelCoefficients) -> float:
-    if cfg.flow_step is not None:
-        return cfg.flow_step
+def _default_wave_step(cfg: ExperimentConfig, coeff: ModelCoefficients,
+                       override: float | None) -> float:
+    """`override` when set, else 0.5 / (c k_max) on the study grid (the
+    default for the wave models and for the flow reference alike)."""
+    if override is not None:
+        return override
     kmax = math.pi * cfg.points / cfg.length
     return 0.5 / (coeff.c * kmax)
 
@@ -481,8 +466,10 @@ def _run_ns_kuznetsov(cfg: ExperimentConfig, eps: float):
     u0, u1 = _wave_initial_data(cfg, coeff, grid)
     t_end, times = _time_grid(cfg, eps)
     n_int = len(times) - 1
-    ctl_w, _ = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
-    ctl_f, _ = _substeps(t_end, n_int, _default_flow_step(cfg, coeff))
+    ctl_w, _ = _substeps(t_end, n_int,
+                         _default_wave_step(cfg, coeff, cfg.model_step))
+    ctl_f, _ = _substeps(t_end, n_int,
+                         _default_wave_step(cfg, coeff, cfg.flow_step))
 
     kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl_w, n_samples=n_int + 1)
 
@@ -506,7 +493,8 @@ def _run_kuznetsov_westervelt(cfg: ExperimentConfig, eps: float):
     u0, u1 = _wave_initial_data(cfg, coeff, grid)
     t_end, times = _time_grid(cfg, eps)
     n_int = len(times) - 1
-    ctl, _ = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
+    ctl, _ = _substeps(t_end, n_int,
+                       _default_wave_step(cfg, coeff, cfg.model_step))
 
     kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
     pi0, pi1 = westervelt_initial_data(coeff, u0, u1)
@@ -561,7 +549,8 @@ def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
     xi0 = Field(zgrid, -coeff.rho0 / coeff.c * ops_z.d(psi0, "z"))
 
     tau_end = eps * t_end
-    ctl_n, _ = _substeps(tau_end, n_int, eps * _default_wave_step(cfg, coeff))
+    ctl_n, _ = _substeps(tau_end, n_int,
+                         eps * _default_wave_step(cfg, coeff, cfg.model_step))
     npe = solve_npe(coeff, xi0, tau_end, ctl_n, n_samples=n_int + 1)
 
     def transported(state: ModelState, t: float):
@@ -578,7 +567,8 @@ def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
     ub0, ut0 = transported(npe[0], 0.0)
     u0f = Field(grid, ub0)
     u1f = Field(grid, ut0)
-    ctl_w, _ = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
+    ctl_w, _ = _substeps(t_end, n_int,
+                         _default_wave_step(cfg, coeff, cfg.model_step))
     kuz = solve_kuznetsov(coeff, u0f, u1f, t_end, ctl_w, n_samples=n_int + 1)
 
     errs = []
@@ -610,24 +600,11 @@ def _run_kuznetsov_kzk(cfg: ExperimentConfig, eps: float):
     return times, errs
 
 
-def _run_self(cfg: ExperimentConfig, eps: float):
-    coeff = replace(cfg.coeff, eps=eps)
-    grid = _spatial_grid(cfg)
-    u0, u1 = _wave_initial_data(cfg, coeff, grid)
-    t_end, times = _time_grid(cfg, eps)
-    n_int = len(times) - 1
-    ctl, _ = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
-    kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
-    errs = [l2_error(s, s) for s in kuz]
-    return list(times), errs
-
-
 _RUNNERS = {
     "ns-kuznetsov": _run_ns_kuznetsov,
     "kuznetsov-westervelt": _run_kuznetsov_westervelt,
     "kuznetsov-npe": _run_kuznetsov_npe,
     "kuznetsov-kzk": _run_kuznetsov_kzk,
-    "kuznetsov-kuznetsov": _run_self,
 }
 
 
@@ -657,12 +634,11 @@ def _slope_verdicts(cfg: ExperimentConfig, report: Report) -> None:
     valid = [v for v in slopes.values() if v is not None]
     report.median_slope = float(np.median(valid)) if valid else None
 
-    if rules.get("self_check") or degenerate:
+    if degenerate:
         report.verdicts.append({
             "criterion": "eps-scaling-slope",
-            "passed": bool(degenerate),
-            "detail": "self-comparison at rounding level; slope undefined"
-                      if degenerate else "expected a degenerate series",
+            "passed": True,
+            "detail": "error series at rounding level; slope undefined",
         })
         return
 
@@ -726,7 +702,7 @@ def _gronwall_verdicts(report: Report) -> None:
     })
 
 
-def scaling_study(cfg: ExperimentConfig, max_workers: int = 1) -> Report:
+def scaling_study(cfg: ExperimentConfig) -> Report:
     """Run one pair across the eps sweep and assemble the fitted Report."""
     runner = _RUNNERS[cfg.pair]
     report = Report(name=cfg.name, pair=cfg.pair, config=cfg.to_dict(),
@@ -743,11 +719,7 @@ def scaling_study(cfg: ExperimentConfig, max_workers: int = 1) -> Report:
             return {"eps": float(eps), "status": "failed",
                     "evol": [], "l2_error": [], "error": str(exc)}
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(member, cfg.eps_list))
-    else:
-        results = [member(e) for e in cfg.eps_list]
+    results = [member(e) for e in cfg.eps_list]
     report.series = results  # already ordered by decreasing eps
 
     failed = [s for s in results if s["status"] != "ok"]

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field, Frame, Grid
-from .models.base import ModelCoefficients, StepControl, check_health
-from .spectral import dealias_array, deriv_array, wavenumbers
+from .models.base import ModelCoefficients, StepControl, march, resolve_steps
+from .spectral import dealias_grid_array, deriv_array, rfftn_wavenumbers
 
 __all__ = [
     "FlowState",
@@ -112,27 +112,13 @@ class _FlowStepper:
         self.geom = _axis_geometry(grid)
         self.ndim = len(self.geom)
         # exact decay of the eps*nu/rho0 Lap v part per rfftn mode
-        ks = []
-        for i, (n, L) in enumerate(self.geom):
-            if i == self.ndim - 1:
-                k = 2 * np.pi * np.fft.rfftfreq(n, d=L / n)
-            else:
-                k = 2 * np.pi * np.fft.fftfreq(n, d=L / n)
-            shape = [1] * self.ndim
-            shape[i] = k.size
-            ks.append(k.reshape(shape))
-        self.ksq = sum(k**2 for k in ks)
+        self.ksq = sum(k**2 for k in rfftn_wavenumbers(grid))
         self.visc0 = coeff.eps * coeff.nu / coeff.rho0
         self.decay_half = np.exp(-self.visc0 * self.ksq * dt / 2.0)
 
     def _d(self, v: np.ndarray, ax: int, order: int = 1) -> np.ndarray:
         n, L = self.geom[ax]
         return deriv_array(v, ax, n, L, order)
-
-    def _dealias(self, v: np.ndarray) -> np.ndarray:
-        for i, (n, _L) in enumerate(self.geom):
-            v = dealias_array(v, i, n)
-        return v
 
     def _visc_half(self, v: list[np.ndarray]) -> list[np.ndarray]:
         if self.visc0 == 0.0:
@@ -149,23 +135,26 @@ class _FlowStepper:
         coeff = self.coeff
         drho = np.zeros_like(rho)
         for i in range(self.ndim):
-            drho -= self._d(self._dealias(rho * v[i]), i)
+            drho -= self._d(dealias_grid_array(rho * v[i], self.grid), i)
         p = pressure_from_density(coeff, rho, self.p0)
         dv = []
         visc = coeff.eps * coeff.nu
         for i in range(self.ndim):
             acc = np.zeros_like(rho)
             for j in range(self.ndim):
-                acc -= self._dealias(v[j] * self._d(v[i], j))
-            acc -= self._dealias(self._d(p, i) / rho)
+                acc -= dealias_grid_array(v[j] * self._d(v[i], j), self.grid)
+            acc -= dealias_grid_array(self._d(p, i) / rho, self.grid)
             if visc != 0.0:
                 lap = sum(self._d(v[i], j, 2) for j in range(self.ndim))
                 # correction beyond the exactly-propagated eps*nu/rho0 part
-                acc += self._dealias(visc * lap * (1.0 / rho - 1.0 / coeff.rho0))
+                acc += dealias_grid_array(
+                    visc * lap * (1.0 / rho - 1.0 / coeff.rho0), self.grid)
             dv.append(acc)
         return drho, dv
 
-    def step(self, rho: np.ndarray, v: list[np.ndarray]):
+    def step(self, state, n: int):
+        """Advance (rho, v_1, ..., v_d) from step n - 1 to step n."""
+        rho, *v = state
         dt = self.dt
         v = self._visc_half(v)
         d1rho, d1v = self.tendency(rho, v)
@@ -177,7 +166,12 @@ class _FlowStepper:
         rho = rho + dt * d2rho
         v = [v[i] + dt * d2v[i] for i in range(self.ndim)]
         v = self._visc_half(v)
-        return rho, v
+        if np.min(rho) <= 0.0:
+            raise RuntimeError(
+                f"density positivity lost at t = {n * dt:.6g} "
+                f"(min rho = {np.min(rho):.3e})"
+            )
+        return (rho, *v)
 
 
 def solve_flow(coeff: ModelCoefficients, init: FlowState, t_end: float,
@@ -187,36 +181,15 @@ def solve_flow(coeff: ModelCoefficients, init: FlowState, t_end: float,
     grid = init.grid
     if grid.frame is not Frame.PHYSICAL:
         raise ValueError("flow states live on physical-frame grids")
-    nsteps = max(1, int(math.ceil(t_end / ctl.step - 1e-12))) * ctl.substeps
-    dt = t_end / nsteps
+    nsteps, dt = resolve_steps(t_end, ctl)
     stepper = _FlowStepper(grid, coeff, dt, p0)
-    rho = init.rho.scalar.copy()
-    v = [init.velocity().component(i).copy() for i in range(stepper.ndim)]
-    init_norm = float(np.sqrt(np.sum(rho**2) + sum(np.sum(c**2) for c in v)))
-    sample_at = sorted({round(j * nsteps / max(n_samples - 1, 1))
-                        for j in range(max(n_samples, 2))} | {0, nsteps})
-
-    def snapshot(t: float) -> tuple[float, FlowState]:
-        rf = Field(grid, rho.copy())
-        vf = Field(grid, np.stack(v, axis=-1), stepper.ndim)
-        return (t, FlowState.from_primitive(rf, vf))
-
-    out = []
-    if 0 in sample_at:
-        out.append(snapshot(0.0))
-    for step in range(1, nsteps + 1):
-        rho, v = stepper.step(rho, v)
-        if np.min(rho) <= 0.0:
-            raise RuntimeError(
-                f"density positivity lost at t = {step * dt:.6g} "
-                f"(min rho = {np.min(rho):.3e})"
-            )
-        check_health(rho, init_norm, f"flow step {step}")
-        for comp in v:
-            check_health(comp, init_norm, f"flow step {step}")
-        if step in sample_at:
-            out.append(snapshot(step * dt))
-    return out
+    state = (init.rho.scalar,
+             *(init.velocity().component(i) for i in range(stepper.ndim)))
+    return [(t, FlowState.from_primitive(
+                Field(grid, rho),
+                Field(grid, np.stack(v, axis=-1), stepper.ndim)))
+            for t, (rho, *v) in march(stepper, state, nsteps, n_samples,
+                                      "flow")]
 
 
 def _h_constants(coeff: ModelCoefficients, p0: float):

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .fields import Field, Frame, Grid
 
@@ -142,19 +141,6 @@ def trig_resample(values: np.ndarray, ax: int, points: int, length: float,
     return np.moveaxis(out, 0, ax)
 
 
-def _pchip_resample(values: np.ndarray, ax: int, coords: np.ndarray,
-                    targets: np.ndarray) -> np.ndarray:
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
-    lo, hi = coords[0], coords[-1]
-    pad = 1e-12 * (hi - lo)
-    if targets.min() < lo - pad or targets.max() > hi + pad:
-        raise ValueError(
-            f"mapped coordinate outside bounded axis range [{lo}, {hi}]"
-        )
-    interp = PchipInterpolator(coords, values, axis=ax)
-    return interp(np.clip(targets, lo, hi))
-
-
 # Correspondence profile-axis -> physical-axis for each paraxial frame.
 _AXIS_SOURCE = {
     FrameKind.KZK_PARAXIAL: {"tau": "t", "y1": "x2", "y2": "x3"},
@@ -169,37 +155,28 @@ def evaluate_profile_in_physical(profile: Field, fm: FrameMap, phys: Grid,
 
     Supported slices are the ones the experiments need: t = 0 slices for NPE
     profiles and x1 = 0 lines for KZK profiles (the evolution coordinate must
-    be constant over the physical grid; anything else raises).  Periodic
-    profile axes are resampled trigonometrically, bounded axes by monotone
-    piecewise cubics.
+    be constant over the physical grid; anything else raises).  Profile
+    axes are resampled trigonometrically, so every one must be periodic.
+    Physical coordinates that are not axes of the target grid are zero.
     """
     if phys.frame is not Frame.PHYSICAL:
         raise ValueError("target grid must be in the physical frame")
-    if not profile.grid.axes[0].periodic:
-        raise ValueError("profile must be periodic in its first axis")
-    c, eps = fm.c, fm.eps
-    se = math.sqrt(eps)
+    se = math.sqrt(fm.eps)
     phys_names = {a.name for a in phys.axes}
 
-    # Fixed values of physical coordinates that are not grid axes.
-    def fixed(name: str) -> float:
-        return 0.0
-
-    # The evolution coordinate must be constant on this slice and equal to
-    # the profile's evolution value.
+    # The evolution coordinate (eps*x1 for KZK, eps*t for NPE) is zero on
+    # this slice and must equal the profile's evolution value.
     if fm.kind is FrameKind.KZK_PARAXIAL:
         if "x1" in phys_names:
             raise ValueError("KZK profiles are evaluated on x1 = 0 lines; "
                              "grids with an x1 axis are unsupported")
-        evol_here = eps * fixed("x1")
     else:
         if "t" in phys_names:
             raise ValueError("NPE profiles are evaluated on t = 0 slices; "
                              "grids with a t axis are unsupported")
-        evol_here = eps * fixed("t")
-    if abs(evol_here - evol_value) > 1e-12 * max(1.0, abs(evol_value)):
+    if abs(evol_value) > 1e-12:
         raise ValueError(
-            f"slice evolution coordinate {evol_here} does not match the "
+            f"slice evolution coordinate 0.0 does not match the "
             f"profile's evolution value {evol_value}"
         )
 
@@ -210,23 +187,20 @@ def evaluate_profile_in_physical(profile: Field, fm: FrameMap, phys: Grid,
         src = source.get(pax.name)
         if src is None:
             raise ValueError(f"unrecognized paraxial axis {pax.name!r}")
+        if not pax.periodic:
+            raise ValueError(f"profile axis {pax.name!r} is bounded; only "
+                             "periodic profile axes can be resampled")
         if src in phys_names:
             coords = phys.axis(src).coordinates()
         else:
-            coords = np.array([fixed(src)])
+            coords = np.array([0.0])
             squeeze_axes.append(k)
-        # Map physical coordinates to this profile axis.
-        if pax.name == "tau":  # KZK: tau = t - x1/c with x1 fixed
-            targets = coords - fixed("x1") / c
-        elif pax.name == "z":  # NPE: z = x1 - c t with t fixed
-            targets = coords - c * fixed("t")
-        else:  # transverse: y = sqrt(eps) x'
-            targets = se * coords
-        if pax.periodic:
-            values = trig_resample(values, k, pax.points, pax.length,
-                                   pax.origin, targets)
-        else:
-            values = _pchip_resample(values, k, pax.coordinates(), targets)
+        # Map physical coordinates to this profile axis: tau = t - x1/c on
+        # x1 = 0 and z = x1 - c t on t = 0 are the coordinates themselves,
+        # transverse axes scale as y = sqrt(eps) x'.
+        targets = coords if pax.name in ("tau", "z") else se * coords
+        values = trig_resample(values, k, pax.points, pax.length,
+                               pax.origin, targets)
     for k in sorted(squeeze_axes, reverse=True):
         values = np.squeeze(values, axis=k)
     expected = phys.shape + (profile.components,)

@@ -1,7 +1,9 @@
-"""Shared solver plumbing: coefficients, states, step control, error types."""
+"""Shared solver plumbing: coefficients, states, step control, error types,
+and the one march loop every stepper runs under."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,6 +19,8 @@ __all__ = [
     "SolverDiverged",
     "SolverNaN",
     "check_health",
+    "march",
+    "resolve_steps",
 ]
 
 
@@ -84,7 +88,6 @@ class StepControl:
     """Evolution-variable step and output sampling."""
 
     step: float
-    scheme: str = "strang"
     substeps: int = 1
 
     def __post_init__(self) -> None:
@@ -110,3 +113,31 @@ def check_health(values: np.ndarray, initial_norm: float, where: str) -> None:
         raise SolverDiverged(
             f"norm {norm:.3e} exceeds 1e6 x initial ({initial_norm:.3e}) during {where}"
         )
+
+
+def resolve_steps(span: float, ctl: StepControl) -> tuple[int, float]:
+    """Number of steps that cover `span` under `ctl`, and the step size that
+    divides `span` exactly."""
+    nsteps = max(1, math.ceil(span / ctl.step - 1e-12)) * ctl.substeps
+    return nsteps, span / nsteps
+
+
+def march(stepper, state: tuple[np.ndarray, ...], nsteps: int, n_samples: int,
+          label: str) -> list[tuple[float, tuple[np.ndarray, ...]]]:
+    """Advance `state` by `nsteps` calls of `stepper.step(state, n)`.
+
+    Every array of the state is health-checked after each step.  Returns
+    (evol, state) at n_samples steps evenly spaced in step count, always
+    including the initial and the final state.
+    """
+    sample_at = {round(j * nsteps / max(n_samples - 1, 1))
+                 for j in range(max(n_samples, 2))} | {nsteps}
+    init_norm = math.sqrt(sum(float(np.sum(a**2)) for a in state))
+    out = [(0.0, state)]
+    for n in range(1, nsteps + 1):
+        state = stepper.step(state, n)
+        for a in state:
+            check_health(a, init_norm, f"{label} step {n}")
+        if n in sample_at:
+            out.append((n * stepper.dt, state))
+    return out

@@ -18,7 +18,7 @@ periodic conjugate axis is re-imposed by projection after every step.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +30,14 @@ from ..spectral import (
     mean_zero_array,
     wavenumbers,
 )
-from .base import ModelCoefficients, ModelKind, ModelState, StepControl, check_health
+from .base import (
+    ModelCoefficients,
+    ModelKind,
+    ModelState,
+    StepControl,
+    march,
+    resolve_steps,
+)
 
 __all__ = ["solve_kzk", "solve_npe", "kzk_step_heuristic"]
 
@@ -90,14 +97,16 @@ class _OneWayStepper:
             out = out + self.src_scale * s
         return out
 
-    def step(self, v: np.ndarray, evol: float) -> np.ndarray:
+    def step(self, state, n: int):
+        (v,) = state
         dt = self.dt
+        evol = (n - 1) * dt
         v = self._visc_half(v)
         k1 = self.explicit_tendency(v, evol + 0.0)
         k2 = self.explicit_tendency(v + 0.5 * dt * k1, evol + 0.5 * dt)
         v = v + dt * k2
         v = self._visc_half(v)
-        return mean_zero_array(v, self.ax)
+        return (mean_zero_array(v, self.ax),)
 
 
 def _check_mean_zero(f: Field, ax_name: str) -> None:
@@ -108,29 +117,6 @@ def _check_mean_zero(f: Field, ax_name: str) -> None:
             f"initial profile must be mean-zero along {ax_name!r}; "
             f"largest line mean is {worst:.3e}"
         )
-
-
-def _march_oneway(kind: ModelKind, stepper: _OneWayStepper, grid: Grid,
-                  v: np.ndarray, span: float, nsteps: int,
-                  n_samples: int) -> list[ModelState]:
-    dt = stepper.dt
-    init_norm = float(np.sqrt(np.sum(v**2)))
-    sample_at = sorted({round(j * nsteps / max(n_samples - 1, 1))
-                        for j in range(max(n_samples, 2))} | {0, nsteps})
-    out: list[ModelState] = []
-    if 0 in sample_at:
-        out.append(ModelState(kind, 0.0, Field(grid, v.copy())))
-    for step in range(1, nsteps + 1):
-        v = stepper.step(v, (step - 1) * dt)
-        check_health(v, init_norm, f"{kind.value} step {step}")
-        if step in sample_at:
-            out.append(ModelState(kind, step * dt, Field(grid, v.copy())))
-    return out
-
-
-def _resolve_steps(span: float, ctl: StepControl) -> tuple[int, float]:
-    nsteps = max(1, int(np.ceil(span / ctl.step - 1e-12))) * ctl.substeps
-    return nsteps, span / nsteps
 
 
 def kzk_step_heuristic(coeff: ModelCoefficients, I0: Field) -> float:
@@ -154,7 +140,7 @@ def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
     experiments); the source is projected mean-zero along tau.
     """
     _check_mean_zero(I0, "tau")
-    nsteps, dz = _resolve_steps(z_end, ctl)
+    nsteps, dz = resolve_steps(z_end, ctl)
     c, rho0, nu = coeff.c, coeff.rho0, coeff.nu
     stepper = _OneWayStepper(
         I0.grid, "tau",
@@ -166,9 +152,9 @@ def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
         src_scale=coeff.eps * rho0 / (2.0 * c**3),
         source=source,
     )
-    v = mean_zero_array(I0.scalar.copy(), stepper.ax)
-    return _march_oneway(ModelKind.KZK, stepper, I0.grid, v, z_end, nsteps,
-                         n_samples)
+    v = mean_zero_array(I0.scalar, stepper.ax)
+    return [ModelState(ModelKind.KZK, z, Field(I0.grid, v))
+            for z, (v,) in march(stepper, (v,), nsteps, n_samples, "kzk")]
 
 
 def solve_npe(coeff: ModelCoefficients, xi0: Field, tau_end: float,
@@ -176,7 +162,7 @@ def solve_npe(coeff: ModelCoefficients, xi0: Field, tau_end: float,
               n_samples: int = 2) -> list[ModelState]:
     """March the NPE equation in tau from the mean-zero profile xi0(z, y)."""
     _check_mean_zero(xi0, "z")
-    nsteps, dtau = _resolve_steps(tau_end, ctl)
+    nsteps, dtau = resolve_steps(tau_end, ctl)
     c, rho0 = coeff.c, coeff.rho0
     stepper = _OneWayStepper(
         xi0.grid, "z",
@@ -186,6 +172,6 @@ def solve_npe(coeff: ModelCoefficients, xi0: Field, tau_end: float,
         dt=dtau,
         conservative=conservative,
     )
-    v = mean_zero_array(xi0.scalar.copy(), stepper.ax)
-    return _march_oneway(ModelKind.NPE, stepper, xi0.grid, v, tau_end, nsteps,
-                         n_samples)
+    v = mean_zero_array(xi0.scalar, stepper.ax)
+    return [ModelState(ModelKind.NPE, tau, Field(xi0.grid, v))
+            for tau, (v,) in march(stepper, (v,), nsteps, n_samples, "npe")]

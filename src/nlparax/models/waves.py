@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fields import Field, Grid
-from ..spectral import dealias_array
+from ..spectral import dealias_grid_array, rfftn_wavenumbers
 from .base import (
     ModelCoefficients,
     ModelKind,
     ModelState,
     StepControl,
-    check_health,
+    march,
+    resolve_steps,
 )
 
 __all__ = ["NonlinearitySwitch", "solve_kuznetsov", "solve_westervelt"]
@@ -44,29 +45,6 @@ class NonlinearitySwitch:
     local: bool = True      # u_t u_tt term
     gradient: bool = True   # grad u . grad u_t term
     viscosity: bool = True  # eps nu/rho0 Lap u_t term
-
-
-def _wavenumber_axes(grid: Grid) -> list[np.ndarray]:
-    """Angular wavenumbers per axis for an rfftn over all grid axes."""
-    ks = []
-    nax = len(grid.axes)
-    for i, a in enumerate(grid.axes):
-        if not a.periodic:
-            raise ValueError(f"axis {a.name!r} must be periodic")
-        if i == nax - 1:
-            k = 2 * np.pi * np.fft.rfftfreq(a.points, d=a.length / a.points)
-        else:
-            k = 2 * np.pi * np.fft.fftfreq(a.points, d=a.length / a.points)
-        shape = [1] * nax
-        shape[i] = k.size
-        ks.append(k.reshape(shape))
-    return ks
-
-
-def _ksq(grid: Grid) -> np.ndarray:
-    ks = _wavenumber_axes(grid)
-    out = sum(k**2 for k in ks)
-    return np.asarray(out)
 
 
 def _linear_propagator(ksq: np.ndarray, c: float, damp: float, dt: float):
@@ -105,24 +83,18 @@ class _WaveStepper:
         self.dt = dt
         self.a_local = a_local
         self.b_grad = b_grad
-        self.ksq = _ksq(grid)
-        self.kaxes = _wavenumber_axes(grid)
+        self.kaxes = rfftn_wavenumbers(grid)
+        self.ksq = sum(k**2 for k in self.kaxes)
         damp = coeff.eps * coeff.nu / coeff.rho0 if viscous else 0.0
         self.damp = damp
         self.half = _linear_propagator(self.ksq, coeff.c, damp, dt / 2.0)
         self.shape = grid.shape
-        self.axlens = [(a.points, a.length) for a in grid.axes]
 
     def _fft(self, v: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(v, axes=range(len(self.shape)))
 
     def _ifft(self, vh: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(vh, s=self.shape, axes=range(len(self.shape)))
-
-    def _dealias(self, v: np.ndarray) -> np.ndarray:
-        for i, (n, _L) in enumerate(self.axlens):
-            v = dealias_array(v, i, n)
-        return v
 
     def linear_half(self, u: np.ndarray, w: np.ndarray):
         uh, wh = self._fft(u), self._fft(w)
@@ -140,16 +112,15 @@ class _WaveStepper:
         rhs = lin
         if self.b_grad != 0.0:
             gdot = np.zeros_like(u)
-            for i, (n, L) in enumerate(self.axlens):
-                kax = self.kaxes[i]
+            for kax in self.kaxes:
                 du = self._ifft(1j * kax * uh)
                 dw = self._ifft(1j * kax * wh)
-                gdot = gdot + self._dealias(du * dw)
+                gdot = gdot + dealias_grid_array(du * dw, self.grid)
             rhs = rhs + eps * self.b_grad * gdot
         if self.a_local != 0.0:
             denom = 1.0 - eps * self.a_local * w
-            return self._dealias(rhs / denom - lin)
-        return self._dealias(rhs - lin)
+            return dealias_grid_array(rhs / denom - lin, self.grid)
+        return dealias_grid_array(rhs - lin, self.grid)
 
     def nonlinear_full(self, u: np.ndarray, w: np.ndarray):
         """Explicit midpoint for the nonlinear flow (u frozen, w evolves)."""
@@ -160,35 +131,12 @@ class _WaveStepper:
         k2 = self.nonlinear_tendency(u, w + 0.5 * dt * k1)
         return u, w + dt * k2
 
-    def step(self, u: np.ndarray, w: np.ndarray):
+    def step(self, state, n: int):
+        u, w = state
         u, w = self.linear_half(u, w)
         u, w = self.nonlinear_full(u, w)
         u, w = self.linear_half(u, w)
         return u, w
-
-
-def _march(kind: ModelKind, stepper: _WaveStepper, grid: Grid,
-           u: np.ndarray, w: np.ndarray, t_end: float, nsteps: int,
-           n_samples: int) -> list[ModelState]:
-    dt = stepper.dt
-    init_norm = float(np.sqrt(np.sum(u**2) + np.sum(w**2)))
-    sample_at = sorted({round(j * nsteps / max(n_samples - 1, 1))
-                        for j in range(max(n_samples, 2))} | {0, nsteps})
-    out: list[ModelState] = []
-    if 0 in sample_at:
-        out.append(ModelState(kind, 0.0, Field(grid, u), Field(grid, w)))
-    for step in range(1, nsteps + 1):
-        u, w = stepper.step(u, w)
-        check_health(u, init_norm, f"{kind.value} step {step}")
-        check_health(w, init_norm, f"{kind.value} step {step}")
-        if step in sample_at:
-            out.append(ModelState(kind, step * dt, Field(grid, u), Field(grid, w)))
-    return out
-
-
-def _resolve_steps(t_end: float, ctl: StepControl) -> tuple[int, float]:
-    nsteps = max(1, int(np.ceil(t_end / ctl.step - 1e-12))) * ctl.substeps
-    return nsteps, t_end / nsteps
 
 
 def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,
@@ -201,12 +149,14 @@ def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,
     initial and final state)."""
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 must share one grid")
-    nsteps, dt = _resolve_steps(t_end, ctl)
+    nsteps, dt = resolve_steps(t_end, ctl)
     a_local = coeff.alpha if switch.local else 0.0
     b_grad = coeff.beta_nl if switch.gradient else 0.0
     stepper = _WaveStepper(u0.grid, coeff, dt, a_local, b_grad, switch.viscosity)
-    return _march(ModelKind.KUZNETSOV, stepper, u0.grid,
-                  u0.scalar.copy(), u1.scalar.copy(), t_end, nsteps, n_samples)
+    grid = u0.grid
+    return [ModelState(ModelKind.KUZNETSOV, t, Field(grid, u), Field(grid, w))
+            for t, (u, w) in march(stepper, (u0.scalar, u1.scalar), nsteps,
+                                   n_samples, "kuznetsov")]
 
 
 def solve_westervelt(coeff: ModelCoefficients, Pi0: Field, Pi1: Field,
@@ -216,8 +166,10 @@ def solve_westervelt(coeff: ModelCoefficients, Pi0: Field, Pi1: Field,
     """Integrate the Westervelt equation from (Pi0, Pi1) up to t = t_end."""
     if Pi0.grid != Pi1.grid:
         raise ValueError("Pi0 and Pi1 must share one grid")
-    nsteps, dt = _resolve_steps(t_end, ctl)
+    nsteps, dt = resolve_steps(t_end, ctl)
     a_local = (coeff.gamma + 1.0) / coeff.c**2 if switch.local else 0.0
     stepper = _WaveStepper(Pi0.grid, coeff, dt, a_local, 0.0, switch.viscosity)
-    return _march(ModelKind.WESTERVELT, stepper, Pi0.grid,
-                  Pi0.scalar.copy(), Pi1.scalar.copy(), t_end, nsteps, n_samples)
+    grid = Pi0.grid
+    return [ModelState(ModelKind.WESTERVELT, t, Field(grid, u), Field(grid, w))
+            for t, (u, w) in march(stepper, (Pi0.scalar, Pi1.scalar), nsteps,
+                                   n_samples, "westervelt")]

@@ -66,8 +66,8 @@ def read_paf(path: str | Path) -> Field:
     grid = Grid(axes, Frame(header["frame"]))
     components = int(header["components"])
     count = int(header["value_count"])
-    values = np.frombuffer(blob, dtype="<f8", count=count)
-    if values.size != count:
-        raise ValueError(f"{path}: truncated value block")
-    values = values.reshape(grid.shape + (components,))
-    return Field(grid, values, components)
+    if len(blob) != count * 8:
+        raise ValueError(f"{path}: value block holds {len(blob)} bytes, "
+                         f"expected {count * 8} for {count} float64 values")
+    values = np.frombuffer(blob, dtype="<f8")
+    return Field(grid, values.reshape(grid.shape + (components,)), components)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Axis, Field
+from .fields import Axis, Field, Grid
 
 __all__ = [
     "spectral_derivative",
@@ -19,7 +19,9 @@ __all__ = [
     "deriv_array",
     "antideriv_array",
     "dealias_array",
+    "dealias_grid_array",
     "mean_zero_array",
+    "rfftn_wavenumbers",
     "wavenumbers",
 ]
 
@@ -33,6 +35,22 @@ def _check_periodic(axis: Axis) -> None:
     if not axis.periodic:
         raise ValueError(f"axis {axis.name!r} is not periodic; spectral "
                          "operators require a periodic axis")
+
+
+def rfftn_wavenumbers(grid: Grid) -> list[np.ndarray]:
+    """Angular wavenumbers per axis for an rfftn over all axes of a periodic
+    grid (full fft ordering, halved on the last axis), each shaped to
+    broadcast against the transform."""
+    ks = []
+    nax = len(grid.axes)
+    for i, a in enumerate(grid.axes):
+        _check_periodic(a)
+        freq = np.fft.rfftfreq if i == nax - 1 else np.fft.fftfreq
+        k = 2 * np.pi * freq(a.points, d=a.length / a.points)
+        shape = [1] * nax
+        shape[i] = k.size
+        ks.append(k.reshape(shape))
+    return ks
 
 
 def deriv_array(values: np.ndarray, ax: int, points: int, length: float,
@@ -133,10 +151,15 @@ def project_mean_zero(f: Field, axis: str) -> Field:
     return f.with_values(mean_zero_array(f.values, i))
 
 
+def dealias_grid_array(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Apply the 2/3-rule truncation along every periodic axis of grid to an
+    array whose leading axes are the grid's."""
+    for i, a in enumerate(grid.axes):
+        if a.periodic:
+            values = dealias_array(values, i, a.points)
+    return values
+
+
 def dealias(f: Field) -> Field:
     """Apply the 2/3-rule truncation on every periodic axis of f."""
-    v = f.values
-    for i, a in enumerate(f.grid.axes):
-        if a.periodic:
-            v = dealias_array(v, i, a.points)
-    return f.with_values(v)
+    return f.with_values(dealias_grid_array(f.values, f.grid))

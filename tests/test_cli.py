@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,10 +50,12 @@ def test_solve_writes_artifacts(tmp_path):
 
 
 def test_solve_dry_run_prints_plan(tmp_path, capsys):
-    cfg = _solve_cfg(tmp_path)
+    # 0.07 / 0.005 rounds to 14.000000000000002; the solver takes 14 steps
+    cfg = _solve_cfg(tmp_path, span=0.07)
     assert main(["solve", "--config", cfg, "--dry-run"]) == 0
     plan = json.loads(capsys.readouterr().out)
     assert plan["model"] == "kzk"
+    assert plan["steps"] == 14
 
 
 def test_unknown_key_is_named(tmp_path, capsys):
@@ -66,6 +71,33 @@ def test_unknown_key_is_named(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+def test_module_entry_point_exits_with_main_status(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlparax.cli", "solve", "--config",
+         str(tmp_path / "nope.json")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1  # the error, printed once
+    assert "cannot read config" in proc.stderr
+
+
+def test_out_of_range_coefficient_is_a_config_error(tmp_path, capsys):
+    cfg = _solve_cfg(tmp_path, coeff=dict(COEFF, eps=1.5))
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "run")]) == 1
+    assert "eps" in capsys.readouterr().err
+
+
+def test_odd_periodic_axis_is_a_config_error(tmp_path, capsys):
+    cfg = _solve_cfg(tmp_path, grid={
+        "frame": "kzk",
+        "axes": [{"name": "tau", "length": 2 * math.pi, "points": 33}]})
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "run")]) == 1
+    assert "grid" in capsys.readouterr().err
 
 
 def test_invalid_json(tmp_path):
@@ -103,8 +135,7 @@ def test_residual_csv(tmp_path):
     assert len(lines) > 3
 
 
-def test_sweep_pass_and_artifacts(tmp_path, monkeypatch):
-    monkeypatch.setenv("THREADS", "2")
+def test_sweep_pass_and_artifacts(tmp_path):
     payload = {"schema_version": 1, "sweep": {
         "name": "mini", "pair": "kuznetsov-westervelt",
         "coeff": COEFF, "eps_list": [0.04, 0.02],

@@ -211,10 +211,3 @@ def test_study_is_deterministic(tmp_path):
     emit_report(r2, str(tmp_path / "b"))
     assert ((tmp_path / "a" / "errors.csv").read_bytes()
             == (tmp_path / "b" / "errors.csv").read_bytes())
-
-
-def test_study_threads_match_serial():
-    cfg = _cfg()
-    r1 = scaling_study(cfg, max_workers=1)
-    r2 = scaling_study(cfg, max_workers=2)
-    assert r1.series == r2.series

@@ -133,3 +133,14 @@ def test_evaluate_profile_rejects_time_axis():
     bad = Grid((Axis("t", 1.0, 8, periodic=False),), Frame.PHYSICAL)
     with pytest.raises(ValueError):
         evaluate_profile_in_physical(prof, fm, bad)
+
+
+def test_evaluate_profile_rejects_bounded_axis():
+    g = Grid((Axis("tau", 2 * np.pi, 16),
+              Axis("y1", 2.0, 9, periodic=False, origin=-1.0)), Frame.KZK)
+    prof = Field(g, np.sin(g.mesh()[0]))
+    fm = FrameMap(FrameKind.KZK_PARAXIAL, c=1.0, eps=0.1)
+    phys = Grid((Axis("t", 2 * np.pi, 16), Axis("x2", 4.0, 8)),
+                Frame.PHYSICAL)
+    with pytest.raises(ValueError, match="'y1'"):
+        evaluate_profile_in_physical(prof, fm, phys)

@@ -55,6 +55,15 @@ def test_rejects_truncated_block(tmp_path, rng):
         read_paf(p)
 
 
+def test_rejects_trailing_bytes(tmp_path, rng):
+    g = Grid((Axis("x1", 1.0, 16),), Frame.PHYSICAL)
+    p = tmp_path / "t.paf"
+    write_paf(p, Field(g, rng.standard_normal(16)))
+    p.write_bytes(p.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="expected 128"):
+        read_paf(p)
+
+
 @settings(deadline=None, max_examples=20,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(vals=st.lists(st.floats(allow_nan=False, allow_infinity=False,
