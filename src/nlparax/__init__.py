@@ -16,7 +16,7 @@ from .flow import (
     entropy_pair,
     solve_flow,
 )
-from .frames import FrameKind, FrameMap, kzk_npe_bijection, map_coordinates
+from .frames import FrameMap, kzk_npe_bijection, map_coordinates
 from .models import (
     ModelCoefficients,
     ModelKind,
@@ -80,7 +80,6 @@ __all__ = [
     "entropy_pair",
     "entropy_hessian",
     "admissibility_residual",
-    "FrameKind",
     "FrameMap",
     "map_coordinates",
     "kzk_npe_bijection",

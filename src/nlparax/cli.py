@@ -4,9 +4,9 @@ reproducible run artifacts.
 Subcommands: solve (one model trajectory), compare (one pair, report only),
 sweep (scaling study with pass/fail verdicts), residual (per-term remainder
 norms as CSV), transform (frame changes of PAF snapshot files).  Exit codes:
-0 success, 1 config error, 2 numerical failure, 3 sweep verdict failure.
-Diagnostics go to standard error; data goes to files (and --dry-run prints
-the resolved plan to standard output).
+0 success, 1 config or input error, 2 numerical failure, 3 sweep verdict
+failure.  Diagnostics go to standard error; data goes to files (and --dry-run
+prints the resolved plan to standard output).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import platform
 import sys
@@ -34,6 +33,7 @@ from .experiments import (
 )
 from .fields import Axis, Field, Frame, Grid
 from .flow import FlowState, solve_flow
+from .frames import transform_field
 from .models.base import (
     ModelCoefficients,
     SolverDiverged,
@@ -195,6 +195,23 @@ def _manifest(out_dir: str, payload: dict, argv: list[str]) -> None:
         fh.write("\n")
 
 
+def _payload(cfg: dict, key: str, name: str, flag: str | None) -> dict:
+    """A copy of the config's `key` payload whose `name` entry agrees with
+    the --`name` flag: a flag and a config value must match, and one of the
+    two must be given."""
+    if key not in cfg:
+        raise ConfigError(f"config carries no {key!r} payload")
+    payload = dict(cfg[key])
+    if flag is not None:
+        if payload.get(name, flag) != flag:
+            raise ConfigError(f"--{name} {flag} conflicts with config {name} "
+                              f"{payload[name]}")
+        payload[name] = flag
+    if name not in payload:
+        raise ConfigError(f"{name} must be given via --{name} or the config")
+    return payload
+
+
 def _out_dir(args, cfg: dict, default: str) -> str:
     return args.out or cfg.get("output_dir") or default
 
@@ -205,15 +222,8 @@ def _out_dir(args, cfg: dict, default: str) -> str:
 
 def _run_solve(args, argv) -> int:
     cfg = load_config(args.config)
-    if "solve" not in cfg:
-        raise ConfigError("config carries no 'solve' payload")
-    payload = cfg["solve"]
-    model = args.model or payload.get("model")
-    if model is None:
-        raise ConfigError("model must be given via --model or the config")
-    if "model" in payload and args.model and payload["model"] != args.model:
-        raise ConfigError(f"--model {args.model} conflicts with config model "
-                          f"{payload['model']}")
+    payload = _payload(cfg, "solve", "model", args.model)
+    model = payload["model"]
     coeff = _coeff_from(payload.get("coeff"))
     grid = _grid_from(payload["grid"])
     span = payload["span"]
@@ -280,16 +290,7 @@ def _run_solve(args, argv) -> int:
 
 
 def _experiment_from(cfg: dict, key: str, pair_flag: str | None) -> ExperimentConfig:
-    if key not in cfg:
-        raise ConfigError(f"config carries no {key!r} payload")
-    payload = dict(cfg[key])
-    if pair_flag is not None:
-        if payload.get("pair", pair_flag) != pair_flag:
-            raise ConfigError(f"--pair {pair_flag} conflicts with config pair "
-                              f"{payload['pair']}")
-        payload["pair"] = pair_flag
-    if "pair" not in payload:
-        raise ConfigError("pair must be given via --pair or the config")
+    payload = _payload(cfg, key, "pair", pair_flag)
     try:
         return ExperimentConfig.from_dict(payload)
     except (TypeError, ValueError) as exc:
@@ -339,15 +340,8 @@ _RESIDUAL_FIELD = {
 
 def _run_residual(args, argv) -> int:
     cfg = load_config(args.config)
-    if "residual" not in cfg:
-        raise ConfigError("config carries no 'residual' payload")
-    payload = cfg["residual"]
-    pair = args.pair or payload.get("pair")
-    if pair is None:
-        raise ConfigError("pair must be given via --pair or the config")
-    if "pair" in payload and args.pair and payload["pair"] != args.pair:
-        raise ConfigError(f"--pair {args.pair} conflicts with config pair "
-                          f"{payload['pair']}")
+    payload = _payload(cfg, "residual", "pair", args.pair)
+    pair = payload["pair"]
     coeff = _coeff_from(payload.get("coeff"))
     grid = _grid_from(payload["grid"])
     fname = payload.get("field_name", _RESIDUAL_FIELD.get(pair))
@@ -378,80 +372,6 @@ def _run_residual(args, argv) -> int:
 
 # ----------------------------------------------------------------------
 # transform
-
-
-def _scale_axis(a: Axis, name: str, factor: float) -> Axis:
-    return Axis(name, a.length * factor, a.points, a.periodic,
-                a.origin * factor)
-
-
-def _reverse_axis_values(values: np.ndarray, ax: int) -> np.ndarray:
-    idx = (-np.arange(values.shape[ax])) % values.shape[ax]
-    return np.take(values, idx, axis=ax)
-
-
-def transform_field(f: Field, src: str, dst: str, c: float,
-                    eps: float) -> Field:
-    """Map a snapshot between coordinate frames.
-
-    physical <-> kzk uses the x1 = 0 line (tau = t), physical <-> npe the
-    t = 0 slice (z = x1); transverse axes rescale by sqrt(eps).  kzk <-> npe
-    applies the affine bijection z_npe = -c tau_kzk (index reversal plus an
-    axis rescale), which is exact on periodic grids.
-    """
-    if src == dst:
-        return f
-    se = math.sqrt(eps)
-    grid, values = f.grid, f.values
-    names = [a.name for a in grid.axes]
-
-    def need(axis_name: str) -> None:
-        if names[0] != axis_name:
-            raise ConfigError(
-                f"{src}->{dst} expects leading axis {axis_name!r}, "
-                f"got {names[0]!r}"
-            )
-
-    if (src, dst) == ("physical", "kzk"):
-        need("t")
-        axes = [_scale_axis(grid.axes[0], "tau", 1.0)]
-        axes += [_scale_axis(a, f"y{i + 1}", se)
-                 for i, a in enumerate(grid.axes[1:])]
-        return Field(Grid(tuple(axes), Frame.KZK), values, f.components)
-    if (src, dst) == ("kzk", "physical"):
-        need("tau")
-        axes = [_scale_axis(grid.axes[0], "t", 1.0)]
-        axes += [_scale_axis(a, f"x{i + 2}", 1.0 / se)
-                 for i, a in enumerate(grid.axes[1:])]
-        return Field(Grid(tuple(axes), Frame.PHYSICAL), values, f.components)
-    if (src, dst) == ("physical", "npe"):
-        need("x1")
-        axes = [_scale_axis(grid.axes[0], "z", 1.0)]
-        axes += [_scale_axis(a, f"y{i + 1}", se)
-                 for i, a in enumerate(grid.axes[1:])]
-        return Field(Grid(tuple(axes), Frame.NPE), values, f.components)
-    if (src, dst) == ("npe", "physical"):
-        need("z")
-        axes = [_scale_axis(grid.axes[0], "x1", 1.0)]
-        axes += [_scale_axis(a, f"x{i + 2}", 1.0 / se)
-                 for i, a in enumerate(grid.axes[1:])]
-        return Field(Grid(tuple(axes), Frame.PHYSICAL), values, f.components)
-    if (src, dst) == ("kzk", "npe"):
-        need("tau")
-        axes = [_scale_axis(grid.axes[0], "z", c)]
-        axes[0] = Axis("z", axes[0].length, axes[0].points, origin=-axes[0].origin)
-        axes += list(grid.axes[1:])
-        vals = _reverse_axis_values(values, 0)
-        return Field(Grid(tuple(axes), Frame.NPE), vals, f.components)
-    if (src, dst) == ("npe", "kzk"):
-        need("z")
-        axes = [_scale_axis(grid.axes[0], "tau", 1.0 / c)]
-        axes[0] = Axis("tau", axes[0].length, axes[0].points,
-                       origin=-axes[0].origin)
-        axes += list(grid.axes[1:])
-        vals = _reverse_axis_values(values, 0)
-        return Field(Grid(tuple(axes), Frame.KZK), vals, f.components)
-    raise ConfigError(f"unsupported frame transform {src} -> {dst}")
 
 
 def _run_transform(args, argv) -> int:
@@ -535,10 +455,10 @@ def main(argv=None) -> int:
         if args.cmd == "transform":
             return _run_transform(args, argv)
         raise ConfigError(f"unknown subcommand {args.cmd!r}")
-    except (ConfigError, KeyError) as exc:
+    except (ConfigError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverDiverged, SolverNaN, FloatingPointError, ValueError,
+    except (SolverDiverged, SolverNaN, FloatingPointError,
             RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -423,7 +423,7 @@ def _time_grid(cfg: ExperimentConfig, eps: float):
 
 def _substeps(span: float, n_int: int, step_hint: float) -> StepControl:
     per = max(1, int(math.ceil(span / n_int / step_hint - 1e-12)))
-    return StepControl(step=span / (n_int * per)), n_int * per
+    return StepControl(step=span / (n_int * per))
 
 
 def _default_wave_step(cfg: ExperimentConfig, coeff: ModelCoefficients,
@@ -466,10 +466,10 @@ def _run_ns_kuznetsov(cfg: ExperimentConfig, eps: float):
     u0, u1 = _wave_initial_data(cfg, coeff, grid)
     t_end, times = _time_grid(cfg, eps)
     n_int = len(times) - 1
-    ctl_w, _ = _substeps(t_end, n_int,
-                         _default_wave_step(cfg, coeff, cfg.model_step))
-    ctl_f, _ = _substeps(t_end, n_int,
-                         _default_wave_step(cfg, coeff, cfg.flow_step))
+    ctl_w = _substeps(t_end, n_int,
+                      _default_wave_step(cfg, coeff, cfg.model_step))
+    ctl_f = _substeps(t_end, n_int,
+                      _default_wave_step(cfg, coeff, cfg.flow_step))
 
     kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl_w, n_samples=n_int + 1)
 
@@ -493,8 +493,8 @@ def _run_kuznetsov_westervelt(cfg: ExperimentConfig, eps: float):
     u0, u1 = _wave_initial_data(cfg, coeff, grid)
     t_end, times = _time_grid(cfg, eps)
     n_int = len(times) - 1
-    ctl, _ = _substeps(t_end, n_int,
-                       _default_wave_step(cfg, coeff, cfg.model_step))
+    ctl = _substeps(t_end, n_int,
+                    _default_wave_step(cfg, coeff, cfg.model_step))
 
     kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
     pi0, pi1 = westervelt_initial_data(coeff, u0, u1)
@@ -549,8 +549,8 @@ def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
     xi0 = Field(zgrid, -coeff.rho0 / coeff.c * ops_z.d(psi0, "z"))
 
     tau_end = eps * t_end
-    ctl_n, _ = _substeps(tau_end, n_int,
-                         eps * _default_wave_step(cfg, coeff, cfg.model_step))
+    ctl_n = _substeps(tau_end, n_int,
+                      eps * _default_wave_step(cfg, coeff, cfg.model_step))
     npe = solve_npe(coeff, xi0, tau_end, ctl_n, n_samples=n_int + 1)
 
     def transported(state: ModelState, t: float):
@@ -567,8 +567,8 @@ def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
     ub0, ut0 = transported(npe[0], 0.0)
     u0f = Field(grid, ub0)
     u1f = Field(grid, ut0)
-    ctl_w, _ = _substeps(t_end, n_int,
-                         _default_wave_step(cfg, coeff, cfg.model_step))
+    ctl_w = _substeps(t_end, n_int,
+                      _default_wave_step(cfg, coeff, cfg.model_step))
     kuz = solve_kuznetsov(coeff, u0f, u1f, t_end, ctl_w, n_samples=n_int + 1)
 
     errs = []
@@ -587,7 +587,7 @@ def _run_kuznetsov_kzk(cfg: ExperimentConfig, eps: float):
     I0 = preset_profile(cfg.preset, grid, cfg.preset_params)
     z_end = cfg.horizon  # the range variable is already slow; no 1/eps
     n_int = cfg.samples
-    ctl, _ = _substeps(z_end, n_int, _default_kzk_step(cfg, coeff, grid))
+    ctl = _substeps(z_end, n_int, _default_kzk_step(cfg, coeff, grid))
 
     size = cfg.source_size if cfg.source_size > 0.0 else 1.0
     S = band_limited_perturbation(grid, cfg.seed, size).scalar

@@ -22,36 +22,34 @@ variable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Field, Frame, Grid
+from .fields import Axis, Field, Frame, Grid
 
 __all__ = [
-    "FrameKind",
     "FrameMap",
     "map_coordinates",
     "kzk_npe_bijection",
     "bijection_transport_derivatives",
-    "evaluate_profile_in_physical",
-    "trig_resample",
+    "transform_field",
 ]
-
-
-class FrameKind(Enum):
-    KZK_PARAXIAL = "kzk"
-    NPE_PARAXIAL = "npe"
 
 
 @dataclass(frozen=True)
 class FrameMap:
-    kind: FrameKind
+    """The change of variables from the physical frame to the paraxial
+    frame `kind` (Frame.KZK or Frame.NPE)."""
+
+    kind: Frame
     c: float
     eps: float
 
     def __post_init__(self) -> None:
+        if self.kind is Frame.PHYSICAL:
+            raise ValueError("FrameMap kind must be a paraxial frame "
+                             "(Frame.KZK or Frame.NPE)")
         if self.c <= 0:
             raise ValueError("sound speed c must be > 0")
         if not 0 < self.eps < 1:
@@ -72,12 +70,12 @@ def map_coordinates(fm: FrameMap, direction: str, point) -> tuple[float, ...]:
     se = math.sqrt(eps)
     if direction == "forward":
         t, x1, *xp = pt
-        if fm.kind is FrameKind.KZK_PARAXIAL:
+        if fm.kind is Frame.KZK:
             return (t - x1 / c, eps * x1, *[se * v for v in xp])
         return (eps * t, x1 - c * t, *[se * v for v in xp])
     if direction == "inverse":
         tau, z, *y = pt
-        if fm.kind is FrameKind.KZK_PARAXIAL:
+        if fm.kind is Frame.KZK:
             x1 = z / eps
             return (tau + x1 / c, x1, *[v / se for v in y])
         t = tau / eps
@@ -119,94 +117,55 @@ def bijection_transport_derivatives(direction: str, d_tau, d_z, c: float):
     )
 
 
-def trig_resample(values: np.ndarray, ax: int, points: int, length: float,
-                  origin: float, targets: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of periodic samples at arbitrary
-    positions along one array axis (exact for band-limited data)."""
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
-    fh = np.fft.rfft(values, axis=ax) / points
-    nmodes = fh.shape[ax]
-    w = np.full(nmodes, 2.0)
-    w[0] = 1.0
-    if points % 2 == 0:
-        w[-1] = 1.0
-    theta = 2.0 * np.pi * (targets - origin) / length
-    E = np.exp(1j * np.outer(theta, np.arange(nmodes)))  # (M, nmodes)
-    moved = np.moveaxis(fh, ax, 0) * w[:, None] if fh.ndim > 1 else fh * w
-    if fh.ndim == 1:
-        out = np.real(E @ moved)
-        return out
-    flat = moved.reshape(nmodes, -1)
-    out = np.real(E @ flat).reshape((targets.size,) + moved.shape[1:])
-    return np.moveaxis(out, 0, ax)
-
-
-# Correspondence profile-axis -> physical-axis for each paraxial frame.
-_AXIS_SOURCE = {
-    FrameKind.KZK_PARAXIAL: {"tau": "t", "y1": "x2", "y2": "x3"},
-    FrameKind.NPE_PARAXIAL: {"z": "x1", "y1": "x2", "y2": "x3"},
+# (src, dst) -> (leading axis of the source, leading axis of the target)
+_LEADING_AXES = {
+    ("physical", "kzk"): ("t", "tau"),
+    ("kzk", "physical"): ("tau", "t"),
+    ("physical", "npe"): ("x1", "z"),
+    ("npe", "physical"): ("z", "x1"),
+    ("kzk", "npe"): ("tau", "z"),
+    ("npe", "kzk"): ("z", "tau"),
 }
 
 
-def evaluate_profile_in_physical(profile: Field, fm: FrameMap, phys: Grid,
-                                 evol_value: float = 0.0) -> Field:
-    """Sample a paraxial profile (a snapshot at one value of its evolution
-    variable) on a physical grid.
+def transform_field(f: Field, src: str, dst: str, c: float,
+                    eps: float) -> Field:
+    """Map a snapshot between coordinate frames.
 
-    Supported slices are the ones the experiments need: t = 0 slices for NPE
-    profiles and x1 = 0 lines for KZK profiles (the evolution coordinate must
-    be constant over the physical grid; anything else raises).  Profile
-    axes are resampled trigonometrically, so every one must be periodic.
-    Physical coordinates that are not axes of the target grid are zero.
+    physical <-> kzk uses the x1 = 0 line (tau = t), physical <-> npe the
+    t = 0 slice (z = x1): the leading axis is renamed and the transverse
+    axes are renamed and rescale by sqrt(eps).  kzk <-> npe applies the
+    affine bijection z_npe = -c tau_kzk (index reversal plus an axis
+    rescale), which is exact on periodic grids and undefined on a bounded
+    leading axis.
     """
-    if phys.frame is not Frame.PHYSICAL:
-        raise ValueError("target grid must be in the physical frame")
-    se = math.sqrt(fm.eps)
-    phys_names = {a.name for a in phys.axes}
-
-    # The evolution coordinate (eps*x1 for KZK, eps*t for NPE) is zero on
-    # this slice and must equal the profile's evolution value.
-    if fm.kind is FrameKind.KZK_PARAXIAL:
-        if "x1" in phys_names:
-            raise ValueError("KZK profiles are evaluated on x1 = 0 lines; "
-                             "grids with an x1 axis are unsupported")
+    if src == dst:
+        return f
+    if (src, dst) not in _LEADING_AXES:
+        raise ValueError(f"unsupported frame transform {src} -> {dst}")
+    if not (c > 0 and eps > 0):
+        raise ValueError(f"transform needs c > 0 and eps > 0, got c={c}, "
+                         f"eps={eps}")
+    lead_src, lead_dst = _LEADING_AXES[src, dst]
+    lead, *rest = f.grid.axes
+    if lead.name != lead_src:
+        raise ValueError(f"{src}->{dst} expects leading axis {lead_src!r}, "
+                         f"got {lead.name!r}")
+    values = f.values
+    if "physical" in (src, dst):
+        se = math.sqrt(eps)
+        s, prefix, first = ((se, "y", 1) if src == "physical"
+                            else (1.0 / se, "x", 2))
+        lead = replace(lead, name=lead_dst)
+        rest = [Axis(f"{prefix}{i + first}", a.length * s, a.points,
+                     a.periodic, a.origin * s) for i, a in enumerate(rest)]
     else:
-        if "t" in phys_names:
-            raise ValueError("NPE profiles are evaluated on t = 0 slices; "
-                             "grids with a t axis are unsupported")
-    if abs(evol_value) > 1e-12:
-        raise ValueError(
-            f"slice evolution coordinate 0.0 does not match the "
-            f"profile's evolution value {evol_value}"
-        )
-
-    source = _AXIS_SOURCE[fm.kind]
-    values = profile.values
-    squeeze_axes = []
-    for k, pax in enumerate(profile.grid.axes):
-        src = source.get(pax.name)
-        if src is None:
-            raise ValueError(f"unrecognized paraxial axis {pax.name!r}")
-        if not pax.periodic:
-            raise ValueError(f"profile axis {pax.name!r} is bounded; only "
-                             "periodic profile axes can be resampled")
-        if src in phys_names:
-            coords = phys.axis(src).coordinates()
-        else:
-            coords = np.array([0.0])
-            squeeze_axes.append(k)
-        # Map physical coordinates to this profile axis: tau = t - x1/c on
-        # x1 = 0 and z = x1 - c t on t = 0 are the coordinates themselves,
-        # transverse axes scale as y = sqrt(eps) x'.
-        targets = coords if pax.name in ("tau", "z") else se * coords
-        values = trig_resample(values, k, pax.points, pax.length,
-                               pax.origin, targets)
-    for k in sorted(squeeze_axes, reverse=True):
-        values = np.squeeze(values, axis=k)
-    expected = phys.shape + (profile.components,)
-    if values.shape != expected:
-        raise ValueError(
-            f"physical grid axes {sorted(phys_names)} do not match the "
-            f"profile axes {[a.name for a in profile.grid.axes]}"
-        )
-    return Field(phys, values, profile.components)
+        if not lead.periodic:
+            raise ValueError(f"{src}->{dst} reverses the leading axis "
+                             f"{lead.name!r}, which must be periodic")
+        s = c if src == "kzk" else 1.0 / c
+        lead = Axis(lead_dst, lead.length * s, lead.points,
+                    origin=-(lead.origin * s))
+        n = lead.points
+        values = np.take(values, (-np.arange(n)) % n, axis=0)
+    return Field(Grid((lead, *rest), Frame(dst)), values, f.components)

@@ -115,6 +115,51 @@ def test_numerical_failure_exits_2(tmp_path):
                  str(tmp_path / "boom")]) == 2
 
 
+@pytest.mark.parametrize("model, grid, message", [
+    ("ns", {"frame": "kzk",
+            "axes": [{"name": "tau", "length": 2 * math.pi, "points": 16}]},
+     "physical-frame grids"),
+    ("kuznetsov", {"axes": [{"name": "x1", "length": 2 * math.pi,
+                             "points": 17, "periodic": False}]},
+     "axis 'x1' is not periodic"),
+])
+def test_input_rejected_by_a_solver_exits_1(tmp_path, capsys, model, grid,
+                                             message):
+    cfg = _solve_cfg(tmp_path, model=model, grid=grid,
+                     initial={"preset": "single_mode"}, span=0.05, step=0.01)
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+
+
+RESIDUAL = {"pair": "kuznetsov-westervelt", "coeff": COEFF,
+            "grid": {"axes": [{"name": "x1", "length": 2 * math.pi,
+                               "points": 16}]},
+            "initial": {"preset": "single_mode"}}
+STUDY = {"name": "mini", "pair": "kuznetsov-westervelt", "coeff": COEFF,
+         "horizon": 1.0}
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["residual", "--pair", "kuznetsov-npe"], {"residual": RESIDUAL},
+     "--pair kuznetsov-npe conflicts with config pair kuznetsov-westervelt"),
+    (["compare", "--pair", "ns-kuznetsov"], {"compare": STUDY},
+     "--pair ns-kuznetsov conflicts with config pair kuznetsov-westervelt"),
+    (["solve", "--model", "npe"], {"solve": {
+        "model": "kzk", "coeff": COEFF, "grid": RESIDUAL["grid"],
+        "initial": {"preset": "single_mode"}, "span": 1.0, "step": 0.1}},
+     "--model npe conflicts with config model kzk"),
+    (["sweep"], {"compare": STUDY}, "config carries no 'sweep' payload"),
+    (["residual"], {"residual": {k: v for k, v in RESIDUAL.items()
+                                 if k != "pair"}},
+     "pair must be given via --pair or the config"),
+])
+def test_flag_and_config_must_agree(tmp_path, capsys, argv, payload, message):
+    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, **payload})
+    assert main(argv + ["--config", cfg, "--dry-run"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_residual_csv(tmp_path):
     payload = {"schema_version": 1, "residual": {
         "pair": "kuznetsov-kzk",
@@ -213,6 +258,45 @@ def test_transform_kzk_npe_round_trip(tmp_path):
     for a, b in zip(back.grid.axes, g.grid.axes if hasattr(g, "grid") else g.axes):
         assert a.name == b.name and a.points == b.points
         assert a.length == pytest.approx(b.length, rel=1e-15)
+
+
+def _write_kzk_snapshot(tmp_path, tau):
+    g = Grid((tau, Axis("y1", 2.0, 8)), Frame.KZK)
+    src = str(tmp_path / "k.paf")
+    write_paf(src, Field.zeros(g))
+    return src
+
+
+@pytest.mark.parametrize("points", [16, 15])
+def test_transform_rejects_bounded_leading_axis(tmp_path, capsys, points):
+    # z_npe = -c tau_kzk reverses the leading axis, which is a reflection
+    # only on a periodic axis
+    src = _write_kzk_snapshot(tmp_path, Axis("tau", 2.0, points,
+                                             periodic=False))
+    assert main(["transform", "--from", "kzk", "--to", "npe", "--input", src,
+                 "--output", str(tmp_path / "n.paf")]) == 1
+    assert "leading axis 'tau', which must be periodic" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "n.paf").exists()
+
+
+def test_transform_wrong_leading_axis_is_named(tmp_path, capsys):
+    g = Grid((Axis("x1", 2.0, 16), Axis("x2", 2.0, 8)), Frame.PHYSICAL)
+    src = str(tmp_path / "p.paf")
+    write_paf(src, Field.zeros(g))
+    assert main(["transform", "--from", "physical", "--to", "kzk",
+                 "--input", src, "--output", str(tmp_path / "k.paf")]) == 1
+    assert "expects leading axis 't', got 'x1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--c", "0"], ["--eps", "0"],
+                                   ["--eps", "-0.1"]])
+def test_transform_rejects_nonpositive_c_and_eps(tmp_path, capsys, flags):
+    src = _write_kzk_snapshot(tmp_path, Axis("tau", 2.0, 16))
+    assert main(["transform", "--from", "kzk", "--to", "physical",
+                 "--input", src, "--output", str(tmp_path / "p.paf")]
+                + flags) == 1
+    assert "transform needs c > 0 and eps > 0" in capsys.readouterr().err
 
 
 def test_help_and_version_exit_zero(capsys):
