@@ -19,6 +19,7 @@ import numpy as np
 from .fields import Field, Grid
 from .models.base import ModelCoefficients, ModelKind, ModelState
 from .spectral import (
+    _check_periodic,
     antideriv_array,
     deriv_array,
     mean_zero_array,
@@ -31,6 +32,7 @@ __all__ = [
     "assemble_ansatz",
     "westervelt_transform",
     "westervelt_initial_data",
+    "right_moving_velocity",
 ]
 
 
@@ -53,25 +55,32 @@ class AnsatzProfile:
 
 
 class _Ops:
-    """Named-axis spectral helpers on the bare value arrays of one grid."""
+    """Named-axis spectral helpers on the bare value arrays of one grid.
+
+    Every helper acts along a periodic axis and refuses a bounded one."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.ax = {a.name: (i, a.points, a.length) for i, a in enumerate(grid.axes)}
 
     def has(self, name: str) -> bool:
-        return name in self.ax
+        return any(a.name == name for a in self.grid.axes)
+
+    def _periodic(self, name: str) -> tuple[int, int, float]:
+        i = self.grid.axis_index(name)
+        a = self.grid.axes[i]
+        _check_periodic(a)
+        return i, a.points, a.length
 
     def d(self, v: np.ndarray, name: str, order: int = 1) -> np.ndarray:
-        i, n, L = self.ax[name]
+        i, n, L = self._periodic(name)
         return deriv_array(v, i, n, L, order)
 
     def inv(self, v: np.ndarray, name: str) -> np.ndarray:
-        i, n, L = self.ax[name]
+        i, n, L = self._periodic(name)
         return antideriv_array(mean_zero_array(v, i), i, n, L)
 
     def mean_zero(self, v: np.ndarray, name: str) -> np.ndarray:
-        i, _n, _L = self.ax[name]
+        i, _n, _L = self._periodic(name)
         return mean_zero_array(v, i)
 
     def group(self, prefix: str) -> list[str]:
@@ -100,6 +109,20 @@ def _kzk_dz_phi(ops: _Ops, coeff: ModelCoefficients, phi: np.ndarray) -> np.ndar
            + nu / (rho0 * c**2) * ops.d(phi, "tau", 3)
            + c**2 * ops.lap(phi, "y"))
     return ops.inv(rhs, "tau") / (2.0 * c)
+
+
+def _kuznetsov_utt(ops: _Ops, coeff: ModelCoefficients, u: np.ndarray,
+                   ut: np.ndarray) -> np.ndarray:
+    """u_tt through the Kuznetsov equation, the elimination the stepper makes:
+    (c^2 Lap u + eps nu/rho0 Lap u_t + 2 eps grad u . grad u_t)
+    / (1 - eps (gamma-1)/c^2 u_t)."""
+    eps = coeff.eps
+    grad_dot = np.zeros_like(u)
+    for name in ops.group("x"):
+        grad_dot += ops.d(u, name) * ops.d(ut, name)
+    denom = 1.0 - coeff.alpha * eps * ut
+    return (coeff.c**2 * ops.lap(u, "x") + eps * coeff.nu / coeff.rho0
+            * ops.lap(ut, "x") + 2.0 * eps * grad_dot) / denom
 
 
 def _npe_dtau_psi(ops: _Ops, coeff: ModelCoefficients, psi: np.ndarray) -> np.ndarray:
@@ -236,20 +259,19 @@ def westervelt_initial_data(coeff: ModelCoefficients, u0: Field,
     margin)."""
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 must share one grid")
-    ops = _Ops(u0.grid)
     eps, c2 = coeff.eps, coeff.c**2
     a0, a1 = u0.scalar, u1.scalar
-    factor = 1.0 - coeff.alpha * eps * a1
-    if np.min(np.abs(factor)) < 0.5:
+    if np.min(np.abs(1.0 - coeff.alpha * eps * a1)) < 0.5:
         raise ValueError(
             "degeneracy factor |1 - (gamma-1)/c^2 eps u1| dropped below 0.5"
         )
     pi0 = a0 + eps / c2 * a0 * a1
-    grad_dot = np.zeros_like(a0)
-    for name in ops.group("x"):
-        grad_dot += ops.d(a0, name) * ops.d(a1, name)
-    utt0 = (c2 * ops.lap(a0, "x") + coeff.nu / coeff.rho0 * eps * ops.lap(a1, "x")
-            + 2.0 * eps * grad_dot) / factor
+    utt0 = _kuznetsov_utt(_Ops(u0.grid), coeff, a0, a1)
     pi1 = a1 + eps / c2 * a1**2 + eps / c2 * a0 * utt0
     grid = u0.grid
     return Field(grid, pi0), Field(grid, pi1)
+
+
+def right_moving_velocity(coeff: ModelCoefficients, u0: Field) -> Field:
+    """First-order data u1 = -c du0/dx1 of a wave moving towards +x1."""
+    return Field(u0.grid, -coeff.c * _Ops(u0.grid).d(u0.scalar, "x1"))

@@ -24,6 +24,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
+from .ansatz import right_moving_velocity
 from .experiments import (
     ExperimentConfig,
     config_hash,
@@ -36,8 +37,7 @@ from .flow import FlowState, solve_flow
 from .frames import transform_field
 from .models.base import (
     ModelCoefficients,
-    SolverDiverged,
-    SolverNaN,
+    SolverError,
     StepControl,
     resolve_steps,
 )
@@ -45,7 +45,6 @@ from .models.oneway import solve_kzk, solve_npe
 from .models.waves import solve_kuznetsov, solve_westervelt
 from .paf import read_paf, write_paf
 from .remainders import evaluate_remainder
-from .spectral import deriv_array
 
 __all__ = ["main", "entry"]
 
@@ -241,22 +240,13 @@ def _run_solve(args, argv) -> int:
 
     init = _initial_field(payload["initial"], grid)
     if model in ("kuznetsov", "westervelt"):
-        i1 = grid.axis_index("x1")
-        a1 = grid.axes[i1]
-        u1 = Field(grid, -coeff.c * deriv_array(init.scalar, i1, a1.points,
-                                                a1.length))
+        u1 = right_moving_velocity(coeff, init)
         solver = solve_kuznetsov if model == "kuznetsov" else solve_westervelt
         states = solver(coeff, init, u1, span, ctl, n_samples=n_samples)
         samples = [(s.evol, s.primary) for s in states]
-    elif model == "kzk":
-        states = solve_kzk(coeff, init, span, ctl,
-                           conservative=payload.get("conservative", True),
-                           n_samples=n_samples)
-        samples = [(s.evol, s.primary) for s in states]
-    elif model == "npe":
-        states = solve_npe(coeff, init, span, ctl,
-                           conservative=payload.get("conservative", True),
-                           n_samples=n_samples)
+    elif model in ("kzk", "npe"):
+        solver = solve_kzk if model == "kzk" else solve_npe
+        states = solver(coeff, init, span, ctl, n_samples=n_samples)
         samples = [(s.evol, s.primary) for s in states]
     elif model in ("ns", "euler"):
         if model == "euler":
@@ -344,7 +334,7 @@ def _run_residual(args, argv) -> int:
     pair = payload["pair"]
     coeff = _coeff_from(payload.get("coeff"))
     grid = _grid_from(payload["grid"])
-    fname = payload.get("field_name", _RESIDUAL_FIELD.get(pair))
+    fname = _RESIDUAL_FIELD.get(pair)
     if fname is None:
         raise ConfigError(f"unknown pair {pair!r}")
     out = _out_dir(args, cfg, f"residual_{pair}")
@@ -353,9 +343,7 @@ def _run_residual(args, argv) -> int:
                           "field": fname, "output_dir": out}, sort_keys=True))
         return 0
     f = _initial_field(payload["initial"], grid)
-    result = evaluate_remainder(pair, coeff, {fname: f},
-                                variant=payload.get("variant"),
-                                with_term_stats=True)
+    result = evaluate_remainder(pair, coeff, {fname: f}, with_term_stats=True)
     os.makedirs(out, exist_ok=True)
     eps_base = float(coeff.eps) ** float(result.base)
     with open(os.path.join(out, "residual.csv"), "w", newline="") as fh:
@@ -458,8 +446,7 @@ def main(argv=None) -> int:
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverDiverged, SolverNaN, FloatingPointError,
-            RuntimeError) as exc:
+    except (SolverError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -28,10 +28,12 @@ import numpy as np
 
 from . import __version__
 from .ansatz import (
+    _kuznetsov_utt,
     _npe_dtau_psi,
     _Ops,
     assemble_ansatz,
     build_correctors,
+    right_moving_velocity,
     westervelt_initial_data,
     westervelt_transform,
 )
@@ -41,13 +43,12 @@ from .models.base import (
     ModelCoefficients,
     ModelKind,
     ModelState,
-    SolverDiverged,
-    SolverNaN,
+    SolverError,
     StepControl,
 )
 from .models.oneway import solve_kzk, solve_npe
 from .models.waves import solve_kuznetsov, solve_westervelt
-from .spectral import deriv_array, rfftn_wavenumbers
+from .spectral import deriv_array
 
 __all__ = [
     "PRESETS",
@@ -66,6 +67,8 @@ __all__ = [
 
 PRESETS = ("single_mode", "gaussian_beam", "polynomial_amplitude", "water")
 SLOPE_FRACTIONS = (0.25, 0.5, 1.0)
+#: length of every study axis: the beam presets assume 2 pi-periodic axes
+STUDY_LENGTH = 2.0 * math.pi
 
 #: pairs scaling_study knows how to drive, with their pass rules
 _PAIR_RULES = {
@@ -135,7 +138,7 @@ def band_limited_perturbation(grid: Grid, seed: int, size: float,
         vals += a * np.sin(arg + phase)
     norm = math.sqrt(float(np.sum(vals**2)) * grid.cell_volume)
     if norm == 0.0:
-        raise RuntimeError("degenerate perturbation draw")
+        raise ValueError("degenerate perturbation draw")
     return Field(grid, vals * (size / norm))
 
 
@@ -159,17 +162,13 @@ class ExperimentConfig:
     horizon: float
     horizon_over_eps: bool = True
     points: int = 64
-    length: float = 2.0 * math.pi
     dim: int = 1
     trans_points: int | None = None
-    trans_length: float | None = None
     preset: str = "single_mode"
     preset_params: dict = dc_field(default_factory=dict)
     delta: float = 0.0
     seed: int = 0
     samples: int = 8
-    model_step: float | None = None
-    flow_step: float | None = None
     source_size: float = 0.0
 
     def __post_init__(self) -> None:
@@ -236,7 +235,6 @@ class Report:
     slopes: dict = dc_field(default_factory=dict)
     median_slope: float | None = None
     gronwall: list = dc_field(default_factory=list)
-    decay: dict | None = None
     verdicts: list = dc_field(default_factory=list)
     meta: dict = dc_field(default_factory=dict)
 
@@ -335,51 +333,25 @@ def gronwall_envelope_check(z, errors, eps: float, tag: str = "envelope") -> dic
             "detail": f"max measured/envelope ratio {max_ratio:.4f}"}
 
 
-def decay_fit(coeff: ModelCoefficients, trajectory, sobolev_order: int = 0,
-              transient: float = 0.0) -> dict:
+def decay_fit(coeff: ModelCoefficients, trajectory) -> dict:
     """Log-linear decay-rate fit of a viscous one-way trajectory.
 
-    Fits log ||state||_{H^s} against the evolution variable past the
-    transient; passes when the rate is negative and the fit residual stays
-    within 10% of the dynamic range.
+    Fits log ||state||_L2 against the evolution variable; passes when the
+    rate is negative and the fit residual stays within 10% of the dynamic
+    range.
     """
     if coeff.nu <= 0.0:
         raise ValueError("decay_fit needs a viscous trajectory (nu > 0)")
-    zs, ys = [], []
-    for state in trajectory:
-        if state.evol < transient:
-            continue
-        zs.append(float(state.evol))
-        ys.append(math.log(_sobolev_norm(state.primary, sobolev_order)))
-    if len(zs) < 3:
-        raise ValueError("need at least 3 samples past the transient")
-    zs_a, ys_a = np.array(zs), np.array(ys)
+    if len(trajectory) < 3:
+        raise ValueError("need at least 3 samples")
+    zs_a = np.array([float(s.evol) for s in trajectory])
+    ys_a = np.array([math.log(s.primary.l2_norm()) for s in trajectory])
     rate, intercept = np.polyfit(zs_a, ys_a, 1)
     resid = float(np.sqrt(np.mean((ys_a - (rate * zs_a + intercept)) ** 2)))
     span = float(np.max(ys_a) - np.min(ys_a))
     passed = bool(rate < 0.0 and resid <= 0.1 * max(span, 1e-300))
     return {"rate": float(rate), "intercept": float(intercept),
-            "residual": resid, "dynamic_range": span,
-            "sobolev_order": sobolev_order, "passed": passed}
-
-
-def _sobolev_norm(f: Field, order: int) -> float:
-    grid = f.grid
-    if order == 0:
-        return f.l2_norm()
-    v = f.scalar
-    axes = range(len(grid.axes))
-    vh = np.fft.rfftn(v, axes=axes)
-    ksq = sum(k**2 for k in rfftn_wavenumbers(grid))
-    weight = (1.0 + ksq) ** order
-    # Parseval with rfft: double every mode that has a conjugate partner
-    n_last = grid.axes[-1].points
-    dup = np.full(vh.shape[-1], 2.0)
-    dup[0] = 1.0
-    if n_last % 2 == 0:
-        dup[-1] = 1.0
-    total = np.sum(weight * dup * np.abs(vh) ** 2) / grid.npoints
-    return float(math.sqrt(total * grid.cell_volume))
+            "residual": resid, "dynamic_range": span, "passed": passed}
 
 
 # ----------------------------------------------------------------------
@@ -387,18 +359,18 @@ def _sobolev_norm(f: Field, order: int) -> float:
 
 
 def _spatial_grid(cfg: ExperimentConfig) -> Grid:
-    axes = tuple(Axis(f"x{i + 1}", cfg.length, cfg.points)
+    axes = tuple(Axis(f"x{i + 1}", STUDY_LENGTH, cfg.points)
                  for i in range(cfg.dim))
     return Grid(axes, Frame.PHYSICAL)
 
 
 def _paraxial_grid(cfg: ExperimentConfig, frame: Frame) -> Grid:
     lead = "tau" if frame is Frame.KZK else "z"
-    axes = [Axis(lead, cfg.length, cfg.points)]
+    axes = [Axis(lead, STUDY_LENGTH, cfg.points)]
     tp = cfg.trans_points or cfg.points
-    tl = cfg.trans_length or cfg.length
     for i in range(cfg.dim - 1):
-        axes.append(Axis(f"y{i + 1}", tl, tp, origin=-tl / 2.0))
+        axes.append(Axis(f"y{i + 1}", STUDY_LENGTH, tp,
+                         origin=-STUDY_LENGTH / 2.0))
     return Grid(tuple(axes), frame)
 
 
@@ -426,13 +398,11 @@ def _substeps(span: float, n_int: int, step_hint: float) -> StepControl:
     return StepControl(step=span / (n_int * per))
 
 
-def _default_wave_step(cfg: ExperimentConfig, coeff: ModelCoefficients,
-                       override: float | None) -> float:
-    """`override` when set, else 0.5 / (c k_max) on the study grid (the
-    default for the wave models and for the flow reference alike)."""
-    if override is not None:
-        return override
-    kmax = math.pi * cfg.points / cfg.length
+def _default_wave_step(cfg: ExperimentConfig,
+                       coeff: ModelCoefficients) -> float:
+    """0.5 / (c k_max) on the study grid, for the wave models and for the
+    flow reference alike."""
+    kmax = math.pi * cfg.points / STUDY_LENGTH
     return 0.5 / (coeff.c * kmax)
 
 
@@ -440,8 +410,6 @@ def _default_kzk_step(cfg: ExperimentConfig, coeff: ModelCoefficients,
                       grid: Grid) -> float:
     """Range step bounded by the explicitly-stepped diffraction term, whose
     per-mode rate peaks at (c/2) ky_max^2 / ktau_min."""
-    if cfg.model_step is not None:
-        return cfg.model_step
     tau = grid.axis("tau")
     ktau_min = 2.0 * math.pi / tau.length
     rate = 0.0
@@ -451,27 +419,16 @@ def _default_kzk_step(cfg: ExperimentConfig, coeff: ModelCoefficients,
     return 0.3 / rate if rate > 0.0 else 0.02 * cfg.horizon
 
 
-def _wave_initial_data(cfg: ExperimentConfig, coeff: ModelCoefficients,
-                       grid: Grid) -> tuple[Field, Field]:
-    """(u0, u1) with right-moving first-order data u1 = -c du0/dx1."""
-    u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
-    ops = _Ops(grid)
-    u1 = Field(grid, -coeff.c * ops.d(u0.scalar, "x1"))
-    return u0, u1
-
-
 def _run_ns_kuznetsov(cfg: ExperimentConfig, eps: float):
     coeff = replace(cfg.coeff, eps=eps)
     grid = _spatial_grid(cfg)
-    u0, u1 = _wave_initial_data(cfg, coeff, grid)
+    u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
+    u1 = right_moving_velocity(coeff, u0)
     t_end, times = _time_grid(cfg, eps)
     n_int = len(times) - 1
-    ctl_w = _substeps(t_end, n_int,
-                      _default_wave_step(cfg, coeff, cfg.model_step))
-    ctl_f = _substeps(t_end, n_int,
-                      _default_wave_step(cfg, coeff, cfg.flow_step))
+    ctl = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
 
-    kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl_w, n_samples=n_int + 1)
+    kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
 
     def ansatz_of(state: ModelState) -> FlowState:
         cors = build_correctors(ModelKind.KUZNETSOV, coeff, state)
@@ -482,7 +439,7 @@ def _run_ns_kuznetsov(cfg: ExperimentConfig, eps: float):
         pert = band_limited_perturbation(grid, cfg.seed, cfg.delta)
         U0 = FlowState(U0.rho.with_values(U0.rho.values + pert.values),
                        U0.momentum)
-    flow = solve_flow(coeff, U0, t_end, ctl_f, n_samples=n_int + 1)
+    flow = solve_flow(coeff, U0, t_end, ctl, n_samples=n_int + 1)
     errs = [l2_error(U, ansatz_of(s)) for (_t, U), s in zip(flow, kuz)]
     return list(times), errs
 
@@ -490,11 +447,11 @@ def _run_ns_kuznetsov(cfg: ExperimentConfig, eps: float):
 def _run_kuznetsov_westervelt(cfg: ExperimentConfig, eps: float):
     coeff = replace(cfg.coeff, eps=eps)
     grid = _spatial_grid(cfg)
-    u0, u1 = _wave_initial_data(cfg, coeff, grid)
+    u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
+    u1 = right_moving_velocity(coeff, u0)
     t_end, times = _time_grid(cfg, eps)
     n_int = len(times) - 1
-    ctl = _substeps(t_end, n_int,
-                    _default_wave_step(cfg, coeff, cfg.model_step))
+    ctl = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
 
     kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
     pi0, pi1 = westervelt_initial_data(coeff, u0, u1)
@@ -505,13 +462,7 @@ def _run_kuznetsov_westervelt(cfg: ExperimentConfig, eps: float):
     errs = []
     for ks, ws in zip(kuz, wes):
         u, ut = ks.primary.scalar, ks.velocity.scalar
-        # u_tt through the model equation (same elimination as the stepper)
-        grad_dot = np.zeros_like(u)
-        for name in ops.group("x"):
-            grad_dot += ops.d(u, name) * ops.d(ut, name)
-        denom = 1.0 - coeff.alpha * eps * ut
-        utt = (c2 * ops.lap(u, "x") + eps * coeff.nu / coeff.rho0
-               * ops.lap(ut, "x") + 2.0 * eps * grad_dot) / denom
+        utt = _kuznetsov_utt(ops, coeff, u, ut)
         pib = westervelt_transform(coeff, ks.primary, ks.velocity)
         pib_t = Field(grid, ut + eps / c2 * (ut**2 + u * utt))
         ref = ModelState(ModelKind.WESTERVELT, ks.evol, pib, pib_t)
@@ -541,7 +492,7 @@ def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
     n_int = len(times) - 1
 
     # NPE profile grid shares the spatial axis, renamed to z
-    zax = Axis("z", cfg.length, cfg.points)
+    zax = Axis("z", STUDY_LENGTH, cfg.points)
     zgrid = Grid((zax,), Frame.NPE)
     u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
     ops_z = _Ops(zgrid)
@@ -549,8 +500,7 @@ def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
     xi0 = Field(zgrid, -coeff.rho0 / coeff.c * ops_z.d(psi0, "z"))
 
     tau_end = eps * t_end
-    ctl_n = _substeps(tau_end, n_int,
-                      eps * _default_wave_step(cfg, coeff, cfg.model_step))
+    ctl_n = _substeps(tau_end, n_int, eps * _default_wave_step(cfg, coeff))
     npe = solve_npe(coeff, xi0, tau_end, ctl_n, n_samples=n_int + 1)
 
     def transported(state: ModelState, t: float):
@@ -567,8 +517,7 @@ def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
     ub0, ut0 = transported(npe[0], 0.0)
     u0f = Field(grid, ub0)
     u1f = Field(grid, ut0)
-    ctl_w = _substeps(t_end, n_int,
-                      _default_wave_step(cfg, coeff, cfg.model_step))
+    ctl_w = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
     kuz = solve_kuznetsov(coeff, u0f, u1f, t_end, ctl_w, n_samples=n_int + 1)
 
     errs = []
@@ -715,7 +664,7 @@ def scaling_study(cfg: ExperimentConfig) -> Report:
             return {"eps": float(eps), "status": "ok",
                     "evol": [float(t) for t in times],
                     "l2_error": [float(e) for e in errs]}
-        except (SolverDiverged, SolverNaN, RuntimeError) as exc:
+        except SolverError as exc:
             return {"eps": float(eps), "status": "failed",
                     "evol": [], "l2_error": [], "error": str(exc)}
 
@@ -781,7 +730,7 @@ def _svg_plot(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: Report, out_dir: str, plot: bool = True) -> dict:
+def emit_report(report: Report, out_dir: str) -> dict:
     """Write report.json, errors.csv (17 significant digits) and plot.svg.
 
     Byte output is a deterministic function of the Report contents."""
@@ -801,9 +750,8 @@ def emit_report(report: Report, out_dir: str, plot: bool = True) -> dict:
                 fh.write(f"{s['eps']:.17g},{t:.17g},{e:.17g}\n")
     paths["errors"] = cpath
 
-    if plot:
-        ppath = os.path.join(out_dir, "plot.svg")
-        with open(ppath, "w") as fh:
-            fh.write(_svg_plot(report))
-        paths["plot"] = ppath
+    ppath = os.path.join(out_dir, "plot.svg")
+    with open(ppath, "w") as fh:
+        fh.write(_svg_plot(report))
+    paths["plot"] = ppath
     return paths

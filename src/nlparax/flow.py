@@ -4,7 +4,7 @@ System (periodic 1D/2D, quadratic state law):
 
   d rho/dt + div(rho v) = 0
   rho (dv/dt + (v . grad) v) = -grad p(rho) + eps*nu Lap v
-  p(rho) = p0 + c^2 (rho - rho0) + (gamma-1) c^2 / (2 rho0) (rho - rho0)^2
+  p(rho) = c^2 (rho - rho0) + (gamma-1) c^2 / (2 rho0) (rho - rho0)^2
 
 Mass is integrated in flux form (spectral divergence kills the zero mode, so
 total mass is conserved to rounding), momentum in primitive velocity form and
@@ -20,7 +20,9 @@ Entropy diagnostics use the convex pair
 with h normalized so that eta(rho0, 0) = 0.  Smooth admissible solutions
 satisfy d eta/dt + div q - eps nu v . Lap v <= 0; on a torus the decay-at-
 infinity boundary terms of the usual admissibility definition vanish
-identically.
+identically.  A reference pressure p0 would enter the system only through
+grad p and would add the affine term p0 (rho/rho0 - 1) to eta, which drops
+out of that inequality, so the state law carries none.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field, Frame, Grid
-from .models.base import ModelCoefficients, StepControl, march, resolve_steps
+from .models.base import (
+    ModelCoefficients,
+    PositivityLost,
+    StepControl,
+    march,
+    resolve_steps,
+)
 from .spectral import dealias_grid_array, deriv_array, rfftn_wavenumbers
 
 __all__ = [
@@ -75,19 +83,19 @@ class FlowState:
         return cls(rho, Field(rho.grid, v.values * rho.values, v.components))
 
 
-def pressure_from_density(coeff: ModelCoefficients, rho: np.ndarray,
-                          p0: float = 0.0) -> np.ndarray:
+def pressure_from_density(coeff: ModelCoefficients,
+                          rho: np.ndarray) -> np.ndarray:
     if np.min(rho) <= 0.0:
         raise ValueError("density must be positive")
     c2 = coeff.c**2
     dr = rho - coeff.rho0
     quad = (coeff.gamma - 1.0) * c2 / (2.0 * coeff.rho0)
-    return p0 + c2 * dr + quad * dr**2
+    return c2 * dr + quad * dr**2
 
 
-def pressure(coeff: ModelCoefficients, rho: Field, p0: float = 0.0) -> Field:
+def pressure(coeff: ModelCoefficients, rho: Field) -> Field:
     """Quadratic state law p(rho)."""
-    return rho.with_values(pressure_from_density(coeff, rho.values, p0))
+    return rho.with_values(pressure_from_density(coeff, rho.values))
 
 
 def _dpressure(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
@@ -103,12 +111,10 @@ def _axis_geometry(grid: Grid) -> list[tuple[int, float]]:
 
 
 class _FlowStepper:
-    def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float,
-                 p0: float):
+    def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float):
         self.grid = grid
         self.coeff = coeff
         self.dt = dt
-        self.p0 = p0
         self.geom = _axis_geometry(grid)
         self.ndim = len(self.geom)
         # exact decay of the eps*nu/rho0 Lap v part per rfftn mode
@@ -136,7 +142,7 @@ class _FlowStepper:
         drho = np.zeros_like(rho)
         for i in range(self.ndim):
             drho -= self._d(dealias_grid_array(rho * v[i], self.grid), i)
-        p = pressure_from_density(coeff, rho, self.p0)
+        p = pressure_from_density(coeff, rho)
         dv = []
         visc = coeff.eps * coeff.nu
         for i in range(self.ndim):
@@ -161,13 +167,13 @@ class _FlowStepper:
         rho_m = rho + 0.5 * dt * d1rho
         v_m = [v[i] + 0.5 * dt * d1v[i] for i in range(self.ndim)]
         if np.min(rho_m) <= 0.0:
-            raise RuntimeError("density positivity lost during midpoint stage")
+            raise PositivityLost("density positivity lost during midpoint stage")
         d2rho, d2v = self.tendency(rho_m, v_m)
         rho = rho + dt * d2rho
         v = [v[i] + dt * d2v[i] for i in range(self.ndim)]
         v = self._visc_half(v)
         if np.min(rho) <= 0.0:
-            raise RuntimeError(
+            raise PositivityLost(
                 f"density positivity lost at t = {n * dt:.6g} "
                 f"(min rho = {np.min(rho):.3e})"
             )
@@ -175,14 +181,14 @@ class _FlowStepper:
 
 
 def solve_flow(coeff: ModelCoefficients, init: FlowState, t_end: float,
-               ctl: StepControl, p0: float = 0.0,
+               ctl: StepControl,
                n_samples: int = 2) -> list[tuple[float, FlowState]]:
     """Integrate the isentropic system up to t_end; returns (t, state) pairs."""
     grid = init.grid
     if grid.frame is not Frame.PHYSICAL:
         raise ValueError("flow states live on physical-frame grids")
     nsteps, dt = resolve_steps(t_end, ctl)
-    stepper = _FlowStepper(grid, coeff, dt, p0)
+    stepper = _FlowStepper(grid, coeff, dt)
     state = (init.rho.scalar,
              *(init.velocity().component(i) for i in range(stepper.ndim)))
     return [(t, FlowState.from_primitive(
@@ -192,48 +198,46 @@ def solve_flow(coeff: ModelCoefficients, init: FlowState, t_end: float,
                                       "flow")]
 
 
-def _h_constants(coeff: ModelCoefficients, p0: float):
+def _h_constants(coeff: ModelCoefficients):
     """Closed-form primitive of p(rho)/rho^2 for the quadratic state law:
     h(rho) = -A/rho + B log rho + d rho + C0."""
     c2 = coeff.c**2
     d = (coeff.gamma - 1.0) * c2 / (2.0 * coeff.rho0)
-    A = p0 - c2 * coeff.rho0 + d * coeff.rho0**2
+    A = -c2 * coeff.rho0 + d * coeff.rho0**2
     B = c2 - 2.0 * d * coeff.rho0
     C0 = A / coeff.rho0 - B * math.log(coeff.rho0) - d * coeff.rho0
     return A, B, d, C0
 
 
-def _h(coeff: ModelCoefficients, rho: np.ndarray, p0: float) -> np.ndarray:
-    A, B, d, C0 = _h_constants(coeff, p0)
+def _h(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
+    A, B, d, C0 = _h_constants(coeff)
     return -A / rho + B * np.log(rho) + d * rho + C0
 
 
-def entropy_pair(coeff: ModelCoefficients, U: FlowState,
-                 p0: float = 0.0) -> tuple[Field, Field]:
+def entropy_pair(coeff: ModelCoefficients,
+                 U: FlowState) -> tuple[Field, Field]:
     """Convex entropy eta and its flux q = v (eta + p)."""
     rho = U.rho.scalar
     if np.min(rho) <= 0.0:
         raise ValueError("density must be positive")
     v = U.velocity().values
     vsq = np.sum(v**2, axis=-1)
-    eta = rho * _h(coeff, rho, p0) + 0.5 * rho * vsq
-    p = pressure_from_density(coeff, rho, p0)
+    eta = rho * _h(coeff, rho) + 0.5 * rho * vsq
+    p = pressure_from_density(coeff, rho)
     q = v * (eta + p)[..., np.newaxis]
     grid = U.grid
     return Field(grid, eta), Field(grid, q, U.momentum.components)
 
 
-def entropy_gradient(coeff: ModelCoefficients, rho: np.ndarray, v: np.ndarray,
-                     p0: float = 0.0):
+def entropy_gradient(coeff: ModelCoefficients, rho: np.ndarray, v: np.ndarray):
     """d eta / d(rho, m): (H'(rho) - |v|^2/2, v) with H = rho h."""
-    h = _h(coeff, rho, p0)
-    Hp = h + pressure_from_density(coeff, rho, p0) / rho
+    h = _h(coeff, rho)
+    Hp = h + pressure_from_density(coeff, rho) / rho
     vsq = np.sum(np.atleast_1d(v) ** 2, axis=0)
     return Hp - 0.5 * vsq, np.atleast_1d(v)
 
 
-def entropy_hessian(coeff: ModelCoefficients, rho: float, v,
-                    p0: float = 0.0) -> np.ndarray:
+def entropy_hessian(coeff: ModelCoefficients, rho: float, v) -> np.ndarray:
     """Hessian of eta in conservative variables (rho, m) at one state:
     [[H''(rho) + |v|^2/rho, -v^T/rho], [-v/rho, (1/rho) Id]]."""
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
@@ -247,8 +251,7 @@ def entropy_hessian(coeff: ModelCoefficients, rho: float, v,
     return out
 
 
-def flux(coeff: ModelCoefficients, U: FlowState, i: int,
-         p0: float = 0.0) -> Field:
+def flux(coeff: ModelCoefficients, U: FlowState, i: int) -> Field:
     """Flux vector G_i(U) = (rho v_i, rho v_i v + p e_i)."""
     rho = U.rho.scalar
     if np.min(rho) <= 0.0:
@@ -257,7 +260,7 @@ def flux(coeff: ModelCoefficients, U: FlowState, i: int,
     n = U.momentum.components
     if not 0 <= i < n:
         raise ValueError(f"axis index {i} out of range for {n} components")
-    p = pressure_from_density(coeff, rho, p0)
+    p = pressure_from_density(coeff, rho)
     comps = [rho * v[..., i]]
     for j in range(n):
         g = rho * v[..., i] * v[..., j]
@@ -268,8 +271,8 @@ def flux(coeff: ModelCoefficients, U: FlowState, i: int,
 
 
 def admissibility_residual(coeff: ModelCoefficients,
-                           trajectory: list[tuple[float, FlowState]],
-                           p0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                           trajectory: list[tuple[float, FlowState]]
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Spatial integral of d eta/dt + div q - eps nu v . Lap v per sample.
 
     The time derivative uses central differences across the (uniformly
@@ -288,7 +291,7 @@ def admissibility_residual(coeff: ModelCoefficients,
     geom = _axis_geometry(grid)
     etas = []
     for _t, U in trajectory:
-        eta, _q = entropy_pair(coeff, U, p0)
+        eta, _q = entropy_pair(coeff, U)
         etas.append(np.sum(eta.scalar) * w)
     etas = np.array(etas)
     out_t, out_r = [], []
@@ -297,7 +300,7 @@ def admissibility_residual(coeff: ModelCoefficients,
         deta_dt = (etas[m + 1] - etas[m - 1]) / (2.0 * dt)
         # div q integrates to zero on the torus (spectral derivative of a
         # periodic field has zero mean) but is computed for completeness
-        _eta, q = entropy_pair(coeff, U, p0)
+        _eta, q = entropy_pair(coeff, U)
         divq = np.zeros(grid.shape)
         for i, (n, L) in enumerate(geom):
             divq += deriv_array(q.component(i), i, n, L)

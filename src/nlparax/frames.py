@@ -137,12 +137,15 @@ def transform_field(f: Field, src: str, dst: str, c: float,
     axes are renamed and rescale by sqrt(eps).  kzk <-> npe applies the
     affine bijection z_npe = -c tau_kzk (index reversal plus an axis
     rescale), which is exact on periodic grids and undefined on a bounded
-    leading axis.
+    leading axis.  The snapshot's frame tag must be `src`.
     """
+    if (src, dst) not in _LEADING_AXES and src != dst:
+        raise ValueError(f"unsupported frame transform {src} -> {dst}")
+    if f.grid.frame is not Frame(src):
+        raise ValueError(f"{src}->{dst} needs a snapshot in the {src!r} "
+                         f"frame, got one in the {f.grid.frame.value!r} frame")
     if src == dst:
         return f
-    if (src, dst) not in _LEADING_AXES:
-        raise ValueError(f"unsupported frame transform {src} -> {dst}")
     if not (c > 0 and eps > 0):
         raise ValueError(f"transform needs c > 0 and eps > 0, got c={c}, "
                          f"eps={eps}")

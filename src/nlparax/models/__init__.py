@@ -4,7 +4,9 @@ from .base import (
     ModelCoefficients,
     ModelKind,
     ModelState,
+    PositivityLost,
     SolverDiverged,
+    SolverError,
     SolverNaN,
     StepControl,
 )
@@ -15,8 +17,10 @@ __all__ = [
     "ModelCoefficients",
     "ModelKind",
     "ModelState",
+    "SolverError",
     "SolverDiverged",
     "SolverNaN",
+    "PositivityLost",
     "StepControl",
     "NonlinearitySwitch",
     "solve_kuznetsov",

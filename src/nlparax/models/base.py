@@ -16,8 +16,10 @@ __all__ = [
     "ModelKind",
     "ModelState",
     "StepControl",
+    "SolverError",
     "SolverDiverged",
     "SolverNaN",
+    "PositivityLost",
     "check_health",
     "march",
     "resolve_steps",
@@ -97,12 +99,20 @@ class StepControl:
             raise ValueError("substeps must be >= 1")
 
 
-class SolverDiverged(RuntimeError):
+class SolverError(RuntimeError):
+    """A march that could not go on; the input itself was well formed."""
+
+
+class SolverDiverged(SolverError):
     """Field norm exceeded 1e6 x the initial norm."""
 
 
-class SolverNaN(RuntimeError):
+class SolverNaN(SolverError):
     """A non-finite value appeared during stepping."""
+
+
+class PositivityLost(SolverError):
+    """The density of the flow reference reached zero or below."""
 
 
 def check_health(values: np.ndarray, initial_norm: float, where: str) -> None:

@@ -51,8 +51,7 @@ class _OneWayStepper:
     """
 
     def __init__(self, grid: Grid, ax_name: str, a_nl: float, d_visc: float,
-                 d_diff: float, dt: float, conservative: bool = True,
-                 src_scale: float = 0.0,
+                 d_diff: float, dt: float, src_scale: float = 0.0,
                  source: Callable[[float], np.ndarray] | None = None):
         self.grid = grid
         self.ax = grid.axis_index(ax_name)
@@ -63,7 +62,6 @@ class _OneWayStepper:
         self.a_nl = a_nl
         self.d_diff = d_diff
         self.dt = dt
-        self.conservative = conservative
         self.src_scale = src_scale
         self.source = source
         self.trans = [(i, a.points, a.length) for i, a in enumerate(grid.axes)
@@ -79,11 +77,7 @@ class _OneWayStepper:
 
     def explicit_tendency(self, v: np.ndarray, evol: float) -> np.ndarray:
         sq = dealias_array(v * v, self.ax, self.n)
-        if self.conservative:
-            out = self.a_nl * deriv_array(sq, self.ax, self.n, self.L)
-        else:
-            dv = deriv_array(v, self.ax, self.n, self.L)
-            out = 2.0 * self.a_nl * dealias_array(v * dv, self.ax, self.n)
+        out = self.a_nl * deriv_array(sq, self.ax, self.n, self.L)
         if self.trans:
             # antiderivative along the conjugate axis first, then Lap_y
             prim = antideriv_array(mean_zero_array(v, self.ax),
@@ -131,7 +125,6 @@ def kzk_step_heuristic(coeff: ModelCoefficients, I0: Field) -> float:
 def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
               ctl: StepControl,
               source: Callable[[float], np.ndarray] | None = None,
-              conservative: bool = True,
               n_samples: int = 2) -> list[ModelState]:
     """March the KZK equation in z from the mean-zero profile I0(tau, y).
 
@@ -148,7 +141,6 @@ def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
         d_visc=nu / (2.0 * c**3 * rho0),
         d_diff=c / 2.0,
         dt=dz,
-        conservative=conservative,
         src_scale=coeff.eps * rho0 / (2.0 * c**3),
         source=source,
     )
@@ -158,7 +150,7 @@ def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
 
 
 def solve_npe(coeff: ModelCoefficients, xi0: Field, tau_end: float,
-              ctl: StepControl, conservative: bool = True,
+              ctl: StepControl,
               n_samples: int = 2) -> list[ModelState]:
     """March the NPE equation in tau from the mean-zero profile xi0(z, y)."""
     _check_mean_zero(xi0, "z")
@@ -170,7 +162,6 @@ def solve_npe(coeff: ModelCoefficients, xi0: Field, tau_end: float,
         d_visc=coeff.nu / (2.0 * rho0),
         d_diff=-c / 2.0,
         dt=dtau,
-        conservative=conservative,
     )
     v = mean_zero_array(xi0.scalar, stepper.ax)
     return [ModelState(ModelKind.NPE, tau, Field(xi0.grid, v))

@@ -834,25 +834,14 @@ def _trimmed(ctx: _Ctx, arr: np.ndarray, margins: Mapping[str, int]):
 
 
 def evaluate_remainder(pair: str, coeff: ModelCoefficients,
-                       inputs, variant: str | None = None,
+                       inputs: Mapping[str, Field],
+                       variant: str | None = None,
                        with_term_stats: bool = False) -> RemainderResult:
     """Evaluate the graded remainder of one pair, term by term.
 
-    `inputs` is either a mapping of field name -> Field or a
-    (CorrectorSet, ModelState) tuple; the context derives whatever
+    `inputs` maps field names to Fields; the context derives whatever
     correctors the tables reference but the caller did not supply.
     """
-    if not isinstance(inputs, Mapping):
-        correctors, state = inputs
-        fields = {}
-        if correctors.potential is not None:
-            key = "Phi" if "kzk" in pair else "Psi"
-            fields[key] = correctors.potential
-        if pair in ("ns-kuznetsov", "kuznetsov-westervelt"):
-            fields["u"] = state.primary
-        elif not fields:
-            fields["I" if "kzk" in pair else "xi"] = state.primary
-        inputs = fields
     ctx = _prepare_context(pair, coeff, inputs)
     tables = term_table(pair, ctx.grid, variant=variant)
     base = base_power(pair)

@@ -123,18 +123,22 @@ def line_means(f: Field, axis: str) -> np.ndarray:
     return f.values.mean(axis=i)
 
 
-def spectral_antiderivative(f: Field, axis: str, tol_factor: float = 1e-10) -> Field:
+#: largest per-line |mean| the antiderivative accepts, relative to ||f||_L2
+_MEAN_TOL = 1e-10
+
+
+def spectral_antiderivative(f: Field, axis: str) -> Field:
     """Mean-zero antiderivative along the named periodic axis.
 
     Requires f to have (numerically) zero mean along that axis: the largest
-    per-line |mean| must not exceed tol_factor * ||f||_L2.  Matches the
+    per-line |mean| must not exceed _MEAN_TOL * ||f||_L2.  Matches the
     quadrature form int_0^tau f dl + int_0^L (l/L) f dl of the mean-zero
     primitive.
     """
     i = f.grid.axis_index(axis)
     a = f.grid.axes[i]
     _check_periodic(a)
-    tol = tol_factor * f.l2_norm()
+    tol = _MEAN_TOL * f.l2_norm()
     worst = float(np.max(np.abs(f.values.mean(axis=i))))
     if worst > tol:
         raise ValueError(

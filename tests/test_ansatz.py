@@ -8,12 +8,14 @@ from nlparax import (
     FlowState,
     Frame,
     Grid,
+    ModelCoefficients,
     ModelKind,
     assemble_ansatz,
     build_correctors,
     westervelt_initial_data,
     westervelt_transform,
 )
+from nlparax.ansatz import _Ops
 from nlparax.models.base import ModelState
 from nlparax.spectral import deriv_array
 
@@ -133,3 +135,25 @@ def test_westervelt_initial_data_degeneracy_guard(coeff):
     u1 = Field(g, np.full(32, huge))
     with pytest.raises(ValueError):
         westervelt_initial_data(coeff, u0, u1)
+
+
+def test_correctors_refuse_a_bounded_axis():
+    # a spectral d/dt along the bounded t axis put rho1 off from the exact
+    # -rho0/c^2 cos(x1 - t) by 22.5
+    g = Grid((Axis("t", 1.0, 33, periodic=False), Axis("x1", 2 * np.pi, 32)),
+             Frame.PHYSICAL)
+    T, X = g.mesh()
+    st = ModelState(ModelKind.KUZNETSOV, 0.0, Field(g, np.sin(X - T)))
+    with pytest.raises(ValueError, match="axis 't' is not periodic"):
+        build_correctors(ModelKind.KUZNETSOV, ModelCoefficients(), st)
+
+
+@pytest.mark.parametrize("op", ["d", "inv", "mean_zero"])
+def test_ops_refuse_a_bounded_axis(op):
+    g = Grid((Axis("x1", 2 * np.pi, 16), Axis("t", 1.0, 9, periodic=False)),
+             Frame.PHYSICAL)
+    ops = _Ops(g)
+    v = np.ones(g.shape)
+    with pytest.raises(ValueError, match="axis 't' is not periodic"):
+        getattr(ops, op)(v, "t")
+    assert getattr(ops, op)(v, "x1").shape == g.shape

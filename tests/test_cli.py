@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +9,16 @@ import sys
 import numpy as np
 import pytest
 
-from nlparax import Axis, Field, Frame, Grid, read_paf, write_paf
+from nlparax import (
+    Axis,
+    ExperimentConfig,
+    Field,
+    Frame,
+    Grid,
+    cli,
+    read_paf,
+    write_paf,
+)
 from nlparax.cli import main
 
 COEFF = {"c": 1.0, "rho0": 1.0, "gamma": 1.4, "nu": 0.3, "eps": 0.01}
@@ -289,6 +300,18 @@ def test_transform_wrong_leading_axis_is_named(tmp_path, capsys):
     assert "expects leading axis 't', got 'x1'" in capsys.readouterr().err
 
 
+def test_transform_checks_the_frame_tag(tmp_path, capsys):
+    # axes named as in the npe frame, but the file says physical
+    g = Grid((Axis("z", 2.0, 16), Axis("y1", 2.0, 8)), Frame.PHYSICAL)
+    src = str(tmp_path / "p.paf")
+    write_paf(src, Field.zeros(g))
+    assert main(["transform", "--from", "npe", "--to", "kzk", "--input", src,
+                 "--output", str(tmp_path / "k.paf")]) == 1
+    err = capsys.readouterr().err
+    assert "'npe' frame" in err and "'physical' frame" in err
+    assert not (tmp_path / "k.paf").exists()
+
+
 @pytest.mark.parametrize("flags", [["--c", "0"], ["--eps", "0"],
                                    ["--eps", "-0.1"]])
 def test_transform_rejects_nonpositive_c_and_eps(tmp_path, capsys, flags):
@@ -307,3 +330,76 @@ def test_help_and_version_exit_zero(capsys):
 
 def test_bad_flag_exits_one():
     assert main(["solve", "--frobnicate"]) == 1
+
+
+class _ReadKeys(dict):
+    """A payload that records which of its keys the program reads."""
+
+    def __init__(self, data, seen):
+        super().__init__(data)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+def _keys_read(monkeypatch, tmp_path, runs):
+    """Union of the payload keys that the given (argv, config) runs read."""
+    tmp_path.mkdir(exist_ok=True)
+    seen = set()
+    payload = cli._payload
+    monkeypatch.setattr(cli, "_payload",
+                        lambda *a: _ReadKeys(payload(*a), seen))
+    for i, (argv, config) in enumerate(runs):
+        cfg = _write(tmp_path, f"cfg{i}.json", {"schema_version": 1, **config})
+        assert main(argv + ["--config", cfg, "--out",
+                            str(tmp_path / f"run{i}")]) == 0
+    return seen
+
+
+def test_every_config_key_has_a_reader(monkeypatch, tmp_path):
+    schema = cli.load_schema()
+    defs = schema["definitions"]
+    assert set(schema["properties"]) == {
+        "schema_version", "output_dir", "solve", "compare", "sweep",
+        "residual"}
+    assert (set(defs["experiment"]["properties"])
+            == {f.name for f in dataclasses.fields(ExperimentConfig)})
+
+    solve = {"coeff": COEFF, "span": 0.02, "step": 0.01, "samples": 2}
+    line = {"axes": [{"name": "x1", "length": 2 * math.pi, "points": 16},
+                     {"name": "x2", "length": 2 * math.pi, "points": 8}]}
+    beam = {"frame": "kzk",
+            "axes": [{"name": "tau", "length": 2 * math.pi, "points": 16},
+                     {"name": "y1", "length": 2 * math.pi, "points": 8,
+                      "origin": -math.pi}]}
+    runs = [(["solve"], {"solve": dict(
+        solve, model=model, grid=grid,
+        initial={"preset": "gaussian_beam" if model == "kzk"
+                 else "single_mode"})})
+        for model, grid in (("kuznetsov", line), ("kzk", beam), ("ns", line))]
+    assert (_keys_read(monkeypatch, tmp_path, runs)
+            == set(defs["solve"]["properties"]))
+
+    residual = {"pair": "kuznetsov-kzk", "coeff": COEFF,
+                "grid": {"frame": "kzk", "axes": [
+                    {"name": "tau", "length": 2 * math.pi, "points": 16},
+                    {"name": "z", "length": 1.0, "points": 16,
+                     "periodic": False},
+                    {"name": "y1", "length": 2 * math.pi, "points": 8,
+                     "origin": -math.pi}]},
+                "initial": {"preset": "gaussian_beam"}}
+    assert (_keys_read(monkeypatch, tmp_path / "res",
+                       [(["residual"], {"residual": residual})])
+            == set(defs["residual"]["properties"]))
+
+    solve_parser = next(a for a in cli._build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)
+                        ).choices["solve"]
+    model = next(a for a in solve_parser._actions if a.dest == "model")
+    assert model.choices == defs["solve"]["properties"]["model"]["enum"]

@@ -20,8 +20,9 @@ from nlparax import (
     preset_profile,
     scaling_study,
 )
+from nlparax import experiments
 from nlparax.experiments import band_limited_perturbation, config_hash
-from nlparax.models.base import ModelState
+from nlparax.models.base import ModelState, SolverDiverged
 
 
 def _cfg(**kw):
@@ -202,6 +203,33 @@ def test_small_study_report_and_artifacts(tmp_path):
     csv = (d / "errors.csv").read_text().splitlines()
     assert csv[0] == "eps,evol,l2_error"
     assert len(csv) == 1 + sum(len(s["l2_error"]) for s in rep.series)
+
+
+def test_failed_member_fails_the_sweep(monkeypatch):
+    run = experiments._RUNNERS["kuznetsov-westervelt"]
+
+    def runner(cfg, eps):
+        if eps == 0.02:
+            raise SolverDiverged("norm exceeds 1e6 x initial")
+        return run(cfg, eps)
+
+    monkeypatch.setitem(experiments._RUNNERS, "kuznetsov-westervelt", runner)
+    rep = scaling_study(_cfg())
+    assert [s["status"] for s in rep.series] == ["ok", "failed"]
+    assert rep.series[1]["error"] == "norm exceeds 1e6 x initial"
+    completion = [v for v in rep.verdicts
+                  if v["criterion"] == "sweep-completion"]
+    assert len(completion) == 1 and not completion[0]["passed"]
+    assert not rep.passed()
+
+
+def test_a_bug_in_a_member_propagates(monkeypatch):
+    def runner(cfg, eps):
+        raise NotImplementedError("pair not wired")
+
+    monkeypatch.setitem(experiments._RUNNERS, "kuznetsov-westervelt", runner)
+    with pytest.raises(NotImplementedError):
+        scaling_study(_cfg())
 
 
 def test_study_is_deterministic(tmp_path):

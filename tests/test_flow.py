@@ -15,6 +15,7 @@ from nlparax import (
     solve_flow,
 )
 from nlparax.flow import entropy_gradient, flux, pressure_from_density
+from nlparax.models import PositivityLost, SolverError
 
 
 def _smooth_state(coeff, n=64, amp=0.05):
@@ -81,7 +82,7 @@ def test_entropy_gradient_matches_finite_differences(coeff):
     def eta(rho_, m_):
         U = m_ / rho_
         from nlparax.flow import _h
-        return rho_ * _h(coeff, np.asarray(rho_), 0.0) + 0.5 * m_**2 / rho_
+        return rho_ * _h(coeff, np.asarray(rho_)) + 0.5 * m_**2 / rho_
 
     m = rho * v[0]
     g_rho, g_m = entropy_gradient(coeff, np.asarray(rho), v)
@@ -92,12 +93,12 @@ def test_entropy_gradient_matches_finite_differences(coeff):
 
 
 def test_pressure_linearization(coeff):
-    # p(rho0) = p0 and dp/drho(rho0) = c^2
+    # p(rho0) = 0 and dp/drho(rho0) = c^2
     rho0 = coeff.rho0
-    assert pressure_from_density(coeff, np.asarray(rho0), 0.0) == pytest.approx(0.0)
+    assert pressure_from_density(coeff, np.asarray(rho0)) == pytest.approx(0.0)
     h = 1e-6
-    dp = (pressure_from_density(coeff, np.asarray(rho0 + h), 0.0)
-          - pressure_from_density(coeff, np.asarray(rho0 - h), 0.0)) / (2 * h)
+    dp = (pressure_from_density(coeff, np.asarray(rho0 + h))
+          - pressure_from_density(coeff, np.asarray(rho0 - h))) / (2 * h)
     assert dp == pytest.approx(coeff.c**2, rel=1e-6)
 
 
@@ -129,3 +130,15 @@ def test_admissibility_residual_small_for_smooth_flow(coeff):
     times, res = admissibility_residual(coeff, traj)
     assert len(times) == len(traj) - 2
     assert np.abs(res).max() < 1e-6
+
+
+def test_lost_positivity_is_a_solver_error():
+    # a strong compression wave with a coarse step drives rho below zero
+    coeff = ModelCoefficients(nu=0.0, eps=0.5)
+    g = Grid((Axis("x1", 2 * np.pi, 32),), Frame.PHYSICAL)
+    x = g.mesh()[0]
+    init = FlowState.from_primitive(Field(g, 1.0 + 0.9 * np.sin(x)),
+                                    Field(g, (2.0 * np.cos(x))[..., None], 1))
+    with pytest.raises(PositivityLost, match="density positivity lost") as exc:
+        solve_flow(coeff, init, 5.0, StepControl(step=0.05))
+    assert isinstance(exc.value, SolverError)

@@ -8,12 +8,9 @@ from nlparax import (
     Field,
     Frame,
     Grid,
-    ModelKind,
-    build_correctors,
     evaluate_remainder,
     term_table,
 )
-from nlparax.models.base import ModelState
 from nlparax.remainders import PAIRS, base_power
 
 
@@ -109,22 +106,6 @@ def test_term_stats_rows(coeff):
     for comp, term_id, power, l2, linf in res.term_stats:
         assert isinstance(power, Fraction)
         assert l2 >= 0.0 and linf >= 0.0
-
-
-def test_corrector_state_tuple_input_matches_mapping(coeff):
-    g = Grid((Axis("z", 2 * np.pi, 32), Axis("tau", 2.0, 16),
-              Axis("y1", 2.0, 16)), Frame.NPE)
-    xi = Field(g, _bandlimited(g, seed=3))
-    from nlparax.spectral import project_mean_zero
-    xi = project_mean_zero(xi, "z")
-    st = ModelState(ModelKind.NPE, 0.0, xi)
-    cs = build_correctors(ModelKind.NPE, coeff, st)
-    res_tuple = evaluate_remainder("ns-npe", coeff, (cs, st))
-    res_map = evaluate_remainder("ns-npe", coeff, {"Psi": cs.potential})
-    for comp in res_map.fields:
-        d = np.abs(res_tuple.fields[comp].scalar
-                   - res_map.fields[comp].scalar).max()
-        assert d < 1e-10, comp
 
 
 def test_printed_variant_differs_where_corrected(coeff):
