@@ -18,12 +18,7 @@ import numpy as np
 
 from .fields import Field, Grid
 from .models.base import ModelCoefficients, ModelKind, ModelState
-from .spectral import (
-    _check_periodic,
-    antideriv_array,
-    deriv_array,
-    mean_zero_array,
-)
+from .spectral import Spectral
 
 __all__ = [
     "CorrectorSet",
@@ -54,86 +49,45 @@ class AnsatzProfile:
     velocity: Field
 
 
-class _Ops:
-    """Named-axis spectral helpers on the bare value arrays of one grid.
-
-    Every helper acts along a periodic axis and refuses a bounded one."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-
-    def has(self, name: str) -> bool:
-        return any(a.name == name for a in self.grid.axes)
-
-    def _periodic(self, name: str) -> tuple[int, int, float]:
-        i = self.grid.axis_index(name)
-        a = self.grid.axes[i]
-        _check_periodic(a)
-        return i, a.points, a.length
-
-    def d(self, v: np.ndarray, name: str, order: int = 1) -> np.ndarray:
-        i, n, L = self._periodic(name)
-        return deriv_array(v, i, n, L, order)
-
-    def inv(self, v: np.ndarray, name: str) -> np.ndarray:
-        i, n, L = self._periodic(name)
-        return antideriv_array(mean_zero_array(v, i), i, n, L)
-
-    def mean_zero(self, v: np.ndarray, name: str) -> np.ndarray:
-        i, _n, _L = self._periodic(name)
-        return mean_zero_array(v, i)
-
-    def group(self, prefix: str) -> list[str]:
-        return [a.name for a in self.grid.axes if a.name.startswith(prefix)]
-
-    def grad_sq(self, v: np.ndarray, prefix: str) -> np.ndarray:
-        out = np.zeros_like(v)
-        for name in self.group(prefix):
-            out += self.d(v, name) ** 2
-        return out
-
-    def lap(self, v: np.ndarray, prefix: str) -> np.ndarray:
-        out = np.zeros_like(v)
-        for name in self.group(prefix):
-            out += self.d(v, name, 2)
-        return out
+def _has(grid: Grid, name: str) -> bool:
+    return any(a.name == name for a in grid.axes)
 
 
-def _kzk_dz_phi(ops: _Ops, coeff: ModelCoefficients, phi: np.ndarray) -> np.ndarray:
+def _kzk_dz_phi(sp: Spectral, coeff: ModelCoefficients, phi: np.ndarray) -> np.ndarray:
     """d Phi/dz for a KZK potential without a z axis, via the model equation:
     2c d2Phi/(dtau dz) = (gamma+1)/(2c^2) dtau (dtau Phi)^2
                          + nu/(rho0 c^2) dtau^3 Phi + c^2 Lap_y Phi."""
     c, rho0, nu = coeff.c, coeff.rho0, coeff.nu
-    dphi = ops.d(phi, "tau")
-    rhs = ((coeff.gamma + 1.0) / (2.0 * c**2) * ops.d(dphi**2, "tau")
-           + nu / (rho0 * c**2) * ops.d(phi, "tau", 3)
-           + c**2 * ops.lap(phi, "y"))
-    return ops.inv(rhs, "tau") / (2.0 * c)
+    dphi = sp.d(phi, "tau")
+    rhs = ((coeff.gamma + 1.0) / (2.0 * c**2) * sp.d(dphi**2, "tau")
+           + nu / (rho0 * c**2) * sp.d(phi, "tau", 3)
+           + c**2 * sp.lap(phi, "y"))
+    return sp.inv(rhs, "tau") / (2.0 * c)
 
 
-def _kuznetsov_utt(ops: _Ops, coeff: ModelCoefficients, u: np.ndarray,
+def _kuznetsov_utt(sp: Spectral, coeff: ModelCoefficients, u: np.ndarray,
                    ut: np.ndarray) -> np.ndarray:
     """u_tt through the Kuznetsov equation, the elimination the stepper makes:
     (c^2 Lap u + eps nu/rho0 Lap u_t + 2 eps grad u . grad u_t)
     / (1 - eps (gamma-1)/c^2 u_t)."""
     eps = coeff.eps
     grad_dot = np.zeros_like(u)
-    for name in ops.group("x"):
-        grad_dot += ops.d(u, name) * ops.d(ut, name)
+    for name in sp.group("x"):
+        grad_dot += sp.d(u, name) * sp.d(ut, name)
     denom = 1.0 - coeff.alpha * eps * ut
-    return (coeff.c**2 * ops.lap(u, "x") + eps * coeff.nu / coeff.rho0
-            * ops.lap(ut, "x") + 2.0 * eps * grad_dot) / denom
+    return (coeff.c**2 * sp.lap(u, "x") + eps * coeff.nu / coeff.rho0
+            * sp.lap(ut, "x") + 2.0 * eps * grad_dot) / denom
 
 
-def _npe_dtau_psi(ops: _Ops, coeff: ModelCoefficients, psi: np.ndarray) -> np.ndarray:
+def _npe_dtau_psi(sp: Spectral, coeff: ModelCoefficients, psi: np.ndarray) -> np.ndarray:
     """d Psi/dtau for an NPE potential without a tau axis, via the model
     equation (mean-zero in z by the potential normalization)."""
     c, rho0 = coeff.c, coeff.rho0
-    dz = ops.d(psi, "z")
+    dz = sp.d(psi, "z")
     out = ((coeff.gamma + 1.0) / 4.0 * dz**2
-           + coeff.nu / (2.0 * rho0) * ops.d(psi, "z", 2)
-           - c / 2.0 * ops.inv(ops.lap(psi, "y"), "z"))
-    return ops.mean_zero(out, "z")
+           + coeff.nu / (2.0 * rho0) * sp.d(psi, "z", 2)
+           - c / 2.0 * sp.inv(sp.lap(psi, "y"), "z"))
+    return sp.mean_zero(out, "z")
 
 
 def build_correctors(model: ModelKind, coeff: ModelCoefficients,
@@ -147,7 +101,7 @@ def build_correctors(model: ModelKind, coeff: ModelCoefficients,
     the model equation.
     """
     grid = primary.primary.grid
-    ops = _Ops(grid)
+    sp = Spectral(grid)
     c, rho0, nu, eps = coeff.c, coeff.rho0, coeff.nu, coeff.eps
     c2 = c * c
 
@@ -155,42 +109,42 @@ def build_correctors(model: ModelKind, coeff: ModelCoefficients,
         u = primary.primary.scalar
         if primary.velocity is not None:
             ut = primary.velocity.scalar
-        elif ops.has("t"):
-            ut = ops.d(u, "t")
+        elif _has(grid, "t"):
+            ut = sp.d(u, "t")
         else:
             raise ValueError("Kuznetsov correctors need u_t (velocity field "
                              "or a grid with a t axis)")
         rho1 = rho0 / c2 * ut
         rho2 = (-rho0 * (coeff.gamma - 2.0) / (2.0 * c2**2) * ut**2
-                - rho0 / (2.0 * c2) * ops.grad_sq(u, "x")
-                - nu / c2 * ops.lap(u, "x"))
+                - rho0 / (2.0 * c2) * sp.grad_sq(u, "x")
+                - nu / c2 * sp.lap(u, "x"))
         return CorrectorSet(model, Field(grid, rho1), Field(grid, rho2))
 
     if model is ModelKind.KZK:
         I = primary.primary.scalar
-        phi = c2 / rho0 * ops.inv(I, "tau")
-        dphi = ops.d(phi, "tau")
+        phi = c2 / rho0 * sp.inv(I, "tau")
+        dphi = sp.d(phi, "tau")
         J = (-rho0 * (coeff.gamma - 1.0) / (2.0 * c2**2) * dphi**2
-             - nu / c2**2 * ops.d(phi, "tau", 2))
-        dzphi = ops.d(phi, "z") if ops.has("z") else _kzk_dz_phi(ops, coeff, phi)
+             - nu / c2**2 * sp.d(phi, "tau", 2))
+        dzphi = sp.d(phi, "z") if _has(grid, "z") else _kzk_dz_phi(sp, coeff, phi)
         H = (J
              + eps * (-rho0 / (2.0 * c2)
-                      * (ops.grad_sq(phi, "y") - 2.0 / c * dzphi * dphi)
-                      - nu / c2 * (ops.lap(phi, "y")
-                                   - 2.0 / c * ops.d(dzphi, "tau")))
+                      * (sp.grad_sq(phi, "y") - 2.0 / c * dzphi * dphi)
+                      - nu / c2 * (sp.lap(phi, "y")
+                                   - 2.0 / c * sp.d(dzphi, "tau")))
              + eps**2 * (-rho0 / (2.0 * c2) * dzphi**2
-                         - nu / c2 * (ops.d(dzphi, "z") if ops.has("z")
+                         - nu / c2 * (sp.d(dzphi, "z") if _has(grid, "z")
                                       else np.zeros_like(phi))))
         return CorrectorSet(model, Field(grid, I.copy()), Field(grid, J),
                             Field(grid, H), Field(grid, phi))
 
     if model is ModelKind.NPE:
         xi = primary.primary.scalar
-        psi = -c / rho0 * ops.inv(xi, "z")
-        dtpsi = ops.d(psi, "tau") if ops.has("tau") else _npe_dtau_psi(ops, coeff, psi)
+        psi = -c / rho0 * sp.inv(xi, "z")
+        dtpsi = sp.d(psi, "tau") if _has(grid, "tau") else _npe_dtau_psi(sp, coeff, psi)
         chi = (rho0 / c2 * dtpsi
-               - rho0 * (coeff.gamma - 1.0) / (2.0 * c2) * ops.d(psi, "z") ** 2
-               - nu / c2 * ops.d(psi, "z", 2))
+               - rho0 * (coeff.gamma - 1.0) / (2.0 * c2) * sp.d(psi, "z") ** 2
+               - nu / c2 * sp.d(psi, "z", 2))
         return CorrectorSet(model, Field(grid, xi.copy()), Field(grid, chi),
                             None, Field(grid, psi))
 
@@ -208,7 +162,7 @@ def assemble_ansatz(model: ModelKind, coeff: ModelCoefficients,
     from .flow import FlowState  # local import to avoid a cycle
 
     grid = primary.primary.grid
-    ops = _Ops(grid)
+    sp = Spectral(grid)
     eps = coeff.eps
     c, rho0 = coeff.c, coeff.rho0
     rho = (rho0 + eps * correctors.first.scalar
@@ -216,25 +170,25 @@ def assemble_ansatz(model: ModelKind, coeff: ModelCoefficients,
 
     if model is ModelKind.KUZNETSOV or model is ModelKind.WESTERVELT:
         u = primary.primary.scalar
-        xnames = ops.group("x")
-        v = np.stack([-eps * ops.d(u, n) for n in xnames], axis=-1)
+        xnames = sp.group("x")
+        v = np.stack([-eps * sp.d(u, n) for n in xnames], axis=-1)
         vf = Field(grid, v, len(xnames))
         return FlowState.from_primitive(Field(grid, rho), vf)
 
     if model is ModelKind.KZK:
         phi = correctors.potential.scalar
-        dzphi = ops.d(phi, "z") if ops.has("z") else _kzk_dz_phi(ops, coeff, phi)
-        comps = [eps / c * ops.d(phi, "tau") - eps**2 * dzphi]
-        for name in ops.group("y"):
-            comps.append(-eps**1.5 * ops.d(phi, name))
+        dzphi = sp.d(phi, "z") if _has(grid, "z") else _kzk_dz_phi(sp, coeff, phi)
+        comps = [eps / c * sp.d(phi, "tau") - eps**2 * dzphi]
+        for name in sp.group("y"):
+            comps.append(-eps**1.5 * sp.d(phi, name))
         vel = Field(grid, np.stack(comps, axis=-1), len(comps))
         return AnsatzProfile(Field(grid, rho), vel)
 
     if model is ModelKind.NPE:
         psi = correctors.potential.scalar
-        comps = [-eps * ops.d(psi, "z")]
-        for name in ops.group("y"):
-            comps.append(-eps**1.5 * ops.d(psi, name))
+        comps = [-eps * sp.d(psi, "z")]
+        for name in sp.group("y"):
+            comps.append(-eps**1.5 * sp.d(psi, name))
         vel = Field(grid, np.stack(comps, axis=-1), len(comps))
         return AnsatzProfile(Field(grid, rho), vel)
 
@@ -266,7 +220,7 @@ def westervelt_initial_data(coeff: ModelCoefficients, u0: Field,
             "degeneracy factor |1 - (gamma-1)/c^2 eps u1| dropped below 0.5"
         )
     pi0 = a0 + eps / c2 * a0 * a1
-    utt0 = _kuznetsov_utt(_Ops(u0.grid), coeff, a0, a1)
+    utt0 = _kuznetsov_utt(Spectral(u0.grid), coeff, a0, a1)
     pi1 = a1 + eps / c2 * a1**2 + eps / c2 * a0 * utt0
     grid = u0.grid
     return Field(grid, pi0), Field(grid, pi1)
@@ -274,4 +228,4 @@ def westervelt_initial_data(coeff: ModelCoefficients, u0: Field,
 
 def right_moving_velocity(coeff: ModelCoefficients, u0: Field) -> Field:
     """First-order data u1 = -c du0/dx1 of a wave moving towards +x1."""
-    return Field(u0.grid, -coeff.c * _Ops(u0.grid).d(u0.scalar, "x1"))
+    return Field(u0.grid, -coeff.c * Spectral(u0.grid).d(u0.scalar, "x1"))

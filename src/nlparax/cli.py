@@ -443,7 +443,7 @@ def main(argv=None) -> int:
         if args.cmd == "transform":
             return _run_transform(args, argv)
         raise ConfigError(f"unknown subcommand {args.cmd!r}")
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, FloatingPointError) as exc:

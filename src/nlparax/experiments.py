@@ -30,7 +30,6 @@ from . import __version__
 from .ansatz import (
     _kuznetsov_utt,
     _npe_dtau_psi,
-    _Ops,
     assemble_ansatz,
     build_correctors,
     right_moving_velocity,
@@ -48,7 +47,7 @@ from .models.base import (
 )
 from .models.oneway import solve_kzk, solve_npe
 from .models.waves import solve_kuznetsov, solve_westervelt
-from .spectral import deriv_array
+from .spectral import Spectral
 
 __all__ = [
     "PRESETS",
@@ -285,9 +284,7 @@ def l2_error(a, b) -> float:
         du = a.primary.scalar - b.primary.scalar
         if a.velocity is not None and b.velocity is not None:
             dw = a.velocity.scalar - b.velocity.scalar
-            acc = np.sum(dw**2)
-            for i, ax in enumerate(grid.axes):
-                acc += np.sum(deriv_array(du, i, ax.points, ax.length) ** 2)
+            acc = np.sum(dw**2) + np.sum(Spectral(grid).grad_sq(du))
             return float(math.sqrt(w * acc))
         return float(math.sqrt(w * np.sum(du**2)))
     raise TypeError("l2_error compares two FlowStates or two ModelStates")
@@ -457,30 +454,17 @@ def _run_kuznetsov_westervelt(cfg: ExperimentConfig, eps: float):
     pi0, pi1 = westervelt_initial_data(coeff, u0, u1)
     wes = solve_westervelt(coeff, pi0, pi1, t_end, ctl, n_samples=n_int + 1)
 
-    ops = _Ops(grid)
+    sp = Spectral(grid)
     c2 = coeff.c**2
     errs = []
     for ks, ws in zip(kuz, wes):
         u, ut = ks.primary.scalar, ks.velocity.scalar
-        utt = _kuznetsov_utt(ops, coeff, u, ut)
+        utt = _kuznetsov_utt(sp, coeff, u, ut)
         pib = westervelt_transform(coeff, ks.primary, ks.velocity)
         pib_t = Field(grid, ut + eps / c2 * (ut**2 + u * utt))
         ref = ModelState(ModelKind.WESTERVELT, ks.evol, pib, pib_t)
         errs.append(l2_error(ws, ref))
     return list(times), errs
-
-
-def _shift_along(values: np.ndarray, grid: Grid, axis: str,
-                 offset: float) -> np.ndarray:
-    """Evaluate a periodic field at coordinate + offset along one axis."""
-    i = grid.axis_index(axis)
-    a = grid.axes[i]
-    vh = np.fft.rfft(values, axis=i)
-    k = np.arange(vh.shape[i])
-    shape = [1] * values.ndim
-    shape[i] = k.size
-    phase = np.exp(2j * np.pi * k.reshape(shape) * offset / a.length)
-    return np.fft.irfft(vh * phase, n=a.points, axis=i)
 
 
 def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
@@ -495,9 +479,9 @@ def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
     zax = Axis("z", STUDY_LENGTH, cfg.points)
     zgrid = Grid((zax,), Frame.NPE)
     u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
-    ops_z = _Ops(zgrid)
-    psi0 = ops_z.mean_zero(u0.scalar, "z")
-    xi0 = Field(zgrid, -coeff.rho0 / coeff.c * ops_z.d(psi0, "z"))
+    sp = Spectral(zgrid)
+    psi0 = sp.mean_zero(u0.scalar, "z")
+    xi0 = Field(zgrid, -coeff.rho0 / coeff.c * sp.d(psi0, "z"))
 
     tau_end = eps * t_end
     ctl_n = _substeps(tau_end, n_int, eps * _default_wave_step(cfg, coeff))
@@ -505,13 +489,12 @@ def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
 
     def transported(state: ModelState, t: float):
         """u(x, t) = Psi(eps t, x - c t) and its time derivative."""
-        psi = -coeff.c / coeff.rho0 * ops_z.inv(state.primary.scalar, "z")
-        dtau = _npe_dtau_psi(ops_z, coeff, psi)
-        dz = ops_z.d(psi, "z")
+        psi = -coeff.c / coeff.rho0 * sp.inv(state.primary.scalar, "z")
+        dtau = _npe_dtau_psi(sp, coeff, psi)
+        dz = sp.d(psi, "z")
         ut = eps * dtau - coeff.c * dz
         shift = -coeff.c * t
-        return (_shift_along(psi, zgrid, "z", shift),
-                _shift_along(ut, zgrid, "z", shift))
+        return sp.shift(psi, "z", shift), sp.shift(ut, "z", shift)
 
     # well-prepared data: u1 carries the slow O(eps) correction too
     ub0, ut0 = transported(npe[0], 0.0)

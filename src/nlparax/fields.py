@@ -12,7 +12,12 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["Frame", "Axis", "Grid", "Field"]
+__all__ = ["Frame", "Axis", "Grid", "Field", "MissingInput"]
+
+
+class MissingInput(KeyError, ValueError):
+    """An axis or input field the caller named is not there: bad input, not
+    a failed lookup inside the program."""
 
 
 class Frame(Enum):
@@ -91,7 +96,7 @@ class Grid:
         for i, a in enumerate(self.axes):
             if a.name == name:
                 return i
-        raise KeyError(f"grid has no axis named {name!r}; axes: "
+        raise MissingInput(f"grid has no axis named {name!r}; axes: "
                        f"{[a.name for a in self.axes]}")
 
     def axis(self, name: str) -> Axis:

@@ -40,7 +40,7 @@ from .models.base import (
     march,
     resolve_steps,
 )
-from .spectral import dealias_grid_array, deriv_array, rfftn_wavenumbers
+from .spectral import Spectral
 
 __all__ = [
     "FlowState",
@@ -103,58 +103,38 @@ def _dpressure(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
     return c2 + (coeff.gamma - 1.0) * c2 / coeff.rho0 * (rho - coeff.rho0)
 
 
-def _axis_geometry(grid: Grid) -> list[tuple[int, float]]:
-    for a in grid.axes:
-        if not a.periodic:
-            raise ValueError("flow solver needs periodic axes")
-    return [(a.points, a.length) for a in grid.axes]
-
-
 class _FlowStepper:
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float):
-        self.grid = grid
         self.coeff = coeff
         self.dt = dt
-        self.geom = _axis_geometry(grid)
-        self.ndim = len(self.geom)
+        self.sp = Spectral(grid)
+        self.ndim = len(grid.axes)
         # exact decay of the eps*nu/rho0 Lap v part per rfftn mode
-        self.ksq = sum(k**2 for k in rfftn_wavenumbers(grid))
         self.visc0 = coeff.eps * coeff.nu / coeff.rho0
-        self.decay_half = np.exp(-self.visc0 * self.ksq * dt / 2.0)
-
-    def _d(self, v: np.ndarray, ax: int, order: int = 1) -> np.ndarray:
-        n, L = self.geom[ax]
-        return deriv_array(v, ax, n, L, order)
+        self.decay_half = np.exp(-self.visc0 * self.sp.ksq * dt / 2.0)
 
     def _visc_half(self, v: list[np.ndarray]) -> list[np.ndarray]:
         if self.visc0 == 0.0:
             return v
-        out = []
-        axes = range(self.ndim)
-        for comp in v:
-            ch = np.fft.rfftn(comp, axes=axes)
-            out.append(np.fft.irfftn(ch * self.decay_half,
-                                     s=self.grid.shape, axes=axes))
-        return out
+        return list(self.sp.ifft(self.sp.fft(np.stack(v)) * self.decay_half))
 
     def tendency(self, rho: np.ndarray, v: list[np.ndarray]):
-        coeff = self.coeff
+        coeff, sp = self.coeff, self.sp
         drho = np.zeros_like(rho)
         for i in range(self.ndim):
-            drho -= self._d(dealias_grid_array(rho * v[i], self.grid), i)
+            drho -= sp.d(sp.dealias(rho * v[i]), i)
         p = pressure_from_density(coeff, rho)
         dv = []
         visc = coeff.eps * coeff.nu
         for i in range(self.ndim):
             acc = np.zeros_like(rho)
             for j in range(self.ndim):
-                acc -= dealias_grid_array(v[j] * self._d(v[i], j), self.grid)
-            acc -= dealias_grid_array(self._d(p, i) / rho, self.grid)
+                acc -= sp.dealias(v[j] * sp.d(v[i], j))
+            acc -= sp.dealias(sp.d(p, i) / rho)
             if visc != 0.0:
-                lap = sum(self._d(v[i], j, 2) for j in range(self.ndim))
                 # correction beyond the exactly-propagated eps*nu/rho0 part
-                acc += dealias_grid_array(
-                    visc * lap * (1.0 / rho - 1.0 / coeff.rho0), self.grid)
+                acc += sp.dealias(
+                    visc * sp.lap(v[i]) * (1.0 / rho - 1.0 / coeff.rho0))
             dv.append(acc)
         return drho, dv
 
@@ -288,7 +268,7 @@ def admissibility_residual(coeff: ModelCoefficients,
     dt = dts[0]
     grid = trajectory[0][1].grid
     w = grid.cell_volume
-    geom = _axis_geometry(grid)
+    sp = Spectral(grid)
     etas = []
     for _t, U in trajectory:
         eta, _q = entropy_pair(coeff, U)
@@ -301,16 +281,12 @@ def admissibility_residual(coeff: ModelCoefficients,
         # div q integrates to zero on the torus (spectral derivative of a
         # periodic field has zero mean) but is computed for completeness
         _eta, q = entropy_pair(coeff, U)
-        divq = np.zeros(grid.shape)
-        for i, (n, L) in enumerate(geom):
-            divq += deriv_array(q.component(i), i, n, L)
+        divq = sum(sp.d(q.component(i), i) for i in range(len(grid.axes)))
         vis = 0.0
         if coeff.nu > 0.0:
             v = U.velocity().values
             for i in range(U.momentum.components):
-                lap = sum(deriv_array(v[..., i], j, n, L, 2)
-                          for j, (n, L) in enumerate(geom))
-                vis += np.sum(v[..., i] * lap) * w
+                vis += np.sum(v[..., i] * sp.lap(v[..., i])) * w
         out_t.append(t)
         out_r.append(deta_dt + np.sum(divq) * w - coeff.eps * coeff.nu * vis)
     return np.array(out_t), np.array(out_r)

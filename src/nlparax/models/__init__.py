@@ -3,6 +3,7 @@
 from .base import (
     ModelCoefficients,
     ModelKind,
+    HyperbolicityLost,
     ModelState,
     PositivityLost,
     SolverDiverged,
@@ -21,6 +22,7 @@ __all__ = [
     "SolverDiverged",
     "SolverNaN",
     "PositivityLost",
+    "HyperbolicityLost",
     "StepControl",
     "NonlinearitySwitch",
     "solve_kuznetsov",

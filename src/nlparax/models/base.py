@@ -20,6 +20,7 @@ __all__ = [
     "SolverDiverged",
     "SolverNaN",
     "PositivityLost",
+    "HyperbolicityLost",
     "check_health",
     "march",
     "resolve_steps",
@@ -113,6 +114,10 @@ class SolverNaN(SolverError):
 
 class PositivityLost(SolverError):
     """The density of the flow reference reached zero or below."""
+
+
+class HyperbolicityLost(SolverError):
+    """The factor 1 - eps*a*u_t of a wave model reached zero or below."""
 
 
 def check_health(values: np.ndarray, initial_norm: float, where: str) -> None:

@@ -23,13 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ..fields import Field, Grid
-from ..spectral import (
-    antideriv_array,
-    dealias_array,
-    deriv_array,
-    mean_zero_array,
-    wavenumbers,
-)
+from ..spectral import Spectral, spectral_derivative
 from .base import (
     ModelCoefficients,
     ModelKind,
@@ -53,41 +47,28 @@ class _OneWayStepper:
     def __init__(self, grid: Grid, ax_name: str, a_nl: float, d_visc: float,
                  d_diff: float, dt: float, src_scale: float = 0.0,
                  source: Callable[[float], np.ndarray] | None = None):
-        self.grid = grid
+        self.sp = Spectral(grid)
         self.ax = grid.axis_index(ax_name)
-        axis = grid.axes[self.ax]
-        if not axis.periodic:
-            raise ValueError(f"axis {ax_name!r} must be periodic")
-        self.n, self.L = axis.points, axis.length
         self.a_nl = a_nl
         self.d_diff = d_diff
         self.dt = dt
         self.src_scale = src_scale
         self.source = source
-        self.trans = [(i, a.points, a.length) for i, a in enumerate(grid.axes)
-                      if i != self.ax]
-        k = wavenumbers(self.n, self.L)
-        shape = [1] * len(grid.axes)
-        shape[self.ax] = k.size
-        self.decay_half = np.exp(-d_visc * k.reshape(shape) ** 2 * dt / 2.0)
+        self.diffracts = bool(self.sp.group("y"))
+        k = self.sp.k_along(self.ax)
+        self.decay_half = np.exp(-d_visc * k**2 * dt / 2.0)
 
     def _visc_half(self, v: np.ndarray) -> np.ndarray:
-        vh = np.fft.rfft(v, axis=self.ax)
-        return np.fft.irfft(vh * self.decay_half, n=self.n, axis=self.ax)
+        return self.sp.filter(v, self.ax, self.decay_half)
 
     def explicit_tendency(self, v: np.ndarray, evol: float) -> np.ndarray:
-        sq = dealias_array(v * v, self.ax, self.n)
-        out = self.a_nl * deriv_array(sq, self.ax, self.n, self.L)
-        if self.trans:
+        sp = self.sp
+        out = self.a_nl * sp.d(sp.dealias(v * v, self.ax), self.ax)
+        if self.diffracts:
             # antiderivative along the conjugate axis first, then Lap_y
-            prim = antideriv_array(mean_zero_array(v, self.ax),
-                                   self.ax, self.n, self.L)
-            lap = np.zeros_like(v)
-            for i, n_i, L_i in self.trans:
-                lap += deriv_array(prim, i, n_i, L_i, order=2)
-            out = out + self.d_diff * lap
+            out = out + self.d_diff * sp.lap(sp.inv(v, self.ax), "y")
         if self.source is not None:
-            s = mean_zero_array(np.asarray(self.source(evol)), self.ax)
+            s = sp.mean_zero(np.asarray(self.source(evol)), self.ax)
             out = out + self.src_scale * s
         return out
 
@@ -100,7 +81,7 @@ class _OneWayStepper:
         k2 = self.explicit_tendency(v + 0.5 * dt * k1, evol + 0.5 * dt)
         v = v + dt * k2
         v = self._visc_half(v)
-        return (mean_zero_array(v, self.ax),)
+        return (self.sp.mean_zero(v, self.ax),)
 
 
 def _check_mean_zero(f: Field, ax_name: str) -> None:
@@ -115,8 +96,6 @@ def _check_mean_zero(f: Field, ax_name: str) -> None:
 
 def kzk_step_heuristic(coeff: ModelCoefficients, I0: Field) -> float:
     """Stability guide for the z step: 0.5 / (max|dI/dtau| (gamma+1)/(4 rho0 c))."""
-    from ..spectral import spectral_derivative
-
     dtau = spectral_derivative(I0, "tau").linf_norm()
     scale = dtau * (coeff.gamma + 1.0) / (4.0 * coeff.rho0 * coeff.c)
     return 0.5 / max(scale, 1e-12)
@@ -144,7 +123,7 @@ def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
         src_scale=coeff.eps * rho0 / (2.0 * c**3),
         source=source,
     )
-    v = mean_zero_array(I0.scalar, stepper.ax)
+    v = stepper.sp.mean_zero(I0.scalar, stepper.ax)
     return [ModelState(ModelKind.KZK, z, Field(I0.grid, v))
             for z, (v,) in march(stepper, (v,), nsteps, n_samples, "kzk")]
 
@@ -163,6 +142,6 @@ def solve_npe(coeff: ModelCoefficients, xi0: Field, tau_end: float,
         d_diff=-c / 2.0,
         dt=dtau,
     )
-    v = mean_zero_array(xi0.scalar, stepper.ax)
+    v = stepper.sp.mean_zero(xi0.scalar, stepper.ax)
     return [ModelState(ModelKind.NPE, tau, Field(xi0.grid, v))
             for tau, (v,) in march(stepper, (v,), nsteps, n_samples, "npe")]

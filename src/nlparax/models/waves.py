@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fields import Field, Grid
-from ..spectral import dealias_grid_array, rfftn_wavenumbers
+from ..spectral import Spectral
 from .base import (
+    HyperbolicityLost,
     ModelCoefficients,
     ModelKind,
     ModelState,
@@ -78,63 +79,64 @@ class _WaveStepper:
 
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float,
                  a_local: float, b_grad: float, viscous: bool):
-        self.grid = grid
         self.coeff = coeff
         self.dt = dt
         self.a_local = a_local
         self.b_grad = b_grad
-        self.kaxes = rfftn_wavenumbers(grid)
-        self.ksq = sum(k**2 for k in self.kaxes)
+        self.sp = Spectral(grid)
         damp = coeff.eps * coeff.nu / coeff.rho0 if viscous else 0.0
         self.damp = damp
-        self.half = _linear_propagator(self.ksq, coeff.c, damp, dt / 2.0)
-        self.shape = grid.shape
-
-    def _fft(self, v: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(v, axes=range(len(self.shape)))
-
-    def _ifft(self, vh: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(vh, s=self.shape, axes=range(len(self.shape)))
+        self.half = _linear_propagator(self.sp.ksq, coeff.c, damp, dt / 2.0)
 
     def linear_half(self, u: np.ndarray, w: np.ndarray):
-        uh, wh = self._fft(u), self._fft(w)
+        sp = self.sp
+        uh, wh = sp.fft(u), sp.fft(w)
         e11, e12, e21, e22 = self.half
         uh2 = e11 * uh + e12 * wh
         wh2 = e21 * uh + e22 * wh
-        return self._ifft(uh2), self._ifft(wh2)
+        return sp.ifft(uh2), sp.ifft(wh2)
 
-    def nonlinear_tendency(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Deviation of w_t from the linear tendency, dealiased."""
+    def nonlinear_tendency(self, u: np.ndarray, w: np.ndarray,
+                           n: int) -> np.ndarray:
+        """Deviation of w_t from the linear tendency, dealiased.  Raises
+        HyperbolicityLost when the factor 1 - eps*a*w that the u_t u_tt term
+        divides by is not positive everywhere."""
+        sp = self.sp
         c2 = self.coeff.c**2
         eps = self.coeff.eps
-        uh, wh = self._fft(u), self._fft(w)
-        lin = self._ifft((-c2 * self.ksq) * uh + (-self.damp * self.ksq) * wh)
+        uh, wh = sp.fft(u), sp.fft(w)
+        lin = sp.ifft((-c2 * sp.ksq) * uh + (-self.damp * sp.ksq) * wh)
         rhs = lin
         if self.b_grad != 0.0:
             gdot = np.zeros_like(u)
-            for kax in self.kaxes:
-                du = self._ifft(1j * kax * uh)
-                dw = self._ifft(1j * kax * wh)
-                gdot = gdot + dealias_grid_array(du * dw, self.grid)
+            for kax in sp.k:
+                du = sp.ifft(1j * kax * uh)
+                dw = sp.ifft(1j * kax * wh)
+                gdot = gdot + sp.dealias(du * dw)
             rhs = rhs + eps * self.b_grad * gdot
         if self.a_local != 0.0:
             denom = 1.0 - eps * self.a_local * w
-            return dealias_grid_array(rhs / denom - lin, self.grid)
-        return dealias_grid_array(rhs - lin, self.grid)
+            margin = float(np.min(denom))
+            if margin <= 0.0:
+                raise HyperbolicityLost(
+                    f"hyperbolicity lost at step {n}: min(1 - eps*a*w) = "
+                    f"{margin:.3e}")
+            return sp.dealias(rhs / denom - lin)
+        return sp.dealias(rhs - lin)
 
-    def nonlinear_full(self, u: np.ndarray, w: np.ndarray):
+    def nonlinear_full(self, u: np.ndarray, w: np.ndarray, n: int):
         """Explicit midpoint for the nonlinear flow (u frozen, w evolves)."""
         if self.a_local == 0.0 and self.b_grad == 0.0:
             return u, w
         dt = self.dt
-        k1 = self.nonlinear_tendency(u, w)
-        k2 = self.nonlinear_tendency(u, w + 0.5 * dt * k1)
+        k1 = self.nonlinear_tendency(u, w, n)
+        k2 = self.nonlinear_tendency(u, w + 0.5 * dt * k1, n)
         return u, w + dt * k2
 
     def step(self, state, n: int):
         u, w = state
         u, w = self.linear_half(u, w)
-        u, w = self.nonlinear_full(u, w)
+        u, w = self.nonlinear_full(u, w, n)
         u, w = self.linear_half(u, w)
         return u, w
 

@@ -30,9 +30,9 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .fields import Field, Grid
+from .fields import Field, Grid, MissingInput
 from .models.base import ModelCoefficients
-from .spectral import antideriv_array, deriv_array, mean_zero_array
+from .spectral import Spectral
 
 __all__ = [
     "PAIRS",
@@ -621,6 +621,7 @@ class _Ctx:
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        self.sp = Spectral(grid)
         self.ax = {a.name: (i, a) for i, a in enumerate(grid.axes)}
         self.fields: dict[str, _Val] = {}
         self._cache: dict[tuple, _Val] = {}
@@ -638,8 +639,7 @@ class _Ctx:
             )
         i, a = self.ax[axis]
         if a.periodic:
-            return _Val(deriv_array(val.arr, i, a.points, a.length, order),
-                        dict(val.margins))
+            return _Val(self.sp.d(val.arr, i, order), dict(val.margins))
         arr, margins = val.arr, dict(val.margins)
         o = order
         while o > 0:
@@ -650,15 +650,11 @@ class _Ctx:
         return _Val(arr, margins)
 
     def antideriv(self, val: _Val, axis: str) -> _Val:
-        i, a = self.ax[axis]
-        if not a.periodic:
-            raise ValueError(f"antiderivative needs periodic axis {axis!r}")
-        arr = antideriv_array(mean_zero_array(val.arr, i), i, a.points, a.length)
-        return _Val(arr, dict(val.margins))
+        return _Val(self.sp.inv(val.arr, axis), dict(val.margins))
 
     def ref(self, name: str, derivs: tuple) -> _Val:
         if name not in self.fields:
-            raise KeyError(f"missing input field {name!r}")
+            raise MissingInput(f"missing input field {name!r}")
         total: dict[str, int] = {}
         for axis, order in derivs:
             total[axis] = total.get(axis, 0) + order
@@ -757,7 +753,7 @@ def _prepare_context(pair: str, coeff: ModelCoefficients,
 
     if pair in ("ns-kuznetsov", "kuznetsov-westervelt"):
         if "u" not in ctx.fields:
-            raise KeyError("missing input field 'u'")
+            raise MissingInput("missing input field 'u'")
         if pair == "ns-kuznetsov":
             ut = ctx.ref("u", (("t", 1),))
             if "rho1" not in ctx.fields:
@@ -774,7 +770,7 @@ def _prepare_context(pair: str, coeff: ModelCoefficients,
     elif pair in ("ns-kzk", "kuznetsov-kzk"):
         if "Phi" not in ctx.fields:
             if "I" not in ctx.fields:
-                raise KeyError("missing input field 'Phi' (or 'I')")
+                raise MissingInput("missing input field 'Phi' (or 'I')")
             phi = ctx.antideriv(ctx.fields["I"], "tau")
             ctx.fields["Phi"] = _Val(c2 / rho0 * phi.arr, phi.margins)
         if pair == "ns-kzk":
@@ -789,7 +785,7 @@ def _prepare_context(pair: str, coeff: ModelCoefficients,
     elif pair in ("ns-npe", "kuznetsov-npe"):
         if "Psi" not in ctx.fields:
             if "xi" not in ctx.fields:
-                raise KeyError("missing input field 'Psi' (or 'xi')")
+                raise MissingInput("missing input field 'Psi' (or 'xi')")
             psi = ctx.antideriv(ctx.fields["xi"], "z")
             ctx.fields["Psi"] = _Val(-c / rho0 * psi.arr, psi.margins)
         if pair == "ns-npe":

@@ -1,34 +1,29 @@
-"""FFT differentiation, the mean-zero antiderivative and dealiasing.
+"""The one spectral core: `Spectral(grid)`.
 
-All operators act along one named periodic axis of a Field (or, for the
-array-level helpers used inside the steppers, along one axis of a plain
-ndarray).  Real storage throughout; the transforms are real-to-complex.
+Every transform, derivative, antiderivative, shift and 2/3-rule truncation
+of the solvers, correctors, remainders and error norms goes through one
+grid-bound `Spectral`, which caches its symbols (wavenumbers, multipliers,
+masks) on first use.  This is the only module that calls `numpy.fft`.
+Arrays carry the grid's axes last; leading axes (a stack of components, say)
+ride along.  An operator along a bounded axis raises a ValueError naming it.
+The Field-level functions at the bottom wrap the core.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from .fields import Axis, Field, Grid
 
 __all__ = [
+    "Spectral",
     "spectral_derivative",
     "spectral_antiderivative",
     "project_mean_zero",
     "dealias",
-    "deriv_array",
-    "antideriv_array",
-    "dealias_array",
-    "dealias_grid_array",
-    "mean_zero_array",
-    "rfftn_wavenumbers",
-    "wavenumbers",
 ]
-
-
-def wavenumbers(points: int, length: float) -> np.ndarray:
-    """Angular wavenumbers 2*pi*k/L in rfft ordering (k = 0..N/2)."""
-    return 2.0 * np.pi * np.fft.rfftfreq(points, d=length / points)
 
 
 def _check_periodic(axis: Axis) -> None:
@@ -37,90 +32,197 @@ def _check_periodic(axis: Axis) -> None:
                          "operators require a periodic axis")
 
 
-def rfftn_wavenumbers(grid: Grid) -> list[np.ndarray]:
-    """Angular wavenumbers per axis for an rfftn over all axes of a periodic
-    grid (full fft ordering, halved on the last axis), each shaped to
-    broadcast against the transform."""
-    ks = []
-    nax = len(grid.axes)
-    for i, a in enumerate(grid.axes):
-        _check_periodic(a)
-        freq = np.fft.rfftfreq if i == nax - 1 else np.fft.fftfreq
-        k = 2 * np.pi * freq(a.points, d=a.length / a.points)
-        shape = [1] * nax
-        shape[i] = k.size
-        ks.append(k.reshape(shape))
-    return ks
+def _forward(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """rfftn over axes.  One axis takes a plain rfft: the same bits without
+    rfftn's per-call overhead, which costs as much as a 64-point rfft."""
+    if len(axes) == 1:
+        return np.fft.rfft(v, axis=axes[0])
+    return np.fft.rfftn(v, axes=axes)
 
 
-def deriv_array(values: np.ndarray, ax: int, points: int, length: float,
-                order: int = 1) -> np.ndarray:
-    """order-th derivative along array axis ax by wavenumber multiplication."""
-    fh = np.fft.rfft(values, axis=ax)
-    k = wavenumbers(points, length)
-    shape = [1] * values.ndim
-    shape[ax] = k.size
-    mult = (1j * k.reshape(shape)) ** order
-    fh = fh * mult
-    if order % 2 == 1 and points % 2 == 0:
-        # odd derivative of the Nyquist mode has no real representative
-        idx = [slice(None)] * values.ndim
-        idx[ax] = -1
-        fh[tuple(idx)] = 0.0
-    return np.fft.irfft(fh, n=points, axis=ax)
+def _inverse(vh: np.ndarray, sizes, axes: tuple[int, ...]) -> np.ndarray:
+    """irfftn over axes back to the given sizes; see _forward."""
+    if len(axes) == 1:
+        return np.fft.irfft(vh, n=sizes[0], axis=axes[0])
+    return np.fft.irfftn(vh, s=sizes, axes=axes)
 
 
-def antideriv_array(values: np.ndarray, ax: int, points: int,
-                    length: float) -> np.ndarray:
-    """Mean-zero antiderivative along array axis ax (mode 0 set to zero)."""
-    fh = np.fft.rfft(values, axis=ax)
-    k = wavenumbers(points, length)
-    ik = 1j * k
-    ik[0] = 1.0  # placeholder, mode 0 zeroed below
-    shape = [1] * values.ndim
-    shape[ax] = k.size
-    fh = fh / ik.reshape(shape)
-    idx0 = [slice(None)] * values.ndim
-    idx0[ax] = 0
-    fh[tuple(idx0)] = 0.0
-    if points % 2 == 0:
-        idxn = [slice(None)] * values.ndim
-        idxn[ax] = -1
-        fh[tuple(idxn)] = 0.0
-    return np.fft.irfft(fh, n=points, axis=ax)
+class Spectral:
+    """Transforms and periodic-axis operators of one grid; axes are given
+    by name or by index into `grid.axes`.  `fft` is an rfftn over every axis
+    (full-fft ordering on the non-last axes); the one-axis operators
+    (`filter`, `d`, `inv`, `shift`) transform along their axis alone."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.shape = grid.shape
+        self._symbols: dict[tuple, np.ndarray] = {}
+
+    def _axis(self, axis: str | int) -> int:
+        """Index of a periodic axis, counted from the end of the array."""
+        i = self.grid.axis_index(axis) if isinstance(axis, str) else axis
+        _check_periodic(self.grid.axes[i])
+        return i % len(self.shape) - len(self.shape)
+
+    def _along(self, values: np.ndarray, j: int) -> np.ndarray:
+        """values shaped to broadcast along axis j (counted from the end)."""
+        shape = [1] * len(self.shape)
+        shape[j] = values.size
+        return values.reshape(shape)
+
+    def _symbol(self, key: tuple, build) -> np.ndarray:
+        sym = self._symbols.get(key)
+        if sym is None:
+            sym = self._symbols[key] = build()
+        return sym
+
+    def k_along(self, axis: str | int) -> np.ndarray:
+        """Angular wavenumbers 2*pi*k/L along one periodic axis in the layout
+        of `filter`."""
+        j = self._axis(axis)
+        a = self.grid.axes[j]
+        return self._symbol(("k", j), lambda: self._along(
+            2.0 * np.pi * np.fft.rfftfreq(a.points, d=a.length / a.points), j))
+
+    @cached_property
+    def _axes(self) -> tuple[int, ...]:
+        for a in self.grid.axes:
+            _check_periodic(a)
+        return tuple(range(-len(self.shape), 0))
+
+    @cached_property
+    def k(self) -> list[np.ndarray]:
+        """Angular wavenumbers per axis in the layout of `fft`, each shaped
+        to broadcast against the transform."""
+        ks = []
+        for j in self._axes:
+            a = self.grid.axes[j]
+            freq = np.fft.rfftfreq if j == -1 else np.fft.fftfreq
+            ks.append(self._along(
+                2.0 * np.pi * freq(a.points, d=a.length / a.points), j))
+        return ks
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        """|k|^2 in the layout of `fft`."""
+        return sum(k**2 for k in self.k)
+
+    def fft(self, v: np.ndarray) -> np.ndarray:
+        """Spectrum of v over every axis of the grid."""
+        return _forward(v, self._axes)
+
+    def ifft(self, vh: np.ndarray) -> np.ndarray:
+        """Inverse of `fft`."""
+        return _inverse(vh, self.shape, self._axes)
+
+    def filter(self, v: np.ndarray, axis: str | int,
+               symbol: np.ndarray) -> np.ndarray:
+        """v with its spectrum along one periodic axis multiplied by symbol
+        (in the layout of `k_along`)."""
+        j = self._axis(axis)
+        return _inverse(_forward(v, (j,)) * symbol, (self.shape[j],), (j,))
+
+    def d(self, v: np.ndarray, axis: str | int, order: int = 1) -> np.ndarray:
+        """order-th derivative along a periodic axis.  An odd derivative of
+        the Nyquist mode has no real representative and is set to zero."""
+        j = self._axis(axis)
+
+        def build():
+            mult = (1j * self.k_along(j)) ** order
+            if order % 2 == 1:
+                mult.flat[-1] = 0.0  # periodic axes have an even point count
+            return mult
+
+        return self.filter(v, j, self._symbol(("d", j, order), build))
+
+    def mean_zero(self, v: np.ndarray, axis: str | int) -> np.ndarray:
+        """v minus its mean along a periodic axis."""
+        j = self._axis(axis)
+        return v - v.mean(axis=j, keepdims=True)
+
+    def inv(self, v: np.ndarray, axis: str | int) -> np.ndarray:
+        """Mean-zero antiderivative along a periodic axis (the mean of v
+        along it is removed first)."""
+        j = self._axis(axis)
+
+        def build():
+            ik = 1j * self.k_along(j)
+            ik.flat[0] = 1.0  # placeholder, mode 0 is zeroed below
+            return ik
+
+        ik = self._symbol(("inv", j), build)
+        vh = _forward(v - v.mean(axis=j, keepdims=True), (j,)) / ik
+        ends = (Ellipsis, [0, -1]) + (slice(None),) * (-1 - j)
+        vh[ends] = 0.0  # mode 0 and the Nyquist mode
+        return _inverse(vh, (self.shape[j],), (j,))
+
+    def shift(self, v: np.ndarray, axis: str | int,
+              offset: float) -> np.ndarray:
+        """v evaluated at coordinate + offset along a periodic axis."""
+        j = self._axis(axis)
+        a = self.grid.axes[j]
+        k = self._along(np.arange(a.points // 2 + 1), j)
+        return self.filter(v, j, np.exp(2j * np.pi * k * offset / a.length))
+
+    def group(self, prefix: str) -> list[str]:
+        """Names of the axes that start with prefix, in grid order."""
+        return [a.name for a in self.grid.axes if a.name.startswith(prefix)]
+
+    def grad_sq(self, v: np.ndarray, prefix: str = "") -> np.ndarray:
+        """|grad v|^2 over the axes that start with prefix (all by default)."""
+        out = np.zeros_like(v)
+        for name in self.group(prefix):
+            out += self.d(v, name) ** 2
+        return out
+
+    def lap(self, v: np.ndarray, prefix: str = "") -> np.ndarray:
+        """Laplacian of v over the axes that start with prefix (all by
+        default)."""
+        out = np.zeros_like(v)
+        for name in self.group(prefix):
+            out += self.d(v, name, 2)
+        return out
+
+    def dealias(self, v: np.ndarray, axis: str | int | None = None
+                ) -> np.ndarray:
+        """Keep the modes with |k_i| <= N_i // 3 on every periodic axis (or on
+        `axis` alone) and drop the rest: one transform pair with the
+        tensor-product mask."""
+        if axis is None:
+            axes = tuple(i - len(self.shape)
+                         for i, a in enumerate(self.grid.axes) if a.periodic)
+            if not axes:
+                return v
+        else:
+            axes = (self._axis(axis),)
+
+        def build():
+            keep = np.ones((1,) * len(self.shape))
+            for j in axes:
+                n = self.shape[j]
+                idx = np.arange(n // 2 + 1 if j == axes[-1] else n)
+                keep = keep * self._along(np.minimum(idx, n - idx) <= n // 3, j)
+            return keep
+
+        vh = _forward(v, axes)
+        vh *= self._symbol(("dealias", axes), build)
+        return _inverse(vh, [self.shape[j] for j in axes], axes)
 
 
-def mean_zero_array(values: np.ndarray, ax: int) -> np.ndarray:
-    return values - values.mean(axis=ax, keepdims=True)
+# ----------------------------------------------------------------------
+# Field-level operators
 
 
-def dealias_array(values: np.ndarray, ax: int, points: int) -> np.ndarray:
-    """Zero modes with |k| above floor(points/3) along one axis (2/3 rule)."""
-    fh = np.fft.rfft(values, axis=ax)
-    cutoff = points // 3
-    kidx = np.arange(fh.shape[ax])
-    mask = kidx > cutoff
-    idx = [slice(None)] * values.ndim
-    idx[ax] = mask
-    fh[tuple(idx)] = 0.0
-    return np.fft.irfft(fh, n=points, axis=ax)
+def _per_component(f: Field, op) -> Field:
+    """Apply an array operator to f with its component axis moved first."""
+    return f.with_values(np.moveaxis(op(np.moveaxis(f.values, -1, 0)), 0, -1))
 
 
 def spectral_derivative(f: Field, axis: str, order: int = 1) -> Field:
     """Differentiate f `order` times along the named periodic axis."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    i = f.grid.axis_index(axis)
-    a = f.grid.axes[i]
-    _check_periodic(a)
-    return f.with_values(deriv_array(f.values, i, a.points, a.length, order))
-
-
-def line_means(f: Field, axis: str) -> np.ndarray:
-    """Per-line means of f along the named axis (one value per transverse
-    position and component)."""
-    i = f.grid.axis_index(axis)
-    return f.values.mean(axis=i)
+    return _per_component(f, lambda v: Spectral(f.grid).d(v, axis, order))
 
 
 #: largest per-line |mean| the antiderivative accepts, relative to ||f||_L2
@@ -136,8 +238,7 @@ def spectral_antiderivative(f: Field, axis: str) -> Field:
     primitive.
     """
     i = f.grid.axis_index(axis)
-    a = f.grid.axes[i]
-    _check_periodic(a)
+    _check_periodic(f.grid.axes[i])
     tol = _MEAN_TOL * f.l2_norm()
     worst = float(np.max(np.abs(f.values.mean(axis=i))))
     if worst > tol:
@@ -145,25 +246,14 @@ def spectral_antiderivative(f: Field, axis: str) -> Field:
             f"antiderivative precondition violated: mean along {axis!r} is "
             f"{worst:.3e}, tolerance {tol:.3e}"
         )
-    return f.with_values(antideriv_array(f.values, i, a.points, a.length))
+    return _per_component(f, lambda v: Spectral(f.grid).inv(v, axis))
 
 
 def project_mean_zero(f: Field, axis: str) -> Field:
     """Subtract the per-line mean along the named periodic axis."""
-    i = f.grid.axis_index(axis)
-    _check_periodic(f.grid.axes[i])
-    return f.with_values(mean_zero_array(f.values, i))
-
-
-def dealias_grid_array(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Apply the 2/3-rule truncation along every periodic axis of grid to an
-    array whose leading axes are the grid's."""
-    for i, a in enumerate(grid.axes):
-        if a.periodic:
-            values = dealias_array(values, i, a.points)
-    return values
+    return _per_component(f, lambda v: Spectral(f.grid).mean_zero(v, axis))
 
 
 def dealias(f: Field) -> Field:
     """Apply the 2/3-rule truncation on every periodic axis of f."""
-    return f.with_values(dealias_grid_array(f.values, f.grid))
+    return _per_component(f, Spectral(f.grid).dealias)

@@ -32,7 +32,7 @@ from nlparax import (
     spectral_antiderivative,
 )
 from nlparax.remainders import _fd_deriv
-from nlparax.spectral import deriv_array, mean_zero_array
+from nlparax.spectral import Spectral
 
 C_REF = ModelCoefficients(c=1.3, rho0=0.9, gamma=1.4, nu=0.2, eps=0.05)
 
@@ -54,7 +54,7 @@ def test_antiderivative_matches_upsampled_trapezoid_quadrature():
             k = int(rng.integers(1, 7))
             vals += (rng.standard_normal()
                      * np.sin(2 * np.pi * k * x / L + rng.uniform(0, 2 * np.pi)))
-        vals = mean_zero_array(vals, 0)
+        vals = Spectral(g).mean_zero(vals, 0)
         F = spectral_antiderivative(Field(g, vals), "tau").scalar
 
         # oracle: trigonometric upsampling, cumulative trapezoid sums,
@@ -254,7 +254,7 @@ def test_remainder_ns_kuznetsov_shrinks_with_the_trajectory_step():
             return _fd_deriv(v, 0, ht, 1)
 
         def dx(v, order=1):
-            return deriv_array(v, 1, xax.points, xax.length, order)
+            return Spectral(bgrid).d(v, 1, order)
 
         ut = dt(u)
         rho = (rho0 + eps * rho0 / c**2 * ut
@@ -304,11 +304,9 @@ def test_remainder_ns_npe_shrinks_with_the_trajectory_step():
             return _fd_deriv(v, 0, ht, 1)
 
         def dz(v, order=1):
-            return deriv_array(v, 1, zax.points, zax.length, order)
+            return Spectral(bgrid).d(v, 1, order)
 
-        from nlparax.spectral import antideriv_array
-        psi = -c / rho0 * antideriv_array(mean_zero_array(xi, 1), 1,
-                                          zax.points, zax.length)
+        psi = -c / rho0 * Spectral(bgrid).inv(xi, 1)
         chi = (rho0 / c**2 * dt(psi)
                - rho0 * (gam - 1) / (2 * c**2) * dz(psi)**2
                - nu / c**2 * dz(psi, 2))
@@ -358,7 +356,7 @@ def test_remainder_kuznetsov_westervelt_shrinks_with_the_trajectory_step():
             return _fd_deriv(v, 0, dt, 1)
 
         P = u + eps / c**2 * u * ddt(u)
-        lapP = deriv_array(P, 1, n, L, order=2)
+        lapP = Spectral(bgrid).d(P, 1, order=2)
         wes = (ddt(ddt(P)) - c**2 * lapP - eps * nu / rho0 * ddt(lapP)
                - eps * (gam + 1) / (2 * c**2) * ddt(ddt(P)**2))
         R = evaluate_remainder("kuznetsov-westervelt", coeff,
@@ -517,8 +515,10 @@ def test_transported_kzk_solution_satisfies_npe():
         xi = np.stack([s.primary.scalar for s in traj])[:, idx]
         dtau_npe = (z_end / nst) / c  # tau_npe = z_kzk / c
         dxi = _fd_deriv(xi, 0, dtau_npe, 1)
-        rhs = (-(gam + 1) * c / (4 * rho0) * deriv_array(xi**2, 1, nz, Lz)
-               + nu / (2 * rho0) * deriv_array(xi, 1, nz, Lz, order=2))
+        # the z axis of the (tau, z) trajectory; tau rides along
+        dz = Spectral(Grid((Axis("z", Lz, nz),), Frame.NPE)).d
+        rhs = (-(gam + 1) * c / (4 * rho0) * dz(xi**2, 0)
+               + nu / (2 * rho0) * dz(xi, 0, order=2))
         resid = (dxi - rhs)[5:-5]
         return np.abs(resid).max(), np.abs(dxi[5:-5]).max()
 

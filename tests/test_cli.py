@@ -95,6 +95,25 @@ def test_module_entry_point_exits_with_main_status(tmp_path):
     assert "cannot read config" in proc.stderr
 
 
+def test_missing_axis_is_bad_input(tmp_path, capsys):
+    cfg = _solve_cfg(tmp_path, grid={"frame": "kzk", "axes": [
+        {"name": "s", "length": 2 * math.pi, "points": 16}]},
+        initial={"preset": "single_mode"})
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "run")]) == 1
+    assert "grid has no axis named 'tau'" in capsys.readouterr().err
+
+
+def test_a_bare_key_error_propagates(tmp_path, monkeypatch):
+    # a failed lookup inside the program is a bug, not bad input
+    def lookup_bug(args, argv):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "_run_solve", lookup_bug)
+    with pytest.raises(KeyError, match="missing"):
+        main(["solve", "--config", _solve_cfg(tmp_path)])
+
+
 def test_out_of_range_coefficient_is_a_config_error(tmp_path, capsys):
     cfg = _solve_cfg(tmp_path, coeff=dict(COEFF, eps=1.5))
     assert main(["solve", "--config", cfg, "--out",

@@ -15,7 +15,7 @@ from nlparax import (
     solve_npe,
     solve_westervelt,
 )
-from nlparax.models.base import SolverDiverged, SolverNaN
+from nlparax.models.base import HyperbolicityLost
 from nlparax.models.oneway import kzk_step_heuristic
 
 
@@ -107,12 +107,25 @@ def test_kuznetsov_rejects_grid_mismatch(coeff):
 
 
 def test_kuznetsov_diverges_loudly(coeff):
+    # 1 - eps*a*u_t is negative from the start
     g = _grid1d(32)
     x = g.mesh()[0]
     u0 = Field(g, 1e3 * np.sin(x))
     u1 = Field(g, 1e3 * np.cos(x))
-    with pytest.raises((SolverDiverged, SolverNaN)):
+    with pytest.raises(HyperbolicityLost, match="at step 1:"):
         solve_kuznetsov(coeff, u0, u1, 5.0, StepControl(step=0.5))
+
+
+def test_lost_hyperbolicity_names_the_step_and_the_value(coeff):
+    # the factor starts positive and crosses zero at step 8, where the march
+    # used to run on until its norm blew up at step 18
+    g = _grid1d(32)
+    x = g.mesh()[0]
+    u0 = Field(g, 40 * np.sin(x))
+    u1 = Field(g, 40 * np.cos(x))
+    with pytest.raises(HyperbolicityLost,
+                       match=r"at step 8: min\(1 - eps\*a\*w\) = -1\.2"):
+        solve_kuznetsov(coeff, u0, u1, 5.0, StepControl(step=0.05))
 
 
 def test_kuznetsov_sampling(coeff):

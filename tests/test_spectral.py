@@ -1,18 +1,17 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nlparax
 from nlparax import Axis, Field, Frame, Grid
 from nlparax.spectral import (
-    antideriv_array,
-    dealias_array,
-    deriv_array,
-    line_means,
-    mean_zero_array,
+    Spectral,
     project_mean_zero,
     spectral_antiderivative,
     spectral_derivative,
-    wavenumbers,
 )
 
 
@@ -52,8 +51,9 @@ def test_derivative_is_linear(terms):
     x = L * np.arange(n) / n
     f = _synth(x, L, terms)
     g = np.cos(2 * np.pi * x / L)
-    lhs = deriv_array(f + 2.5 * g, 0, n, L)
-    rhs = deriv_array(f, 0, n, L) + 2.5 * deriv_array(g, 0, n, L)
+    sp = Spectral(_grid1d(n, L))
+    lhs = sp.d(f + 2.5 * g, 0)
+    rhs = sp.d(f, 0) + 2.5 * sp.d(g, 0)
     assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(lhs).max())
 
 
@@ -62,17 +62,18 @@ def test_derivative_is_linear(terms):
 def test_antideriv_inverts_deriv_on_mean_zero(terms):
     n, L = 128, 2 * np.pi
     x = L * np.arange(n) / n
-    f = mean_zero_array(_synth(x, L, terms), 0)
-    back = antideriv_array(deriv_array(f, 0, n, L), 0, n, L)
+    sp = Spectral(_grid1d(n, L))
+    f = sp.mean_zero(_synth(x, L, terms), 0)
+    back = sp.inv(sp.d(f, 0), 0)
     # antideriv returns the mean-zero primitive, f is already mean-zero
     assert np.abs(back - f).max() < 1e-10 * max(1.0, np.abs(f).max())
 
 
 def test_antideriv_output_is_mean_zero(rng):
     n, L = 96, 4.0
-    x = L * np.arange(n) / n
-    f = mean_zero_array(rng.standard_normal(n), 0)
-    F = antideriv_array(f, 0, n, L)
+    sp = Spectral(_grid1d(n, L))
+    f = sp.mean_zero(rng.standard_normal(n), 0)
+    F = sp.inv(f, 0)
     assert abs(F.mean()) < 1e-13
 
 
@@ -87,33 +88,70 @@ def test_nyquist_mode_zeroed_for_odd_order():
     n, L = 32, 2 * np.pi
     x = L * np.arange(n) / n
     f = np.cos(np.pi * n / L * x)  # pure Nyquist mode
-    df = deriv_array(f, 0, n, L, order=1)
+    df = Spectral(_grid1d(n, L)).d(f, 0, order=1)
     assert np.abs(df).max() < 1e-12
 
 
-def test_dealias_cutoff():
+def _plane_wave(grid, modes):
+    """cos(2 pi sum_i m_i x_i / L_i) for integer modes m_i."""
+    phase = sum(2 * np.pi * m * x / a.length
+                for m, x, a in zip(modes, grid.mesh(), grid.axes))
+    return np.cos(phase)
+
+
+def test_dealias_cutoff(rng):
+    # the 2/3 rule keeps exactly the modes with |k_i| <= N_i // 3 on every
+    # axis and drops the rest
     n, L = 48, 2 * np.pi
     x = L * np.arange(n) / n
     kept = np.sin((n // 3 - 1) * x)
     dropped = np.sin((n // 3 + 2) * x)
-    out = dealias_array(kept + dropped, 0, n)
+    out = Spectral(_grid1d(n, L)).dealias(kept + dropped)
     assert np.abs(out - kept).max() < 1e-12
+
+    for shape in [(12, 18), (12, 6, 10)]:
+        grid = Grid(tuple(Axis(f"x{i + 1}", 1.0 + i, n)
+                          for i, n in enumerate(shape)))
+        sp = Spectral(grid)
+        # oracle: the full complex spectrum, masked
+        v = rng.standard_normal(shape)
+        k = np.meshgrid(*[np.abs(np.fft.fftfreq(n, 1.0 / n)) for n in shape],
+                        indexing="ij")
+        keep = np.all([ki <= n // 3 for ki, n in zip(k, shape)], axis=0)
+        expect = np.fft.ifftn(np.fft.fftn(v) * keep).real
+        assert np.abs(sp.dealias(v) - expect).max() < 1e-12
+
+        # the mode at index N - N//3 of the first axis (a negative frequency
+        # in its full-fft ordering) stays; a mode just past the cutoff on any
+        # one axis goes
+        cut = [n // 3 for n in shape]
+        kept = _plane_wave(grid, [-cut[0]] + cut[1:])
+        for i in range(len(shape)):
+            modes = [1] * len(shape)
+            modes[i] = -(cut[i] + 1) if i == 0 else cut[i] + 1
+            out = sp.dealias(kept + _plane_wave(grid, modes))
+            assert np.abs(out - kept).max() < 1e-12
 
 
 def test_wavenumbers_rfft_ordering():
-    k = wavenumbers(16, 2 * np.pi)
+    k, = Spectral(_grid1d(16, 2 * np.pi)).k
     assert k.shape == (9,)
     assert k[0] == 0.0
     assert np.allclose(k, np.arange(9))  # L = 2*pi gives integer wavenumbers
+    # full-fft ordering on a non-last axis, rfft ordering on the last
+    g = Grid((Axis("x1", 2 * np.pi, 8), Axis("x2", 2 * np.pi, 8)))
+    k1, k2 = Spectral(g).k
+    assert k1.shape == (8, 1) and k2.shape == (1, 5)
+    assert np.allclose(k1[:, 0], [0, 1, 2, 3, -4, -3, -2, -1])
+    assert np.allclose(k2[0], np.arange(5))
 
 
-def test_line_means_constant_in_transverse():
+def test_mean_zero_removes_the_line_means():
     g = Grid((Axis("tau", 2 * np.pi, 32), Axis("y1", 2.0, 8)), Frame.KZK)
     T, Y = g.mesh()
-    f = Field(g, np.sin(T) + 0.7 * Y)
-    m = line_means(f, "tau")
-    assert m.shape == (8, 1)  # component axis survives
-    assert np.allclose(m[:, 0], 0.7 * g.mesh()[1][0, :], atol=1e-12)
+    f = np.sin(T) + 0.7 * Y
+    means = f - Spectral(g).mean_zero(f, "tau")
+    assert np.allclose(means, 0.7 * Y, atol=1e-12)
 
 
 def test_project_mean_zero_idempotent(rng):
@@ -140,3 +178,13 @@ def test_parseval_l2_norm(terms):
         w[-1] = 1.0
     fourier = np.sqrt(L * np.sum(w * np.abs(fh) ** 2))
     assert f.l2_norm() == pytest.approx(fourier, rel=1e-12, abs=1e-12)
+
+
+def test_only_spectral_calls_numpy_fft():
+    # every transform goes through the one spectral core
+    src = Path(nlparax.__file__).parent
+    offenders = sorted(
+        str(p.relative_to(src)) for p in src.rglob("*.py")
+        if p.name != "spectral.py"
+        and re.search(r"\b(np|numpy)\.fft\b", p.read_text()))
+    assert offenders == []
