@@ -19,6 +19,10 @@ class MissingInput(KeyError, ValueError):
     """An axis or input field the caller named is not there: bad input, not
     a failed lookup inside the program."""
 
+    def __str__(self) -> str:
+        # the message as written, not quoted as KeyError quotes a dict key
+        return Exception.__str__(self)
+
 
 class Frame(Enum):
     """Coordinate frame a grid lives in."""

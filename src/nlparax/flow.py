@@ -11,7 +11,10 @@ total mass is conserved to rounding), momentum in primitive velocity form and
 re-multiplied by rho for output.  The dominant viscous term (eps nu/rho0) Lap v
 is propagated exactly per mode; the density-dependent rest of the viscous
 force is advanced explicitly together with the convective and pressure terms
-(explicit midpoint, Strang split around the viscous half-steps).
+(explicit midpoint, Strang split around the viscous half-steps).  A step runs
+on spectra: the velocity is transformed once per step and each stage
+transforms rho v, p and its momentum tendency once; the state returns to
+physical space at the step boundary.
 
 Entropy diagnostics use the convex pair
 
@@ -104,6 +107,14 @@ def _dpressure(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
 
 
 class _FlowStepper:
+    """Explicit midpoint for (rho, v) between two exact viscous half steps.
+
+    A step transforms v once and keeps its spectrum through both stages;
+    each stage transforms rho v and p once and takes every derivative from
+    those spectra.  Velocities travel stacked, one component per leading
+    index.
+    """
+
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float):
         self.coeff = coeff
         self.dt = dt
@@ -113,45 +124,43 @@ class _FlowStepper:
         self.visc0 = coeff.eps * coeff.nu / coeff.rho0
         self.decay_half = np.exp(-self.visc0 * self.sp.ksq * dt / 2.0)
 
-    def _visc_half(self, v: list[np.ndarray]) -> list[np.ndarray]:
-        if self.visc0 == 0.0:
-            return v
-        return list(self.sp.ifft(self.sp.fft(np.stack(v)) * self.decay_half))
-
-    def tendency(self, rho: np.ndarray, v: list[np.ndarray]):
+    def _tendency(self, rho: np.ndarray, v: np.ndarray, vh: np.ndarray):
+        """d rho/dt, and the spectrum of dv/dt, at (rho, v); vh is the
+        spectrum of v."""
         coeff, sp = self.coeff, self.sp
-        drho = np.zeros_like(rho)
-        for i in range(self.ndim):
-            drho -= sp.d(sp.dealias(rho * v[i]), i)
-        p = pressure_from_density(coeff, rho)
-        dv = []
+        keep, ik = sp.keep(), sp.ik
+        mh = sp.fft(rho * v)
+        drho = -sp.ifft(keep * sum(k * m for k, m in zip(ik, mh)))
+        del mh  # the momentum terms below set the peak memory of a step
+        ph = sp.fft(pressure_from_density(coeff, rho))
+        acc = -sp.ifft(np.stack([k * ph for k in ik])) / rho
+        for j in range(self.ndim):
+            acc -= v[j] * sp.ifft(ik[j] * vh)
         visc = coeff.eps * coeff.nu
-        for i in range(self.ndim):
-            acc = np.zeros_like(rho)
-            for j in range(self.ndim):
-                acc -= sp.dealias(v[j] * sp.d(v[i], j))
-            acc -= sp.dealias(sp.d(p, i) / rho)
-            if visc != 0.0:
-                # correction beyond the exactly-propagated eps*nu/rho0 part
-                acc += sp.dealias(
-                    visc * sp.lap(v[i]) * (1.0 / rho - 1.0 / coeff.rho0))
-            dv.append(acc)
-        return drho, dv
+        if visc != 0.0:
+            # correction beyond the exactly-propagated eps*nu/rho0 part
+            acc += (visc * sp.ifft(-sp.ksq * vh)
+                    * (1.0 / rho - 1.0 / coeff.rho0))
+        return drho, keep * sp.fft(acc)
 
     def step(self, state, n: int):
         """Advance (rho, v_1, ..., v_d) from step n - 1 to step n."""
+        sp, dt = self.sp, self.dt
         rho, *v = state
-        dt = self.dt
-        v = self._visc_half(v)
-        d1rho, d1v = self.tendency(rho, v)
+        v = np.stack(v)
+        vh = sp.fft(v)
+        if self.visc0 != 0.0:
+            vh *= self.decay_half
+            v = sp.ifft(vh)
+        d1rho, d1vh = self._tendency(rho, v, vh)
         rho_m = rho + 0.5 * dt * d1rho
-        v_m = [v[i] + 0.5 * dt * d1v[i] for i in range(self.ndim)]
         if np.min(rho_m) <= 0.0:
             raise PositivityLost("density positivity lost during midpoint stage")
-        d2rho, d2v = self.tendency(rho_m, v_m)
+        vh_m = vh + 0.5 * dt * d1vh
+        del v, d1rho, d1vh  # freed before the second stage's peak
+        d2rho, d2vh = self._tendency(rho_m, sp.ifft(vh_m), vh_m)
         rho = rho + dt * d2rho
-        v = [v[i] + dt * d2v[i] for i in range(self.ndim)]
-        v = self._visc_half(v)
+        v = sp.ifft((vh + dt * d2vh) * self.decay_half)
         if np.min(rho) <= 0.0:
             raise PositivityLost(
                 f"density positivity lost at t = {n * dt:.6g} "

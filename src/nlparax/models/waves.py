@@ -4,7 +4,10 @@ Both equations are integrated as first-order systems in (u, u_t) with Strang
 splitting: the stiff linear part (c^2 Laplacian plus the eps*nu/rho0 viscous
 damping of u_t) is propagated exactly per Fourier mode by a closed-form 2x2
 matrix exponential, and the nonlinear tendency is advanced by the explicit
-midpoint rule with dealiased products.
+midpoint rule with dealiased products.  A step runs on spectra: it transforms
+(u, u_t) once, applies both half-step propagators as multiplies, transforms
+each midpoint stage's products once, and returns to physical space at the
+step boundary.
 
 Kuznetsov:   u_tt - c^2 Lap u = eps d/dt( (grad u)^2
                                           + (gamma-1)/(2 c^2) (u_t)^2
@@ -75,7 +78,11 @@ def _linear_propagator(ksq: np.ndarray, c: float, damp: float, dt: float):
 
 
 class _WaveStepper:
-    """Strang-split stepper shared by the Kuznetsov and Westervelt models."""
+    """Strang-split stepper shared by the Kuznetsov and Westervelt models.
+
+    A step transforms (u, w) once, runs both half-step propagations and the
+    midpoint stages on the spectra, and returns to physical space at its end.
+    """
 
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float,
                  a_local: float, b_grad: float, viscous: bool):
@@ -85,60 +92,55 @@ class _WaveStepper:
         self.b_grad = b_grad
         self.sp = Spectral(grid)
         damp = coeff.eps * coeff.nu / coeff.rho0 if viscous else 0.0
-        self.damp = damp
-        self.half = _linear_propagator(self.sp.ksq, coeff.c, damp, dt / 2.0)
+        ksq = self.sp.ksq
+        self.half = _linear_propagator(ksq, coeff.c, damp, dt / 2.0)
+        # linear tendency of w: -c^2 |k|^2 u - damp |k|^2 w
+        self.lin_u = -coeff.c**2 * ksq
+        self.lin_w = -damp * ksq
 
-    def linear_half(self, u: np.ndarray, w: np.ndarray):
-        sp = self.sp
-        uh, wh = sp.fft(u), sp.fft(w)
+    def _propagate(self, uh: np.ndarray, wh: np.ndarray):
         e11, e12, e21, e22 = self.half
-        uh2 = e11 * uh + e12 * wh
-        wh2 = e21 * uh + e22 * wh
-        return sp.ifft(uh2), sp.ifft(wh2)
+        return e11 * uh + e12 * wh, e21 * uh + e22 * wh
 
-    def nonlinear_tendency(self, u: np.ndarray, w: np.ndarray,
-                           n: int) -> np.ndarray:
-        """Deviation of w_t from the linear tendency, dealiased.  Raises
+    def _tendency(self, uh: np.ndarray, du: list[np.ndarray],
+                  wh: np.ndarray, n: int) -> np.ndarray:
+        """Spectrum of the dealiased deviation of w_t from the linear
+        tendency at u (spectrum uh, gradient du) and w (spectrum wh).  Raises
         HyperbolicityLost when the factor 1 - eps*a*w that the u_t u_tt term
         divides by is not positive everywhere."""
         sp = self.sp
-        c2 = self.coeff.c**2
         eps = self.coeff.eps
-        uh, wh = sp.fft(u), sp.fft(w)
-        lin = sp.ifft((-c2 * sp.ksq) * uh + (-self.damp * sp.ksq) * wh)
-        rhs = lin
+        keep = sp.keep()
         if self.b_grad != 0.0:
-            gdot = np.zeros_like(u)
-            for kax in sp.k:
-                du = sp.ifft(1j * kax * uh)
-                dw = sp.ifft(1j * kax * wh)
-                gdot = gdot + sp.dealias(du * dw)
-            rhs = rhs + eps * self.b_grad * gdot
-        if self.a_local != 0.0:
-            denom = 1.0 - eps * self.a_local * w
-            margin = float(np.min(denom))
-            if margin <= 0.0:
-                raise HyperbolicityLost(
-                    f"hyperbolicity lost at step {n}: min(1 - eps*a*w) = "
-                    f"{margin:.3e}")
-            return sp.dealias(rhs / denom - lin)
-        return sp.dealias(rhs - lin)
-
-    def nonlinear_full(self, u: np.ndarray, w: np.ndarray, n: int):
-        """Explicit midpoint for the nonlinear flow (u frozen, w evolves)."""
-        if self.a_local == 0.0 and self.b_grad == 0.0:
-            return u, w
-        dt = self.dt
-        k1 = self.nonlinear_tendency(u, w, n)
-        k2 = self.nonlinear_tendency(u, w + 0.5 * dt * k1, n)
-        return u, w + dt * k2
+            # eps*b grad u . grad w, dealiased
+            gdot = sum(du_i * sp.ifft(ik * wh) for du_i, ik in zip(du, sp.ik))
+            gh = keep * (eps * self.b_grad) * sp.fft(gdot)
+            if self.a_local == 0.0:
+                return gh
+        w = sp.ifft(wh)
+        denom = 1.0 - eps * self.a_local * w
+        margin = float(np.min(denom))
+        if margin <= 0.0:
+            raise HyperbolicityLost(
+                f"hyperbolicity lost at step {n}: min(1 - eps*a*w) = "
+                f"{margin:.3e}")
+        lin = sp.ifft(self.lin_u * uh + self.lin_w * wh)
+        rhs = lin + sp.ifft(gh) if self.b_grad != 0.0 else lin
+        return keep * sp.fft(rhs / denom - lin)
 
     def step(self, state, n: int):
+        """Linear half step, explicit midpoint for the nonlinear flow (u
+        frozen, w evolves), linear half step."""
+        sp, dt = self.sp, self.dt
         u, w = state
-        u, w = self.linear_half(u, w)
-        u, w = self.nonlinear_full(u, w, n)
-        u, w = self.linear_half(u, w)
-        return u, w
+        uh, wh = self._propagate(sp.fft(u), sp.fft(w))
+        if self.a_local != 0.0 or self.b_grad != 0.0:
+            du = [sp.ifft(ik * uh) for ik in sp.ik] if self.b_grad else []
+            k1 = self._tendency(uh, du, wh, n)
+            k2 = self._tendency(uh, du, wh + 0.5 * dt * k1, n)
+            wh = wh + dt * k2
+        uh, wh = self._propagate(uh, wh)
+        return sp.ifft(uh), sp.ifft(wh)
 
 
 def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,

@@ -22,6 +22,7 @@ __all__ = [
     "spectral_derivative",
     "spectral_antiderivative",
     "project_mean_zero",
+    "require_mean_zero",
     "dealias",
 ]
 
@@ -183,29 +184,47 @@ class Spectral:
             out += self.d(v, name, 2)
         return out
 
-    def dealias(self, v: np.ndarray, axis: str | int | None = None
-                ) -> np.ndarray:
-        """Keep the modes with |k_i| <= N_i // 3 on every periodic axis (or on
-        `axis` alone) and drop the rest: one transform pair with the
-        tensor-product mask."""
-        if axis is None:
-            axes = tuple(i - len(self.shape)
-                         for i, a in enumerate(self.grid.axes) if a.periodic)
-            if not axes:
-                return v
-        else:
-            axes = (self._axis(axis),)
+    @cached_property
+    def ik(self) -> list[np.ndarray]:
+        """First-derivative symbols i*k per axis in the layout of `fft`, with
+        the Nyquist mode zeroed as in `d`."""
+        out = []
+        for j, k in zip(self._axes, self.k):
+            ik = 1j * k
+            ik.flat[-1 if j == -1 else self.shape[j] // 2] = 0.0
+            out.append(ik)
+        return out
+
+    def _keep(self, along: tuple[int, ...], axes: tuple[int, ...]
+              ) -> np.ndarray:
+        """2/3-rule mask along the axes `along` in the layout of an rfftn
+        over `axes`: keeps the modes with |k_i| <= N_i // 3."""
 
         def build():
             keep = np.ones((1,) * len(self.shape))
-            for j in axes:
+            for j in along:
                 n = self.shape[j]
                 idx = np.arange(n // 2 + 1 if j == axes[-1] else n)
                 keep = keep * self._along(np.minimum(idx, n - idx) <= n // 3, j)
             return keep
 
+        return self._symbol(("keep", along, axes), build)
+
+    def keep(self, *axes: str | int) -> np.ndarray:
+        """The 2/3-rule mask in the layout of `fft`, along the given periodic
+        axes (every axis when none is given)."""
+        along = tuple(self._axis(a) for a in axes) or self._axes
+        return self._keep(along, self._axes)
+
+    def dealias(self, v: np.ndarray) -> np.ndarray:
+        """Keep the modes with |k_i| <= N_i // 3 on every periodic axis and
+        drop the rest: one transform pair with the tensor-product mask."""
+        axes = tuple(i - len(self.shape)
+                     for i, a in enumerate(self.grid.axes) if a.periodic)
+        if not axes:
+            return v
         vh = _forward(v, axes)
-        vh *= self._symbol(("dealias", axes), build)
+        vh *= self._keep(axes, axes)
         return _inverse(vh, [self.shape[j] for j in axes], axes)
 
 
@@ -225,27 +244,32 @@ def spectral_derivative(f: Field, axis: str, order: int = 1) -> Field:
     return _per_component(f, lambda v: Spectral(f.grid).d(v, axis, order))
 
 
-#: largest per-line |mean| the antiderivative accepts, relative to ||f||_L2
+#: largest per-line |mean| a mean-zero profile may have, relative to ||f||_L2
 _MEAN_TOL = 1e-10
 
 
-def spectral_antiderivative(f: Field, axis: str) -> Field:
-    """Mean-zero antiderivative along the named periodic axis.
-
-    Requires f to have (numerically) zero mean along that axis: the largest
-    per-line |mean| must not exceed _MEAN_TOL * ||f||_L2.  Matches the
-    quadrature form int_0^tau f dl + int_0^L (l/L) f dl of the mean-zero
-    primitive.
-    """
+def require_mean_zero(f: Field, axis: str) -> None:
+    """Raise a ValueError unless every line mean of f along the named
+    periodic axis is within _MEAN_TOL * ||f||_L2 of zero."""
     i = f.grid.axis_index(axis)
     _check_periodic(f.grid.axes[i])
     tol = _MEAN_TOL * f.l2_norm()
     worst = float(np.max(np.abs(f.values.mean(axis=i))))
     if worst > tol:
         raise ValueError(
-            f"antiderivative precondition violated: mean along {axis!r} is "
-            f"{worst:.3e}, tolerance {tol:.3e}"
+            f"profile must be mean-zero along {axis!r}: largest line mean "
+            f"is {worst:.3e}, tolerance {tol:.3e}"
         )
+
+
+def spectral_antiderivative(f: Field, axis: str) -> Field:
+    """Mean-zero antiderivative along the named periodic axis.
+
+    Requires f to be mean-zero along that axis (see `require_mean_zero`).
+    Matches the quadrature form int_0^tau f dl + int_0^L (l/L) f dl of the
+    mean-zero primitive.
+    """
+    require_mean_zero(f, axis)
     return _per_component(f, lambda v: Spectral(f.grid).inv(v, axis))
 
 

@@ -173,6 +173,27 @@ def test_kuznetsov_order_two_under_step_halving():
     assert _orders(errs).min() >= 2.0
 
 
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_flow_order_two_under_step_halving(ndim):
+    # explicit midpoint between exact viscous half steps: the successive
+    # differences of the end state shrink fourfold as the step halves
+    coeff = ModelCoefficients(nu=1.0, eps=0.04)
+    g = Grid(tuple(Axis(f"x{i + 1}", 2 * np.pi, 32) for i in range(ndim)),
+             Frame.PHYSICAL)
+    X = g.mesh()
+    rho = Field(g, coeff.rho0 * (1.0 + 0.2 * np.sin(sum(X))))
+    v = Field(g, np.stack([0.2 * np.cos(x + i) for i, x in enumerate(X)],
+                          axis=-1), ndim)
+    init = FlowState.from_primitive(rho, v)
+    ends = []
+    for step in (0.04, 0.02, 0.01):
+        U = solve_flow(coeff, init, 1.0, StepControl(step=step))[-1][1]
+        ends.append(np.concatenate([U.rho.values.ravel(),
+                                    U.momentum.values.ravel()]))
+    diffs = [np.abs(a - b).max() for a, b in zip(ends, ends[1:])]
+    assert _orders(diffs).min() >= 1.8
+
+
 def test_kzk_order_two_under_step_halving():
     coeff = C_REF
     g = Grid((Axis("tau", 2 * np.pi, 64), Axis("y1", 2 * np.pi, 16)),

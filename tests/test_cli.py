@@ -101,7 +101,8 @@ def test_missing_axis_is_bad_input(tmp_path, capsys):
         initial={"preset": "single_mode"})
     assert main(["solve", "--config", cfg, "--out",
                  str(tmp_path / "run")]) == 1
-    assert "grid has no axis named 'tau'" in capsys.readouterr().err
+    # the message as written, not quoted like a dict key
+    assert "error: grid has no axis named 'tau';" in capsys.readouterr().err
 
 
 def test_a_bare_key_error_propagates(tmp_path, monkeypatch):

@@ -6,7 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlparax
-from nlparax import Axis, Field, Frame, Grid
+from nlparax import (
+    Axis,
+    Field,
+    Frame,
+    Grid,
+    ModelCoefficients,
+    StepControl,
+    solve_kzk,
+    solve_npe,
+)
+from nlparax import spectral
+from nlparax.flow import _FlowStepper
+from nlparax.models.oneway import _OneWayStepper
+from nlparax.models.waves import _WaveStepper
 from nlparax.spectral import (
     Spectral,
     project_mean_zero,
@@ -84,12 +97,47 @@ def test_spectral_antiderivative_rejects_nonzero_mean():
         spectral_antiderivative(f, "x1")
 
 
+def test_one_mean_zero_precondition():
+    # the antiderivative and both one-way solvers refuse a line mean of
+    # 1e-3 with one message that names the axis and the largest mean
+    ctl = StepControl(step=0.1)
+    for frame, ax in ((Frame.KZK, "tau"), (Frame.NPE, "z")):
+        g = Grid((Axis(ax, 2 * np.pi, 32), Axis("y1", 2.0, 8)), frame)
+        s = g.mesh()[0]
+        f = Field(g, np.sin(s) + np.where(np.arange(8) == 3, 1e-3, 0.0))
+        solve = solve_kzk if frame is Frame.KZK else solve_npe
+        message = (f"profile must be mean-zero along '{ax}': largest line "
+                   r"mean is 1\.000e-03")
+        for refuse in (lambda: spectral_antiderivative(f, ax),
+                       lambda: solve(ModelCoefficients(), f, 1.0, ctl)):
+            with pytest.raises(ValueError, match=message):
+                refuse()
+
+
 def test_nyquist_mode_zeroed_for_odd_order():
     n, L = 32, 2 * np.pi
     x = L * np.arange(n) / n
     f = np.cos(np.pi * n / L * x)  # pure Nyquist mode
     df = Spectral(_grid1d(n, L)).d(f, 0, order=1)
     assert np.abs(df).max() < 1e-12
+
+
+def test_whole_grid_symbols():
+    # i*k zeroes the Nyquist mode on every axis, as `d` does; `keep` is the
+    # 2/3 mask of `dealias` in the layout of `fft`, whole or along one axis
+    g = Grid((Axis("x1", 2 * np.pi, 8), Axis("x2", 2 * np.pi, 6)))
+    sp = Spectral(g)
+    ik1, ik2 = sp.ik
+    assert np.allclose(ik1[:, 0], 1j * np.array([0, 1, 2, 3, 0, -3, -2, -1]))
+    assert np.allclose(ik2[0], 1j * np.array([0, 1, 2, 0]))
+    keep1 = np.array([1, 1, 1, 0, 0, 0, 1, 1])[:, None]
+    keep2 = np.array([1, 1, 1, 0])[None, :]
+    assert np.array_equal(sp.keep("x1"), keep1)
+    assert np.array_equal(sp.keep(), keep1 * keep2)
+    bounded = Grid((Axis("x1", 2 * np.pi, 8),
+                    Axis("t", 1.0, 5, periodic=False)))
+    with pytest.raises(ValueError, match="axis 't' is not periodic"):
+        Spectral(bounded).keep("x1")
 
 
 def _plane_wave(grid, modes):
@@ -188,3 +236,53 @@ def test_only_spectral_calls_numpy_fft():
         if p.name != "spectral.py"
         and re.search(r"\b(np|numpy)\.fft\b", p.read_text()))
     assert offenders == []
+
+
+def test_fft_calls_per_step_are_pinned(monkeypatch):
+    # each stepper transforms once per stage and keeps its spectra through
+    # the step; a transform added back to a step shows up here
+    calls = []
+    for name in ("_forward", "_inverse"):
+        def counted(*args, _op=getattr(spectral, name)):
+            calls.append(1)
+            return _op(*args)
+        monkeypatch.setattr(spectral, name, counted)
+
+    coeff = ModelCoefficients(nu=0.2, eps=0.05)
+    inviscid = ModelCoefficients(nu=0.0, eps=0.05)
+    g1 = _grid1d(64)
+    g2 = Grid((Axis("x1", 2 * np.pi, 32), Axis("x2", 2 * np.pi, 16)))
+    kzk = Grid((Axis("tau", 2 * np.pi, 32), Axis("y1", 2.0, 16)), Frame.KZK)
+    npe = Grid((Axis("z", 2 * np.pi, 64),), Frame.NPE)
+
+    def smooth(g):
+        return 0.01 * np.cos(sum(g.mesh()))
+
+    def wave(g, a_local, b_grad):
+        return (_WaveStepper(g, coeff, 0.01, a_local, b_grad, True),
+                (smooth(g), smooth(g)))
+
+    def flow(g, c):
+        return (_FlowStepper(g, c, 0.01),
+                (1.0 + smooth(g), *(smooth(g) for _ in g.axes)))
+
+    def oneway(g, ax, source=None):
+        return (_OneWayStepper(g, ax, 1.0, 0.1, 0.5, 0.01, 0.1, source),
+                (smooth(g),))
+
+    budget = {
+        "kuznetsov 1d": (wave(g1, coeff.alpha, 2.0), 17),
+        "kuznetsov 2d": (wave(g2, coeff.alpha, 2.0), 20),
+        "westervelt 1d": (wave(g1, 2.4, 0.0), 10),
+        "westervelt 2d": (wave(g2, 2.4, 0.0), 10),
+        "flow 1d": (flow(g1, coeff), 18),
+        "flow 1d inviscid": (flow(g1, inviscid), 15),
+        "flow 2d": (flow(g2, coeff), 20),
+        "npe 1d": (oneway(npe, "z"), 6),
+        "kzk 2d": (oneway(kzk, "tau"), 6),
+        "kzk 2d with source": (oneway(kzk, "tau", lambda z: smooth(kzk)), 8),
+    }
+    for label, ((stepper, state), expect) in budget.items():
+        calls.clear()
+        stepper.step(state, 1)
+        assert len(calls) == expect, label
