@@ -48,12 +48,6 @@ from .experiments import (
     scaling_study,
 )
 from .paf import read_paf, write_paf
-from .spectral import (
-    dealias,
-    project_mean_zero,
-    spectral_antiderivative,
-    spectral_derivative,
-)
 
 __all__ = [
     "Axis",
@@ -71,10 +65,6 @@ __all__ = [
     "solve_npe",
     "read_paf",
     "write_paf",
-    "spectral_derivative",
-    "spectral_antiderivative",
-    "project_mean_zero",
-    "dealias",
     "FlowState",
     "solve_flow",
     "entropy_pair",

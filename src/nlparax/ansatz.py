@@ -6,8 +6,8 @@ The density expansion around the constant state rho0 reads
 
 with (first, second) = (rho1, rho2) for Kuznetsov, (I, J) for KZK and
 (xi, chi) for NPE.  The KZK potential is Phi = (c^2/rho0) invdtau(I), the NPE
-potential Psi = -(c/rho0) invdz(xi).  H is the full (eps-dependent) second
-KZK corrector of which J is the eps^0 truncation.
+potential Psi = -(c/rho0) invdz(xi).  Each closed form is one function of the
+derivative arrays it needs, shared by the correctors, remainders and studies.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class CorrectorSet:
     model: ModelKind
     first: Field
     second: Field
-    second_full: Field | None = None
     potential: Field | None = None
 
 
@@ -51,6 +50,46 @@ class AnsatzProfile:
 
 def _has(grid: Grid, name: str) -> bool:
     return any(a.name == name for a in grid.axes)
+
+
+def kuznetsov_rho1(coeff: ModelCoefficients, ut: np.ndarray) -> np.ndarray:
+    """rho1 = (rho0/c^2) u_t."""
+    return coeff.rho0 / (coeff.c * coeff.c) * ut
+
+
+def kuznetsov_rho2(coeff: ModelCoefficients, ut: np.ndarray,
+                   grad_sq_u: np.ndarray, lap_u: np.ndarray) -> np.ndarray:
+    """rho2 = -rho0 (gamma-2)/(2c^4) u_t^2 - rho0/(2c^2) |grad u|^2 - nu/c^2 Lap u."""
+    c2, rho0 = coeff.c * coeff.c, coeff.rho0
+    return (-rho0 * (coeff.gamma - 2.0) / (2.0 * c2**2) * ut**2
+            - rho0 / (2.0 * c2) * grad_sq_u - coeff.nu / c2 * lap_u)
+
+
+def kzk_potential(coeff: ModelCoefficients, inv_tau_I: np.ndarray) -> np.ndarray:
+    """Phi = (c^2/rho0) invdtau(I), from the antiderivative of I."""
+    return coeff.c * coeff.c / coeff.rho0 * inv_tau_I
+
+
+def kzk_j(coeff: ModelCoefficients, dtau_phi: np.ndarray,
+          dtau2_phi: np.ndarray) -> np.ndarray:
+    """J = -rho0 (gamma-1)/(2c^4) (dtau Phi)^2 - (nu/c^4) dtau^2 Phi."""
+    c2 = coeff.c * coeff.c
+    return (-coeff.rho0 * (coeff.gamma - 1.0) / (2.0 * c2**2) * dtau_phi**2
+            - coeff.nu / c2**2 * dtau2_phi)
+
+
+def npe_potential(coeff: ModelCoefficients, inv_z_xi: np.ndarray) -> np.ndarray:
+    """Psi = -(c/rho0) invdz(xi), from the antiderivative of xi."""
+    return -coeff.c / coeff.rho0 * inv_z_xi
+
+
+def npe_chi(coeff: ModelCoefficients, dtau_psi: np.ndarray,
+            dz_psi: np.ndarray, dz2_psi: np.ndarray) -> np.ndarray:
+    """chi = rho0/c^2 dtau Psi - rho0 (gamma-1)/(2c^2) (dz Psi)^2 - nu/c^2 dz^2 Psi."""
+    c2, rho0 = coeff.c * coeff.c, coeff.rho0
+    return (rho0 / c2 * dtau_psi
+            - rho0 * (coeff.gamma - 1.0) / (2.0 * c2) * dz_psi**2
+            - coeff.nu / c2 * dz2_psi)
 
 
 def _kzk_dz_phi(sp: Spectral, coeff: ModelCoefficients, phi: np.ndarray) -> np.ndarray:
@@ -95,15 +134,12 @@ def build_correctors(model: ModelKind, coeff: ModelCoefficients,
     """Evaluate the closed-form corrector expressions for one model state.
 
     Kuznetsov needs (u, u_t) and a physical spatial grid; KZK needs a
-    mean-zero I(tau, y); NPE a mean-zero xi(z, y).  Evolution-direction
-    derivatives that the formulas reference (dPhi/dz, dPsi/dtau) are taken
-    spectrally when the grid carries that axis and otherwise substituted from
-    the model equation.
+    mean-zero I(tau, y); NPE a mean-zero xi(z, y).  dPsi/dtau is taken
+    spectrally when the grid carries a tau axis and otherwise substituted
+    from the model equation.
     """
     grid = primary.primary.grid
     sp = Spectral(grid)
-    c, rho0, nu, eps = coeff.c, coeff.rho0, coeff.nu, coeff.eps
-    c2 = c * c
 
     if model is ModelKind.KUZNETSOV or model is ModelKind.WESTERVELT:
         u = primary.primary.scalar
@@ -114,39 +150,24 @@ def build_correctors(model: ModelKind, coeff: ModelCoefficients,
         else:
             raise ValueError("Kuznetsov correctors need u_t (velocity field "
                              "or a grid with a t axis)")
-        rho1 = rho0 / c2 * ut
-        rho2 = (-rho0 * (coeff.gamma - 2.0) / (2.0 * c2**2) * ut**2
-                - rho0 / (2.0 * c2) * sp.grad_sq(u, "x")
-                - nu / c2 * sp.lap(u, "x"))
+        rho1 = kuznetsov_rho1(coeff, ut)
+        rho2 = kuznetsov_rho2(coeff, ut, sp.grad_sq(u, "x"), sp.lap(u, "x"))
         return CorrectorSet(model, Field(grid, rho1), Field(grid, rho2))
 
     if model is ModelKind.KZK:
         I = primary.primary.scalar
-        phi = c2 / rho0 * sp.inv(I, "tau")
-        dphi = sp.d(phi, "tau")
-        J = (-rho0 * (coeff.gamma - 1.0) / (2.0 * c2**2) * dphi**2
-             - nu / c2**2 * sp.d(phi, "tau", 2))
-        dzphi = sp.d(phi, "z") if _has(grid, "z") else _kzk_dz_phi(sp, coeff, phi)
-        H = (J
-             + eps * (-rho0 / (2.0 * c2)
-                      * (sp.grad_sq(phi, "y") - 2.0 / c * dzphi * dphi)
-                      - nu / c2 * (sp.lap(phi, "y")
-                                   - 2.0 / c * sp.d(dzphi, "tau")))
-             + eps**2 * (-rho0 / (2.0 * c2) * dzphi**2
-                         - nu / c2 * (sp.d(dzphi, "z") if _has(grid, "z")
-                                      else np.zeros_like(phi))))
+        phi = kzk_potential(coeff, sp.inv(I, "tau"))
+        J = kzk_j(coeff, sp.d(phi, "tau"), sp.d(phi, "tau", 2))
         return CorrectorSet(model, Field(grid, I.copy()), Field(grid, J),
-                            Field(grid, H), Field(grid, phi))
+                            Field(grid, phi))
 
     if model is ModelKind.NPE:
         xi = primary.primary.scalar
-        psi = -c / rho0 * sp.inv(xi, "z")
+        psi = npe_potential(coeff, sp.inv(xi, "z"))
         dtpsi = sp.d(psi, "tau") if _has(grid, "tau") else _npe_dtau_psi(sp, coeff, psi)
-        chi = (rho0 / c2 * dtpsi
-               - rho0 * (coeff.gamma - 1.0) / (2.0 * c2) * sp.d(psi, "z") ** 2
-               - nu / c2 * sp.d(psi, "z", 2))
+        chi = npe_chi(coeff, dtpsi, sp.d(psi, "z"), sp.d(psi, "z", 2))
         return CorrectorSet(model, Field(grid, xi.copy()), Field(grid, chi),
-                            None, Field(grid, psi))
+                            Field(grid, psi))
 
     raise ValueError(f"unknown model {model!r}")
 
@@ -213,17 +234,22 @@ def westervelt_initial_data(coeff: ModelCoefficients, u0: Field,
     margin)."""
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 must share one grid")
-    eps, c2 = coeff.eps, coeff.c**2
     a0, a1 = u0.scalar, u1.scalar
-    if np.min(np.abs(1.0 - coeff.alpha * eps * a1)) < 0.5:
+    if np.min(np.abs(1.0 - coeff.alpha * coeff.eps * a1)) < 0.5:
         raise ValueError(
             "degeneracy factor |1 - (gamma-1)/c^2 eps u1| dropped below 0.5"
         )
-    pi0 = a0 + eps / c2 * a0 * a1
-    utt0 = _kuznetsov_utt(Spectral(u0.grid), coeff, a0, a1)
-    pi1 = a1 + eps / c2 * a1**2 + eps / c2 * a0 * utt0
-    grid = u0.grid
-    return Field(grid, pi0), Field(grid, pi1)
+    pi1 = westervelt_pi_t(Spectral(u0.grid), coeff, a0, a1)
+    return westervelt_transform(coeff, u0, u1), Field(u0.grid, pi1)
+
+
+def westervelt_pi_t(sp: Spectral, coeff: ModelCoefficients, u: np.ndarray,
+                    ut: np.ndarray) -> np.ndarray:
+    """Pi_t = u_t + (eps/c^2) u_t^2 + (eps/c^2) u u_tt along a Kuznetsov
+    state, with u_tt eliminated through the Kuznetsov equation."""
+    utt = _kuznetsov_utt(sp, coeff, u, ut)
+    eps, c2 = coeff.eps, coeff.c**2
+    return ut + eps / c2 * ut**2 + eps / c2 * u * utt
 
 
 def right_moving_velocity(coeff: ModelCoefficients, u0: Field) -> Field:

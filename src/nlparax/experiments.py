@@ -28,12 +28,13 @@ import numpy as np
 
 from . import __version__
 from .ansatz import (
-    _kuznetsov_utt,
     _npe_dtau_psi,
     assemble_ansatz,
     build_correctors,
+    npe_potential,
     right_moving_velocity,
     westervelt_initial_data,
+    westervelt_pi_t,
     westervelt_transform,
 )
 from .fields import Axis, Field, Frame, Grid
@@ -268,6 +269,8 @@ def l2_error(a, b) -> float:
     FlowState pairs: sqrt(|drho|^2 + |dm|^2).  Second-order wave states
     (velocity present on both): the energy norm sqrt(|d u_t|^2 +
     |grad du|^2).  One-way states: plain L2 of the primary profile.
+    ModelStates of different models, or of which only one carries a
+    velocity, raise a ValueError.
     """
     if isinstance(a, FlowState) and isinstance(b, FlowState):
         if a.grid != b.grid:
@@ -279,10 +282,15 @@ def l2_error(a, b) -> float:
     if isinstance(a, ModelState) and isinstance(b, ModelState):
         if a.primary.grid != b.primary.grid:
             raise ValueError("states live on different grids")
+        if a.model is not b.model:
+            raise ValueError(f"states of different models: {a.model.value} "
+                             f"and {b.model.value}")
+        if (a.velocity is None) != (b.velocity is None):
+            raise ValueError("only one of the states carries a velocity")
         grid = a.primary.grid
         w = grid.cell_volume
         du = a.primary.scalar - b.primary.scalar
-        if a.velocity is not None and b.velocity is not None:
+        if a.velocity is not None:
             dw = a.velocity.scalar - b.velocity.scalar
             acc = np.sum(dw**2) + np.sum(Spectral(grid).grad_sq(du))
             return float(math.sqrt(w * acc))
@@ -455,13 +463,11 @@ def _run_kuznetsov_westervelt(cfg: ExperimentConfig, eps: float):
     wes = solve_westervelt(coeff, pi0, pi1, t_end, ctl, n_samples=n_int + 1)
 
     sp = Spectral(grid)
-    c2 = coeff.c**2
     errs = []
     for ks, ws in zip(kuz, wes):
-        u, ut = ks.primary.scalar, ks.velocity.scalar
-        utt = _kuznetsov_utt(sp, coeff, u, ut)
         pib = westervelt_transform(coeff, ks.primary, ks.velocity)
-        pib_t = Field(grid, ut + eps / c2 * (ut**2 + u * utt))
+        pib_t = Field(grid, westervelt_pi_t(sp, coeff, ks.primary.scalar,
+                                            ks.velocity.scalar))
         ref = ModelState(ModelKind.WESTERVELT, ks.evol, pib, pib_t)
         errs.append(l2_error(ws, ref))
     return list(times), errs
@@ -489,7 +495,7 @@ def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
 
     def transported(state: ModelState, t: float):
         """u(x, t) = Psi(eps t, x - c t) and its time derivative."""
-        psi = -coeff.c / coeff.rho0 * sp.inv(state.primary.scalar, "z")
+        psi = npe_potential(coeff, sp.inv(state.primary.scalar, "z"))
         dtau = _npe_dtau_psi(sp, coeff, psi)
         dz = sp.d(psi, "z")
         ut = eps * dtau - coeff.c * dz

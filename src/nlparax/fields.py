@@ -92,10 +92,6 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return tuple(a.points for a in self.axes)
 
-    @property
-    def npoints(self) -> int:
-        return int(np.prod(self.shape))
-
     def axis_index(self, name: str) -> int:
         for i, a in enumerate(self.axes):
             if a.name == name:

@@ -47,7 +47,6 @@ from .spectral import Spectral
 
 __all__ = [
     "FlowState",
-    "pressure",
     "pressure_from_density",
     "solve_flow",
     "entropy_pair",
@@ -94,11 +93,6 @@ def pressure_from_density(coeff: ModelCoefficients,
     dr = rho - coeff.rho0
     quad = (coeff.gamma - 1.0) * c2 / (2.0 * coeff.rho0)
     return c2 * dr + quad * dr**2
-
-
-def pressure(coeff: ModelCoefficients, rho: Field) -> Field:
-    """Quadratic state law p(rho)."""
-    return rho.with_values(pressure_from_density(coeff, rho.values))
 
 
 def _dpressure(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:

@@ -117,6 +117,10 @@ def bijection_transport_derivatives(direction: str, d_tau, d_z, c: float):
     )
 
 
+#: transverse axes of each frame, in the order a snapshot carries them
+_TRANSVERSE = {"physical": ("x2", "x3"), "kzk": ("y1", "y2"),
+               "npe": ("y1", "y2")}
+
 # (src, dst) -> (leading axis of the source, leading axis of the target)
 _LEADING_AXES = {
     ("physical", "kzk"): ("t", "tau"),
@@ -137,7 +141,8 @@ def transform_field(f: Field, src: str, dst: str, c: float,
     axes are renamed and rescale by sqrt(eps).  kzk <-> npe applies the
     affine bijection z_npe = -c tau_kzk (index reversal plus an axis
     rescale), which is exact on periodic grids and undefined on a bounded
-    leading axis.  The snapshot's frame tag must be `src`.
+    leading axis.  The snapshot's frame tag must be `src`, and its trailing
+    axes must be the transverse axes of `src` in order.
     """
     if (src, dst) not in _LEADING_AXES and src != dst:
         raise ValueError(f"unsupported frame transform {src} -> {dst}")
@@ -154,6 +159,10 @@ def transform_field(f: Field, src: str, dst: str, c: float,
     if lead.name != lead_src:
         raise ValueError(f"{src}->{dst} expects leading axis {lead_src!r}, "
                          f"got {lead.name!r}")
+    for a, name in zip(rest, _TRANSVERSE[src]):
+        if a.name != name:
+            raise ValueError(f"{src}->{dst} expects transverse axes "
+                             f"{_TRANSVERSE[src]}, got axis {a.name!r}")
     values = f.values
     if "physical" in (src, dst):
         se = math.sqrt(eps)

@@ -11,7 +11,7 @@ from .base import (
     SolverNaN,
     StepControl,
 )
-from .oneway import kzk_step_heuristic, solve_kzk, solve_npe
+from .oneway import solve_kzk, solve_npe
 from .waves import NonlinearitySwitch, solve_kuznetsov, solve_westervelt
 
 __all__ = [
@@ -29,5 +29,4 @@ __all__ = [
     "solve_westervelt",
     "solve_kzk",
     "solve_npe",
-    "kzk_step_heuristic",
 ]

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ..fields import Field, Grid
-from ..spectral import Spectral, require_mean_zero, spectral_derivative
+from ..spectral import Spectral, require_mean_zero
 from .base import (
     ModelCoefficients,
     ModelKind,
@@ -36,7 +36,7 @@ from .base import (
     resolve_steps,
 )
 
-__all__ = ["solve_kzk", "solve_npe", "kzk_step_heuristic"]
+__all__ = ["solve_kzk", "solve_npe"]
 
 
 class _OneWayStepper:
@@ -94,13 +94,6 @@ class _OneWayStepper:
         k2 = self._tendency(sp.ifft(vh_m), vh_m, evol + 0.5 * dt)
         vh = (vh + dt * k2) * self.decay_half * self.mean_zero
         return (sp.ifft(vh),)
-
-
-def kzk_step_heuristic(coeff: ModelCoefficients, I0: Field) -> float:
-    """Stability guide for the z step: 0.5 / (max|dI/dtau| (gamma+1)/(4 rho0 c))."""
-    dtau = spectral_derivative(I0, "tau").linf_norm()
-    scale = dtau * (coeff.gamma + 1.0) / (4.0 * coeff.rho0 * coeff.c)
-    return 0.5 / max(scale, 1e-12)
 
 
 def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,

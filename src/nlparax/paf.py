@@ -44,28 +44,45 @@ def write_paf(path: str | Path, f: Field) -> None:
         fh.write(blob)
 
 
+def _entry(path, obj, key: str, what: str, kind=str):
+    """kind(obj[key]) of a header object, or a ValueError naming the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: {what} is not a JSON object")
+    if key not in obj:
+        raise ValueError(f"{path}: {what} has no {key!r} entry")
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: {what} entry {key!r} is not a valid "
+                         f"{kind.__name__}: {obj[key]!r}") from None
+
+
 def read_paf(path: str | Path) -> Field:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
     header = json.loads(header_line.decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     if header.get("format") != _MAGIC:
         raise ValueError(f"{path}: not a {_MAGIC} file")
     if header.get("byte_order") != "little" or header.get("scalar") != "float64":
         raise ValueError(f"{path}: unsupported scalar encoding")
+    axes = _entry(path, header, "axes", "header", list)
     axes = tuple(
         Axis(
-            name=a["name"],
-            length=float(a["length"]),
-            points=int(a["points"]),
-            periodic=bool(a["periodic"]),
-            origin=float(a.get("origin", 0.0)),
+            name=_entry(path, a, "name", f"axis {i}"),
+            length=_entry(path, a, "length", f"axis {i}", float),
+            points=_entry(path, a, "points", f"axis {i}", int),
+            periodic=_entry(path, a, "periodic", f"axis {i}", bool),
+            origin=_entry(path, {"origin": 0.0, **a}, "origin", f"axis {i}",
+                          float),
         )
-        for a in header["axes"]
+        for i, a in enumerate(axes)
     )
-    grid = Grid(axes, Frame(header["frame"]))
-    components = int(header["components"])
-    count = int(header["value_count"])
+    grid = Grid(axes, _entry(path, header, "frame", "header", Frame))
+    components = _entry(path, header, "components", "header", int)
+    count = _entry(path, header, "value_count", "header", int)
     if len(blob) != count * 8:
         raise ValueError(f"{path}: value block holds {len(blob)} bytes, "
                          f"expected {count * 8} for {count} float64 values")

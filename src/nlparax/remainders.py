@@ -30,6 +30,14 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
+from .ansatz import (
+    kuznetsov_rho1,
+    kuznetsov_rho2,
+    kzk_j,
+    kzk_potential,
+    npe_chi,
+    npe_potential,
+)
 from .fields import Field, Grid, MissingInput
 from .models.base import ModelCoefficients
 from .spectral import Spectral
@@ -748,8 +756,12 @@ def _prepare_context(pair: str, coeff: ModelCoefficients,
     ctx = _Ctx(grid)
     for name, f in fields.items():
         ctx.add(name, f.scalar)
-    c, rho0, nu = coeff.c, coeff.rho0, coeff.nu
-    c2 = c * c
+    c, rho0 = coeff.c, coeff.rho0
+
+    def derive(name: str, formula, *vals: _Val) -> None:
+        """Set a corrector from its `ansatz` closed form and input margins."""
+        ctx.fields[name] = _Val(formula(coeff, *(v.arr for v in vals)),
+                                _merge(*(v.margins for v in vals)))
 
     if pair in ("ns-kuznetsov", "kuznetsov-westervelt"):
         if "u" not in ctx.fields:
@@ -757,50 +769,36 @@ def _prepare_context(pair: str, coeff: ModelCoefficients,
         if pair == "ns-kuznetsov":
             ut = ctx.ref("u", (("t", 1),))
             if "rho1" not in ctx.fields:
-                ctx.fields["rho1"] = _Val(rho0 / c2 * ut.arr, dict(ut.margins))
+                derive("rho1", kuznetsov_rho1, ut)
             if "rho2" not in ctx.fields:
-                gsq = ctx.eval(_grad_sq("u", [n for n in ctx.ax if
-                                               n.startswith("x")]), coeff)
-                lap = ctx.eval(_lap("u", [n for n in ctx.ax if
-                                          n.startswith("x")]), coeff)
-                arr = (-rho0 * (coeff.gamma - 2.0) / (2.0 * c2**2) * ut.arr**2
-                       - rho0 / (2.0 * c2) * gsq.arr - nu / c2 * lap.arr)
-                ctx.fields["rho2"] = _Val(arr, _merge(ut.margins, gsq.margins,
-                                                      lap.margins))
+                xs = [n for n in ctx.ax if n.startswith("x")]
+                derive("rho2", kuznetsov_rho2, ut,
+                       ctx.eval(_grad_sq("u", xs), coeff),
+                       ctx.eval(_lap("u", xs), coeff))
     elif pair in ("ns-kzk", "kuznetsov-kzk"):
         if "Phi" not in ctx.fields:
             if "I" not in ctx.fields:
                 raise MissingInput("missing input field 'Phi' (or 'I')")
-            phi = ctx.antideriv(ctx.fields["I"], "tau")
-            ctx.fields["Phi"] = _Val(c2 / rho0 * phi.arr, phi.margins)
+            derive("Phi", kzk_potential, ctx.antideriv(ctx.fields["I"], "tau"))
         if pair == "ns-kzk":
             dphi = ctx.ref("Phi", (("tau", 1),))
             if "I" not in ctx.fields:
-                ctx.fields["I"] = _Val(rho0 / c2 * dphi.arr, dict(dphi.margins))
+                ctx.fields["I"] = _Val(rho0 / (c * c) * dphi.arr,
+                                       dict(dphi.margins))
             if "J" not in ctx.fields:
-                d2 = ctx.ref("Phi", (("tau", 2),))
-                arr = (-rho0 * (coeff.gamma - 1.0) / (2.0 * c2**2) * dphi.arr**2
-                       - nu / c2**2 * d2.arr)
-                ctx.fields["J"] = _Val(arr, _merge(dphi.margins, d2.margins))
+                derive("J", kzk_j, dphi, ctx.ref("Phi", (("tau", 2),)))
     elif pair in ("ns-npe", "kuznetsov-npe"):
         if "Psi" not in ctx.fields:
             if "xi" not in ctx.fields:
                 raise MissingInput("missing input field 'Psi' (or 'xi')")
-            psi = ctx.antideriv(ctx.fields["xi"], "z")
-            ctx.fields["Psi"] = _Val(-c / rho0 * psi.arr, psi.margins)
+            derive("Psi", npe_potential, ctx.antideriv(ctx.fields["xi"], "z"))
         if pair == "ns-npe":
+            dz = ctx.ref("Psi", (("z", 1),))
             if "xi" not in ctx.fields:
-                dz = ctx.ref("Psi", (("z", 1),))
                 ctx.fields["xi"] = _Val(-rho0 / c * dz.arr, dict(dz.margins))
             if "chi" not in ctx.fields:
-                dt = ctx.ref("Psi", (("tau", 1),))
-                dz = ctx.ref("Psi", (("z", 1),))
-                dz2 = ctx.ref("Psi", (("z", 2),))
-                arr = (rho0 / c2 * dt.arr
-                       - rho0 * (coeff.gamma - 1.0) / (2.0 * c2) * dz.arr**2
-                       - nu / c2 * dz2.arr)
-                ctx.fields["chi"] = _Val(arr, _merge(dt.margins, dz.margins,
-                                                     dz2.margins))
+                derive("chi", npe_chi, ctx.ref("Psi", (("tau", 1),)), dz,
+                       ctx.ref("Psi", (("z", 2),)))
     else:
         raise ValueError(f"unknown pair {pair!r}; expected one of {PAIRS}")
     return ctx

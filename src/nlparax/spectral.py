@@ -6,7 +6,7 @@ grid-bound `Spectral`, which caches its symbols (wavenumbers, multipliers,
 masks) on first use.  This is the only module that calls `numpy.fft`.
 Arrays carry the grid's axes last; leading axes (a stack of components, say)
 ride along.  An operator along a bounded axis raises a ValueError naming it.
-The Field-level functions at the bottom wrap the core.
+Callers pass arrays: there are no Field-level wrappers.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ import numpy as np
 
 from .fields import Axis, Field, Grid
 
-__all__ = [
-    "Spectral",
-    "spectral_derivative",
-    "spectral_antiderivative",
-    "project_mean_zero",
-    "require_mean_zero",
-    "dealias",
-]
+__all__ = ["Spectral", "require_mean_zero"]
 
 
 def _check_periodic(axis: Axis) -> None:
@@ -228,22 +221,6 @@ class Spectral:
         return _inverse(vh, [self.shape[j] for j in axes], axes)
 
 
-# ----------------------------------------------------------------------
-# Field-level operators
-
-
-def _per_component(f: Field, op) -> Field:
-    """Apply an array operator to f with its component axis moved first."""
-    return f.with_values(np.moveaxis(op(np.moveaxis(f.values, -1, 0)), 0, -1))
-
-
-def spectral_derivative(f: Field, axis: str, order: int = 1) -> Field:
-    """Differentiate f `order` times along the named periodic axis."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    return _per_component(f, lambda v: Spectral(f.grid).d(v, axis, order))
-
-
 #: largest per-line |mean| a mean-zero profile may have, relative to ||f||_L2
 _MEAN_TOL = 1e-10
 
@@ -261,23 +238,3 @@ def require_mean_zero(f: Field, axis: str) -> None:
             f"is {worst:.3e}, tolerance {tol:.3e}"
         )
 
-
-def spectral_antiderivative(f: Field, axis: str) -> Field:
-    """Mean-zero antiderivative along the named periodic axis.
-
-    Requires f to be mean-zero along that axis (see `require_mean_zero`).
-    Matches the quadrature form int_0^tau f dl + int_0^L (l/L) f dl of the
-    mean-zero primitive.
-    """
-    require_mean_zero(f, axis)
-    return _per_component(f, lambda v: Spectral(f.grid).inv(v, axis))
-
-
-def project_mean_zero(f: Field, axis: str) -> Field:
-    """Subtract the per-line mean along the named periodic axis."""
-    return _per_component(f, lambda v: Spectral(f.grid).mean_zero(v, axis))
-
-
-def dealias(f: Field) -> Field:
-    """Apply the 2/3-rule truncation on every periodic axis of f."""
-    return _per_component(f, Spectral(f.grid).dealias)

@@ -29,7 +29,6 @@ from nlparax import (
     solve_kuznetsov,
     solve_kzk,
     solve_npe,
-    spectral_antiderivative,
 )
 from nlparax.remainders import _fd_deriv
 from nlparax.spectral import Spectral
@@ -55,7 +54,7 @@ def test_antiderivative_matches_upsampled_trapezoid_quadrature():
             vals += (rng.standard_normal()
                      * np.sin(2 * np.pi * k * x / L + rng.uniform(0, 2 * np.pi)))
         vals = Spectral(g).mean_zero(vals, 0)
-        F = spectral_antiderivative(Field(g, vals), "tau").scalar
+        F = Spectral(g).inv(vals, "tau")
 
         # oracle: trigonometric upsampling, cumulative trapezoid sums,
         # period-mean removal, restriction to the original nodes

@@ -342,6 +342,48 @@ def test_transform_rejects_nonpositive_c_and_eps(tmp_path, capsys, flags):
     assert "transform needs c > 0 and eps > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("src, dst, axes, frame, bad", [
+    ("kzk", "physical", ("tau", "z"), Frame.KZK, "z"),
+    ("physical", "kzk", ("t", "x1"), Frame.PHYSICAL, "x1"),
+    ("physical", "npe", ("x1", "t"), Frame.PHYSICAL, "t"),
+])
+def test_transform_requires_the_transverse_axes(tmp_path, capsys, src, dst,
+                                                axes, frame, bad):
+    # only the transverse axes rename and rescale by sqrt(eps); any other
+    # trailing axis is refused by name
+    g = Grid((Axis(axes[0], 2.0, 16), Axis(axes[1], 1.0, 8)), frame)
+    path = str(tmp_path / "in.paf")
+    write_paf(path, Field.zeros(g))
+    assert main(["transform", "--from", src, "--to", dst, "--input", path,
+                 "--output", str(tmp_path / "out.paf")]) == 1
+    assert f"got axis {bad!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out.paf").exists()
+
+
+def _drop(entries: dict, key: str) -> dict:
+    return {k: v for k, v in entries.items() if k != key}
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda h: _drop(h, "axes"), "header has no 'axes' entry"),
+    (lambda h: [h], "header is not a JSON object"),
+    (lambda h: dict(h, axes=[_drop(a, "name") for a in h["axes"]]),
+     "axis 0 has no 'name' entry"),
+    (lambda h: dict(h, axes=[dict(a, points=None) for a in h["axes"]]),
+     "axis 0 entry 'points' is not a valid int: None"),
+], ids=["no-axes", "list-header", "axis-without-name", "null-points"])
+def test_transform_rejects_a_malformed_paf_header(tmp_path, capsys, mutate,
+                                                  message):
+    path = tmp_path / "k.paf"
+    write_paf(path, Field.zeros(Grid((Axis("tau", 2.0, 16),), Frame.KZK)))
+    header, blob = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(mutate(json.loads(header))).encode()
+                     + b"\n" + blob)
+    assert main(["transform", "--from", "kzk", "--to", "npe", "--input",
+                 str(path), "--output", str(tmp_path / "n.paf")]) == 1
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
 def test_help_and_version_exit_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -142,6 +142,18 @@ def test_l2_error_against_quadrature():
     assert l2_error(a, b) == l2_error(b, a)
 
 
+def test_l2_error_refuses_mixed_state_kinds():
+    # a Kuznetsov state carries u_t, a KZK state none: comparing them would
+    # drop the energy norm's velocity term
+    g = Grid((Axis("x1", 2 * np.pi, 32),), Frame.PHYSICAL)
+    f = Field(g, np.sin(g.mesh()[0]))
+    kuz = ModelState(ModelKind.KUZNETSOV, 0.0, f, Field.zeros(g))
+    with pytest.raises(ValueError, match="different models: kuznetsov and kzk"):
+        l2_error(kuz, ModelState(ModelKind.KZK, 0.0, Field.zeros(g)))
+    with pytest.raises(ValueError, match="only one of the states"):
+        l2_error(ModelState(ModelKind.KUZNETSOV, 0.0, Field.zeros(g)), kuz)
+
+
 def test_gronwall_synthetic_recovery():
     z = np.linspace(0.0, 2.0, 12)
     a, b, eps = 0.7, 0.9, 0.02

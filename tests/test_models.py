@@ -16,7 +16,6 @@ from nlparax import (
     solve_westervelt,
 )
 from nlparax.models.base import HyperbolicityLost
-from nlparax.models.oneway import kzk_step_heuristic
 
 
 def _damped_mode_exact(coeff, k, t):
@@ -180,16 +179,6 @@ def test_oneway_preserves_zero_mean(coeff):
     states = solve_kzk(coeff, I0, 1.0, StepControl(step=0.002), n_samples=11)
     for s in states:
         assert abs(np.mean(s.primary.scalar)) <= 1e-12
-
-
-def test_kzk_step_heuristic_positive(coeff):
-    g = Grid((Axis("tau", 2 * np.pi, 32),), Frame.KZK)
-    I0 = Field(g, 0.5 * np.sin(g.mesh()[0]))
-    h = kzk_step_heuristic(coeff, I0)
-    assert h > 0.0
-    # bigger profiles need smaller steps
-    h2 = kzk_step_heuristic(coeff, Field(g, 5.0 * np.sin(g.mesh()[0])))
-    assert h2 < h
 
 
 def test_strang_self_convergence(coeff):

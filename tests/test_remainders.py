@@ -8,10 +8,13 @@ from nlparax import (
     Field,
     Frame,
     Grid,
+    ModelKind,
+    ModelState,
+    build_correctors,
     evaluate_remainder,
     term_table,
 )
-from nlparax.remainders import PAIRS, base_power
+from nlparax.remainders import PAIRS, _prepare_context, base_power
 
 
 def _periodic3(frame, n=48):
@@ -142,3 +145,24 @@ def test_pairs_all_evaluable(coeff):
         res = evaluate_remainder(pair, coeff, {name: f})
         for comp, fld in res.fields.items():
             assert np.isfinite(fld.values).all(), (pair, comp)
+
+
+def test_context_derives_the_correctors_of_build_correctors(coeff):
+    # the remainder tables and the studies share one statement of each
+    # closed form: on periodic grids they derive the same arrays bit for bit
+    phys = Grid((Axis("t", 2.0, 16), Axis("x1", 2.0, 16)), Frame.PHYSICAL)
+    cases = [
+        ("ns-kuznetsov", ModelKind.KUZNETSOV, phys, "u",
+         {"rho1": "first", "rho2": "second"}),
+        ("ns-kzk", ModelKind.KZK, _periodic3(Frame.KZK, 12), "I",
+         {"Phi": "potential", "J": "second"}),
+        ("ns-npe", ModelKind.NPE, _periodic3(Frame.NPE, 12), "xi",
+         {"Psi": "potential", "chi": "second"}),
+    ]
+    for pair, model, g, name, derived in cases:
+        f = Field(g, 0.01 * _bandlimited(g, seed=5, kmax=1))
+        ctx = _prepare_context(pair, coeff, {name: f})
+        cs = build_correctors(model, coeff, ModelState(model, 0.0, f))
+        for key, attr in derived.items():
+            assert np.array_equal(ctx.fields[key].arr,
+                                  getattr(cs, attr).scalar), (pair, key)

@@ -20,12 +20,7 @@ from nlparax import spectral
 from nlparax.flow import _FlowStepper
 from nlparax.models.oneway import _OneWayStepper
 from nlparax.models.waves import _WaveStepper
-from nlparax.spectral import (
-    Spectral,
-    project_mean_zero,
-    spectral_antiderivative,
-    spectral_derivative,
-)
+from nlparax.spectral import Spectral, require_mean_zero
 
 
 def _grid1d(n=64, L=2 * np.pi, name="x1"):
@@ -51,10 +46,9 @@ def test_single_mode_derivative_exact():
     n, L = 64, 5.0
     g = _grid1d(n, L)
     x = g.mesh()[0]
-    f = Field(g, np.sin(2 * np.pi * 3 * x / L))
-    df = spectral_derivative(f, "x1")
+    df = Spectral(g).d(np.sin(2 * np.pi * 3 * x / L), "x1")
     exact = (2 * np.pi * 3 / L) * np.cos(2 * np.pi * 3 * x / L)
-    assert np.abs(df.scalar - exact).max() < 1e-12
+    assert np.abs(df - exact).max() < 1e-12
 
 
 @settings(deadline=None, max_examples=40)
@@ -90,16 +84,16 @@ def test_antideriv_output_is_mean_zero(rng):
     assert abs(F.mean()) < 1e-13
 
 
-def test_spectral_antiderivative_rejects_nonzero_mean():
+def test_require_mean_zero_rejects_nonzero_mean():
     g = _grid1d(32)
     f = Field(g, np.ones(32))
     with pytest.raises(ValueError):
-        spectral_antiderivative(f, "x1")
+        require_mean_zero(f, "x1")
 
 
 def test_one_mean_zero_precondition():
-    # the antiderivative and both one-way solvers refuse a line mean of
-    # 1e-3 with one message that names the axis and the largest mean
+    # the precondition and both one-way solvers refuse a line mean of 1e-3
+    # with one message that names the axis and the largest mean
     ctl = StepControl(step=0.1)
     for frame, ax in ((Frame.KZK, "tau"), (Frame.NPE, "z")):
         g = Grid((Axis(ax, 2 * np.pi, 32), Axis("y1", 2.0, 8)), frame)
@@ -108,7 +102,7 @@ def test_one_mean_zero_precondition():
         solve = solve_kzk if frame is Frame.KZK else solve_npe
         message = (f"profile must be mean-zero along '{ax}': largest line "
                    r"mean is 1\.000e-03")
-        for refuse in (lambda: spectral_antiderivative(f, ax),
+        for refuse in (lambda: require_mean_zero(f, ax),
                        lambda: solve(ModelCoefficients(), f, 1.0, ctl)):
             with pytest.raises(ValueError, match=message):
                 refuse()
@@ -203,12 +197,11 @@ def test_mean_zero_removes_the_line_means():
 
 
 def test_project_mean_zero_idempotent(rng):
-    g = _grid1d(64)
-    f = Field(g, rng.standard_normal(64) + 3.0)
-    p = project_mean_zero(f, "x1")
-    assert abs(p.scalar.mean()) < 1e-13
-    p2 = project_mean_zero(p, "x1")
-    assert np.abs(p2.scalar - p.scalar).max() < 1e-14
+    sp = Spectral(_grid1d(64))
+    p = sp.mean_zero(rng.standard_normal(64) + 3.0, "x1")
+    assert abs(p.mean()) < 1e-13
+    p2 = sp.mean_zero(p, "x1")
+    assert np.abs(p2 - p).max() < 1e-14
 
 
 @settings(deadline=None, max_examples=25)

@@ -1,0 +1,51 @@
+"""The benchmark tracer (`perfbench/spans.py`) wraps functions by module
+and attribute name and reads solver arguments by name; a rename in the
+program breaks `--trace 1` without failing any other test."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from nlparax.models.base import StepControl, resolve_steps
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+
+
+def _target(mod_name: str, attr: str):
+    return getattr(importlib.import_module(mod_name), attr, None)
+
+
+def test_every_span_target_resolves_to_a_callable():
+    for mod_name, attr, _layer in spans.SPANS:
+        assert callable(_target(mod_name, attr)), f"{mod_name}.{attr}"
+
+
+def test_solvers_bind_their_span_argument_and_ctl():
+    ctl = StepControl(step=0.1)
+    solvers = [(m, a) for m, a, _layer in spans.SPANS if a in spans.SOLVERS]
+    assert {a for _m, a in solvers} == set(spans.SOLVERS)
+    for mod_name, attr in solvers:
+        span_arg = spans.SOLVERS[attr]
+        bound = inspect.signature(_target(mod_name, attr)).bind_partial(
+            **{span_arg: 1.0, "ctl": ctl})
+        assert bound.arguments == {span_arg: 1.0, "ctl": ctl}
+
+
+@pytest.mark.parametrize("span, step, substeps", [
+    (1.0, 0.1, 1), (1.0, 0.3, 1), (2.5, 0.01, 3), (0.04, 0.5, 2),
+    (10.0, 1.0 / 3.0, 1)])
+def test_tracer_counts_the_steps_the_solvers_take(span, step, substeps):
+    ctl = StepControl(step=step, substeps=substeps)
+    assert spans._steps(span, ctl) == resolve_steps(span, ctl)[0]
