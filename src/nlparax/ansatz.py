@@ -6,7 +6,8 @@ The density expansion around the constant state rho0 reads
 
 with (first, second) = (rho1, rho2) for Kuznetsov, (I, J) for KZK and
 (xi, chi) for NPE.  The KZK potential is Phi = (c^2/rho0) invdtau(I), the NPE
-potential Psi = -(c/rho0) invdz(xi).  Each closed form is one function of the
+potential Psi = -(c/rho0) invdz(xi), with the inverses I = (rho0/c^2) dtau Phi
+and xi = -(rho0/c) dz Psi.  Each closed form is one function of the
 derivative arrays it needs, shared by the correctors, remainders and studies.
 """
 
@@ -70,6 +71,11 @@ def kzk_potential(coeff: ModelCoefficients, inv_tau_I: np.ndarray) -> np.ndarray
     return coeff.c * coeff.c / coeff.rho0 * inv_tau_I
 
 
+def kzk_intensity(coeff: ModelCoefficients, dtau_phi: np.ndarray) -> np.ndarray:
+    """I = (rho0/c^2) dtau Phi, the inverse of kzk_potential."""
+    return coeff.rho0 / (coeff.c * coeff.c) * dtau_phi
+
+
 def kzk_j(coeff: ModelCoefficients, dtau_phi: np.ndarray,
           dtau2_phi: np.ndarray) -> np.ndarray:
     """J = -rho0 (gamma-1)/(2c^4) (dtau Phi)^2 - (nu/c^4) dtau^2 Phi."""
@@ -81,6 +87,11 @@ def kzk_j(coeff: ModelCoefficients, dtau_phi: np.ndarray,
 def npe_potential(coeff: ModelCoefficients, inv_z_xi: np.ndarray) -> np.ndarray:
     """Psi = -(c/rho0) invdz(xi), from the antiderivative of xi."""
     return -coeff.c / coeff.rho0 * inv_z_xi
+
+
+def npe_xi(coeff: ModelCoefficients, dz_psi: np.ndarray) -> np.ndarray:
+    """xi = -(rho0/c) dz Psi, the inverse of npe_potential."""
+    return -coeff.rho0 / coeff.c * dz_psi
 
 
 def npe_chi(coeff: ModelCoefficients, dtau_psi: np.ndarray,

@@ -16,6 +16,7 @@ read off at fixed times without interpolation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -32,6 +33,7 @@ from .ansatz import (
     assemble_ansatz,
     build_correctors,
     npe_potential,
+    npe_xi,
     right_moving_velocity,
     westervelt_initial_data,
     westervelt_pi_t,
@@ -424,125 +426,154 @@ def _default_kzk_step(cfg: ExperimentConfig, coeff: ModelCoefficients,
     return 0.3 / rate if rate > 0.0 else 0.02 * cfg.horizon
 
 
-def _run_ns_kuznetsov(cfg: ExperimentConfig, eps: float):
-    coeff = replace(cfg.coeff, eps=eps)
+def _ns_kuznetsov(cfg: ExperimentConfig):
     grid = _spatial_grid(cfg)
     u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
-    u1 = right_moving_velocity(coeff, u0)
-    t_end, times = _time_grid(cfg, eps)
-    n_int = len(times) - 1
-    ctl = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
+    pert = (band_limited_perturbation(grid, cfg.seed, cfg.delta)
+            if cfg.delta > 0.0 else None)
 
-    kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
+    def member(eps: float):
+        coeff = replace(cfg.coeff, eps=eps)
+        u1 = right_moving_velocity(coeff, u0)
+        t_end, times = _time_grid(cfg, eps)
+        n_int = len(times) - 1
+        ctl = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
 
-    def ansatz_of(state: ModelState) -> FlowState:
-        cors = build_correctors(ModelKind.KUZNETSOV, coeff, state)
-        return assemble_ansatz(ModelKind.KUZNETSOV, coeff, state, cors)
+        kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
 
-    U0 = ansatz_of(kuz[0])
-    if cfg.delta > 0.0:
-        pert = band_limited_perturbation(grid, cfg.seed, cfg.delta)
-        U0 = FlowState(U0.rho.with_values(U0.rho.values + pert.values),
-                       U0.momentum)
-    flow = solve_flow(coeff, U0, t_end, ctl, n_samples=n_int + 1)
-    errs = [l2_error(U, ansatz_of(s)) for (_t, U), s in zip(flow, kuz)]
-    return list(times), errs
+        def ansatz_of(state: ModelState) -> FlowState:
+            cors = build_correctors(ModelKind.KUZNETSOV, coeff, state)
+            return assemble_ansatz(ModelKind.KUZNETSOV, coeff, state, cors)
+
+        U0 = ansatz_of(kuz[0])
+        if pert is not None:
+            U0 = FlowState(U0.rho.with_values(U0.rho.values + pert.values),
+                           U0.momentum)
+        flow = solve_flow(coeff, U0, t_end, ctl, n_samples=n_int + 1)
+        errs = [l2_error(U, ansatz_of(s)) for (_t, U), s in zip(flow, kuz)]
+        return list(times), errs
+
+    return member
 
 
-def _run_kuznetsov_westervelt(cfg: ExperimentConfig, eps: float):
-    coeff = replace(cfg.coeff, eps=eps)
+def _kuznetsov_westervelt(cfg: ExperimentConfig):
     grid = _spatial_grid(cfg)
     u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
-    u1 = right_moving_velocity(coeff, u0)
-    t_end, times = _time_grid(cfg, eps)
-    n_int = len(times) - 1
-    ctl = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
-
-    kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
-    pi0, pi1 = westervelt_initial_data(coeff, u0, u1)
-    wes = solve_westervelt(coeff, pi0, pi1, t_end, ctl, n_samples=n_int + 1)
-
     sp = Spectral(grid)
-    errs = []
-    for ks, ws in zip(kuz, wes):
-        pib = westervelt_transform(coeff, ks.primary, ks.velocity)
-        pib_t = Field(grid, westervelt_pi_t(sp, coeff, ks.primary.scalar,
-                                            ks.velocity.scalar))
-        ref = ModelState(ModelKind.WESTERVELT, ks.evol, pib, pib_t)
-        errs.append(l2_error(ws, ref))
-    return list(times), errs
+
+    def member(eps: float):
+        coeff = replace(cfg.coeff, eps=eps)
+        u1 = right_moving_velocity(coeff, u0)
+        t_end, times = _time_grid(cfg, eps)
+        n_int = len(times) - 1
+        ctl = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
+
+        kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
+        pi0, pi1 = westervelt_initial_data(coeff, u0, u1)
+        wes = solve_westervelt(coeff, pi0, pi1, t_end, ctl,
+                               n_samples=n_int + 1)
+
+        errs = []
+        for ks, ws in zip(kuz, wes):
+            pib = westervelt_transform(coeff, ks.primary, ks.velocity)
+            pib_t = Field(grid, westervelt_pi_t(sp, coeff, ks.primary.scalar,
+                                                ks.velocity.scalar))
+            ref = ModelState(ModelKind.WESTERVELT, ks.evol, pib, pib_t)
+            errs.append(l2_error(ws, ref))
+        return list(times), errs
+
+    return member
 
 
-def _run_kuznetsov_npe(cfg: ExperimentConfig, eps: float):
-    coeff = replace(cfg.coeff, eps=eps)
+def _kuznetsov_npe(cfg: ExperimentConfig):
     grid = _spatial_grid(cfg)
     if cfg.dim != 1:
         raise ValueError("the Kuznetsov/NPE comparison runs in 1D")
-    t_end, times = _time_grid(cfg, eps)
-    n_int = len(times) - 1
-
     # NPE profile grid shares the spatial axis, renamed to z
     zax = Axis("z", STUDY_LENGTH, cfg.points)
     zgrid = Grid((zax,), Frame.NPE)
     u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
     sp = Spectral(zgrid)
     psi0 = sp.mean_zero(u0.scalar, "z")
-    xi0 = Field(zgrid, -coeff.rho0 / coeff.c * sp.d(psi0, "z"))
+    # xi reads c and rho0 only, which every member shares
+    xi0 = Field(zgrid, npe_xi(cfg.coeff, sp.d(psi0, "z")))
 
-    tau_end = eps * t_end
-    ctl_n = _substeps(tau_end, n_int, eps * _default_wave_step(cfg, coeff))
-    npe = solve_npe(coeff, xi0, tau_end, ctl_n, n_samples=n_int + 1)
+    def member(eps: float):
+        coeff = replace(cfg.coeff, eps=eps)
+        t_end, times = _time_grid(cfg, eps)
+        n_int = len(times) - 1
 
-    def transported(state: ModelState, t: float):
-        """u(x, t) = Psi(eps t, x - c t) and its time derivative."""
-        psi = npe_potential(coeff, sp.inv(state.primary.scalar, "z"))
-        dtau = _npe_dtau_psi(sp, coeff, psi)
-        dz = sp.d(psi, "z")
-        ut = eps * dtau - coeff.c * dz
-        shift = -coeff.c * t
-        return sp.shift(psi, "z", shift), sp.shift(ut, "z", shift)
+        tau_end = eps * t_end
+        ctl_n = _substeps(tau_end, n_int,
+                          eps * _default_wave_step(cfg, coeff))
+        npe = solve_npe(coeff, xi0, tau_end, ctl_n, n_samples=n_int + 1)
 
-    # well-prepared data: u1 carries the slow O(eps) correction too
-    ub0, ut0 = transported(npe[0], 0.0)
-    u0f = Field(grid, ub0)
-    u1f = Field(grid, ut0)
-    ctl_w = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
-    kuz = solve_kuznetsov(coeff, u0f, u1f, t_end, ctl_w, n_samples=n_int + 1)
+        def transported(state: ModelState, t: float):
+            """u(x, t) = Psi(eps t, x - c t) and its time derivative."""
+            psi = npe_potential(coeff, sp.inv(state.primary.scalar, "z"))
+            dtau = _npe_dtau_psi(sp, coeff, psi)
+            dz = sp.d(psi, "z")
+            ut = eps * dtau - coeff.c * dz
+            shift = -coeff.c * t
+            return sp.shift(psi, "z", shift), sp.shift(ut, "z", shift)
 
-    errs = []
-    for ks, ns, t in zip(kuz, npe, times):
-        ub, ut = transported(ns, float(t))
-        ref = ModelState(ModelKind.KUZNETSOV, float(t),
-                         Field(grid, ub), Field(grid, ut))
-        errs.append(l2_error(ks, ref))
-    return list(times), errs
+        # well-prepared data: u1 carries the slow O(eps) correction too
+        ub0, ut0 = transported(npe[0], 0.0)
+        u0f = Field(grid, ub0)
+        u1f = Field(grid, ut0)
+        ctl_w = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
+        kuz = solve_kuznetsov(coeff, u0f, u1f, t_end, ctl_w,
+                              n_samples=n_int + 1)
+
+        errs = []
+        for ks, ns, t in zip(kuz, npe, times):
+            ub, ut = transported(ns, float(t))
+            ref = ModelState(ModelKind.KUZNETSOV, float(t),
+                             Field(grid, ub), Field(grid, ut))
+            errs.append(l2_error(ks, ref))
+        return list(times), errs
+
+    return member
 
 
-def _run_kuznetsov_kzk(cfg: ExperimentConfig, eps: float):
-    """Perturbed-comparison run: one clean and one source-forced march."""
-    coeff = replace(cfg.coeff, eps=eps)
+def _kuznetsov_kzk(cfg: ExperimentConfig):
+    """Perturbed comparison: one clean march for the whole study and one
+    source-forced march per member."""
     grid = _paraxial_grid(cfg, Frame.KZK)
     I0 = preset_profile(cfg.preset, grid, cfg.preset_params)
     z_end = cfg.horizon  # the range variable is already slow; no 1/eps
     n_int = cfg.samples
-    ctl = _substeps(z_end, n_int, _default_kzk_step(cfg, coeff, grid))
+    ctl = _substeps(z_end, n_int, _default_kzk_step(cfg, cfg.coeff, grid))
 
     size = cfg.source_size if cfg.source_size > 0.0 else 1.0
     S = band_limited_perturbation(grid, cfg.seed, size).scalar
 
-    base = solve_kzk(coeff, I0, z_end, ctl, n_samples=n_int + 1)
-    forced = solve_kzk(coeff, I0, z_end, ctl, source=lambda z: S,
-                       n_samples=n_int + 1)
-    times = [s.evol for s in base]
-    errs = [(a.primary - b.primary).l2_norm() for a, b in zip(base, forced)]
-    return times, errs
+    # Without a source the march reads c, rho0, gamma and nu but never eps,
+    # so every member shares it.  Marched at the first member that needs
+    # it; a march that raises is not stored and fails each member alike.
+    @functools.cache
+    def clean():
+        return solve_kzk(cfg.coeff, I0, z_end, ctl, n_samples=n_int + 1)
+
+    def member(eps: float):
+        base = clean()
+        forced = solve_kzk(replace(cfg.coeff, eps=eps), I0, z_end, ctl,
+                           source=S, n_samples=n_int + 1)
+        times = [s.evol for s in base]
+        errs = [(a.primary - b.primary).l2_norm()
+                for a, b in zip(base, forced)]
+        return times, errs
+
+    return member
 
 
+#: pair -> factory: factory(cfg) does the study's eps-independent set-up
+#: and returns member(eps) -> (sample times, error series)
 _RUNNERS = {
-    "ns-kuznetsov": _run_ns_kuznetsov,
-    "kuznetsov-westervelt": _run_kuznetsov_westervelt,
-    "kuznetsov-npe": _run_kuznetsov_npe,
-    "kuznetsov-kzk": _run_kuznetsov_kzk,
+    "ns-kuznetsov": _ns_kuznetsov,
+    "kuznetsov-westervelt": _kuznetsov_westervelt,
+    "kuznetsov-npe": _kuznetsov_npe,
+    "kuznetsov-kzk": _kuznetsov_kzk,
 }
 
 
@@ -642,14 +673,14 @@ def _gronwall_verdicts(report: Report) -> None:
 
 def scaling_study(cfg: ExperimentConfig) -> Report:
     """Run one pair across the eps sweep and assemble the fitted Report."""
-    runner = _RUNNERS[cfg.pair]
+    run = _RUNNERS[cfg.pair](cfg)
     report = Report(name=cfg.name, pair=cfg.pair, config=cfg.to_dict(),
                     config_sha256=config_hash(cfg),
                     meta=_runtime_meta(cfg.seed))
 
     def member(eps: float) -> dict:
         try:
-            times, errs = runner(cfg, eps)
+            times, errs = run(eps)
             return {"eps": float(eps), "status": "ok",
                     "evol": [float(t) for t in times],
                     "l2_error": [float(e) for e in errs]}

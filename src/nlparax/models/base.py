@@ -121,9 +121,13 @@ class HyperbolicityLost(SolverError):
 
 
 def check_health(values: np.ndarray, initial_norm: float, where: str) -> None:
-    if not np.all(np.isfinite(values)):
+    # one reduction when healthy: a NaN or inf entry makes the sum of squares
+    # non-finite, and only then is the finiteness scan needed to tell a
+    # non-finite entry from finite values whose squares overflow
+    sq = float(np.sum(values**2))
+    if not math.isfinite(sq) and not np.all(np.isfinite(values)):
         raise SolverNaN(f"non-finite values during {where}")
-    norm = float(np.sqrt(np.sum(values**2)))
+    norm = math.sqrt(sq)
     if norm > 1e6 * max(initial_norm, 1e-300):
         raise SolverDiverged(
             f"norm {norm:.3e} exceeds 1e6 x initial ({initial_norm:.3e}) during {where}"

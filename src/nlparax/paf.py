@@ -44,17 +44,30 @@ def write_paf(path: str | Path, f: Field) -> None:
         fh.write(blob)
 
 
+#: the JSON values a header entry of each kind may hold; a JSON boolean is
+#: accepted only where a boolean is asked for
+_JSON_TYPES = {str: str, list: list, Frame: str, bool: bool, int: int,
+               float: (int, float)}
+
+
 def _entry(path, obj, key: str, what: str, kind=str):
-    """kind(obj[key]) of a header object, or a ValueError naming the key."""
+    """kind(obj[key]) of a header object, or a ValueError naming the key.
+
+    The entry must hold the JSON type of `kind` already: a header with
+    `"periodic": "false"` or `"points": 8.9` is refused, not converted."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: {what} is not a JSON object")
     if key not in obj:
         raise ValueError(f"{path}: {what} has no {key!r} entry")
-    try:
-        return kind(obj[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: {what} entry {key!r} is not a valid "
-                         f"{kind.__name__}: {obj[key]!r}") from None
+    value = obj[key]
+    if (isinstance(value, _JSON_TYPES[kind])
+            and (kind is bool or not isinstance(value, bool))):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):  # no such Frame; int beyond float
+            pass
+    raise ValueError(f"{path}: {what} entry {key!r} is not a valid "
+                     f"{kind.__name__}: {value!r}")
 
 
 def read_paf(path: str | Path) -> Field:

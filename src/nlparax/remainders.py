@@ -33,10 +33,12 @@ import numpy as np
 from .ansatz import (
     kuznetsov_rho1,
     kuznetsov_rho2,
+    kzk_intensity,
     kzk_j,
     kzk_potential,
     npe_chi,
     npe_potential,
+    npe_xi,
 )
 from .fields import Field, Grid, MissingInput
 from .models.base import ModelCoefficients
@@ -756,7 +758,6 @@ def _prepare_context(pair: str, coeff: ModelCoefficients,
     ctx = _Ctx(grid)
     for name, f in fields.items():
         ctx.add(name, f.scalar)
-    c, rho0 = coeff.c, coeff.rho0
 
     def derive(name: str, formula, *vals: _Val) -> None:
         """Set a corrector from its `ansatz` closed form and input margins."""
@@ -783,8 +784,7 @@ def _prepare_context(pair: str, coeff: ModelCoefficients,
         if pair == "ns-kzk":
             dphi = ctx.ref("Phi", (("tau", 1),))
             if "I" not in ctx.fields:
-                ctx.fields["I"] = _Val(rho0 / (c * c) * dphi.arr,
-                                       dict(dphi.margins))
+                derive("I", kzk_intensity, dphi)
             if "J" not in ctx.fields:
                 derive("J", kzk_j, dphi, ctx.ref("Phi", (("tau", 2),)))
     elif pair in ("ns-npe", "kuznetsov-npe"):
@@ -795,7 +795,7 @@ def _prepare_context(pair: str, coeff: ModelCoefficients,
         if pair == "ns-npe":
             dz = ctx.ref("Psi", (("z", 1),))
             if "xi" not in ctx.fields:
-                ctx.fields["xi"] = _Val(-rho0 / c * dz.arr, dict(dz.margins))
+                derive("xi", npe_xi, dz)
             if "chi" not in ctx.fields:
                 derive("chi", npe_chi, ctx.ref("Psi", (("tau", 1),)), dz,
                        ctx.ref("Psi", (("z", 2),)))

@@ -15,6 +15,12 @@ from nlparax import (
     westervelt_initial_data,
     westervelt_transform,
 )
+from nlparax.ansatz import (
+    kzk_intensity,
+    kzk_potential,
+    npe_potential,
+    npe_xi,
+)
 from nlparax.models.base import ModelState
 from nlparax.spectral import Spectral
 
@@ -103,6 +109,21 @@ def test_npe_correctors_consistency(coeff):
     dpsi = Spectral(g).d(cs.potential.scalar, 0)
     # xi = -rho0/c dPsi/dz
     assert np.abs(-coeff.rho0 / coeff.c * dpsi - xi.scalar).max() < 1e-12
+
+
+@pytest.mark.parametrize("frame, axis, inverse, potential", [
+    (Frame.KZK, "tau", kzk_intensity, kzk_potential),
+    (Frame.NPE, "z", npe_xi, npe_potential),
+], ids=["kzk", "npe"])
+def test_inverse_relations_recover_the_potential(coeff, frame, axis, inverse,
+                                                 potential):
+    g = Grid((Axis(axis, 2 * np.pi, 64), Axis("y1", 2.0, 8)), frame)
+    s, y = g.mesh()
+    sp = Spectral(g)
+    pot = sp.mean_zero(np.exp(np.sin(s)) * (1.0 + 0.3 * np.cos(np.pi * y)),
+                       axis)
+    back = potential(coeff, sp.inv(inverse(coeff, sp.d(pot, axis)), axis))
+    assert np.abs(back - pot).max() < 1e-12
 
 
 def test_westervelt_transform_formula(coeff):

@@ -371,7 +371,10 @@ def _drop(entries: dict, key: str) -> dict:
      "axis 0 has no 'name' entry"),
     (lambda h: dict(h, axes=[dict(a, points=None) for a in h["axes"]]),
      "axis 0 entry 'points' is not a valid int: None"),
-], ids=["no-axes", "list-header", "axis-without-name", "null-points"])
+    (lambda h: dict(h, axes=[dict(a, periodic="false") for a in h["axes"]]),
+     "axis 0 entry 'periodic' is not a valid bool: 'false'"),
+], ids=["no-axes", "list-header", "axis-without-name", "null-points",
+        "string-periodic"])
 def test_transform_rejects_a_malformed_paf_header(tmp_path, capsys, mutate,
                                                   message):
     path = tmp_path / "k.paf"

@@ -218,14 +218,19 @@ def test_small_study_report_and_artifacts(tmp_path):
 
 
 def test_failed_member_fails_the_sweep(monkeypatch):
-    run = experiments._RUNNERS["kuznetsov-westervelt"]
+    make = experiments._RUNNERS["kuznetsov-westervelt"]
 
-    def runner(cfg, eps):
-        if eps == 0.02:
-            raise SolverDiverged("norm exceeds 1e6 x initial")
-        return run(cfg, eps)
+    def factory(cfg):
+        run = make(cfg)
 
-    monkeypatch.setitem(experiments._RUNNERS, "kuznetsov-westervelt", runner)
+        def member(eps):
+            if eps == 0.02:
+                raise SolverDiverged("norm exceeds 1e6 x initial")
+            return run(eps)
+
+        return member
+
+    monkeypatch.setitem(experiments._RUNNERS, "kuznetsov-westervelt", factory)
     rep = scaling_study(_cfg())
     assert [s["status"] for s in rep.series] == ["ok", "failed"]
     assert rep.series[1]["error"] == "norm exceeds 1e6 x initial"
@@ -236,10 +241,13 @@ def test_failed_member_fails_the_sweep(monkeypatch):
 
 
 def test_a_bug_in_a_member_propagates(monkeypatch):
-    def runner(cfg, eps):
-        raise NotImplementedError("pair not wired")
+    def factory(cfg):
+        def member(eps):
+            raise NotImplementedError("pair not wired")
 
-    monkeypatch.setitem(experiments._RUNNERS, "kuznetsov-westervelt", runner)
+        return member
+
+    monkeypatch.setitem(experiments._RUNNERS, "kuznetsov-westervelt", factory)
     with pytest.raises(NotImplementedError):
         scaling_study(_cfg())
 
@@ -251,3 +259,48 @@ def test_study_is_deterministic(tmp_path):
     emit_report(r2, str(tmp_path / "b"))
     assert ((tmp_path / "a" / "errors.csv").read_bytes()
             == (tmp_path / "b" / "errors.csv").read_bytes())
+
+
+def _kzk_cfg(**kw):
+    base = dict(
+        pair="kuznetsov-kzk", eps_list=(0.04, 0.02, 0.01), horizon=0.5,
+        points=32, dim=2, trans_points=8, preset="gaussian_beam", seed=7,
+        source_size=0.5)
+    base.update(kw)
+    return _cfg(**base)
+
+
+def _patch_solve_kzk(monkeypatch, clean_error=None):
+    """Record each study march as forced (True) or clean (False); with
+    `clean_error`, every clean march raises it."""
+    solve, forced = experiments.solve_kzk, []
+
+    def patched(*args, source=None, **kwargs):
+        forced.append(source is not None)
+        if clean_error is not None and source is None:
+            raise clean_error
+        return solve(*args, source=source, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_kzk", patched)
+    return forced
+
+
+def test_kzk_study_marches_its_clean_beam_once(monkeypatch):
+    forced = _patch_solve_kzk(monkeypatch)
+    rep = scaling_study(_kzk_cfg())
+    assert [s["status"] for s in rep.series] == ["ok"] * 3
+    assert forced == [False, True, True, True]
+
+
+def test_kzk_study_members_match_one_member_studies():
+    full = scaling_study(_kzk_cfg())
+    for eps, member in zip((0.04, 0.02, 0.01), full.series):
+        assert scaling_study(_kzk_cfg(eps_list=(eps,))).series == [member]
+
+
+def test_a_failed_clean_kzk_march_fails_every_member(monkeypatch):
+    message = "norm 1.000e+07 exceeds 1e6 x initial (1.000e+00) during kzk"
+    _patch_solve_kzk(monkeypatch, SolverDiverged(message))
+    rep = scaling_study(_kzk_cfg())
+    assert [s["status"] for s in rep.series] == ["failed"] * 3
+    assert [s["error"] for s in rep.series] == [message] * 3

@@ -15,7 +15,12 @@ from nlparax import (
     solve_npe,
     solve_westervelt,
 )
-from nlparax.models.base import HyperbolicityLost
+from nlparax.models.base import (
+    HyperbolicityLost,
+    SolverDiverged,
+    SolverNaN,
+    check_health,
+)
 
 
 def _damped_mode_exact(coeff, k, t):
@@ -125,6 +130,25 @@ def test_lost_hyperbolicity_names_the_step_and_the_value(coeff):
     with pytest.raises(HyperbolicityLost,
                        match=r"at step 8: min\(1 - eps\*a\*w\) = -1\.2"):
         solve_kuznetsov(coeff, u0, u1, 5.0, StepControl(step=0.05))
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (np.nan, SolverNaN, "non-finite values during probe"),
+    (np.inf, SolverNaN, "non-finite values during probe"),
+    (-np.inf, SolverNaN, "non-finite values during probe"),
+    # finite, but its square overflows the sum of squares
+    (1e200, SolverDiverged,
+     "norm inf exceeds 1e6 x initial (1.000e+00) during probe"),
+    (1e7, SolverDiverged,
+     "norm 1.000e+07 exceeds 1e6 x initial (1.000e+00) during probe"),
+], ids=["nan", "inf", "-inf", "overflow", "diverged"])
+def test_check_health_tells_non_finite_from_divergence(bad, error, message):
+    values = np.zeros(64)
+    check_health(values, 1.0, "probe")
+    values[17] = bad
+    with np.errstate(over="ignore"), pytest.raises(error) as info:
+        check_health(values, 1.0, "probe")
+    assert str(info.value) == message
 
 
 def test_kuznetsov_sampling(coeff):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -62,6 +64,71 @@ def test_rejects_trailing_bytes(tmp_path, rng):
     p.write_bytes(p.read_bytes() + b"\0" * 8)
     with pytest.raises(ValueError, match="expected 128"):
         read_paf(p)
+
+
+def _axis_entry(key, value):
+    def mutate(header):
+        header["axes"][0][key] = value
+    return mutate
+
+
+def _header_entry(key, value):
+    def mutate(header):
+        header[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_axis_entry("periodic", "false"),
+     "axis 0 entry 'periodic' is not a valid bool: 'false'"),
+    (_axis_entry("periodic", None),
+     "axis 0 entry 'periodic' is not a valid bool: None"),
+    (_axis_entry("periodic", 0),
+     "axis 0 entry 'periodic' is not a valid bool: 0"),
+    (_axis_entry("points", 8.9),
+     "axis 0 entry 'points' is not a valid int: 8.9"),
+    (_axis_entry("points", "8"),
+     "axis 0 entry 'points' is not a valid int: '8'"),
+    (_axis_entry("points", True),
+     "axis 0 entry 'points' is not a valid int: True"),
+    (_axis_entry("length", True),
+     "axis 0 entry 'length' is not a valid float: True"),
+    (_axis_entry("length", "2.0"),
+     "axis 0 entry 'length' is not a valid float: '2.0'"),
+    (_axis_entry("origin", False),
+     "axis 0 entry 'origin' is not a valid float: False"),
+    (_axis_entry("name", 1),
+     "axis 0 entry 'name' is not a valid str: 1"),
+    (_header_entry("components", 1.0),
+     "header entry 'components' is not a valid int: 1.0"),
+    (_header_entry("value_count", True),
+     "header entry 'value_count' is not a valid int: True"),
+], ids=["periodic-string", "periodic-null", "periodic-zero", "points-float",
+        "points-string", "points-bool", "length-bool", "length-string",
+        "origin-bool", "name-number", "components-float", "value_count-bool"])
+def test_rejects_a_header_entry_of_the_wrong_json_type(tmp_path, mutate,
+                                                        message):
+    g = Grid((Axis("t", 2.0, 8, periodic=False),), Frame.PHYSICAL)
+    p = tmp_path / "e.paf"
+    write_paf(p, Field(g, np.arange(8.0)))
+    header, blob = p.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    mutate(header)
+    p.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    with pytest.raises(ValueError) as info:
+        read_paf(p)
+    assert str(info.value) == f"{p}: {message}"
+
+
+def test_integral_length_and_origin_read_as_floats(tmp_path):
+    g = Grid((Axis("x1", 2.0, 8, origin=-1.0),), Frame.PHYSICAL)
+    p = tmp_path / "i.paf"
+    write_paf(p, Field(g, np.arange(8.0)))
+    header, blob = p.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["axes"][0].update(length=2, origin=-1)
+    p.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    assert read_paf(p).grid == g
 
 
 @settings(deadline=None, max_examples=20,

@@ -5,10 +5,12 @@ program breaks `--trace 1` without failing any other test."""
 import importlib
 import importlib.util
 import inspect
+import time
 from pathlib import Path
 
 import pytest
 
+from nlparax import ExperimentConfig, ModelCoefficients, cli
 from nlparax.models.base import StepControl, resolve_steps
 
 
@@ -49,3 +51,25 @@ def test_solvers_bind_their_span_argument_and_ctl():
 def test_tracer_counts_the_steps_the_solvers_take(span, step, substeps):
     ctl = StepControl(step=step, substeps=substeps)
     assert spans._steps(span, ctl) == resolve_steps(span, ctl)[0]
+
+
+def test_no_study_repeats_a_march():
+    # the benchmark's experiments.duplicate_march_frac: the kuznetsov-kzk
+    # study marches its eps-independent clean beam once, not per member
+    cfg = ExperimentConfig(
+        name="envelope", pair="kuznetsov-kzk",
+        coeff=ModelCoefficients(nu=0.3), eps_list=(0.04, 0.02, 0.01),
+        horizon=0.5, horizon_over_eps=False, points=32, dim=2,
+        trans_points=8, preset="gaussian_beam", samples=4, seed=7,
+        source_size=0.5)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        start = time.perf_counter()
+        cli.scaling_study(cfg)
+        wall = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    assert tracer.summary(1, wall)["experiments.duplicate_march_frac"] == 0
+    # one clean and three forced marches, so the ratio above has a base
+    assert sum(s.digest is not None for s in tracer.spans) == 4
