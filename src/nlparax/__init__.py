@@ -29,8 +29,6 @@ from .models import (
     solve_westervelt,
 )
 from .ansatz import (
-    AnsatzProfile,
-    CorrectorSet,
     assemble_ansatz,
     build_correctors,
     westervelt_initial_data,
@@ -73,8 +71,6 @@ __all__ = [
     "FrameMap",
     "map_coordinates",
     "kzk_npe_bijection",
-    "CorrectorSet",
-    "AnsatzProfile",
     "build_correctors",
     "assemble_ansatz",
     "westervelt_transform",

@@ -1,4 +1,4 @@
-"""Corrector construction, ansatz assembly and the Westervelt transform.
+"""Corrector closed forms, the Kuznetsov ansatz and the Westervelt transform.
 
 The density expansion around the constant state rho0 reads
 
@@ -8,49 +8,26 @@ with (first, second) = (rho1, rho2) for Kuznetsov, (I, J) for KZK and
 (xi, chi) for NPE.  The KZK potential is Phi = (c^2/rho0) invdtau(I), the NPE
 potential Psi = -(c/rho0) invdz(xi), with the inverses I = (rho0/c^2) dtau Phi
 and xi = -(rho0/c) dz Psi.  Each closed form is one function of the
-derivative arrays it needs, shared by the correctors, remainders and studies.
+derivative arrays it needs, shared by the remainder tables and the studies.
+The studies lift Kuznetsov states to flow states (build_correctors,
+assemble_ansatz); the remainder tables derive the correctors of every pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fields import Field, Grid
-from .models.base import ModelCoefficients, ModelKind, ModelState
+from .fields import Field
+from .models.base import ModelCoefficients, ModelState
 from .spectral import Spectral
 
 __all__ = [
-    "CorrectorSet",
-    "AnsatzProfile",
     "build_correctors",
     "assemble_ansatz",
     "westervelt_transform",
     "westervelt_initial_data",
     "right_moving_velocity",
 ]
-
-
-@dataclass(frozen=True)
-class CorrectorSet:
-    model: ModelKind
-    first: Field
-    second: Field
-    potential: Field | None = None
-
-
-@dataclass(frozen=True)
-class AnsatzProfile:
-    """Paraxial-frame counterpart of a FlowState: density and velocity
-    profiles with the eps / sqrt(eps) component scalings already applied."""
-
-    rho: Field
-    velocity: Field
-
-
-def _has(grid: Grid, name: str) -> bool:
-    return any(a.name == name for a in grid.axes)
 
 
 def kuznetsov_rho1(coeff: ModelCoefficients, ut: np.ndarray) -> np.ndarray:
@@ -103,18 +80,6 @@ def npe_chi(coeff: ModelCoefficients, dtau_psi: np.ndarray,
             - coeff.nu / c2 * dz2_psi)
 
 
-def _kzk_dz_phi(sp: Spectral, coeff: ModelCoefficients, phi: np.ndarray) -> np.ndarray:
-    """d Phi/dz for a KZK potential without a z axis, via the model equation:
-    2c d2Phi/(dtau dz) = (gamma+1)/(2c^2) dtau (dtau Phi)^2
-                         + nu/(rho0 c^2) dtau^3 Phi + c^2 Lap_y Phi."""
-    c, rho0, nu = coeff.c, coeff.rho0, coeff.nu
-    dphi = sp.d(phi, "tau")
-    rhs = ((coeff.gamma + 1.0) / (2.0 * c**2) * sp.d(dphi**2, "tau")
-           + nu / (rho0 * c**2) * sp.d(phi, "tau", 3)
-           + c**2 * sp.lap(phi, "y"))
-    return sp.inv(rhs, "tau") / (2.0 * c)
-
-
 def _kuznetsov_utt(sp: Spectral, coeff: ModelCoefficients, u: np.ndarray,
                    ut: np.ndarray) -> np.ndarray:
     """u_tt through the Kuznetsov equation, the elimination the stepper makes:
@@ -140,91 +105,43 @@ def _npe_dtau_psi(sp: Spectral, coeff: ModelCoefficients, psi: np.ndarray) -> np
     return sp.mean_zero(out, "z")
 
 
-def build_correctors(model: ModelKind, coeff: ModelCoefficients,
-                     primary: ModelState) -> CorrectorSet:
-    """Evaluate the closed-form corrector expressions for one model state.
+def build_correctors(coeff: ModelCoefficients,
+                     state: ModelState) -> tuple[np.ndarray, np.ndarray]:
+    """The density correctors (rho1, rho2) of one Kuznetsov state.
 
-    Kuznetsov needs (u, u_t) and a physical spatial grid; KZK needs a
-    mean-zero I(tau, y); NPE a mean-zero xi(z, y).  dPsi/dtau is taken
-    spectrally when the grid carries a tau axis and otherwise substituted
-    from the model equation.
+    u_t is the state's velocity, or d/dt of u when the grid carries a
+    periodic t axis; the spatial derivatives run over the x axes.
     """
-    grid = primary.primary.grid
+    grid = state.primary.grid
     sp = Spectral(grid)
-
-    if model is ModelKind.KUZNETSOV or model is ModelKind.WESTERVELT:
-        u = primary.primary.scalar
-        if primary.velocity is not None:
-            ut = primary.velocity.scalar
-        elif _has(grid, "t"):
-            ut = sp.d(u, "t")
-        else:
-            raise ValueError("Kuznetsov correctors need u_t (velocity field "
-                             "or a grid with a t axis)")
-        rho1 = kuznetsov_rho1(coeff, ut)
-        rho2 = kuznetsov_rho2(coeff, ut, sp.grad_sq(u, "x"), sp.lap(u, "x"))
-        return CorrectorSet(model, Field(grid, rho1), Field(grid, rho2))
-
-    if model is ModelKind.KZK:
-        I = primary.primary.scalar
-        phi = kzk_potential(coeff, sp.inv(I, "tau"))
-        J = kzk_j(coeff, sp.d(phi, "tau"), sp.d(phi, "tau", 2))
-        return CorrectorSet(model, Field(grid, I.copy()), Field(grid, J),
-                            Field(grid, phi))
-
-    if model is ModelKind.NPE:
-        xi = primary.primary.scalar
-        psi = npe_potential(coeff, sp.inv(xi, "z"))
-        dtpsi = sp.d(psi, "tau") if _has(grid, "tau") else _npe_dtau_psi(sp, coeff, psi)
-        chi = npe_chi(coeff, dtpsi, sp.d(psi, "z"), sp.d(psi, "z", 2))
-        return CorrectorSet(model, Field(grid, xi.copy()), Field(grid, chi),
-                            Field(grid, psi))
-
-    raise ValueError(f"unknown model {model!r}")
+    u = state.primary.scalar
+    if state.velocity is not None:
+        ut = state.velocity.scalar
+    elif any(a.name == "t" for a in grid.axes):
+        ut = sp.d(u, "t")
+    else:
+        raise ValueError("Kuznetsov correctors need u_t (velocity field "
+                         "or a grid with a t axis)")
+    return (kuznetsov_rho1(coeff, ut),
+            kuznetsov_rho2(coeff, ut, sp.grad_sq(u, "x"), sp.lap(u, "x")))
 
 
-def assemble_ansatz(model: ModelKind, coeff: ModelCoefficients,
-                    primary: ModelState, correctors: CorrectorSet):
-    """Assemble the expanded flow state from a model solution.
-
-    Kuznetsov returns a FlowState on the physical grid; KZK and NPE return an
-    AnsatzProfile on the paraxial grid (axial velocity component first, then
-    sqrt(eps)-scaled transverse components).
-    """
+def assemble_ansatz(coeff: ModelCoefficients, state: ModelState,
+                    correctors: tuple[np.ndarray, np.ndarray]):
+    """The flow state rho = rho0 + eps rho1 + eps^2 rho2, v = -eps grad u
+    of one Kuznetsov state, on its physical grid."""
     from .flow import FlowState  # local import to avoid a cycle
 
-    grid = primary.primary.grid
+    grid = state.primary.grid
     sp = Spectral(grid)
     eps = coeff.eps
-    c, rho0 = coeff.c, coeff.rho0
-    rho = (rho0 + eps * correctors.first.scalar
-           + eps**2 * correctors.second.scalar)
-
-    if model is ModelKind.KUZNETSOV or model is ModelKind.WESTERVELT:
-        u = primary.primary.scalar
-        xnames = sp.group("x")
-        v = np.stack([-eps * sp.d(u, n) for n in xnames], axis=-1)
-        vf = Field(grid, v, len(xnames))
-        return FlowState.from_primitive(Field(grid, rho), vf)
-
-    if model is ModelKind.KZK:
-        phi = correctors.potential.scalar
-        dzphi = sp.d(phi, "z") if _has(grid, "z") else _kzk_dz_phi(sp, coeff, phi)
-        comps = [eps / c * sp.d(phi, "tau") - eps**2 * dzphi]
-        for name in sp.group("y"):
-            comps.append(-eps**1.5 * sp.d(phi, name))
-        vel = Field(grid, np.stack(comps, axis=-1), len(comps))
-        return AnsatzProfile(Field(grid, rho), vel)
-
-    if model is ModelKind.NPE:
-        psi = correctors.potential.scalar
-        comps = [-eps * sp.d(psi, "z")]
-        for name in sp.group("y"):
-            comps.append(-eps**1.5 * sp.d(psi, name))
-        vel = Field(grid, np.stack(comps, axis=-1), len(comps))
-        return AnsatzProfile(Field(grid, rho), vel)
-
-    raise ValueError(f"unknown model {model!r}")
+    rho1, rho2 = correctors
+    rho = coeff.rho0 + eps * rho1 + eps**2 * rho2
+    u = state.primary.scalar
+    xnames = sp.group("x")
+    v = np.stack([-eps * sp.d(u, n) for n in xnames], axis=-1)
+    return FlowState.from_primitive(Field(grid, rho),
+                                    Field(grid, v, len(xnames)))
 
 
 def westervelt_transform(coeff: ModelCoefficients, u: Field, u_t: Field) -> Field:

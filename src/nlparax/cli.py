@@ -44,7 +44,7 @@ from .models.base import (
 from .models.oneway import solve_kzk, solve_npe
 from .models.waves import solve_kuznetsov, solve_westervelt
 from .paf import read_paf, write_paf
-from .remainders import evaluate_remainder
+from .remainders import evaluate_remainder, input_field
 
 __all__ = ["main", "entry"]
 
@@ -318,25 +318,13 @@ def _run_study(args, argv, key: str) -> int:
 # ----------------------------------------------------------------------
 # residual
 
-_RESIDUAL_FIELD = {
-    "ns-kuznetsov": "u",
-    "kuznetsov-westervelt": "u",
-    "ns-kzk": "I",
-    "kuznetsov-kzk": "I",
-    "ns-npe": "xi",
-    "kuznetsov-npe": "xi",
-}
-
-
 def _run_residual(args, argv) -> int:
     cfg = load_config(args.config)
     payload = _payload(cfg, "residual", "pair", args.pair)
     pair = payload["pair"]
     coeff = _coeff_from(payload.get("coeff"))
     grid = _grid_from(payload["grid"])
-    fname = _RESIDUAL_FIELD.get(pair)
-    if fname is None:
-        raise ConfigError(f"unknown pair {pair!r}")
+    fname = input_field(pair)
     out = _out_dir(args, cfg, f"residual_{pair}")
     if args.dry_run:
         print(json.dumps({"action": "residual", "pair": pair,

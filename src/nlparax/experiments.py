@@ -24,6 +24,7 @@ import os
 import platform
 import sys
 from dataclasses import asdict, dataclass, field as dc_field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,19 +68,10 @@ __all__ = [
     "scaling_study",
 ]
 
-PRESETS = ("single_mode", "gaussian_beam", "polynomial_amplitude", "water")
+PRESETS = ("single_mode", "gaussian_beam", "polynomial_amplitude")
 SLOPE_FRACTIONS = (0.25, 0.5, 1.0)
 #: length of every study axis: the beam presets assume 2 pi-periodic axes
 STUDY_LENGTH = 2.0 * math.pi
-
-#: pairs scaling_study knows how to drive, with their pass rules
-_PAIR_RULES = {
-    "ns-kuznetsov": {"slope_floor": 1.4, "horizon_factor": 2.0,
-                     "horizon_factor_delta": 3.0},
-    "kuznetsov-westervelt": {"slope_floor": 1.8},
-    "kuznetsov-npe": {"slope_floor": 1.8},
-    "kuznetsov-kzk": {"gronwall": True},
-}
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +81,7 @@ _PAIR_RULES = {
 def preset_profile(name: str, grid: Grid, params=None) -> Field:
     """Sample one of the named initial profiles on a grid.
 
-    single_mode / water: amplitude * sin(2 pi * mode * x / L) along the first
+    single_mode: amplitude * sin(2 pi * mode * x / L) along the first
     axis.  gaussian_beam: -exp(-|y|^2) sin(tau).  polynomial_amplitude:
     -(1 - |y|^2)^2 * 1_{|y| <= 1} * sin(tau).  The beam profiles use the raw
     tau and y coordinate values, so the axes should span full periods of sin.
@@ -98,7 +90,7 @@ def preset_profile(name: str, grid: Grid, params=None) -> Field:
     amp = float(params.pop("amplitude", 1.0))
     mesh = grid.mesh()
     names = [a.name for a in grid.axes]
-    if name in ("single_mode", "water"):
+    if name == "single_mode":
         mode = int(params.pop("mode", 1))
         a = grid.axes[0]
         vals = amp * np.sin(2.0 * np.pi * mode * (mesh[0] - a.origin) / a.length)
@@ -192,9 +184,9 @@ class ExperimentConfig:
             raise ValueError("need at least 4 sample intervals")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
-        if self.pair not in _PAIR_RULES:
+        if self.pair not in _STUDIES:
             raise ValueError(f"scaling_study does not drive pair {self.pair!r}; "
-                             f"supported: {sorted(_PAIR_RULES)}")
+                             f"supported: {sorted(_STUDIES)}")
         if not 1 <= self.dim <= 3:
             raise ValueError("dim must be 1, 2 or 3")
 
@@ -213,8 +205,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {unknown}")
         if "coeff" in data and isinstance(data["coeff"], dict):
             data["coeff"] = ModelCoefficients(**data["coeff"])
-        if data.get("preset") == "water" and "eps_list" not in data:
-            data["eps_list"] = (1e-5,)
         if "eps_list" in data:
             data["eps_list"] = tuple(data["eps_list"])
         return cls(**data)
@@ -442,8 +432,8 @@ def _ns_kuznetsov(cfg: ExperimentConfig):
         kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
 
         def ansatz_of(state: ModelState) -> FlowState:
-            cors = build_correctors(ModelKind.KUZNETSOV, coeff, state)
-            return assemble_ansatz(ModelKind.KUZNETSOV, coeff, state, cors)
+            return assemble_ansatz(coeff, state,
+                                   build_correctors(coeff, state))
 
         U0 = ansatz_of(kuz[0])
         if pert is not None:
@@ -567,18 +557,28 @@ def _kuznetsov_kzk(cfg: ExperimentConfig):
     return member
 
 
-#: pair -> factory: factory(cfg) does the study's eps-independent set-up
-#: and returns member(eps) -> (sample times, error series)
-_RUNNERS = {
-    "ns-kuznetsov": _ns_kuznetsov,
-    "kuznetsov-westervelt": _kuznetsov_westervelt,
-    "kuznetsov-npe": _kuznetsov_npe,
-    "kuznetsov-kzk": _kuznetsov_kzk,
+class _Study(NamedTuple):
+    """make(cfg) does a study's eps-independent set-up and returns
+    member(eps) -> (sample times, error series); rules are its pass rules."""
+
+    make: Callable
+    rules: dict
+
+
+#: the pairs scaling_study drives
+_STUDIES = {
+    "ns-kuznetsov": _Study(_ns_kuznetsov, {
+        "slope_floor": 1.4, "horizon_factor": 2.0,
+        "horizon_factor_delta": 3.0}),
+    "kuznetsov-westervelt": _Study(_kuznetsov_westervelt,
+                                   {"slope_floor": 1.8}),
+    "kuznetsov-npe": _Study(_kuznetsov_npe, {"slope_floor": 1.8}),
+    "kuznetsov-kzk": _Study(_kuznetsov_kzk, {"gronwall": True}),
 }
 
 
 def _slope_verdicts(cfg: ExperimentConfig, report: Report) -> None:
-    rules = _PAIR_RULES[cfg.pair]
+    rules = _STUDIES[cfg.pair].rules
     ok = [s for s in report.series if s["status"] == "ok"]
     degenerate = ok and all(max(s["l2_error"]) <= 1e-13 for s in ok)
     t_common = min(s["evol"][-1] for s in ok) if ok else 0.0
@@ -673,7 +673,8 @@ def _gronwall_verdicts(report: Report) -> None:
 
 def scaling_study(cfg: ExperimentConfig) -> Report:
     """Run one pair across the eps sweep and assemble the fitted Report."""
-    run = _RUNNERS[cfg.pair](cfg)
+    study = _STUDIES[cfg.pair]
+    run = study.make(cfg)
     report = Report(name=cfg.name, pair=cfg.pair, config=cfg.to_dict(),
                     config_sha256=config_hash(cfg),
                     meta=_runtime_meta(cfg.seed))
@@ -698,7 +699,7 @@ def scaling_study(cfg: ExperimentConfig) -> Report:
             "passed": False,
             "detail": f"{len(failed)} of {len(results)} runs failed",
         })
-    if _PAIR_RULES[cfg.pair].get("gronwall"):
+    if study.rules.get("gronwall"):
         _gronwall_verdicts(report)
     else:
         _slope_verdicts(cfg, report)

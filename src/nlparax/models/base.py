@@ -54,11 +54,6 @@ class ModelCoefficients:
         """Local nonlinearity coefficient (gamma - 1)/c**2."""
         return (self.gamma - 1.0) / self.c**2
 
-    @property
-    def beta_nl(self) -> float:
-        """Cumulative nonlinearity coefficient (always 2)."""
-        return 2.0
-
 
 class ModelKind(Enum):
     KUZNETSOV = "kuznetsov"

@@ -155,7 +155,7 @@ def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,
         raise ValueError("u0 and u1 must share one grid")
     nsteps, dt = resolve_steps(t_end, ctl)
     a_local = coeff.alpha if switch.local else 0.0
-    b_grad = coeff.beta_nl if switch.gradient else 0.0
+    b_grad = 2.0 if switch.gradient else 0.0
     stepper = _WaveStepper(u0.grid, coeff, dt, a_local, b_grad, switch.viscosity)
     grid = u0.grid
     return [ModelState(ModelKind.KUZNETSOV, t, Field(grid, u), Field(grid, w))

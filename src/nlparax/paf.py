@@ -7,6 +7,7 @@ field's values (axes first, components last).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,15 @@ def read_paf(path: str | Path) -> Field:
     grid = Grid(axes, _entry(path, header, "frame", "header", Frame))
     components = _entry(path, header, "components", "header", int)
     count = _entry(path, header, "value_count", "header", int)
+    if components < 1:
+        raise ValueError(f"{path}: header entry 'components' must be >= 1: "
+                         f"{components!r}")
+    expected = math.prod(grid.shape) * components
+    if count != expected:
+        raise ValueError(f"{path}: header entry 'value_count' {count} "
+                         f"disagrees with the axes' 'points' "
+                         f"{list(grid.shape)} times 'components' "
+                         f"{components} = {expected}")
     if len(blob) != count * 8:
         raise ValueError(f"{path}: value block holds {len(blob)} bytes, "
                          f"expected {count * 8} for {count} float64 values")

@@ -8,13 +8,14 @@ direction of a stacked solver trajectory) use fourth-order centered finite
 differences.  Finite-difference applications wrap around, so each result
 carries a per-axis margin of edge points to discard.
 
-Pairs and the base fields they need:
+Pairs and the base fields they need (`_PAIR_TABLE` names the one the CLI
+passes and each pair's variants):
 
   ns-kuznetsov           u(t, x...)            -> mass + momentum per x axis
   ns-kzk                 Phi or I (tau, z, y)  -> mass + axial + transverse
   ns-npe                 Psi or xi (tau, z, y) -> mass + axial + transverse
-  kuznetsov-kzk          Phi(tau, z, y)        -> single field
-  kuznetsov-npe          Psi(tau, z, y)        -> single field
+  kuznetsov-kzk          Phi or I (tau, z, y)  -> single field
+  kuznetsov-npe          Psi or xi (tau, z, y) -> single field
   kuznetsov-westervelt   u(t, x...)            -> single field
 
 The returned fields are the graded sums divided by eps^3 (flow pairs) or
@@ -48,19 +49,25 @@ __all__ = [
     "PAIRS",
     "Term",
     "RemainderResult",
+    "input_field",
     "term_table",
     "base_power",
     "evaluate_remainder",
 ]
 
-PAIRS = (
-    "ns-kuznetsov",
-    "ns-kzk",
-    "ns-npe",
-    "kuznetsov-kzk",
-    "kuznetsov-npe",
-    "kuznetsov-westervelt",
-)
+#: pair -> (the input field the CLI passes, the variants, default first).
+#: The "printed" source expressions contain slips that the
+#: residual-consistency oracle rejects, so each pair that has them defaults
+#: to the corrected ("consistent") form.
+_PAIR_TABLE = {
+    "ns-kuznetsov": ("u", ("consistent", "printed")),
+    "ns-kzk": ("I", ("consistent", "printed")),
+    "ns-npe": ("xi", ("consistent", "printed")),
+    "kuznetsov-kzk": ("I", ("",)),
+    "kuznetsov-npe": ("xi", ("",)),
+    "kuznetsov-westervelt": ("u", ("consistent", "printed")),
+}
+PAIRS = tuple(_PAIR_TABLE)
 
 CoeffFn = Callable[[ModelCoefficients], float]
 Scale = Union[float, CoeffFn]
@@ -152,7 +159,7 @@ def _ns_kuznetsov_mass(xs: Sequence[str], variant: str) -> list[Term]:
         Term("mass-e3-rho2-lap", Fraction(3),
              lambda C: -1.0, _P(_R("rho2"), _lap("u", xs))),
     ]
-    if variant == "printed":
+    if variant != "consistent":
         terms += [
             Term("mass-e3-ut-lap", Fraction(3),
                  lambda C: -C.rho0 / C.c**2,
@@ -164,7 +171,7 @@ def _ns_kuznetsov_mass(xs: Sequence[str], variant: str) -> list[Term]:
                  lambda C: 1.0 / C.c**2,
                  _P(u_t, _R("rho2"), _lap("u", xs))),
         ]
-    elif variant == "consistent":
+    else:
         # the operator identity closes with + (rho0/c^4)(u_t)^2 Lap u at
         # eps^3 and (rho0/c^6)(u_t)^2 d_t N at eps^4, N being the full
         # nonlinear right side of the wave model
@@ -182,8 +189,6 @@ def _ns_kuznetsov_mass(xs: Sequence[str], variant: str) -> list[Term]:
                  lambda C: C.nu / C.c**6,
                  _P(u_t, u_t, _lap("u", xs, extra=(("t", 1),)))),
         ]
-    else:
-        raise ValueError(f"unknown ns-kuznetsov variant {variant!r}")
     return terms
 
 
@@ -207,8 +212,6 @@ def _ns_kuznetsov_momentum(a: str, xs: Sequence[str], variant: str) -> list[Term
                  lambda C: (C.gamma - 1.0) * C.c**2 / (2.0 * C.rho0),
                  Deriv(_P(_R("rho2"), _R("rho2")), a)),
         ]
-    elif variant != "printed":
-        raise ValueError(f"unknown ns-kuznetsov variant {variant!r}")
     return terms
 
 
@@ -241,10 +244,8 @@ _KZK_B4 = _P(_R("Phi", ("z", 1)), _R("Phi", ("z", 1)))  # (dz Phi)^2
 def _ns_kzk_mass(ys: Sequence[str], variant: str) -> list[Term]:
     if variant == "consistent":
         tag, line4 = "phi", _P(_R("J", ("z", 1)), _R("Phi", ("tau", 1)))
-    elif variant == "printed":
-        tag, line4 = "j", _P(_R("J", ("z", 1)), _R("J", ("tau", 1)))
     else:
-        raise ValueError(f"unknown ns-kzk variant {variant!r}")
+        tag, line4 = "j", _P(_R("J", ("z", 1)), _R("J", ("tau", 1)))
     return [
         Term("mass-e3-dz2phi", Fraction(3), lambda C: -C.rho0,
              _R("Phi", ("z", 2))),
@@ -285,13 +286,13 @@ def _ns_kzk_mass(ys: Sequence[str], variant: str) -> list[Term]:
 
 def _ns_kzk_momentum_axial(ys: Sequence[str], variant: str) -> list[Term]:
     b1, b2, b3, b4 = _kzk_b1(ys), _kzk_b2(ys), _kzk_b3(), _KZK_B4
-    if variant == "printed":
+    if variant != "consistent":
         extra = [
             # transcribed with no outer derivative on the bracket
             Term("momax-e6-J-b1", Fraction(6),
                  lambda C: 0.5, _P(_R("J"), b1)),
         ]
-    elif variant == "consistent":
+    else:
         # quadratic state-law cross terms plus the missing range derivative
         # on the last mixed bracket, from re-deriving the momentum identity
         extra = [
@@ -310,8 +311,6 @@ def _ns_kzk_momentum_axial(ys: Sequence[str], variant: str) -> list[Term]:
             Term("momax-e6-J-dz-b1", Fraction(6),
                  lambda C: 0.5, _P(_R("J"), Deriv(b1, "z"))),
         ]
-    else:
-        raise ValueError(f"unknown ns-kzk variant {variant!r}")
     return extra + [
         Term("momax-e3-dt-b1", Fraction(3),
              lambda C: -C.rho0 / (2.0 * C.c), Deriv(b1, "tau")),
@@ -361,9 +360,8 @@ def _ns_kzk_momentum_axial(ys: Sequence[str], variant: str) -> list[Term]:
 def _ns_kzk_momentum_transverse(a: str, ys: Sequence[str],
                                 variant: str) -> list[Term]:
     b1, b2, b3, b4 = _kzk_b1(ys), _kzk_b2(ys), _kzk_b3(), _KZK_B4
-    if variant == "printed":
-        extra = []
-    elif variant == "consistent":
+    extra = []
+    if variant == "consistent":
         extra = [
             Term(f"momt-{a}-e7h-d-IJ", Fraction(7, 2),
                  lambda C: (C.gamma - 1.0) * C.c**2 / C.rho0,
@@ -372,8 +370,6 @@ def _ns_kzk_momentum_transverse(a: str, ys: Sequence[str],
                  lambda C: (C.gamma - 1.0) * C.c**2 / (2.0 * C.rho0),
                  Deriv(_P(_R("J"), _R("J")), a)),
         ]
-    else:
-        raise ValueError(f"unknown ns-kzk variant {variant!r}")
     return extra + [
         Term(f"momt-{a}-e7h-d-b1", Fraction(7, 2),
              lambda C: C.rho0 / 2.0, Deriv(b1, a)),
@@ -424,10 +420,9 @@ _NPE_DZ_SQ = _P(_R("Psi", ("z", 1)), _R("Psi", ("z", 1)))  # (dz Psi)^2
 
 def _ns_npe_momentum_axial(ys: Sequence[str], variant: str) -> list[Term]:
     gsq = _grad_sq("Psi", ys)
-    if variant == "printed":
-        lead = lambda C: -C.rho0 / C.c
-        extra = []
-    elif variant == "consistent":
+    lead = lambda C: -C.rho0 / C.c
+    extra = []
+    if variant == "consistent":
         # sign of the acceleration cross term plus the quadratic state-law
         # contributions, from re-deriving the momentum identity
         lead = lambda C: C.rho0 / C.c
@@ -439,8 +434,6 @@ def _ns_npe_momentum_axial(ys: Sequence[str], variant: str) -> list[Term]:
                  lambda C: (C.gamma - 1.0) * C.c**2 / (2.0 * C.rho0),
                  Deriv(_P(_R("chi"), _R("chi")), "z")),
         ]
-    else:
-        raise ValueError(f"unknown ns-npe variant {variant!r}")
     return extra + [
         Term("momax-e3-dzpsi-dtdzpsi", Fraction(3), lead,
              _P(_R("Psi", ("z", 1)), _R("Psi", ("tau", 1), ("z", 1)))),
@@ -467,10 +460,9 @@ def _ns_npe_momentum_axial(ys: Sequence[str], variant: str) -> list[Term]:
 def _ns_npe_momentum_transverse(a: str, ys: Sequence[str],
                                 variant: str) -> list[Term]:
     gsq = _grad_sq("Psi", ys)
-    if variant == "printed":
-        lead = lambda C: -C.rho0 / C.c
-        extra = []
-    elif variant == "consistent":
+    lead = lambda C: -C.rho0 / C.c
+    extra = []
+    if variant == "consistent":
         lead = lambda C: C.rho0 / C.c
         extra = [
             Term(f"momt-{a}-e7h-d-xichi", Fraction(7, 2),
@@ -480,8 +472,6 @@ def _ns_npe_momentum_transverse(a: str, ys: Sequence[str],
                  lambda C: (C.gamma - 1.0) * C.c**2 / (2.0 * C.rho0),
                  Deriv(_P(_R("chi"), _R("chi")), a)),
         ]
-    else:
-        raise ValueError(f"unknown ns-npe variant {variant!r}")
     return extra + [
         Term(f"momt-{a}-e7h-dzpsi-dtd", Fraction(7, 2), lead,
              _P(_R("Psi", ("z", 1)), _R("Psi", ("tau", 1), (a, 1)))),
@@ -569,14 +559,11 @@ def _kuznetsov_westervelt(xs: Sequence[str], variant: str) -> list[Term]:
         (lambda C: C.nu / C.rho0, _lap("u", xs)),
     )
     lap_u_ut = Sum(tuple((1.0, Deriv(_P(u, u_t), ax, 2)) for ax in xs))
-    if variant == "printed":
-        visc = lambda C: -1.0 / (2.0 * C.c**2)
-    elif variant == "consistent":
+    visc = lambda C: -1.0 / (2.0 * C.c**2)
+    if variant == "consistent":
         # the dissipative Laplacian term inherits the nu/rho0 coefficient of
         # the wave model's right side
         visc = lambda C: -C.nu / (C.rho0 * C.c**2)
-    else:
-        raise ValueError(f"unknown kuznetsov-westervelt variant {variant!r}")
     return [
         Term("e2-dt-lap-u-ut", Fraction(2), visc, Deriv(lap_u_ut, "t")),
         Term("e2-dt-ut-dt2usq", Fraction(2),
@@ -707,19 +694,27 @@ def base_power(pair: str) -> Fraction:
     return Fraction(2)
 
 
-#: per-pair default variant; the "printed" source expressions of the flow
-#: pairs contain slips that the residual-consistency oracle rejects, so each
-#: defaults to the corrected ("consistent") form.
-DEFAULT_VARIANTS = {"ns-kuznetsov": "consistent", "ns-kzk": "consistent",
-                    "ns-npe": "consistent",
-                    "kuznetsov-westervelt": "consistent"}
+def _pair_entry(pair: str) -> tuple[str, tuple[str, ...]]:
+    if pair not in _PAIR_TABLE:
+        raise ValueError(f"unknown pair {pair!r}; expected one of {PAIRS}")
+    return _PAIR_TABLE[pair]
+
+
+def input_field(pair: str) -> str:
+    """The name of the base field the CLI passes for one pair."""
+    return _pair_entry(pair)[0]
 
 
 def term_table(pair: str, grid: Grid,
                variant: str | None = None) -> dict[str, list[Term]]:
-    """All term lists for one pair on one grid, keyed by output component."""
+    """All term lists for one pair on one grid, keyed by output component;
+    `variant` defaults to the pair's first."""
+    variants = _pair_entry(pair)[1]
     if variant is None:
-        variant = DEFAULT_VARIANTS.get(pair, "")
+        variant = variants[0]
+    elif variant not in variants:
+        raise ValueError(f"unknown variant {variant!r} of pair {pair!r}; "
+                         f"expected one of {variants}")
     names = [a.name for a in grid.axes]
     xs = [n for n in names if n.startswith("x")]
     ys = [n for n in names if n.startswith("y")]
@@ -744,9 +739,7 @@ def term_table(pair: str, grid: Grid,
         return {"model": _kuznetsov_kzk(ys)}
     if pair == "kuznetsov-npe":
         return {"model": _kuznetsov_npe(ys)}
-    if pair == "kuznetsov-westervelt":
-        return {"model": _kuznetsov_westervelt(xs, variant)}
-    raise ValueError(f"unknown pair {pair!r}; expected one of {PAIRS}")
+    return {"model": _kuznetsov_westervelt(xs, variant)}
 
 
 def _prepare_context(pair: str, coeff: ModelCoefficients,
@@ -799,8 +792,6 @@ def _prepare_context(pair: str, coeff: ModelCoefficients,
             if "chi" not in ctx.fields:
                 derive("chi", npe_chi, ctx.ref("Psi", (("tau", 1),)), dz,
                        ctx.ref("Psi", (("z", 2),)))
-    else:
-        raise ValueError(f"unknown pair {pair!r}; expected one of {PAIRS}")
     return ctx
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nlparax import (
-    AnsatzProfile,
     Axis,
     Field,
     FlowState,
@@ -22,6 +21,7 @@ from nlparax.ansatz import (
     npe_xi,
 )
 from nlparax.models.base import ModelState
+from nlparax.remainders import _prepare_context
 from nlparax.spectral import Spectral
 
 
@@ -35,14 +35,14 @@ def _kuz_state(coeff, n=64):
 
 def test_kuznetsov_first_corrector(coeff):
     st = _kuz_state(coeff)
-    cs = build_correctors(ModelKind.KUZNETSOV, coeff, st)
+    rho1, _rho2 = build_correctors(coeff, st)
     expect = coeff.rho0 / coeff.c**2 * st.velocity.scalar
-    assert np.abs(cs.first.scalar - expect).max() < 1e-14
+    assert np.abs(rho1 - expect).max() < 1e-14
 
 
 def test_kuznetsov_second_corrector(coeff):
     st = _kuz_state(coeff)
-    cs = build_correctors(ModelKind.KUZNETSOV, coeff, st)
+    _rho1, rho2 = build_correctors(coeff, st)
     g = st.primary.grid
     u, ut = st.primary.scalar, st.velocity.scalar
     ux = Spectral(g).d(u, 0)
@@ -50,24 +50,23 @@ def test_kuznetsov_second_corrector(coeff):
     c2 = coeff.c**2
     expect = (-coeff.rho0 * (coeff.gamma - 2.0) / (2 * c2**2) * ut**2
               - coeff.rho0 / (2 * c2) * ux**2 - coeff.nu / c2 * uxx)
-    assert np.abs(cs.second.scalar - expect).max() < 1e-12
+    assert np.abs(rho2 - expect).max() < 1e-12
 
 
 def test_kuznetsov_correctors_need_velocity(coeff):
     st = _kuz_state(coeff)
     bare = ModelState(ModelKind.KUZNETSOV, 0.0, st.primary)
     with pytest.raises(ValueError):
-        build_correctors(ModelKind.KUZNETSOV, coeff, bare)
+        build_correctors(coeff, bare)
 
 
 def test_assemble_kuznetsov_flow_state(coeff):
     st = _kuz_state(coeff)
-    cs = build_correctors(ModelKind.KUZNETSOV, coeff, st)
-    out = assemble_ansatz(ModelKind.KUZNETSOV, coeff, st, cs)
+    rho1, rho2 = build_correctors(coeff, st)
+    out = assemble_ansatz(coeff, st, (rho1, rho2))
     assert isinstance(out, FlowState)
     eps = coeff.eps
-    expect_rho = (coeff.rho0 + eps * cs.first.scalar
-                  + eps**2 * cs.second.scalar)
+    expect_rho = coeff.rho0 + eps * rho1 + eps**2 * rho2
     assert np.abs(out.rho.scalar - expect_rho).max() < 1e-13
     ux = Spectral(st.primary.grid).d(st.primary.scalar, 0)
     assert np.abs(out.velocity().component(0) + eps * ux).max() < 1e-13
@@ -77,36 +76,26 @@ def test_kzk_correctors_consistency(coeff):
     g = Grid((Axis("tau", 2 * np.pi, 64), Axis("y1", 2.0, 8)), Frame.KZK)
     T, Y = g.mesh()
     I = Field(g, 0.2 * np.sin(T) * (1.0 + 0.3 * np.cos(np.pi * Y)))
-    st = ModelState(ModelKind.KZK, 0.0, I)
-    cs = build_correctors(ModelKind.KZK, coeff, st)
+    ctx = _prepare_context("ns-kzk", coeff, {"I": I})
+    phi = ctx.fields["Phi"].arr
     # potential satisfies I = rho0/c^2 dPhi/dtau
-    dphi = Spectral(g).d(cs.potential.scalar, 0)
+    dphi = Spectral(g).d(phi, 0)
     assert np.abs(coeff.rho0 / coeff.c**2 * dphi - I.scalar).max() < 1e-12
     # J is the tau-only second corrector
-    d2phi = Spectral(g).d(cs.potential.scalar, 0, 2)
+    d2phi = Spectral(g).d(phi, 0, 2)
     expect = (-coeff.rho0 * (coeff.gamma - 1.0) / (2 * coeff.c**4) * dphi**2
               - coeff.nu / coeff.c**4 * d2phi)
-    assert np.abs(cs.second.scalar - expect).max() < 1e-12
-
-
-def test_assemble_kzk_profile_components(coeff):
-    g = Grid((Axis("tau", 2 * np.pi, 32), Axis("y1", 2.0, 8)), Frame.KZK)
-    T, Y = g.mesh()
-    I = Field(g, 0.1 * np.sin(T) * np.cos(np.pi * Y))
-    st = ModelState(ModelKind.KZK, 0.0, I)
-    cs = build_correctors(ModelKind.KZK, coeff, st)
-    prof = assemble_ansatz(ModelKind.KZK, coeff, st, cs)
-    assert isinstance(prof, AnsatzProfile)
-    assert prof.velocity.components == 2  # axial + one transverse
+    assert np.abs(ctx.fields["J"].arr - expect).max() < 1e-12
 
 
 def test_npe_correctors_consistency(coeff):
-    g = Grid((Axis("z", 2 * np.pi, 64),), Frame.NPE)
+    # chi reads d/dtau of Psi, so the grid carries a tau axis
+    g = Grid((Axis("z", 2 * np.pi, 64), Axis("tau", 2 * np.pi, 8)),
+             Frame.NPE)
     z = g.mesh()[0]
     xi = Field(g, 0.2 * np.sin(z) + 0.05 * np.cos(3 * z))
-    st = ModelState(ModelKind.NPE, 0.0, xi)
-    cs = build_correctors(ModelKind.NPE, coeff, st)
-    dpsi = Spectral(g).d(cs.potential.scalar, 0)
+    ctx = _prepare_context("ns-npe", coeff, {"xi": xi})
+    dpsi = Spectral(g).d(ctx.fields["Psi"].arr, 0)
     # xi = -rho0/c dPsi/dz
     assert np.abs(-coeff.rho0 / coeff.c * dpsi - xi.scalar).max() < 1e-12
 
@@ -164,7 +153,7 @@ def test_correctors_refuse_a_bounded_axis():
     T, X = g.mesh()
     st = ModelState(ModelKind.KUZNETSOV, 0.0, Field(g, np.sin(X - T)))
     with pytest.raises(ValueError, match="axis 't' is not periodic"):
-        build_correctors(ModelKind.KUZNETSOV, ModelCoefficients(), st)
+        build_correctors(ModelCoefficients(), st)
 
 
 @pytest.mark.parametrize("op", ["d", "inv", "mean_zero"])

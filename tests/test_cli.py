@@ -16,7 +16,9 @@ from nlparax import (
     Frame,
     Grid,
     cli,
+    experiments,
     read_paf,
+    remainders,
     write_paf,
 )
 from nlparax.cli import main
@@ -189,6 +191,15 @@ def test_flag_and_config_must_agree(tmp_path, capsys, argv, payload, message):
     cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, **payload})
     assert main(argv + ["--config", cfg, "--dry-run"]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_residual_rejects_an_unknown_pair_flag(tmp_path, capsys):
+    # a --pair flag bypasses the schema's enum; the pair table still refuses
+    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, "residual": {
+        k: v for k, v in RESIDUAL.items() if k != "pair"}})
+    assert main(["residual", "--pair", "kzk-ns", "--config", cfg,
+                 "--dry-run"]) == 1
+    assert "unknown pair 'kzk-ns'" in capsys.readouterr().err
 
 
 def test_residual_csv(tmp_path):
@@ -373,8 +384,11 @@ def _drop(entries: dict, key: str) -> dict:
      "axis 0 entry 'points' is not a valid int: None"),
     (lambda h: dict(h, axes=[dict(a, periodic="false") for a in h["axes"]]),
      "axis 0 entry 'periodic' is not a valid bool: 'false'"),
+    (lambda h: dict(h, components=2),
+     "header entry 'value_count' 16 disagrees with the axes' 'points' [16] "
+     "times 'components' 2 = 32"),
 ], ids=["no-axes", "list-header", "axis-without-name", "null-points",
-        "string-periodic"])
+        "string-periodic", "components-disagree"])
 def test_transform_rejects_a_malformed_paf_header(tmp_path, capsys, mutate,
                                                   message):
     path = tmp_path / "k.paf"
@@ -435,6 +449,14 @@ def test_every_config_key_has_a_reader(monkeypatch, tmp_path):
         "residual"}
     assert (set(defs["experiment"]["properties"])
             == {f.name for f in dataclasses.fields(ExperimentConfig)})
+    # every pair and preset the schema admits has one table entry behind it
+    assert (defs["residual"]["properties"]["pair"]["enum"]
+            == list(remainders.PAIRS))
+    assert (defs["experiment"]["properties"]["pair"]["enum"]
+            == list(experiments._STUDIES))
+    for preset in (defs["initial"]["properties"]["preset"],
+                   defs["experiment"]["properties"]["preset"]):
+        assert preset["enum"] == list(experiments.PRESETS)
 
     solve = {"coeff": COEFF, "span": 0.02, "step": 0.01, "samples": 2}
     line = {"axes": [{"name": "x1", "length": 2 * math.pi, "points": 16},

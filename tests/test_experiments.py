@@ -115,14 +115,6 @@ def test_config_round_trip_and_unknown_keys():
         ExperimentConfig.from_dict(bad)
 
 
-def test_water_preset_defaults_eps():
-    d = _cfg().to_dict()
-    d["preset"] = "water"
-    del d["eps_list"]
-    cfg = ExperimentConfig.from_dict(d)
-    assert cfg.eps_list == (1e-5,)
-
-
 def test_config_hash_sensitivity():
     a, b = _cfg(), _cfg(seed=1)
     assert config_hash(a) == config_hash(_cfg())
@@ -218,10 +210,10 @@ def test_small_study_report_and_artifacts(tmp_path):
 
 
 def test_failed_member_fails_the_sweep(monkeypatch):
-    make = experiments._RUNNERS["kuznetsov-westervelt"]
+    study = experiments._STUDIES["kuznetsov-westervelt"]
 
     def factory(cfg):
-        run = make(cfg)
+        run = study.make(cfg)
 
         def member(eps):
             if eps == 0.02:
@@ -230,7 +222,8 @@ def test_failed_member_fails_the_sweep(monkeypatch):
 
         return member
 
-    monkeypatch.setitem(experiments._RUNNERS, "kuznetsov-westervelt", factory)
+    monkeypatch.setitem(experiments._STUDIES, "kuznetsov-westervelt",
+                        study._replace(make=factory))
     rep = scaling_study(_cfg())
     assert [s["status"] for s in rep.series] == ["ok", "failed"]
     assert rep.series[1]["error"] == "norm exceeds 1e6 x initial"
@@ -247,7 +240,9 @@ def test_a_bug_in_a_member_propagates(monkeypatch):
 
         return member
 
-    monkeypatch.setitem(experiments._RUNNERS, "kuznetsov-westervelt", factory)
+    study = experiments._STUDIES["kuznetsov-westervelt"]
+    monkeypatch.setitem(experiments._STUDIES, "kuznetsov-westervelt",
+                        study._replace(make=factory))
     with pytest.raises(NotImplementedError):
         scaling_study(_cfg())
 

@@ -142,3 +142,27 @@ def test_round_trip_preserves_exact_floats(tmp_path, vals):
     p = tmp_path / "h.paf"
     write_paf(p, f)
     assert np.array_equal(read_paf(p).values, f.values)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_axis_entry("points", 4),
+     "header entry 'value_count' 8 disagrees with the axes' 'points' [4] "
+     "times 'components' 1 = 4"),
+    (_header_entry("components", 2),
+     "header entry 'value_count' 8 disagrees with the axes' 'points' [8] "
+     "times 'components' 2 = 16"),
+    (_header_entry("components", 0),
+     "header entry 'components' must be >= 1: 0"),
+], ids=["points", "components", "components-zero"])
+def test_rejects_a_header_whose_shape_disagrees_with_value_count(
+        tmp_path, mutate, message):
+    g = Grid((Axis("t", 2.0, 8, periodic=False),), Frame.PHYSICAL)
+    p = tmp_path / "s.paf"
+    write_paf(p, Field(g, np.arange(8.0)))
+    header, blob = p.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    mutate(header)
+    p.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    with pytest.raises(ValueError) as info:
+        read_paf(p)
+    assert str(info.value) == f"{p}: {message}"

@@ -14,7 +14,12 @@ from nlparax import (
     evaluate_remainder,
     term_table,
 )
-from nlparax.remainders import PAIRS, _prepare_context, base_power
+from nlparax.remainders import (
+    PAIRS,
+    _prepare_context,
+    base_power,
+    input_field,
+)
 
 
 def _periodic3(frame, n=48):
@@ -149,20 +154,39 @@ def test_pairs_all_evaluable(coeff):
 
 def test_context_derives_the_correctors_of_build_correctors(coeff):
     # the remainder tables and the studies share one statement of each
-    # closed form: on periodic grids they derive the same arrays bit for bit
-    phys = Grid((Axis("t", 2.0, 16), Axis("x1", 2.0, 16)), Frame.PHYSICAL)
-    cases = [
-        ("ns-kuznetsov", ModelKind.KUZNETSOV, phys, "u",
-         {"rho1": "first", "rho2": "second"}),
-        ("ns-kzk", ModelKind.KZK, _periodic3(Frame.KZK, 12), "I",
-         {"Phi": "potential", "J": "second"}),
-        ("ns-npe", ModelKind.NPE, _periodic3(Frame.NPE, 12), "xi",
-         {"Psi": "potential", "chi": "second"}),
-    ]
-    for pair, model, g, name, derived in cases:
-        f = Field(g, 0.01 * _bandlimited(g, seed=5, kmax=1))
-        ctx = _prepare_context(pair, coeff, {name: f})
-        cs = build_correctors(model, coeff, ModelState(model, 0.0, f))
-        for key, attr in derived.items():
-            assert np.array_equal(ctx.fields[key].arr,
-                                  getattr(cs, attr).scalar), (pair, key)
+    # closed form: on a periodic grid they derive the same arrays bit for bit
+    g = Grid((Axis("t", 2.0, 16), Axis("x1", 2.0, 16)), Frame.PHYSICAL)
+    u = Field(g, 0.01 * _bandlimited(g, seed=5, kmax=1))
+    ctx = _prepare_context("ns-kuznetsov", coeff, {"u": u})
+    rho1, rho2 = build_correctors(
+        coeff, ModelState(ModelKind.KUZNETSOV, 0.0, u))
+    assert np.array_equal(ctx.fields["rho1"].arr, rho1)
+    assert np.array_equal(ctx.fields["rho2"].arr, rho2)
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_every_pair_rejects_an_unknown_variant(coeff, pair):
+    g = _periodic3(Frame.KZK, 12)
+    with pytest.raises(ValueError,
+                       match=f"unknown variant 'bogus' of pair '{pair}'"):
+        term_table(pair, g, variant="bogus")
+
+
+@pytest.mark.parametrize("pair", ["kuznetsov-kzk", "kuznetsov-npe"])
+def test_pairs_without_a_printed_form_reject_printed(coeff, pair):
+    g = _periodic3(Frame.KZK, 12)
+    with pytest.raises(ValueError, match=r"expected one of \(''"):
+        term_table(pair, g, variant="printed")
+    f = Field(g, 0.01 * _bandlimited(g, seed=5, kmax=1))
+    with pytest.raises(ValueError, match="unknown variant 'printed'"):
+        evaluate_remainder(pair, coeff, {input_field(pair): f},
+                           variant="printed")
+
+
+def test_input_field_names_the_profile_of_each_pair():
+    assert {p: input_field(p) for p in PAIRS} == {
+        "ns-kuznetsov": "u", "kuznetsov-westervelt": "u",
+        "ns-kzk": "I", "kuznetsov-kzk": "I",
+        "ns-npe": "xi", "kuznetsov-npe": "xi"}
+    with pytest.raises(ValueError, match="unknown pair 'kzk-ns'"):
+        input_field("kzk-ns")

@@ -80,7 +80,7 @@ def test_wave_step_matches_the_composed_operators(grid, model, rng):
     a_local = {"kuznetsov": COEFF.alpha,
                "westervelt": (COEFF.gamma + 1.0) / COEFF.c**2,
                "kuznetsov-gradient-only": 0.0}[model]
-    b_grad = 0.0 if model == "westervelt" else COEFF.beta_nl
+    b_grad = 0.0 if model == "westervelt" else 2.0
     damp = COEFF.eps * COEFF.nu / COEFF.rho0
     u, w = _smooth(grid, rng, 0.3), _smooth(grid, rng, 0.3)
     stepper = _WaveStepper(grid, COEFF, DT, a_local, b_grad, True)
