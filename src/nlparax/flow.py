@@ -14,7 +14,8 @@ force is advanced explicitly together with the convective and pressure terms
 (explicit midpoint, Strang split around the viscous half-steps).  A step runs
 on spectra: the velocity is transformed once per step and each stage
 transforms rho v, p and its momentum tendency once; the state returns to
-physical space at the step boundary.
+physical space at the step boundary.  The transforms of one direction in a
+stage go through the spectral core in one call.
 
 Entropy diagnostics use the convex pair
 
@@ -89,6 +90,11 @@ def pressure_from_density(coeff: ModelCoefficients,
                           rho: np.ndarray) -> np.ndarray:
     if np.min(rho) <= 0.0:
         raise ValueError("density must be positive")
+    return _pressure(coeff, rho)
+
+
+def _pressure(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
+    """p(rho) of a density known to be positive."""
     c2 = coeff.c**2
     dr = rho - coeff.rho0
     quad = (coeff.gamma - 1.0) * c2 / (2.0 * coeff.rho0)
@@ -103,10 +109,11 @@ def _dpressure(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
 class _FlowStepper:
     """Explicit midpoint for (rho, v) between two exact viscous half steps.
 
-    A step transforms v once and keeps its spectrum through both stages;
-    each stage transforms rho v and p once and takes every derivative from
-    those spectra.  Velocities travel stacked, one component per leading
-    index.
+    A step transforms v once and keeps its spectrum through both stages.
+    Each stage makes two calls each way: v and its derivatives back to
+    physical space, rho v and p forward, their derivatives back, and the
+    velocity tendency forward.  Velocities travel stacked, one component
+    per leading index.
     """
 
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float):
@@ -114,28 +121,61 @@ class _FlowStepper:
         self.dt = dt
         self.sp = Spectral(grid)
         self.ndim = len(grid.axes)
+        self.keep = self.sp.keep()
+        self.neg_ksq = -self.sp.ksq
+        self.visc = coeff.eps * coeff.nu
         # exact decay of the eps*nu/rho0 Lap v part per rfftn mode
         self.visc0 = coeff.eps * coeff.nu / coeff.rho0
         self.decay_half = np.exp(-self.visc0 * self.sp.ksq * dt / 2.0)
 
-    def _tendency(self, rho: np.ndarray, v: np.ndarray, vh: np.ndarray):
-        """d rho/dt, and the spectrum of dv/dt, at (rho, v); vh is the
-        spectrum of v."""
-        coeff, sp = self.coeff, self.sp
-        keep, ik = sp.keep(), sp.ik
-        mh = sp.fft(rho * v)
-        drho = -sp.ifft(keep * sum(k * m for k, m in zip(ik, mh)))
-        del mh  # the momentum terms below set the peak memory of a step
-        ph = sp.fft(pressure_from_density(coeff, rho))
-        acc = -sp.ifft(np.stack([k * ph for k in ik])) / rho
+    def _velocity_fields(self, vh: np.ndarray, with_v: bool):
+        """grad v (one stack per axis), Lap v when viscous, and v when
+        with_v, from the spectrum vh in one inverse call that takes its
+        inputs one at a time."""
+        def spectra():
+            for k in self.sp.ik:
+                yield k * vh
+            if self.visc != 0.0:
+                yield self.neg_ksq * vh
+            if with_v:
+                yield vh
+
+        return self.sp.ifft(spectra())
+
+    def _tendency(self, rho: np.ndarray, v: np.ndarray | None,
+                  fields: list[np.ndarray]):
+        """d rho/dt, and the spectrum of dv/dt, at (rho, v); fields is what
+        _velocity_fields gave, with v last when v is None.  rho must be
+        positive."""
+        coeff, sp, keep, ik = self.coeff, self.sp, self.keep, self.sp.ik
+        if v is None:
+            v = fields.pop()
+        lap = fields.pop() if self.visc != 0.0 else None
+        dv = fields
+        flux = rho * v
+        # the advection and viscous terms, formed in place as the sum below
+        # would form them, so that v and its derivatives need no copies
         for j in range(self.ndim):
-            acc -= v[j] * sp.ifft(ik[j] * vh)
-        visc = coeff.eps * coeff.nu
-        if visc != 0.0:
+            dv[j] *= v[j]
+        del v
+        if self.visc != 0.0:
             # correction beyond the exactly-propagated eps*nu/rho0 part
-            acc += (visc * sp.ifft(-sp.ksq * vh)
-                    * (1.0 / rho - 1.0 / coeff.rho0))
-        return drho, keep * sp.fft(acc)
+            lap *= self.visc
+            lap *= 1.0 / rho - 1.0 / coeff.rho0
+        mh, ph = sp.fft([flux, _pressure(coeff, rho)])
+        del flux
+        spectra = [keep * sum(k * m for k, m in zip(ik, mh)),
+                   np.stack([k * ph for k in ik])]
+        del mh, ph
+        div_m, dp = sp.ifft(spectra)
+        del spectra
+        acc = -dp / rho
+        for adv in dv:
+            acc -= adv
+        if self.visc != 0.0:
+            acc += lap
+        del dp, dv, lap  # freed before the last transform
+        return -div_m, keep * sp.fft(acc)
 
     def step(self, state, n: int):
         """Advance (rho, v_1, ..., v_d) from step n - 1 to step n."""
@@ -145,20 +185,22 @@ class _FlowStepper:
         vh = sp.fft(v)
         if self.visc0 != 0.0:
             vh *= self.decay_half
-            v = sp.ifft(vh)
-        d1rho, d1vh = self._tendency(rho, v, vh)
+            v = None  # transformed back with its derivatives
+        d1rho, d1vh = self._tendency(
+            rho, v, self._velocity_fields(vh, v is None))
         rho_m = rho + 0.5 * dt * d1rho
-        if np.min(rho_m) <= 0.0:
+        del v, d1rho  # freed before the second stage's peak
+        if rho_m.min() <= 0.0:
             raise PositivityLost("density positivity lost during midpoint stage")
-        vh_m = vh + 0.5 * dt * d1vh
-        del v, d1rho, d1vh  # freed before the second stage's peak
-        d2rho, d2vh = self._tendency(rho_m, sp.ifft(vh_m), vh_m)
+        fields = self._velocity_fields(vh + 0.5 * dt * d1vh, True)
+        del d1vh
+        d2rho, d2vh = self._tendency(rho_m, None, fields)
         rho = rho + dt * d2rho
         v = sp.ifft((vh + dt * d2vh) * self.decay_half)
-        if np.min(rho) <= 0.0:
+        if rho.min() <= 0.0:
             raise PositivityLost(
                 f"density positivity lost at t = {n * dt:.6g} "
-                f"(min rho = {np.min(rho):.3e})"
+                f"(min rho = {rho.min():.3e})"
             )
         return (rho, *v)
 

@@ -4,7 +4,8 @@ and the one march loop every stepper runs under."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -27,6 +28,15 @@ __all__ = [
 ]
 
 
+def _require_finite(obj) -> None:
+    """Raise a ValueError naming the first field of a dataclass whose value
+    is NaN or infinite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelCoefficients:
     """Physical constants shared by every model in the hierarchy."""
@@ -38,6 +48,7 @@ class ModelCoefficients:
     eps: float = 0.01
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.c <= 0:
             raise ValueError("c must be > 0")
         if self.rho0 <= 0:
@@ -89,6 +100,7 @@ class StepControl:
     substeps: int = 1
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.step <= 0:
             raise ValueError("step must be > 0")
         if self.substeps < 1:
@@ -115,24 +127,37 @@ class HyperbolicityLost(SolverError):
     """The factor 1 - eps*a*u_t of a wave model reached zero or below."""
 
 
-def check_health(values: np.ndarray, initial_norm: float, where: str) -> None:
+def check_health(values: np.ndarray, initial_norm: float, where: str,
+                 step: int | None = None) -> None:
+    """Raise SolverNaN or SolverDiverged when values are not healthy; the
+    message names `where`, and the step when one is given."""
     # one reduction when healthy: a NaN or inf entry makes the sum of squares
     # non-finite, and only then is the finiteness scan needed to tell a
     # non-finite entry from finite values whose squares overflow
-    sq = float(np.sum(values**2))
+    sq = float(np.vdot(values, values))
     if not math.isfinite(sq) and not np.all(np.isfinite(values)):
-        raise SolverNaN(f"non-finite values during {where}")
+        raise SolverNaN(f"non-finite values during {_at(where, step)}")
     norm = math.sqrt(sq)
     if norm > 1e6 * max(initial_norm, 1e-300):
         raise SolverDiverged(
-            f"norm {norm:.3e} exceeds 1e6 x initial ({initial_norm:.3e}) during {where}"
+            f"norm {norm:.3e} exceeds 1e6 x initial ({initial_norm:.3e}) "
+            f"during {_at(where, step)}"
         )
+
+
+def _at(where: str, step: int | None) -> str:
+    return where if step is None else f"{where} step {step}"
 
 
 def resolve_steps(span: float, ctl: StepControl) -> tuple[int, float]:
     """Number of steps that cover `span` under `ctl`, and the step size that
-    divides `span` exactly."""
-    nsteps = max(1, math.ceil(span / ctl.step - 1e-12)) * ctl.substeps
+    divides `span` exactly.  Raises a ValueError when the count is not a
+    finite number that fits an index."""
+    count = span / ctl.step - 1e-12
+    if not math.isfinite(count) or count * ctl.substeps >= sys.maxsize:
+        raise ValueError(f"span {span!r} with step {ctl.step!r} does not give "
+                         "a finite step count that fits an index")
+    nsteps = max(1, math.ceil(count)) * ctl.substeps
     return nsteps, span / nsteps
 
 
@@ -151,7 +176,7 @@ def march(stepper, state: tuple[np.ndarray, ...], nsteps: int, n_samples: int,
     for n in range(1, nsteps + 1):
         state = stepper.step(state, n)
         for a in state:
-            check_health(a, init_norm, f"{label} step {n}")
+            check_health(a, init_norm, label, n)
         if n in sample_at:
             out.append((n * stepper.dt, state))
     return out

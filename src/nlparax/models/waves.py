@@ -7,7 +7,8 @@ matrix exponential, and the nonlinear tendency is advanced by the explicit
 midpoint rule with dealiased products.  A step runs on spectra: it transforms
 (u, u_t) once, applies both half-step propagators as multiplies, transforms
 each midpoint stage's products once, and returns to physical space at the
-step boundary.
+step boundary.  The transforms that one direction of a stage needs at once
+go through the spectral core in one call.
 
 Kuznetsov:   u_tt - c^2 Lap u = eps d/dt( (grad u)^2
                                           + (gamma-1)/(2 c^2) (u_t)^2
@@ -82,6 +83,9 @@ class _WaveStepper:
 
     A step transforms (u, w) once, runs both half-step propagations and the
     midpoint stages on the spectra, and returns to physical space at its end.
+    A stage makes one inverse call for grad w (and grad u on the first
+    stage), w and the linear tendency, a forward and an inverse call for the
+    gradient product, and a forward call for the rest.
     """
 
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float,
@@ -97,50 +101,61 @@ class _WaveStepper:
         # linear tendency of w: -c^2 |k|^2 u - damp |k|^2 w
         self.lin_u = -coeff.c**2 * ksq
         self.lin_w = -damp * ksq
+        self.keep = self.sp.keep()
 
     def _propagate(self, uh: np.ndarray, wh: np.ndarray):
         e11, e12, e21, e22 = self.half
         return e11 * uh + e12 * wh, e21 * uh + e22 * wh
 
-    def _tendency(self, uh: np.ndarray, du: list[np.ndarray],
-                  wh: np.ndarray, n: int) -> np.ndarray:
+    def _tendency(self, uh: np.ndarray, wh: np.ndarray,
+                  du: list[np.ndarray] | None, n: int):
         """Spectrum of the dealiased deviation of w_t from the linear
-        tendency at u (spectrum uh, gradient du) and w (spectrum wh).  Raises
-        HyperbolicityLost when the factor 1 - eps*a*w that the u_t u_tt term
-        divides by is not positive everywhere."""
-        sp = self.sp
-        eps = self.coeff.eps
-        keep = sp.keep()
+        tendency at u (spectrum uh, gradient du) and w (spectrum wh), and
+        du.  When du is None, grad u is transformed in this stage's inverse
+        call and returned.  Raises HyperbolicityLost when the factor
+        1 - eps*a*w that the u_t u_tt term divides by is not positive
+        everywhere."""
+        sp, ik = self.sp, self.sp.ik
+        eps, keep = self.coeff.eps, self.keep
+        spectra = []
         if self.b_grad != 0.0:
+            if du is None:
+                spectra += [k * uh for k in ik]
+            spectra += [k * wh for k in ik]
+        if self.a_local != 0.0:
+            spectra += [wh, self.lin_u * uh + self.lin_w * wh]
+        fields = sp.ifft(spectra)
+        del spectra  # freed before the products below
+        if self.b_grad != 0.0:
+            if du is None:
+                du, fields = fields[:len(ik)], fields[len(ik):]
+            dw, fields = fields[:len(ik)], fields[len(ik):]
             # eps*b grad u . grad w, dealiased
-            gdot = sum(du_i * sp.ifft(ik * wh) for du_i, ik in zip(du, sp.ik))
+            gdot = sum(du_i * dw_i for du_i, dw_i in zip(du, dw))
+            del dw
             gh = keep * (eps * self.b_grad) * sp.fft(gdot)
             if self.a_local == 0.0:
-                return gh
-        w = sp.ifft(wh)
+                return gh, du
+        w, lin = fields
         denom = 1.0 - eps * self.a_local * w
-        margin = float(np.min(denom))
+        margin = float(denom.min())
         if margin <= 0.0:
             raise HyperbolicityLost(
                 f"hyperbolicity lost at step {n}: min(1 - eps*a*w) = "
                 f"{margin:.3e}")
-        lin = sp.ifft(self.lin_u * uh + self.lin_w * wh)
         rhs = lin + sp.ifft(gh) if self.b_grad != 0.0 else lin
-        return keep * sp.fft(rhs / denom - lin)
+        return keep * sp.fft(rhs / denom - lin), du
 
     def step(self, state, n: int):
         """Linear half step, explicit midpoint for the nonlinear flow (u
         frozen, w evolves), linear half step."""
         sp, dt = self.sp, self.dt
-        u, w = state
-        uh, wh = self._propagate(sp.fft(u), sp.fft(w))
+        uh, wh = self._propagate(*sp.fft(state))
         if self.a_local != 0.0 or self.b_grad != 0.0:
-            du = [sp.ifft(ik * uh) for ik in sp.ik] if self.b_grad else []
-            k1 = self._tendency(uh, du, wh, n)
-            k2 = self._tendency(uh, du, wh + 0.5 * dt * k1, n)
+            k1, du = self._tendency(uh, wh, None, n)
+            k2, _ = self._tendency(uh, wh + 0.5 * dt * k1, du, n)
             wh = wh + dt * k2
-        uh, wh = self._propagate(uh, wh)
-        return sp.ifft(uh), sp.ifft(wh)
+        return tuple(sp.ifft(self._propagate(uh, wh)))
 
 
 def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,

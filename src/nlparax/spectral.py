@@ -5,12 +5,14 @@ of the solvers, correctors, remainders and error norms goes through one
 grid-bound `Spectral`, which caches its symbols (wavenumbers, multipliers,
 masks) on first use.  This is the only module that calls `numpy.fft`.
 Arrays carry the grid's axes last; leading axes (a stack of components, say)
-ride along.  An operator along a bounded axis raises a ValueError naming it.
+ride along, and `fft`/`ifft` also take a list, tuple or generator of
+arrays.  An operator along a bounded axis raises a ValueError naming it.
 Callers pass arrays: there are no Field-level wrappers.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -26,19 +28,68 @@ def _check_periodic(axis: Axis) -> None:
                          "operators require a periodic axis")
 
 
-def _forward(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """rfftn over axes.  One axis takes a plain rfft: the same bits without
-    rfftn's per-call overhead, which costs as much as a 64-point rfft."""
+def _forward(v, axes: tuple[int, ...]):
+    """rfftn of v over axes; of each array, as a list, when v is an
+    iterable of arrays.  On one axis they make one numpy call, stacked as
+    the rows of one block; on several axes they go one at a time, because
+    stacking them slows the transform, and a generator's arrays need not
+    all exist at once."""
+    if isinstance(v, np.ndarray):
+        return _rfftn(v, axes)
     if len(axes) == 1:
-        return np.fft.rfft(v, axis=axes[0])
-    return np.fft.rfftn(v, axes=axes)
+        v = list(v)
+        return _unstack(np.fft.rfft(_rows(v, axes[0]), axis=axes[0]),
+                        v, axes[0])
+    return [_rfftn(a, axes) for a in v]
 
 
-def _inverse(vh: np.ndarray, sizes, axes: tuple[int, ...]) -> np.ndarray:
-    """irfftn over axes back to the given sizes; see _forward."""
+def _inverse(vh, sizes, axes: tuple[int, ...]):
+    """irfftn of vh over axes back to the given sizes; see _forward."""
+    if isinstance(vh, np.ndarray):
+        return _irfftn(vh, sizes, axes)
     if len(axes) == 1:
-        return np.fft.irfft(vh, n=sizes[0], axis=axes[0])
-    return np.fft.irfftn(vh, s=sizes, axes=axes)
+        vh = list(vh)
+        return _unstack(np.fft.irfft(_rows(vh, axes[0]), n=sizes[0],
+                                     axis=axes[0]), vh, axes[0])
+    return [_irfftn(a, sizes, axes) for a in vh]
+
+
+def _rfftn(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """rfft along the last of axes, then fft along the others from the
+    second-last back: the calls rfftn makes inside, so the same bits,
+    without its argument handling."""
+    vh = np.fft.rfft(v, axis=axes[-1])
+    for j in axes[-2::-1]:
+        vh = np.fft.fft(vh, axis=j)
+    return vh
+
+
+def _irfftn(vh: np.ndarray, sizes, axes: tuple[int, ...]) -> np.ndarray:
+    """The inverse of _rfftn, in the order of irfftn."""
+    for j in axes[:-1]:
+        vh = np.fft.ifft(vh, axis=j)
+    return np.fft.irfft(vh, n=sizes[-1], axis=axes[-1])
+
+
+def _rows(arrays, j: int) -> np.ndarray:
+    """The arrays, which share their shape from axis j (counted from the
+    end) on, stacked as the rows of one block."""
+    return np.concatenate(arrays, axis=None).reshape(-1, *arrays[0].shape[j:])
+
+
+def _unstack(block: np.ndarray, arrays, j: int) -> list[np.ndarray]:
+    """The rows of block split back into the leading shapes of arrays."""
+    out, start = [], 0
+    for a in arrays:
+        lead = a.shape[:j]
+        if not lead:
+            out.append(block[start])
+            start += 1
+            continue
+        stop = start + math.prod(lead)
+        out.append(block[start:stop].reshape(lead + block.shape[1:]))
+        start = stop
+    return out
 
 
 class Spectral:
@@ -101,12 +152,14 @@ class Spectral:
         """|k|^2 in the layout of `fft`."""
         return sum(k**2 for k in self.k)
 
-    def fft(self, v: np.ndarray) -> np.ndarray:
-        """Spectrum of v over every axis of the grid."""
+    def fft(self, v):
+        """Spectrum of v over every axis of the grid.  Given an iterable of
+        arrays, the list of their spectra, in one numpy call on a 1D
+        grid."""
         return _forward(v, self._axes)
 
-    def ifft(self, vh: np.ndarray) -> np.ndarray:
-        """Inverse of `fft`."""
+    def ifft(self, vh):
+        """Inverse of `fft`, for one spectrum or an iterable of them."""
         return _inverse(vh, self.shape, self._axes)
 
     def filter(self, v: np.ndarray, axis: str | int,

@@ -165,6 +165,14 @@ def test_input_rejected_by_a_solver_exits_1(tmp_path, capsys, model, grid,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("step", 1e-320), ("span", 1e308)])
+def test_step_count_that_does_not_fit_exits_1(tmp_path, capsys, key, value):
+    cfg = _solve_cfg(tmp_path, **{key: value})
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "run")]) == 1
+    assert f"{key} {value!r}" in capsys.readouterr().err
+
+
 RESIDUAL = {"pair": "kuznetsov-westervelt", "coeff": COEFF,
             "grid": {"axes": [{"name": "x1", "length": 2 * math.pi,
                                "points": 16}]},

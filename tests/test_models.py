@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from nlparax.models.base import (
     SolverDiverged,
     SolverNaN,
     check_health,
+    resolve_steps,
 )
 
 
@@ -49,6 +52,30 @@ def test_coefficient_validation():
         ModelCoefficients(c=1.0, rho0=1.0, gamma=1.4, nu=0.1, eps=1.0)
     with pytest.raises(ValueError):
         StepControl(step=0.0)
+
+
+@pytest.mark.parametrize("field", ["c", "rho0", "gamma", "nu", "eps"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coefficients_refuse_non_finite_values(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ModelCoefficients(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_control_refuses_a_non_finite_step(bad):
+    with pytest.raises(ValueError, match="^step must be finite"):
+        StepControl(step=bad)
+
+
+@pytest.mark.parametrize("span, step", [
+    (1.0, 1e-320),    # span / step overflows to inf
+    (1e308, 0.005),   # so does a huge span
+    (np.nan, 0.1),
+    (1e19, 1.0),      # finite, but no index holds that many steps
+])
+def test_resolve_steps_refuses_a_count_that_does_not_fit(span, step):
+    with pytest.raises(ValueError, match=re.escape(f"span {span!r} with step {step!r}")):
+        resolve_steps(span, StepControl(step=step))
 
 
 def test_kuznetsov_damped_mode(coeff):

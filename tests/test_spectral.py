@@ -221,6 +221,40 @@ def test_parseval_l2_norm(terms):
     assert f.l2_norm() == pytest.approx(fourier, rel=1e-12, abs=1e-12)
 
 
+def _periodic_grid(*points):
+    return Grid(tuple(Axis(f"x{i + 1}", 2 * np.pi, n)
+                      for i, n in enumerate(points)))
+
+
+@pytest.mark.parametrize("points", [(64,), (32, 16)], ids=["64", "32x16"])
+def test_batched_transforms_equal_one_at_a_time(rng, points):
+    # a list or generator of arrays, a stack among them, goes through in
+    # one call and comes back as each array's own transform, bit for bit
+    sp = Spectral(_periodic_grid(*points))
+    arrays = [rng.standard_normal(points), rng.standard_normal((3, *points)),
+              rng.standard_normal(points)]
+
+    def one_at_a_time(op, a, ndim):
+        return op(a) if a.ndim == ndim else np.stack([op(row) for row in a])
+
+    spectra = sp.fft(arrays)
+    for a, vh in zip(arrays, spectra, strict=True):
+        assert np.array_equal(vh, one_at_a_time(sp.fft, a, len(points)))
+    back = sp.ifft(vh for vh in spectra)
+    for vh, v in zip(spectra, back, strict=True):
+        assert np.array_equal(v, one_at_a_time(sp.ifft, vh, len(points)))
+
+
+@pytest.mark.parametrize("points", [(32, 16), (8, 6, 4)])
+def test_multi_axis_transforms_equal_rfftn(rng, points):
+    sp = Spectral(_periodic_grid(*points))
+    axes = tuple(range(-len(points), 0))
+    v = rng.standard_normal((2, *points))
+    vh = sp.fft(v)
+    assert np.array_equal(vh, np.fft.rfftn(v, axes=axes))
+    assert np.array_equal(sp.ifft(vh), np.fft.irfftn(vh, s=points, axes=axes))
+
+
 def test_only_spectral_calls_numpy_fft():
     # every transform goes through the one spectral core
     src = Path(nlparax.__file__).parent
@@ -264,13 +298,13 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
                 (smooth(g),))
 
     budget = {
-        "kuznetsov 1d": (wave(g1, coeff.alpha, 2.0), 17),
-        "kuznetsov 2d": (wave(g2, coeff.alpha, 2.0), 20),
-        "westervelt 1d": (wave(g1, 2.4, 0.0), 10),
-        "westervelt 2d": (wave(g2, 2.4, 0.0), 10),
-        "flow 1d": (flow(g1, coeff), 18),
-        "flow 1d inviscid": (flow(g1, inviscid), 15),
-        "flow 2d": (flow(g2, coeff), 20),
+        "kuznetsov 1d": (wave(g1, coeff.alpha, 2.0), 10),
+        "kuznetsov 2d": (wave(g2, coeff.alpha, 2.0), 10),
+        "westervelt 1d": (wave(g1, 2.4, 0.0), 6),
+        "westervelt 2d": (wave(g2, 2.4, 0.0), 6),
+        "flow 1d": (flow(g1, coeff), 10),
+        "flow 1d inviscid": (flow(g1, inviscid), 10),
+        "flow 2d": (flow(g2, coeff), 10),
         "npe 1d": (oneway(npe, "z"), 6),
         "kzk 2d": (oneway(kzk, "tau"), 6),
         # the fixed source is transformed once, when the stepper is built
