@@ -74,7 +74,8 @@ def test_step_control_refuses_a_non_finite_step(bad):
     (1e19, 1.0),      # finite, but no index holds that many steps
 ])
 def test_resolve_steps_refuses_a_count_that_does_not_fit(span, step):
-    with pytest.raises(ValueError, match=re.escape(f"span {span!r} with step {step!r}")):
+    message = re.escape(f"span {span!r} with step {step!r}")
+    with pytest.raises(ValueError, match=message):
         resolve_steps(span, StepControl(step=step))
 
 
