@@ -16,12 +16,10 @@ from .flow import (
     entropy_pair,
     solve_flow,
 )
-from .frames import FrameMap, kzk_npe_bijection, map_coordinates
 from .models import (
     ModelCoefficients,
     ModelKind,
     ModelState,
-    NonlinearitySwitch,
     StepControl,
     solve_kuznetsov,
     solve_kzk,
@@ -55,7 +53,6 @@ __all__ = [
     "ModelCoefficients",
     "ModelKind",
     "ModelState",
-    "NonlinearitySwitch",
     "StepControl",
     "solve_kuznetsov",
     "solve_westervelt",
@@ -68,9 +65,6 @@ __all__ = [
     "entropy_pair",
     "entropy_hessian",
     "admissibility_residual",
-    "FrameMap",
-    "map_coordinates",
-    "kzk_npe_bijection",
     "build_correctors",
     "assemble_ansatz",
     "westervelt_transform",

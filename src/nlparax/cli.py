@@ -227,7 +227,8 @@ def _run_solve(args, argv) -> int:
     grid = _grid_from(payload["grid"])
     span = payload["span"]
     ctl = StepControl(step=payload["step"])
-    n_samples = payload.get("samples", 2)
+    # the schema admits an integral float, which range() does not
+    n_samples = int(payload.get("samples", 2))
     out = _out_dir(args, cfg, f"{model}_run")
 
     if args.dry_run:
@@ -434,7 +435,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, FloatingPointError) as exc:
+    except (SolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,7 @@ from .ansatz import (
     westervelt_pi_t,
     westervelt_transform,
 )
-from .fields import Axis, Field, Frame, Grid
+from .fields import Axis, Field, Frame, Grid, require_finite
 from .flow import FlowState, solve_flow
 from .models.base import (
     ModelCoefficients,
@@ -168,6 +168,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         eps = tuple(float(e) for e in self.eps_list)
         object.__setattr__(self, "eps_list", eps)
+        require_finite(self)
         if not eps:
             raise ValueError("eps_list must not be empty")
         if any(not 0.0 < e < 1.0 for e in eps):
@@ -187,6 +188,9 @@ class ExperimentConfig:
         if self.pair not in _STUDIES:
             raise ValueError(f"scaling_study does not drive pair {self.pair!r}; "
                              f"supported: {sorted(_STUDIES)}")
+        if self.delta > 0.0 and self.pair != "ns-kuznetsov":
+            raise ValueError(f"delta applies only to the ns-kuznetsov study, "
+                             f"not to pair {self.pair!r}")
         if not 1 <= self.dim <= 3:
             raise ValueError("dim must be 1, 2 or 3")
 

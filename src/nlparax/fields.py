@@ -7,12 +7,13 @@ the grid axes, with a trailing component axis for vector quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-__all__ = ["Frame", "Axis", "Grid", "Field", "MissingInput"]
+__all__ = ["Frame", "Axis", "Grid", "Field", "MissingInput", "require_finite"]
 
 
 class MissingInput(KeyError, ValueError):
@@ -22,6 +23,21 @@ class MissingInput(KeyError, ValueError):
     def __str__(self) -> str:
         # the message as written, not quoted as KeyError quotes a dict key
         return Exception.__str__(self)
+
+
+def require_finite(obj, where: str = "") -> None:
+    """Raise a ValueError, prefixed by `where`, naming the first field of a
+    dataclass that is or holds (as a tuple, list or dict value) a NaN or
+    infinite number."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, dict):
+            items = value.values()
+        else:
+            items = value if isinstance(value, (tuple, list)) else (value,)
+        if any(isinstance(v, (int, float)) and not math.isfinite(v)
+               for v in items):
+            raise ValueError(f"{where}{f.name} must be finite, got {value!r}")
 
 
 class Frame(Enum):
@@ -48,6 +64,7 @@ class Axis:
     origin: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self, f"axis {self.name!r}: ")
         if self.length <= 0:
             raise ValueError(f"axis {self.name!r}: length must be > 0")
         if self.points < 4:
@@ -144,21 +161,6 @@ class Field:
     @classmethod
     def zeros(cls, grid: Grid, components: int = 1) -> "Field":
         return cls(grid, np.zeros(grid.shape + (components,)), components)
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn, components: int = 1) -> "Field":
-        """Sample fn(*coordinate_arrays) on the grid.  fn returns one array
-        for scalars or a sequence of `components` arrays for vectors."""
-        mesh = grid.mesh()
-        out = fn(*mesh)
-        if components == 1 and not isinstance(out, (tuple, list)):
-            data = np.broadcast_to(np.asarray(out, dtype=np.float64), grid.shape)
-            return cls(grid, data[..., np.newaxis], 1)
-        parts = [np.broadcast_to(np.asarray(p, dtype=np.float64), grid.shape)
-                 for p in out]
-        if len(parts) != components:
-            raise ValueError(f"expected {components} components, got {len(parts)}")
-        return cls(grid, np.stack(parts, axis=-1), components)
 
     def component(self, i: int) -> np.ndarray:
         """View of one component with the bare grid shape."""

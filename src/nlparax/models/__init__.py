@@ -12,7 +12,7 @@ from .base import (
     StepControl,
 )
 from .oneway import solve_kzk, solve_npe
-from .waves import NonlinearitySwitch, solve_kuznetsov, solve_westervelt
+from .waves import solve_kuznetsov, solve_westervelt
 
 __all__ = [
     "ModelCoefficients",
@@ -24,7 +24,6 @@ __all__ = [
     "PositivityLost",
     "HyperbolicityLost",
     "StepControl",
-    "NonlinearitySwitch",
     "solve_kuznetsov",
     "solve_westervelt",
     "solve_kzk",

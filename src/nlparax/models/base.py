@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ..fields import Field
+from ..fields import Field, require_finite
 
 __all__ = [
     "ModelCoefficients",
@@ -28,15 +28,6 @@ __all__ = [
 ]
 
 
-def _require_finite(obj) -> None:
-    """Raise a ValueError naming the first field of a dataclass whose value
-    is NaN or infinite."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ModelCoefficients:
     """Physical constants shared by every model in the hierarchy."""
@@ -48,7 +39,7 @@ class ModelCoefficients:
     eps: float = 0.01
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_finite(self)
         if self.c <= 0:
             raise ValueError("c must be > 0")
         if self.rho0 <= 0:
@@ -100,7 +91,7 @@ class StepControl:
     substeps: int = 1
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_finite(self)
         if self.step <= 0:
             raise ValueError("step must be > 0")
         if self.substeps < 1:
@@ -169,6 +160,8 @@ def march(stepper, state: tuple[np.ndarray, ...], nsteps: int, n_samples: int,
     (evol, state) at n_samples steps evenly spaced in step count, always
     including the initial and the final state.
     """
+    # a sample at every step is the most there can be
+    n_samples = min(n_samples, nsteps + 1)
     sample_at = {round(j * nsteps / max(n_samples - 1, 1))
                  for j in range(max(n_samples, 2))} | {nsteps}
     init_norm = math.sqrt(sum(float(np.sum(a**2)) for a in state))

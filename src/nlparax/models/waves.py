@@ -24,8 +24,6 @@ a = (gamma+1)/c^2 (Westervelt, no gradient term).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..fields import Field, Grid
@@ -40,16 +38,7 @@ from .base import (
     resolve_steps,
 )
 
-__all__ = ["NonlinearitySwitch", "solve_kuznetsov", "solve_westervelt"]
-
-
-@dataclass(frozen=True)
-class NonlinearitySwitch:
-    """Independent toggles for each nonlinear term and the viscosity."""
-
-    local: bool = True      # u_t u_tt term
-    gradient: bool = True   # grad u . grad u_t term
-    viscosity: bool = True  # eps nu/rho0 Lap u_t term
+__all__ = ["solve_kuznetsov", "solve_westervelt"]
 
 
 def _linear_propagator(ksq: np.ndarray, c: float, damp: float, dt: float):
@@ -89,13 +78,13 @@ class _WaveStepper:
     """
 
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float,
-                 a_local: float, b_grad: float, viscous: bool):
+                 a_local: float, b_grad: float):
         self.coeff = coeff
         self.dt = dt
         self.a_local = a_local
         self.b_grad = b_grad
         self.sp = Spectral(grid)
-        damp = coeff.eps * coeff.nu / coeff.rho0 if viscous else 0.0
+        damp = coeff.eps * coeff.nu / coeff.rho0
         ksq = self.sp.ksq
         self.half = _linear_propagator(ksq, coeff.c, damp, dt / 2.0)
         # linear tendency of w: -c^2 |k|^2 u - damp |k|^2 w
@@ -160,7 +149,6 @@ class _WaveStepper:
 
 def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,
                     t_end: float, ctl: StepControl,
-                    switch: NonlinearitySwitch = NonlinearitySwitch(),
                     n_samples: int = 2) -> list[ModelState]:
     """Integrate the Kuznetsov equation from (u0, u1) up to t = t_end.
 
@@ -169,9 +157,7 @@ def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 must share one grid")
     nsteps, dt = resolve_steps(t_end, ctl)
-    a_local = coeff.alpha if switch.local else 0.0
-    b_grad = 2.0 if switch.gradient else 0.0
-    stepper = _WaveStepper(u0.grid, coeff, dt, a_local, b_grad, switch.viscosity)
+    stepper = _WaveStepper(u0.grid, coeff, dt, coeff.alpha, 2.0)
     grid = u0.grid
     return [ModelState(ModelKind.KUZNETSOV, t, Field(grid, u), Field(grid, w))
             for t, (u, w) in march(stepper, (u0.scalar, u1.scalar), nsteps,
@@ -180,14 +166,13 @@ def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,
 
 def solve_westervelt(coeff: ModelCoefficients, Pi0: Field, Pi1: Field,
                      t_end: float, ctl: StepControl,
-                     switch: NonlinearitySwitch = NonlinearitySwitch(),
                      n_samples: int = 2) -> list[ModelState]:
     """Integrate the Westervelt equation from (Pi0, Pi1) up to t = t_end."""
     if Pi0.grid != Pi1.grid:
         raise ValueError("Pi0 and Pi1 must share one grid")
     nsteps, dt = resolve_steps(t_end, ctl)
-    a_local = (coeff.gamma + 1.0) / coeff.c**2 if switch.local else 0.0
-    stepper = _WaveStepper(Pi0.grid, coeff, dt, a_local, 0.0, switch.viscosity)
+    stepper = _WaveStepper(Pi0.grid, coeff, dt,
+                           (coeff.gamma + 1.0) / coeff.c**2, 0.0)
     grid = Pi0.grid
     return [ModelState(ModelKind.WESTERVELT, t, Field(grid, u), Field(grid, w))
             for t, (u, w) in march(stepper, (Pi0.scalar, Pi1.scalar), nsteps,

@@ -21,7 +21,6 @@ from nlparax import (
     emit_report,
     entropy_hessian,
     evaluate_remainder,
-    kzk_npe_bijection,
     decay_fit,
     preset_profile,
     scaling_study,
@@ -32,6 +31,8 @@ from nlparax import (
 )
 from nlparax.remainders import _fd_deriv
 from nlparax.spectral import Spectral
+
+from frame_maps import kzk_npe_bijection
 
 C_REF = ModelCoefficients(c=1.3, rho0=0.9, gamma=1.4, nu=0.2, eps=0.05)
 
@@ -584,14 +585,17 @@ def test_flow_vs_kuznetsov_with_matched_perturbation():
 # Kuznetsov vs Westervelt and Kuznetsov vs NPE at a fixed horizon
 
 
+PAIRWISE_CFG = dict(
+    name="pairwise",
+    coeff=ModelCoefficients(c=1.0, rho0=1.0, gamma=1.4, nu=0.3, eps=0.01),
+    eps_list=(0.04, 0.02, 0.01), horizon=10.0, horizon_over_eps=False,
+    points=64, preset="single_mode", preset_params={"amplitude": 0.5},
+    samples=8)
+
+
 def test_kuznetsov_vs_westervelt_and_npe_scaling():
-    coeff = ModelCoefficients(c=1.0, rho0=1.0, gamma=1.4, nu=0.3, eps=0.01)
     for pair in ("kuznetsov-westervelt", "kuznetsov-npe"):
-        cfg = ExperimentConfig(
-            name="pairwise", pair=pair, coeff=coeff,
-            eps_list=(0.04, 0.02, 0.01), horizon=10.0,
-            horizon_over_eps=False, points=64, preset="single_mode",
-            preset_params={"amplitude": 0.5}, samples=8)
+        cfg = ExperimentConfig(**PAIRWISE_CFG, pair=pair)
         rep = scaling_study(cfg)
         assert all(s["status"] == "ok" for s in rep.series)
         assert rep.median_slope >= 1.8, (pair, rep.median_slope)

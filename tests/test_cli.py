@@ -165,6 +165,40 @@ def test_input_rejected_by_a_solver_exits_1(tmp_path, capsys, model, grid,
     assert message in capsys.readouterr().err
 
 
+def test_non_finite_axis_origin_exits_1(tmp_path, capsys):
+    grid = {"frame": "kzk",
+            "axes": [{"name": "tau", "length": 2 * math.pi, "points": 64},
+                     {"name": "y1", "length": 2 * math.pi, "points": 16,
+                      "origin": math.inf}]}
+    cfg = _solve_cfg(tmp_path, grid=grid)
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "run")]) == 1
+    assert "axis 'y1': origin must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("c", [1e308, 1e-320])
+def test_arithmetic_error_of_an_extreme_coefficient_exits_2(tmp_path,
+                                                            capsys, c):
+    # c**3 overflows (OverflowError) or underflows to a zero divisor
+    # (ZeroDivisionError) when the kzk stepper is set up
+    cfg = _solve_cfg(tmp_path, coeff=dict(COEFF, c=c))
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "run")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples, written", [(1e308, 4 + 1), (3.0, 3)])
+def test_sample_count_given_as_a_float(tmp_path, samples, written):
+    # an integral JSON float passes the schema's integer check; a count
+    # beyond the 4 steps gives one sample per step
+    cfg = _solve_cfg(tmp_path, span=0.02, step=0.005, samples=samples)
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "run")]) == 0
+    index = json.loads((tmp_path / "run" / "index.json").read_text())
+    assert len(index["files"]) == written
+
+
 @pytest.mark.parametrize("key, value", [("step", 1e-320), ("span", 1e308)])
 def test_step_count_that_does_not_fit_exits_1(tmp_path, capsys, key, value):
     cfg = _solve_cfg(tmp_path, **{key: value})
@@ -246,27 +280,44 @@ def test_sweep_pass_and_artifacts(tmp_path):
     assert all(v["passed"] for v in rep["verdicts"])
 
 
+# heavy viscosity over an eps-long horizon erodes the eps^2 grading, so the
+# slope floor verdict of this study fails
+FAILING_STUDY = {"name": "fail", "pair": "kuznetsov-westervelt",
+                 "coeff": dict(COEFF, nu=2.0), "eps_list": [0.04, 0.02],
+                 "horizon": 1.0, "horizon_over_eps": True,
+                 "points": 32, "samples": 4,
+                 "preset_params": {"amplitude": 0.5}}
+
+
 def test_sweep_verdict_failure_exits_3(tmp_path):
-    # heavy viscosity over an eps-long horizon erodes the eps^2 grading,
-    # so the slope floor verdict must fail
-    payload = {"schema_version": 1, "sweep": {
-        "name": "fail", "pair": "kuznetsov-westervelt",
-        "coeff": dict(COEFF, nu=2.0), "eps_list": [0.04, 0.02],
-        "horizon": 1.0, "horizon_over_eps": True,
-        "points": 32, "samples": 4,
-        "preset_params": {"amplitude": 0.5}}}
+    payload = {"schema_version": 1, "sweep": FAILING_STUDY}
     cfg = _write(tmp_path, "sweepfail.json", payload)
     assert main(["sweep", "--config", cfg, "--out",
                  str(tmp_path / "sf")]) == 3
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("delta", 0.001, "delta applies only to the ns-kuznetsov study, not to "
+                     "pair 'kuznetsov-westervelt'"),
+    ("delta", math.nan, "delta must be finite, got nan"),
+    ("horizon", math.inf, "horizon must be finite, got inf"),
+], ids=["delta-on-another-pair", "nan-delta", "inf-horizon"])
+def test_sweep_refuses_a_setting_that_would_skip_its_gate(tmp_path, capsys,
+                                                          key, value,
+                                                          message):
+    # a delta that only the ns-kuznetsov study reads, or a NaN, must not
+    # let this failing study pass
+    payload = {"schema_version": 1, "sweep": dict(FAILING_STUDY,
+                                                  **{key: value})}
+    cfg = _write(tmp_path, "sweepfail.json", payload)
+    assert main(["sweep", "--config", cfg, "--out",
+                 str(tmp_path / "sf")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_compare_does_not_enforce_verdicts(tmp_path):
-    payload = {"schema_version": 1, "compare": {
-        "name": "cmp", "pair": "kuznetsov-westervelt",
-        "coeff": dict(COEFF, nu=2.0), "eps_list": [0.04, 0.02],
-        "horizon": 1.0, "horizon_over_eps": True,
-        "points": 32, "samples": 4,
-        "preset_params": {"amplitude": 0.5}}}
+    payload = {"schema_version": 1,
+               "compare": dict(FAILING_STUDY, name="cmp")}
     cfg = _write(tmp_path, "cmp.json", payload)
     assert main(["compare", "--config", cfg, "--out",
                  str(tmp_path / "cmp")]) == 0
@@ -395,8 +446,10 @@ def _drop(entries: dict, key: str) -> dict:
     (lambda h: dict(h, components=2),
      "header entry 'value_count' 16 disagrees with the axes' 'points' [16] "
      "times 'components' 2 = 32"),
+    (lambda h: dict(h, axes=[dict(a, length=math.nan) for a in h["axes"]]),
+     "axis 'tau': length must be finite, got nan"),
 ], ids=["no-axes", "list-header", "axis-without-name", "null-points",
-        "string-periodic", "components-disagree"])
+        "string-periodic", "components-disagree", "nan-length"])
 def test_transform_rejects_a_malformed_paf_header(tmp_path, capsys, mutate,
                                                   message):
     path = tmp_path / "k.paf"

@@ -4,6 +4,13 @@ import pytest
 from nlparax import Axis, Field, Frame, Grid
 
 
+@pytest.mark.parametrize("key", ["length", "origin"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_axis_refuses_non_finite_values(key, bad):
+    with pytest.raises(ValueError, match=f"^axis 'y1': {key} must be finite"):
+        Axis("y1", **{"length": 1.0, "points": 8, key: bad})
+
+
 def test_axis_validation():
     with pytest.raises(ValueError):
         Axis("x1", 0.0, 16)
@@ -82,15 +89,6 @@ def test_scalar_accessor_guards_vectors():
     with pytest.raises(ValueError):
         v.scalar
     assert v.component(0).shape == (8,)
-
-
-def test_from_function_vector():
-    g = Grid((Axis("x1", 2 * np.pi, 16),), Frame.PHYSICAL)
-    f = Field.from_function(g, lambda x: (np.sin(x), np.cos(x)), components=2)
-    assert f.components == 2
-    assert np.allclose(f.component(1), np.cos(g.mesh()[0]))
-    with pytest.raises(ValueError):
-        Field.from_function(g, lambda x: (np.sin(x),), components=2)
 
 
 def test_zeros():

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from nlparax import (
     Grid,
     ModelCoefficients,
     ModelKind,
-    NonlinearitySwitch,
     StepControl,
     solve_kuznetsov,
     solve_kzk,
@@ -22,8 +22,10 @@ from nlparax.models.base import (
     SolverDiverged,
     SolverNaN,
     check_health,
+    march,
     resolve_steps,
 )
+from nlparax.models.waves import _WaveStepper
 
 
 def _damped_mode_exact(coeff, k, t):
@@ -102,19 +104,26 @@ def test_westervelt_damped_mode(coeff):
     assert np.abs(out.primary.scalar - exact).max() / amp < 1e-6
 
 
+def _wave_march(coeff, u0, u1, t_end, step, a_local, b_grad):
+    """End state of a _WaveStepper march with the given nonlinear
+    coefficients (a_local for u_t u_tt, b_grad for grad u . grad u_t)."""
+    nsteps, dt = resolve_steps(t_end, StepControl(step=step))
+    stepper = _WaveStepper(u0.grid, coeff, dt, a_local, b_grad)
+    return march(stepper, (u0.scalar, u1.scalar), nsteps, 2, "kuznetsov")[-1]
+
+
 def test_nonlinearity_switch_all_off_is_linear(coeff):
     g = _grid1d()
     x = g.mesh()[0]
     u0 = Field(g, 0.3 * np.sin(x))
     u1 = Field(g, -coeff.c * 0.3 * np.cos(x))
-    off = NonlinearitySwitch(local=False, gradient=False, viscosity=False)
-    out = solve_kuznetsov(coeff, u0, u1, 0.5, StepControl(step=0.005),
-                          switch=off)[-1]
+    _, (u, _) = _wave_march(replace(coeff, nu=0.0), u0, u1, 0.5, 0.005,
+                            0.0, 0.0)
     # undamped wave equation: exact d'Alembert mode solution
     A = 0.3 * np.cos(coeff.c * 0.5)
     B = -0.3 * np.sin(coeff.c * 0.5)
     exact = A * np.sin(x) + B * np.cos(x)
-    assert np.abs(out.primary.scalar - exact).max() < 1e-9
+    assert np.abs(u - exact).max() < 1e-9
 
 
 def test_nonlinearity_switch_terms_matter(coeff):
@@ -122,12 +131,14 @@ def test_nonlinearity_switch_terms_matter(coeff):
     x = g.mesh()[0]
     u0 = Field(g, 0.3 * np.sin(x))
     u1 = Field(g, -coeff.c * 0.3 * np.cos(x))
-    ctl = StepControl(step=0.005)
-    full = solve_kuznetsov(coeff, u0, u1, 0.5, ctl)[-1].primary.scalar
-    for name in ("local", "gradient", "viscosity"):
-        sw = NonlinearitySwitch(**{name: False})
-        part = solve_kuznetsov(coeff, u0, u1, 0.5, ctl,
-                               switch=sw)[-1].primary.scalar
+    full = solve_kuznetsov(coeff, u0, u1, 0.5,
+                           StepControl(step=0.005))[-1].primary.scalar
+    # each term off in turn: the u_t u_tt term, the gradient term, viscosity
+    for name, co, a_local, b_grad in [
+            ("local", coeff, 0.0, 2.0),
+            ("gradient", coeff, coeff.alpha, 0.0),
+            ("viscosity", replace(coeff, nu=0.0), coeff.alpha, 2.0)]:
+        _, (part, _) = _wave_march(co, u0, u1, 0.5, 0.005, a_local, b_grad)
         assert np.abs(part - full).max() > 1e-8, name
 
 
@@ -249,3 +260,17 @@ def test_strang_self_convergence(coeff):
             for n in (25, 50, 100)]
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders.min() >= 1.9
+
+
+def test_march_takes_at_most_one_sample_per_step(coeff):
+    g = _grid1d(16)
+    x = g.mesh()[0]
+    stepper = _WaveStepper(g, coeff, 0.01, coeff.alpha, 2.0)
+    state = (0.1 * np.sin(x), -0.1 * np.cos(x))
+    nsteps = 5
+    every, beyond = (march(stepper, state, nsteps, n, "kuznetsov")
+                     for n in (nsteps + 1, nsteps + 7))
+    assert len(every) == nsteps + 1
+    for (t, a), (s, b) in zip(every, beyond, strict=True):
+        assert t == s
+        assert all(np.array_equal(p, q) for p, q in zip(a, b, strict=True))

@@ -286,7 +286,7 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
         return 0.01 * np.cos(sum(g.mesh()))
 
     def wave(g, a_local, b_grad):
-        return (_WaveStepper(g, coeff, 0.01, a_local, b_grad, True),
+        return (_WaveStepper(g, coeff, 0.01, a_local, b_grad),
                 (smooth(g), smooth(g)))
 
     def flow(g, c):

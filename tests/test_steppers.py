@@ -83,7 +83,7 @@ def test_wave_step_matches_the_composed_operators(grid, model, rng):
     b_grad = 0.0 if model == "westervelt" else 2.0
     damp = COEFF.eps * COEFF.nu / COEFF.rho0
     u, w = _smooth(grid, rng, 0.3), _smooth(grid, rng, 0.3)
-    stepper = _WaveStepper(grid, COEFF, DT, a_local, b_grad, True)
+    stepper = _WaveStepper(grid, COEFF, DT, a_local, b_grad)
     _assert_same_state(
         stepper.step((u, w), 1),
         _wave_reference(grid, COEFF, DT, a_local, b_grad, damp, u, w))

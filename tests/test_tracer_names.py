@@ -1,6 +1,7 @@
 """The benchmark tracer (`perfbench/spans.py`) wraps functions by module
 and attribute name and reads solver arguments by name; a rename in the
-program breaks `--trace 1` without failing any other test."""
+program breaks `--trace 1` without failing any other test.  The benchmark's
+workloads (`perfbench/workloads.py`) restate the acceptance configs."""
 
 import importlib
 import importlib.util
@@ -13,16 +14,19 @@ import pytest
 from nlparax import ExperimentConfig, ModelCoefficients, cli
 from nlparax.models.base import StepControl, resolve_steps
 
+from test_acceptance import NS_KUZ_CFG, PAIRWISE_CFG
 
-def _load_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+
+def _load_perfbench(name: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load_perfbench("spans")
+workloads = _load_perfbench("workloads")
 
 
 def _target(mod_name: str, attr: str):
@@ -73,3 +77,12 @@ def test_no_study_repeats_a_march():
     assert tracer.summary(1, wall)["experiments.duplicate_march_frac"] == 0
     # one clean and three forced marches, so the ratio above has a base
     assert sum(s.digest is not None for s in tracer.spans) == 4
+
+
+@pytest.mark.parametrize("pair, config", [
+    ("ns-kuznetsov", NS_KUZ_CFG),
+    ("kuznetsov-westervelt", dict(PAIRWISE_CFG, pair="kuznetsov-westervelt")),
+    ("kuznetsov-npe", dict(PAIRWISE_CFG, pair="kuznetsov-npe"))])
+def test_sweep_1d_runs_the_acceptance_configs(pair, config):
+    assert (ExperimentConfig.from_dict(workloads.SWEEP_1D[pair])
+            == ExperimentConfig(**config))

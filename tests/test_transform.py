@@ -93,7 +93,7 @@ def test_kzk_to_npe_samples_the_bijection():
     def profile(t, y):
         return np.sin(2 * np.pi * 3 * (t - o) / L + 0.3) * (1.0 + y**2)
 
-    npe = transform_field(Field.from_function(g, profile), "kzk", "npe", c,
+    npe = transform_field(Field(g, profile(*g.mesh())), "kzk", "npe", c,
                           0.01)
     Z, Y = npe.grid.mesh()
     assert np.abs(npe.scalar - profile(-Z / c, Y)).max() < 1e-12
