@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field
+from .flow import FlowState
 from .models.base import ModelCoefficients, ModelState
 from .spectral import Spectral
 
@@ -130,8 +131,6 @@ def assemble_ansatz(coeff: ModelCoefficients, state: ModelState,
                     correctors: tuple[np.ndarray, np.ndarray]):
     """The flow state rho = rho0 + eps rho1 + eps^2 rho2, v = -eps grad u
     of one Kuznetsov state, on its physical grid."""
-    from .flow import FlowState  # local import to avoid a cycle
-
     grid = state.primary.grid
     sp = Spectral(grid)
     eps = coeff.eps

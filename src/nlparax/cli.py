@@ -32,7 +32,7 @@ from .experiments import (
     preset_profile,
     scaling_study,
 )
-from .fields import Axis, Field, Frame, Grid
+from .fields import Axis, Field, Frame, Grid, refuse_json_constant
 from .flow import FlowState, solve_flow
 from .frames import transform_field
 from .models.base import (
@@ -49,8 +49,6 @@ from .remainders import evaluate_remainder, input_field
 __all__ = ["main", "entry"]
 
 log = logging.getLogger("nlparax")
-
-SCHEMA_VERSION = 1
 
 
 class ConfigError(Exception):
@@ -90,9 +88,11 @@ _TYPES = {
 
 
 def validate_config(instance, schema: dict, root: dict | None = None,
-                    path: str = "config") -> None:
-    """Validate against the shipped schema; raises ConfigError naming the
-    offending key or value."""
+                    path: str = "config"):
+    """Validate against the shipped schema and return the instance with
+    every value the schema types `integer` as an int (JSON Schema counts
+    16.0 as an integer); raises ConfigError naming the offending key or
+    value."""
     root = root if root is not None else schema
     schema = _resolve_ref(schema, root)
     typ = schema.get("type")
@@ -102,10 +102,12 @@ def validate_config(instance, schema: dict, root: dict | None = None,
         if typ in ("number", "integer") and isinstance(instance, bool):
             ok = False
         if typ == "integer" and isinstance(instance, float):
-            ok = float(instance).is_integer()
+            ok = instance.is_integer()
         if not ok:
             raise ConfigError(f"{path}: expected {typ}, got "
                               f"{type(instance).__name__}")
+        if typ == "integer":
+            instance = int(instance)
     if "enum" in schema and instance not in schema["enum"]:
         raise ConfigError(f"{path}: value {instance!r} not one of "
                           f"{schema['enum']}")
@@ -130,26 +132,27 @@ def validate_config(instance, schema: dict, root: dict | None = None,
         for req in schema.get("required", ()):
             if req not in instance:
                 raise ConfigError(f"{path}: missing required key {req!r}")
+        instance = dict(instance)
         for key, sub in props.items():
             if key in instance:
-                validate_config(instance[key], sub, root, f"{path}.{key}")
+                instance[key] = validate_config(instance[key], sub, root,
+                                                f"{path}.{key}")
     if isinstance(instance, list) and "items" in schema:
-        for i, item in enumerate(instance):
-            validate_config(item, schema["items"], root, f"{path}[{i}]")
+        instance = [validate_config(item, schema["items"], root,
+                                    f"{path}[{i}]")
+                    for i, item in enumerate(instance)]
+    return instance
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=refuse_json_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    validate_config(data, load_schema())
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {data['schema_version']}")
-    return data
+    return validate_config(data, load_schema())
 
 
 # ----------------------------------------------------------------------
@@ -194,25 +197,11 @@ def _manifest(out_dir: str, payload: dict, argv: list[str]) -> None:
         fh.write("\n")
 
 
-def _payload(cfg: dict, key: str, name: str, flag: str | None) -> dict:
-    """A copy of the config's `key` payload whose `name` entry agrees with
-    the --`name` flag: a flag and a config value must match, and one of the
-    two must be given."""
+def _payload(cfg: dict, key: str) -> dict:
+    """A copy of the config's `key` payload."""
     if key not in cfg:
         raise ConfigError(f"config carries no {key!r} payload")
-    payload = dict(cfg[key])
-    if flag is not None:
-        if payload.get(name, flag) != flag:
-            raise ConfigError(f"--{name} {flag} conflicts with config {name} "
-                              f"{payload[name]}")
-        payload[name] = flag
-    if name not in payload:
-        raise ConfigError(f"{name} must be given via --{name} or the config")
-    return payload
-
-
-def _out_dir(args, cfg: dict, default: str) -> str:
-    return args.out or cfg.get("output_dir") or default
+    return dict(cfg[key])
 
 
 # ----------------------------------------------------------------------
@@ -221,21 +210,20 @@ def _out_dir(args, cfg: dict, default: str) -> str:
 
 def _run_solve(args, argv) -> int:
     cfg = load_config(args.config)
-    payload = _payload(cfg, "solve", "model", args.model)
+    payload = _payload(cfg, "solve")
     model = payload["model"]
     coeff = _coeff_from(payload.get("coeff"))
     grid = _grid_from(payload["grid"])
     span = payload["span"]
     ctl = StepControl(step=payload["step"])
-    # the schema admits an integral float, which range() does not
-    n_samples = int(payload.get("samples", 2))
-    out = _out_dir(args, cfg, f"{model}_run")
+    n_samples = payload.get("samples", 2)
+    out = args.out or f"{model}_run"
 
     if args.dry_run:
         print(json.dumps({"action": "solve", "model": model,
                           "grid": [a.name for a in grid.axes],
                           "span": span, "steps": resolve_steps(span, ctl)[0],
-                          "samples": n_samples, "output_dir": out},
+                          "samples": n_samples, "out": out},
                          sort_keys=True))
         return 0
 
@@ -249,7 +237,7 @@ def _run_solve(args, argv) -> int:
         solver = solve_kzk if model == "kzk" else solve_npe
         states = solver(coeff, init, span, ctl, n_samples=n_samples)
         samples = [(s.evol, s.primary) for s in states]
-    elif model in ("ns", "euler"):
+    else:  # ns or euler
         if model == "euler":
             coeff = replace(coeff, nu=0.0)
         rho = Field(grid, coeff.rho0 * (1.0 + coeff.eps * init.scalar))
@@ -258,8 +246,6 @@ def _run_solve(args, argv) -> int:
             grid, vel.values, len(grid.axes))), span, ctl,
             n_samples=n_samples)
         samples = [(t, U.rho) for t, U in traj]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown model {model!r}")
 
     os.makedirs(out, exist_ok=True)
     index = {"model": model, "evol": [], "files": []}
@@ -280,25 +266,19 @@ def _run_solve(args, argv) -> int:
 # compare / sweep
 
 
-def _experiment_from(cfg: dict, key: str, pair_flag: str | None) -> ExperimentConfig:
-    payload = _payload(cfg, key, "pair", pair_flag)
-    try:
-        return ExperimentConfig.from_dict(payload)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _run_study(args, argv, key: str) -> int:
     cfg = load_config(args.config)
-    pair_flag = getattr(args, "pair", None)
-    ecfg = _experiment_from(cfg, key, pair_flag)
-    out = _out_dir(args, cfg, f"{key}_{ecfg.name}")
+    try:
+        ecfg = ExperimentConfig.from_dict(_payload(cfg, key))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    out = args.out or f"{key}_{ecfg.name}"
     if args.dry_run:
         print(json.dumps({"action": key, "pair": ecfg.pair,
                           "eps_list": list(ecfg.eps_list),
                           "horizon": ecfg.horizon,
                           "config_sha256": config_hash(ecfg),
-                          "output_dir": out},
+                          "out": out},
                          sort_keys=True))
         return 0
     report = scaling_study(ecfg)
@@ -321,18 +301,18 @@ def _run_study(args, argv, key: str) -> int:
 
 def _run_residual(args, argv) -> int:
     cfg = load_config(args.config)
-    payload = _payload(cfg, "residual", "pair", args.pair)
+    payload = _payload(cfg, "residual")
     pair = payload["pair"]
     coeff = _coeff_from(payload.get("coeff"))
     grid = _grid_from(payload["grid"])
     fname = input_field(pair)
-    out = _out_dir(args, cfg, f"residual_{pair}")
+    out = args.out or f"residual_{pair}"
     if args.dry_run:
         print(json.dumps({"action": "residual", "pair": pair,
-                          "field": fname, "output_dir": out}, sort_keys=True))
+                          "field": fname, "out": out}, sort_keys=True))
         return 0
     f = _initial_field(payload["initial"], grid)
-    result = evaluate_remainder(pair, coeff, {fname: f}, with_term_stats=True)
+    result = evaluate_remainder(pair, coeff, {fname: f})
     os.makedirs(out, exist_ok=True)
     eps_base = float(coeff.eps) ** float(result.base)
     with open(os.path.join(out, "residual.csv"), "w", newline="") as fh:
@@ -377,26 +357,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["debug", "info", "warning", "error"])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, pair=False):
+    for cmd, text in (("solve", "run one model trajectory"),
+                      ("compare", "run one pair and report errors"),
+                      ("sweep", "scaling study with verdicts"),
+                      ("residual", "per-term remainder norms as CSV")):
+        sp = sub.add_parser(cmd, help=text)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--dry-run", action="store_true")
-        if pair:
-            sp.add_argument("--pair", default=None)
-
-    sp = sub.add_parser("solve", help="run one model trajectory")
-    sp.add_argument("--model", choices=["kuznetsov", "westervelt", "kzk",
-                                        "npe", "ns", "euler"])
-    common(sp)
-
-    sp = sub.add_parser("compare", help="run one pair and report errors")
-    common(sp, pair=True)
-
-    sp = sub.add_parser("sweep", help="scaling study with verdicts")
-    common(sp, pair=True)
-
-    sp = sub.add_parser("residual", help="per-term remainder norms as CSV")
-    common(sp, pair=True)
 
     sp = sub.add_parser("transform", help="change the frame of a PAF snapshot")
     sp.add_argument("--from", dest="src", required=True,

@@ -85,13 +85,18 @@ def preset_profile(name: str, grid: Grid, params=None) -> Field:
     axis.  gaussian_beam: -exp(-|y|^2) sin(tau).  polynomial_amplitude:
     -(1 - |y|^2)^2 * 1_{|y| <= 1} * sin(tau).  The beam profiles use the raw
     tau and y coordinate values, so the axes should span full periods of sin.
+    An amplitude must be a finite number and a mode a finite integral one.
     """
     params = dict(params or {})
-    amp = float(params.pop("amplitude", 1.0))
+    amp = float(_preset_number(params, "amplitude", 1.0))
     mesh = grid.mesh()
     names = [a.name for a in grid.axes]
     if name == "single_mode":
-        mode = int(params.pop("mode", 1))
+        mode = _preset_number(params, "mode", 1)
+        if not float(mode).is_integer():
+            raise ValueError(f"preset parameter 'mode' must be an integral "
+                             f"number, got {mode!r}")
+        mode = int(mode)
         a = grid.axes[0]
         vals = amp * np.sin(2.0 * np.pi * mode * (mesh[0] - a.origin) / a.length)
         vals = np.broadcast_to(vals, grid.shape).copy()
@@ -114,15 +119,25 @@ def preset_profile(name: str, grid: Grid, params=None) -> Field:
     return Field(grid, vals)
 
 
-def band_limited_perturbation(grid: Grid, seed: int, size: float,
-                              kmax: int = 3, n_modes: int = 6) -> Field:
-    """Fixed-seed random sum of low trigonometric modes, mean-zero, rescaled
-    to the given (quadrature-weighted) L2 size."""
+def _preset_number(params: dict, key: str, default):
+    """Pop params[key], refused unless it is a finite number."""
+    value = params.pop(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"preset parameter {key!r} must be a finite number, "
+                         f"got {value!r}")
+    return value
+
+
+def band_limited_perturbation(grid: Grid, seed: int, size: float) -> Field:
+    """Fixed-seed random sum of six trigonometric modes, each of wavenumber
+    at most 3 per axis, mean-zero, rescaled to the given
+    (quadrature-weighted) L2 size."""
     rng = np.random.default_rng(seed)
     mesh = grid.mesh()
     vals = np.zeros(grid.shape)
-    for _ in range(n_modes):
-        ks = rng.integers(-kmax, kmax + 1, size=len(grid.axes))
+    for _ in range(6):
+        ks = rng.integers(-3, 4, size=len(grid.axes))
         if not np.any(ks):
             ks[0] = 1
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -395,16 +410,18 @@ def _time_grid(cfg: ExperimentConfig, eps: float):
 
 
 def _substeps(span: float, n_int: int, step_hint: float) -> StepControl:
+    """`n_int` sample intervals of `per` steps each, the fewest that keep
+    the step at or below `step_hint`."""
     per = max(1, int(math.ceil(span / n_int / step_hint - 1e-12)))
-    return StepControl(step=span / (n_int * per))
+    return StepControl(step=span / n_int, substeps=per)
 
 
 def _default_wave_step(cfg: ExperimentConfig,
                        coeff: ModelCoefficients) -> float:
     """0.5 / (c k_max) on the study grid, for the wave models and for the
     flow reference alike."""
-    kmax = math.pi * cfg.points / STUDY_LENGTH
-    return 0.5 / (coeff.c * kmax)
+    k_max = math.pi * cfg.points / STUDY_LENGTH
+    return 0.5 / (coeff.c * k_max)
 
 
 def _default_kzk_step(cfg: ExperimentConfig, coeff: ModelCoefficients,

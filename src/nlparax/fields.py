@@ -13,7 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["Frame", "Axis", "Grid", "Field", "MissingInput", "require_finite"]
+__all__ = ["Frame", "Axis", "Grid", "Field", "MissingInput", "require_finite",
+           "refuse_json_constant"]
 
 
 class MissingInput(KeyError, ValueError):
@@ -38,6 +39,12 @@ def require_finite(obj, where: str = "") -> None:
         if any(isinstance(v, (int, float)) and not math.isfinite(v)
                for v in items):
             raise ValueError(f"{where}{f.name} must be finite, got {value!r}")
+
+
+def refuse_json_constant(token: str):
+    """The `parse_constant` hook of every JSON read: the NaN, Infinity and
+    -Infinity tokens are not JSON, and no input may carry them."""
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 class Frame(Enum):

@@ -63,9 +63,9 @@ def transform_field(f: Field, src: str, dst: str, c: float,
                          f"frame, got one in the {f.grid.frame.value!r} frame")
     if src == dst:
         return f
-    if not (c > 0 and eps > 0):
-        raise ValueError(f"transform needs c > 0 and eps > 0, got c={c}, "
-                         f"eps={eps}")
+    if not (0 < c < math.inf and 0 < eps < math.inf):
+        raise ValueError(f"transform needs c > 0 and eps > 0, both finite, "
+                         f"got c={c}, eps={eps}")
     lead_src, lead_dst, scales = _CHANGES[src, dst]
     lead, *rest = f.grid.axes
     if lead.name != lead_src:

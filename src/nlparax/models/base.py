@@ -119,31 +119,29 @@ class HyperbolicityLost(SolverError):
 
 
 def check_health(values: np.ndarray, initial_norm: float, where: str,
-                 step: int | None = None) -> None:
+                 step: int) -> None:
     """Raise SolverNaN or SolverDiverged when values are not healthy; the
-    message names `where`, and the step when one is given."""
+    message names `where` and the step."""
     # one reduction when healthy: a NaN or inf entry makes the sum of squares
     # non-finite, and only then is the finiteness scan needed to tell a
     # non-finite entry from finite values whose squares overflow
     sq = float(np.vdot(values, values))
     if not math.isfinite(sq) and not np.all(np.isfinite(values)):
-        raise SolverNaN(f"non-finite values during {_at(where, step)}")
+        raise SolverNaN(f"non-finite values during {where} step {step}")
     norm = math.sqrt(sq)
     if norm > 1e6 * max(initial_norm, 1e-300):
         raise SolverDiverged(
             f"norm {norm:.3e} exceeds 1e6 x initial ({initial_norm:.3e}) "
-            f"during {_at(where, step)}"
+            f"during {where} step {step}"
         )
-
-
-def _at(where: str, step: int | None) -> str:
-    return where if step is None else f"{where} step {step}"
 
 
 def resolve_steps(span: float, ctl: StepControl) -> tuple[int, float]:
     """Number of steps that cover `span` under `ctl`, and the step size that
-    divides `span` exactly.  Raises a ValueError when the count is not a
-    finite number that fits an index."""
+    divides `span` exactly.  Raises a ValueError when the span is not > 0 or
+    the count is not a finite number that fits an index."""
+    if span <= 0:
+        raise ValueError(f"span {span!r} must be > 0")
     count = span / ctl.step - 1e-12
     if not math.isfinite(count) or count * ctl.substeps >= sys.maxsize:
         raise ValueError(f"span {span!r} with step {ctl.step!r} does not give "

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Axis, Field, Frame, Grid
+from .fields import Axis, Field, Frame, Grid, refuse_json_constant
 
 __all__ = ["write_paf", "read_paf"]
 
@@ -75,7 +75,8 @@ def read_paf(path: str | Path) -> Field:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
+    header = json.loads(header_line.decode("utf-8"),
+                        parse_constant=refuse_json_constant)
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header is not a JSON object")
     if header.get("format") != _MAGIC:

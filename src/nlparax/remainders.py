@@ -25,7 +25,7 @@ tables therefore leave explicit sqrt(eps) factors in the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
@@ -130,8 +130,8 @@ def _dot(a: str, da: tuple, b: str, db: tuple, axes: Sequence[str]) -> Sum:
         for ax in axes))
 
 
-def _grad_sq(name: str, axes: Sequence[str], extra: tuple = ()) -> Sum:
-    return _dot(name, extra, name, extra, axes)
+def _grad_sq(name: str, axes: Sequence[str]) -> Sum:
+    return _dot(name, (), name, (), axes)
 
 
 def _lap(name: str, axes: Sequence[str], extra: tuple = ()) -> Sum:
@@ -623,9 +623,8 @@ class _Ctx:
         self.fields: dict[str, _Val] = {}
         self._cache: dict[tuple, _Val] = {}
 
-    def add(self, name: str, arr: np.ndarray, margins: dict | None = None):
-        self.fields[name] = _Val(np.asarray(arr, dtype=np.float64),
-                                 dict(margins or {}))
+    def add(self, name: str, arr: np.ndarray):
+        self.fields[name] = _Val(np.asarray(arr, dtype=np.float64), {})
 
     def deriv(self, val: _Val, axis: str, order: int) -> _Val:
         if axis not in self.ax:
@@ -803,7 +802,7 @@ class RemainderResult:
     base: Fraction
     fields: dict[str, Field]
     margins: dict[str, dict[str, int]]
-    term_stats: list = dc_field(default_factory=list)
+    term_stats: list
     # term_stats rows: (component, term_id, power: Fraction, l2, linf)
 
 
@@ -820,12 +819,13 @@ def _trimmed(ctx: _Ctx, arr: np.ndarray, margins: Mapping[str, int]):
 
 def evaluate_remainder(pair: str, coeff: ModelCoefficients,
                        inputs: Mapping[str, Field],
-                       variant: str | None = None,
-                       with_term_stats: bool = False) -> RemainderResult:
-    """Evaluate the graded remainder of one pair, term by term.
+                       variant: str | None = None) -> RemainderResult:
+    """Evaluate the graded remainder of one pair, term by term, with the L2
+    and max norms of each graded term inside its margins.
 
     `inputs` maps field names to Fields; the context derives whatever
-    correctors the tables reference but the caller did not supply.
+    correctors the tables reference but the caller did not supply.  A
+    bounded axis too short for a term's margins is refused.
     """
     ctx = _prepare_context(pair, coeff, inputs)
     tables = term_table(pair, ctx.grid, variant=variant)
@@ -844,11 +844,10 @@ def evaluate_remainder(pair: str, coeff: ModelCoefficients,
             graded = term.coeff(coeff) * float(eps) ** float(term.power) * v.arr
             total += graded
             margins = _merge(margins, v.margins)
-            if with_term_stats:
-                inner = _trimmed(ctx, graded, v.margins)
-                l2 = float(np.sqrt(vol * np.sum(inner**2)))
-                linf = float(np.max(np.abs(inner))) if inner.size else 0.0
-                stats.append((comp, term.term_id, term.power, l2, linf))
+            inner = _trimmed(ctx, graded, v.margins)
+            l2 = float(np.sqrt(vol * np.sum(inner**2)))
+            linf = float(np.max(np.abs(inner))) if inner.size else 0.0
+            stats.append((comp, term.term_id, term.power, l2, linf))
         out_fields[comp] = Field(ctx.grid, total / float(eps) ** float(base))
         out_margins[comp] = margins
     return RemainderResult(pair, base, out_fields, out_margins, stats)

@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import json
 import math
@@ -27,8 +26,10 @@ COEFF = {"c": 1.0, "rho0": 1.0, "gamma": 1.4, "nu": 0.3, "eps": 0.01}
 
 
 def _write(tmp_path, name, payload):
+    # JSON has no infinity token; a number beyond the float range parses
+    # to one, so an infinite entry is written as 1e400
     p = tmp_path / name
-    p.write_text(json.dumps(payload))
+    p.write_text(json.dumps(payload).replace("Infinity", "1e400"))
     return str(p)
 
 
@@ -199,6 +200,76 @@ def test_sample_count_given_as_a_float(tmp_path, samples, written):
     assert len(index["files"]) == written
 
 
+def test_integral_float_entries_run_as_integers(tmp_path):
+    # JSON Schema counts 16.0 as an integer, so it runs as the integer does
+    written = []
+    for tag, points in (("int", 16), ("float", 16.0)):
+        grid = {"frame": "kzk",
+                "axes": [{"name": "tau", "length": 2 * math.pi, "points": 64},
+                         {"name": "y1", "length": 2 * math.pi,
+                          "points": points, "origin": -math.pi}]}
+        cfg = _solve_cfg(tmp_path, grid=grid)
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / tag)]) == 0
+        index = json.loads((tmp_path / tag / "index.json").read_text())
+        written.append([(tmp_path / tag / f).read_bytes()
+                        for f in index["files"]])
+    assert written[0] == written[1]
+
+    study = {"name": "mini", "pair": "kuznetsov-westervelt", "coeff": COEFF,
+             "eps_list": [0.04, 0.02], "horizon": 1.0,
+             "horizon_over_eps": False}
+    tables = []
+    for tag, counts in (("int", (16, 4, 7)), ("float", (16.0, 4.0, 7.0))):
+        cfg = _write(tmp_path, f"sweep-{tag}.json", {
+            "schema_version": 1, "sweep": dict(
+                study, **dict(zip(("points", "samples", "seed"), counts)))})
+        out = tmp_path / f"sweep-{tag}"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        tables.append((out / "errors.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("params, message", [
+    # math.inf is written as the JSON number 1e400, which parses to inf
+    ({"mode": math.inf}, "'mode' must be a finite number, got inf"),
+    ({"mode": 1.5}, "'mode' must be an integral number, got 1.5"),
+    ({"mode": "2"}, "'mode' must be a finite number, got '2'"),
+    ({"mode": True}, "'mode' must be a finite number, got True"),
+    ({"amplitude": "1.5"}, "'amplitude' must be a finite number, got '1.5'"),
+    ({"amplitude": -math.inf},
+     "'amplitude' must be a finite number, got -inf"),
+    ({"amplitude": False}, "'amplitude' must be a finite number, got False"),
+], ids=["inf-mode", "fractional-mode", "string-mode", "bool-mode",
+        "string-amplitude", "inf-amplitude", "bool-amplitude"])
+def test_preset_parameters_must_be_finite_numbers(tmp_path, capsys, params,
+                                                  message):
+    cfg = _solve_cfg(tmp_path, model="kuznetsov", grid={"axes": [
+        {"name": "x1", "length": 2 * math.pi, "points": 16}]},
+        initial={"preset": "single_mode", "params": params})
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "run")]) == 1
+    assert f"preset parameter {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_standard_json_tokens_are_refused(tmp_path, capsys, token):
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(open(_solve_cfg(tmp_path)).read().replace(
+        '"span": 0.5', f'"span": {token}'))
+    assert main(["solve", "--config", str(cfg), "--out",
+                 str(tmp_path / "run")]) == 1
+    assert f"non-standard JSON token {token}" in capsys.readouterr().err
+
+    path = tmp_path / "k.paf"
+    write_paf(path, Field.zeros(Grid((Axis("tau", 2.0, 16),), Frame.KZK)))
+    path.write_bytes(path.read_bytes().replace(b'"origin": 0.0',
+                                               f'"origin": {token}'.encode()))
+    assert main(["transform", "--from", "kzk", "--to", "npe", "--input",
+                 str(path), "--output", str(tmp_path / "n.paf")]) == 1
+    assert f"non-standard JSON token {token}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("step", 1e-320), ("span", 1e308)])
 def test_step_count_that_does_not_fit_exits_1(tmp_path, capsys, key, value):
     cfg = _solve_cfg(tmp_path, **{key: value})
@@ -215,33 +286,11 @@ STUDY = {"name": "mini", "pair": "kuznetsov-westervelt", "coeff": COEFF,
          "horizon": 1.0}
 
 
-@pytest.mark.parametrize("argv, payload, message", [
-    (["residual", "--pair", "kuznetsov-npe"], {"residual": RESIDUAL},
-     "--pair kuznetsov-npe conflicts with config pair kuznetsov-westervelt"),
-    (["compare", "--pair", "ns-kuznetsov"], {"compare": STUDY},
-     "--pair ns-kuznetsov conflicts with config pair kuznetsov-westervelt"),
-    (["solve", "--model", "npe"], {"solve": {
-        "model": "kzk", "coeff": COEFF, "grid": RESIDUAL["grid"],
-        "initial": {"preset": "single_mode"}, "span": 1.0, "step": 0.1}},
-     "--model npe conflicts with config model kzk"),
-    (["sweep"], {"compare": STUDY}, "config carries no 'sweep' payload"),
-    (["residual"], {"residual": {k: v for k, v in RESIDUAL.items()
-                                 if k != "pair"}},
-     "pair must be given via --pair or the config"),
-])
-def test_flag_and_config_must_agree(tmp_path, capsys, argv, payload, message):
-    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, **payload})
-    assert main(argv + ["--config", cfg, "--dry-run"]) == 1
-    assert message in capsys.readouterr().err
-
-
-def test_residual_rejects_an_unknown_pair_flag(tmp_path, capsys):
-    # a --pair flag bypasses the schema's enum; the pair table still refuses
-    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, "residual": {
-        k: v for k, v in RESIDUAL.items() if k != "pair"}})
-    assert main(["residual", "--pair", "kzk-ns", "--config", cfg,
-                 "--dry-run"]) == 1
-    assert "unknown pair 'kzk-ns'" in capsys.readouterr().err
+def test_a_subcommand_without_its_payload_exits_1(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1,
+                                        "compare": STUDY})
+    assert main(["sweep", "--config", cfg, "--dry-run"]) == 1
+    assert "config carries no 'sweep' payload" in capsys.readouterr().err
 
 
 def test_residual_csv(tmp_path):
@@ -299,7 +348,7 @@ def test_sweep_verdict_failure_exits_3(tmp_path):
 @pytest.mark.parametrize("key, value, message", [
     ("delta", 0.001, "delta applies only to the ns-kuznetsov study, not to "
                      "pair 'kuznetsov-westervelt'"),
-    ("delta", math.nan, "delta must be finite, got nan"),
+    ("delta", math.nan, "non-standard JSON token NaN"),
     ("horizon", math.inf, "horizon must be finite, got inf"),
 ], ids=["delta-on-another-pair", "nan-delta", "inf-horizon"])
 def test_sweep_refuses_a_setting_that_would_skip_its_gate(tmp_path, capsys,
@@ -412,6 +461,19 @@ def test_transform_rejects_nonpositive_c_and_eps(tmp_path, capsys, flags):
     assert "transform needs c > 0 and eps > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dst, flags", [
+    ("physical", ["--c", "inf"]), ("npe", ["--eps", "inf"]),
+    ("npe", ["--eps", "nan"])])
+def test_transform_rejects_a_non_finite_c_or_eps(tmp_path, capsys, dst,
+                                                 flags):
+    # kzk -> physical reads no c and kzk -> npe no eps; both are refused
+    src = _write_kzk_snapshot(tmp_path, Axis("tau", 2.0, 16))
+    assert main(["transform", "--from", "kzk", "--to", dst, "--input", src,
+                 "--output", str(tmp_path / "out.paf")] + flags) == 1
+    assert "both finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.paf").exists()
+
+
 @pytest.mark.parametrize("src, dst, axes, frame, bad", [
     ("kzk", "physical", ("tau", "z"), Frame.KZK, "z"),
     ("physical", "kzk", ("t", "x1"), Frame.PHYSICAL, "x1"),
@@ -447,7 +509,7 @@ def _drop(entries: dict, key: str) -> dict:
      "header entry 'value_count' 16 disagrees with the axes' 'points' [16] "
      "times 'components' 2 = 32"),
     (lambda h: dict(h, axes=[dict(a, length=math.nan) for a in h["axes"]]),
-     "axis 'tau': length must be finite, got nan"),
+     "non-standard JSON token NaN"),
 ], ids=["no-axes", "list-header", "axis-without-name", "null-points",
         "string-periodic", "components-disagree", "nan-length"])
 def test_transform_rejects_a_malformed_paf_header(tmp_path, capsys, mutate,
@@ -506,8 +568,7 @@ def test_every_config_key_has_a_reader(monkeypatch, tmp_path):
     schema = cli.load_schema()
     defs = schema["definitions"]
     assert set(schema["properties"]) == {
-        "schema_version", "output_dir", "solve", "compare", "sweep",
-        "residual"}
+        "schema_version", "solve", "compare", "sweep", "residual"}
     assert (set(defs["experiment"]["properties"])
             == {f.name for f in dataclasses.fields(ExperimentConfig)})
     # every pair and preset the schema admits has one table entry behind it
@@ -545,9 +606,3 @@ def test_every_config_key_has_a_reader(monkeypatch, tmp_path):
     assert (_keys_read(monkeypatch, tmp_path / "res",
                        [(["residual"], {"residual": residual})])
             == set(defs["residual"]["properties"]))
-
-    solve_parser = next(a for a in cli._build_parser()._actions
-                        if isinstance(a, argparse._SubParsersAction)
-                        ).choices["solve"]
-    model = next(a for a in solve_parser._actions if a.dest == "model")
-    assert model.choices == defs["solve"]["properties"]["model"]["enum"]

@@ -22,7 +22,7 @@ from nlparax import (
 )
 from nlparax import experiments
 from nlparax.experiments import band_limited_perturbation, config_hash
-from nlparax.models.base import ModelState, SolverDiverged
+from nlparax.models.base import ModelState, SolverDiverged, resolve_steps
 
 
 def _cfg(**kw):
@@ -299,3 +299,25 @@ def test_a_failed_clean_kzk_march_fails_every_member(monkeypatch):
     rep = scaling_study(_kzk_cfg())
     assert [s["status"] for s in rep.series] == ["failed"] * 3
     assert [s["error"] for s in rep.series] == [message] * 3
+
+
+def test_study_steps_fill_whole_sample_intervals():
+    # a study marches n_int sample intervals of `per` steps each, so that
+    # every sample lands on its common time grid.  A step of
+    # span / (n_int * per), turned back into a count, resolved 668
+    # intervals of 95 steps over a span of 9.06 to 63461 steps.
+    rng = np.random.default_rng(2)
+    draws = [(9.06, 668, 9.06 / 668 / 95)]
+    for _ in range(5000):
+        span = float(rng.uniform(1e-3, 100.0))
+        n_int = int(rng.integers(1, 1000))
+        draws.append((span, n_int, span / n_int / rng.uniform(1.0, 200.0)))
+    for span, n_int, hint in draws:
+        ctl = experiments._substeps(span, n_int, hint)
+        per = ctl.substeps
+        assert per == max(1, math.ceil(span / n_int / hint - 1e-12))
+        assert resolve_steps(span, ctl) == (n_int * per,
+                                            span / (n_int * per)), (span,
+                                                                    n_int,
+                                                                    hint)
+    assert experiments._substeps(*draws[0]).substeps == 95

@@ -7,11 +7,13 @@ import pytest
 from nlparax import (
     Axis,
     Field,
+    FlowState,
     Frame,
     Grid,
     ModelCoefficients,
     ModelKind,
     StepControl,
+    solve_flow,
     solve_kuznetsov,
     solve_kzk,
     solve_npe,
@@ -79,6 +81,30 @@ def test_resolve_steps_refuses_a_count_that_does_not_fit(span, step):
     message = re.escape(f"span {span!r} with step {step!r}")
     with pytest.raises(ValueError, match=message):
         resolve_steps(span, StepControl(step=step))
+
+
+def _march_to(model, coeff, span):
+    ctl = StepControl(step=0.1)
+    if model in ("kzk", "npe"):
+        lead = "tau" if model == "kzk" else "z"
+        f = Field.zeros(Grid((Axis(lead, 2 * np.pi, 16),), Frame(model)))
+        return (solve_kzk if model == "kzk" else solve_npe)(coeff, f, span,
+                                                            ctl)
+    g = _grid1d(16)
+    if model == "flow":
+        return solve_flow(coeff, FlowState.from_primitive(
+            Field(g, np.ones(16)), Field.zeros(g, 1)), span, ctl)
+    solver = solve_kuznetsov if model == "kuznetsov" else solve_westervelt
+    return solver(coeff, Field.zeros(g), Field.zeros(g), span, ctl)
+
+
+@pytest.mark.parametrize("span", [0.0, -1.0])
+@pytest.mark.parametrize("model", ["kuznetsov", "westervelt", "kzk", "npe",
+                                   "flow"])
+def test_every_solver_refuses_a_span_that_is_not_positive(coeff, model, span):
+    # a negative span would march backwards, and a zero one take a zero step
+    with pytest.raises(ValueError, match=re.escape(f"span {span!r} must be")):
+        _march_to(model, coeff, span)
 
 
 def test_kuznetsov_damped_mode(coeff):
@@ -172,21 +198,21 @@ def test_lost_hyperbolicity_names_the_step_and_the_value(coeff):
 
 
 @pytest.mark.parametrize("bad, error, message", [
-    (np.nan, SolverNaN, "non-finite values during probe"),
-    (np.inf, SolverNaN, "non-finite values during probe"),
-    (-np.inf, SolverNaN, "non-finite values during probe"),
+    (np.nan, SolverNaN, "non-finite values during probe step 3"),
+    (np.inf, SolverNaN, "non-finite values during probe step 3"),
+    (-np.inf, SolverNaN, "non-finite values during probe step 3"),
     # finite, but its square overflows the sum of squares
     (1e200, SolverDiverged,
-     "norm inf exceeds 1e6 x initial (1.000e+00) during probe"),
+     "norm inf exceeds 1e6 x initial (1.000e+00) during probe step 3"),
     (1e7, SolverDiverged,
-     "norm 1.000e+07 exceeds 1e6 x initial (1.000e+00) during probe"),
+     "norm 1.000e+07 exceeds 1e6 x initial (1.000e+00) during probe step 3"),
 ], ids=["nan", "inf", "-inf", "overflow", "diverged"])
 def test_check_health_tells_non_finite_from_divergence(bad, error, message):
     values = np.zeros(64)
-    check_health(values, 1.0, "probe")
+    check_health(values, 1.0, "probe", 3)
     values[17] = bad
     with np.errstate(over="ignore"), pytest.raises(error) as info:
-        check_health(values, 1.0, "probe")
+        check_health(values, 1.0, "probe", 3)
     assert str(info.value) == message
 
 

@@ -1,5 +1,6 @@
 """Every public function, class and method of the package has a reader in
-the package, or is named below with the reason it stays.
+the package, or is named below with the reason it stays; and every
+defaulted parameter of a function or method has a setter in the package.
 
 The scan resolves references: a name that a function binds itself does not
 read the module-level definition of that name, `from .x import y` chains
@@ -145,3 +146,73 @@ def _unread() -> set[str]:
 
 def test_every_public_definition_has_a_program_reader():
     assert _unread() == NO_PROGRAM_READER
+
+
+#: defaulted parameters that no call in the package passes, and why they stay
+NO_PROGRAM_SETTER = {
+    # the paper's printed remainders, which the tests compare the
+    # consistent ones against
+    "nlparax.remainders.evaluate_remainder(variant)",
+    # the console script passes no argv; the tests and the benchmark do
+    "nlparax.cli.main(argv)",
+}
+
+
+def _unset_defaults() -> set[str]:
+    """Defaulted parameters that no call in the package passes.
+
+    A call `f(...)` or `x.f(...)` matches every function or method named f,
+    and a call of a class matches its `__init__`; it sets the parameters it
+    names by keyword, the ones its positional arguments reach (after `self`
+    for a method), and every one through a `*` or `**` splat.  Dataclass
+    fields are out of scope: configs fill them through `**data`."""
+    defs: dict[str, list] = {}   # call name -> [(qualified name, args, bound)]
+    calls = []
+
+    def visit(node, qual: str, in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{qual}.{child.name}", True)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bound = in_class and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                name = (qual.rpartition(".")[2] if child.name == "__init__"
+                        else child.name)
+                defs.setdefault(name, []).append(
+                    (f"{qual}.{child.name}", child.args, bound))
+                visit(child, f"{qual}.{child.name}", False)
+                continue
+            if isinstance(child, ast.Call):
+                calls.append(child)
+            visit(child, qual, in_class)
+
+    for mod, (tree, _) in _modules().items():
+        visit(tree, mod, False)
+
+    unset = set()
+    for name, entries in defs.items():
+        for qual, a, bound in entries:
+            positional = [x.arg for x in (*a.posonlyargs, *a.args)]
+            wanted = set(positional[len(positional) - len(a.defaults):]
+                         if a.defaults else ())
+            wanted |= {x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None}
+            for call in calls:
+                f = call.func
+                if (f.id if isinstance(f, ast.Name)
+                        else getattr(f, "attr", None)) != name:
+                    continue
+                if (any(k.arg is None for k in call.keywords)
+                        or any(isinstance(x, ast.Starred) for x in call.args)):
+                    wanted = set()
+                    break
+                wanted -= {k.arg for k in call.keywords}
+                wanted -= set(positional[bound:bound + len(call.args)])
+            unset |= {f"{qual}({p})" for p in wanted}
+    return unset
+
+
+def test_every_defaulted_parameter_has_a_program_setter():
+    assert _unset_defaults() == NO_PROGRAM_SETTER

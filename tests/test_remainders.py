@@ -106,8 +106,7 @@ def test_margins_reported_for_bounded_axes(coeff):
 def test_term_stats_rows(coeff):
     g = _periodic3(Frame.NPE, 12)
     psi = Field(g, _bandlimited(g))
-    res = evaluate_remainder("ns-npe", coeff, {"Psi": psi},
-                             with_term_stats=True)
+    res = evaluate_remainder("ns-npe", coeff, {"Psi": psi})
     assert res.term_stats
     comps = {row[0] for row in res.term_stats}
     assert comps == set(res.fields)
