@@ -396,6 +396,9 @@ def _time_grid(cfg: ExperimentConfig, eps: float):
     if cfg.horizon_over_eps:
         t_common = cfg.horizon / eps_max
         t_end = cfg.horizon / eps
+        if not math.isfinite(t_end):
+            raise ValueError(f"horizon {cfg.horizon!r} over eps = {eps} is "
+                             "not a finite time span")
     else:
         t_common = t_end = cfg.horizon
     ds = t_common / cfg.samples
@@ -411,9 +414,13 @@ def _time_grid(cfg: ExperimentConfig, eps: float):
 
 def _substeps(span: float, n_int: int, step_hint: float) -> StepControl:
     """`n_int` sample intervals of `per` steps each, the fewest that keep
-    the step at or below `step_hint`."""
-    per = max(1, int(math.ceil(span / n_int / step_hint - 1e-12)))
-    return StepControl(step=span / n_int, substeps=per)
+    the step at or below `step_hint`.  Raises a ValueError naming the span
+    when the step count is not a finite number that fits an index."""
+    per = span / n_int / step_hint - 1e-12
+    if not math.isfinite(per) or per * n_int >= sys.maxsize:
+        raise ValueError(f"time span {span!r} with step {step_hint!r} does "
+                         "not give a finite step count that fits an index")
+    return StepControl(step=span / n_int, substeps=max(1, math.ceil(per)))
 
 
 def _default_wave_step(cfg: ExperimentConfig,

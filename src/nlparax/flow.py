@@ -11,11 +11,12 @@ total mass is conserved to rounding), momentum in primitive velocity form and
 re-multiplied by rho for output.  The dominant viscous term (eps nu/rho0) Lap v
 is propagated exactly per mode; the density-dependent rest of the viscous
 force is advanced explicitly together with the convective and pressure terms
-(explicit midpoint, Strang split around the viscous half-steps).  A step runs
-on spectra: the velocity is transformed once per step and each stage
-transforms rho v, p and its momentum tendency once; the state returns to
-physical space at the step boundary.  The transforms of one direction in a
-stage go through the spectral core in one call.
+(explicit midpoint, Strang split around the viscous half-steps).  The march
+carries the density in physical space, where the positivity checks read it,
+and the velocity as its spectrum: each stage transforms v back and rho v, p
+and its momentum tendency forward once, and the velocity returns to
+physical space only at the samples the march returns.  The transforms of
+one direction in a stage go through the spectral core in one call.
 
 Entropy diagnostics use the convex pair
 
@@ -109,10 +110,10 @@ def _dpressure(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
 class _FlowStepper:
     """Explicit midpoint for (rho, v) between two exact viscous half steps.
 
-    A step transforms v once and keeps its spectrum through both stages.
-    Each stage makes two calls each way: v and its derivatives back to
-    physical space, rho v and p forward, their derivatives back, and the
-    velocity tendency forward.  Velocities travel stacked, one component
+    The carried state is (rho, vh): the density, and the spectrum of the
+    velocity.  Each stage makes two calls each way: v and its derivatives
+    back to physical space, rho v and p forward, their derivatives back, and
+    the velocity tendency forward.  Velocities travel stacked, one component
     per leading index.
     """
 
@@ -128,28 +129,24 @@ class _FlowStepper:
         self.visc0 = coeff.eps * coeff.nu / coeff.rho0
         self.decay_half = np.exp(-self.visc0 * self.sp.ksq * dt / 2.0)
 
-    def _velocity_fields(self, vh: np.ndarray, with_v: bool):
-        """grad v (one stack per axis), Lap v when viscous, and v when
-        with_v, from the spectrum vh in one inverse call that takes its
-        inputs one at a time."""
+    def _velocity_fields(self, vh: np.ndarray):
+        """grad v (one stack per axis), Lap v when viscous, and v, from the
+        spectrum vh in one inverse call that takes its inputs one at a
+        time."""
         def spectra():
             for k in self.sp.ik:
                 yield k * vh
             if self.visc != 0.0:
                 yield self.neg_ksq * vh
-            if with_v:
-                yield vh
+            yield vh
 
         return self.sp.ifft(spectra())
 
-    def _tendency(self, rho: np.ndarray, v: np.ndarray | None,
-                  fields: list[np.ndarray]):
-        """d rho/dt, and the spectrum of dv/dt, at (rho, v); fields is what
-        _velocity_fields gave, with v last when v is None.  rho must be
-        positive."""
+    def _tendency(self, rho: np.ndarray, fields: list[np.ndarray]):
+        """d rho/dt, and the spectrum of dv/dt, at rho and the velocity
+        whose fields _velocity_fields gave.  rho must be positive."""
         coeff, sp, keep, ik = self.coeff, self.sp, self.keep, self.sp.ik
-        if v is None:
-            v = fields.pop()
+        v = fields.pop()
         lap = fields.pop() if self.visc != 0.0 else None
         dv = fields
         flux = rho * v
@@ -177,32 +174,37 @@ class _FlowStepper:
         del dp, dv, lap  # freed before the last transform
         return -div_m, keep * sp.fft(acc)
 
-    def step(self, state, n: int):
-        """Advance (rho, v_1, ..., v_d) from step n - 1 to step n."""
-        sp, dt = self.sp, self.dt
-        rho, *v = state
-        v = np.stack(v)
-        vh = sp.fft(v)
+    def carry(self, state):
+        """(rho, vh) of the physical state (rho, v), v stacked."""
+        rho, v = state
+        return rho, self.sp.fft(v)
+
+    def sample(self, carried):
+        """The physical state (rho, v) of (rho, vh)."""
+        rho, vh = carried
+        return rho, self.sp.ifft(vh)
+
+    def step(self, carried, n: int):
+        """Advance (rho, vh) from step n - 1 to step n."""
+        dt = self.dt
+        rho, vh = carried
         if self.visc0 != 0.0:
-            vh *= self.decay_half
-            v = None  # transformed back with its derivatives
-        d1rho, d1vh = self._tendency(
-            rho, v, self._velocity_fields(vh, v is None))
+            vh = vh * self.decay_half
+        d1rho, d1vh = self._tendency(rho, self._velocity_fields(vh))
         rho_m = rho + 0.5 * dt * d1rho
-        del v, d1rho  # freed before the second stage's peak
+        del d1rho  # freed before the second stage's peak
         if rho_m.min() <= 0.0:
             raise PositivityLost("density positivity lost during midpoint stage")
-        fields = self._velocity_fields(vh + 0.5 * dt * d1vh, True)
+        fields = self._velocity_fields(vh + 0.5 * dt * d1vh)
         del d1vh
-        d2rho, d2vh = self._tendency(rho_m, None, fields)
+        d2rho, d2vh = self._tendency(rho_m, fields)
         rho = rho + dt * d2rho
-        v = sp.ifft((vh + dt * d2vh) * self.decay_half)
         if rho.min() <= 0.0:
             raise PositivityLost(
                 f"density positivity lost at t = {n * dt:.6g} "
                 f"(min rho = {rho.min():.3e})"
             )
-        return (rho, *v)
+        return rho, (vh + dt * d2vh) * self.decay_half
 
 
 def solve_flow(coeff: ModelCoefficients, init: FlowState, t_end: float,
@@ -214,13 +216,14 @@ def solve_flow(coeff: ModelCoefficients, init: FlowState, t_end: float,
         raise ValueError("flow states live on physical-frame grids")
     nsteps, dt = resolve_steps(t_end, ctl)
     stepper = _FlowStepper(grid, coeff, dt)
+    velocity = init.velocity()
     state = (init.rho.scalar,
-             *(init.velocity().component(i) for i in range(stepper.ndim)))
+             np.stack([velocity.component(i) for i in range(stepper.ndim)]))
     return [(t, FlowState.from_primitive(
                 Field(grid, rho),
                 Field(grid, np.stack(v, axis=-1), stepper.ndim)))
-            for t, (rho, *v) in march(stepper, state, nsteps, n_samples,
-                                      "flow")]
+            for t, (rho, v) in march(stepper, state, nsteps, n_samples,
+                                     "flow")]
 
 
 def _h_constants(coeff: ModelCoefficients):

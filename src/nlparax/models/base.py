@@ -11,6 +11,7 @@ from enum import Enum
 import numpy as np
 
 from ..fields import Field, require_finite
+from ..spectral import Spectral
 
 __all__ = [
     "ModelCoefficients",
@@ -119,13 +120,15 @@ class HyperbolicityLost(SolverError):
 
 
 def check_health(values: np.ndarray, initial_norm: float, where: str,
-                 step: int) -> None:
-    """Raise SolverNaN or SolverDiverged when values are not healthy; the
-    message names `where` and the step."""
+                 step: int, sp: Spectral) -> None:
+    """Raise SolverNaN or SolverDiverged when values, a real array or a
+    spectrum in the layout of `sp.fft`, are not healthy; the norm is the
+    grid's sum of squares either way, and the message names `where` and the
+    step."""
     # one reduction when healthy: a NaN or inf entry makes the sum of squares
     # non-finite, and only then is the finiteness scan needed to tell a
     # non-finite entry from finite values whose squares overflow
-    sq = float(np.vdot(values, values))
+    sq = sp.sum_sq(values)
     if not math.isfinite(sq) and not np.all(np.isfinite(values)):
         raise SolverNaN(f"non-finite values during {where} step {step}")
     norm = math.sqrt(sq)
@@ -152,22 +155,31 @@ def resolve_steps(span: float, ctl: StepControl) -> tuple[int, float]:
 
 def march(stepper, state: tuple[np.ndarray, ...], nsteps: int, n_samples: int,
           label: str) -> list[tuple[float, tuple[np.ndarray, ...]]]:
-    """Advance `state` by `nsteps` calls of `stepper.step(state, n)`.
+    """Advance `state` by `nsteps` calls of `stepper.step(carried, n)`.
 
-    Every array of the state is health-checked after each step.  Returns
-    (evol, state) at n_samples steps evenly spaced in step count, always
-    including the initial and the final state.
+    Between steps the state stays as the stepper carries it:
+    `stepper.carry(state)` makes that form (spectra, mostly) once, and
+    `stepper.sample(carried)` brings it back to physical space.  Every
+    carried array is health-checked after each step, one component at a
+    time, by the grid's sum of squares.  Returns (evol, state) at n_samples
+    steps evenly spaced in step count, always including the initial state,
+    as given, and the final state; only those samples return to physical
+    space.
     """
     # a sample at every step is the most there can be
     n_samples = min(n_samples, nsteps + 1)
     sample_at = {round(j * nsteps / max(n_samples - 1, 1))
                  for j in range(max(n_samples, 2))} | {nsteps}
     init_norm = math.sqrt(sum(float(np.sum(a**2)) for a in state))
+    sp = stepper.sp
+    ndim = len(sp.shape)
     out = [(0.0, state)]
+    carried = stepper.carry(state)
     for n in range(1, nsteps + 1):
-        state = stepper.step(state, n)
-        for a in state:
-            check_health(a, init_norm, label, n)
+        carried = stepper.step(carried, n)
+        for a in carried:
+            for part in a.reshape(-1, *a.shape[a.ndim - ndim:]):
+                check_health(part, init_norm, label, n, sp)
         if n in sample_at:
-            out.append((n * stepper.dt, state))
+            out.append((n * stepper.dt, stepper.sample(carried)))
     return out

@@ -13,11 +13,11 @@ NPE, marched in slow time tau with periodic range coordinate z:
 Both use Strang splitting: the viscous term decays exactly per Fourier mode
 (integrating factor), the nonlinearity + diffraction (+ source) advance by
 the explicit midpoint rule with dealiased products.  The zero mean along the
-periodic conjugate axis is re-imposed by projection after every step.  A step
-runs on one whole-grid spectrum: decay, derivative, diffraction and
-projection are multipliers on it, each stage transforms v^2 once, the fixed
-source is transformed once when the stepper is built, and the state returns
-to physical space at the step boundary.
+periodic conjugate axis is re-imposed by projection after every step.  The
+march carries one whole-grid spectrum from step to step: decay, derivative,
+diffraction and projection are multipliers on it, each stage transforms v^2
+once, the fixed source is transformed once when the stepper is built, and
+the state returns to physical space only at the samples the march returns.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class _OneWayStepper:
     The evolution equation is dI/devol = a_nl * d_ax(I^2) + d_visc * d_ax^2 I
     + d_diff * Lap_y(invd_ax I) + src_scale * S, where `ax` is the periodic
     conjugate axis (tau for KZK, z for NPE) and S a fixed array.  Every
-    linear operator is a multiplier on the whole-grid spectrum: a step
-    transforms v once, each stage transforms v^2, and the mean-zero state
-    returns to physical space at the end of the step.  The forcing
-    src_scale * S, projected mean-zero along ax, is transformed once here.
+    linear operator is a multiplier on the whole-grid spectrum vh, which is
+    the carried state: each stage of a step transforms v back and v^2
+    forward.  The forcing src_scale * S, projected mean-zero along ax, is
+    transformed once here.
     """
 
     def __init__(self, grid: Grid, ax_name: str, a_nl: float, d_visc: float,
@@ -82,16 +82,25 @@ class _OneWayStepper:
             out = out + self.forcing
         return out
 
-    def step(self, state, n: int):
+    def carry(self, state):
+        """The spectrum (vh,) of the physical state (v,)."""
+        (v,) = state
+        return (self.sp.fft(v),)
+
+    def sample(self, carried):
+        """The physical state (v,) of the spectrum (vh,)."""
+        (vh,) = carried
+        return (self.sp.ifft(vh),)
+
+    def step(self, carried, n: int):
         """Viscous half step, explicit midpoint, viscous half step."""
         sp, dt = self.sp, self.dt
-        (v,) = state
-        vh = sp.fft(v) * self.decay_half
+        (vh,) = carried
+        vh = vh * self.decay_half
         k1 = self._tendency(sp.ifft(vh), vh)
         vh_m = vh + 0.5 * dt * k1
         k2 = self._tendency(sp.ifft(vh_m), vh_m)
-        vh = (vh + dt * k2) * self.decay_half * self.mean_zero
-        return (sp.ifft(vh),)
+        return ((vh + dt * k2) * self.decay_half * self.mean_zero,)
 
 
 def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,

@@ -4,11 +4,12 @@ Both equations are integrated as first-order systems in (u, u_t) with Strang
 splitting: the stiff linear part (c^2 Laplacian plus the eps*nu/rho0 viscous
 damping of u_t) is propagated exactly per Fourier mode by a closed-form 2x2
 matrix exponential, and the nonlinear tendency is advanced by the explicit
-midpoint rule with dealiased products.  A step runs on spectra: it transforms
-(u, u_t) once, applies both half-step propagators as multiplies, transforms
-each midpoint stage's products once, and returns to physical space at the
-step boundary.  The transforms that one direction of a stage needs at once
-go through the spectral core in one call.
+midpoint rule with dealiased products.  The march carries the spectra of
+(u, u_t) from step to step: a step applies both half-step propagators as
+multiplies and transforms each midpoint stage's products once, and the
+state returns to physical space only at the samples the march returns.  The
+transforms that one direction of a stage needs at once go through the
+spectral core in one call.
 
 Kuznetsov:   u_tt - c^2 Lap u = eps d/dt( (grad u)^2
                                           + (gamma-1)/(2 c^2) (u_t)^2
@@ -70,11 +71,11 @@ def _linear_propagator(ksq: np.ndarray, c: float, damp: float, dt: float):
 class _WaveStepper:
     """Strang-split stepper shared by the Kuznetsov and Westervelt models.
 
-    A step transforms (u, w) once, runs both half-step propagations and the
-    midpoint stages on the spectra, and returns to physical space at its end.
-    A stage makes one inverse call for grad w (and grad u on the first
-    stage), w and the linear tendency, a forward and an inverse call for the
-    gradient product, and a forward call for the rest.
+    The carried state is the spectra (uh, wh) of (u, w): a step runs both
+    half-step propagations and the midpoint stages on them.  A stage makes
+    one inverse call for grad w (and grad u on the first stage), w and the
+    linear tendency, a forward and an inverse call for the gradient
+    product, and a forward call for the rest.
     """
 
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float,
@@ -135,16 +136,24 @@ class _WaveStepper:
         rhs = lin + sp.ifft(gh) if self.b_grad != 0.0 else lin
         return keep * sp.fft(rhs / denom - lin), du
 
-    def step(self, state, n: int):
+    def carry(self, state):
+        """The spectra (uh, wh) of the physical state (u, w)."""
+        return tuple(self.sp.fft(state))
+
+    def sample(self, carried):
+        """The physical state (u, w) of the spectra (uh, wh)."""
+        return tuple(self.sp.ifft(carried))
+
+    def step(self, carried, n: int):
         """Linear half step, explicit midpoint for the nonlinear flow (u
         frozen, w evolves), linear half step."""
-        sp, dt = self.sp, self.dt
-        uh, wh = self._propagate(*sp.fft(state))
+        dt = self.dt
+        uh, wh = self._propagate(*carried)
         if self.a_local != 0.0 or self.b_grad != 0.0:
             k1, du = self._tendency(uh, wh, None, n)
             k2, _ = self._tendency(uh, wh + 0.5 * dt * k1, du, n)
             wh = wh + dt * k2
-        return tuple(sp.ifft(self._propagate(uh, wh)))
+        return self._propagate(uh, wh)
 
 
 def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,

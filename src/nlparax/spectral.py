@@ -92,6 +92,13 @@ def _unstack(block: np.ndarray, arrays, j: int) -> list[np.ndarray]:
     return out
 
 
+def _real_sum_sq(v: np.ndarray) -> float:
+    """Sum of |v|^2 over the real and imaginary parts as reals: a complex
+    product that overflows gives NaN, not inf."""
+    parts = np.ascontiguousarray(v).view(np.float64)
+    return float(np.vdot(parts, parts))
+
+
 class Spectral:
     """Transforms and periodic-axis operators of one grid; axes are given
     by name or by index into `grid.axes`.  `fft` is an rfftn over every axis
@@ -161,6 +168,19 @@ class Spectral:
     def ifft(self, vh):
         """Inverse of `fft`, for one spectrum or an iterable of them."""
         return _inverse(vh, self.shape, self._axes)
+
+    def sum_sq(self, v: np.ndarray) -> float:
+        """Sum of squares over the grid of a real array, or, for a spectrum
+        in the layout of `fft`, of the real array it is the spectrum of
+        (Parseval: the modes of the last axis between 0 and Nyquist stand
+        for two)."""
+        if not np.iscomplexobj(v):
+            return float(np.vdot(v, v))
+        total = _real_sum_sq(v)
+        if not math.isfinite(total):
+            return total  # and not inf - inf below
+        return ((2.0 * total - _real_sum_sq(v[..., [0, -1]]))
+                / math.prod(self.shape))
 
     def filter(self, v: np.ndarray, axis: str | int,
                symbol: np.ndarray) -> np.ndarray:

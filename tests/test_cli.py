@@ -364,6 +364,22 @@ def test_sweep_refuses_a_setting_that_would_skip_its_gate(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over_eps, message", [
+    (False, "time span 1e+308 with step"),
+    (True, "horizon 1e+308 over eps = 0.04 is not a finite time span"),
+], ids=["fixed-horizon", "horizon-over-eps"])
+def test_sweep_step_count_that_does_not_fit_exits_1(tmp_path, capsys,
+                                                    over_eps, message):
+    # a step count beyond the float range is refused by name before a
+    # member marches, as a solve refuses its span
+    payload = {"schema_version": 1, "sweep": dict(
+        FAILING_STUDY, horizon=1e308, horizon_over_eps=over_eps)}
+    cfg = _write(tmp_path, "sweepbig.json", payload)
+    assert main(["sweep", "--config", cfg, "--out",
+                 str(tmp_path / "sb")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_compare_does_not_enforce_verdicts(tmp_path):
     payload = {"schema_version": 1,
                "compare": dict(FAILING_STUDY, name="cmp")}

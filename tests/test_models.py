@@ -28,6 +28,7 @@ from nlparax.models.base import (
     resolve_steps,
 )
 from nlparax.models.waves import _WaveStepper
+from nlparax.spectral import Spectral
 
 
 def _damped_mode_exact(coeff, k, t):
@@ -208,12 +209,45 @@ def test_lost_hyperbolicity_names_the_step_and_the_value(coeff):
      "norm 1.000e+07 exceeds 1e6 x initial (1.000e+00) during probe step 3"),
 ], ids=["nan", "inf", "-inf", "overflow", "diverged"])
 def test_check_health_tells_non_finite_from_divergence(bad, error, message):
+    # a spectrum is judged by the norm of the array it is the spectrum of
+    sp = Spectral(_grid1d(64))
     values = np.zeros(64)
-    check_health(values, 1.0, "probe", 3)
+    check_health(values, 1.0, "probe", 3, sp)
+    check_health(sp.fft(values), 1.0, "probe", 3, sp)
     values[17] = bad
-    with np.errstate(over="ignore"), pytest.raises(error) as info:
-        check_health(values, 1.0, "probe", 3)
-    assert str(info.value) == message
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = sp.fft(values)
+    for form in (values, spectrum):
+        with np.errstate(over="ignore"), pytest.raises(error) as info:
+            check_health(form, 1.0, "probe", 3, sp)
+        assert str(info.value) == message
+
+
+class _Poisoned:
+    """A stepper that puts a NaN into one mode of its carried spectrum u
+    at one step."""
+
+    def __init__(self, stepper, at):
+        self.inner, self.at = stepper, at
+        self.sp, self.dt = stepper.sp, stepper.dt
+        self.carry, self.sample = stepper.carry, stepper.sample
+
+    def step(self, carried, n):
+        uh, wh = self.inner.step(carried, n)
+        if n == self.at:
+            uh = uh.copy()
+            uh[5] = np.nan
+        return uh, wh
+
+
+def test_nan_in_a_carried_spectrum_names_the_step(coeff):
+    g = _grid1d(32)
+    x = g.mesh()[0]
+    stepper = _Poisoned(_WaveStepper(g, coeff, 0.01, coeff.alpha, 2.0), 7)
+    with pytest.raises(SolverNaN) as info:
+        march(stepper, (0.1 * np.sin(x), -0.1 * np.cos(x)), 20, 2,
+              "kuznetsov")
+    assert str(info.value) == "non-finite values during kuznetsov step 7"
 
 
 def test_kuznetsov_sampling(coeff):

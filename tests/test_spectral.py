@@ -18,6 +18,7 @@ from nlparax import (
 )
 from nlparax import spectral
 from nlparax.flow import _FlowStepper
+from nlparax.models.base import march
 from nlparax.models.oneway import _OneWayStepper
 from nlparax.models.waves import _WaveStepper
 from nlparax.spectral import Spectral, require_mean_zero
@@ -265,13 +266,27 @@ def test_only_spectral_calls_numpy_fft():
     assert offenders == []
 
 
+@pytest.mark.parametrize("shape", [(64,), (32, 16), (8, 6, 10), (3, 32)],
+                         ids=["1d", "2d", "3d", "1d-stacked"])
+def test_health_norm_of_a_spectrum_is_the_physical_norm(shape, rng):
+    # the march checks carried spectra by Parseval's sum in the layout of
+    # fft; a leading axis is a stack of components
+    axes = shape[1:] if shape == (3, 32) else shape
+    sp = Spectral(Grid(tuple(Axis(f"x{i + 1}", 1.0 + i, n)
+                             for i, n in enumerate(axes))))
+    v = rng.standard_normal(shape)
+    physical = sp.sum_sq(v)
+    assert physical == pytest.approx(float(np.sum(v * v)), rel=1e-14)
+    assert abs(sp.sum_sq(sp.fft(v)) - physical) <= 1e-12 * physical
+
+
 def test_fft_calls_per_step_are_pinned(monkeypatch):
-    # each stepper transforms once per stage and keeps its spectra through
-    # the step; a transform added back to a step shows up here
+    # each stepper transforms once per stage and carries its spectra from
+    # step to step; a transform added back to a step shows up here
     calls = []
     for name in ("_forward", "_inverse"):
-        def counted(*args, _op=getattr(spectral, name)):
-            calls.append(1)
+        def counted(*args, _op=getattr(spectral, name), _name=name):
+            calls.append(_name)
             return _op(*args)
         monkeypatch.setattr(spectral, name, counted)
 
@@ -291,26 +306,38 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
 
     def flow(g, c):
         return (_FlowStepper(g, c, 0.01),
-                (1.0 + smooth(g), *(smooth(g) for _ in g.axes)))
+                (1.0 + smooth(g), np.stack([smooth(g) for _ in g.axes])))
 
     def oneway(g, ax, source=None):
         return (_OneWayStepper(g, ax, 1.0, 0.1, 0.5, 0.01, 0.1, source),
                 (smooth(g),))
 
     budget = {
-        "kuznetsov 1d": (wave(g1, coeff.alpha, 2.0), 10),
-        "kuznetsov 2d": (wave(g2, coeff.alpha, 2.0), 10),
-        "westervelt 1d": (wave(g1, 2.4, 0.0), 6),
-        "westervelt 2d": (wave(g2, 2.4, 0.0), 6),
-        "flow 1d": (flow(g1, coeff), 10),
-        "flow 1d inviscid": (flow(g1, inviscid), 10),
-        "flow 2d": (flow(g2, coeff), 10),
-        "npe 1d": (oneway(npe, "z"), 6),
-        "kzk 2d": (oneway(kzk, "tau"), 6),
+        "kuznetsov 1d": (wave(g1, coeff.alpha, 2.0), 8),
+        "kuznetsov 2d": (wave(g2, coeff.alpha, 2.0), 8),
+        "westervelt 1d": (wave(g1, 2.4, 0.0), 4),
+        "westervelt 2d": (wave(g2, 2.4, 0.0), 4),
+        "flow 1d": (flow(g1, coeff), 8),
+        "flow 1d inviscid": (flow(g1, inviscid), 8),
+        "flow 2d": (flow(g2, coeff), 8),
+        "npe 1d": (oneway(npe, "z"), 4),
+        "kzk 2d": (oneway(kzk, "tau"), 4),
         # the fixed source is transformed once, when the stepper is built
-        "kzk 2d with source": (oneway(kzk, "tau", smooth(kzk)), 6),
+        "kzk 2d with source": (oneway(kzk, "tau", smooth(kzk)), 4),
     }
+    nsteps, n_samples = 6, 3
     for label, ((stepper, state), expect) in budget.items():
         calls.clear()
-        stepper.step(state, 1)
+        carried = stepper.carry(state)
+        assert calls == ["_forward"], label
+        calls.clear()
+        stepper.step(carried, 1)
         assert len(calls) == expect, label
+        calls.clear()
+        stepper.sample(carried)
+        assert calls == ["_inverse"], label
+        # a march: one forward call to start, the steps, and one inverse
+        # call per sample after the initial one, which is the state given
+        calls.clear()
+        march(stepper, state, nsteps, n_samples, label)
+        assert len(calls) == 1 + nsteps * expect + n_samples - 1, label

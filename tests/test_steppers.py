@@ -1,13 +1,16 @@
 """One step of each stepper against the same scheme composed from the
 one-axis operators of `Spectral` (`d`, `lap`, `inv`, `filter`, `dealias`),
 each of which transforms on its own.  The steppers run on whole-grid
-spectra; the two must agree to rounding."""
+spectra; the two must agree to rounding.  A long march, which carries the
+spectra from step to step, must agree with the same steps taken one at a
+time from physical space and back."""
 
 import numpy as np
 import pytest
 
 from nlparax import Axis, Frame, Grid, ModelCoefficients
 from nlparax.flow import _FlowStepper, pressure_from_density
+from nlparax.models.base import march
 from nlparax.models.oneway import _OneWayStepper
 from nlparax.models.waves import _linear_propagator, _WaveStepper
 from nlparax.spectral import Spectral
@@ -37,6 +40,11 @@ def _assert_same_state(got, expect):
     assert len(got) == len(expect)
     for a, b in zip(got, expect):
         assert np.abs(a - b).max() <= RTOL * np.abs(b).max()
+
+
+def _one_step(stepper, state, n):
+    """Step n of stepper from the physical state, back in physical space."""
+    return stepper.sample(stepper.step(stepper.carry(state), n))
 
 
 GRIDS_1D = _grid(Frame.PHYSICAL, ("x1", 2 * np.pi, 64))
@@ -85,7 +93,7 @@ def test_wave_step_matches_the_composed_operators(grid, model, rng):
     u, w = _smooth(grid, rng, 0.3), _smooth(grid, rng, 0.3)
     stepper = _WaveStepper(grid, COEFF, DT, a_local, b_grad)
     _assert_same_state(
-        stepper.step((u, w), 1),
+        _one_step(stepper, (u, w), 1),
         _wave_reference(grid, COEFF, DT, a_local, b_grad, damp, u, w))
 
 
@@ -132,8 +140,9 @@ def test_flow_step_matches_the_composed_operators(grid, nu, rng):
     rho = coeff.rho0 * (1.0 + _smooth(grid, rng, 0.1))
     v = [_smooth(grid, rng, 0.1) for _ in grid.axes]
     stepper = _FlowStepper(grid, coeff, DT)
-    _assert_same_state(stepper.step((rho, *v), 1),
-                       _flow_reference(grid, coeff, DT, rho, v))
+    rho_1, *v_1 = _flow_reference(grid, coeff, DT, rho, v)
+    _assert_same_state(_one_step(stepper, (rho, np.stack(v)), 1),
+                       (rho_1, np.stack(v_1)))
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +193,53 @@ def test_oneway_step_matches_the_composed_operators(case, rng):
     source = 0.5 + _smooth(grid, rng, 1.0) if with_source else None
     coefs = dict(a_nl=0.7, d_visc=0.05, d_diff=-0.6, dt=DT, src_scale=0.4)
     stepper = _OneWayStepper(grid, ax_name, source=source, **coefs)
-    _assert_same_state(stepper.step((v,), 3),
+    _assert_same_state(_one_step(stepper, (v,), 3),
                        _oneway_reference(grid, ax, source=source, v=v,
                                          **coefs))
+
+
+# ----------------------------------------------------------------------
+# the carried state
+
+
+LONG_MARCH = 200
+
+
+def _long_march_cases(rng):
+    """label -> (stepper, physical initial state) for every stepper on a 1D
+    and a 2D grid."""
+    cases = {}
+    for dim, grid in (("1d", GRIDS_1D), ("2d", GRIDS_2D)):
+        def wave(a_local, b_grad):
+            return (_WaveStepper(grid, COEFF, 0.01, a_local, b_grad),
+                    (_smooth(grid, rng, 0.3), _smooth(grid, rng, 0.3)))
+
+        cases[f"kuznetsov-{dim}"] = wave(COEFF.alpha, 2.0)
+        cases[f"westervelt-{dim}"] = wave((COEFF.gamma + 1.0) / COEFF.c**2,
+                                          0.0)
+        for tag, nu in (("viscous", COEFF.nu), ("inviscid", 0.0)):
+            coeff = ModelCoefficients(c=COEFF.c, rho0=COEFF.rho0,
+                                      gamma=COEFF.gamma, nu=nu,
+                                      eps=COEFF.eps)
+            cases[f"flow-{tag}-{dim}"] = (
+                _FlowStepper(grid, coeff, 0.01),
+                (coeff.rho0 * (1.0 + _smooth(grid, rng, 0.1)),
+                 np.stack([_smooth(grid, rng, 0.1) for _ in grid.axes])))
+    for case, (grid, ax_name, with_source) in ONEWAY_CASES.items():
+        sp = Spectral(grid)
+        source = 0.5 + _smooth(grid, rng, 1.0) if with_source else None
+        cases[case] = (
+            _OneWayStepper(grid, ax_name, 0.7, 0.05, -0.6, 0.005, 0.4,
+                           source),
+            (sp.mean_zero(_smooth(grid, rng, 0.3), ax_name),))
+    return cases
+
+
+def test_long_march_matches_the_steps_through_physical_space(rng):
+    for label, (stepper, state) in _long_march_cases(rng).items():
+        _, carried = march(stepper, state, LONG_MARCH, 2, label)[-1]
+        physical = state
+        for n in range(1, LONG_MARCH + 1):
+            physical = _one_step(stepper, physical, n)
+        for a, b in zip(carried, physical, strict=True):
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), label
