@@ -111,10 +111,10 @@ class _FlowStepper:
     """Explicit midpoint for (rho, v) between two exact viscous half steps.
 
     The carried state is (rho, vh): the density, and the spectrum of the
-    velocity.  Each stage makes two calls each way: v and its derivatives
-    back to physical space, rho v and p forward, their derivatives back, and
-    the velocity tendency forward.  Velocities travel stacked, one component
-    per leading index.
+    velocity.  Each stage makes two calls each way, each on one block of
+    rows: v and its derivatives back to physical space, rho v and p
+    forward, their derivatives back, and the velocity tendency forward.
+    Velocities travel stacked, one component per leading index.
     """
 
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float):
@@ -122,57 +122,75 @@ class _FlowStepper:
         self.dt = dt
         self.sp = Spectral(grid)
         self.ndim = len(grid.axes)
-        self.keep = self.sp.keep()
-        self.neg_ksq = -self.sp.ksq
         self.visc = coeff.eps * coeff.nu
+        self.inv_rho0 = 1.0 / coeff.rho0
         # exact decay of the eps*nu/rho0 Lap v part per rfftn mode
         self.visc0 = coeff.eps * coeff.nu / coeff.rho0
-        self.decay_half = np.exp(-self.visc0 * self.sp.ksq * dt / 2.0)
+        # Real multipliers of spectra are stored complex and the step's
+        # scalars as 0-d arrays: numpy would convert them on every call, to
+        # the same values.
+        self.keep = self.sp.keep().astype(complex)
+        self.neg_ksq = (-self.sp.ksq).astype(complex)
+        self.decay_half = np.exp(
+            -self.visc0 * self.sp.ksq * dt / 2.0).astype(complex)
+        self.half_dt = np.array(0.5 * dt)
+        self.full_dt = np.array(dt)
 
-    def _velocity_fields(self, vh: np.ndarray):
+    def _velocity_fields(self, vh: np.ndarray) -> np.ndarray:
         """grad v (one stack per axis), Lap v when viscous, and v, from the
-        spectrum vh in one inverse call that takes its inputs one at a
-        time."""
-        def spectra():
-            for k in self.sp.ik:
-                yield k * vh
-            if self.visc != 0.0:
-                yield self.neg_ksq * vh
-            yield vh
+        spectrum vh in one inverse call."""
+        ik = self.sp.ik
+        block = np.empty((len(ik) + (self.visc != 0.0) + 1, *vh.shape),
+                         complex)
+        for j, k in enumerate(ik):
+            np.multiply(k, vh, out=block[j])
+        if self.visc != 0.0:
+            np.multiply(self.neg_ksq, vh, out=block[-2])
+        block[-1] = vh
+        return self.sp.ifft(block)
 
-        return self.sp.ifft(spectra())
-
-    def _tendency(self, rho: np.ndarray, fields: list[np.ndarray]):
-        """d rho/dt, and the spectrum of dv/dt, at rho and the velocity
-        whose fields _velocity_fields gave.  rho must be positive."""
+    def _tendency(self, rho: np.ndarray, fields: np.ndarray):
+        """div(rho v), dealiased, and the spectrum of dv/dt, at rho and the
+        velocity whose fields _velocity_fields gave.  rho must be
+        positive."""
         coeff, sp, keep, ik = self.coeff, self.sp, self.keep, self.sp.ik
-        v = fields.pop()
-        lap = fields.pop() if self.visc != 0.0 else None
-        dv = fields
-        flux = rho * v
+        nd = self.ndim
+        v, dv = fields[-1], fields[:nd]
+        # rows: rho v (one per axis) and p
+        flux = np.empty((nd + 1, *rho.shape))
+        np.multiply(rho, v, out=flux[:nd])
+        flux[nd] = _pressure(coeff, rho)
         # the advection and viscous terms, formed in place as the sum below
         # would form them, so that v and its derivatives need no copies
-        for j in range(self.ndim):
+        for j in range(nd):
             dv[j] *= v[j]
-        del v
-        if self.visc != 0.0:
+        lap = fields[nd] if self.visc != 0.0 else None
+        if lap is not None:
             # correction beyond the exactly-propagated eps*nu/rho0 part
             lap *= self.visc
-            lap *= 1.0 / rho - 1.0 / coeff.rho0
-        mh, ph = sp.fft([flux, _pressure(coeff, rho)])
+            lap *= 1.0 / rho - self.inv_rho0
+        spectra = sp.fft(flux)
         del flux
-        spectra = [keep * sum(k * m for k, m in zip(ik, mh)),
-                   np.stack([k * ph for k in ik])]
-        del mh, ph
-        div_m, dp = sp.ifft(spectra)
-        del spectra
-        acc = -dp / rho
+        mh, ph = spectra[:nd], spectra[nd]
+        # rows: the dealiased div(rho v), and grad p (one per axis)
+        block = np.empty((nd + 1, *ph.shape), complex)
+        np.multiply(keep, sum(k * m for k, m in zip(ik, mh)), out=block[0])
+        for j, k in enumerate(ik):
+            np.multiply(k, ph, out=block[1 + j])
+        del spectra, mh, ph
+        div_dp = sp.ifft(block)
+        del block
+        div_m, acc = div_dp[0], div_dp[1:]
+        # -grad p / rho
+        acc = np.negative(acc, out=acc)
+        acc /= rho
         for adv in dv:
             acc -= adv
-        if self.visc != 0.0:
+        if lap is not None:
             acc += lap
-        del dp, dv, lap  # freed before the last transform
-        return -div_m, keep * sp.fft(acc)
+        del fields, v, dv, lap  # freed before the last transform
+        acc_h = sp.fft(acc)
+        return div_m, np.multiply(keep, acc_h, out=acc_h)
 
     def carry(self, state):
         """(rho, vh) of the physical state (rho, v), v stacked."""
@@ -186,25 +204,28 @@ class _FlowStepper:
 
     def step(self, carried, n: int):
         """Advance (rho, vh) from step n - 1 to step n."""
-        dt = self.dt
         rho, vh = carried
         if self.visc0 != 0.0:
             vh = vh * self.decay_half
-        d1rho, d1vh = self._tendency(rho, self._velocity_fields(vh))
-        rho_m = rho + 0.5 * dt * d1rho
-        del d1rho  # freed before the second stage's peak
-        if rho_m.min() <= 0.0:
+        # d rho/dt = -div(rho v): rho + h*d rho/dt is rho - h*div(rho v)
+        div1, d1vh = self._tendency(rho, self._velocity_fields(vh))
+        rho_m = rho - np.multiply(self.half_dt, div1, out=div1)
+        del div1  # freed before the second stage's peak
+        if np.minimum.reduce(rho_m, axis=None) <= 0.0:
             raise PositivityLost("density positivity lost during midpoint stage")
-        fields = self._velocity_fields(vh + 0.5 * dt * d1vh)
+        d1vh = np.multiply(self.half_dt, d1vh, out=d1vh)
+        fields = self._velocity_fields(np.add(vh, d1vh, out=d1vh))
         del d1vh
-        d2rho, d2vh = self._tendency(rho_m, fields)
-        rho = rho + dt * d2rho
-        if rho.min() <= 0.0:
+        div2, d2vh = self._tendency(rho_m, fields)
+        rho = rho - np.multiply(self.full_dt, div2, out=div2)
+        if np.minimum.reduce(rho, axis=None) <= 0.0:
             raise PositivityLost(
-                f"density positivity lost at t = {n * dt:.6g} "
+                f"density positivity lost at t = {n * self.dt:.6g} "
                 f"(min rho = {rho.min():.3e})"
             )
-        return rho, (vh + dt * d2vh) * self.decay_half
+        d2vh = np.multiply(self.full_dt, d2vh, out=d2vh)
+        d2vh = np.add(vh, d2vh, out=d2vh)
+        return rho, np.multiply(d2vh, self.decay_half, out=d2vh)
 
 
 def solve_flow(coeff: ModelCoefficients, init: FlowState, t_end: float,

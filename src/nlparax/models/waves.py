@@ -72,10 +72,11 @@ class _WaveStepper:
     """Strang-split stepper shared by the Kuznetsov and Westervelt models.
 
     The carried state is the spectra (uh, wh) of (u, w): a step runs both
-    half-step propagations and the midpoint stages on them.  A stage makes
-    one inverse call for grad w (and grad u on the first stage), w and the
-    linear tendency, a forward and an inverse call for the gradient
-    product, and a forward call for the rest.
+    half-step propagations and the midpoint stages on them.  A stage fills
+    one block with the spectra of grad w (and grad u on the first stage), w
+    and the linear tendency, and makes one inverse call on it; then a
+    forward and an inverse call for the gradient product, and a forward
+    call for the rest.
     """
 
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float,
@@ -87,72 +88,101 @@ class _WaveStepper:
         self.sp = Spectral(grid)
         damp = coeff.eps * coeff.nu / coeff.rho0
         ksq = self.sp.ksq
-        self.half = _linear_propagator(ksq, coeff.c, damp, dt / 2.0)
+        keep = self.sp.keep()
+        # The step's constants, folded as its formulas group them.  Real
+        # multipliers of spectra are stored complex and scalars as 0-d
+        # arrays: numpy would convert them on every call, to the same values.
+        self.half = tuple(e.astype(complex) for e in
+                          _linear_propagator(ksq, coeff.c, damp, dt / 2.0))
         # linear tendency of w: -c^2 |k|^2 u - damp |k|^2 w
-        self.lin_u = -coeff.c**2 * ksq
-        self.lin_w = -damp * ksq
-        self.keep = self.sp.keep()
+        self.lin_u = (-coeff.c**2 * ksq).astype(complex)
+        self.lin_w = (-damp * ksq).astype(complex)
+        self.keep = keep.astype(complex)
+        self.gain = (keep * (coeff.eps * b_grad)).astype(complex)
+        self.eps_a = np.array(coeff.eps * a_local)
+        self.half_dt = np.array(complex(0.5 * dt))
+        self.full_dt = np.array(complex(dt))
+        # a stage's transform inputs, one row each: grad u and grad w when
+        # b_grad != 0, then w and the linear tendency when a_local != 0
+        self.grads = len(grid.axes) if b_grad != 0.0 else 0
+        self.rows = 2 * self.grads + (2 if a_local != 0.0 else 0)
 
     def _propagate(self, uh: np.ndarray, wh: np.ndarray):
         e11, e12, e21, e22 = self.half
-        return e11 * uh + e12 * wh, e21 * uh + e22 * wh
+        u = e11 * uh
+        u += e12 * wh
+        w = e21 * uh
+        w += e22 * wh
+        return u, w
 
     def _tendency(self, uh: np.ndarray, wh: np.ndarray,
-                  du: list[np.ndarray] | None, n: int):
+                  du: np.ndarray | None, n: int):
         """Spectrum of the dealiased deviation of w_t from the linear
         tendency at u (spectrum uh, gradient du) and w (spectrum wh), and
         du.  When du is None, grad u is transformed in this stage's inverse
         call and returned.  Raises HyperbolicityLost when the factor
         1 - eps*a*w that the u_t u_tt term divides by is not positive
         everywhere."""
-        sp, ik = self.sp, self.sp.ik
-        eps, keep = self.coeff.eps, self.keep
-        spectra = []
-        if self.b_grad != 0.0:
+        sp, ik, grads = self.sp, self.sp.ik, self.grads
+        block = np.empty((self.rows, *uh.shape), complex)
+        for j in range(grads):
             if du is None:
-                spectra += [k * uh for k in ik]
-            spectra += [k * wh for k in ik]
+                np.multiply(ik[j], uh, out=block[j])
+            np.multiply(ik[j], wh, out=block[grads + j])
         if self.a_local != 0.0:
-            spectra += [wh, self.lin_u * uh + self.lin_w * wh]
-        fields = sp.ifft(spectra)
-        del spectra  # freed before the products below
-        if self.b_grad != 0.0:
-            if du is None:
-                du, fields = fields[:len(ik)], fields[len(ik):]
-            dw, fields = fields[:len(ik)], fields[len(ik):]
-            # eps*b grad u . grad w, dealiased
-            gdot = sum(du_i * dw_i for du_i, dw_i in zip(du, dw))
-            del dw
-            gh = keep * (eps * self.b_grad) * sp.fft(gdot)
+            block[-2] = wh
+            lin_h = np.multiply(self.lin_u, uh, out=block[-1])
+            lin_h += self.lin_w * wh
+        fields = sp.ifft(block[0 if du is None else grads:])
+        del block  # freed before the products below
+        if du is None:
+            # a copy, so that the next stage does not keep all of fields
+            du, fields = fields[:grads].copy(), fields[grads:]
+        if grads:
+            dw, fields = fields[:grads], fields[grads:]
+            # eps*b grad u . grad w, dealiased; sum() starts from the int 0,
+            # which turns a -0.0 product into +0.0
+            gdot = sum(np.multiply(du, dw, out=dw))
+            gh = sp.fft(gdot)
+            gh = np.multiply(self.gain, gh, out=gh)
             if self.a_local == 0.0:
                 return gh, du
         w, lin = fields
-        denom = 1.0 - eps * self.a_local * w
-        margin = float(denom.min())
+        denom = np.multiply(self.eps_a, w, out=w)
+        denom = np.subtract(1.0, denom, out=denom)
+        margin = float(np.minimum.reduce(denom, axis=None))
         if margin <= 0.0:
             raise HyperbolicityLost(
                 f"hyperbolicity lost at step {n}: min(1 - eps*a*w) = "
                 f"{margin:.3e}")
-        rhs = lin + sp.ifft(gh) if self.b_grad != 0.0 else lin
-        return keep * sp.fft(rhs / denom - lin), du
+        if grads:
+            rhs = sp.ifft(gh)
+            rhs = np.add(lin, rhs, out=rhs)
+            rhs /= denom
+        else:
+            rhs = lin / denom
+        rhs -= lin
+        out = sp.fft(rhs)
+        return np.multiply(self.keep, out, out=out), du
 
     def carry(self, state):
         """The spectra (uh, wh) of the physical state (u, w)."""
-        return tuple(self.sp.fft(state))
+        return tuple(self.sp.fft(np.stack(state)))
 
     def sample(self, carried):
         """The physical state (u, w) of the spectra (uh, wh)."""
-        return tuple(self.sp.ifft(carried))
+        return tuple(self.sp.ifft(np.stack(carried)))
 
     def step(self, carried, n: int):
         """Linear half step, explicit midpoint for the nonlinear flow (u
         frozen, w evolves), linear half step."""
-        dt = self.dt
         uh, wh = self._propagate(*carried)
         if self.a_local != 0.0 or self.b_grad != 0.0:
             k1, du = self._tendency(uh, wh, None, n)
-            k2, _ = self._tendency(uh, wh + 0.5 * dt * k1, du, n)
-            wh = wh + dt * k2
+            k1 = np.multiply(self.half_dt, k1, out=k1)
+            k2, _ = self._tendency(uh, np.add(wh, k1, out=k1), du, n)
+            k2 = np.multiply(self.full_dt, k2, out=k2)
+            wh += k2
         return self._propagate(uh, wh)
 
 

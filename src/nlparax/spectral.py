@@ -5,8 +5,10 @@ of the solvers, correctors, remainders and error norms goes through one
 grid-bound `Spectral`, which caches its symbols (wavenumbers, multipliers,
 masks) on first use.  This is the only module that calls `numpy.fft`.
 Arrays carry the grid's axes last; leading axes (a stack of components, say)
-ride along, and `fft`/`ifft` also take a list, tuple or generator of
-arrays.  An operator along a bounded axis raises a ValueError naming it.
+ride along.  `fft`/`ifft` take one array whose leading axes are rows, such
+as a block that a stepper fills with the transforms of one stage: one
+numpy call on a 1D grid, and row by row on more axes.  An operator along a
+bounded axis raises a ValueError naming it.
 Callers pass arrays: there are no Field-level wrappers.
 """
 
@@ -28,30 +30,30 @@ def _check_periodic(axis: Axis) -> None:
                          "operators require a periodic axis")
 
 
-def _forward(v, axes: tuple[int, ...]):
-    """rfftn of v over axes; of each array, as a list, when v is an
-    iterable of arrays.  On one axis they make one numpy call, stacked as
-    the rows of one block; on several axes they go one at a time, because
-    stacking them slows the transform, and a generator's arrays need not
-    all exist at once."""
-    if isinstance(v, np.ndarray):
+def _forward(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """rfftn of v over axes, the last axes of v; its leading axes are rows.
+    On one axis that is one numpy call.  On several the rows go one at a
+    time: that holds one row's intermediate at a time, and at 128 x 128 it
+    ran faster than one call per axis over a block of rows."""
+    if len(axes) == 1 or v.ndim == len(axes):
         return _rfftn(v, axes)
-    if len(axes) == 1:
-        v = list(v)
-        return _unstack(np.fft.rfft(_rows(v, axes[0]), axis=axes[0]),
-                        v, axes[0])
-    return [_rfftn(a, axes) for a in v]
+    grid = v.shape[-len(axes):]
+    spectrum = grid[:-1] + (grid[-1] // 2 + 1,)
+    out = np.empty(v.shape[:-len(axes)] + spectrum, complex)
+    for row, vh in zip(v.reshape(-1, *grid), out.reshape(-1, *spectrum)):
+        vh[...] = _rfftn(row, axes)
+    return out
 
 
-def _inverse(vh, sizes, axes: tuple[int, ...]):
+def _inverse(vh: np.ndarray, sizes, axes: tuple[int, ...]) -> np.ndarray:
     """irfftn of vh over axes back to the given sizes; see _forward."""
-    if isinstance(vh, np.ndarray):
+    if len(axes) == 1 or vh.ndim == len(axes):
         return _irfftn(vh, sizes, axes)
-    if len(axes) == 1:
-        vh = list(vh)
-        return _unstack(np.fft.irfft(_rows(vh, axes[0]), n=sizes[0],
-                                     axis=axes[0]), vh, axes[0])
-    return [_irfftn(a, sizes, axes) for a in vh]
+    spectrum = vh.shape[-len(axes):]
+    out = np.empty(vh.shape[:-len(axes)] + tuple(sizes))
+    for row, v in zip(vh.reshape(-1, *spectrum), out.reshape(-1, *sizes)):
+        v[...] = _irfftn(row, sizes, axes)
+    return out
 
 
 def _rfftn(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -69,27 +71,6 @@ def _irfftn(vh: np.ndarray, sizes, axes: tuple[int, ...]) -> np.ndarray:
     for j in axes[:-1]:
         vh = np.fft.ifft(vh, axis=j)
     return np.fft.irfft(vh, n=sizes[-1], axis=axes[-1])
-
-
-def _rows(arrays, j: int) -> np.ndarray:
-    """The arrays, which share their shape from axis j (counted from the
-    end) on, stacked as the rows of one block."""
-    return np.concatenate(arrays, axis=None).reshape(-1, *arrays[0].shape[j:])
-
-
-def _unstack(block: np.ndarray, arrays, j: int) -> list[np.ndarray]:
-    """The rows of block split back into the leading shapes of arrays."""
-    out, start = [], 0
-    for a in arrays:
-        lead = a.shape[:j]
-        if not lead:
-            out.append(block[start])
-            start += 1
-            continue
-        stop = start + math.prod(lead)
-        out.append(block[start:stop].reshape(lead + block.shape[1:]))
-        start = stop
-    return out
 
 
 def _real_sum_sq(v: np.ndarray) -> float:
@@ -159,14 +140,13 @@ class Spectral:
         """|k|^2 in the layout of `fft`."""
         return sum(k**2 for k in self.k)
 
-    def fft(self, v):
-        """Spectrum of v over every axis of the grid.  Given an iterable of
-        arrays, the list of their spectra, in one numpy call on a 1D
-        grid."""
+    def fft(self, v: np.ndarray) -> np.ndarray:
+        """Spectrum of v over every axis of the grid; the leading axes of v
+        are rows, transformed in one numpy call on a 1D grid."""
         return _forward(v, self._axes)
 
-    def ifft(self, vh):
-        """Inverse of `fft`, for one spectrum or an iterable of them."""
+    def ifft(self, vh: np.ndarray) -> np.ndarray:
+        """Inverse of `fft`, with the leading axes of vh as rows."""
         return _inverse(vh, self.shape, self._axes)
 
     def sum_sq(self, v: np.ndarray) -> float:
@@ -182,12 +162,20 @@ class Spectral:
         return ((2.0 * total - _real_sum_sq(v[..., [0, -1]]))
                 / math.prod(self.shape))
 
+    def sum_sq_bound(self, v: np.ndarray) -> float:
+        """`sum_sq(v)` for a real array; for a spectrum, an upper bound of
+        it in floating point from one reduction, counting every mode
+        twice.  Finite only when every entry of v is."""
+        if not np.iscomplexobj(v):
+            return float(np.vdot(v, v))
+        return 2.0 * _real_sum_sq(v) / math.prod(self.shape)
+
     def filter(self, v: np.ndarray, axis: str | int,
                symbol: np.ndarray) -> np.ndarray:
         """v with its spectrum along one periodic axis multiplied by symbol
         (in the layout of `k_along`)."""
         j = self._axis(axis)
-        return _inverse(_forward(v, (j,)) * symbol, (self.shape[j],), (j,))
+        return _irfftn(_rfftn(v, (j,)) * symbol, (self.shape[j],), (j,))
 
     def d(self, v: np.ndarray, axis: str | int, order: int = 1) -> np.ndarray:
         """order-th derivative along a periodic axis.  An odd derivative of
@@ -218,10 +206,10 @@ class Spectral:
             return ik
 
         ik = self._symbol(("inv", j), build)
-        vh = _forward(v - v.mean(axis=j, keepdims=True), (j,)) / ik
+        vh = _rfftn(v - v.mean(axis=j, keepdims=True), (j,)) / ik
         ends = (Ellipsis, [0, -1]) + (slice(None),) * (-1 - j)
         vh[ends] = 0.0  # mode 0 and the Nyquist mode
-        return _inverse(vh, (self.shape[j],), (j,))
+        return _irfftn(vh, (self.shape[j],), (j,))
 
     def shift(self, v: np.ndarray, axis: str | int,
               offset: float) -> np.ndarray:
@@ -289,9 +277,9 @@ class Spectral:
                      for i, a in enumerate(self.grid.axes) if a.periodic)
         if not axes:
             return v
-        vh = _forward(v, axes)
+        vh = _rfftn(v, axes)
         vh *= self._keep(axes, axes)
-        return _inverse(vh, [self.shape[j] for j in axes], axes)
+        return _irfftn(vh, [self.shape[j] for j in axes], axes)
 
 
 #: largest per-line |mean| a mean-zero profile may have, relative to ||f||_L2

@@ -329,6 +329,24 @@ def test_sweep_pass_and_artifacts(tmp_path):
     assert all(v["passed"] for v in rep["verdicts"])
 
 
+def test_forced_sweep_from_rest_exits_0(tmp_path):
+    # the forced KZK march starts from rest, so its divergence reference is
+    # what the source can add over the march, not the zero initial norm
+    payload = {"schema_version": 1, "sweep": {
+        "name": "rest", "pair": "kuznetsov-kzk", "coeff": COEFF,
+        "eps_list": [0.04, 0.02, 0.01], "horizon": 0.2,
+        "horizon_over_eps": False, "points": 16, "dim": 2,
+        "trans_points": 8, "preset": "gaussian_beam", "samples": 4,
+        "seed": 7, "source_size": 0.5, "preset_params": {"amplitude": 0}}}
+    cfg = _write(tmp_path, "rest.json", payload)
+    out = tmp_path / "rest"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "errors.csv").read_text().splitlines()[1:]
+    assert len({row.split(",")[0] for row in rows}) == 3
+    assert all(float(row.split(",")[2]) > 0.0 for row in rows
+               if float(row.split(",")[1]) > 0.0)
+
+
 # heavy viscosity over an eps-long horizon erodes the eps^2 grading, so the
 # slope floor verdict of this study fails
 FAILING_STUDY = {"name": "fail", "pair": "kuznetsov-westervelt",

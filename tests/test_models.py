@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -22,11 +23,13 @@ from nlparax import (
 from nlparax.models.base import (
     HyperbolicityLost,
     SolverDiverged,
+    SolverError,
     SolverNaN,
     check_health,
     march,
     resolve_steps,
 )
+from nlparax.models.oneway import _OneWayStepper
 from nlparax.models.waves import _WaveStepper
 from nlparax.spectral import Spectral
 
@@ -221,6 +224,109 @@ def test_check_health_tells_non_finite_from_divergence(bad, error, message):
         with np.errstate(over="ignore"), pytest.raises(error) as info:
             check_health(form, 1.0, "probe", 3, sp)
         assert str(info.value) == message
+
+
+def _exact_health(values, initial_norm, where, step, sp):
+    """The health check as it was before its one-reduction bound: the
+    grid's sum of squares, then the finiteness scan where that sum is not
+    finite."""
+    sq = sp.sum_sq(values)
+    if not math.isfinite(sq) and not np.all(np.isfinite(values)):
+        raise SolverNaN(f"non-finite values during {where} step {step}")
+    norm = math.sqrt(sq)
+    if norm > 1e6 * max(initial_norm, 1e-300):
+        raise SolverDiverged(
+            f"norm {norm:.3e} exceeds 1e6 x initial ({initial_norm:.3e}) "
+            f"during {where} step {step}")
+
+
+def _outcome(check, values, initial_norm, sp):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            check(values, initial_norm, "probe", 3, sp)
+    except SolverError as err:
+        return type(err), str(err)
+    return None
+
+
+# leading (stacking) axes and grid points
+_HEALTH_SHAPES = {"1d": ((), (64,)), "2d": ((), (32, 16)),
+                  "3d": ((), (8, 6, 10)), "stacked": ((3,), (32,))}
+
+
+@pytest.mark.parametrize("lead, points", _HEALTH_SHAPES.values(),
+                         ids=_HEALTH_SHAPES.keys())
+def test_health_bound_raises_exactly_where_the_exact_check_does(lead, points,
+                                                                rng):
+    # the bound counts every mode of a spectrum twice, so it may only send a
+    # borderline array on to the exact check, never pass one that fails it
+    sp = Spectral(Grid(tuple(Axis(f"x{i + 1}", 1.0 + i, n)
+                             for i, n in enumerate(points))))
+    shape = lead + points
+    smooth = rng.standard_normal(shape)
+    flat = np.full(shape, 0.7)  # all in mode 0, which the bound doubles
+    probes = []
+    for v in (smooth, flat):
+        for form in (v, sp.fft(v)):
+            exact = math.sqrt(sp.sum_sq(form))
+            bound = math.sqrt(sp.sum_sq_bound(form))
+            # norms within 1e-12 of the threshold on both sides, and
+            # thresholds between the exact norm and the bound
+            for ref in (exact, bound, 0.5 * (exact + bound)):
+                for rel in (-1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13,
+                            1e-12):
+                    probes.append((form, ref / 1e6 * (1.0 + rel)))
+    for bad in (np.nan, np.inf, -np.inf, 1e200, 1e160):
+        v = smooth.copy()
+        v.flat[17] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum = sp.fft(v)
+        for form in (v, spectrum):
+            probes += [(form, 1.0), (form, np.inf)]
+        # a non-finite imaginary part alone
+        spectrum = sp.fft(smooth)
+        spectrum.flat[5] = complex(1.0, bad)
+        probes += [(spectrum, 1.0), (spectrum, np.inf)]
+    raised = 0
+    for form, initial_norm in probes:
+        expect = _outcome(_exact_health, form, initial_norm, sp)
+        assert _outcome(check_health, form, initial_norm, sp) == expect
+        raised += expect is not None
+    # both outcomes are covered on every shape
+    assert 0 < raised < len(probes)
+
+
+def test_forced_march_from_rest_is_not_divergence(coeff):
+    # the forcing alone moves the state off zero; the reference counts what
+    # it can add over the march next to the initial norm
+    g = Grid((Axis("tau", 2 * np.pi, 16), Axis("y1", 2.0, 8)), Frame.KZK)
+    tau, y = g.mesh()
+    source = np.sin(tau) * np.exp(-y**2)
+    forced = _OneWayStepper(g, "tau", 1.0, 0.1, 0.05, 0.01, 0.3, source)
+    out = march(forced, (np.zeros(g.shape),), 20, 3, "kzk")
+    final = out[-1][1][0]
+    assert np.all(np.isfinite(final)) and np.max(np.abs(final)) > 0.0
+    # a state that grows past 1e6 x that reference still fails, and the
+    # message reports the reference
+    reference = 20 * 0.01 * math.sqrt(forced.sp.sum_sq(forced.forcing))
+    with pytest.raises(SolverDiverged,
+                       match=rf"initial \({reference:.3e}\) during kzk "
+                             r"step 7$"):
+        march(_Burst(forced, 7), (np.zeros(g.shape),), 20, 3, "kzk")
+
+
+class _Burst:
+    """A forced one-way stepper whose carried spectrum jumps by 1e12 at one
+    step."""
+
+    def __init__(self, stepper, at):
+        self.inner, self.at = stepper, at
+        self.sp, self.dt, self.forcing = stepper.sp, stepper.dt, stepper.forcing
+        self.carry, self.sample = stepper.carry, stepper.sample
+
+    def step(self, carried, n):
+        (vh,) = self.inner.step(carried, n)
+        return (vh * 1e12,) if n == self.at else (vh,)
 
 
 class _Poisoned:

@@ -227,23 +227,61 @@ def _periodic_grid(*points):
                       for i, n in enumerate(points)))
 
 
-@pytest.mark.parametrize("points", [(64,), (32, 16)], ids=["64", "32x16"])
+@pytest.mark.parametrize("points", [(64,), (32, 16), (8, 6, 4)],
+                         ids=["64", "32x16", "8x6x4"])
 def test_batched_transforms_equal_one_at_a_time(rng, points):
-    # a list or generator of arrays, a stack among them, goes through in
-    # one call and comes back as each array's own transform, bit for bit
+    # a block whose leading axes are rows comes back as each row's own
+    # transform, bit for bit
     sp = Spectral(_periodic_grid(*points))
-    arrays = [rng.standard_normal(points), rng.standard_normal((3, *points)),
-              rng.standard_normal(points)]
+    block = rng.standard_normal((2, 3, *points))
+    spectra = sp.fft(block)
+    assert spectra.shape == (2, 3, *sp.fft(block[0, 0]).shape)
+    rows = spectra.reshape(-1, *spectra.shape[2:])
+    for row, vh in zip(block.reshape(-1, *points), rows, strict=True):
+        assert np.array_equal(vh, sp.fft(row))
+    back = sp.ifft(spectra)
+    assert back.shape == block.shape
+    for vh, v in zip(rows, back.reshape(-1, *points), strict=True):
+        assert np.array_equal(v, sp.ifft(vh))
 
-    def one_at_a_time(op, a, ndim):
-        return op(a) if a.ndim == ndim else np.stack([op(row) for row in a])
 
-    spectra = sp.fft(arrays)
-    for a, vh in zip(arrays, spectra, strict=True):
-        assert np.array_equal(vh, one_at_a_time(sp.fft, a, len(points)))
-    back = sp.ifft(vh for vh in spectra)
-    for vh, v in zip(spectra, back, strict=True):
-        assert np.array_equal(v, one_at_a_time(sp.ifft, vh, len(points)))
+def test_one_numpy_call_per_transform_on_a_1d_grid(monkeypatch):
+    # on one axis a block of any number of rows is one numpy.fft call, so
+    # every spectral-core call of a 1D stepper is one numpy call
+    numpy_calls, core_calls = [], []
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        def counted(*args, _op=getattr(np.fft, name), _name=name, **kw):
+            numpy_calls.append(_name)
+            return _op(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+    for name in ("_forward", "_inverse"):
+        def counted(*args, _op=getattr(spectral, name), _name=name):
+            core_calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(spectral, name, counted)
+
+    sp = Spectral(_grid1d(64))
+    for lead in [(), (1,), (5,), (2, 3)]:
+        numpy_calls.clear()
+        vh = sp.fft(np.ones((*lead, 64)))
+        sp.ifft(vh)
+        assert numpy_calls == ["rfft", "irfft"], lead
+
+    coeff = ModelCoefficients(nu=0.2, eps=0.05)
+    g = _grid1d(64)
+    npe = Grid((Axis("z", 2 * np.pi, 64),), Frame.NPE)
+    u = 0.01 * np.cos(g.mesh()[0])
+    steppers = {
+        "kuznetsov": (_WaveStepper(g, coeff, 0.01, coeff.alpha, 2.0), (u, u)),
+        "westervelt": (_WaveStepper(g, coeff, 0.01, 2.4, 0.0), (u, u)),
+        "flow": (_FlowStepper(g, coeff, 0.01), (1.0 + u, u[np.newaxis])),
+        "npe": (_OneWayStepper(npe, "z", 1.0, 0.1, 0.5, 0.01), (u,)),
+    }
+    for label, (stepper, state) in steppers.items():
+        numpy_calls.clear()
+        core_calls.clear()
+        march(stepper, state, 3, 2, label)
+        assert len(numpy_calls) == len(core_calls) > 0, label
 
 
 @pytest.mark.parametrize("points", [(32, 16), (8, 6, 4)])
