@@ -8,8 +8,8 @@ direction of a stacked solver trajectory) use fourth-order centered finite
 differences.  Finite-difference applications wrap around, so each result
 carries a per-axis margin of edge points to discard.
 
-Pairs and the base fields they need (`_PAIR_TABLE` names the one the CLI
-passes and each pair's variants):
+Pairs and the base fields they need (a `_PAIR_TABLE` row names the one the
+CLI passes, the variants, the grading, the frame and the table builder):
 
   ns-kuznetsov           u(t, x...)            -> mass + momentum per x axis
   ns-kzk                 Phi or I (tau, z, y)  -> mass + axial + transverse
@@ -21,6 +21,21 @@ passes and each pair's variants):
 The returned fields are the graded sums divided by eps^3 (flow pairs) or
 eps^2 (model-to-model pairs); fractional powers in the transverse momentum
 tables therefore leave explicit sqrt(eps) factors in the output.
+
+Each momentum component of a flow pair is linear in one outer derivative
+d_i: the velocity is the potential flow v = -eps grad(potential), and every
+term carries i once, through grad p, v_i or Lap v_i.  A flow pair therefore
+states its momentum once, as gradient terms (stem, power, coeff, factor,
+inner) standing for coeff * eps^power * factor * d_i(inner), and its frame's
+rule writes d_i per component:
+
+  physical   d_xa = d_xa                        at +0
+  KZK        d_x1 = -(1/c) d_tau  at +0,  d_z   at +1;  d_xa = d_ya at +1/2
+  NPE        d_x1 = d_z           at +0;            d_xa = d_ya at +1/2
+
+The outer derivative folds into a Ref's derivatives and wraps any other
+node in a Deriv.  The printed ns-kzk table keeps one slip no rule writes:
+the range part of J d_x1(b1) without its outer derivative.
 """
 
 from __future__ import annotations
@@ -41,7 +56,7 @@ from .ansatz import (
     npe_potential,
     npe_xi,
 )
-from .fields import Field, Grid, MissingInput
+from .fields import Field, Frame, Grid, MissingInput
 from .models.base import ModelCoefficients
 from .spectral import Spectral
 
@@ -55,19 +70,6 @@ __all__ = [
     "evaluate_remainder",
 ]
 
-#: pair -> (the input field the CLI passes, the variants, default first).
-#: The "printed" source expressions contain slips that the
-#: residual-consistency oracle rejects, so each pair that has them defaults
-#: to the corrected ("consistent") form.
-_PAIR_TABLE = {
-    "ns-kuznetsov": ("u", ("consistent", "printed")),
-    "ns-kzk": ("I", ("consistent", "printed")),
-    "ns-npe": ("xi", ("consistent", "printed")),
-    "kuznetsov-kzk": ("I", ("",)),
-    "kuznetsov-npe": ("xi", ("",)),
-    "kuznetsov-westervelt": ("u", ("consistent", "printed")),
-}
-PAIRS = tuple(_PAIR_TABLE)
 
 CoeffFn = Callable[[ModelCoefficients], float]
 Scale = Union[float, CoeffFn]
@@ -139,6 +141,72 @@ def _lap(name: str, axes: Sequence[str], extra: tuple = ()) -> Sum:
 
 
 # ---------------------------------------------------------------------------
+# momentum: gradient terms and the frame rules
+
+#: One momentum term of a flow pair, linear in the outer derivative d_i of
+#: component i: (id stem, eps power, coefficient, factor or None, inner),
+#: standing for coeff * eps^power * factor * d_i(inner).  "{d}" in the stem
+#: is replaced by the tag of the derivative the frame rule writes.
+_Grad = tuple[str, int, CoeffFn, Union[Expr, None], Expr]
+
+#: paraxial frame -> the parts of its axial derivative d_x1, each
+#: (axis, eps power shift, scale or None, id tag)
+_AXIAL_RULE = {
+    Frame.KZK: (("tau", 0, lambda C: -1.0 / C.c, "dt"), ("z", 1, None, "dz")),
+    Frame.NPE: (("z", 0, None, "dz"),),
+}
+
+
+def _frame_rule(frame: Frame, axes: Sequence[str]) -> list[tuple]:
+    """(component, term-id prefix, derivative parts) of each momentum
+    component: one per x axis in the physical frame; the axial rule and
+    d_xa = sqrt(eps) d_ya per transverse axis in a paraxial one."""
+    if frame is Frame.PHYSICAL:
+        return [(f"momentum_{a}", f"mom-{a}", ((a, 0, None, "d"),))
+                for a in axes]
+    return [("momentum_axial", "momax", _AXIAL_RULE[frame])] + [
+        (f"momentum_{a}", f"momt-{a}", ((a, Fraction(1, 2), None, "d"),))
+        for a in axes]
+
+
+def _outer(expr: Expr, axis: str) -> Expr:
+    """d_axis(expr): folded into a Ref's derivatives, else a Deriv node."""
+    if isinstance(expr, Ref):
+        return Ref(expr.name, expr.derivs + ((axis, 1),))
+    return Deriv(expr, axis)
+
+
+def _grad_term(prefix: str, grad: _Grad, part: tuple) -> Term:
+    stem, power, coeff, factor, inner = grad
+    axis, shift, scale, tag = part
+    p = Fraction(power) + shift
+    expr = _outer(inner, axis)
+    return Term(f"{prefix}-e{p.numerator}{'h' if p.denominator == 2 else ''}"
+                f"-{stem.format(d=tag)}", p,
+                coeff if scale is None else (lambda C: scale(C) * coeff(C)),
+                expr if factor is None else _P(factor, expr))
+
+
+def _momentum(frame: Frame, axes: Sequence[str],
+              grads: Sequence[_Grad]) -> dict[str, list[Term]]:
+    """The momentum components of a flow pair from its gradient terms."""
+    return {comp: [_grad_term(prefix, g, part) for g in grads for part in parts]
+            for comp, prefix, parts in _frame_rule(frame, axes)}
+
+
+def _state_law(r1: str, r2: str) -> list[_Grad]:
+    """grad p(rho) of the quadratic state law at third and fourth order,
+    for the density rho0 + eps r1 + eps^2 r2."""
+    return [
+        (f"{{d}}-{r1}{r2}", 3,
+         lambda C: (C.gamma - 1.0) * C.c**2 / C.rho0, None, _P(_R(r1), _R(r2))),
+        (f"{{d}}-{r2}sq", 4,
+         lambda C: (C.gamma - 1.0) * C.c**2 / (2.0 * C.rho0), None,
+         _P(_R(r2), _R(r2))),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # term tables
 
 
@@ -192,27 +260,17 @@ def _ns_kuznetsov_mass(xs: Sequence[str], variant: str) -> list[Term]:
     return terms
 
 
-def _ns_kuznetsov_momentum(a: str, xs: Sequence[str], variant: str) -> list[Term]:
-    terms = [
-        Term(f"mom-{a}-e3-rho1-dgradsq", Fraction(3),
-             lambda C: 0.5, _P(_R("rho1"), Deriv(_grad_sq("u", xs), a))),
-        Term(f"mom-{a}-e3-rho2-dtd", Fraction(3),
-             lambda C: -1.0, _P(_R("rho2"), _R("u", ("t", 1), (a, 1)))),
-        Term(f"mom-{a}-e4-rho2-dgradsq", Fraction(4),
-             lambda C: 0.5, _P(_R("rho2"), Deriv(_grad_sq("u", xs), a))),
+def _ns_kuznetsov(xs: Sequence[str], variant: str) -> dict[str, list[Term]]:
+    gsq = _grad_sq("u", xs)
+    grads = [
+        ("rho1-{d}gradsq", 3, lambda C: 0.5, _R("rho1"), gsq),
+        ("rho2-dt{d}", 3, lambda C: -1.0, _R("rho2"), _R("u", ("t", 1))),
+        ("rho2-{d}gradsq", 4, lambda C: 0.5, _R("rho2"), gsq),
     ]
     if variant == "consistent":
-        # cross terms of the quadratic state law, grad(p(rho)) at third and
-        # fourth order in the density expansion
-        terms += [
-            Term(f"mom-{a}-e3-d-rho1rho2", Fraction(3),
-                 lambda C: (C.gamma - 1.0) * C.c**2 / C.rho0,
-                 Deriv(_P(_R("rho1"), _R("rho2")), a)),
-            Term(f"mom-{a}-e4-d-rho2sq", Fraction(4),
-                 lambda C: (C.gamma - 1.0) * C.c**2 / (2.0 * C.rho0),
-                 Deriv(_P(_R("rho2"), _R("rho2")), a)),
-        ]
-    return terms
+        grads += _state_law("rho1", "rho2")
+    return {"mass": _ns_kuznetsov_mass(xs, variant),
+            **_momentum(Frame.PHYSICAL, xs, grads)}
 
 
 # recurring bracketed combinations in the KZK flow-remainder tables
@@ -284,116 +342,34 @@ def _ns_kzk_mass(ys: Sequence[str], variant: str) -> list[Term]:
     ]
 
 
-def _ns_kzk_momentum_axial(ys: Sequence[str], variant: str) -> list[Term]:
+def _ns_kzk(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
     b1, b2, b3, b4 = _kzk_b1(ys), _kzk_b2(ys), _kzk_b3(), _KZK_B4
-    if variant != "consistent":
-        extra = [
-            # transcribed with no outer derivative on the bracket
-            Term("momax-e6-J-b1", Fraction(6),
-                 lambda C: 0.5, _P(_R("J"), b1)),
-        ]
-    else:
-        # quadratic state-law cross terms plus the missing range derivative
-        # on the last mixed bracket, from re-deriving the momentum identity
-        extra = [
-            Term("momax-e3-dt-IJ", Fraction(3),
-                 lambda C: -(C.gamma - 1.0) * C.c / C.rho0,
-                 Deriv(_P(_R("I"), _R("J")), "tau")),
-            Term("momax-e4-dz-IJ", Fraction(4),
-                 lambda C: (C.gamma - 1.0) * C.c**2 / C.rho0,
-                 Deriv(_P(_R("I"), _R("J")), "z")),
-            Term("momax-e4-dt-Jsq", Fraction(4),
-                 lambda C: -(C.gamma - 1.0) * C.c / (2.0 * C.rho0),
-                 Deriv(_P(_R("J"), _R("J")), "tau")),
-            Term("momax-e5-dz-Jsq", Fraction(5),
-                 lambda C: (C.gamma - 1.0) * C.c**2 / (2.0 * C.rho0),
-                 Deriv(_P(_R("J"), _R("J")), "z")),
-            Term("momax-e6-J-dz-b1", Fraction(6),
-                 lambda C: 0.5, _P(_R("J"), Deriv(b1, "z"))),
-        ]
-    return extra + [
-        Term("momax-e3-dt-b1", Fraction(3),
-             lambda C: -C.rho0 / (2.0 * C.c), Deriv(b1, "tau")),
-        Term("momax-e3-dt-b2", Fraction(3),
-             lambda C: -C.nu / C.c, Deriv(b2, "tau")),
-        Term("momax-e3-I-dt-b3", Fraction(3),
-             lambda C: -1.0 / (2.0 * C.c), _P(_R("I"), Deriv(b3, "tau"))),
-        Term("momax-e3-J-dt2phi", Fraction(3),
-             lambda C: 1.0 / C.c, _P(_R("J"), _R("Phi", ("tau", 2)))),
-        Term("momax-e4-dz-b1", Fraction(4),
-             lambda C: C.rho0 / 2.0, Deriv(b1, "z")),
-        Term("momax-e4-dz-b2", Fraction(4),
-             lambda C: C.nu, Deriv(b2, "z")),
-        Term("momax-e4-I-dt-b1", Fraction(4),
-             lambda C: -1.0 / (2.0 * C.c), _P(_R("I"), Deriv(b1, "tau"))),
-        Term("momax-e4-I-dz-b3", Fraction(4),
-             lambda C: 0.5, _P(_R("I"), Deriv(b3, "z"))),
-        Term("momax-e4-J-dtdzphi", Fraction(4),
-             lambda C: -1.0, _P(_R("J"), _R("Phi", ("tau", 1), ("z", 1)))),
-        Term("momax-e4-J-dt-b3", Fraction(4),
-             lambda C: -1.0 / (2.0 * C.c), _P(_R("J"), Deriv(b3, "tau"))),
-        Term("momax-e4-dt-b4", Fraction(4),
-             lambda C: -C.rho0 / (2.0 * C.c), Deriv(b4, "tau")),
-        Term("momax-e4-dtdz2phi", Fraction(4),
-             lambda C: -C.nu / C.c, _R("Phi", ("tau", 1), ("z", 2))),
-        Term("momax-e5-I-dt-b4", Fraction(5),
-             lambda C: -1.0 / (2.0 * C.c), _P(_R("I"), Deriv(b4, "tau"))),
-        Term("momax-e5-I-dz-b1", Fraction(5),
-             lambda C: 0.5, _P(_R("I"), Deriv(b1, "z"))),
-        Term("momax-e5-J-dz-b3", Fraction(5),
-             lambda C: 0.5, _P(_R("J"), Deriv(b3, "z"))),
-        Term("momax-e5-J-dt-b1", Fraction(5),
-             lambda C: -1.0 / (2.0 * C.c), _P(_R("J"), Deriv(b1, "tau"))),
-        Term("momax-e5-dz-b4", Fraction(5),
-             lambda C: C.rho0 / 2.0, Deriv(b4, "z")),
-        Term("momax-e5-dz3phi", Fraction(5),
-             lambda C: C.nu, _R("Phi", ("z", 3))),
-        Term("momax-e6-I-dz-b4", Fraction(6),
-             lambda C: 0.5, _P(_R("I"), Deriv(b4, "z"))),
-        Term("momax-e6-J-dt-b4", Fraction(6),
-             lambda C: -1.0 / (2.0 * C.c), _P(_R("J"), Deriv(b4, "tau"))),
-        Term("momax-e7-J-dz-b4", Fraction(7),
-             lambda C: 0.5, _P(_R("J"), Deriv(b4, "z"))),
+    I, J = _R("I"), _R("J")
+    # quadratic state-law cross terms, from re-deriving the momentum identity
+    grads = _state_law("I", "J") if variant == "consistent" else []
+    grads += [
+        ("{d}-b1", 3, lambda C: C.rho0 / 2.0, None, b1),
+        ("{d}-b2", 3, lambda C: C.nu, None, b2),
+        ("I-{d}-b3", 3, lambda C: 0.5, I, b3),
+        ("J-dt{d}phi", 3, lambda C: -1.0, J, _R("Phi", ("tau", 1))),
+        ("I-{d}-b1", 4, lambda C: 0.5, I, b1),
+        ("J-{d}-b3", 4, lambda C: 0.5, J, b3),
+        ("{d}-b4", 4, lambda C: C.rho0 / 2.0, None, b4),
+        ("{d}dz2phi", 4, lambda C: C.nu, None, _R("Phi", ("z", 2))),
+        ("I-{d}-b4", 5, lambda C: 0.5, I, b4),
+        ("J-{d}-b1", 5, lambda C: 0.5, J, b1),
+        ("J-{d}-b4", 6, lambda C: 0.5, J, b4),
     ]
-
-
-def _ns_kzk_momentum_transverse(a: str, ys: Sequence[str],
-                                variant: str) -> list[Term]:
-    b1, b2, b3, b4 = _kzk_b1(ys), _kzk_b2(ys), _kzk_b3(), _KZK_B4
-    extra = []
-    if variant == "consistent":
-        extra = [
-            Term(f"momt-{a}-e7h-d-IJ", Fraction(7, 2),
-                 lambda C: (C.gamma - 1.0) * C.c**2 / C.rho0,
-                 Deriv(_P(_R("I"), _R("J")), a)),
-            Term(f"momt-{a}-e9h-d-Jsq", Fraction(9, 2),
-                 lambda C: (C.gamma - 1.0) * C.c**2 / (2.0 * C.rho0),
-                 Deriv(_P(_R("J"), _R("J")), a)),
-        ]
-    return extra + [
-        Term(f"momt-{a}-e7h-d-b1", Fraction(7, 2),
-             lambda C: C.rho0 / 2.0, Deriv(b1, a)),
-        Term(f"momt-{a}-e7h-d-b2", Fraction(7, 2),
-             lambda C: C.nu, Deriv(b2, a)),
-        Term(f"momt-{a}-e7h-I-d-b3", Fraction(7, 2),
-             lambda C: 0.5, _P(_R("I"), Deriv(b3, a))),
-        Term(f"momt-{a}-e7h-J-dtd", Fraction(7, 2),
-             lambda C: -1.0, _P(_R("J"), _R("Phi", ("tau", 1), (a, 1)))),
-        Term(f"momt-{a}-e9h-I-d-b1", Fraction(9, 2),
-             lambda C: 0.5, _P(_R("I"), Deriv(b1, a))),
-        Term(f"momt-{a}-e9h-J-d-b3", Fraction(9, 2),
-             lambda C: 0.5, _P(_R("J"), Deriv(b3, a))),
-        Term(f"momt-{a}-e9h-d-b4", Fraction(9, 2),
-             lambda C: C.rho0 / 2.0, Deriv(b4, a)),
-        Term(f"momt-{a}-e9h-dz2d", Fraction(9, 2),
-             lambda C: C.nu, _R("Phi", ("z", 2), (a, 1))),
-        Term(f"momt-{a}-e11h-I-d-b4", Fraction(11, 2),
-             lambda C: 0.5, _P(_R("I"), Deriv(b4, a))),
-        Term(f"momt-{a}-e11h-J-d-b1", Fraction(11, 2),
-             lambda C: 0.5, _P(_R("J"), Deriv(b1, a))),
-        Term(f"momt-{a}-e13h-J-d-b4", Fraction(13, 2),
-             lambda C: 0.5, _P(_R("J"), Deriv(b4, a))),
-    ]
+    out = {"mass": _ns_kzk_mass(ys, variant),
+           **_momentum(Frame.KZK, ys, grads)}
+    if variant == "printed":
+        # the range part of J d_x1(b1) was transcribed with no outer
+        # derivative on the bracket
+        out["momentum_axial"] = [
+            Term("momax-e6-J-b1", Fraction(6), lambda C: 0.5, _P(J, b1))
+            if t.term_id == "momax-e6-J-dz-b1" else t
+            for t in out["momentum_axial"]]
+    return out
 
 
 def _ns_npe_mass(ys: Sequence[str]) -> list[Term]:
@@ -418,84 +394,31 @@ def _ns_npe_mass(ys: Sequence[str]) -> list[Term]:
 _NPE_DZ_SQ = _P(_R("Psi", ("z", 1)), _R("Psi", ("z", 1)))  # (dz Psi)^2
 
 
-def _ns_npe_momentum_axial(ys: Sequence[str], variant: str) -> list[Term]:
+def _ns_npe(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
     gsq = _grad_sq("Psi", ys)
-    lead = lambda C: -C.rho0 / C.c
-    extra = []
+    xi, chi = _R("xi"), _R("chi")
+    psi_t, psi_z = _R("Psi", ("tau", 1)), _R("Psi", ("z", 1))
+    # the sign of the acceleration cross term and the quadratic state-law
+    # contributions, from re-deriving the momentum identity
+    sign, grads = -1.0, []
     if variant == "consistent":
-        # sign of the acceleration cross term plus the quadratic state-law
-        # contributions, from re-deriving the momentum identity
-        lead = lambda C: C.rho0 / C.c
-        extra = [
-            Term("momax-e3-dz-xichi", Fraction(3),
-                 lambda C: (C.gamma - 1.0) * C.c**2 / C.rho0,
-                 Deriv(_P(_R("xi"), _R("chi")), "z")),
-            Term("momax-e4-dz-chisq", Fraction(4),
-                 lambda C: (C.gamma - 1.0) * C.c**2 / (2.0 * C.rho0),
-                 Deriv(_P(_R("chi"), _R("chi")), "z")),
-        ]
-    return extra + [
-        Term("momax-e3-dzpsi-dtdzpsi", Fraction(3), lead,
-             _P(_R("Psi", ("z", 1)), _R("Psi", ("tau", 1), ("z", 1)))),
-        Term("momax-e3-dz-gradsq", Fraction(3),
-             lambda C: C.rho0 / 2.0, Deriv(gsq, "z")),
-        Term("momax-e3-dzlappsi", Fraction(3),
-             lambda C: C.nu, _lap("Psi", ys, extra=(("z", 1),))),
-        Term("momax-e3-xi-dz-dzsq", Fraction(3),
-             lambda C: 0.5, _P(_R("xi"), Deriv(_NPE_DZ_SQ, "z"))),
-        Term("momax-e3-chi-dz2psi", Fraction(3),
-             lambda C: C.c, _P(_R("chi"), _R("Psi", ("z", 2)))),
-        Term("momax-e4-xi-dz-gradsq", Fraction(4),
-             lambda C: 0.5, _P(_R("xi"), Deriv(gsq, "z"))),
-        Term("momax-e4-chi-dtdzpsi", Fraction(4),
-             lambda C: -1.0,
-             _P(_R("chi"), _R("Psi", ("tau", 1), ("z", 1)))),
-        Term("momax-e4-chi-dz-dzsq", Fraction(4),
-             lambda C: 0.5, _P(_R("chi"), Deriv(_NPE_DZ_SQ, "z"))),
-        Term("momax-e5-chi-dz-gradsq", Fraction(5),
-             lambda C: 0.5, _P(_R("chi"), Deriv(gsq, "z"))),
+        sign, grads = 1.0, _state_law("xi", "chi")
+    grads += [
+        ("dzpsi-dt{d}psi", 3, lambda C: sign * C.rho0 / C.c, psi_z, psi_t),
+        ("{d}-gradsq", 3, lambda C: C.rho0 / 2.0, None, gsq),
+        ("{d}lappsi", 3, lambda C: C.nu, None, _lap("Psi", ys)),
+        ("xi-{d}-dzsq", 3, lambda C: 0.5, xi, _NPE_DZ_SQ),
+        ("chi-dz{d}psi", 3, lambda C: C.c, chi, psi_z),
+        ("xi-{d}-gradsq", 4, lambda C: 0.5, xi, gsq),
+        ("chi-dt{d}psi", 4, lambda C: -1.0, chi, psi_t),
+        ("chi-{d}-dzsq", 4, lambda C: 0.5, chi, _NPE_DZ_SQ),
+        ("chi-{d}-gradsq", 5, lambda C: 0.5, chi, gsq),
     ]
+    return {"mass": _ns_npe_mass(ys), **_momentum(Frame.NPE, ys, grads)}
 
 
-def _ns_npe_momentum_transverse(a: str, ys: Sequence[str],
-                                variant: str) -> list[Term]:
-    gsq = _grad_sq("Psi", ys)
-    lead = lambda C: -C.rho0 / C.c
-    extra = []
-    if variant == "consistent":
-        lead = lambda C: C.rho0 / C.c
-        extra = [
-            Term(f"momt-{a}-e7h-d-xichi", Fraction(7, 2),
-                 lambda C: (C.gamma - 1.0) * C.c**2 / C.rho0,
-                 Deriv(_P(_R("xi"), _R("chi")), a)),
-            Term(f"momt-{a}-e9h-d-chisq", Fraction(9, 2),
-                 lambda C: (C.gamma - 1.0) * C.c**2 / (2.0 * C.rho0),
-                 Deriv(_P(_R("chi"), _R("chi")), a)),
-        ]
-    return extra + [
-        Term(f"momt-{a}-e7h-dzpsi-dtd", Fraction(7, 2), lead,
-             _P(_R("Psi", ("z", 1)), _R("Psi", ("tau", 1), (a, 1)))),
-        Term(f"momt-{a}-e7h-d-gradsq", Fraction(7, 2),
-             lambda C: C.rho0 / 2.0, Deriv(gsq, a)),
-        Term(f"momt-{a}-e7h-dlappsi", Fraction(7, 2),
-             lambda C: C.nu, _lap("Psi", ys, extra=((a, 1),))),
-        Term(f"momt-{a}-e7h-xi-d-dzsq", Fraction(7, 2),
-             lambda C: 0.5, _P(_R("xi"), Deriv(_NPE_DZ_SQ, a))),
-        Term(f"momt-{a}-e7h-chi-dzd", Fraction(7, 2),
-             lambda C: C.c, _P(_R("chi"), _R("Psi", ("z", 1), (a, 1)))),
-        Term(f"momt-{a}-e9h-xi-d-gradsq", Fraction(9, 2),
-             lambda C: 0.5, _P(_R("xi"), Deriv(gsq, a))),
-        Term(f"momt-{a}-e9h-chi-dtd", Fraction(9, 2),
-             lambda C: -1.0, _P(_R("chi"), _R("Psi", ("tau", 1), (a, 1)))),
-        Term(f"momt-{a}-e9h-chi-d-dzsq", Fraction(9, 2),
-             lambda C: 0.5, _P(_R("chi"), Deriv(_NPE_DZ_SQ, a))),
-        Term(f"momt-{a}-e11h-chi-d-gradsq", Fraction(11, 2),
-             lambda C: 0.5, _P(_R("chi"), Deriv(gsq, a))),
-    ]
-
-
-def _kuznetsov_kzk(ys: Sequence[str]) -> list[Term]:
-    return [
+def _kuznetsov_kzk(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
+    return {"model": [
         Term("e2-dz2phi", Fraction(2), lambda C: -C.c**2,
              _R("Phi", ("z", 2))),
         Term("e2-dt-dtdz", Fraction(2), lambda C: 2.0 / C.c,
@@ -511,11 +434,11 @@ def _kuznetsov_kzk(ys: Sequence[str]) -> list[Term]:
              Deriv(_KZK_B4, "tau")),
         Term("e3-dtdz2phi", Fraction(3), lambda C: -C.nu / C.rho0,
              _R("Phi", ("tau", 1), ("z", 2))),
-    ]
+    ]}
 
 
-def _kuznetsov_npe(ys: Sequence[str]) -> list[Term]:
-    return [
+def _kuznetsov_npe(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
+    return {"model": [
         Term("e2-dt2psi", Fraction(2), lambda C: 1.0,
              _R("Psi", ("tau", 2))),
         Term("e2-dz2dtpsi", Fraction(2), lambda C: -C.nu / C.rho0,
@@ -546,10 +469,11 @@ def _kuznetsov_npe(ys: Sequence[str]) -> list[Term]:
         Term("e4-dtpsi-dt2psi", Fraction(4),
              lambda C: -(C.gamma - 1.0) / C.c**2,
              _P(_R("Psi", ("tau", 1)), _R("Psi", ("tau", 2)))),
-    ]
+    ]}
 
 
-def _kuznetsov_westervelt(xs: Sequence[str], variant: str) -> list[Term]:
+def _kuznetsov_westervelt(xs: Sequence[str],
+                          variant: str) -> dict[str, list[Term]]:
     u = _R("u")
     u_t = _R("u", ("t", 1))
     usq_tt = Deriv(_P(u, u), "t", 2)
@@ -564,7 +488,7 @@ def _kuznetsov_westervelt(xs: Sequence[str], variant: str) -> list[Term]:
         # the dissipative Laplacian term inherits the nu/rho0 coefficient of
         # the wave model's right side
         visc = lambda C: -C.nu / (C.rho0 * C.c**2)
-    return [
+    return {"model": [
         Term("e2-dt-lap-u-ut", Fraction(2), visc, Deriv(lap_u_ut, "t")),
         Term("e2-dt-ut-dt2usq", Fraction(2),
              lambda C: -(C.gamma + 1.0) / (2.0 * C.c**4),
@@ -575,7 +499,7 @@ def _kuznetsov_westervelt(xs: Sequence[str], variant: str) -> list[Term]:
         Term("e3-dt-dt2usq-sq", Fraction(3),
              lambda C: -(C.gamma + 1.0) / (8.0 * C.c**6),
              Deriv(_P(usq_tt, usq_tt), "t")),
-    ]
+    ]}
 
 
 # ---------------------------------------------------------------------------
@@ -687,58 +611,61 @@ class _Ctx:
         raise TypeError(f"unknown expression node {expr!r}")
 
 
-def base_power(pair: str) -> Fraction:
-    if pair.startswith("ns-"):
-        return Fraction(3)
-    return Fraction(2)
+@dataclass(frozen=True)
+class _Pair:
+    field: str  # the input field the CLI passes
+    variants: tuple[str, ...]  # default first
+    base: int  # the eps power the output fields are divided by
+    frame: Frame  # its x axes (physical) or y axes (paraxial) span the table
+    build: Callable[[Sequence[str], str], dict[str, list[Term]]]
 
 
-def _pair_entry(pair: str) -> tuple[str, tuple[str, ...]]:
+_BOTH = ("consistent", "printed")
+
+#: The "printed" source expressions contain slips that the
+#: residual-consistency oracle rejects, so each pair that has them defaults
+#: to the corrected ("consistent") form.
+_PAIR_TABLE = {
+    "ns-kuznetsov": _Pair("u", _BOTH, 3, Frame.PHYSICAL, _ns_kuznetsov),
+    "ns-kzk": _Pair("I", _BOTH, 3, Frame.KZK, _ns_kzk),
+    "ns-npe": _Pair("xi", _BOTH, 3, Frame.NPE, _ns_npe),
+    "kuznetsov-kzk": _Pair("I", ("",), 2, Frame.KZK, _kuznetsov_kzk),
+    "kuznetsov-npe": _Pair("xi", ("",), 2, Frame.NPE, _kuznetsov_npe),
+    "kuznetsov-westervelt": _Pair("u", _BOTH, 2, Frame.PHYSICAL,
+                                  _kuznetsov_westervelt),
+}
+PAIRS = tuple(_PAIR_TABLE)
+
+
+def _pair_entry(pair: str) -> _Pair:
     if pair not in _PAIR_TABLE:
         raise ValueError(f"unknown pair {pair!r}; expected one of {PAIRS}")
     return _PAIR_TABLE[pair]
 
 
+def base_power(pair: str) -> Fraction:
+    """The eps power the remainder fields of one pair are divided by."""
+    return Fraction(_pair_entry(pair).base)
+
+
 def input_field(pair: str) -> str:
     """The name of the base field the CLI passes for one pair."""
-    return _pair_entry(pair)[0]
+    return _pair_entry(pair).field
 
 
 def term_table(pair: str, grid: Grid,
                variant: str | None = None) -> dict[str, list[Term]]:
     """All term lists for one pair on one grid, keyed by output component;
     `variant` defaults to the pair's first."""
-    variants = _pair_entry(pair)[1]
+    entry = _pair_entry(pair)
     if variant is None:
-        variant = variants[0]
-    elif variant not in variants:
+        variant = entry.variants[0]
+    elif variant not in entry.variants:
         raise ValueError(f"unknown variant {variant!r} of pair {pair!r}; "
-                         f"expected one of {variants}")
-    names = [a.name for a in grid.axes]
-    xs = [n for n in names if n.startswith("x")]
-    ys = [n for n in names if n.startswith("y")]
-    if pair == "ns-kuznetsov":
-        out = {"mass": _ns_kuznetsov_mass(xs, variant)}
-        for a in xs:
-            out[f"momentum_{a}"] = _ns_kuznetsov_momentum(a, xs, variant)
-        return out
-    if pair == "ns-kzk":
-        out = {"mass": _ns_kzk_mass(ys, variant),
-               "momentum_axial": _ns_kzk_momentum_axial(ys, variant)}
-        for a in ys:
-            out[f"momentum_{a}"] = _ns_kzk_momentum_transverse(a, ys, variant)
-        return out
-    if pair == "ns-npe":
-        out = {"mass": _ns_npe_mass(ys),
-               "momentum_axial": _ns_npe_momentum_axial(ys, variant)}
-        for a in ys:
-            out[f"momentum_{a}"] = _ns_npe_momentum_transverse(a, ys, variant)
-        return out
-    if pair == "kuznetsov-kzk":
-        return {"model": _kuznetsov_kzk(ys)}
-    if pair == "kuznetsov-npe":
-        return {"model": _kuznetsov_npe(ys)}
-    return {"model": _kuznetsov_westervelt(xs, variant)}
+                         f"expected one of {entry.variants}")
+    lead = "x" if entry.frame is Frame.PHYSICAL else "y"
+    return entry.build([a.name for a in grid.axes if a.name.startswith(lead)],
+                       variant)
 
 
 def _prepare_context(pair: str, coeff: ModelCoefficients,

@@ -15,6 +15,7 @@ from nlparax import (
     term_table,
 )
 from nlparax.remainders import (
+    _PAIR_TABLE,
     PAIRS,
     _prepare_context,
     base_power,
@@ -45,21 +46,33 @@ def test_base_power():
     assert base_power("ns-kzk") == Fraction(3)
     assert base_power("kuznetsov-kzk") == Fraction(2)
     assert base_power("kuznetsov-westervelt") == Fraction(2)
+    assert base_power("ns-npe") == Fraction(3)
+    assert base_power("kuznetsov-npe") == Fraction(2)
+    with pytest.raises(ValueError, match="unknown pair 'bogus'"):
+        base_power("bogus")
 
 
 def test_term_table_structure(coeff):
-    g = _periodic3(Frame.KZK, 12)
-    for pair in ("ns-kzk", "kuznetsov-kzk"):
-        tables = term_table(pair, g)
-        assert tables
-        for comp, terms in tables.items():
-            ids = [t.term_id for t in terms]
-            assert len(ids) == len(set(ids)), (pair, comp)
-            for t in terms:
-                assert t.power >= 0
-                assert np.isfinite(t.coeff(coeff))
+    # residual.csv names a term by its id alone, so an id is unique across
+    # all components of a pair, not only within one
+    grids = {Frame.PHYSICAL: Grid((Axis("t", 1.0, 12, periodic=False),
+                                   Axis("x1", 2.0, 12), Axis("x2", 2.0, 12)),
+                                  Frame.PHYSICAL),
+             Frame.KZK: _periodic3(Frame.KZK, 12),
+             Frame.NPE: _periodic3(Frame.NPE, 12)}
+    for pair in PAIRS:
+        for variant in _PAIR_TABLE[pair].variants:
+            tables = term_table(pair, grids[_PAIR_TABLE[pair].frame], variant)
+            assert tables
+            ids = [t.term_id for terms in tables.values() for t in terms]
+            assert len(ids) == len(set(ids)), (pair, variant)
+            for terms in tables.values():
+                assert terms
+                for t in terms:
+                    assert t.power >= 0
+                    assert np.isfinite(t.coeff(coeff))
     with pytest.raises(ValueError):
-        term_table("kzk-ns", g)
+        term_table("kzk-ns", grids[Frame.KZK])
 
 
 def test_term_table_components_per_pair():
