@@ -751,11 +751,16 @@ def evaluate_remainder(pair: str, coeff: ModelCoefficients,
     and max norms of each graded term inside its margins.
 
     `inputs` maps field names to Fields; the context derives whatever
-    correctors the tables reference but the caller did not supply.  A
-    bounded axis too short for a term's margins is refused.
+    correctors the tables reference but the caller did not supply.  A grid
+    in another frame than the pair's, or a bounded axis too short for a
+    term's margins, is refused.
     """
     ctx = _prepare_context(pair, coeff, inputs)
     tables = term_table(pair, ctx.grid, variant=variant)
+    frame = _pair_entry(pair).frame
+    if ctx.grid.frame is not frame:
+        raise ValueError(f"pair {pair!r} is evaluated in the {frame.value} "
+                         f"frame, not in the {ctx.grid.frame.value} frame")
     base = base_power(pair)
     eps = coeff.eps
 

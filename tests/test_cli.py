@@ -313,6 +313,26 @@ def test_residual_csv(tmp_path):
     assert len(lines) > 3
 
 
+def test_residual_refuses_a_grid_in_another_frame(tmp_path, capsys):
+    # the ns-npe table spans the y axes of an NPE grid; a physical grid has
+    # none, so every norm would read zero
+    payload = {"schema_version": 1, "residual": {
+        "pair": "ns-npe", "coeff": {"eps": 0.05, "nu": 0.2},
+        "grid": {"frame": "physical",
+                 "axes": [{"name": "tau", "length": 1.0, "points": 16,
+                           "periodic": False},
+                          {"name": "z", "length": 2 * math.pi,
+                           "points": 16}]},
+        "initial": {"preset": "single_mode"}}}
+    cfg = _write(tmp_path, "res.json", payload)
+    assert main(["residual", "--config", cfg, "--out",
+                 str(tmp_path / "res")]) == 1
+    err = capsys.readouterr().err
+    assert "pair 'ns-npe' is evaluated in the npe frame" in err
+    assert "not in the physical frame" in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_sweep_pass_and_artifacts(tmp_path):
     payload = {"schema_version": 1, "sweep": {
         "name": "mini", "pair": "kuznetsov-westervelt",
@@ -396,6 +416,16 @@ def test_sweep_step_count_that_does_not_fit_exits_1(tmp_path, capsys,
     assert main(["sweep", "--config", cfg, "--out",
                  str(tmp_path / "sb")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_sweep_dry_run_refuses_a_dim_the_study_does_not_run(tmp_path,
+                                                            capsys):
+    payload = {"schema_version": 1, "sweep": dict(
+        FAILING_STUDY, pair="kuznetsov-npe", dim=2)}
+    cfg = _write(tmp_path, "npe2d.json", payload)
+    assert main(["sweep", "--config", cfg, "--dry-run"]) == 1
+    assert ("pair 'kuznetsov-npe' runs in dims [1], not in dim 2"
+            in capsys.readouterr().err)
 
 
 def test_compare_does_not_enforce_verdicts(tmp_path):
@@ -610,6 +640,10 @@ def test_every_config_key_has_a_reader(monkeypatch, tmp_path):
             == list(remainders.PAIRS))
     assert (defs["experiment"]["properties"]["pair"]["enum"]
             == list(experiments._STUDIES))
+    # the dims the schema admits are the ones some study runs in
+    dim = defs["experiment"]["properties"]["dim"]
+    assert (set(range(dim["minimum"], dim["maximum"] + 1))
+            == {d for s in experiments._STUDIES.values() for d in s.dims})
     for preset in (defs["initial"]["properties"]["preset"],
                    defs["experiment"]["properties"]["preset"]):
         assert preset["enum"] == list(experiments.PRESETS)

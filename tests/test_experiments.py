@@ -233,6 +233,62 @@ def test_failed_member_fails_the_sweep(monkeypatch):
     assert not rep.passed()
 
 
+def _power_law(power):
+    """A study factory whose members return errors 0.01 eps^power (1 + t)."""
+    def factory(cfg):
+        def member(eps):
+            times = [0.0, 1.0, 2.0, 3.0, 4.0]
+            return times, [0.01 * eps**power * (1.0 + t) for t in times]
+
+        return member
+
+    return factory
+
+
+def _power_law_study(monkeypatch, cfg, power):
+    study = experiments._STUDIES[cfg.pair]
+    monkeypatch.setitem(experiments._STUDIES, cfg.pair,
+                        study._replace(make=_power_law(power)))
+    rep = scaling_study(cfg)
+    return rep, {v["criterion"]: v for v in rep.verdicts}
+
+
+@pytest.mark.parametrize("pair, grading, exponent", [
+    ("ns-kuznetsov", 3, 1),
+    ("kuznetsov-westervelt", 2, 0),
+    ("kuznetsov-npe", 2, 0),
+])
+def test_slope_floor_is_the_grading_less_the_horizon_exponent(
+        monkeypatch, pair, grading, exponent):
+    cfg = _cfg(pair=pair, eps_list=(0.04, 0.02, 0.01))
+    for power, passed in ((1.85, True), (1.75, False)):
+        rep, verdicts = _power_law_study(monkeypatch, cfg, power)
+        assert rep.median_slope == pytest.approx(power)
+        slope = verdicts["eps-scaling-slope"]
+        assert slope["passed"] is passed
+        assert slope["detail"].endswith(
+            f"vs floor 1.8 = grading {grading} - horizon exponent "
+            f"{exponent} - allowance 0.2")
+
+
+def test_ns_kuznetsov_slope_below_its_claim_fails(monkeypatch):
+    # an eps^3 remainder acting over a 1/eps horizon claims eps^2, so an
+    # eps^1.6 series fails the slope gate even well inside the horizon bound
+    cfg = _cfg(pair="ns-kuznetsov", eps_list=(0.04, 0.02, 0.01))
+    rep, verdicts = _power_law_study(monkeypatch, cfg, 1.6)
+    assert not verdicts["eps-scaling-slope"]["passed"]
+    assert verdicts["horizon-error-bound"]["passed"]
+    assert not rep.passed()
+
+
+def test_the_envelope_study_has_no_slope_verdict(monkeypatch):
+    rep, verdicts = _power_law_study(monkeypatch, _kzk_cfg(), 2.0)
+    assert list(verdicts) == ["gronwall-envelope",
+                              "gronwall-constants-eps-independent"]
+    assert rep.slopes == {} and rep.median_slope is None
+    assert len(rep.gronwall) == 3
+
+
 def test_a_bug_in_a_member_propagates(monkeypatch):
     def factory(cfg):
         def member(eps):
