@@ -110,19 +110,13 @@ def build_correctors(coeff: ModelCoefficients,
                      state: ModelState) -> tuple[np.ndarray, np.ndarray]:
     """The density correctors (rho1, rho2) of one Kuznetsov state.
 
-    u_t is the state's velocity, or d/dt of u when the grid carries a
-    periodic t axis; the spatial derivatives run over the x axes.
+    u_t is the state's velocity; the spatial derivatives run over the x axes.
     """
-    grid = state.primary.grid
-    sp = Spectral(grid)
-    u = state.primary.scalar
-    if state.velocity is not None:
-        ut = state.velocity.scalar
-    elif any(a.name == "t" for a in grid.axes):
-        ut = sp.d(u, "t")
-    else:
-        raise ValueError("Kuznetsov correctors need u_t (velocity field "
-                         "or a grid with a t axis)")
+    if state.velocity is None:
+        raise ValueError("Kuznetsov correctors need u_t (the state's "
+                         "velocity field)")
+    sp = Spectral(state.primary.grid)
+    u, ut = state.primary.scalar, state.velocity.scalar
     return (kuznetsov_rho1(coeff, ut),
             kuznetsov_rho2(coeff, ut, sp.grad_sq(u, "x"), sp.lap(u, "x")))
 

@@ -18,7 +18,6 @@ import logging
 import os
 import platform
 import sys
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -174,13 +173,6 @@ def _grid_from(data: dict) -> Grid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _initial_field(data: dict, grid: Grid) -> Field:
-    try:
-        return preset_profile(data["preset"], grid, data.get("params"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _manifest(out_dir: str, payload: dict, argv: list[str]) -> None:
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     manifest = {
@@ -227,7 +219,8 @@ def _run_solve(args, argv) -> int:
                          sort_keys=True))
         return 0
 
-    init = _initial_field(payload["initial"], grid)
+    init = preset_profile(payload["initial"]["preset"], grid,
+                          payload["initial"].get("params"))
     if model in ("kuznetsov", "westervelt"):
         u1 = right_moving_velocity(coeff, init)
         solver = solve_kuznetsov if model == "kuznetsov" else solve_westervelt
@@ -237,14 +230,11 @@ def _run_solve(args, argv) -> int:
         solver = solve_kzk if model == "kzk" else solve_npe
         states = solver(coeff, init, span, ctl, n_samples=n_samples)
         samples = [(s.evol, s.primary) for s in states]
-    else:  # ns or euler
-        if model == "euler":
-            coeff = replace(coeff, nu=0.0)
+    else:  # ns
         rho = Field(grid, coeff.rho0 * (1.0 + coeff.eps * init.scalar))
         vel = Field.zeros(grid, len(grid.axes))
-        traj = solve_flow(coeff, FlowState(rho, Field(
-            grid, vel.values, len(grid.axes))), span, ctl,
-            n_samples=n_samples)
+        traj = solve_flow(coeff, FlowState(rho, vel), span, ctl,
+                          n_samples=n_samples)
         samples = [(t, U.rho) for t, U in traj]
 
     os.makedirs(out, exist_ok=True)
@@ -311,7 +301,8 @@ def _run_residual(args, argv) -> int:
         print(json.dumps({"action": "residual", "pair": pair,
                           "field": fname, "out": out}, sort_keys=True))
         return 0
-    f = _initial_field(payload["initial"], grid)
+    f = preset_profile(payload["initial"]["preset"], grid,
+                       payload["initial"].get("params"))
     result = evaluate_remainder(pair, coeff, {fname: f})
     os.makedirs(out, exist_ok=True)
     eps_base = float(coeff.eps) ** float(result.base)

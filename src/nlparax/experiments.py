@@ -158,11 +158,6 @@ def band_limited_perturbation(grid: Grid, seed: int, size: float) -> Field:
 # configuration and report containers
 
 
-def _coeff_to_dict(coeff: ModelCoefficients) -> dict:
-    return {"c": coeff.c, "rho0": coeff.rho0, "gamma": coeff.gamma,
-            "nu": coeff.nu, "eps": coeff.eps}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One eps-scaling study: which pair, which sweep, which grid/preset."""
@@ -217,7 +212,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["coeff"] = _coeff_to_dict(self.coeff)
         d["eps_list"] = list(self.eps_list)
         return d
 
@@ -582,8 +576,7 @@ def _kuznetsov_kzk(cfg: ExperimentConfig):
         forced = solve_kzk(replace(cfg.coeff, eps=eps), I0, z_end, ctl,
                            source=S, n_samples=n_int + 1)
         times = [s.evol for s in base]
-        errs = [(a.primary - b.primary).l2_norm()
-                for a, b in zip(base, forced)]
+        errs = [l2_error(a, b) for a, b in zip(base, forced)]
         return times, errs
 
     return member

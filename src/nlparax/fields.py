@@ -188,20 +188,3 @@ class Field:
 
     def linf_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check_compatible(other)
-        return Field(self.grid, self.values + other.values, self.components)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_compatible(other)
-        return Field(self.grid, self.values - other.values, self.components)
-
-    def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self.values * float(scalar), self.components)
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other: "Field") -> None:
-        if self.grid != other.grid or self.components != other.components:
-            raise ValueError("fields live on different grids or component counts")

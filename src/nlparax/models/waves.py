@@ -83,8 +83,6 @@ class _WaveStepper:
                  a_local: float, b_grad: float):
         self.coeff = coeff
         self.dt = dt
-        self.a_local = a_local
-        self.b_grad = b_grad
         self.sp = Spectral(grid)
         damp = coeff.eps * coeff.nu / coeff.rho0
         ksq = self.sp.ksq
@@ -103,9 +101,9 @@ class _WaveStepper:
         self.half_dt = np.array(complex(0.5 * dt))
         self.full_dt = np.array(complex(dt))
         # a stage's transform inputs, one row each: grad u and grad w when
-        # b_grad != 0, then w and the linear tendency when a_local != 0
+        # b_grad != 0, then w and the linear tendency
         self.grads = len(grid.axes) if b_grad != 0.0 else 0
-        self.rows = 2 * self.grads + (2 if a_local != 0.0 else 0)
+        self.rows = 2 * self.grads + 2
 
     def _propagate(self, uh: np.ndarray, wh: np.ndarray):
         e11, e12, e21, e22 = self.half
@@ -129,10 +127,9 @@ class _WaveStepper:
             if du is None:
                 np.multiply(ik[j], uh, out=block[j])
             np.multiply(ik[j], wh, out=block[grads + j])
-        if self.a_local != 0.0:
-            block[-2] = wh
-            lin_h = np.multiply(self.lin_u, uh, out=block[-1])
-            lin_h += self.lin_w * wh
+        block[-2] = wh
+        lin_h = np.multiply(self.lin_u, uh, out=block[-1])
+        lin_h += self.lin_w * wh
         fields = sp.ifft(block[0 if du is None else grads:])
         del block  # freed before the products below
         if du is None:
@@ -145,8 +142,6 @@ class _WaveStepper:
             gdot = sum(np.multiply(du, dw, out=dw))
             gh = sp.fft(gdot)
             gh = np.multiply(self.gain, gh, out=gh)
-            if self.a_local == 0.0:
-                return gh, du
         w, lin = fields
         denom = np.multiply(self.eps_a, w, out=w)
         denom = np.subtract(1.0, denom, out=denom)
@@ -177,12 +172,11 @@ class _WaveStepper:
         """Linear half step, explicit midpoint for the nonlinear flow (u
         frozen, w evolves), linear half step."""
         uh, wh = self._propagate(*carried)
-        if self.a_local != 0.0 or self.b_grad != 0.0:
-            k1, du = self._tendency(uh, wh, None, n)
-            k1 = np.multiply(self.half_dt, k1, out=k1)
-            k2, _ = self._tendency(uh, np.add(wh, k1, out=k1), du, n)
-            k2 = np.multiply(self.full_dt, k2, out=k2)
-            wh += k2
+        k1, du = self._tendency(uh, wh, None, n)
+        k1 = np.multiply(self.half_dt, k1, out=k1)
+        k2, _ = self._tendency(uh, np.add(wh, k1, out=k1), du, n)
+        k2 = np.multiply(self.full_dt, k2, out=k2)
+        wh += k2
         return self._propagate(uh, wh)
 
 

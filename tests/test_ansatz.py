@@ -7,7 +7,6 @@ from nlparax import (
     FlowState,
     Frame,
     Grid,
-    ModelCoefficients,
     ModelKind,
     assemble_ansatz,
     build_correctors,
@@ -143,17 +142,6 @@ def test_westervelt_initial_data_degeneracy_guard(coeff):
     u1 = Field(g, np.full(32, huge))
     with pytest.raises(ValueError):
         westervelt_initial_data(coeff, u0, u1)
-
-
-def test_correctors_refuse_a_bounded_axis():
-    # a spectral d/dt along the bounded t axis put rho1 off from the exact
-    # -rho0/c^2 cos(x1 - t) by 22.5
-    g = Grid((Axis("t", 1.0, 33, periodic=False), Axis("x1", 2 * np.pi, 32)),
-             Frame.PHYSICAL)
-    T, X = g.mesh()
-    st = ModelState(ModelKind.KUZNETSOV, 0.0, Field(g, np.sin(X - T)))
-    with pytest.raises(ValueError, match="axis 't' is not periodic"):
-        build_correctors(ModelCoefficients(), st)
 
 
 @pytest.mark.parametrize("op", ["d", "inv", "mean_zero"])

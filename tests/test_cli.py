@@ -33,20 +33,21 @@ def _write(tmp_path, name, payload):
     return str(p)
 
 
+SOLVE = {
+    "model": "kzk",
+    "coeff": COEFF,
+    "grid": {"frame": "kzk",
+             "axes": [{"name": "tau", "length": 2 * math.pi, "points": 64},
+                      {"name": "y1", "length": 2 * math.pi, "points": 16,
+                       "origin": -math.pi}]},
+    "initial": {"preset": "gaussian_beam"},
+    "span": 0.5, "step": 0.005, "samples": 3,
+}
+
+
 def _solve_cfg(tmp_path, **solve_extra):
-    solve = {
-        "model": "kzk",
-        "coeff": COEFF,
-        "grid": {"frame": "kzk",
-                 "axes": [{"name": "tau", "length": 2 * math.pi, "points": 64},
-                          {"name": "y1", "length": 2 * math.pi, "points": 16,
-                           "origin": -math.pi}]},
-        "initial": {"preset": "gaussian_beam"},
-        "span": 0.5, "step": 0.005, "samples": 3,
-    }
-    solve.update(solve_extra)
     return _write(tmp_path, "solve.json",
-                  {"schema_version": 1, "solve": solve})
+                  {"schema_version": 1, "solve": dict(SOLVE, **solve_extra)})
 
 
 def test_solve_writes_artifacts(tmp_path):
@@ -313,6 +314,26 @@ def test_residual_csv(tmp_path):
     assert len(lines) > 3
 
 
+def test_residual_refuses_an_axis_too_short_for_the_margins(tmp_path,
+                                                           capsys):
+    # the second z derivatives of the kzk table trim 2 points from each end
+    # of a bounded z axis, which leaves nothing of 4 points
+    payload = {"schema_version": 1, "residual": {
+        "pair": "kuznetsov-kzk", "coeff": {"eps": 0.05, "nu": 0.2},
+        "grid": {"frame": "kzk",
+                 "axes": [{"name": "tau", "length": 2 * math.pi, "points": 16},
+                          {"name": "z", "length": 2.0, "points": 4,
+                           "periodic": False},
+                          {"name": "y1", "length": 2 * math.pi, "points": 8,
+                           "origin": -math.pi}]},
+        "initial": {"preset": "gaussian_beam"}}}
+    cfg = _write(tmp_path, "res.json", payload)
+    assert main(["residual", "--config", cfg, "--out",
+                 str(tmp_path / "res")]) == 1
+    assert "axis 'z' too short for FD margins" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_residual_refuses_a_grid_in_another_frame(tmp_path, capsys):
     # the ns-npe table spans the y axes of an NPE grid; a physical grid has
     # none, so every norm would read zero
@@ -416,6 +437,37 @@ def test_sweep_step_count_that_does_not_fit_exits_1(tmp_path, capsys,
     assert main(["sweep", "--config", cfg, "--out",
                  str(tmp_path / "sb")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, payload, message", [
+    ("sweep", dict(FAILING_STUDY, dim=4),
+     "config.sweep.dim: 4 above maximum 3"),
+    ("sweep", {k: v for k, v in FAILING_STUDY.items() if k != "horizon"},
+     "config.sweep: missing required key 'horizon'"),
+    ("sweep", dict(FAILING_STUDY, bogus=1, extra=2),
+     "config.sweep: unknown key 'bogus' (and 1 more)"),
+    # Euler is ns with coeff.nu = 0; no model name overrides a config's nu
+    ("solve", dict(SOLVE, model="euler"),
+     "config.solve.model: value 'euler' not one of"),
+], ids=["above-maximum", "missing-required", "two-unknown", "euler-model"])
+def test_schema_refusal_exits_1_naming_the_entry(tmp_path, capsys, cmd,
+                                                 payload, message):
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, cmd: payload})
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_refuses_incommensurate_eps(tmp_path, capsys):
+    # t_common = 0.04 / 0.04 = 1 in 4 intervals of 0.25; 0.04 / 0.03 is not
+    # a whole number of them
+    payload = {"schema_version": 1, "sweep": dict(
+        FAILING_STUDY, eps_list=[0.04, 0.03], horizon=0.04, points=16)}
+    cfg = _write(tmp_path, "incommensurate.json", payload)
+    assert main(["sweep", "--config", cfg, "--out",
+                 str(tmp_path / "inc")]) == 1
+    assert ("eps = 0.03 gives a horizon that is not a whole number of common "
+            "sample intervals" in capsys.readouterr().err)
 
 
 def test_sweep_dry_run_refuses_a_dim_the_study_does_not_run(tmp_path,
@@ -574,8 +626,14 @@ def _drop(entries: dict, key: str) -> dict:
      "times 'components' 2 = 32"),
     (lambda h: dict(h, axes=[dict(a, length=math.nan) for a in h["axes"]]),
      "non-standard JSON token NaN"),
+    (lambda h: dict(h, format="PAF2"), "not a PAF1 file"),
+    (lambda h: dict(h, byte_order="big"), "unsupported scalar encoding"),
+    (lambda h: dict(h, axes=["tau"]), "axis 0 is not a JSON object"),
+    (lambda h: dict(h, frame="lab"),
+     "header entry 'frame' is not a valid Frame: 'lab'"),
 ], ids=["no-axes", "list-header", "axis-without-name", "null-points",
-        "string-periodic", "components-disagree", "nan-length"])
+        "string-periodic", "components-disagree", "nan-length",
+        "other-format", "big-endian", "string-axis", "unknown-frame"])
 def test_transform_rejects_a_malformed_paf_header(tmp_path, capsys, mutate,
                                                   message):
     path = tmp_path / "k.paf"
@@ -586,6 +644,33 @@ def test_transform_rejects_a_malformed_paf_header(tmp_path, capsys, mutate,
     assert main(["transform", "--from", "kzk", "--to", "npe", "--input",
                  str(path), "--output", str(tmp_path / "n.paf")]) == 1
     assert f"{path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["compare", "sweep", "residual",
+                                 "transform"])
+def test_dry_run_prints_one_plan_line_and_writes_nothing(tmp_path, capsys,
+                                                         monkeypatch, cmd):
+    payload = RESIDUAL if cmd == "residual" else FAILING_STUDY
+    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, cmd: payload})
+    argv = ([cmd, "--from", "kzk", "--to", "npe", "--input", cfg,
+             "--output", "out.paf"] if cmd == "transform"
+            else [cmd, "--config", cfg])
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--dry-run"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert json.loads(out[0])["action"] == cmd
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_transform_to_its_own_frame_writes_a_bit_exact_copy(tmp_path, rng):
+    g = Grid((Axis("tau", 2.0, 16), Axis("y1", 1.0, 8, origin=-0.5)),
+             Frame.KZK)
+    src, dst = tmp_path / "k.paf", tmp_path / "copy.paf"
+    write_paf(src, Field(g, rng.standard_normal(g.shape)))
+    assert main(["transform", "--from", "kzk", "--to", "kzk", "--input",
+                 str(src), "--output", str(dst)]) == 0
+    assert dst.read_bytes() == src.read_bytes()
 
 
 def test_help_and_version_exit_zero(capsys):

@@ -271,6 +271,17 @@ def test_slope_floor_is_the_grading_less_the_horizon_exponent(
             f"{exponent} - allowance 0.2")
 
 
+def test_a_zero_amplitude_study_has_an_undefined_slope():
+    # a zero initial profile stays zero in both models: every error is 0,
+    # no slope can be fitted and the verdict says so instead of failing
+    rep = scaling_study(_cfg(preset_params={"amplitude": 0.0}))
+    assert all(max(s["l2_error"]) == 0.0 for s in rep.series)
+    assert set(rep.slopes.values()) == {None} and rep.median_slope is None
+    assert rep.verdicts == [{
+        "criterion": "eps-scaling-slope", "passed": True,
+        "detail": "error series at rounding level; slope undefined"}]
+
+
 def test_ns_kuznetsov_slope_below_its_claim_fails(monkeypatch):
     # an eps^3 remainder acting over a 1/eps horizon claims eps^2, so an
     # eps^1.6 series fails the slope gate even well inside the horizon bound

@@ -71,18 +71,6 @@ def test_field_shape_and_finiteness():
         Field(g, bad)
 
 
-def test_field_arithmetic(rng):
-    g = Grid((Axis("x1", 1.0, 8),), Frame.PHYSICAL)
-    a = Field(g, rng.standard_normal(8))
-    b = Field(g, rng.standard_normal(8))
-    assert np.allclose((a + b).values, a.values + b.values)
-    assert np.allclose((a - b).values, a.values - b.values)
-    assert np.allclose((2.0 * a).values, 2.0 * a.values)
-    other = Grid((Axis("x1", 2.0, 8),), Frame.PHYSICAL)
-    with pytest.raises(ValueError):
-        a + Field(other, np.zeros(8))
-
-
 def test_scalar_accessor_guards_vectors():
     g = Grid((Axis("x1", 1.0, 8),), Frame.PHYSICAL)
     v = Field(g, np.zeros((8, 2)), components=2)

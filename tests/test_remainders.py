@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from nlparax.remainders import (
     base_power,
     input_field,
 )
+from nlparax.spectral import Spectral
 
 
 def _periodic3(frame, n=48):
@@ -100,6 +102,25 @@ def test_missing_input_field_raises(coeff):
         evaluate_remainder("ns-kuznetsov", coeff, {"Phi": Field.zeros(g)})
 
 
+@pytest.mark.parametrize("pair, frame, message", [
+    ("kuznetsov-kzk", Frame.KZK, "missing input field 'Phi' (or 'I')"),
+    ("kuznetsov-npe", Frame.NPE, "missing input field 'Psi' (or 'xi')"),
+])
+def test_a_paraxial_pair_needs_its_potential_or_its_profile(coeff, pair,
+                                                            frame, message):
+    g = _periodic3(frame, 12)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_remainder(pair, coeff, {"u": Field.zeros(g)})
+
+
+def test_inputs_on_two_grids_are_refused(coeff):
+    g, other = _periodic3(Frame.KZK, 12), _periodic3(Frame.KZK, 16)
+    with pytest.raises(ValueError, match="all input fields must share one "
+                                         "grid"):
+        evaluate_remainder("ns-kzk", coeff, {"Phi": Field.zeros(g),
+                                             "J": Field.zeros(other)})
+
+
 def test_missing_axis_is_reported_by_name(coeff):
     g = Grid((Axis("tau", 2.0, 16),), Frame.KZK)
     f = Field(g, np.sin(np.pi * g.mesh()[0]))
@@ -170,8 +191,9 @@ def test_context_derives_the_correctors_of_build_correctors(coeff):
     g = Grid((Axis("t", 2.0, 16), Axis("x1", 2.0, 16)), Frame.PHYSICAL)
     u = Field(g, 0.01 * _bandlimited(g, seed=5, kmax=1))
     ctx = _prepare_context("ns-kuznetsov", coeff, {"u": u})
+    ut = Field(g, Spectral(g).d(u.scalar, "t"))
     rho1, rho2 = build_correctors(
-        coeff, ModelState(ModelKind.KUZNETSOV, 0.0, u))
+        coeff, ModelState(ModelKind.KUZNETSOV, 0.0, u, ut))
     assert np.array_equal(ctx.fields["rho1"].arr, rho1)
     assert np.array_equal(ctx.fields["rho2"].arr, rho2)
 
