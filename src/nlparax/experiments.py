@@ -209,6 +209,9 @@ class ExperimentConfig:
         if self.dim not in study.dims:
             raise ValueError(f"pair {self.pair!r} runs in dims "
                              f"{list(study.dims)}, not in dim {self.dim}")
+        if study.exponent is not None:  # the studies that march this clock
+            for e in eps:
+                _time_grid(self, e)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -506,8 +509,7 @@ def _kuznetsov_westervelt(cfg: ExperimentConfig):
 def _kuznetsov_npe(cfg: ExperimentConfig):
     grid = _spatial_grid(cfg)
     # NPE profile grid shares the spatial axis, renamed to z
-    zax = Axis("z", STUDY_LENGTH, cfg.points)
-    zgrid = Grid((zax,), Frame.NPE)
+    zgrid = _paraxial_grid(cfg, Frame.NPE)
     u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
     sp = Spectral(zgrid)
     psi0 = sp.mean_zero(u0.scalar, "z")

@@ -55,7 +55,6 @@ __all__ = [
     "entropy_gradient",
     "entropy_hessian",
     "admissibility_residual",
-    "flux",
 ]
 
 
@@ -300,31 +299,14 @@ def entropy_hessian(coeff: ModelCoefficients, rho: float, v) -> np.ndarray:
     return out
 
 
-def flux(coeff: ModelCoefficients, U: FlowState, i: int) -> Field:
-    """Flux vector G_i(U) = (rho v_i, rho v_i v + p e_i)."""
-    rho = U.rho.scalar
-    if np.min(rho) <= 0.0:
-        raise ValueError("density must be positive")
-    v = U.velocity().values
-    n = U.momentum.components
-    if not 0 <= i < n:
-        raise ValueError(f"axis index {i} out of range for {n} components")
-    p = pressure_from_density(coeff, rho)
-    comps = [rho * v[..., i]]
-    for j in range(n):
-        g = rho * v[..., i] * v[..., j]
-        if i == j:
-            g = g + p
-        comps.append(g)
-    return Field(U.grid, np.stack(comps, axis=-1), n + 1)
-
-
 def admissibility_residual(coeff: ModelCoefficients,
                            trajectory: list[tuple[float, FlowState]]
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial integral of d eta/dt + div q - eps nu v . Lap v per sample.
+    """Spatial integral of d eta/dt - eps nu v . Lap v per sample.
 
-    The time derivative uses central differences across the (uniformly
+    The div q term of the local inequality is left out: on the torus it
+    integrates to zero, since a spectral derivative has zero mean.  The
+    time derivative uses central differences across the (uniformly
     sampled) trajectory, so values are reported at interior samples only.
     Returns (times, residuals).
     """
@@ -347,15 +329,11 @@ def admissibility_residual(coeff: ModelCoefficients,
     for m in range(1, len(trajectory) - 1):
         t, U = trajectory[m]
         deta_dt = (etas[m + 1] - etas[m - 1]) / (2.0 * dt)
-        # div q integrates to zero on the torus (spectral derivative of a
-        # periodic field has zero mean) but is computed for completeness
-        _eta, q = entropy_pair(coeff, U)
-        divq = sum(sp.d(q.component(i), i) for i in range(len(grid.axes)))
         vis = 0.0
         if coeff.nu > 0.0:
             v = U.velocity().values
             for i in range(U.momentum.components):
                 vis += np.sum(v[..., i] * sp.lap(v[..., i])) * w
         out_t.append(t)
-        out_r.append(deta_dt + np.sum(divq) * w - coeff.eps * coeff.nu * vis)
+        out_r.append(deta_dt - coeff.eps * coeff.nu * vis)
     return np.array(out_t), np.array(out_r)

@@ -560,14 +560,9 @@ class _Ctx:
         i, a = self.ax[axis]
         if a.periodic:
             return _Val(self.sp.d(val.arr, i, order), dict(val.margins))
-        arr, margins = val.arr, dict(val.margins)
-        o = order
-        while o > 0:
-            k = min(o, 3)
-            arr = _fd_deriv(arr, i, a.spacing, k)
-            margins[axis] = margins.get(axis, 0) + _FD_STENCILS[k][2]
-            o -= k
-        return _Val(arr, margins)
+        margins = dict(val.margins)
+        margins[axis] = margins.get(axis, 0) + _FD_STENCILS[order][2]
+        return _Val(_fd_deriv(val.arr, i, a.spacing, order), margins)
 
     def antideriv(self, val: _Val, axis: str) -> _Val:
         return _Val(self.sp.inv(val.arr, axis), dict(val.margins))
@@ -736,11 +731,10 @@ class RemainderResult:
 def _trimmed(ctx: _Ctx, arr: np.ndarray, margins: Mapping[str, int]):
     sl = [slice(None)] * arr.ndim
     for name, m in margins.items():
-        if m > 0:
-            i, a = ctx.ax[name]
-            if 2 * m >= a.points:
-                raise ValueError(f"axis {name!r} too short for FD margins")
-            sl[i] = slice(m, a.points - m)
+        i, a = ctx.ax[name]
+        if 2 * m >= a.points:
+            raise ValueError(f"axis {name!r} too short for FD margins")
+        sl[i] = slice(m, a.points - m)
     return arr[tuple(sl)]
 
 

@@ -21,6 +21,7 @@ from nlparax import (
     write_paf,
 )
 from nlparax.cli import main
+from nlparax.models import SolverDiverged
 
 COEFF = {"c": 1.0, "rho0": 1.0, "gamma": 1.4, "nu": 0.3, "eps": 0.01}
 
@@ -458,16 +459,68 @@ def test_schema_refusal_exits_1_naming_the_entry(tmp_path, capsys, cmd,
     assert not (tmp_path / "run").exists()
 
 
-def test_sweep_refuses_incommensurate_eps(tmp_path, capsys):
+def test_sweep_refuses_incommensurate_eps(tmp_path, capsys, monkeypatch):
     # t_common = 0.04 / 0.04 = 1 in 4 intervals of 0.25; 0.04 / 0.03 is not
-    # a whole number of them
+    # a whole number of them, which the config load refuses before any
+    # member marches, so a dry run refuses it too
+    def no_march(*args, **kwargs):
+        raise AssertionError("a sweep member marched")
+
+    monkeypatch.setattr(experiments, "solve_kuznetsov", no_march)
+    monkeypatch.setattr(experiments, "solve_westervelt", no_march)
     payload = {"schema_version": 1, "sweep": dict(
         FAILING_STUDY, eps_list=[0.04, 0.03], horizon=0.04, points=16)}
     cfg = _write(tmp_path, "incommensurate.json", payload)
-    assert main(["sweep", "--config", cfg, "--out",
-                 str(tmp_path / "inc")]) == 1
-    assert ("eps = 0.03 gives a horizon that is not a whole number of common "
-            "sample intervals" in capsys.readouterr().err)
+    for dry_run in ([], ["--dry-run"]):
+        assert main(["sweep", "--config", cfg, "--out",
+                     str(tmp_path / "inc")] + dry_run) == 1
+        captured = capsys.readouterr()
+        assert ("eps = 0.03 gives a horizon that is not a whole number of "
+                "common sample intervals" in captured.err)
+        assert captured.out == ""
+        assert not (tmp_path / "inc").exists()
+
+
+def test_sweep_whose_every_member_fails_exits_2(tmp_path, monkeypatch,
+                                                caplog):
+    def diverging(cfg):
+        def member(eps):
+            raise SolverDiverged(f"norm exceeds 1e6 x initial at eps {eps}")
+
+        return member
+
+    study = experiments._STUDIES["kuznetsov-westervelt"]
+    monkeypatch.setitem(experiments._STUDIES, "kuznetsov-westervelt",
+                        study._replace(make=diverging))
+    cfg = _write(tmp_path, "diverge.json",
+                 {"schema_version": 1, "sweep": FAILING_STUDY})
+    out = tmp_path / "dv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "all sweep members failed" in caplog.text
+    series = json.loads((out / "report.json").read_text())["series"]
+    assert [(s["eps"], s["status"]) for s in series] == [
+        (0.04, "failed"), (0.02, "failed")]
+    assert series[1]["error"] == "norm exceeds 1e6 x initial at eps 0.02"
+
+
+def _schema_refs(node):
+    """Every "$ref" value in a schema node."""
+    if isinstance(node, list):
+        return [r for v in node for r in _schema_refs(v)]
+    if not isinstance(node, dict):
+        return []
+    own = [node["$ref"]] if "$ref" in node else []
+    return own + [r for v in node.values() for r in _schema_refs(v)]
+
+
+def test_every_schema_ref_is_local_and_resolves():
+    # _resolve_ref follows "#/..." paths only
+    schema = cli.load_schema()
+    refs = _schema_refs(schema)
+    assert refs
+    for ref in refs:
+        assert ref.startswith("#/definitions/"), ref
+        assert isinstance(cli._resolve_ref({"$ref": ref}, schema), dict)
 
 
 def test_sweep_dry_run_refuses_a_dim_the_study_does_not_run(tmp_path,

@@ -14,7 +14,7 @@ from nlparax import (
     entropy_pair,
     solve_flow,
 )
-from nlparax.flow import entropy_gradient, flux, pressure_from_density
+from nlparax.flow import entropy_gradient, pressure_from_density
 from nlparax.models import PositivityLost, SolverError
 
 
@@ -100,17 +100,6 @@ def test_pressure_linearization(coeff):
     dp = (pressure_from_density(coeff, np.asarray(rho0 + h))
           - pressure_from_density(coeff, np.asarray(rho0 - h))) / (2 * h)
     assert dp == pytest.approx(coeff.c**2, rel=1e-6)
-
-
-def test_flux_components_and_bounds(coeff):
-    U = _smooth_state(coeff)
-    G = flux(coeff, U, 0)
-    assert G.components == 2
-    rho = U.rho.scalar
-    v = U.velocity().component(0)
-    assert np.allclose(G.component(0), rho * v, atol=1e-14)
-    with pytest.raises(ValueError):
-        flux(coeff, U, 1)
 
 
 def test_admissibility_residual_requirements(coeff):

@@ -16,10 +16,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlparax"
 
 #: public definitions that only tests, or readers outside the package, use
 NO_PROGRAM_READER = {
-    # the convex-entropy set: the admissibility check and its flux, and the
-    # entropy's derivatives, which a relative-entropy bound needs
+    # the convex-entropy set: the admissibility check, and the entropy's
+    # derivatives, which a relative-entropy bound needs
     "nlparax.flow.admissibility_residual",
-    "nlparax.flow.flux",
     "nlparax.flow.entropy_gradient",
     "nlparax.flow.entropy_hessian",
     # the viscous-decay acceptance check

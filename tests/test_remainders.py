@@ -16,8 +16,12 @@ from nlparax import (
     term_table,
 )
 from nlparax.remainders import (
+    _FD_STENCILS,
     _PAIR_TABLE,
     PAIRS,
+    Deriv,
+    Prod,
+    Ref,
     _prepare_context,
     base_power,
     input_field,
@@ -54,14 +58,19 @@ def test_base_power():
         base_power("bogus")
 
 
+def _table_grids():
+    """One grid per frame with the most x or y axes a Grid holds."""
+    return {Frame.PHYSICAL: Grid((Axis("t", 1.0, 12, periodic=False),
+                                  Axis("x1", 2.0, 12), Axis("x2", 2.0, 12)),
+                                 Frame.PHYSICAL),
+            Frame.KZK: _periodic3(Frame.KZK, 12),
+            Frame.NPE: _periodic3(Frame.NPE, 12)}
+
+
 def test_term_table_structure(coeff):
     # residual.csv names a term by its id alone, so an id is unique across
     # all components of a pair, not only within one
-    grids = {Frame.PHYSICAL: Grid((Axis("t", 1.0, 12, periodic=False),
-                                   Axis("x1", 2.0, 12), Axis("x2", 2.0, 12)),
-                                  Frame.PHYSICAL),
-             Frame.KZK: _periodic3(Frame.KZK, 12),
-             Frame.NPE: _periodic3(Frame.NPE, 12)}
+    grids = _table_grids()
     for pair in PAIRS:
         for variant in _PAIR_TABLE[pair].variants:
             tables = term_table(pair, grids[_PAIR_TABLE[pair].frame], variant)
@@ -75,6 +84,34 @@ def test_term_table_structure(coeff):
                     assert np.isfinite(t.coeff(coeff))
     with pytest.raises(ValueError):
         term_table("kzk-ns", grids[Frame.KZK])
+
+
+def _derivative_orders(expr):
+    """The orders _Ctx.deriv takes: the derivatives of a Ref summed per
+    axis, as _Ctx.ref sums them, and the order of each Deriv."""
+    if isinstance(expr, Ref):
+        total = {}
+        for axis, order in expr.derivs:
+            total[axis] = total.get(axis, 0) + order
+        return set(total.values())
+    if isinstance(expr, Deriv):
+        return {expr.order} | _derivative_orders(expr.expr)
+    parts = expr.factors if isinstance(expr, Prod) else [
+        e for _scale, e in expr.addends]
+    return set().union(*(_derivative_orders(e) for e in parts))
+
+
+def test_every_derivative_order_has_one_fd_stencil():
+    # a bounded axis takes each derivative in one stencil, so no table may
+    # ask for an order above the largest stencil's
+    grids = _table_grids()
+    for pair in PAIRS:
+        for variant in _PAIR_TABLE[pair].variants:
+            tables = term_table(pair, grids[_PAIR_TABLE[pair].frame], variant)
+            orders = set().union(*(_derivative_orders(t.expr)
+                                   for terms in tables.values()
+                                   for t in terms))
+            assert orders <= set(_FD_STENCILS), (pair, variant, orders)
 
 
 def test_term_table_components_per_pair():
