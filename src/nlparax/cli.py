@@ -50,10 +50,6 @@ __all__ = ["main", "entry"]
 log = logging.getLogger("nlparax")
 
 
-class ConfigError(Exception):
-    """Anything wrong with flags or the configuration file."""
-
-
 # ----------------------------------------------------------------------
 # strict schema validation (hand-rolled; covers the subset the shipped
 # schema file uses, so no third-party dependency is needed)
@@ -87,7 +83,7 @@ def validate_config(instance, schema: dict, root: dict | None = None,
                     path: str = "config"):
     """Validate against the shipped schema and return the instance with
     every value the schema types `integer` as an int (JSON Schema counts
-    16.0 as an integer); raises ConfigError naming the offending key or
+    16.0 as an integer); raises ValueError naming the offending key or
     value."""
     root = root if root is not None else schema
     schema = _resolve_ref(schema, root)
@@ -100,34 +96,34 @@ def validate_config(instance, schema: dict, root: dict | None = None,
         if typ == "integer" and isinstance(instance, float):
             ok = instance.is_integer()
         if not ok:
-            raise ConfigError(f"{path}: expected {typ}, got "
-                              f"{type(instance).__name__}")
+            raise ValueError(f"{path}: expected {typ}, got "
+                             f"{type(instance).__name__}")
         if typ == "integer":
             instance = int(instance)
     if "enum" in schema and instance not in schema["enum"]:
-        raise ConfigError(f"{path}: value {instance!r} not one of "
-                          f"{schema['enum']}")
+        raise ValueError(f"{path}: value {instance!r} not one of "
+                         f"{schema['enum']}")
     if isinstance(instance, (int, float)) and not isinstance(instance, bool):
         if "minimum" in schema and instance < schema["minimum"]:
-            raise ConfigError(f"{path}: {instance} below minimum "
-                              f"{schema['minimum']}")
+            raise ValueError(f"{path}: {instance} below minimum "
+                             f"{schema['minimum']}")
         if "maximum" in schema and instance > schema["maximum"]:
-            raise ConfigError(f"{path}: {instance} above maximum "
-                              f"{schema['maximum']}")
+            raise ValueError(f"{path}: {instance} above maximum "
+                             f"{schema['maximum']}")
         if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
-            raise ConfigError(f"{path}: {instance} must be > "
-                              f"{schema['exclusiveMinimum']}")
+            raise ValueError(f"{path}: {instance} must be > "
+                             f"{schema['exclusiveMinimum']}")
     if isinstance(instance, dict):
         props = schema.get("properties", {})
         if schema.get("additionalProperties") is False:
             unknown = sorted(set(instance) - set(props))
             if unknown:
-                raise ConfigError(f"{path}: unknown key {unknown[0]!r}"
-                                  + (f" (and {len(unknown) - 1} more)"
-                                     if len(unknown) > 1 else ""))
+                raise ValueError(f"{path}: unknown key {unknown[0]!r}"
+                                 + (f" (and {len(unknown) - 1} more)"
+                                    if len(unknown) > 1 else ""))
         for req in schema.get("required", ()):
             if req not in instance:
-                raise ConfigError(f"{path}: missing required key {req!r}")
+                raise ValueError(f"{path}: missing required key {req!r}")
         instance = dict(instance)
         for key, sub in props.items():
             if key in instance:
@@ -145,9 +141,9 @@ def load_config(path: str) -> dict:
         with open(path) as fh:
             data = json.load(fh, parse_constant=refuse_json_constant)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(data, load_schema())
 
 
@@ -159,7 +155,7 @@ def _coeff_from(data: dict | None) -> ModelCoefficients:
     try:
         return ModelCoefficients(**(data or {}))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"coeff: {exc}") from exc
+        raise ValueError(f"coeff: {exc}") from exc
 
 
 def _grid_from(data: dict) -> Grid:
@@ -167,7 +163,7 @@ def _grid_from(data: dict) -> Grid:
         axes = tuple(Axis(**a) for a in data["axes"])
         return Grid(axes, Frame(data.get("frame", "physical")))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        raise ValueError(f"grid: {exc}") from exc
 
 
 def _manifest(out_dir: str, payload: dict, argv: list[str]) -> None:
@@ -189,7 +185,7 @@ def _manifest(out_dir: str, payload: dict, argv: list[str]) -> None:
 def _payload(cfg: dict, key: str) -> dict:
     """A copy of the config's `key` payload."""
     if key not in cfg:
-        raise ConfigError(f"config carries no {key!r} payload")
+        raise ValueError(f"config carries no {key!r} payload")
     return dict(cfg[key])
 
 
@@ -255,10 +251,7 @@ def _run_solve(args, argv) -> int:
 
 def _run_study(args, argv, key: str) -> int:
     cfg = load_config(args.config)
-    try:
-        ecfg = ExperimentConfig.from_dict(_payload(cfg, key))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    ecfg = ExperimentConfig.from_dict(_payload(cfg, key))
     out = args.out or f"{key}_{ecfg.name}"
     if args.dry_run:
         print(json.dumps({"action": key, "pair": ecfg.pair,
@@ -328,7 +321,7 @@ def _run_transform(args, argv) -> int:
     try:
         f = read_paf(args.input)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}") from exc
+        raise ValueError(f"cannot read {args.input}: {exc}") from exc
     g = transform_field(f, args.src, args.dst, args.sound_speed, args.eps)
     write_paf(args.output, g)
     return 0
@@ -386,7 +379,7 @@ def main(argv=None) -> int:
         if args.cmd == "residual":
             return _run_residual(args, argv)
         return _run_transform(args, argv)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, ArithmeticError) as exc:

@@ -211,7 +211,7 @@ class ExperimentConfig:
                              f"{list(study.dims)}, not in dim {self.dim}")
         if study.exponent is not None:  # the studies that march this clock
             for e in eps:
-                _time_grid(self, e)
+                _intervals(self, e)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -393,8 +393,9 @@ def _paraxial_grid(cfg: ExperimentConfig, frame: Frame) -> Grid:
     return Grid(tuple(axes), frame)
 
 
-def _time_grid(cfg: ExperimentConfig, eps: float):
-    """Common sample spacing across the sweep; returns (t_end, sample times)."""
+def _intervals(cfg: ExperimentConfig, eps: float) -> tuple[float, float, int]:
+    """(t_end, the sample spacing common across the sweep, the whole number
+    of those intervals up to t_end); refuses a horizon that is not one."""
     eps_max = cfg.eps_list[0]
     if cfg.horizon_over_eps:
         t_common = cfg.horizon / eps_max
@@ -411,7 +412,12 @@ def _time_grid(cfg: ExperimentConfig, eps: float):
             f"eps = {eps} gives a horizon that is not a whole number of "
             f"common sample intervals; choose commensurate eps values"
         )
-    n_int = int(round(n_int))
+    return t_end, ds, int(round(n_int))
+
+
+def _time_grid(cfg: ExperimentConfig, eps: float):
+    """(t_end, sample times) of one member."""
+    t_end, ds, n_int = _intervals(cfg, eps)
     return t_end, ds * np.arange(n_int + 1)
 
 

@@ -18,6 +18,9 @@ CLI passes, the variants, the grading, the frame and the table builder):
   kuznetsov-npe          Psi or xi (tau, z, y) -> single field
   kuznetsov-westervelt   u(t, x...)            -> single field
 
+A field that a term reads but the caller did not pass is derived the first
+time it is read, from its `_DERIVED` row.
+
 The returned fields are the graded sums divided by eps^3 (flow pairs) or
 eps^2 (model-to-model pairs); fractional powers in the transverse momentum
 tables therefore leave explicit sqrt(eps) factors in the output.
@@ -535,20 +538,61 @@ def _merge(*margins: Mapping[str, int]) -> dict:
     return out
 
 
-class _Ctx:
-    """Holds base arrays and performs cached derivative evaluation on the
-    shared grid: spectral along periodic axes, 4th-order FD along bounded
-    ones (with wrap-around edges tracked as margins)."""
+#: derived field -> its `ansatz` closed form and what the form reads: the
+#: expressions, given the grid's x axes; or, for a potential, the given
+#: profile whose mean-zero antiderivative along the named axis it scales
+_DERIVED = {
+    "rho1": (kuznetsov_rho1, lambda xs: (_R("u", ("t", 1)),)),
+    "rho2": (kuznetsov_rho2, lambda xs: (_R("u", ("t", 1)), _grad_sq("u", xs),
+                                         _lap("u", xs))),
+    "Phi": (kzk_potential, ("I", "tau")),
+    "I": (kzk_intensity, lambda xs: (_R("Phi", ("tau", 1)),)),
+    "J": (kzk_j, lambda xs: (_R("Phi", ("tau", 1)), _R("Phi", ("tau", 2)))),
+    "Psi": (npe_potential, ("xi", "z")),
+    "xi": (npe_xi, lambda xs: (_R("Psi", ("z", 1)),)),
+    "chi": (npe_chi, lambda xs: (_R("Psi", ("tau", 1)), _R("Psi", ("z", 1)),
+                                 _R("Psi", ("z", 2)))),
+}
 
-    def __init__(self, grid: Grid):
+
+class _Ctx:
+    """Holds the input arrays, derives a missing field the first time a term
+    reads it, and performs cached derivative evaluation on the shared grid:
+    spectral along periodic axes, 4th-order FD along bounded ones (with
+    wrap-around edges tracked as margins)."""
+
+    def __init__(self, grid: Grid, coeff: ModelCoefficients,
+                 inputs: Mapping[str, Field]):
         self.grid = grid
+        self.coeff = coeff
         self.sp = Spectral(grid)
         self.ax = {a.name: (i, a) for i, a in enumerate(grid.axes)}
-        self.fields: dict[str, _Val] = {}
+        self.fields = {name: _Val(np.asarray(f.scalar, dtype=np.float64), {})
+                       for name, f in inputs.items()}
         self._cache: dict[tuple, _Val] = {}
 
-    def add(self, name: str, arr: np.ndarray):
-        self.fields[name] = _Val(np.asarray(arr, dtype=np.float64), {})
+    def field(self, name: str) -> _Val:
+        """A given field, or a derived one computed on its first read."""
+        if name not in self.fields:
+            if name not in _DERIVED:
+                raise MissingInput(f"missing input field {name!r}")
+            formula, reads = _DERIVED[name]
+            if isinstance(reads, tuple):
+                # I and xi are derived from their potential, so a profile
+                # present here was given
+                src, axis = reads
+                if src not in self.fields:
+                    raise MissingInput(f"missing input field {name!r} "
+                                       f"(or {src!r})")
+                v = self.fields[src]
+                vals = [_Val(self.sp.inv(v.arr, axis), dict(v.margins))]
+            else:
+                vals = [self.eval(e) for e in
+                        reads([n for n in self.ax if n.startswith("x")])]
+            self.fields[name] = _Val(
+                formula(self.coeff, *(v.arr for v in vals)),
+                _merge(*(v.margins for v in vals)))
+        return self.fields[name]
 
     def deriv(self, val: _Val, axis: str, order: int) -> _Val:
         if axis not in self.ax:
@@ -564,12 +608,7 @@ class _Ctx:
         margins[axis] = margins.get(axis, 0) + _FD_STENCILS[order][2]
         return _Val(_fd_deriv(val.arr, i, a.spacing, order), margins)
 
-    def antideriv(self, val: _Val, axis: str) -> _Val:
-        return _Val(self.sp.inv(val.arr, axis), dict(val.margins))
-
     def ref(self, name: str, derivs: tuple) -> _Val:
-        if name not in self.fields:
-            raise MissingInput(f"missing input field {name!r}")
         total: dict[str, int] = {}
         for axis, order in derivs:
             total[axis] = total.get(axis, 0) + order
@@ -577,19 +616,19 @@ class _Ctx:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        val = self.fields[name]
+        val = self.field(name)
         for axis, order in sorted(total.items()):
             val = self.deriv(val, axis, order)
         self._cache[key] = val
         return val
 
-    def eval(self, expr: Expr, C: ModelCoefficients) -> _Val:
+    def eval(self, expr: Expr) -> _Val:
         if isinstance(expr, Ref):
             return self.ref(expr.name, expr.derivs)
         if isinstance(expr, Deriv):
-            return self.deriv(self.eval(expr.expr, C), expr.axis, expr.order)
+            return self.deriv(self.eval(expr.expr), expr.axis, expr.order)
         if isinstance(expr, Prod):
-            vals = [self.eval(f, C) for f in expr.factors]
+            vals = [self.eval(f) for f in expr.factors]
             arr = vals[0].arr.copy()
             for v in vals[1:]:
                 arr *= v.arr
@@ -598,8 +637,8 @@ class _Ctx:
             arr = np.zeros(self.grid.shape)
             margins: dict = {}
             for scale, sub in expr.addends:
-                v = self.eval(sub, C)
-                s = scale(C) if callable(scale) else float(scale)
+                v = self.eval(sub)
+                s = scale(self.coeff) if callable(scale) else float(scale)
                 arr += s * v.arr
                 margins = _merge(margins, v.margins)
             return _Val(arr, margins)
@@ -663,59 +702,6 @@ def term_table(pair: str, grid: Grid,
                        variant)
 
 
-def _prepare_context(pair: str, coeff: ModelCoefficients,
-                     fields: Mapping[str, Field]) -> _Ctx:
-    grids = {f.grid for f in fields.values()}
-    if len(grids) != 1:
-        raise ValueError("all input fields must share one grid")
-    grid = next(iter(grids))
-    ctx = _Ctx(grid)
-    for name, f in fields.items():
-        ctx.add(name, f.scalar)
-
-    def derive(name: str, formula, *vals: _Val) -> None:
-        """Set a corrector from its `ansatz` closed form and input margins."""
-        ctx.fields[name] = _Val(formula(coeff, *(v.arr for v in vals)),
-                                _merge(*(v.margins for v in vals)))
-
-    if pair in ("ns-kuznetsov", "kuznetsov-westervelt"):
-        if "u" not in ctx.fields:
-            raise MissingInput("missing input field 'u'")
-        if pair == "ns-kuznetsov":
-            ut = ctx.ref("u", (("t", 1),))
-            if "rho1" not in ctx.fields:
-                derive("rho1", kuznetsov_rho1, ut)
-            if "rho2" not in ctx.fields:
-                xs = [n for n in ctx.ax if n.startswith("x")]
-                derive("rho2", kuznetsov_rho2, ut,
-                       ctx.eval(_grad_sq("u", xs), coeff),
-                       ctx.eval(_lap("u", xs), coeff))
-    elif pair in ("ns-kzk", "kuznetsov-kzk"):
-        if "Phi" not in ctx.fields:
-            if "I" not in ctx.fields:
-                raise MissingInput("missing input field 'Phi' (or 'I')")
-            derive("Phi", kzk_potential, ctx.antideriv(ctx.fields["I"], "tau"))
-        if pair == "ns-kzk":
-            dphi = ctx.ref("Phi", (("tau", 1),))
-            if "I" not in ctx.fields:
-                derive("I", kzk_intensity, dphi)
-            if "J" not in ctx.fields:
-                derive("J", kzk_j, dphi, ctx.ref("Phi", (("tau", 2),)))
-    elif pair in ("ns-npe", "kuznetsov-npe"):
-        if "Psi" not in ctx.fields:
-            if "xi" not in ctx.fields:
-                raise MissingInput("missing input field 'Psi' (or 'xi')")
-            derive("Psi", npe_potential, ctx.antideriv(ctx.fields["xi"], "z"))
-        if pair == "ns-npe":
-            dz = ctx.ref("Psi", (("z", 1),))
-            if "xi" not in ctx.fields:
-                derive("xi", npe_xi, dz)
-            if "chi" not in ctx.fields:
-                derive("chi", npe_chi, ctx.ref("Psi", (("tau", 1),)), dz,
-                       ctx.ref("Psi", (("z", 2),)))
-    return ctx
-
-
 @dataclass
 class RemainderResult:
     """Graded remainder fields (normalized by eps^base) plus bookkeeping."""
@@ -744,29 +730,34 @@ def evaluate_remainder(pair: str, coeff: ModelCoefficients,
     """Evaluate the graded remainder of one pair, term by term, with the L2
     and max norms of each graded term inside its margins.
 
-    `inputs` maps field names to Fields; the context derives whatever
-    correctors the tables reference but the caller did not supply.  A grid
-    in another frame than the pair's, or a bounded axis too short for a
-    term's margins, is refused.
+    `inputs` maps field names to Fields on one grid; the context derives
+    each field the tables read but the caller did not supply when a term
+    first reads it.  A grid in another frame than the pair's is refused
+    before anything is derived, and so is a bounded axis too short for a
+    term's margins.
     """
-    ctx = _prepare_context(pair, coeff, inputs)
-    tables = term_table(pair, ctx.grid, variant=variant)
+    grids = {f.grid for f in inputs.values()}
+    if len(grids) != 1:
+        raise ValueError("all input fields must share one grid")
+    grid = grids.pop()
+    tables = term_table(pair, grid, variant=variant)
     frame = _pair_entry(pair).frame
-    if ctx.grid.frame is not frame:
+    if grid.frame is not frame:
         raise ValueError(f"pair {pair!r} is evaluated in the {frame.value} "
-                         f"frame, not in the {ctx.grid.frame.value} frame")
+                         f"frame, not in the {grid.frame.value} frame")
+    ctx = _Ctx(grid, coeff, inputs)
     base = base_power(pair)
     eps = coeff.eps
 
     out_fields: dict[str, Field] = {}
     out_margins: dict[str, dict[str, int]] = {}
     stats = []
-    vol = ctx.grid.cell_volume
+    vol = grid.cell_volume
     for comp, terms in tables.items():
-        total = np.zeros(ctx.grid.shape)
+        total = np.zeros(grid.shape)
         margins: dict = {}
         for term in terms:
-            v = ctx.eval(term.expr, coeff)
+            v = ctx.eval(term.expr)
             graded = term.coeff(coeff) * float(eps) ** float(term.power) * v.arr
             total += graded
             margins = _merge(margins, v.margins)
@@ -774,6 +765,6 @@ def evaluate_remainder(pair: str, coeff: ModelCoefficients,
             l2 = float(np.sqrt(vol * np.sum(inner**2)))
             linf = float(np.max(np.abs(inner))) if inner.size else 0.0
             stats.append((comp, term.term_id, term.power, l2, linf))
-        out_fields[comp] = Field(ctx.grid, total / float(eps) ** float(base))
+        out_fields[comp] = Field(grid, total / float(eps) ** float(base))
         out_margins[comp] = margins
     return RemainderResult(pair, base, out_fields, out_margins, stats)

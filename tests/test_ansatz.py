@@ -20,7 +20,7 @@ from nlparax.ansatz import (
     npe_xi,
 )
 from nlparax.models.base import ModelState
-from nlparax.remainders import _prepare_context
+from nlparax.remainders import _Ctx
 from nlparax.spectral import Spectral
 
 
@@ -75,8 +75,8 @@ def test_kzk_correctors_consistency(coeff):
     g = Grid((Axis("tau", 2 * np.pi, 64), Axis("y1", 2.0, 8)), Frame.KZK)
     T, Y = g.mesh()
     I = Field(g, 0.2 * np.sin(T) * (1.0 + 0.3 * np.cos(np.pi * Y)))
-    ctx = _prepare_context("ns-kzk", coeff, {"I": I})
-    phi = ctx.fields["Phi"].arr
+    ctx = _Ctx(g, coeff, {"I": I})
+    phi = ctx.field("Phi").arr
     # potential satisfies I = rho0/c^2 dPhi/dtau
     dphi = Spectral(g).d(phi, 0)
     assert np.abs(coeff.rho0 / coeff.c**2 * dphi - I.scalar).max() < 1e-12
@@ -84,7 +84,7 @@ def test_kzk_correctors_consistency(coeff):
     d2phi = Spectral(g).d(phi, 0, 2)
     expect = (-coeff.rho0 * (coeff.gamma - 1.0) / (2 * coeff.c**4) * dphi**2
               - coeff.nu / coeff.c**4 * d2phi)
-    assert np.abs(ctx.fields["J"].arr - expect).max() < 1e-12
+    assert np.abs(ctx.field("J").arr - expect).max() < 1e-12
 
 
 def test_npe_correctors_consistency(coeff):
@@ -93,8 +93,7 @@ def test_npe_correctors_consistency(coeff):
              Frame.NPE)
     z = g.mesh()[0]
     xi = Field(g, 0.2 * np.sin(z) + 0.05 * np.cos(3 * z))
-    ctx = _prepare_context("ns-npe", coeff, {"xi": xi})
-    dpsi = Spectral(g).d(ctx.fields["Psi"].arr, 0)
+    dpsi = Spectral(g).d(_Ctx(g, coeff, {"xi": xi}).field("Psi").arr, 0)
     # xi = -rho0/c dPsi/dz
     assert np.abs(-coeff.rho0 / coeff.c * dpsi - xi.scalar).max() < 1e-12
 

@@ -285,7 +285,7 @@ RESIDUAL = {"pair": "kuznetsov-westervelt", "coeff": COEFF,
                                "points": 16}]},
             "initial": {"preset": "single_mode"}}
 STUDY = {"name": "mini", "pair": "kuznetsov-westervelt", "coeff": COEFF,
-         "horizon": 1.0}
+         "eps_list": [0.04, 0.02], "horizon": 1.0}
 
 
 def test_a_subcommand_without_its_payload_exits_1(tmp_path, capsys):
@@ -353,6 +353,26 @@ def test_residual_refuses_a_grid_in_another_frame(tmp_path, capsys):
     assert "pair 'ns-npe' is evaluated in the npe frame" in err
     assert "not in the physical frame" in err
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("pair, frame", [("ns-kzk", "kzk"), ("ns-npe", "npe")])
+def test_residual_refuses_another_frame_before_reading_its_axes(
+        tmp_path, capsys, pair, frame):
+    # a physical (t, x1) grid carries none of the paraxial axes, so the
+    # frame is refused before any corrector is derived along them
+    payload = {"schema_version": 1, "residual": {
+        "pair": pair, "coeff": {"eps": 0.05, "nu": 0.2},
+        "grid": {"frame": "physical",
+                 "axes": [{"name": "t", "length": 1.0, "points": 16,
+                           "periodic": False},
+                          {"name": "x1", "length": 2 * math.pi,
+                           "points": 16}]},
+        "initial": {"preset": "single_mode"}}}
+    cfg = _write(tmp_path, "res.json", payload)
+    assert main(["residual", "--config", cfg, "--out",
+                 str(tmp_path / "res")]) == 1
+    assert (f"pair {pair!r} is evaluated in the {frame} frame, not in the "
+            f"physical frame" in capsys.readouterr().err)
 
 
 def test_sweep_pass_and_artifacts(tmp_path):
@@ -445,12 +465,16 @@ def test_sweep_step_count_that_does_not_fit_exits_1(tmp_path, capsys,
      "config.sweep.dim: 4 above maximum 3"),
     ("sweep", {k: v for k, v in FAILING_STUDY.items() if k != "horizon"},
      "config.sweep: missing required key 'horizon'"),
+    # a study has no default eps_list
+    ("compare", {k: v for k, v in FAILING_STUDY.items() if k != "eps_list"},
+     "config.compare: missing required key 'eps_list'"),
     ("sweep", dict(FAILING_STUDY, bogus=1, extra=2),
      "config.sweep: unknown key 'bogus' (and 1 more)"),
     # Euler is ns with coeff.nu = 0; no model name overrides a config's nu
     ("solve", dict(SOLVE, model="euler"),
      "config.solve.model: value 'euler' not one of"),
-], ids=["above-maximum", "missing-required", "two-unknown", "euler-model"])
+], ids=["above-maximum", "missing-required", "missing-eps-list",
+        "two-unknown", "euler-model"])
 def test_schema_refusal_exits_1_naming_the_entry(tmp_path, capsys, cmd,
                                                  payload, message):
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, cmd: payload})
@@ -521,6 +545,18 @@ def test_every_schema_ref_is_local_and_resolves():
     for ref in refs:
         assert ref.startswith("#/definitions/"), ref
         assert isinstance(cli._resolve_ref({"$ref": ref}, schema), dict)
+
+
+def test_dry_run_of_a_sweep_too_long_to_march_prints_its_plan(tmp_path,
+                                                             capsys):
+    # eps = 1e-13 gives 4e13 sample intervals: never run this sweep
+    payload = {"schema_version": 1, "sweep": {
+        "name": "long", "pair": "ns-kuznetsov", "coeff": COEFF,
+        "eps_list": [0.5, 1e-13], "horizon": 1.0}}
+    cfg = _write(tmp_path, "long.json", payload)
+    assert main(["sweep", "--config", cfg, "--dry-run"]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert plan["action"] == "sweep" and plan["eps_list"] == [0.5, 1e-13]
 
 
 def test_sweep_dry_run_refuses_a_dim_the_study_does_not_run(tmp_path,
@@ -724,6 +760,32 @@ def test_transform_to_its_own_frame_writes_a_bit_exact_copy(tmp_path, rng):
     assert main(["transform", "--from", "kzk", "--to", "kzk", "--input",
                  str(src), "--output", str(dst)]) == 0
     assert dst.read_bytes() == src.read_bytes()
+
+
+@pytest.mark.parametrize("cmd", ["solve", "compare", "residual",
+                                 "transform"])
+def test_an_output_path_that_cannot_be_made_exits_1(tmp_path, capsys, cmd):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    if cmd == "transform":
+        src = tmp_path / "k.paf"
+        write_paf(src, Field.zeros(Grid((Axis("tau", 2.0, 16),), Frame.KZK)))
+        argv = [cmd, "--from", "kzk", "--to", "kzk", "--input", str(src),
+                "--output", out]
+    else:
+        # the westervelt table differentiates along t
+        track = dict(RESIDUAL, grid={"axes": [
+            {"name": "t", "length": 1.0, "points": 16, "periodic": False},
+            {"name": "x1", "length": 2 * math.pi, "points": 16}]})
+        payload = {"solve": SOLVE, "compare": FAILING_STUDY,
+                   "residual": track}[cmd]
+        cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, cmd: payload})
+        argv = [cmd, "--config", cfg, "--out", out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and str(blocker) in err
+    assert "Traceback" not in err
 
 
 def test_help_and_version_exit_zero(capsys):

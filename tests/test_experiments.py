@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ def test_config_hash_sensitivity():
     assert config_hash(a) == config_hash(_cfg())
     assert config_hash(a) != config_hash(b)
     assert len(config_hash(a)) == 64
+
+
+def test_reading_a_config_allocates_no_sample_times():
+    # at eps = 5e-6 a horizon of 1/eps spans 800000 sample intervals of the
+    # eps = 0.5 member; the load checks that count without sampling it
+    tracemalloc.start()
+    try:
+        _cfg(pair="ns-kuznetsov", eps_list=(0.5, 5e-6), horizon=1.0,
+             horizon_over_eps=True, samples=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ------------------------------------------------------------ metrics

@@ -22,7 +22,7 @@ from nlparax.remainders import (
     Deriv,
     Prod,
     Ref,
-    _prepare_context,
+    _Ctx,
     base_power,
     input_field,
 )
@@ -134,8 +134,9 @@ def test_zero_input_gives_zero_remainder(coeff):
 
 
 def test_missing_input_field_raises(coeff):
-    g = _periodic3(Frame.KZK, 12)
-    with pytest.raises(KeyError):
+    g = Grid((Axis("t", 1.0, 16, periodic=False), Axis("x1", 2.0, 16)),
+             Frame.PHYSICAL)
+    with pytest.raises(KeyError, match="missing input field 'u'"):
         evaluate_remainder("ns-kuznetsov", coeff, {"Phi": Field.zeros(g)})
 
 
@@ -227,12 +228,12 @@ def test_context_derives_the_correctors_of_build_correctors(coeff):
     # closed form: on a periodic grid they derive the same arrays bit for bit
     g = Grid((Axis("t", 2.0, 16), Axis("x1", 2.0, 16)), Frame.PHYSICAL)
     u = Field(g, 0.01 * _bandlimited(g, seed=5, kmax=1))
-    ctx = _prepare_context("ns-kuznetsov", coeff, {"u": u})
+    ctx = _Ctx(g, coeff, {"u": u})
     ut = Field(g, Spectral(g).d(u.scalar, "t"))
     rho1, rho2 = build_correctors(
         coeff, ModelState(ModelKind.KUZNETSOV, 0.0, u, ut))
-    assert np.array_equal(ctx.fields["rho1"].arr, rho1)
-    assert np.array_equal(ctx.fields["rho2"].arr, rho2)
+    assert np.array_equal(ctx.field("rho1").arr, rho1)
+    assert np.array_equal(ctx.field("rho2").arr, rho2)
 
 
 @pytest.mark.parametrize("pair", PAIRS)
