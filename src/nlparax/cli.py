@@ -103,16 +103,9 @@ def validate_config(instance, schema: dict, root: dict | None = None,
     if "enum" in schema and instance not in schema["enum"]:
         raise ValueError(f"{path}: value {instance!r} not one of "
                          f"{schema['enum']}")
-    if isinstance(instance, (int, float)) and not isinstance(instance, bool):
-        if "minimum" in schema and instance < schema["minimum"]:
-            raise ValueError(f"{path}: {instance} below minimum "
-                             f"{schema['minimum']}")
-        if "maximum" in schema and instance > schema["maximum"]:
-            raise ValueError(f"{path}: {instance} above maximum "
-                             f"{schema['maximum']}")
-        if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
-            raise ValueError(f"{path}: {instance} must be > "
-                             f"{schema['exclusiveMinimum']}")
+    if "minimum" in schema and instance < schema["minimum"]:
+        raise ValueError(f"{path}: {instance} below minimum "
+                         f"{schema['minimum']}")
     if isinstance(instance, dict):
         props = schema.get("properties", {})
         if schema.get("additionalProperties") is False:
@@ -176,10 +169,21 @@ def _manifest(out_dir: str, payload: dict, argv: list[str]) -> None:
         "platform": platform.platform(),
         "argv": argv,
     }
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _out_dir(args, default: str) -> str:
+    """`--out`, or `default`, refused before any work when its nearest
+    existing ancestor is not a directory; creates nothing."""
+    out = args.out or default
+    probe = os.path.abspath(out)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ValueError(f"cannot create {out}: {probe} is not a directory")
+    return out
 
 
 def _payload(cfg: dict, key: str) -> dict:
@@ -202,7 +206,7 @@ def _run_solve(args, argv) -> int:
     span = payload["span"]
     ctl = StepControl(step=payload["step"])
     n_samples = payload.get("samples", 2)
-    out = args.out or f"{model}_run"
+    out = _out_dir(args, f"{model}_run")
 
     if args.dry_run:
         print(json.dumps({"action": "solve", "model": model,
@@ -225,9 +229,8 @@ def _run_solve(args, argv) -> int:
         samples = [(s.evol, s.primary) for s in states]
     else:  # ns
         rho = Field(grid, coeff.rho0 * (1.0 + coeff.eps * init.scalar))
-        vel = Field.zeros(grid, len(grid.axes))
-        traj = solve_flow(coeff, FlowState(rho, vel), span, ctl,
-                          n_samples=n_samples)
+        state = FlowState(rho, Field.zeros(grid, len(grid.axes)))
+        traj = solve_flow(coeff, state, span, ctl, n_samples=n_samples)
         samples = [(t, U.rho) for t, U in traj]
 
     os.makedirs(out, exist_ok=True)
@@ -252,7 +255,7 @@ def _run_solve(args, argv) -> int:
 def _run_study(args, argv, key: str) -> int:
     cfg = load_config(args.config)
     ecfg = ExperimentConfig.from_dict(_payload(cfg, key))
-    out = args.out or f"{key}_{ecfg.name}"
+    out = _out_dir(args, f"{key}_{ecfg.name}")
     if args.dry_run:
         print(json.dumps({"action": key, "pair": ecfg.pair,
                           "eps_list": list(ecfg.eps_list),
@@ -264,8 +267,7 @@ def _run_study(args, argv, key: str) -> int:
     report = scaling_study(ecfg)
     emit_report(report, out)
     _manifest(out, cfg, argv)
-    failed_runs = [s for s in report.series if s["status"] != "ok"]
-    if len(failed_runs) == len(report.series):
+    if all(s["status"] != "ok" for s in report.series):
         log.error("all sweep members failed")
         return 2
     if key == "sweep" and not report.passed():
@@ -286,7 +288,7 @@ def _run_residual(args, argv) -> int:
     coeff = _coeff_from(payload.get("coeff"))
     grid = _grid_from(payload["grid"])
     fname = input_field(pair)
-    out = args.out or f"residual_{pair}"
+    out = _out_dir(args, f"residual_{pair}")
     if args.dry_run:
         print(json.dumps({"action": "residual", "pair": pair,
                           "field": fname, "out": out}, sort_keys=True))
@@ -348,10 +350,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dry-run", action="store_true")
 
     sp = sub.add_parser("transform", help="change the frame of a PAF snapshot")
-    sp.add_argument("--from", dest="src", required=True,
-                    choices=["physical", "kzk", "npe"])
-    sp.add_argument("--to", dest="dst", required=True,
-                    choices=["physical", "kzk", "npe"])
+    frames = [f.value for f in Frame]
+    sp.add_argument("--from", dest="src", required=True, choices=frames)
+    sp.add_argument("--to", dest="dst", required=True, choices=frames)
     sp.add_argument("--input", required=True)
     sp.add_argument("--output", required=True)
     sp.add_argument("--c", dest="sound_speed", type=float, default=1.0)
@@ -372,10 +373,8 @@ def main(argv=None) -> int:
     try:
         if args.cmd == "solve":
             return _run_solve(args, argv)
-        if args.cmd == "compare":
-            return _run_study(args, argv, "compare")
-        if args.cmd == "sweep":
-            return _run_study(args, argv, "sweep")
+        if args.cmd in ("compare", "sweep"):
+            return _run_study(args, argv, args.cmd)
         if args.cmd == "residual":
             return _run_residual(args, argv)
         return _run_transform(args, argv)

@@ -196,6 +196,16 @@ class ExperimentConfig:
             raise ValueError("horizon must be > 0")
         if self.samples < 4:
             raise ValueError("need at least 4 sample intervals")
+        if self.points < 8:
+            raise ValueError(f"points must be >= 8, got {self.points}")
+        # the study axes' counts: Axis refuses an odd or short one by name
+        Axis("points", STUDY_LENGTH, self.points)
+        if self.trans_points is not None:
+            Axis("trans_points", STUDY_LENGTH, self.trans_points)
+        if self.source_size < 0.0:
+            raise ValueError("source_size must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.pair not in _STUDIES:

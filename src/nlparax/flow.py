@@ -262,17 +262,22 @@ def _h(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
     return -A / rho + B * np.log(rho) + d * rho + C0
 
 
-def entropy_pair(coeff: ModelCoefficients,
-                 U: FlowState) -> tuple[Field, Field]:
-    """Convex entropy eta and its flux q = v (eta + p)."""
+def _eta(coeff: ModelCoefficients, U: FlowState) -> np.ndarray:
+    """Convex entropy eta = rho h(rho) + rho |v|^2 / 2 on the grid; refuses
+    a density that is not positive."""
     rho = U.rho.scalar
     if np.min(rho) <= 0.0:
         raise ValueError("density must be positive")
-    v = U.velocity().values
-    vsq = np.sum(v**2, axis=-1)
-    eta = rho * _h(coeff, rho) + 0.5 * rho * vsq
-    p = pressure_from_density(coeff, rho)
-    q = v * (eta + p)[..., np.newaxis]
+    vsq = np.sum(U.velocity().values ** 2, axis=-1)
+    return rho * _h(coeff, rho) + 0.5 * rho * vsq
+
+
+def entropy_pair(coeff: ModelCoefficients,
+                 U: FlowState) -> tuple[Field, Field]:
+    """Convex entropy eta and its flux q = v (eta + p)."""
+    eta = _eta(coeff, U)
+    p = pressure_from_density(coeff, U.rho.scalar)
+    q = U.velocity().values * (eta + p)[..., np.newaxis]
     grid = U.grid
     return Field(grid, eta), Field(grid, q, U.momentum.components)
 
@@ -320,11 +325,7 @@ def admissibility_residual(coeff: ModelCoefficients,
     grid = trajectory[0][1].grid
     w = grid.cell_volume
     sp = Spectral(grid)
-    etas = []
-    for _t, U in trajectory:
-        eta, _q = entropy_pair(coeff, U)
-        etas.append(np.sum(eta.scalar) * w)
-    etas = np.array(etas)
+    etas = np.array([np.sum(_eta(coeff, U)) * w for _t, U in trajectory])
     out_t, out_r = [], []
     for m in range(1, len(trajectory) - 1):
         t, U = trajectory[m]

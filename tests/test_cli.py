@@ -14,6 +14,8 @@ from nlparax import (
     Field,
     Frame,
     Grid,
+    ModelCoefficients,
+    StepControl,
     cli,
     experiments,
     read_paf,
@@ -22,6 +24,7 @@ from nlparax import (
 )
 from nlparax.cli import main
 from nlparax.models import SolverDiverged
+from nlparax.models.base import resolve_steps
 
 COEFF = {"c": 1.0, "rho0": 1.0, "gamma": 1.4, "nu": 0.3, "eps": 0.01}
 
@@ -461,8 +464,6 @@ def test_sweep_step_count_that_does_not_fit_exits_1(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("cmd, payload, message", [
-    ("sweep", dict(FAILING_STUDY, dim=4),
-     "config.sweep.dim: 4 above maximum 3"),
     ("sweep", {k: v for k, v in FAILING_STUDY.items() if k != "horizon"},
      "config.sweep: missing required key 'horizon'"),
     # a study has no default eps_list
@@ -473,14 +474,122 @@ def test_sweep_step_count_that_does_not_fit_exits_1(tmp_path, capsys,
     # Euler is ns with coeff.nu = 0; no model name overrides a config's nu
     ("solve", dict(SOLVE, model="euler"),
      "config.solve.model: value 'euler' not one of"),
-], ids=["above-maximum", "missing-required", "missing-eps-list",
-        "two-unknown", "euler-model"])
+], ids=["missing-required", "missing-eps-list", "two-unknown",
+        "euler-model"])
 def test_schema_refusal_exits_1_naming_the_entry(tmp_path, capsys, cmd,
                                                  payload, message):
     cfg = _write(tmp_path, "bad.json", {"schema_version": 1, cmd: payload})
     assert main([cmd, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def _set(node, path, value):
+    """A copy of a JSON value with the entry at `path` (keys and list
+    indices) set to `value`."""
+    out = dict(node) if isinstance(node, dict) else list(node)
+    out[path[0]] = (value if len(path) == 1
+                    else _set(node[path[0]], path[1:], value))
+    return out
+
+
+def _coeff(p):
+    return ModelCoefficients(**p["coeff"])
+
+
+#: every value rule the schema leaves to the constructor or table that owns
+#: it: (subcommand, entry, one bad value, the owner called on the payload)
+OWNED_RULES = {
+    "coeff-c": ("solve", ("coeff", "c"), 0.0, _coeff),
+    "coeff-rho0": ("solve", ("coeff", "rho0"), -1.0, _coeff),
+    "coeff-gamma": ("residual", ("coeff", "gamma"), 1.0, _coeff),
+    "coeff-nu": ("sweep", ("coeff", "nu"), -0.1, _coeff),
+    # the schema asked only for eps > 0
+    "coeff-eps": ("sweep", ("coeff", "eps"), 1.5, _coeff),
+    "axis-length": ("solve", ("grid", "axes", 0, "length"), 0.0,
+                    lambda p: Axis(**p["grid"]["axes"][0])),
+    "axis-points": ("residual", ("grid", "axes", 0, "points"), 2,
+                    lambda p: Axis(**p["grid"]["axes"][0])),
+    "grid-frame": ("solve", ("grid", "frame"), "lab",
+                   lambda p: Frame(p["grid"]["frame"])),
+    "solve-span": ("solve", ("span",), -0.5,
+                   lambda p: resolve_steps(p["span"], StepControl(p["step"]))),
+    "solve-step": ("solve", ("step",), 0.0,
+                   lambda p: StepControl(p["step"])),
+    "study-pair": ("sweep", ("pair",), "ns-kzk", ExperimentConfig.from_dict),
+    "study-preset": ("sweep", ("preset",), "plane_wave",
+                     ExperimentConfig.from_dict),
+    "study-eps": ("sweep", ("eps_list", 1), 0.0, ExperimentConfig.from_dict),
+    "study-horizon": ("sweep", ("horizon",), -1.0,
+                      ExperimentConfig.from_dict),
+    "study-dim-below": ("sweep", ("dim",), 0, ExperimentConfig.from_dict),
+    "study-dim-above": ("sweep", ("dim",), 4, ExperimentConfig.from_dict),
+    "study-delta": ("sweep", ("delta",), -0.001, ExperimentConfig.from_dict),
+    "study-samples": ("sweep", ("samples",), 3, ExperimentConfig.from_dict),
+    "residual-pair": ("residual", ("pair",), "ns-euler",
+                      lambda p: remainders.input_field(p["pair"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OWNED_RULES))
+def test_each_value_rule_is_refused_by_its_owner_before_the_plan(
+        tmp_path, capsys, case):
+    cmd, path, value, owner = OWNED_RULES[case]
+    base = {"solve": SOLVE, "sweep": FAILING_STUDY, "residual": RESIDUAL}[cmd]
+    payload = _set(base, path, value)
+    with pytest.raises(ValueError) as refusal:
+        owner(payload)
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, cmd: payload})
+    assert main([cmd, "--config", cfg, "--dry-run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(refusal.value) in captured.err
+
+
+#: where the schema may state a value rule: nothing else states these
+#: before the work
+SCHEMA_VALUE_RULES = {
+    ("properties", "schema_version", "enum"),
+    ("definitions", "solve", "properties", "model", "enum"),
+    ("definitions", "initial", "properties", "preset", "enum"),
+    ("definitions", "solve", "properties", "samples", "minimum"),
+}
+
+
+def _value_rules(node, path=()):
+    """The path of every value rule (enum or bound) in a schema node."""
+    if not isinstance(node, dict):
+        return set()
+    own = {path + (k,) for k in ("enum", "minimum", "maximum",
+                                 "exclusiveMinimum", "exclusiveMaximum")
+           if k in node}
+    return own.union(*(_value_rules(v, path + (k,)) for k, v in node.items()))
+
+
+def test_the_schema_states_only_the_value_rules_no_owner_states():
+    assert _value_rules(cli.load_schema()) == SCHEMA_VALUE_RULES
+
+
+@pytest.mark.parametrize("key, value, pair", [
+    ("points", 6, "kuznetsov-westervelt"),
+    ("points", 33, "kuznetsov-westervelt"),
+    ("trans_points", 2, "kuznetsov-kzk"),
+    ("trans_points", 5, "kuznetsov-kzk"),
+    ("source_size", -1.0, "kuznetsov-kzk"),
+    ("seed", -1, "kuznetsov-kzk"),
+], ids=["points-short", "points-odd", "trans-points-short",
+        "trans-points-odd", "negative-source-size", "negative-seed"])
+def test_study_counts_sizes_and_seed_are_checked_when_read(tmp_path, capsys,
+                                                            key, value, pair):
+    # refused when the config is read, naming the entry, where the run
+    # would fail only later (an odd count, a negative seed) or not at all
+    payload = dict(FAILING_STUDY, pair=pair, dim=2, **{key: value})
+    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1,
+                                        "sweep": payload})
+    assert main(["sweep", "--config", cfg, "--dry-run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and key in captured.err
 
 
 def test_sweep_refuses_incommensurate_eps(tmp_path, capsys, monkeypatch):
@@ -764,7 +873,16 @@ def test_transform_to_its_own_frame_writes_a_bit_exact_copy(tmp_path, rng):
 
 @pytest.mark.parametrize("cmd", ["solve", "compare", "residual",
                                  "transform"])
-def test_an_output_path_that_cannot_be_made_exits_1(tmp_path, capsys, cmd):
+def test_an_output_path_that_cannot_be_made_exits_1(tmp_path, capsys,
+                                                    monkeypatch, cmd):
+    # the path is refused before the work: no march or remainder runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    for owner, name in ((cli, "solve_kzk"), (cli, "evaluate_remainder"),
+                        (experiments, "solve_kuznetsov"),
+                        (experiments, "solve_westervelt")):
+        monkeypatch.setattr(owner, name, no_work)
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = str(blocker / "out")
@@ -835,18 +953,9 @@ def test_every_config_key_has_a_reader(monkeypatch, tmp_path):
         "schema_version", "solve", "compare", "sweep", "residual"}
     assert (set(defs["experiment"]["properties"])
             == {f.name for f in dataclasses.fields(ExperimentConfig)})
-    # every pair and preset the schema admits has one table entry behind it
-    assert (defs["residual"]["properties"]["pair"]["enum"]
-            == list(remainders.PAIRS))
-    assert (defs["experiment"]["properties"]["pair"]["enum"]
-            == list(experiments._STUDIES))
-    # the dims the schema admits are the ones some study runs in
-    dim = defs["experiment"]["properties"]["dim"]
-    assert (set(range(dim["minimum"], dim["maximum"] + 1))
-            == {d for s in experiments._STUDIES.values() for d in s.dims})
-    for preset in (defs["initial"]["properties"]["preset"],
-                   defs["experiment"]["properties"]["preset"]):
-        assert preset["enum"] == list(experiments.PRESETS)
+    # the initial presets the schema admits are the ones preset_profile draws
+    assert (defs["initial"]["properties"]["preset"]["enum"]
+            == list(experiments.PRESETS))
 
     solve = {"coeff": COEFF, "span": 0.02, "step": 0.01, "samples": 2}
     line = {"axes": [{"name": "x1", "length": 2 * math.pi, "points": 16},

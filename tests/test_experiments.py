@@ -106,6 +106,17 @@ def test_config_validation():
         _cfg(preset="plane_wave")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("points", 6), ("points", 33), ("trans_points", 2), ("trans_points", 5),
+    ("source_size", -1.0), ("seed", -1),
+])
+def test_config_refuses_what_the_cli_refuses_and_names_the_field(key, value):
+    # a library config is held to the rules a CLI config is, whether or not
+    # its study reads the entry
+    with pytest.raises(ValueError, match=key):
+        _cfg(**{key: value})
+
+
 def test_config_round_trip_and_unknown_keys():
     cfg = _cfg()
     again = ExperimentConfig.from_dict(cfg.to_dict())

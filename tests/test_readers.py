@@ -21,6 +21,9 @@ NO_PROGRAM_READER = {
     "nlparax.flow.admissibility_residual",
     "nlparax.flow.entropy_gradient",
     "nlparax.flow.entropy_hessian",
+    # the entropy with its flux, which the tests check for positivity; the
+    # admissibility check reads the entropy alone
+    "nlparax.flow.entropy_pair",
     # the viscous-decay acceptance check
     "nlparax.experiments.decay_fit",
     # the reference that tests compare every stepper's dealiasing against
