@@ -26,6 +26,7 @@ from . import __version__
 from .ansatz import right_moving_velocity
 from .experiments import (
     ExperimentConfig,
+    _coeff_from,
     config_hash,
     emit_report,
     preset_profile,
@@ -35,7 +36,6 @@ from .fields import Axis, Field, Frame, Grid, refuse_json_constant
 from .flow import FlowState, solve_flow
 from .frames import transform_field
 from .models.base import (
-    ModelCoefficients,
     SolverError,
     StepControl,
     resolve_steps,
@@ -144,13 +144,6 @@ def load_config(path: str) -> dict:
 # shared builders
 
 
-def _coeff_from(data: dict | None) -> ModelCoefficients:
-    try:
-        return ModelCoefficients(**(data or {}))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"coeff: {exc}") from exc
-
-
 def _grid_from(data: dict) -> Grid:
     try:
         axes = tuple(Axis(**a) for a in data["axes"])
@@ -218,20 +211,25 @@ def _run_solve(args, argv) -> int:
 
     init = preset_profile(payload["initial"]["preset"], grid,
                           payload["initial"].get("params"))
-    if model in ("kuznetsov", "westervelt"):
-        u1 = right_moving_velocity(coeff, init)
-        solver = solve_kuznetsov if model == "kuznetsov" else solve_westervelt
-        states = solver(coeff, init, u1, span, ctl, n_samples=n_samples)
-        samples = [(s.evol, s.primary) for s in states]
-    elif model in ("kzk", "npe"):
-        solver = solve_kzk if model == "kzk" else solve_npe
-        states = solver(coeff, init, span, ctl, n_samples=n_samples)
-        samples = [(s.evol, s.primary) for s in states]
-    else:  # ns
+    if model == "ns":
         rho = Field(grid, coeff.rho0 * (1.0 + coeff.eps * init.scalar))
         state = FlowState(rho, Field.zeros(grid, len(grid.axes)))
         traj = solve_flow(coeff, state, span, ctl, n_samples=n_samples)
         samples = [(t, U.rho) for t, U in traj]
+    else:
+        if model == "kuznetsov":
+            states = solve_kuznetsov(coeff, init,
+                                     right_moving_velocity(coeff, init),
+                                     span, ctl, n_samples=n_samples)
+        elif model == "westervelt":
+            states = solve_westervelt(coeff, init,
+                                      right_moving_velocity(coeff, init),
+                                      span, ctl, n_samples=n_samples)
+        elif model == "kzk":
+            states = solve_kzk(coeff, init, span, ctl, n_samples=n_samples)
+        else:
+            states = solve_npe(coeff, init, span, ctl, n_samples=n_samples)
+        samples = [(s.evol, s.primary) for s in states]
 
     os.makedirs(out, exist_ok=True)
     index = {"model": model, "evol": [], "files": []}
@@ -315,16 +313,18 @@ def _run_residual(args, argv) -> int:
 
 
 def _run_transform(args, argv) -> int:
-    if args.dry_run:
-        print(json.dumps({"action": "transform", "from": args.src,
-                          "to": args.dst, "input": args.input,
-                          "output": args.output}, sort_keys=True))
-        return 0
+    # the input is read and transformed before the plan prints, so that a
+    # dry run refuses what the run refuses
     try:
         f = read_paf(args.input)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from exc
     g = transform_field(f, args.src, args.dst, args.sound_speed, args.eps)
+    if args.dry_run:
+        print(json.dumps({"action": "transform", "from": args.src,
+                          "to": args.dst, "input": args.input,
+                          "output": args.output}, sort_keys=True))
+        return 0
     write_paf(args.output, g)
     return 0
 

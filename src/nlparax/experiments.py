@@ -14,11 +14,17 @@ Horizons of the form C/eps use one C across the sweep, sized so the coarsest
 eps fits the step heuristics; error series are sampled on a common time grid
 (the coarsest run's horizon split into `samples` intervals) so slopes can be
 read off at fixed times without interpolation.
+
+The slope studies march each model once per sweep: the eps members are the
+rows of one batched march (`models.base.march`), each row with its own step
+count, samples and health checks, retiring at its own horizon or at its
+failure.  A member whose first march fails is left out of its later ones and
+reports that failure; the others' numbers are those of marching each member
+alone.  The kuznetsov-kzk study marches its members one at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -43,7 +49,11 @@ from .ansatz import (
     westervelt_transform,
 )
 from .fields import Axis, Field, Frame, Grid, require_finite
-from .flow import FlowState, solve_flow
+# The studies march their eps members as the rows of one batch through the
+# *_rows solvers.  solve_flow, solve_npe, solve_kuznetsov and
+# solve_westervelt are imported as well: perfbench/spans.py wraps each
+# solver by its name in this module.
+from .flow import FlowState, solve_flow, solve_flow_rows
 from .models.base import (
     ModelCoefficients,
     ModelKind,
@@ -51,8 +61,13 @@ from .models.base import (
     SolverError,
     StepControl,
 )
-from .models.oneway import solve_kzk, solve_npe
-from .models.waves import solve_kuznetsov, solve_westervelt
+from .models.oneway import solve_kzk, solve_npe, solve_npe_rows
+from .models.waves import (
+    solve_kuznetsov,
+    solve_kuznetsov_rows,
+    solve_westervelt,
+    solve_westervelt_rows,
+)
 from .remainders import base_power
 from .spectral import Spectral
 
@@ -236,10 +251,19 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         if "coeff" in data and isinstance(data["coeff"], dict):
-            data["coeff"] = ModelCoefficients(**data["coeff"])
+            data["coeff"] = _coeff_from(data["coeff"])
         if "eps_list" in data:
             data["eps_list"] = tuple(data["eps_list"])
         return cls(**data)
+
+
+def _coeff_from(data: dict | None) -> ModelCoefficients:
+    """The coefficients of a config's `coeff` entry (the defaults when it
+    is absent); a refusal names the entry."""
+    try:
+        return ModelCoefficients(**(data or {}))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"coeff: {exc}") from exc
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -463,34 +487,73 @@ def _default_kzk_step(cfg: ExperimentConfig, coeff: ModelCoefficients,
     return 0.3 / rate if rate > 0.0 else 0.02 * cfg.horizon
 
 
+class _Member(NamedTuple):
+    """One eps of a sweep: its coefficients, horizon, sample times and the
+    wave-step control that fills them."""
+
+    coeff: ModelCoefficients
+    t_end: float
+    times: np.ndarray
+    ctl: StepControl
+
+
+def _members(cfg: ExperimentConfig, eps_list) -> list[_Member]:
+    out = []
+    for eps in eps_list:
+        coeff = replace(cfg.coeff, eps=eps)
+        t_end, times = _time_grid(cfg, eps)
+        ctl = _substeps(t_end, len(times) - 1, _default_wave_step(cfg, coeff))
+        out.append(_Member(coeff, t_end, times, ctl))
+    return out
+
+
+def _march_survivors(earlier: list, row, solve_rows) -> list:
+    """solve_rows over row(i, earlier[i]) for each member i whose earlier
+    result is not a SolverError, all as one batch; a member that failed
+    keeps its error and is left out of this march."""
+    ok = [i for i, r in enumerate(earlier) if not isinstance(r, SolverError)]
+    out = list(earlier)
+    if ok:
+        for i, r in zip(ok, solve_rows([row(i, earlier[i]) for i in ok])):
+            out[i] = r
+    return out
+
+
+def _errors(members: list[_Member], results: list, error) -> list:
+    """Per member i (its sample times, error(i, j) at each sample j), or
+    the SolverError that stopped one of its marches."""
+    return [r if isinstance(r, SolverError) else
+            (list(m.times), [error(i, j) for j in range(len(m.times))])
+            for i, (m, r) in enumerate(zip(members, results))]
+
+
 def _ns_kuznetsov(cfg: ExperimentConfig):
     grid = _spatial_grid(cfg)
     u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
     pert = (band_limited_perturbation(grid, cfg.seed, cfg.delta)
             if cfg.delta > 0.0 else None)
 
-    def member(eps: float):
-        coeff = replace(cfg.coeff, eps=eps)
-        u1 = right_moving_velocity(coeff, u0)
-        t_end, times = _time_grid(cfg, eps)
-        n_int = len(times) - 1
-        ctl = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
+    def ansatz_of(coeff: ModelCoefficients, state: ModelState) -> FlowState:
+        return assemble_ansatz(coeff, state, build_correctors(coeff, state))
 
-        kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
-
-        def ansatz_of(state: ModelState) -> FlowState:
-            return assemble_ansatz(coeff, state,
-                                   build_correctors(coeff, state))
-
-        U0 = ansatz_of(kuz[0])
+    def flow_row(m: _Member, start: ModelState):
+        U0 = ansatz_of(m.coeff, start)
         if pert is not None:
             U0 = FlowState(U0.rho.with_values(U0.rho.values + pert.values),
                            U0.momentum)
-        flow = solve_flow(coeff, U0, t_end, ctl, n_samples=n_int + 1)
-        errs = [l2_error(U, ansatz_of(s)) for (_t, U), s in zip(flow, kuz)]
-        return list(times), errs
+        return m.coeff, U0, m.t_end, m.ctl, len(m.times)
 
-    return member
+    def run(eps_list):
+        ms = _members(cfg, eps_list)
+        kuz = solve_kuznetsov_rows(
+            [(m.coeff, u0, right_moving_velocity(m.coeff, u0), m.t_end,
+              m.ctl, len(m.times)) for m in ms])
+        flow = _march_survivors(
+            kuz, lambda i, traj: flow_row(ms[i], traj[0]), solve_flow_rows)
+        return _errors(ms, flow, lambda i, j: l2_error(
+            flow[i][j][1], ansatz_of(ms[i].coeff, kuz[i][j])))
+
+    return run
 
 
 def _kuznetsov_westervelt(cfg: ExperimentConfig):
@@ -498,28 +561,26 @@ def _kuznetsov_westervelt(cfg: ExperimentConfig):
     u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
     sp = Spectral(grid)
 
-    def member(eps: float):
-        coeff = replace(cfg.coeff, eps=eps)
-        u1 = right_moving_velocity(coeff, u0)
-        t_end, times = _time_grid(cfg, eps)
-        n_int = len(times) - 1
-        ctl = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
+    def reference(coeff: ModelCoefficients, ks: ModelState) -> ModelState:
+        pib = westervelt_transform(coeff, ks.primary, ks.velocity)
+        pib_t = Field(grid, westervelt_pi_t(sp, coeff, ks.primary.scalar,
+                                            ks.velocity.scalar))
+        return ModelState(ModelKind.WESTERVELT, ks.evol, pib, pib_t)
 
-        kuz = solve_kuznetsov(coeff, u0, u1, t_end, ctl, n_samples=n_int + 1)
-        pi0, pi1 = westervelt_initial_data(coeff, u0, u1)
-        wes = solve_westervelt(coeff, pi0, pi1, t_end, ctl,
-                               n_samples=n_int + 1)
+    def run(eps_list):
+        ms = _members(cfg, eps_list)
+        u1s = [right_moving_velocity(m.coeff, u0) for m in ms]
+        kuz = solve_kuznetsov_rows(
+            [(m.coeff, u0, u1, m.t_end, m.ctl, len(m.times))
+             for m, u1 in zip(ms, u1s)])
+        wes = _march_survivors(kuz, lambda i, _traj: (
+            ms[i].coeff, *westervelt_initial_data(ms[i].coeff, u0, u1s[i]),
+            ms[i].t_end, ms[i].ctl, len(ms[i].times)),
+            solve_westervelt_rows)
+        return _errors(ms, wes, lambda i, j: l2_error(
+            wes[i][j], reference(ms[i].coeff, kuz[i][j])))
 
-        errs = []
-        for ks, ws in zip(kuz, wes):
-            pib = westervelt_transform(coeff, ks.primary, ks.velocity)
-            pib_t = Field(grid, westervelt_pi_t(sp, coeff, ks.primary.scalar,
-                                                ks.velocity.scalar))
-            ref = ModelState(ModelKind.WESTERVELT, ks.evol, pib, pib_t)
-            errs.append(l2_error(ws, ref))
-        return list(times), errs
-
-    return member
+    return run
 
 
 def _kuznetsov_npe(cfg: ExperimentConfig):
@@ -532,42 +593,40 @@ def _kuznetsov_npe(cfg: ExperimentConfig):
     # xi reads c and rho0 only, which every member shares
     xi0 = Field(zgrid, npe_xi(cfg.coeff, sp.d(psi0, "z")))
 
-    def member(eps: float):
-        coeff = replace(cfg.coeff, eps=eps)
-        t_end, times = _time_grid(cfg, eps)
-        n_int = len(times) - 1
+    def transported(coeff: ModelCoefficients, state: ModelState, t: float):
+        """u(x, t) = Psi(eps t, x - c t) and its time derivative."""
+        psi = npe_potential(coeff, sp.inv(state.primary.scalar, "z"))
+        dtau = _npe_dtau_psi(sp, coeff, psi)
+        dz = sp.d(psi, "z")
+        ut = coeff.eps * dtau - coeff.c * dz
+        shift = -coeff.c * t
+        return sp.shift(psi, "z", shift), sp.shift(ut, "z", shift)
 
-        tau_end = eps * t_end
-        ctl_n = _substeps(tau_end, n_int,
-                          eps * _default_wave_step(cfg, coeff))
-        npe = solve_npe(coeff, xi0, tau_end, ctl_n, n_samples=n_int + 1)
-
-        def transported(state: ModelState, t: float):
-            """u(x, t) = Psi(eps t, x - c t) and its time derivative."""
-            psi = npe_potential(coeff, sp.inv(state.primary.scalar, "z"))
-            dtau = _npe_dtau_psi(sp, coeff, psi)
-            dz = sp.d(psi, "z")
-            ut = eps * dtau - coeff.c * dz
-            shift = -coeff.c * t
-            return sp.shift(psi, "z", shift), sp.shift(ut, "z", shift)
-
+    def kuznetsov_row(m: _Member, start: ModelState):
         # well-prepared data: u1 carries the slow O(eps) correction too
-        ub0, ut0 = transported(npe[0], 0.0)
-        u0f = Field(grid, ub0)
-        u1f = Field(grid, ut0)
-        ctl_w = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
-        kuz = solve_kuznetsov(coeff, u0f, u1f, t_end, ctl_w,
-                              n_samples=n_int + 1)
+        ub0, ut0 = transported(m.coeff, start, 0.0)
+        return (m.coeff, Field(grid, ub0), Field(grid, ut0), m.t_end, m.ctl,
+                len(m.times))
 
-        errs = []
-        for ks, ns, t in zip(kuz, npe, times):
-            ub, ut = transported(ns, float(t))
-            ref = ModelState(ModelKind.KUZNETSOV, float(t),
-                             Field(grid, ub), Field(grid, ut))
-            errs.append(l2_error(ks, ref))
-        return list(times), errs
+    def reference(m: _Member, ns: ModelState, t: float) -> ModelState:
+        ub, ut = transported(m.coeff, ns, t)
+        return ModelState(ModelKind.KUZNETSOV, t, Field(grid, ub),
+                          Field(grid, ut))
 
-    return member
+    def run(eps_list):
+        ms = _members(cfg, eps_list)
+        npe = solve_npe_rows(
+            [(m.coeff, xi0, m.coeff.eps * m.t_end,
+              _substeps(m.coeff.eps * m.t_end, len(m.times) - 1,
+                        m.coeff.eps * _default_wave_step(cfg, m.coeff)),
+              len(m.times)) for m in ms])
+        kuz = _march_survivors(
+            npe, lambda i, traj: kuznetsov_row(ms[i], traj[0]),
+            solve_kuznetsov_rows)
+        return _errors(ms, kuz, lambda i, j: l2_error(
+            kuz[i][j], reference(ms[i], npe[i][j], float(ms[i].times[j]))))
+
+    return run
 
 
 def _kuznetsov_kzk(cfg: ExperimentConfig):
@@ -582,27 +641,32 @@ def _kuznetsov_kzk(cfg: ExperimentConfig):
     size = cfg.source_size if cfg.source_size > 0.0 else 1.0
     S = band_limited_perturbation(grid, cfg.seed, size).scalar
 
-    # Without a source the march reads c, rho0, gamma and nu but never eps,
-    # so every member shares it.  Marched at the first member that needs
-    # it; a march that raises is not stored and fails each member alike.
-    @functools.cache
-    def clean():
-        return solve_kzk(cfg.coeff, I0, z_end, ctl, n_samples=n_int + 1)
+    def forced(base: list[ModelState], eps: float):
+        try:
+            beam = solve_kzk(replace(cfg.coeff, eps=eps), I0, z_end, ctl,
+                             source=S, n_samples=n_int + 1)
+        except SolverError as exc:
+            return exc
+        return ([s.evol for s in base],
+                [l2_error(a, b) for a, b in zip(base, beam)])
 
-    def member(eps: float):
-        base = clean()
-        forced = solve_kzk(replace(cfg.coeff, eps=eps), I0, z_end, ctl,
-                           source=S, n_samples=n_int + 1)
-        times = [s.evol for s in base]
-        errs = [l2_error(a, b) for a, b in zip(base, forced)]
-        return times, errs
+    def run(eps_list):
+        # Without a source the march reads c, rho0, gamma and nu but never
+        # eps, so every member shares it; when it fails, each member fails
+        # alike.
+        try:
+            base = solve_kzk(cfg.coeff, I0, z_end, ctl, n_samples=n_int + 1)
+        except SolverError as exc:
+            return [exc] * len(eps_list)
+        return [forced(base, eps) for eps in eps_list]
 
-    return member
+    return run
 
 
 class _Study(NamedTuple):
     """make(cfg) does a study's eps-independent set-up and returns
-    member(eps) -> (sample times, error series).  `exponent` is the claim's
+    run(eps_list) -> per eps, (sample times, error series) or the
+    SolverError that stopped that member.  `exponent` is the claim's
     horizon exponent (None: Gronwall verdicts); `horizon_bounds` cap error/eps
     at the horizon without and with a delta perturbation."""
 
@@ -726,17 +790,16 @@ def scaling_study(cfg: ExperimentConfig) -> Report:
                     config_sha256=config_hash(cfg),
                     meta=_runtime_meta(cfg.seed))
 
-    def member(eps: float) -> dict:
-        try:
-            times, errs = run(eps)
-            return {"eps": float(eps), "status": "ok",
-                    "evol": [float(t) for t in times],
-                    "l2_error": [float(e) for e in errs]}
-        except SolverError as exc:
+    def member(eps: float, result) -> dict:
+        if isinstance(result, SolverError):
             return {"eps": float(eps), "status": "failed",
-                    "evol": [], "l2_error": [], "error": str(exc)}
+                    "evol": [], "l2_error": [], "error": str(result)}
+        times, errs = result
+        return {"eps": float(eps), "status": "ok",
+                "evol": [float(t) for t in times],
+                "l2_error": [float(e) for e in errs]}
 
-    results = [member(e) for e in cfg.eps_list]
+    results = [member(e, r) for e, r in zip(cfg.eps_list, run(cfg.eps_list))]
     report.series = results  # already ordered by decreasing eps
 
     failed = [s for s in results if s["status"] != "ok"]

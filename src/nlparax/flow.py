@@ -41,9 +41,13 @@ from .fields import Field, Frame, Grid
 from .models.base import (
     ModelCoefficients,
     PositivityLost,
+    SolverError,
     StepControl,
     march,
+    only_row,
+    require_positive,
     resolve_steps,
+    rows_share,
 )
 from .spectral import Spectral
 
@@ -51,6 +55,7 @@ __all__ = [
     "FlowState",
     "pressure_from_density",
     "solve_flow",
+    "solve_flow_rows",
     "entropy_pair",
     "entropy_gradient",
     "entropy_hessian",
@@ -116,34 +121,41 @@ class _FlowStepper:
     Velocities travel stacked, one component per leading index.
     """
 
+    #: the eps-dependent multipliers, one member row each; see base.march
+    per_row = ("visc", "decay_half", "half_dt", "full_dt")
+
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float):
         self.coeff = coeff
         self.dt = dt
         self.sp = Spectral(grid)
         self.ndim = len(grid.axes)
-        self.visc = coeff.eps * coeff.nu
+        # Real multipliers of spectra are stored complex, and the step's
+        # scalars as arrays of shape (1, ..., 1), which stack into one value
+        # per member row: numpy would convert them on every call, to the
+        # same values.
+        ones = (1,) * self.ndim
+        visc = coeff.eps * coeff.nu
+        self.viscous = visc != 0.0
+        self.visc = np.full(ones, visc)
         self.inv_rho0 = 1.0 / coeff.rho0
         # exact decay of the eps*nu/rho0 Lap v part per rfftn mode
-        self.visc0 = coeff.eps * coeff.nu / coeff.rho0
-        # Real multipliers of spectra are stored complex and the step's
-        # scalars as 0-d arrays: numpy would convert them on every call, to
-        # the same values.
+        visc0 = coeff.eps * coeff.nu / coeff.rho0
+        self.decays = visc0 != 0.0
         self.keep = self.sp.keep().astype(complex)
         self.neg_ksq = (-self.sp.ksq).astype(complex)
         self.decay_half = np.exp(
-            -self.visc0 * self.sp.ksq * dt / 2.0).astype(complex)
-        self.half_dt = np.array(0.5 * dt)
-        self.full_dt = np.array(dt)
+            -visc0 * self.sp.ksq * dt / 2.0).astype(complex)
+        self.half_dt = np.full(ones, 0.5 * dt)
+        self.full_dt = np.full(ones, dt)
 
     def _velocity_fields(self, vh: np.ndarray) -> np.ndarray:
         """grad v (one stack per axis), Lap v when viscous, and v, from the
         spectrum vh in one inverse call."""
         ik = self.sp.ik
-        block = np.empty((len(ik) + (self.visc != 0.0) + 1, *vh.shape),
-                         complex)
+        block = np.empty((len(ik) + self.viscous + 1, *vh.shape), complex)
         for j, k in enumerate(ik):
             np.multiply(k, vh, out=block[j])
-        if self.visc != 0.0:
+        if self.viscous:
             np.multiply(self.neg_ksq, vh, out=block[-2])
         block[-1] = vh
         return self.sp.ifft(block)
@@ -163,7 +175,7 @@ class _FlowStepper:
         # would form them, so that v and its derivatives need no copies
         for j in range(nd):
             dv[j] *= v[j]
-        lap = fields[nd] if self.visc != 0.0 else None
+        lap = fields[nd] if self.viscous else None
         if lap is not None:
             # correction beyond the exactly-propagated eps*nu/rho0 part
             lap *= self.visc
@@ -204,24 +216,23 @@ class _FlowStepper:
     def step(self, carried, n: int):
         """Advance (rho, vh) from step n - 1 to step n."""
         rho, vh = carried
-        if self.visc0 != 0.0:
+        if self.decays:
             vh = vh * self.decay_half
         # d rho/dt = -div(rho v): rho + h*d rho/dt is rho - h*div(rho v)
         div1, d1vh = self._tendency(rho, self._velocity_fields(vh))
         rho_m = rho - np.multiply(self.half_dt, div1, out=div1)
         del div1  # freed before the second stage's peak
-        if np.minimum.reduce(rho_m, axis=None) <= 0.0:
-            raise PositivityLost("density positivity lost during midpoint stage")
+        require_positive(rho_m, self.sp, lambda _row, _min: PositivityLost(
+            "density positivity lost during midpoint stage"))
         d1vh = np.multiply(self.half_dt, d1vh, out=d1vh)
         fields = self._velocity_fields(np.add(vh, d1vh, out=d1vh))
         del d1vh
         div2, d2vh = self._tendency(rho_m, fields)
         rho = rho - np.multiply(self.full_dt, div2, out=div2)
-        if np.minimum.reduce(rho, axis=None) <= 0.0:
-            raise PositivityLost(
-                f"density positivity lost at t = {n * self.dt:.6g} "
-                f"(min rho = {rho.min():.3e})"
-            )
+        require_positive(rho, self.sp, lambda row, least: PositivityLost(
+            f"density positivity lost at t = "
+            f"{n * float(self.full_dt.flat[row]):.6g} "
+            f"(min rho = {least:.3e})"))
         d2vh = np.multiply(self.full_dt, d2vh, out=d2vh)
         d2vh = np.add(vh, d2vh, out=d2vh)
         return rho, np.multiply(d2vh, self.decay_half, out=d2vh)
@@ -231,19 +242,31 @@ def solve_flow(coeff: ModelCoefficients, init: FlowState, t_end: float,
                ctl: StepControl,
                n_samples: int = 2) -> list[tuple[float, FlowState]]:
     """Integrate the isentropic system up to t_end; returns (t, state) pairs."""
-    grid = init.grid
+    return only_row(solve_flow_rows([(coeff, init, t_end, ctl, n_samples)]))
+
+
+def solve_flow_rows(rows) -> list:
+    """solve_flow of each row (coeff, init, t_end, ctl, n_samples), the rows
+    marched as one batch (see models.base.march): per row its (t, state)
+    pairs, or the SolverError that stopped it."""
+    grid = rows[0][1].grid
+    rows_share([row[0] for row in rows], [row[1].grid for row in rows])
     if grid.frame is not Frame.PHYSICAL:
         raise ValueError("flow states live on physical-frame grids")
-    nsteps, dt = resolve_steps(t_end, ctl)
-    stepper = _FlowStepper(grid, coeff, dt)
-    velocity = init.velocity()
-    state = (init.rho.scalar,
-             np.stack([velocity.component(i) for i in range(stepper.ndim)]))
-    return [(t, FlowState.from_primitive(
-                Field(grid, rho),
-                Field(grid, np.stack(v, axis=-1), stepper.ndim)))
-            for t, (rho, v) in march(stepper, state, nsteps, n_samples,
-                                     "flow")]
+    ndim = len(grid.axes)
+    marches = []
+    for coeff, init, t_end, ctl, n_samples in rows:
+        nsteps, dt = resolve_steps(t_end, ctl)
+        velocity = init.velocity()
+        state = (init.rho.scalar,
+                 np.stack([velocity.component(i) for i in range(ndim)]))
+        marches.append((_FlowStepper(grid, coeff, dt), state, nsteps,
+                        n_samples))
+    return [done if isinstance(done, SolverError) else
+            [(t, FlowState.from_primitive(
+                Field(grid, rho), Field(grid, np.stack(v, axis=-1), ndim)))
+             for t, (rho, v) in done]
+            for done in march(marches, "flow")]
 
 
 def _h_constants(coeff: ModelCoefficients):

@@ -3,10 +3,12 @@ and the one march loop every stepper runs under."""
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,9 +25,13 @@ __all__ = [
     "SolverNaN",
     "PositivityLost",
     "HyperbolicityLost",
+    "RowsFailed",
     "check_health",
     "march",
+    "only_row",
+    "require_positive",
     "resolve_steps",
+    "rows_share",
 ]
 
 
@@ -119,6 +125,39 @@ class HyperbolicityLost(SolverError):
     """The factor 1 - eps*a*u_t of a wave model reached zero or below."""
 
 
+class RowsFailed(Exception):
+    """Raised by a step for the member rows that cannot go on: `errors`
+    maps each to the SolverError a march of that member alone raises.  The
+    march retires them and takes the step again with the other rows."""
+
+    def __init__(self, errors: dict[int, SolverError]):
+        super().__init__(errors)
+        self.errors = errors
+
+
+def require_positive(values: np.ndarray, sp: Spectral, error) -> None:
+    """Raise RowsFailed for each member row of values (leading axes, then
+    the grid's) whose minimum is zero or below, with error(row, minimum);
+    a NaN minimum passes, for the health check to name."""
+    if np.minimum.reduce(values, axis=None) > 0.0:
+        return  # one reduction when every row passes
+    mins = np.minimum.reduce(values.reshape(-1, math.prod(sp.shape)), axis=1)
+    bad = mins <= 0.0
+    if bad.any():
+        raise RowsFailed({int(r): error(int(r), float(mins[r]))
+                          for r in np.flatnonzero(bad)})
+
+
+def rows_share(coeffs, grids) -> None:
+    """Refuse member rows that do not share one grid and every coefficient
+    but eps: a batch stacks only the eps-dependent multipliers."""
+    for coeff, grid in zip(coeffs, grids):
+        if grid != grids[0]:
+            raise ValueError("the rows of one march must share one grid")
+        if replace(coeff, eps=coeffs[0].eps) != coeffs[0]:
+            raise ValueError("the rows of one march may differ in eps only")
+
+
 def check_health(values: np.ndarray, initial_norm: float, where: str,
                  step: int, sp: Spectral) -> None:
     """Raise SolverNaN or SolverDiverged when values, a real array or a
@@ -160,39 +199,129 @@ def resolve_steps(span: float, ctl: StepControl) -> tuple[int, float]:
     return nsteps, span / nsteps
 
 
-def march(stepper, state: tuple[np.ndarray, ...], nsteps: int, n_samples: int,
-          label: str) -> list[tuple[float, tuple[np.ndarray, ...]]]:
-    """Advance `state` by `nsteps` calls of `stepper.step(carried, n)`.
+def march(rows, label: str) -> list:
+    """Advance the member rows of one batch together, one stepper call per
+    step for every row.
 
-    Between steps the state stays as the stepper carries it:
-    `stepper.carry(state)` makes that form (spectra, mostly) once, and
-    `stepper.sample(carried)` brings it back to physical space.  Every
-    carried array is health-checked after each step, one component at a
-    time, by the grid's sum of squares, against the norm of the initial
-    state plus, for a stepper with a fixed `forcing` spectrum, what that
-    forcing can add over the march.  Returns (evol, state) at n_samples
-    steps evenly spaced in step count, always including the initial state,
-    as given, and the final state; only those samples return to physical
-    space.
+    Each row is (stepper, state, nsteps, n_samples): one member's stepper,
+    its physical state, its step count and its sample count.  The rows'
+    steppers differ only in the multipliers their class names in
+    `per_row`; the march stacks those along a leading member axis, and each
+    state array along the axis before the grid's, and calls the batch's
+    `carry`, `step` and `sample` on the stack.  Between steps the state
+    stays as the stepper carries it: `carry` makes that form (spectra,
+    mostly) once, and `sample` brings it back to physical space.
+
+    After each step every row is health-checked on its own, one component
+    of each carried array at a time, by the grid's sum of squares, against
+    the norm of its initial state plus, for a stepper with a fixed
+    `forcing` spectrum, what that forcing can add over the row's march.  A
+    row retires when it has taken its own `nsteps`, or when it fails: the
+    health check, or a step that raises `RowsFailed` for it, which the
+    march then takes again with the other rows.  So each row's numbers and
+    its error are those of a march of its member alone.
+
+    Returns per row either its (evol, state) at n_samples steps evenly
+    spaced in step count, always including the initial state, as given, and
+    the final state (only those samples return to physical space), or the
+    SolverError that stopped it.
     """
-    # a sample at every step is the most there can be
-    n_samples = min(n_samples, nsteps + 1)
-    sample_at = {round(j * nsteps / max(n_samples - 1, 1))
-                 for j in range(max(n_samples, 2))} | {nsteps}
-    sp = stepper.sp
-    ref_norm = math.sqrt(sum(float(np.sum(a**2)) for a in state))
-    forcing = getattr(stepper, "forcing", None)
-    if forcing is not None:
-        # a march from rest grows by the forcing alone
-        ref_norm += nsteps * stepper.dt * math.sqrt(sp.sum_sq(forcing))
+    steppers = [row[0] for row in rows]
+    sp = steppers[0].sp
     ndim = len(sp.shape)
-    out = [(0.0, state)]
-    carried = stepper.carry(state)
-    for n in range(1, nsteps + 1):
-        carried = stepper.step(carried, n)
-        for a in carried:
-            for part in a.reshape(-1, *a.shape[a.ndim - ndim:]):
-                check_health(part, ref_norm, label, n, sp)
-        if n in sample_at:
-            out.append((n * stepper.dt, stepper.sample(carried)))
+    live, out = [], []
+    for i, (stepper, state, nsteps, n_samples) in enumerate(rows):
+        # a sample at every step is the most there can be
+        n_samples = min(n_samples, nsteps + 1)
+        sample_at = {round(j * nsteps / max(n_samples - 1, 1))
+                     for j in range(max(n_samples, 2))} | {nsteps}
+        ref_norm = math.sqrt(sum(float(np.sum(a**2)) for a in state))
+        forcing = getattr(stepper, "forcing", None)
+        if forcing is not None:
+            # a march from rest grows by the forcing alone
+            ref_norm += nsteps * stepper.dt * math.sqrt(sp.sum_sq(forcing))
+        live.append(_Row(i, nsteps, sample_at, ref_norm, stepper.dt))
+        out.append([(0.0, state)])
+    batch = _stack(steppers)
+    carried = batch.carry(tuple(np.stack(parts, axis=-ndim - 1)
+                                for parts in zip(*(row[1] for row in rows))))
+    n = 0
+    while live:
+        failed = {}
+        try:
+            stepped = batch.step(carried, n + 1)
+        except RowsFailed as exc:
+            failed = exc.errors  # and step n + 1 again without them
+        else:
+            n, carried = n + 1, stepped
+            for r, row in enumerate(live):
+                try:
+                    for a in carried:
+                        part = _row(a, r, ndim)
+                        for comp in part.reshape(-1, *part.shape[-ndim:]):
+                            check_health(comp, row.ref_norm, label, n, sp)
+                except SolverError as exc:
+                    failed[r] = exc
+            due = [r for r, row in enumerate(live)
+                   if n in row.sample_at and r not in failed]
+            if due:
+                physical = batch.sample(carried)
+                for r in due:
+                    out[live[r].index].append(
+                        (n * live[r].dt,
+                         tuple(_row(a, r, ndim) for a in physical)))
+        for r, exc in failed.items():
+            out[live[r].index] = exc
+        keep = [r for r, row in enumerate(live)
+                if r not in failed and row.nsteps > n]
+        if len(keep) < len(live):
+            live = [live[r] for r in keep]
+            carried = tuple(np.take(a, keep, axis=-ndim - 1)
+                            for a in carried)
+            batch = _take(batch, keep)
     return out
+
+
+class _Row(NamedTuple):
+    """What the march keeps of one member row."""
+
+    index: int
+    nsteps: int
+    sample_at: set
+    ref_norm: float
+    dt: float
+
+
+def _row(a: np.ndarray, r: int, ndim: int) -> np.ndarray:
+    """Row r of a batched array, whose member axis is the one before its
+    last ndim (the grid's)."""
+    return a[(Ellipsis, r) + (slice(None),) * ndim]
+
+
+def _stack(steppers):
+    """A copy of the first stepper whose per-row multipliers are those of
+    every stepper, stacked along a new leading member axis."""
+    batch = copy.copy(steppers[0])
+    for name in batch.per_row:
+        if getattr(batch, name) is not None:
+            setattr(batch, name,
+                    np.stack([getattr(s, name) for s in steppers]))
+    return batch
+
+
+def _take(batch, keep: list[int]):
+    """A copy of a batch stepper with only the member rows `keep`."""
+    out = copy.copy(batch)
+    for name in batch.per_row:
+        if getattr(batch, name) is not None:
+            setattr(out, name, getattr(batch, name)[keep])
+    return out
+
+
+def only_row(results: list):
+    """The samples of a one-row march, or raise the SolverError that
+    stopped it."""
+    (result,) = results
+    if isinstance(result, SolverError):
+        raise result
+    return result

@@ -30,12 +30,15 @@ from .base import (
     ModelCoefficients,
     ModelKind,
     ModelState,
+    SolverError,
     StepControl,
     march,
+    only_row,
     resolve_steps,
+    rows_share,
 )
 
-__all__ = ["solve_kzk", "solve_npe"]
+__all__ = ["solve_kzk", "solve_npe", "solve_npe_rows"]
 
 
 class _OneWayStepper:
@@ -50,6 +53,10 @@ class _OneWayStepper:
     transformed once here.
     """
 
+    #: the multipliers that depend on the step or on eps, one member row
+    #: each; see base.march
+    per_row = ("decay_half", "half_dt", "full_dt", "forcing")
+
     def __init__(self, grid: Grid, ax_name: str, a_nl: float, d_visc: float,
                  d_diff: float, dt: float, src_scale: float = 0.0,
                  source: np.ndarray | None = None):
@@ -57,12 +64,19 @@ class _OneWayStepper:
         self.ax = grid.axis_index(ax_name)
         self.dt = dt
         k, ik = sp.k[self.ax], sp.ik[self.ax]
-        # the mean-zero projection along ax drops its k = 0 modes
-        self.mean_zero = (k != 0.0).astype(float)
+        # Real multipliers of spectra are stored complex, and the step sizes
+        # as arrays of shape (1, ..., 1), which stack into one value per
+        # member row: numpy would convert them on every call, to the same
+        # values.  The mean-zero projection along ax drops its k = 0 modes.
+        mean_zero = (k != 0.0).astype(float)
+        self.mean_zero = mean_zero.astype(complex)
         self.forcing = None
         if source is not None:
-            self.forcing = src_scale * self.mean_zero * sp.fft(source)
-        self.decay_half = np.exp(-d_visc * k**2 * dt / 2.0)
+            self.forcing = src_scale * mean_zero * sp.fft(source)
+        self.decay_half = np.exp(-d_visc * k**2 * dt / 2.0).astype(complex)
+        ones = (1,) * len(grid.axes)
+        self.half_dt = np.full(ones, complex(0.5 * dt))
+        self.full_dt = np.full(ones, complex(dt))
         # a_nl * d_ax with the 2/3 rule along ax
         self.nonlinear = a_nl * ik * sp.keep(self.ax)
         # d_diff * Lap_y(invd_ax .): invd_ax drops mode 0 and the Nyquist mode
@@ -74,12 +88,12 @@ class _OneWayStepper:
 
     def _tendency(self, v: np.ndarray, vh: np.ndarray) -> np.ndarray:
         """Spectrum of the explicit tendency at v (spectrum vh)."""
-        sp = self.sp
-        out = self.nonlinear * sp.fft(v * v)
+        out = self.sp.fft(np.multiply(v, v, out=v))
+        out = np.multiply(self.nonlinear, out, out=out)
         if self.diffraction is not None:
-            out = out + self.diffraction * vh
+            out += self.diffraction * vh
         if self.forcing is not None:
-            out = out + self.forcing
+            out += self.forcing
         return out
 
     def carry(self, state):
@@ -94,13 +108,18 @@ class _OneWayStepper:
 
     def step(self, carried, n: int):
         """Viscous half step, explicit midpoint, viscous half step."""
-        sp, dt = self.sp, self.dt
+        sp = self.sp
         (vh,) = carried
         vh = vh * self.decay_half
         k1 = self._tendency(sp.ifft(vh), vh)
-        vh_m = vh + 0.5 * dt * k1
+        vh_m = np.multiply(self.half_dt, k1, out=k1)
+        vh_m = np.add(vh, vh_m, out=vh_m)
         k2 = self._tendency(sp.ifft(vh_m), vh_m)
-        return ((vh + dt * k2) * self.decay_half * self.mean_zero,)
+        out = np.multiply(self.full_dt, k2, out=k2)
+        out = np.add(vh, out, out=out)
+        out *= self.decay_half
+        out *= self.mean_zero
+        return (out,)
 
 
 def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
@@ -128,23 +147,38 @@ def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
     )
     v = stepper.sp.mean_zero(I0.scalar, stepper.ax)
     return [ModelState(ModelKind.KZK, z, Field(I0.grid, v))
-            for z, (v,) in march(stepper, (v,), nsteps, n_samples, "kzk")]
+            for z, (v,) in only_row(march([(stepper, (v,), nsteps,
+                                             n_samples)], "kzk"))]
 
 
 def solve_npe(coeff: ModelCoefficients, xi0: Field, tau_end: float,
               ctl: StepControl,
               n_samples: int = 2) -> list[ModelState]:
     """March the NPE equation in tau from the mean-zero profile xi0(z, y)."""
-    require_mean_zero(xi0, "z")
-    nsteps, dtau = resolve_steps(tau_end, ctl)
-    c, rho0 = coeff.c, coeff.rho0
-    stepper = _OneWayStepper(
-        xi0.grid, "z",
-        a_nl=-(coeff.gamma + 1.0) * c / (4.0 * rho0),
-        d_visc=coeff.nu / (2.0 * rho0),
-        d_diff=-c / 2.0,
-        dt=dtau,
-    )
-    v = stepper.sp.mean_zero(xi0.scalar, stepper.ax)
-    return [ModelState(ModelKind.NPE, tau, Field(xi0.grid, v))
-            for tau, (v,) in march(stepper, (v,), nsteps, n_samples, "npe")]
+    return only_row(solve_npe_rows([(coeff, xi0, tau_end, ctl, n_samples)]))
+
+
+def solve_npe_rows(rows) -> list:
+    """solve_npe of each row (coeff, xi0, tau_end, ctl, n_samples), the rows
+    marched as one batch (see base.march): per row its states, or the
+    SolverError that stopped it."""
+    grid = rows[0][1].grid
+    rows_share([row[0] for row in rows], [row[1].grid for row in rows])
+    marches = []
+    for coeff, xi0, tau_end, ctl, n_samples in rows:
+        require_mean_zero(xi0, "z")
+        nsteps, dtau = resolve_steps(tau_end, ctl)
+        c, rho0 = coeff.c, coeff.rho0
+        stepper = _OneWayStepper(
+            grid, "z",
+            a_nl=-(coeff.gamma + 1.0) * c / (4.0 * rho0),
+            d_visc=coeff.nu / (2.0 * rho0),
+            d_diff=-c / 2.0,
+            dt=dtau,
+        )
+        v = stepper.sp.mean_zero(xi0.scalar, stepper.ax)
+        marches.append((stepper, (v,), nsteps, n_samples))
+    return [done if isinstance(done, SolverError) else
+            [ModelState(ModelKind.NPE, tau, Field(grid, v))
+             for tau, (v,) in done]
+            for done in march(marches, "npe")]

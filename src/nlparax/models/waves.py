@@ -34,12 +34,17 @@ from .base import (
     ModelCoefficients,
     ModelKind,
     ModelState,
+    SolverError,
     StepControl,
     march,
+    only_row,
+    require_positive,
     resolve_steps,
+    rows_share,
 )
 
-__all__ = ["solve_kuznetsov", "solve_westervelt"]
+__all__ = ["solve_kuznetsov", "solve_kuznetsov_rows", "solve_westervelt",
+           "solve_westervelt_rows"]
 
 
 def _linear_propagator(ksq: np.ndarray, c: float, damp: float, dt: float):
@@ -79,38 +84,43 @@ class _WaveStepper:
     call for the rest.
     """
 
+    #: the eps-dependent multipliers, one member row each; see base.march
+    per_row = ("e11", "e12", "e21", "e22", "lin_w", "gain", "eps_a",
+               "half_dt", "full_dt")
+
     def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float,
                  a_local: float, b_grad: float):
-        self.coeff = coeff
         self.dt = dt
         self.sp = Spectral(grid)
         damp = coeff.eps * coeff.nu / coeff.rho0
         ksq = self.sp.ksq
         keep = self.sp.keep()
         # The step's constants, folded as its formulas group them.  Real
-        # multipliers of spectra are stored complex and scalars as 0-d
-        # arrays: numpy would convert them on every call, to the same values.
-        self.half = tuple(e.astype(complex) for e in
-                          _linear_propagator(ksq, coeff.c, damp, dt / 2.0))
+        # multipliers of spectra are stored complex, and scalars as arrays
+        # of shape (1, ..., 1), which stack into one value per member row:
+        # numpy would convert them on every call, to the same values.
+        self.e11, self.e12, self.e21, self.e22 = (
+            e.astype(complex) for e in
+            _linear_propagator(ksq, coeff.c, damp, dt / 2.0))
         # linear tendency of w: -c^2 |k|^2 u - damp |k|^2 w
         self.lin_u = (-coeff.c**2 * ksq).astype(complex)
         self.lin_w = (-damp * ksq).astype(complex)
         self.keep = keep.astype(complex)
         self.gain = (keep * (coeff.eps * b_grad)).astype(complex)
-        self.eps_a = np.array(coeff.eps * a_local)
-        self.half_dt = np.array(complex(0.5 * dt))
-        self.full_dt = np.array(complex(dt))
+        ones = (1,) * len(grid.axes)
+        self.eps_a = np.full(ones, coeff.eps * a_local)
+        self.half_dt = np.full(ones, complex(0.5 * dt))
+        self.full_dt = np.full(ones, complex(dt))
         # a stage's transform inputs, one row each: grad u and grad w when
         # b_grad != 0, then w and the linear tendency
         self.grads = len(grid.axes) if b_grad != 0.0 else 0
         self.rows = 2 * self.grads + 2
 
     def _propagate(self, uh: np.ndarray, wh: np.ndarray):
-        e11, e12, e21, e22 = self.half
-        u = e11 * uh
-        u += e12 * wh
-        w = e21 * uh
-        w += e22 * wh
+        u = self.e11 * uh
+        u += self.e12 * wh
+        w = self.e21 * uh
+        w += self.e22 * wh
         return u, w
 
     def _tendency(self, uh: np.ndarray, wh: np.ndarray,
@@ -118,9 +128,9 @@ class _WaveStepper:
         """Spectrum of the dealiased deviation of w_t from the linear
         tendency at u (spectrum uh, gradient du) and w (spectrum wh), and
         du.  When du is None, grad u is transformed in this stage's inverse
-        call and returned.  Raises HyperbolicityLost when the factor
-        1 - eps*a*w that the u_t u_tt term divides by is not positive
-        everywhere."""
+        call and returned.  Raises RowsFailed, with a HyperbolicityLost for
+        each member row, when the factor 1 - eps*a*w that the u_t u_tt term
+        divides by is not positive everywhere in that row."""
         sp, ik, grads = self.sp, self.sp.ik, self.grads
         block = np.empty((self.rows, *uh.shape), complex)
         for j in range(grads):
@@ -145,11 +155,9 @@ class _WaveStepper:
         w, lin = fields
         denom = np.multiply(self.eps_a, w, out=w)
         denom = np.subtract(1.0, denom, out=denom)
-        margin = float(np.minimum.reduce(denom, axis=None))
-        if margin <= 0.0:
-            raise HyperbolicityLost(
-                f"hyperbolicity lost at step {n}: min(1 - eps*a*w) = "
-                f"{margin:.3e}")
+        require_positive(denom, sp, lambda _row, margin: HyperbolicityLost(
+            f"hyperbolicity lost at step {n}: min(1 - eps*a*w) = "
+            f"{margin:.3e}"))
         if grads:
             rhs = sp.ifft(gh)
             rhs = np.add(lin, rhs, out=rhs)
@@ -187,26 +195,46 @@ def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,
 
     Returns n_samples states evenly spaced in steps (always including the
     initial and final state)."""
-    if u0.grid != u1.grid:
-        raise ValueError("u0 and u1 must share one grid")
-    nsteps, dt = resolve_steps(t_end, ctl)
-    stepper = _WaveStepper(u0.grid, coeff, dt, coeff.alpha, 2.0)
-    grid = u0.grid
-    return [ModelState(ModelKind.KUZNETSOV, t, Field(grid, u), Field(grid, w))
-            for t, (u, w) in march(stepper, (u0.scalar, u1.scalar), nsteps,
-                                   n_samples, "kuznetsov")]
+    return only_row(solve_kuznetsov_rows(
+        [(coeff, u0, u1, t_end, ctl, n_samples)]))
 
 
 def solve_westervelt(coeff: ModelCoefficients, Pi0: Field, Pi1: Field,
                      t_end: float, ctl: StepControl,
                      n_samples: int = 2) -> list[ModelState]:
     """Integrate the Westervelt equation from (Pi0, Pi1) up to t = t_end."""
-    if Pi0.grid != Pi1.grid:
-        raise ValueError("Pi0 and Pi1 must share one grid")
-    nsteps, dt = resolve_steps(t_end, ctl)
-    stepper = _WaveStepper(Pi0.grid, coeff, dt,
-                           (coeff.gamma + 1.0) / coeff.c**2, 0.0)
-    grid = Pi0.grid
-    return [ModelState(ModelKind.WESTERVELT, t, Field(grid, u), Field(grid, w))
-            for t, (u, w) in march(stepper, (Pi0.scalar, Pi1.scalar), nsteps,
-                                   n_samples, "westervelt")]
+    return only_row(solve_westervelt_rows(
+        [(coeff, Pi0, Pi1, t_end, ctl, n_samples)]))
+
+
+def solve_kuznetsov_rows(rows) -> list:
+    """solve_kuznetsov of each row (coeff, u0, u1, t_end, ctl, n_samples),
+    the rows marched as one batch (see base.march): per row its states, or
+    the SolverError that stopped it."""
+    return _wave_rows(rows, ModelKind.KUZNETSOV, "u0 and u1",
+                      lambda coeff: coeff.alpha, 2.0)
+
+
+def solve_westervelt_rows(rows) -> list:
+    """solve_westervelt of each row (coeff, Pi0, Pi1, t_end, ctl,
+    n_samples), marched as one batch like solve_kuznetsov_rows."""
+    return _wave_rows(rows, ModelKind.WESTERVELT, "Pi0 and Pi1",
+                      lambda coeff: (coeff.gamma + 1.0) / coeff.c**2, 0.0)
+
+
+def _wave_rows(rows, model: ModelKind, names: str, a_local,
+               b_grad: float) -> list:
+    """The rows of either model, whose factor a is a_local(coeff)."""
+    rows_share([row[0] for row in rows], [row[1].grid for row in rows])
+    marches = []
+    for coeff, f0, f1, t_end, ctl, n_samples in rows:
+        if f0.grid != f1.grid:
+            raise ValueError(f"{names} must share one grid")
+        nsteps, dt = resolve_steps(t_end, ctl)
+        stepper = _WaveStepper(f0.grid, coeff, dt, a_local(coeff), b_grad)
+        marches.append((stepper, (f0.scalar, f1.scalar), nsteps, n_samples))
+    grid = rows[0][1].grid
+    return [done if isinstance(done, SolverError) else
+            [ModelState(model, t, Field(grid, u), Field(grid, w))
+             for t, (u, w) in done]
+            for done in march(marches, model.value)]

@@ -32,12 +32,13 @@ def _check_periodic(axis: Axis) -> None:
 
 def _forward(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """rfftn of v over axes, the last axes of v; its leading axes are rows.
-    On one axis that is one numpy call.  On several the rows go one at a
-    time: that holds one row's intermediate at a time, and at 128 x 128 it
-    ran faster than one call per axis over a block of rows."""
-    if len(axes) == 1 or v.ndim == len(axes):
-        return _rfftn(v, axes)
+    On one axis, or for one row, that is one numpy call per axis.  On
+    several the rows go one at a time: that holds one row's intermediate at
+    a time, and at 128 x 128 it ran faster than one call per axis over a
+    block of rows."""
     grid = v.shape[-len(axes):]
+    if len(axes) == 1 or v.size == math.prod(grid):
+        return _rfftn(v, axes)
     spectrum = grid[:-1] + (grid[-1] // 2 + 1,)
     out = np.empty(v.shape[:-len(axes)] + spectrum, complex)
     for row, vh in zip(v.reshape(-1, *grid), out.reshape(-1, *spectrum)):
@@ -47,9 +48,9 @@ def _forward(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 def _inverse(vh: np.ndarray, sizes, axes: tuple[int, ...]) -> np.ndarray:
     """irfftn of vh over axes back to the given sizes; see _forward."""
-    if len(axes) == 1 or vh.ndim == len(axes):
-        return _irfftn(vh, sizes, axes)
     spectrum = vh.shape[-len(axes):]
+    if len(axes) == 1 or vh.size == math.prod(spectrum):
+        return _irfftn(vh, sizes, axes)
     out = np.empty(vh.shape[:-len(axes)] + tuple(sizes))
     for row, v in zip(vh.reshape(-1, *spectrum), out.reshape(-1, *sizes)):
         v[...] = _irfftn(row, sizes, axes)

@@ -130,6 +130,18 @@ def test_out_of_range_coefficient_is_a_config_error(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["solve", "residual", "sweep", "compare"])
+def test_a_coefficient_refusal_names_its_entry(tmp_path, capsys, cmd):
+    payload = {"solve": SOLVE, "residual": RESIDUAL}.get(cmd, FAILING_STUDY)
+    cfg = _write(tmp_path, "bad.json", {"schema_version": 1, cmd: dict(
+        payload, coeff=dict(payload["coeff"], c=0.0))})
+    for dry_run in ([], ["--dry-run"]):
+        assert main([cmd, "--config", cfg, "--out",
+                     str(tmp_path / "out")] + dry_run) == 1
+        assert capsys.readouterr().err == "error: coeff: c must be > 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_odd_periodic_axis_is_a_config_error(tmp_path, capsys):
     cfg = _solve_cfg(tmp_path, grid={
         "frame": "kzk",
@@ -599,8 +611,8 @@ def test_sweep_refuses_incommensurate_eps(tmp_path, capsys, monkeypatch):
     def no_march(*args, **kwargs):
         raise AssertionError("a sweep member marched")
 
-    monkeypatch.setattr(experiments, "solve_kuznetsov", no_march)
-    monkeypatch.setattr(experiments, "solve_westervelt", no_march)
+    monkeypatch.setattr(experiments, "solve_kuznetsov_rows", no_march)
+    monkeypatch.setattr(experiments, "solve_westervelt_rows", no_march)
     payload = {"schema_version": 1, "sweep": dict(
         FAILING_STUDY, eps_list=[0.04, 0.03], horizon=0.04, points=16)}
     cfg = _write(tmp_path, "incommensurate.json", payload)
@@ -617,10 +629,11 @@ def test_sweep_refuses_incommensurate_eps(tmp_path, capsys, monkeypatch):
 def test_sweep_whose_every_member_fails_exits_2(tmp_path, monkeypatch,
                                                 caplog):
     def diverging(cfg):
-        def member(eps):
-            raise SolverDiverged(f"norm exceeds 1e6 x initial at eps {eps}")
+        def run(eps_list):
+            return [SolverDiverged(f"norm exceeds 1e6 x initial at eps {eps}")
+                    for eps in eps_list]
 
-        return member
+        return run
 
     study = experiments._STUDIES["kuznetsov-westervelt"]
     monkeypatch.setitem(experiments._STUDIES, "kuznetsov-westervelt",
@@ -810,7 +823,8 @@ def _drop(entries: dict, key: str) -> dict:
     return {k: v for k, v in entries.items() if k != key}
 
 
-@pytest.mark.parametrize("mutate, message", [
+#: malformed PAF headers: (edit of the header, the refusal)
+MALFORMED_HEADERS = [
     (lambda h: _drop(h, "axes"), "header has no 'axes' entry"),
     (lambda h: [h], "header is not a JSON object"),
     (lambda h: dict(h, axes=[_drop(a, "name") for a in h["axes"]]),
@@ -829,36 +843,77 @@ def _drop(entries: dict, key: str) -> dict:
     (lambda h: dict(h, axes=["tau"]), "axis 0 is not a JSON object"),
     (lambda h: dict(h, frame="lab"),
      "header entry 'frame' is not a valid Frame: 'lab'"),
-], ids=["no-axes", "list-header", "axis-without-name", "null-points",
-        "string-periodic", "components-disagree", "nan-length",
-        "other-format", "big-endian", "string-axis", "unknown-frame"])
-def test_transform_rejects_a_malformed_paf_header(tmp_path, capsys, mutate,
-                                                  message):
+]
+MALFORMED_IDS = ["no-axes", "list-header", "axis-without-name",
+                 "null-points", "string-periodic", "components-disagree",
+                 "nan-length", "other-format", "big-endian", "string-axis",
+                 "unknown-frame"]
+
+
+def _kzk_paf(tmp_path, mutate=lambda h: h):
+    """A KZK-frame PAF file, its header edited by mutate."""
     path = tmp_path / "k.paf"
     write_paf(path, Field.zeros(Grid((Axis("tau", 2.0, 16),), Frame.KZK)))
     header, blob = path.read_bytes().split(b"\n", 1)
     path.write_bytes(json.dumps(mutate(json.loads(header))).encode()
                      + b"\n" + blob)
+    return path
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED_HEADERS,
+                         ids=MALFORMED_IDS)
+def test_transform_rejects_a_malformed_paf_header(tmp_path, capsys, mutate,
+                                                  message):
+    path = _kzk_paf(tmp_path, mutate)
     assert main(["transform", "--from", "kzk", "--to", "npe", "--input",
                  str(path), "--output", str(tmp_path / "n.paf")]) == 1
     assert f"{path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED_HEADERS,
+                         ids=MALFORMED_IDS)
+def test_transform_dry_run_reads_and_checks_its_input(tmp_path, capsys,
+                                                      mutate, message):
+    # every refusal of the run comes before the plan prints
+    path = _kzk_paf(tmp_path, mutate)
+    assert main(["transform", "--from", "kzk", "--to", "npe", "--input",
+                 str(path), "--output", str(tmp_path / "n.paf"),
+                 "--dry-run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: {message}" in captured.err
+    assert os.listdir(tmp_path) == ["k.paf"]
+
+
+def test_transform_dry_run_applies_the_frame_refusals(tmp_path, capsys):
+    path = _kzk_paf(tmp_path)
+    assert main(["transform", "--from", "physical", "--to", "npe",
+                 "--input", str(path), "--output", str(tmp_path / "n.paf"),
+                 "--dry-run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs a snapshot in the 'physical' frame" in captured.err
 
 
 @pytest.mark.parametrize("cmd", ["compare", "sweep", "residual",
                                  "transform"])
 def test_dry_run_prints_one_plan_line_and_writes_nothing(tmp_path, capsys,
                                                          monkeypatch, cmd):
-    payload = RESIDUAL if cmd == "residual" else FAILING_STUDY
-    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1, cmd: payload})
-    argv = ([cmd, "--from", "kzk", "--to", "npe", "--input", cfg,
-             "--output", "out.paf"] if cmd == "transform"
-            else [cmd, "--config", cfg])
+    if cmd == "transform":
+        # the dry run reads its input, so it needs one
+        src = _kzk_paf(tmp_path)
+        argv = [cmd, "--from", "kzk", "--to", "npe", "--input", str(src),
+                "--output", "out.paf"]
+    else:
+        payload = RESIDUAL if cmd == "residual" else FAILING_STUDY
+        src = _write(tmp_path, "cfg.json", {"schema_version": 1, cmd: payload})
+        argv = [cmd, "--config", src]
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--dry-run"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1
     assert json.loads(out[0])["action"] == cmd
-    assert os.listdir(tmp_path) == ["cfg.json"]
+    assert os.listdir(tmp_path) == [os.path.basename(src)]
 
 
 def test_transform_to_its_own_frame_writes_a_bit_exact_copy(tmp_path, rng):
@@ -880,8 +935,8 @@ def test_an_output_path_that_cannot_be_made_exits_1(tmp_path, capsys,
         raise AssertionError("the work ran")
 
     for owner, name in ((cli, "solve_kzk"), (cli, "evaluate_remainder"),
-                        (experiments, "solve_kuznetsov"),
-                        (experiments, "solve_westervelt")):
+                        (experiments, "solve_kuznetsov_rows"),
+                        (experiments, "solve_westervelt_rows")):
         monkeypatch.setattr(owner, name, no_work)
     blocker = tmp_path / "file"
     blocker.write_text("")

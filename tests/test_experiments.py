@@ -240,12 +240,12 @@ def test_failed_member_fails_the_sweep(monkeypatch):
     def factory(cfg):
         run = study.make(cfg)
 
-        def member(eps):
-            if eps == 0.02:
-                raise SolverDiverged("norm exceeds 1e6 x initial")
-            return run(eps)
+        def failing(eps_list):
+            return [SolverDiverged("norm exceeds 1e6 x initial")
+                    if eps == 0.02 else result
+                    for eps, result in zip(eps_list, run(eps_list))]
 
-        return member
+        return failing
 
     monkeypatch.setitem(experiments._STUDIES, "kuznetsov-westervelt",
                         study._replace(make=factory))
@@ -261,11 +261,12 @@ def test_failed_member_fails_the_sweep(monkeypatch):
 def _power_law(power):
     """A study factory whose members return errors 0.01 eps^power (1 + t)."""
     def factory(cfg):
-        def member(eps):
+        def run(eps_list):
             times = [0.0, 1.0, 2.0, 3.0, 4.0]
-            return times, [0.01 * eps**power * (1.0 + t) for t in times]
+            return [(times, [0.01 * eps**power * (1.0 + t) for t in times])
+                    for eps in eps_list]
 
-        return member
+        return run
 
     return factory
 
@@ -327,10 +328,10 @@ def test_the_envelope_study_has_no_slope_verdict(monkeypatch):
 
 def test_a_bug_in_a_member_propagates(monkeypatch):
     def factory(cfg):
-        def member(eps):
+        def run(eps_list):
             raise NotImplementedError("pair not wired")
 
-        return member
+        return run
 
     study = experiments._STUDIES["kuznetsov-westervelt"]
     monkeypatch.setitem(experiments._STUDIES, "kuznetsov-westervelt",

@@ -1,7 +1,7 @@
 """Edge values in the numeric entries of small valid inputs.
 
 Each example takes one valid config (a solve of kuznetsov, kzk and ns, a
-sweep, a residual) or a PAF header, replaces one numeric entry by a value of
+sweep, a compare, a residual) or a PAF header, replaces one numeric entry by a value of
 a fixed edge set and runs the CLI on it.  The CLI must return an exit code
 and never raise; a non-finite number (the JSON number 1e400 parses to inf)
 is bad input, exit 1; and a numerical failure, exit 2, needs a file whose
@@ -36,6 +36,11 @@ BEAM = {"frame": "kzk",
                   "origin": -math.pi}]}
 SOLVE = {"coeff": COEFF, "span": 0.02, "step": 0.01, "samples": 2}
 MODE = {"preset": "single_mode", "params": {"amplitude": 0.5, "mode": 1}}
+STUDY = {"name": "fuzz", "pair": "kuznetsov-westervelt", "coeff": COEFF,
+         "eps_list": [0.04, 0.02], "horizon": 0.5, "horizon_over_eps": False,
+         "points": 8, "dim": 1, "trans_points": 8, "samples": 4, "seed": 0,
+         "delta": 0.0, "source_size": 0.0,
+         "preset_params": {"amplitude": 0.5, "mode": 1}}
 
 CONFIGS = {
     "solve-kuznetsov": {"solve": dict(SOLVE, model="kuznetsov", grid=LINE,
@@ -43,12 +48,8 @@ CONFIGS = {
     "solve-kzk": {"solve": dict(SOLVE, model="kzk", grid=BEAM, initial={
         "preset": "gaussian_beam", "params": {"amplitude": 0.5}})},
     "solve-ns": {"solve": dict(SOLVE, model="ns", grid=LINE, initial=MODE)},
-    "sweep": {"sweep": {
-        "name": "fuzz", "pair": "kuznetsov-westervelt", "coeff": COEFF,
-        "eps_list": [0.04, 0.02], "horizon": 0.5, "horizon_over_eps": False,
-        "points": 8, "dim": 1, "trans_points": 8, "samples": 4, "seed": 0,
-        "delta": 0.0, "source_size": 0.0,
-        "preset_params": {"amplitude": 0.5, "mode": 1}}},
+    "sweep": {"sweep": STUDY},
+    "compare": {"compare": STUDY},
     "residual": {"residual": {
         "pair": "kuznetsov-kzk", "coeff": COEFF, "initial": {
             "preset": "gaussian_beam", "params": {"amplitude": 0.5}},

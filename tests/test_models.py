@@ -27,6 +27,7 @@ from nlparax.models.base import (
     SolverNaN,
     check_health,
     march,
+    only_row,
     resolve_steps,
 )
 from nlparax.models.oneway import _OneWayStepper
@@ -139,7 +140,9 @@ def _wave_march(coeff, u0, u1, t_end, step, a_local, b_grad):
     coefficients (a_local for u_t u_tt, b_grad for grad u . grad u_t)."""
     nsteps, dt = resolve_steps(t_end, StepControl(step=step))
     stepper = _WaveStepper(u0.grid, coeff, dt, a_local, b_grad)
-    return march(stepper, (u0.scalar, u1.scalar), nsteps, 2, "kuznetsov")[-1]
+    (out,) = march([(stepper, (u0.scalar, u1.scalar), nsteps, 2)],
+                   "kuznetsov")
+    return out[-1]
 
 
 def test_nonlinearity_switch_all_off_is_linear(coeff):
@@ -303,7 +306,7 @@ def test_forced_march_from_rest_is_not_divergence(coeff):
     tau, y = g.mesh()
     source = np.sin(tau) * np.exp(-y**2)
     forced = _OneWayStepper(g, "tau", 1.0, 0.1, 0.05, 0.01, 0.3, source)
-    out = march(forced, (np.zeros(g.shape),), 20, 3, "kzk")
+    (out,) = march([(forced, (np.zeros(g.shape),), 20, 3)], "kzk")
     final = out[-1][1][0]
     assert np.all(np.isfinite(final)) and np.max(np.abs(final)) > 0.0
     # a state that grows past 1e6 x that reference still fails, and the
@@ -312,12 +315,15 @@ def test_forced_march_from_rest_is_not_divergence(coeff):
     with pytest.raises(SolverDiverged,
                        match=rf"initial \({reference:.3e}\) during kzk "
                              r"step 7$"):
-        march(_Burst(forced, 7), (np.zeros(g.shape),), 20, 3, "kzk")
+        only_row(march([(_Burst(forced, 7), (np.zeros(g.shape),), 20, 3)],
+                       "kzk"))
 
 
 class _Burst:
     """A forced one-way stepper whose carried spectrum jumps by 1e12 at one
     step."""
+
+    per_row = ()
 
     def __init__(self, stepper, at):
         self.inner, self.at = stepper, at
@@ -333,6 +339,8 @@ class _Poisoned:
     """A stepper that puts a NaN into one mode of its carried spectrum u
     at one step."""
 
+    per_row = ()
+
     def __init__(self, stepper, at):
         self.inner, self.at = stepper, at
         self.sp, self.dt = stepper.sp, stepper.dt
@@ -342,7 +350,7 @@ class _Poisoned:
         uh, wh = self.inner.step(carried, n)
         if n == self.at:
             uh = uh.copy()
-            uh[5] = np.nan
+            uh[..., 5] = np.nan
         return uh, wh
 
 
@@ -351,8 +359,8 @@ def test_nan_in_a_carried_spectrum_names_the_step(coeff):
     x = g.mesh()[0]
     stepper = _Poisoned(_WaveStepper(g, coeff, 0.01, coeff.alpha, 2.0), 7)
     with pytest.raises(SolverNaN) as info:
-        march(stepper, (0.1 * np.sin(x), -0.1 * np.cos(x)), 20, 2,
-              "kuznetsov")
+        only_row(march([(stepper, (0.1 * np.sin(x), -0.1 * np.cos(x)), 20,
+                         2)], "kuznetsov"))
     assert str(info.value) == "non-finite values during kuznetsov step 7"
 
 
@@ -434,7 +442,7 @@ def test_march_takes_at_most_one_sample_per_step(coeff):
     stepper = _WaveStepper(g, coeff, 0.01, coeff.alpha, 2.0)
     state = (0.1 * np.sin(x), -0.1 * np.cos(x))
     nsteps = 5
-    every, beyond = (march(stepper, state, nsteps, n, "kuznetsov")
+    every, beyond = (march([(stepper, state, nsteps, n)], "kuznetsov")[0]
                      for n in (nsteps + 1, nsteps + 7))
     assert len(every) == nsteps + 1
     for (t, a), (s, b) in zip(every, beyond, strict=True):

@@ -280,7 +280,7 @@ def test_one_numpy_call_per_transform_on_a_1d_grid(monkeypatch):
     for label, (stepper, state) in steppers.items():
         numpy_calls.clear()
         core_calls.clear()
-        march(stepper, state, 3, 2, label)
+        march([(stepper, state, 3, 2)], label)
         assert len(numpy_calls) == len(core_calls) > 0, label
 
 
@@ -320,7 +320,8 @@ def test_health_norm_of_a_spectrum_is_the_physical_norm(shape, rng):
 
 def test_fft_calls_per_step_are_pinned(monkeypatch):
     # each stepper transforms once per stage and carries its spectra from
-    # step to step; a transform added back to a step shows up here
+    # step to step; a transform added back to a step shows up here.  The
+    # rows of a batch share every call: three members cost what one does.
     calls = []
     for name in ("_forward", "_inverse"):
         def counted(*args, _op=getattr(spectral, name), _name=name):
@@ -328,8 +329,6 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
             return _op(*args)
         monkeypatch.setattr(spectral, name, counted)
 
-    coeff = ModelCoefficients(nu=0.2, eps=0.05)
-    inviscid = ModelCoefficients(nu=0.0, eps=0.05)
     g1 = _grid1d(64)
     g2 = Grid((Axis("x1", 2 * np.pi, 32), Axis("x2", 2 * np.pi, 16)))
     kzk = Grid((Axis("tau", 2 * np.pi, 32), Axis("y1", 2.0, 16)), Frame.KZK)
@@ -338,33 +337,42 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
     def smooth(g):
         return 0.01 * np.cos(sum(g.mesh()))
 
+    # each case: member eps -> (stepper, state) of that member
     def wave(g, a_local, b_grad):
-        return (_WaveStepper(g, coeff, 0.01, a_local, b_grad),
-                (smooth(g), smooth(g)))
+        return lambda eps: (
+            _WaveStepper(g, ModelCoefficients(nu=0.2, eps=eps), 0.01,
+                         a_local, b_grad),
+            (smooth(g), smooth(g)))
 
-    def flow(g, c):
-        return (_FlowStepper(g, c, 0.01),
-                (1.0 + smooth(g), np.stack([smooth(g) for _ in g.axes])))
+    def flow(g, nu):
+        return lambda eps: (
+            _FlowStepper(g, ModelCoefficients(nu=nu, eps=eps), 0.01),
+            (1.0 + smooth(g), np.stack([smooth(g) for _ in g.axes])))
 
     def oneway(g, ax, source=None):
-        return (_OneWayStepper(g, ax, 1.0, 0.1, 0.5, 0.01, 0.1, source),
-                (smooth(g),))
+        # the step, and the forcing with it, stand in for eps
+        return lambda eps: (
+            _OneWayStepper(g, ax, 1.0, 0.1, 0.5, 0.2 * eps, 2.0 * eps,
+                           source),
+            (smooth(g),))
 
+    alpha = ModelCoefficients().alpha
     budget = {
-        "kuznetsov 1d": (wave(g1, coeff.alpha, 2.0), 8),
-        "kuznetsov 2d": (wave(g2, coeff.alpha, 2.0), 8),
+        "kuznetsov 1d": (wave(g1, alpha, 2.0), 8),
+        "kuznetsov 2d": (wave(g2, alpha, 2.0), 8),
         "westervelt 1d": (wave(g1, 2.4, 0.0), 4),
         "westervelt 2d": (wave(g2, 2.4, 0.0), 4),
-        "flow 1d": (flow(g1, coeff), 8),
-        "flow 1d inviscid": (flow(g1, inviscid), 8),
-        "flow 2d": (flow(g2, coeff), 8),
+        "flow 1d": (flow(g1, 0.2), 8),
+        "flow 1d inviscid": (flow(g1, 0.0), 8),
+        "flow 2d": (flow(g2, 0.2), 8),
         "npe 1d": (oneway(npe, "z"), 4),
         "kzk 2d": (oneway(kzk, "tau"), 4),
         # the fixed source is transformed once, when the stepper is built
         "kzk 2d with source": (oneway(kzk, "tau", smooth(kzk)), 4),
     }
     nsteps, n_samples = 6, 3
-    for label, ((stepper, state), expect) in budget.items():
+    for label, (member, expect) in budget.items():
+        stepper, state = member(0.05)
         calls.clear()
         carried = stepper.carry(state)
         assert calls == ["_forward"], label
@@ -375,7 +383,11 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
         stepper.sample(carried)
         assert calls == ["_inverse"], label
         # a march: one forward call to start, the steps, and one inverse
-        # call per sample after the initial one, which is the state given
-        calls.clear()
-        march(stepper, state, nsteps, n_samples, label)
-        assert len(calls) == 1 + nsteps * expect + n_samples - 1, label
+        # call per sample after the initial one, which is the state given;
+        # as much for one member as for three
+        for eps_list in ((0.05,), (0.05, 0.04, 0.03)):
+            rows = [(*member(eps), nsteps, n_samples) for eps in eps_list]
+            calls.clear()
+            marched = march(rows, label)
+            assert len(calls) == 1 + nsteps * expect + n_samples - 1, label
+            assert all(len(samples) == n_samples for samples in marched)

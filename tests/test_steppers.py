@@ -237,7 +237,8 @@ def _long_march_cases(rng):
 
 def test_long_march_matches_the_steps_through_physical_space(rng):
     for label, (stepper, state) in _long_march_cases(rng).items():
-        _, carried = march(stepper, state, LONG_MARCH, 2, label)[-1]
+        (out,) = march([(stepper, state, LONG_MARCH, 2)], label)
+        _, carried = out[-1]
         physical = state
         for n in range(1, LONG_MARCH + 1):
             physical = _one_step(stepper, physical, n)
