@@ -44,6 +44,7 @@ from .models.base import (
     SolverError,
     StepControl,
     march,
+    member_axis,
     only_row,
     require_positive,
     resolve_steps,
@@ -114,39 +115,30 @@ def _dpressure(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
 class _FlowStepper:
     """Explicit midpoint for (rho, v) between two exact viscous half steps.
 
-    The carried state is (rho, vh): the density, and the spectrum of the
+    A march builds it for the member rows it steps, from one eps and one
+    step size per row, and again for the survivors.  The carried state is (rho, vh): the density, and the spectrum of the
     velocity.  Each stage makes two calls each way, each on one block of
     rows: v and its derivatives back to physical space, rho v and p
     forward, their derivatives back, and the velocity tendency forward.
     Velocities travel stacked, one component per leading index.
     """
 
-    #: the eps-dependent multipliers, one member row each; see base.march
-    per_row = ("visc", "decay_half", "half_dt", "full_dt")
-
-    def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float):
-        self.coeff = coeff
-        self.dt = dt
-        self.sp = Spectral(grid)
-        self.ndim = len(grid.axes)
-        # Real multipliers of spectra are stored complex, and the step's
-        # scalars as arrays of shape (1, ..., 1), which stack into one value
-        # per member row: numpy would convert them on every call, to the
-        # same values.
-        ones = (1,) * self.ndim
-        visc = coeff.eps * coeff.nu
-        self.viscous = visc != 0.0
-        self.visc = np.full(ones, visc)
+    def __init__(self, sp: Spectral, coeff: ModelCoefficients, eps, dt):
+        self.sp, self.coeff, self.dt = sp, coeff, dt
+        self.ndim = len(sp.shape)
+        eps, dt = member_axis(eps, self.ndim), member_axis(dt, self.ndim)
+        # The multipliers that depend on eps or the step have a member axis;
+        # real multipliers of spectra are stored complex.
+        self.viscous = coeff.nu != 0.0
+        self.visc = eps * coeff.nu
         self.inv_rho0 = 1.0 / coeff.rho0
         # exact decay of the eps*nu/rho0 Lap v part per rfftn mode
-        visc0 = coeff.eps * coeff.nu / coeff.rho0
-        self.decays = visc0 != 0.0
-        self.keep = self.sp.keep().astype(complex)
-        self.neg_ksq = (-self.sp.ksq).astype(complex)
-        self.decay_half = np.exp(
-            -visc0 * self.sp.ksq * dt / 2.0).astype(complex)
-        self.half_dt = np.full(ones, 0.5 * dt)
-        self.full_dt = np.full(ones, dt)
+        visc0 = eps * coeff.nu / coeff.rho0
+        self.keep = sp.keep().astype(complex)
+        self.neg_ksq = (-sp.ksq).astype(complex)
+        self.decay_half = np.exp(-visc0 * sp.ksq * dt / 2.0).astype(complex)
+        self.half_dt = 0.5 * dt
+        self.full_dt = dt
 
     def _velocity_fields(self, vh: np.ndarray) -> np.ndarray:
         """grad v (one stack per axis), Lap v when viscous, and v, from the
@@ -216,22 +208,22 @@ class _FlowStepper:
     def step(self, carried, n: int):
         """Advance (rho, vh) from step n - 1 to step n."""
         rho, vh = carried
-        if self.decays:
+        if self.viscous:
             vh = vh * self.decay_half
         # d rho/dt = -div(rho v): rho + h*d rho/dt is rho - h*div(rho v)
         div1, d1vh = self._tendency(rho, self._velocity_fields(vh))
         rho_m = rho - np.multiply(self.half_dt, div1, out=div1)
         del div1  # freed before the second stage's peak
-        require_positive(rho_m, self.sp, lambda _row, _min: PositivityLost(
-            "density positivity lost during midpoint stage"))
+        require_positive(rho_m, self.sp, lambda row, least: PositivityLost(
+            f"density positivity lost during midpoint stage at t = "
+            f"{(n - 0.5) * self.dt[row]:.6g} (min rho = {least:.3e})"))
         d1vh = np.multiply(self.half_dt, d1vh, out=d1vh)
         fields = self._velocity_fields(np.add(vh, d1vh, out=d1vh))
         del d1vh
         div2, d2vh = self._tendency(rho_m, fields)
         rho = rho - np.multiply(self.full_dt, div2, out=div2)
         require_positive(rho, self.sp, lambda row, least: PositivityLost(
-            f"density positivity lost at t = "
-            f"{n * float(self.full_dt.flat[row]):.6g} "
+            f"density positivity lost at t = {n * self.dt[row]:.6g} "
             f"(min rho = {least:.3e})"))
         d2vh = np.multiply(self.full_dt, d2vh, out=d2vh)
         d2vh = np.add(vh, d2vh, out=d2vh)
@@ -249,24 +241,31 @@ def solve_flow_rows(rows) -> list:
     """solve_flow of each row (coeff, init, t_end, ctl, n_samples), the rows
     marched as one batch (see models.base.march): per row its (t, state)
     pairs, or the SolverError that stopped it."""
-    grid = rows[0][1].grid
+    coeff, grid = rows[0][0], rows[0][1].grid
     rows_share([row[0] for row in rows], [row[1].grid for row in rows])
     if grid.frame is not Frame.PHYSICAL:
         raise ValueError("flow states live on physical-frame grids")
     ndim = len(grid.axes)
-    marches = []
-    for coeff, init, t_end, ctl, n_samples in rows:
+    marches, eps, dts = [], [], []
+    for co, init, t_end, ctl, n_samples in rows:
         nsteps, dt = resolve_steps(t_end, ctl)
         velocity = init.velocity()
         state = (init.rho.scalar,
                  np.stack([velocity.component(i) for i in range(ndim)]))
-        marches.append((_FlowStepper(grid, coeff, dt), state, nsteps,
-                        n_samples))
+        marches.append((state, nsteps, n_samples))
+        eps.append(co.eps)
+        dts.append(dt)
+    sp = Spectral(grid)
+
+    def make(keep):
+        return _FlowStepper(sp, coeff, [eps[i] for i in keep],
+                            [dts[i] for i in keep])
+
     return [done if isinstance(done, SolverError) else
             [(t, FlowState.from_primitive(
                 Field(grid, rho), Field(grid, np.stack(v, axis=-1), ndim)))
              for t, (rho, v) in done]
-            for done in march(marches, "flow")]
+            for done in march(make, marches, "flow")]
 
 
 def _h_constants(coeff: ModelCoefficients):

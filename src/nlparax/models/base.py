@@ -3,7 +3,6 @@ and the one march loop every stepper runs under."""
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -28,6 +27,7 @@ __all__ = [
     "RowsFailed",
     "check_health",
     "march",
+    "member_axis",
     "only_row",
     "require_positive",
     "resolve_steps",
@@ -150,7 +150,8 @@ def require_positive(values: np.ndarray, sp: Spectral, error) -> None:
 
 def rows_share(coeffs, grids) -> None:
     """Refuse member rows that do not share one grid and every coefficient
-    but eps: a batch stacks only the eps-dependent multipliers."""
+    but eps: a stepper gives only its eps- and step-dependent multipliers a
+    member axis."""
     for coeff, grid in zip(coeffs, grids):
         if grid != grids[0]:
             raise ValueError("the rows of one march must share one grid")
@@ -199,57 +200,56 @@ def resolve_steps(span: float, ctl: StepControl) -> tuple[int, float]:
     return nsteps, span / nsteps
 
 
-def march(rows, label: str) -> list:
+def march(make, rows, label: str) -> list:
     """Advance the member rows of one batch together, one stepper call per
     step for every row.
 
-    Each row is (stepper, state, nsteps, n_samples): one member's stepper,
-    its physical state, its step count and its sample count.  The rows'
-    steppers differ only in the multipliers their class names in
-    `per_row`; the march stacks those along a leading member axis, and each
-    state array along the axis before the grid's, and calls the batch's
-    `carry`, `step` and `sample` on the stack.  Between steps the state
-    stays as the stepper carries it: `carry` makes that form (spectra,
-    mostly) once, and `sample` brings it back to physical space.
+    Each row is (state, nsteps, n_samples): one member's physical state,
+    its step count and its sample count.  make(keep) builds the stepper for
+    the rows whose indices are in keep: its `sp`, its rows' step sizes `dt`
+    and, if it is forced, their `forcing` spectra along a leading member
+    axis.  The march builds it for every row to start, and again for the
+    survivors when rows retire or fail.  The state arrays are stacked along
+    the axis before the grid's; `carry` turns them into the form the
+    stepper carries from step to step (spectra, mostly) once, and `sample`
+    brings that back to physical space.
 
     After each step every row is health-checked on its own, one component
     of each carried array at a time, by the grid's sum of squares, against
-    the norm of its initial state plus, for a stepper with a fixed
-    `forcing` spectrum, what that forcing can add over the row's march.  A
-    row retires when it has taken its own `nsteps`, or when it fails: the
-    health check, or a step that raises `RowsFailed` for it, which the
-    march then takes again with the other rows.  So each row's numbers and
-    its error are those of a march of its member alone.
+    the norm of its initial state plus what its forcing can add over its
+    march.  A row retires when it has taken its own `nsteps`, or when it
+    fails: the health check, or a step that raises `RowsFailed` for it,
+    which the march then takes again with the other rows.  So each row's
+    numbers and its error are those of a march of its member alone.
 
     Returns per row either its (evol, state) at n_samples steps evenly
     spaced in step count, always including the initial state, as given, and
     the final state (only those samples return to physical space), or the
     SolverError that stopped it.
     """
-    steppers = [row[0] for row in rows]
-    sp = steppers[0].sp
+    stepper = make(list(range(len(rows))))
+    sp = stepper.sp
     ndim = len(sp.shape)
     live, out = [], []
-    for i, (stepper, state, nsteps, n_samples) in enumerate(rows):
+    for i, (state, nsteps, n_samples) in enumerate(rows):
         # a sample at every step is the most there can be
         n_samples = min(n_samples, nsteps + 1)
         sample_at = {round(j * nsteps / max(n_samples - 1, 1))
                      for j in range(max(n_samples, 2))} | {nsteps}
         ref_norm = math.sqrt(sum(float(np.sum(a**2)) for a in state))
-        forcing = getattr(stepper, "forcing", None)
-        if forcing is not None:
+        if getattr(stepper, "forcing", None) is not None:
             # a march from rest grows by the forcing alone
-            ref_norm += nsteps * stepper.dt * math.sqrt(sp.sum_sq(forcing))
-        live.append(_Row(i, nsteps, sample_at, ref_norm, stepper.dt))
+            ref_norm += nsteps * stepper.dt[i] * math.sqrt(
+                sp.sum_sq(stepper.forcing[i]))
+        live.append(_Row(i, nsteps, sample_at, ref_norm, stepper.dt[i]))
         out.append([(0.0, state)])
-    batch = _stack(steppers)
-    carried = batch.carry(tuple(np.stack(parts, axis=-ndim - 1)
-                                for parts in zip(*(row[1] for row in rows))))
+    carried = stepper.carry(tuple(np.stack(parts, axis=-ndim - 1)
+                                  for parts in zip(*(row[0] for row in rows))))
     n = 0
     while live:
         failed = {}
         try:
-            stepped = batch.step(carried, n + 1)
+            stepped = stepper.step(carried, n + 1)
         except RowsFailed as exc:
             failed = exc.errors  # and step n + 1 again without them
         else:
@@ -265,7 +265,7 @@ def march(rows, label: str) -> list:
             due = [r for r, row in enumerate(live)
                    if n in row.sample_at and r not in failed]
             if due:
-                physical = batch.sample(carried)
+                physical = stepper.sample(carried)
                 for r in due:
                     out[live[r].index].append(
                         (n * live[r].dt,
@@ -276,9 +276,10 @@ def march(rows, label: str) -> list:
                 if r not in failed and row.nsteps > n]
         if len(keep) < len(live):
             live = [live[r] for r in keep]
-            carried = tuple(np.take(a, keep, axis=-ndim - 1)
-                            for a in carried)
-            batch = _take(batch, keep)
+            if live:
+                carried = tuple(np.take(a, keep, axis=-ndim - 1)
+                                for a in carried)
+                stepper = make([row.index for row in live])
     return out
 
 
@@ -298,24 +299,10 @@ def _row(a: np.ndarray, r: int, ndim: int) -> np.ndarray:
     return a[(Ellipsis, r) + (slice(None),) * ndim]
 
 
-def _stack(steppers):
-    """A copy of the first stepper whose per-row multipliers are those of
-    every stepper, stacked along a new leading member axis."""
-    batch = copy.copy(steppers[0])
-    for name in batch.per_row:
-        if getattr(batch, name) is not None:
-            setattr(batch, name,
-                    np.stack([getattr(s, name) for s in steppers]))
-    return batch
-
-
-def _take(batch, keep: list[int]):
-    """A copy of a batch stepper with only the member rows `keep`."""
-    out = copy.copy(batch)
-    for name in batch.per_row:
-        if getattr(batch, name) is not None:
-            setattr(out, name, getattr(batch, name)[keep])
-    return out
+def member_axis(values, ndim: int) -> np.ndarray:
+    """One value per member row, as an array of shape (rows, 1, ..., 1)
+    that broadcasts against a grid's ndim axes."""
+    return np.array(values, float).reshape(-1, *(1,) * ndim)
 
 
 def only_row(results: list):

@@ -16,15 +16,15 @@ the explicit midpoint rule with dealiased products.  The zero mean along the
 periodic conjugate axis is re-imposed by projection after every step.  The
 march carries one whole-grid spectrum from step to step: decay, derivative,
 diffraction and projection are multipliers on it, each stage transforms v^2
-once, the fixed source is transformed once when the stepper is built, and
-the state returns to physical space only at the samples the march returns.
+once, the fixed source is transformed once per march, and the state
+returns to physical space only at the samples the march returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..fields import Field, Grid
+from ..fields import Field
 from ..spectral import Spectral, require_mean_zero
 from .base import (
     ModelCoefficients,
@@ -33,6 +33,7 @@ from .base import (
     SolverError,
     StepControl,
     march,
+    member_axis,
     only_row,
     resolve_steps,
     rows_share,
@@ -49,39 +50,37 @@ class _OneWayStepper:
     conjugate axis (tau for KZK, z for NPE) and S a fixed array.  Every
     linear operator is a multiplier on the whole-grid spectrum vh, which is
     the carried state: each stage of a step transforms v back and v^2
-    forward.  The forcing src_scale * S, projected mean-zero along ax, is
-    transformed once here.
+    forward.  The forcing src_scale * S is projected mean-zero along ax.
+    A march builds the stepper for the member rows it steps, from one step
+    size and src_scale per row and the spectrum source_h of S (None for no
+    forcing), and again for the survivors.
     """
 
-    #: the multipliers that depend on the step or on eps, one member row
-    #: each; see base.march
-    per_row = ("decay_half", "half_dt", "full_dt", "forcing")
-
-    def __init__(self, grid: Grid, ax_name: str, a_nl: float, d_visc: float,
-                 d_diff: float, dt: float, src_scale: float = 0.0,
-                 source: np.ndarray | None = None):
-        sp = self.sp = Spectral(grid)
-        self.ax = grid.axis_index(ax_name)
-        self.dt = dt
+    def __init__(self, sp: Spectral, ax_name: str, a_nl: float,
+                 d_visc: float, d_diff: float, dt, src_scale,
+                 source_h: np.ndarray | None):
+        self.sp, self.dt = sp, dt
+        self.ax = sp.grid.axis_index(ax_name)
         k, ik = sp.k[self.ax], sp.ik[self.ax]
-        # Real multipliers of spectra are stored complex, and the step sizes
-        # as arrays of shape (1, ..., 1), which stack into one value per
-        # member row: numpy would convert them on every call, to the same
-        # values.  The mean-zero projection along ax drops its k = 0 modes.
+        ndim = len(sp.shape)
+        dt = member_axis(dt, ndim)
+        # The multipliers that depend on eps or the step have a member axis.
+        # Multipliers of spectra are stored complex: numpy would convert
+        # them on every call.  The mean-zero projection along ax drops k = 0.
         mean_zero = (k != 0.0).astype(float)
         self.mean_zero = mean_zero.astype(complex)
         self.forcing = None
-        if source is not None:
-            self.forcing = src_scale * mean_zero * sp.fft(source)
+        if source_h is not None:
+            self.forcing = (member_axis(src_scale, ndim) * mean_zero
+                            * source_h)
         self.decay_half = np.exp(-d_visc * k**2 * dt / 2.0).astype(complex)
-        ones = (1,) * len(grid.axes)
-        self.half_dt = np.full(ones, complex(0.5 * dt))
-        self.full_dt = np.full(ones, complex(dt))
+        self.half_dt = (0.5 * dt).astype(complex)
+        self.full_dt = dt.astype(complex)
         # a_nl * d_ax with the 2/3 rule along ax
         self.nonlinear = a_nl * ik * sp.keep(self.ax)
         # d_diff * Lap_y(invd_ax .): invd_ax drops mode 0 and the Nyquist mode
         self.diffraction = None
-        ys = [grid.axis_index(name) for name in sp.group("y")]
+        ys = [sp.grid.axis_index(name) for name in sp.group("y")]
         if ys:
             inv = np.divide(1.0, ik, out=np.zeros_like(ik), where=ik != 0.0)
             self.diffraction = d_diff * -sum(sp.k[j]**2 for j in ys) * inv
@@ -133,22 +132,8 @@ def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
     form (the mechanism used by the perturbed-comparison experiments); the
     source is projected mean-zero along tau.
     """
-    require_mean_zero(I0, "tau")
-    nsteps, dz = resolve_steps(z_end, ctl)
-    c, rho0, nu = coeff.c, coeff.rho0, coeff.nu
-    stepper = _OneWayStepper(
-        I0.grid, "tau",
-        a_nl=(coeff.gamma + 1.0) / (4.0 * rho0 * c),
-        d_visc=nu / (2.0 * c**3 * rho0),
-        d_diff=c / 2.0,
-        dt=dz,
-        src_scale=coeff.eps * rho0 / (2.0 * c**3),
-        source=source,
-    )
-    v = stepper.sp.mean_zero(I0.scalar, stepper.ax)
-    return [ModelState(ModelKind.KZK, z, Field(I0.grid, v))
-            for z, (v,) in only_row(march([(stepper, (v,), nsteps,
-                                             n_samples)], "kzk"))]
+    return only_row(_oneway_rows([(coeff, I0, z_end, ctl, n_samples)],
+                                 ModelKind.KZK, source))
 
 
 def solve_npe(coeff: ModelCoefficients, xi0: Field, tau_end: float,
@@ -162,23 +147,47 @@ def solve_npe_rows(rows) -> list:
     """solve_npe of each row (coeff, xi0, tau_end, ctl, n_samples), the rows
     marched as one batch (see base.march): per row its states, or the
     SolverError that stopped it."""
+    return _oneway_rows(rows, ModelKind.NPE, None)
+
+
+#: model -> its conjugate axis, and of a coeff the a_nl, d_visc, d_diff
+#: and src_scale of _OneWayStepper
+_MODELS = {
+    ModelKind.KZK: ("tau", lambda co: (
+        (co.gamma + 1.0) / (4.0 * co.rho0 * co.c),
+        co.nu / (2.0 * co.c**3 * co.rho0), co.c / 2.0,
+        co.eps * co.rho0 / (2.0 * co.c**3))),
+    ModelKind.NPE: ("z", lambda co: (
+        -(co.gamma + 1.0) * co.c / (4.0 * co.rho0), co.nu / (2.0 * co.rho0),
+        -co.c / 2.0, 0.0)),
+}
+
+
+def _oneway_rows(rows, model: ModelKind,
+                 source: np.ndarray | None) -> list:
+    """The rows (coeff, v0, span, ctl, n_samples) of either model, marched
+    as one batch, each forced by its src_scale * source when a source is
+    given."""
+    ax_name, coefficients = _MODELS[model]
     grid = rows[0][1].grid
     rows_share([row[0] for row in rows], [row[1].grid for row in rows])
-    marches = []
-    for coeff, xi0, tau_end, ctl, n_samples in rows:
-        require_mean_zero(xi0, "z")
-        nsteps, dtau = resolve_steps(tau_end, ctl)
-        c, rho0 = coeff.c, coeff.rho0
-        stepper = _OneWayStepper(
-            grid, "z",
-            a_nl=-(coeff.gamma + 1.0) * c / (4.0 * rho0),
-            d_visc=coeff.nu / (2.0 * rho0),
-            d_diff=-c / 2.0,
-            dt=dtau,
-        )
-        v = stepper.sp.mean_zero(xi0.scalar, stepper.ax)
-        marches.append((stepper, (v,), nsteps, n_samples))
+    sp = Spectral(grid)
+    marches, dts = [], []
+    for _, v0, span, ctl, n_samples in rows:
+        require_mean_zero(v0, ax_name)
+        nsteps, dt = resolve_steps(span, ctl)
+        marches.append(((sp.mean_zero(v0.scalar, ax_name),), nsteps,
+                        n_samples))
+        dts.append(dt)
+    a_nl, d_visc, d_diff, _ = coefficients(rows[0][0])
+    src_scales = [coefficients(row[0])[3] for row in rows]
+    source_h = None if source is None else sp.fft(source)
+
+    def make(keep):
+        return _OneWayStepper(sp, ax_name, a_nl, d_visc, d_diff,
+                              [dts[i] for i in keep],
+                              [src_scales[i] for i in keep], source_h)
+
     return [done if isinstance(done, SolverError) else
-            [ModelState(ModelKind.NPE, tau, Field(grid, v))
-             for tau, (v,) in done]
-            for done in march(marches, "npe")]
+            [ModelState(model, evol, Field(grid, v)) for evol, (v,) in done]
+            for done in march(make, marches, model.value)]

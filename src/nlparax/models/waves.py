@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fields import Field, Grid
+from ..fields import Field
 from ..spectral import Spectral
 from .base import (
     HyperbolicityLost,
@@ -37,6 +37,7 @@ from .base import (
     SolverError,
     StepControl,
     march,
+    member_axis,
     only_row,
     require_positive,
     resolve_steps,
@@ -76,7 +77,8 @@ def _linear_propagator(ksq: np.ndarray, c: float, damp: float, dt: float):
 class _WaveStepper:
     """Strang-split stepper shared by the Kuznetsov and Westervelt models.
 
-    The carried state is the spectra (uh, wh) of (u, w): a step runs both
+    A march builds it for the member rows it steps, from one eps and one
+    step size per row, and again for the survivors.  The carried state is the spectra (uh, wh) of (u, w): a step runs both
     half-step propagations and the midpoint stages on them.  A stage fills
     one block with the spectra of grad w (and grad u on the first stage), w
     and the linear tendency, and makes one inverse call on it; then a
@@ -84,21 +86,17 @@ class _WaveStepper:
     call for the rest.
     """
 
-    #: the eps-dependent multipliers, one member row each; see base.march
-    per_row = ("e11", "e12", "e21", "e22", "lin_w", "gain", "eps_a",
-               "half_dt", "full_dt")
-
-    def __init__(self, grid: Grid, coeff: ModelCoefficients, dt: float,
+    def __init__(self, sp: Spectral, coeff: ModelCoefficients, eps, dt,
                  a_local: float, b_grad: float):
-        self.dt = dt
-        self.sp = Spectral(grid)
-        damp = coeff.eps * coeff.nu / coeff.rho0
-        ksq = self.sp.ksq
-        keep = self.sp.keep()
-        # The step's constants, folded as its formulas group them.  Real
-        # multipliers of spectra are stored complex, and scalars as arrays
-        # of shape (1, ..., 1), which stack into one value per member row:
-        # numpy would convert them on every call, to the same values.
+        self.sp, self.dt = sp, dt
+        ndim = len(sp.shape)
+        eps, dt = member_axis(eps, ndim), member_axis(dt, ndim)
+        damp = eps * coeff.nu / coeff.rho0
+        ksq = sp.ksq
+        keep = sp.keep()
+        # The step's constants, folded as its formulas group them, with a
+        # member axis where they depend on eps or the step.  Multipliers of
+        # spectra are stored complex: numpy would convert them on every call.
         self.e11, self.e12, self.e21, self.e22 = (
             e.astype(complex) for e in
             _linear_propagator(ksq, coeff.c, damp, dt / 2.0))
@@ -106,14 +104,13 @@ class _WaveStepper:
         self.lin_u = (-coeff.c**2 * ksq).astype(complex)
         self.lin_w = (-damp * ksq).astype(complex)
         self.keep = keep.astype(complex)
-        self.gain = (keep * (coeff.eps * b_grad)).astype(complex)
-        ones = (1,) * len(grid.axes)
-        self.eps_a = np.full(ones, coeff.eps * a_local)
-        self.half_dt = np.full(ones, complex(0.5 * dt))
-        self.full_dt = np.full(ones, complex(dt))
+        self.gain = (keep * (eps * b_grad)).astype(complex)
+        self.eps_a = eps * a_local
+        self.half_dt = (0.5 * dt).astype(complex)
+        self.full_dt = dt.astype(complex)
         # a stage's transform inputs, one row each: grad u and grad w when
         # b_grad != 0, then w and the linear tendency
-        self.grads = len(grid.axes) if b_grad != 0.0 else 0
+        self.grads = ndim if b_grad != 0.0 else 0
         self.rows = 2 * self.grads + 2
 
     def _propagate(self, uh: np.ndarray, wh: np.ndarray):
@@ -225,16 +222,23 @@ def solve_westervelt_rows(rows) -> list:
 def _wave_rows(rows, model: ModelKind, names: str, a_local,
                b_grad: float) -> list:
     """The rows of either model, whose factor a is a_local(coeff)."""
+    coeff, grid = rows[0][0], rows[0][1].grid
     rows_share([row[0] for row in rows], [row[1].grid for row in rows])
-    marches = []
-    for coeff, f0, f1, t_end, ctl, n_samples in rows:
+    marches, eps, dts = [], [], []
+    for co, f0, f1, t_end, ctl, n_samples in rows:
         if f0.grid != f1.grid:
             raise ValueError(f"{names} must share one grid")
         nsteps, dt = resolve_steps(t_end, ctl)
-        stepper = _WaveStepper(f0.grid, coeff, dt, a_local(coeff), b_grad)
-        marches.append((stepper, (f0.scalar, f1.scalar), nsteps, n_samples))
-    grid = rows[0][1].grid
+        marches.append(((f0.scalar, f1.scalar), nsteps, n_samples))
+        eps.append(co.eps)
+        dts.append(dt)
+    sp = Spectral(grid)
+
+    def make(keep):
+        return _WaveStepper(sp, coeff, [eps[i] for i in keep],
+                            [dts[i] for i in keep], a_local(coeff), b_grad)
+
     return [done if isinstance(done, SolverError) else
             [ModelState(model, t, Field(grid, u), Field(grid, w))
              for t, (u, w) in done]
-            for done in march(marches, model.value)]
+            for done in march(make, marches, model.value)]

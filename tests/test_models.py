@@ -139,9 +139,10 @@ def _wave_march(coeff, u0, u1, t_end, step, a_local, b_grad):
     """End state of a _WaveStepper march with the given nonlinear
     coefficients (a_local for u_t u_tt, b_grad for grad u . grad u_t)."""
     nsteps, dt = resolve_steps(t_end, StepControl(step=step))
-    stepper = _WaveStepper(u0.grid, coeff, dt, a_local, b_grad)
-    (out,) = march([(stepper, (u0.scalar, u1.scalar), nsteps, 2)],
-                   "kuznetsov")
+    stepper = _WaveStepper(Spectral(u0.grid), coeff, [coeff.eps], [dt],
+                           a_local, b_grad)
+    (out,) = march(lambda keep: stepper,
+                   [((u0.scalar, u1.scalar), nsteps, 2)], "kuznetsov")
     return out[-1]
 
 
@@ -305,8 +306,11 @@ def test_forced_march_from_rest_is_not_divergence(coeff):
     g = Grid((Axis("tau", 2 * np.pi, 16), Axis("y1", 2.0, 8)), Frame.KZK)
     tau, y = g.mesh()
     source = np.sin(tau) * np.exp(-y**2)
-    forced = _OneWayStepper(g, "tau", 1.0, 0.1, 0.05, 0.01, 0.3, source)
-    (out,) = march([(forced, (np.zeros(g.shape),), 20, 3)], "kzk")
+    sp = Spectral(g)
+    forced = _OneWayStepper(sp, "tau", 1.0, 0.1, 0.05, [0.01], [0.3],
+                            sp.fft(source))
+    (out,) = march(lambda keep: forced, [((np.zeros(g.shape),), 20, 3)],
+                   "kzk")
     final = out[-1][1][0]
     assert np.all(np.isfinite(final)) and np.max(np.abs(final)) > 0.0
     # a state that grows past 1e6 x that reference still fails, and the
@@ -315,15 +319,13 @@ def test_forced_march_from_rest_is_not_divergence(coeff):
     with pytest.raises(SolverDiverged,
                        match=rf"initial \({reference:.3e}\) during kzk "
                              r"step 7$"):
-        only_row(march([(_Burst(forced, 7), (np.zeros(g.shape),), 20, 3)],
-                       "kzk"))
+        only_row(march(lambda keep: _Burst(forced, 7),
+                       [((np.zeros(g.shape),), 20, 3)], "kzk"))
 
 
 class _Burst:
     """A forced one-way stepper whose carried spectrum jumps by 1e12 at one
     step."""
-
-    per_row = ()
 
     def __init__(self, stepper, at):
         self.inner, self.at = stepper, at
@@ -338,8 +340,6 @@ class _Burst:
 class _Poisoned:
     """A stepper that puts a NaN into one mode of its carried spectrum u
     at one step."""
-
-    per_row = ()
 
     def __init__(self, stepper, at):
         self.inner, self.at = stepper, at
@@ -357,10 +357,12 @@ class _Poisoned:
 def test_nan_in_a_carried_spectrum_names_the_step(coeff):
     g = _grid1d(32)
     x = g.mesh()[0]
-    stepper = _Poisoned(_WaveStepper(g, coeff, 0.01, coeff.alpha, 2.0), 7)
+    stepper = _Poisoned(_WaveStepper(Spectral(g), coeff, [coeff.eps],
+                                     [0.01], coeff.alpha, 2.0), 7)
     with pytest.raises(SolverNaN) as info:
-        only_row(march([(stepper, (0.1 * np.sin(x), -0.1 * np.cos(x)), 20,
-                         2)], "kuznetsov"))
+        only_row(march(lambda keep: stepper,
+                       [((0.1 * np.sin(x), -0.1 * np.cos(x)), 20, 2)],
+                       "kuznetsov"))
     assert str(info.value) == "non-finite values during kuznetsov step 7"
 
 
@@ -439,10 +441,12 @@ def test_strang_self_convergence(coeff):
 def test_march_takes_at_most_one_sample_per_step(coeff):
     g = _grid1d(16)
     x = g.mesh()[0]
-    stepper = _WaveStepper(g, coeff, 0.01, coeff.alpha, 2.0)
+    stepper = _WaveStepper(Spectral(g), coeff, [coeff.eps], [0.01],
+                           coeff.alpha, 2.0)
     state = (0.1 * np.sin(x), -0.1 * np.cos(x))
     nsteps = 5
-    every, beyond = (march([(stepper, state, nsteps, n)], "kuznetsov")[0]
+    every, beyond = (march(lambda keep: stepper, [(state, nsteps, n)],
+                           "kuznetsov")[0]
                      for n in (nsteps + 1, nsteps + 7))
     assert len(every) == nsteps + 1
     for (t, a), (s, b) in zip(every, beyond, strict=True):

@@ -271,16 +271,21 @@ def test_one_numpy_call_per_transform_on_a_1d_grid(monkeypatch):
     g = _grid1d(64)
     npe = Grid((Axis("z", 2 * np.pi, 64),), Frame.NPE)
     u = 0.01 * np.cos(g.mesh()[0])
+    sp, sp_npe, eps = Spectral(g), Spectral(npe), [coeff.eps]
     steppers = {
-        "kuznetsov": (_WaveStepper(g, coeff, 0.01, coeff.alpha, 2.0), (u, u)),
-        "westervelt": (_WaveStepper(g, coeff, 0.01, 2.4, 0.0), (u, u)),
-        "flow": (_FlowStepper(g, coeff, 0.01), (1.0 + u, u[np.newaxis])),
-        "npe": (_OneWayStepper(npe, "z", 1.0, 0.1, 0.5, 0.01), (u,)),
+        "kuznetsov": (_WaveStepper(sp, coeff, eps, [0.01], coeff.alpha, 2.0),
+                      (u, u)),
+        "westervelt": (_WaveStepper(sp, coeff, eps, [0.01], 2.4, 0.0),
+                       (u, u)),
+        "flow": (_FlowStepper(sp, coeff, eps, [0.01]),
+                 (1.0 + u, u[np.newaxis])),
+        "npe": (_OneWayStepper(sp_npe, "z", 1.0, 0.1, 0.5, [0.01], [0.0],
+                               None), (u,)),
     }
     for label, (stepper, state) in steppers.items():
         numpy_calls.clear()
         core_calls.clear()
-        march([(stepper, state, 3, 2)], label)
+        march(lambda keep: stepper, [(state, 3, 2)], label)
         assert len(numpy_calls) == len(core_calls) > 0, label
 
 
@@ -321,7 +326,8 @@ def test_health_norm_of_a_spectrum_is_the_physical_norm(shape, rng):
 def test_fft_calls_per_step_are_pinned(monkeypatch):
     # each stepper transforms once per stage and carries its spectra from
     # step to step; a transform added back to a step shows up here.  The
-    # rows of a batch share every call: three members cost what one does.
+    # rows of a batch share every call: three members cost what one does,
+    # and building the stepper again for the rows that remain costs none.
     calls = []
     for name in ("_forward", "_inverse"):
         def counted(*args, _op=getattr(spectral, name), _name=name):
@@ -337,24 +343,27 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
     def smooth(g):
         return 0.01 * np.cos(sum(g.mesh()))
 
-    # each case: member eps -> (stepper, state) of that member
+    # each case: (build(eps, dt), the state of one member), where build
+    # makes the stepper for the rows of the given eps and step sizes
     def wave(g, a_local, b_grad):
-        return lambda eps: (
-            _WaveStepper(g, ModelCoefficients(nu=0.2, eps=eps), 0.01,
-                         a_local, b_grad),
-            (smooth(g), smooth(g)))
+        sp, coeff = Spectral(g), ModelCoefficients(nu=0.2)
+        return (lambda eps, dt: _WaveStepper(sp, coeff, eps, dt, a_local,
+                                             b_grad),
+                (smooth(g), smooth(g)))
 
     def flow(g, nu):
-        return lambda eps: (
-            _FlowStepper(g, ModelCoefficients(nu=nu, eps=eps), 0.01),
-            (1.0 + smooth(g), np.stack([smooth(g) for _ in g.axes])))
+        sp, coeff = Spectral(g), ModelCoefficients(nu=nu)
+        return (lambda eps, dt: _FlowStepper(sp, coeff, eps, dt),
+                (1.0 + smooth(g), np.stack([smooth(g) for _ in g.axes])))
 
     def oneway(g, ax, source=None):
-        # the step, and the forcing with it, stand in for eps
-        return lambda eps: (
-            _OneWayStepper(g, ax, 1.0, 0.1, 0.5, 0.2 * eps, 2.0 * eps,
-                           source),
-            (smooth(g),))
+        # the fixed source is transformed once, before the march
+        sp = Spectral(g)
+        source_h = None if source is None else sp.fft(source)
+        return (lambda eps, dt: _OneWayStepper(
+                    sp, ax, 1.0, 0.1, 0.5, dt, [2.0 * e for e in eps],
+                    source_h),
+                (smooth(g),))
 
     alpha = ModelCoefficients().alpha
     budget = {
@@ -367,14 +376,15 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
         "flow 2d": (flow(g2, 0.2), 8),
         "npe 1d": (oneway(npe, "z"), 4),
         "kzk 2d": (oneway(kzk, "tau"), 4),
-        # the fixed source is transformed once, when the stepper is built
         "kzk 2d with source": (oneway(kzk, "tau", smooth(kzk)), 4),
     }
-    nsteps, n_samples = 6, 3
-    for label, (member, expect) in budget.items():
-        stepper, state = member(0.05)
+    eps, dt = (0.05, 0.04, 0.03), (0.01, 0.008, 0.006)
+    for label, ((build, state), expect) in budget.items():
+        stepper = build(eps[:1], dt[:1])
+        # one member row, on the axis before the grid's
+        row = -len(stepper.sp.shape) - 1
         calls.clear()
-        carried = stepper.carry(state)
+        carried = stepper.carry(tuple(np.expand_dims(a, row) for a in state))
         assert calls == ["_forward"], label
         calls.clear()
         stepper.step(carried, 1)
@@ -383,11 +393,21 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
         stepper.sample(carried)
         assert calls == ["_inverse"], label
         # a march: one forward call to start, the steps, and one inverse
-        # call per sample after the initial one, which is the state given;
-        # as much for one member as for three
-        for eps_list in ((0.05,), (0.05, 0.04, 0.03)):
-            rows = [(*member(eps), nsteps, n_samples) for eps in eps_list]
+        # call per step that samples a row, the initial state being given;
+        # as much for one member as for three.  The last march's rows
+        # retire after 6, 4 and 2 steps, and the stepper is built again for
+        # the rows that remain.
+        for rows, sample_steps in (([(6, 3)], 2), ([(6, 3)] * 3, 2),
+                                   ([(6, 3), (4, 3), (2, 2)], 4)):
+            built = []
+
+            def make(keep):
+                built.append(keep)
+                return build([eps[i] for i in keep], [dt[i] for i in keep])
+
             calls.clear()
-            marched = march(rows, label)
-            assert len(calls) == 1 + nsteps * expect + n_samples - 1, label
-            assert all(len(samples) == n_samples for samples in marched)
+            marched = march(make, [(state, *row) for row in rows], label)
+            assert len(calls) == 1 + 6 * expect + sample_steps, label
+            assert [len(samples) for samples in marched] == [
+                n for _, n in rows], label
+        assert built == [[0, 1, 2], [0, 1], [0]], label

@@ -43,8 +43,12 @@ def _assert_same_state(got, expect):
 
 
 def _one_step(stepper, state, n):
-    """Step n of stepper from the physical state, back in physical space."""
-    return stepper.sample(stepper.step(stepper.carry(state), n))
+    """Step n of a one-row stepper from the physical state, back in
+    physical space."""
+    row = -len(stepper.sp.shape) - 1  # the member axis, before the grid's
+    carried = stepper.carry(tuple(np.expand_dims(a, row) for a in state))
+    return tuple(np.squeeze(a, row)
+                 for a in stepper.sample(stepper.step(carried, n)))
 
 
 GRIDS_1D = _grid(Frame.PHYSICAL, ("x1", 2 * np.pi, 64))
@@ -91,7 +95,8 @@ def test_wave_step_matches_the_composed_operators(grid, model, rng):
     b_grad = 0.0 if model == "westervelt" else 2.0
     damp = COEFF.eps * COEFF.nu / COEFF.rho0
     u, w = _smooth(grid, rng, 0.3), _smooth(grid, rng, 0.3)
-    stepper = _WaveStepper(grid, COEFF, DT, a_local, b_grad)
+    stepper = _WaveStepper(Spectral(grid), COEFF, [COEFF.eps], [DT],
+                           a_local, b_grad)
     _assert_same_state(
         _one_step(stepper, (u, w), 1),
         _wave_reference(grid, COEFF, DT, a_local, b_grad, damp, u, w))
@@ -139,7 +144,7 @@ def test_flow_step_matches_the_composed_operators(grid, nu, rng):
                               nu=nu, eps=COEFF.eps)
     rho = coeff.rho0 * (1.0 + _smooth(grid, rng, 0.1))
     v = [_smooth(grid, rng, 0.1) for _ in grid.axes]
-    stepper = _FlowStepper(grid, coeff, DT)
+    stepper = _FlowStepper(Spectral(grid), coeff, [coeff.eps], [DT])
     rho_1, *v_1 = _flow_reference(grid, coeff, DT, rho, v)
     _assert_same_state(_one_step(stepper, (rho, np.stack(v)), 1),
                        (rho_1, np.stack(v_1)))
@@ -191,11 +196,13 @@ def test_oneway_step_matches_the_composed_operators(case, rng):
     v = sp.mean_zero(_smooth(grid, rng, 0.3), ax)
     # not mean-zero along ax: the stepper projects it
     source = 0.5 + _smooth(grid, rng, 1.0) if with_source else None
-    coefs = dict(a_nl=0.7, d_visc=0.05, d_diff=-0.6, dt=DT, src_scale=0.4)
-    stepper = _OneWayStepper(grid, ax_name, source=source, **coefs)
+    coefs = dict(a_nl=0.7, d_visc=0.05, d_diff=-0.6)
+    stepper = _OneWayStepper(
+        sp, ax_name, **coefs, dt=[DT], src_scale=[0.4],
+        source_h=None if source is None else sp.fft(source))
     _assert_same_state(_one_step(stepper, (v,), 3),
-                       _oneway_reference(grid, ax, source=source, v=v,
-                                         **coefs))
+                       _oneway_reference(grid, ax, dt=DT, src_scale=0.4,
+                                         source=source, v=v, **coefs))
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +218,8 @@ def _long_march_cases(rng):
     cases = {}
     for dim, grid in (("1d", GRIDS_1D), ("2d", GRIDS_2D)):
         def wave(a_local, b_grad):
-            return (_WaveStepper(grid, COEFF, 0.01, a_local, b_grad),
+            return (_WaveStepper(Spectral(grid), COEFF, [COEFF.eps], [0.01],
+                                 a_local, b_grad),
                     (_smooth(grid, rng, 0.3), _smooth(grid, rng, 0.3)))
 
         cases[f"kuznetsov-{dim}"] = wave(COEFF.alpha, 2.0)
@@ -222,22 +230,23 @@ def _long_march_cases(rng):
                                       gamma=COEFF.gamma, nu=nu,
                                       eps=COEFF.eps)
             cases[f"flow-{tag}-{dim}"] = (
-                _FlowStepper(grid, coeff, 0.01),
+                _FlowStepper(Spectral(grid), coeff, [coeff.eps], [0.01]),
                 (coeff.rho0 * (1.0 + _smooth(grid, rng, 0.1)),
                  np.stack([_smooth(grid, rng, 0.1) for _ in grid.axes])))
     for case, (grid, ax_name, with_source) in ONEWAY_CASES.items():
         sp = Spectral(grid)
         source = 0.5 + _smooth(grid, rng, 1.0) if with_source else None
         cases[case] = (
-            _OneWayStepper(grid, ax_name, 0.7, 0.05, -0.6, 0.005, 0.4,
-                           source),
+            _OneWayStepper(sp, ax_name, 0.7, 0.05, -0.6, [0.005], [0.4],
+                           None if source is None else sp.fft(source)),
             (sp.mean_zero(_smooth(grid, rng, 0.3), ax_name),))
     return cases
 
 
 def test_long_march_matches_the_steps_through_physical_space(rng):
     for label, (stepper, state) in _long_march_cases(rng).items():
-        (out,) = march([(stepper, state, LONG_MARCH, 2)], label)
+        (out,) = march(lambda keep: stepper, [(state, LONG_MARCH, 2)],
+                       label)
         _, carried = out[-1]
         physical = state
         for n in range(1, LONG_MARCH + 1):
