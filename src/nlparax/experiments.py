@@ -497,9 +497,9 @@ class _Member(NamedTuple):
     ctl: StepControl
 
 
-def _members(cfg: ExperimentConfig, eps_list) -> list[_Member]:
+def _members(cfg: ExperimentConfig) -> list[_Member]:
     out = []
-    for eps in eps_list:
+    for eps in cfg.eps_list:
         coeff = replace(cfg.coeff, eps=eps)
         t_end, times = _time_grid(cfg, eps)
         ctl = _substeps(t_end, len(times) - 1, _default_wave_step(cfg, coeff))
@@ -543,17 +543,14 @@ def _ns_kuznetsov(cfg: ExperimentConfig):
                            U0.momentum)
         return m.coeff, U0, m.t_end, m.ctl, len(m.times)
 
-    def run(eps_list):
-        ms = _members(cfg, eps_list)
-        kuz = solve_kuznetsov_rows(
-            [(m.coeff, u0, right_moving_velocity(m.coeff, u0), m.t_end,
-              m.ctl, len(m.times)) for m in ms])
-        flow = _march_survivors(
-            kuz, lambda i, traj: flow_row(ms[i], traj[0]), solve_flow_rows)
-        return _errors(ms, flow, lambda i, j: l2_error(
-            flow[i][j][1], ansatz_of(ms[i].coeff, kuz[i][j])))
-
-    return run
+    ms = _members(cfg)
+    kuz = solve_kuznetsov_rows(
+        [(m.coeff, u0, right_moving_velocity(m.coeff, u0), m.t_end,
+          m.ctl, len(m.times)) for m in ms])
+    flow = _march_survivors(
+        kuz, lambda i, traj: flow_row(ms[i], traj[0]), solve_flow_rows)
+    return _errors(ms, flow, lambda i, j: l2_error(
+        flow[i][j][1], ansatz_of(ms[i].coeff, kuz[i][j])))
 
 
 def _kuznetsov_westervelt(cfg: ExperimentConfig):
@@ -567,20 +564,17 @@ def _kuznetsov_westervelt(cfg: ExperimentConfig):
                                             ks.velocity.scalar))
         return ModelState(ModelKind.WESTERVELT, ks.evol, pib, pib_t)
 
-    def run(eps_list):
-        ms = _members(cfg, eps_list)
-        u1s = [right_moving_velocity(m.coeff, u0) for m in ms]
-        kuz = solve_kuznetsov_rows(
-            [(m.coeff, u0, u1, m.t_end, m.ctl, len(m.times))
-             for m, u1 in zip(ms, u1s)])
-        wes = _march_survivors(kuz, lambda i, _traj: (
-            ms[i].coeff, *westervelt_initial_data(ms[i].coeff, u0, u1s[i]),
-            ms[i].t_end, ms[i].ctl, len(ms[i].times)),
-            solve_westervelt_rows)
-        return _errors(ms, wes, lambda i, j: l2_error(
-            wes[i][j], reference(ms[i].coeff, kuz[i][j])))
-
-    return run
+    ms = _members(cfg)
+    u1s = [right_moving_velocity(m.coeff, u0) for m in ms]
+    kuz = solve_kuznetsov_rows(
+        [(m.coeff, u0, u1, m.t_end, m.ctl, len(m.times))
+         for m, u1 in zip(ms, u1s)])
+    wes = _march_survivors(kuz, lambda i, _traj: (
+        ms[i].coeff, *westervelt_initial_data(ms[i].coeff, u0, u1s[i]),
+        ms[i].t_end, ms[i].ctl, len(ms[i].times)),
+        solve_westervelt_rows)
+    return _errors(ms, wes, lambda i, j: l2_error(
+        wes[i][j], reference(ms[i].coeff, kuz[i][j])))
 
 
 def _kuznetsov_npe(cfg: ExperimentConfig):
@@ -613,20 +607,17 @@ def _kuznetsov_npe(cfg: ExperimentConfig):
         return ModelState(ModelKind.KUZNETSOV, t, Field(grid, ub),
                           Field(grid, ut))
 
-    def run(eps_list):
-        ms = _members(cfg, eps_list)
-        npe = solve_npe_rows(
-            [(m.coeff, xi0, m.coeff.eps * m.t_end,
-              _substeps(m.coeff.eps * m.t_end, len(m.times) - 1,
-                        m.coeff.eps * _default_wave_step(cfg, m.coeff)),
-              len(m.times)) for m in ms])
-        kuz = _march_survivors(
-            npe, lambda i, traj: kuznetsov_row(ms[i], traj[0]),
-            solve_kuznetsov_rows)
-        return _errors(ms, kuz, lambda i, j: l2_error(
-            kuz[i][j], reference(ms[i], npe[i][j], float(ms[i].times[j]))))
-
-    return run
+    ms = _members(cfg)
+    npe = solve_npe_rows(
+        [(m.coeff, xi0, m.coeff.eps * m.t_end,
+          _substeps(m.coeff.eps * m.t_end, len(m.times) - 1,
+                    m.coeff.eps * _default_wave_step(cfg, m.coeff)),
+          len(m.times)) for m in ms])
+    kuz = _march_survivors(
+        npe, lambda i, traj: kuznetsov_row(ms[i], traj[0]),
+        solve_kuznetsov_rows)
+    return _errors(ms, kuz, lambda i, j: l2_error(
+        kuz[i][j], reference(ms[i], npe[i][j], float(ms[i].times[j]))))
 
 
 def _kuznetsov_kzk(cfg: ExperimentConfig):
@@ -650,27 +641,22 @@ def _kuznetsov_kzk(cfg: ExperimentConfig):
         return ([s.evol for s in base],
                 [l2_error(a, b) for a, b in zip(base, beam)])
 
-    def run(eps_list):
-        # Without a source the march reads c, rho0, gamma and nu but never
-        # eps, so every member shares it; when it fails, each member fails
-        # alike.
-        try:
-            base = solve_kzk(cfg.coeff, I0, z_end, ctl, n_samples=n_int + 1)
-        except SolverError as exc:
-            return [exc] * len(eps_list)
-        return [forced(base, eps) for eps in eps_list]
-
-    return run
+    # Without a source the march reads c, rho0, gamma and nu but never eps,
+    # so every member shares it; when it fails, each member fails alike.
+    try:
+        base = solve_kzk(cfg.coeff, I0, z_end, ctl, n_samples=n_int + 1)
+    except SolverError as exc:
+        return [exc] * len(cfg.eps_list)
+    return [forced(base, eps) for eps in cfg.eps_list]
 
 
 class _Study(NamedTuple):
-    """make(cfg) does a study's eps-independent set-up and returns
-    run(eps_list) -> per eps, (sample times, error series) or the
-    SolverError that stopped that member.  `exponent` is the claim's
+    """run(cfg) -> per eps of cfg.eps_list, (sample times, error series) or
+    the SolverError that stopped that member.  `exponent` is the claim's
     horizon exponent (None: Gronwall verdicts); `horizon_bounds` cap error/eps
     at the horizon without and with a delta perturbation."""
 
-    make: Callable
+    run: Callable
     exponent: int | None
     horizon_bounds: tuple[float, float] | None = None
     dims: tuple[int, ...] = (1, 2, 3)
@@ -785,7 +771,6 @@ def _gronwall_verdicts(report: Report) -> None:
 def scaling_study(cfg: ExperimentConfig) -> Report:
     """Run one pair across the eps sweep and assemble the fitted Report."""
     study = _STUDIES[cfg.pair]
-    run = study.make(cfg)
     report = Report(name=cfg.name, pair=cfg.pair, config=cfg.to_dict(),
                     config_sha256=config_hash(cfg),
                     meta=_runtime_meta(cfg.seed))
@@ -799,7 +784,7 @@ def scaling_study(cfg: ExperimentConfig) -> Report:
                 "evol": [float(t) for t in times],
                 "l2_error": [float(e) for e in errs]}
 
-    results = [member(e, r) for e, r in zip(cfg.eps_list, run(cfg.eps_list))]
+    results = [member(e, r) for e, r in zip(cfg.eps_list, study.run(cfg))]
     report.series = results  # already ordered by decreasing eps
 
     failed = [s for s in results if s["status"] != "ok"]

@@ -41,14 +41,11 @@ from .fields import Field, Frame, Grid
 from .models.base import (
     ModelCoefficients,
     PositivityLost,
-    SolverError,
     StepControl,
     march,
     member_axis,
     only_row,
     require_positive,
-    resolve_steps,
-    rows_share,
 )
 from .spectral import Spectral
 
@@ -116,10 +113,11 @@ class _FlowStepper:
     """Explicit midpoint for (rho, v) between two exact viscous half steps.
 
     A march builds it for the member rows it steps, from one eps and one
-    step size per row, and again for the survivors.  The carried state is (rho, vh): the density, and the spectrum of the
-    velocity.  Each stage makes two calls each way, each on one block of
-    rows: v and its derivatives back to physical space, rho v and p
-    forward, their derivatives back, and the velocity tendency forward.
+    step size per row, and again for the survivors.  The carried state is
+    (rho, vh): the density, and the spectrum of the velocity.  Each stage
+    makes two calls each way, each on one block of rows: v and its
+    derivatives back to physical space, rho v and p forward, their
+    derivatives back, and the velocity tendency forward.
     Velocities travel stacked, one component per leading index.
     """
 
@@ -241,31 +239,22 @@ def solve_flow_rows(rows) -> list:
     """solve_flow of each row (coeff, init, t_end, ctl, n_samples), the rows
     marched as one batch (see models.base.march): per row its (t, state)
     pairs, or the SolverError that stopped it."""
-    coeff, grid = rows[0][0], rows[0][1].grid
-    rows_share([row[0] for row in rows], [row[1].grid for row in rows])
-    if grid.frame is not Frame.PHYSICAL:
-        raise ValueError("flow states live on physical-frame grids")
-    ndim = len(grid.axes)
-    marches, eps, dts = [], [], []
-    for co, init, t_end, ctl, n_samples in rows:
-        nsteps, dt = resolve_steps(t_end, ctl)
+    members = []
+    for coeff, init, t_end, ctl, n_samples in rows:
+        grid = init.grid
+        if grid.frame is not Frame.PHYSICAL:
+            raise ValueError("flow states live on physical-frame grids")
         velocity = init.velocity()
-        state = (init.rho.scalar,
-                 np.stack([velocity.component(i) for i in range(ndim)]))
-        marches.append((state, nsteps, n_samples))
-        eps.append(co.eps)
-        dts.append(dt)
-    sp = Spectral(grid)
+        state = (init.rho.scalar, np.stack(
+            [velocity.component(i) for i in range(len(grid.axes))]))
+        members.append((coeff, grid, state, t_end, ctl, n_samples))
 
-    def make(keep):
-        return _FlowStepper(sp, coeff, [eps[i] for i in keep],
-                            [dts[i] for i in keep])
+    def wrap(grid, t, state):
+        rho, v = state
+        return t, FlowState.from_primitive(
+            Field(grid, rho), Field(grid, np.stack(v, axis=-1), len(v)))
 
-    return [done if isinstance(done, SolverError) else
-            [(t, FlowState.from_primitive(
-                Field(grid, rho), Field(grid, np.stack(v, axis=-1), ndim)))
-             for t, (rho, v) in done]
-            for done in march(make, marches, "flow")]
+    return march(_FlowStepper, members, "flow", wrap)
 
 
 def _h_constants(coeff: ModelCoefficients):

@@ -31,7 +31,6 @@ __all__ = [
     "only_row",
     "require_positive",
     "resolve_steps",
-    "rows_share",
 ]
 
 
@@ -148,7 +147,7 @@ def require_positive(values: np.ndarray, sp: Spectral, error) -> None:
                           for r in np.flatnonzero(bad)})
 
 
-def rows_share(coeffs, grids) -> None:
+def _rows_share(coeffs, grids) -> None:
     """Refuse member rows that do not share one grid and every coefficient
     but eps: a stepper gives only its eps- and step-dependent multipliers a
     member axis."""
@@ -200,68 +199,75 @@ def resolve_steps(span: float, ctl: StepControl) -> tuple[int, float]:
     return nsteps, span / nsteps
 
 
-def march(make, rows, label: str) -> list:
+def march(build, rows, label: str, wrap) -> list:
     """Advance the member rows of one batch together, one stepper call per
     step for every row.
 
-    Each row is (state, nsteps, n_samples): one member's physical state,
-    its step count and its sample count.  make(keep) builds the stepper for
-    the rows whose indices are in keep: its `sp`, its rows' step sizes `dt`
-    and, if it is forced, their `forcing` spectra along a leading member
-    axis.  The march builds it for every row to start, and again for the
-    survivors when rows retire or fail.  The state arrays are stacked along
-    the axis before the grid's; `carry` turns them into the form the
-    stepper carries from step to step (spectra, mostly) once, and `sample`
-    brings that back to physical space.
+    Each row is one member as the solvers receive it: (coeff, grid, state,
+    span, ctl, n_samples), where state is a tuple of arrays on grid.  The
+    rows must share one grid and every coefficient but eps.  Each row takes
+    its own steps over its span (see resolve_steps) and returns n_samples
+    (at least 2) samples.  build(sp, coeff, eps, dt) builds the stepper for
+    the rows of the given eps and step sizes on the grid's Spectral `sp`:
+    if it is forced, its `forcing` spectra along a leading member axis.
+    The march builds it for every row to start, and again for the survivors
+    when rows retire or fail.  The state arrays are stacked along the axis
+    before the grid's; `carry` turns them into the form the stepper carries
+    from step to step (spectra, mostly) once, and `sample` brings that back
+    to physical space.
 
     After each step every row is health-checked on its own, one component
     of each carried array at a time, by the grid's sum of squares, against
     the norm of its initial state plus what its forcing can add over its
-    march.  A row retires when it has taken its own `nsteps`, or when it
+    march.  A row retires when it has taken its own steps, or when it
     fails: the health check, or a step that raises `RowsFailed` for it,
     which the march then takes again with the other rows.  So each row's
     numbers and its error are those of a march of its member alone.
 
-    Returns per row either its (evol, state) at n_samples steps evenly
-    spaced in step count, always including the initial state, as given, and
-    the final state (only those samples return to physical space), or the
-    SolverError that stopped it.
+    Returns per row either its wrap(grid, evol, state) at n_samples steps
+    evenly spaced in step count, always including the initial state, as
+    given, and the final state (only those samples return to physical
+    space), or the SolverError that stopped it.  A march of no rows returns
+    [].
     """
-    stepper = make(list(range(len(rows))))
-    sp = stepper.sp
+    if not rows:
+        return []
+    _rows_share([row[0] for row in rows], [row[1] for row in rows])
+    coeff, grid = rows[0][0], rows[0][1]
+    steps = []
+    for *_, span, ctl, n_samples in rows:
+        if n_samples < 2:
+            raise ValueError(f"n_samples {n_samples!r} must be >= 2")
+        steps.append(resolve_steps(span, ctl))
+    eps = [row[0].eps for row in rows]
+    sp = Spectral(grid)
     ndim = len(sp.shape)
+    stepper = build(sp, coeff, eps, [dt for _, dt in steps])
     live, out = [], []
-    for i, (state, nsteps, n_samples) in enumerate(rows):
+    for i, (_, _, state, _, _, n_samples) in enumerate(rows):
+        nsteps, dt = steps[i]
         # a sample at every step is the most there can be
         n_samples = min(n_samples, nsteps + 1)
-        sample_at = {round(j * nsteps / max(n_samples - 1, 1))
-                     for j in range(max(n_samples, 2))} | {nsteps}
+        sample_at = {round(j * nsteps / (n_samples - 1))
+                     for j in range(n_samples)} | {nsteps}
         ref_norm = math.sqrt(sum(float(np.sum(a**2)) for a in state))
         if getattr(stepper, "forcing", None) is not None:
             # a march from rest grows by the forcing alone
-            ref_norm += nsteps * stepper.dt[i] * math.sqrt(
+            ref_norm += nsteps * dt * math.sqrt(
                 sp.sum_sq(stepper.forcing[i]))
-        live.append(_Row(i, nsteps, sample_at, ref_norm, stepper.dt[i]))
+        live.append(_Row(i, nsteps, sample_at, ref_norm, eps[i], dt))
         out.append([(0.0, state)])
     carried = stepper.carry(tuple(np.stack(parts, axis=-ndim - 1)
-                                  for parts in zip(*(row[0] for row in rows))))
+                                  for parts in zip(*(row[2] for row in rows))))
     n = 0
     while live:
-        failed = {}
         try:
-            stepped = stepper.step(carried, n + 1)
+            carried = stepper.step(carried, n + 1)
         except RowsFailed as exc:
             failed = exc.errors  # and step n + 1 again without them
         else:
-            n, carried = n + 1, stepped
-            for r, row in enumerate(live):
-                try:
-                    for a in carried:
-                        part = _row(a, r, ndim)
-                        for comp in part.reshape(-1, *part.shape[-ndim:]):
-                            check_health(comp, row.ref_norm, label, n, sp)
-                except SolverError as exc:
-                    failed[r] = exc
+            n += 1
+            failed = _unhealthy(carried, live, label, n, sp)
             due = [r for r, row in enumerate(live)
                    if n in row.sample_at and r not in failed]
             if due:
@@ -279,8 +285,27 @@ def march(make, rows, label: str) -> list:
             if live:
                 carried = tuple(np.take(a, keep, axis=-ndim - 1)
                                 for a in carried)
-                stepper = make([row.index for row in live])
-    return out
+                stepper = build(sp, coeff, [row.eps for row in live],
+                                [row.dt for row in live])
+    del stepper, carried  # freed before the samples are wrapped
+    return [done if isinstance(done, SolverError) else
+            [wrap(grid, evol, state) for evol, state in done]
+            for done in out]
+
+
+def _unhealthy(carried, live, label: str, n: int, sp: Spectral) -> dict:
+    """The SolverError of each live row whose carried arrays fail the
+    health check after step n."""
+    ndim, failed = len(sp.shape), {}
+    for r, row in enumerate(live):
+        try:
+            for a in carried:
+                part = _row(a, r, ndim)
+                for comp in part.reshape(-1, *part.shape[-ndim:]):
+                    check_health(comp, row.ref_norm, label, n, sp)
+        except SolverError as exc:
+            failed[r] = exc
+    return failed
 
 
 class _Row(NamedTuple):
@@ -290,6 +315,7 @@ class _Row(NamedTuple):
     nsteps: int
     sample_at: set
     ref_norm: float
+    eps: float
     dt: float
 
 

@@ -30,13 +30,10 @@ from .base import (
     ModelCoefficients,
     ModelKind,
     ModelState,
-    SolverError,
     StepControl,
     march,
     member_axis,
     only_row,
-    resolve_steps,
-    rows_share,
 )
 
 __all__ = ["solve_kzk", "solve_npe", "solve_npe_rows"]
@@ -59,7 +56,7 @@ class _OneWayStepper:
     def __init__(self, sp: Spectral, ax_name: str, a_nl: float,
                  d_visc: float, d_diff: float, dt, src_scale,
                  source_h: np.ndarray | None):
-        self.sp, self.dt = sp, dt
+        self.sp = sp
         self.ax = sp.grid.axis_index(ax_name)
         k, ik = sp.k[self.ax], sp.ik[self.ax]
         ndim = len(sp.shape)
@@ -150,16 +147,16 @@ def solve_npe_rows(rows) -> list:
     return _oneway_rows(rows, ModelKind.NPE, None)
 
 
-#: model -> its conjugate axis, and of a coeff the a_nl, d_visc, d_diff
-#: and src_scale of _OneWayStepper
+#: model -> its conjugate axis, and of a coeff and its rows' eps the a_nl,
+#: d_visc, d_diff and src_scale of _OneWayStepper
 _MODELS = {
-    ModelKind.KZK: ("tau", lambda co: (
+    ModelKind.KZK: ("tau", lambda co, eps: (
         (co.gamma + 1.0) / (4.0 * co.rho0 * co.c),
         co.nu / (2.0 * co.c**3 * co.rho0), co.c / 2.0,
-        co.eps * co.rho0 / (2.0 * co.c**3))),
-    ModelKind.NPE: ("z", lambda co: (
+        [e * co.rho0 / (2.0 * co.c**3) for e in eps])),
+    ModelKind.NPE: ("z", lambda co, eps: (
         -(co.gamma + 1.0) * co.c / (4.0 * co.rho0), co.nu / (2.0 * co.rho0),
-        -co.c / 2.0, 0.0)),
+        -co.c / 2.0, [0.0] * len(eps))),
 }
 
 
@@ -169,25 +166,26 @@ def _oneway_rows(rows, model: ModelKind,
     as one batch, each forced by its src_scale * source when a source is
     given."""
     ax_name, coefficients = _MODELS[model]
-    grid = rows[0][1].grid
-    rows_share([row[0] for row in rows], [row[1].grid for row in rows])
-    sp = Spectral(grid)
-    marches, dts = [], []
-    for _, v0, span, ctl, n_samples in rows:
+    members = []
+    for coeff, v0, span, ctl, n_samples in rows:
         require_mean_zero(v0, ax_name)
-        nsteps, dt = resolve_steps(span, ctl)
-        marches.append(((sp.mean_zero(v0.scalar, ax_name),), nsteps,
-                        n_samples))
-        dts.append(dt)
-    a_nl, d_visc, d_diff, _ = coefficients(rows[0][0])
-    src_scales = [coefficients(row[0])[3] for row in rows]
-    source_h = None if source is None else sp.fft(source)
+        if source is not None and (np.shape(source) != v0.grid.shape
+                                   or not np.all(np.isfinite(source))):
+            raise ValueError(
+                f"source of shape {np.shape(source)} must be a finite "
+                f"array of the grid's shape {v0.grid.shape}")
+        v = v0.scalar
+        v = v - v.mean(axis=v0.grid.axis_index(ax_name), keepdims=True)
+        members.append((coeff, v0.grid, (v,), span, ctl, n_samples))
+    source_h = None
 
-    def make(keep):
-        return _OneWayStepper(sp, ax_name, a_nl, d_visc, d_diff,
-                              [dts[i] for i in keep],
-                              [src_scales[i] for i in keep], source_h)
+    def build(sp, coeff, eps, dt):
+        nonlocal source_h
+        if source is not None and source_h is None:
+            source_h = sp.fft(source)  # once per march
+        a_nl, d_visc, d_diff, src_scale = coefficients(coeff, eps)
+        return _OneWayStepper(sp, ax_name, a_nl, d_visc, d_diff, dt,
+                              src_scale, source_h)
 
-    return [done if isinstance(done, SolverError) else
-            [ModelState(model, evol, Field(grid, v)) for evol, (v,) in done]
-            for done in march(make, marches, model.value)]
+    return march(build, members, model.value, lambda grid, evol, state:
+                 ModelState(model, evol, Field(grid, *state)))

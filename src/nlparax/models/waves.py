@@ -34,14 +34,11 @@ from .base import (
     ModelCoefficients,
     ModelKind,
     ModelState,
-    SolverError,
     StepControl,
     march,
     member_axis,
     only_row,
     require_positive,
-    resolve_steps,
-    rows_share,
 )
 
 __all__ = ["solve_kuznetsov", "solve_kuznetsov_rows", "solve_westervelt",
@@ -78,17 +75,18 @@ class _WaveStepper:
     """Strang-split stepper shared by the Kuznetsov and Westervelt models.
 
     A march builds it for the member rows it steps, from one eps and one
-    step size per row, and again for the survivors.  The carried state is the spectra (uh, wh) of (u, w): a step runs both
-    half-step propagations and the midpoint stages on them.  A stage fills
-    one block with the spectra of grad w (and grad u on the first stage), w
-    and the linear tendency, and makes one inverse call on it; then a
-    forward and an inverse call for the gradient product, and a forward
-    call for the rest.
+    step size per row, and again for the survivors.  The carried state is
+    the spectra (uh, wh) of (u, w): a step runs both half-step propagations
+    and the midpoint stages on them.  A stage fills one block with the
+    spectra of grad w (and grad u on the first stage), w and the linear
+    tendency, and makes one inverse call on it; then a forward and an
+    inverse call for the gradient product, and a forward call for the
+    rest.
     """
 
     def __init__(self, sp: Spectral, coeff: ModelCoefficients, eps, dt,
                  a_local: float, b_grad: float):
-        self.sp, self.dt = sp, dt
+        self.sp = sp
         ndim = len(sp.shape)
         eps, dt = member_axis(eps, ndim), member_axis(dt, ndim)
         damp = eps * coeff.nu / coeff.rho0
@@ -222,23 +220,15 @@ def solve_westervelt_rows(rows) -> list:
 def _wave_rows(rows, model: ModelKind, names: str, a_local,
                b_grad: float) -> list:
     """The rows of either model, whose factor a is a_local(coeff)."""
-    coeff, grid = rows[0][0], rows[0][1].grid
-    rows_share([row[0] for row in rows], [row[1].grid for row in rows])
-    marches, eps, dts = [], [], []
-    for co, f0, f1, t_end, ctl, n_samples in rows:
+    members = []
+    for coeff, f0, f1, t_end, ctl, n_samples in rows:
         if f0.grid != f1.grid:
             raise ValueError(f"{names} must share one grid")
-        nsteps, dt = resolve_steps(t_end, ctl)
-        marches.append(((f0.scalar, f1.scalar), nsteps, n_samples))
-        eps.append(co.eps)
-        dts.append(dt)
-    sp = Spectral(grid)
+        members.append((coeff, f0.grid, (f0.scalar, f1.scalar), t_end, ctl,
+                        n_samples))
 
-    def make(keep):
-        return _WaveStepper(sp, coeff, [eps[i] for i in keep],
-                            [dts[i] for i in keep], a_local(coeff), b_grad)
+    def build(sp, coeff, eps, dt):
+        return _WaveStepper(sp, coeff, eps, dt, a_local(coeff), b_grad)
 
-    return [done if isinstance(done, SolverError) else
-            [ModelState(model, t, Field(grid, u), Field(grid, w))
-             for t, (u, w) in done]
-            for done in march(make, marches, model.value)]
+    return march(build, members, model.value, lambda grid, t, state:
+                 ModelState(model, t, *(Field(grid, a) for a in state)))

@@ -154,6 +154,14 @@ def test_a_row_that_loses_positivity_fails_alone():
         assert _bytes(result) == _bytes(solve_flow(*r))
 
 
+@pytest.mark.parametrize("solve_rows", [
+    solve_kuznetsov_rows, solve_westervelt_rows, solve_flow_rows,
+    solve_npe_rows,
+], ids=["kuznetsov", "westervelt", "flow", "npe"])
+def test_a_march_of_no_rows_returns_no_rows(solve_rows):
+    assert solve_rows([]) == []
+
+
 def test_rows_of_one_march_differ_in_eps_only():
     rows = _wave_rows()
     coeff, *rest = rows[1]
@@ -223,7 +231,7 @@ def test_each_row_of_a_stepper_is_that_row_alone(cls):
         alone = vars(build(EPS[r:r + 1], dts[r:r + 1]))
         assert vars(rows).keys() == alone.keys()
         for name, value in vars(rows).items():
-            if name == "dt":
+            if name == "dt":  # the flow stepper's, for its messages
                 assert (value[r], len(value)) == (alone[name][0], len(EPS))
             elif isinstance(value, np.ndarray) and value.ndim > ndim:
                 assert value.shape[0] == len(EPS), name

@@ -629,15 +629,12 @@ def test_sweep_refuses_incommensurate_eps(tmp_path, capsys, monkeypatch):
 def test_sweep_whose_every_member_fails_exits_2(tmp_path, monkeypatch,
                                                 caplog):
     def diverging(cfg):
-        def run(eps_list):
-            return [SolverDiverged(f"norm exceeds 1e6 x initial at eps {eps}")
-                    for eps in eps_list]
-
-        return run
+        return [SolverDiverged(f"norm exceeds 1e6 x initial at eps {eps}")
+                for eps in cfg.eps_list]
 
     study = experiments._STUDIES["kuznetsov-westervelt"]
     monkeypatch.setitem(experiments._STUDIES, "kuznetsov-westervelt",
-                        study._replace(make=diverging))
+                        study._replace(run=diverging))
     cfg = _write(tmp_path, "diverge.json",
                  {"schema_version": 1, "sweep": FAILING_STUDY})
     out = tmp_path / "dv"

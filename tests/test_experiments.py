@@ -237,18 +237,13 @@ def test_small_study_report_and_artifacts(tmp_path):
 def test_failed_member_fails_the_sweep(monkeypatch):
     study = experiments._STUDIES["kuznetsov-westervelt"]
 
-    def factory(cfg):
-        run = study.make(cfg)
-
-        def failing(eps_list):
-            return [SolverDiverged("norm exceeds 1e6 x initial")
-                    if eps == 0.02 else result
-                    for eps, result in zip(eps_list, run(eps_list))]
-
-        return failing
+    def failing(cfg):
+        return [SolverDiverged("norm exceeds 1e6 x initial")
+                if eps == 0.02 else result
+                for eps, result in zip(cfg.eps_list, study.run(cfg))]
 
     monkeypatch.setitem(experiments._STUDIES, "kuznetsov-westervelt",
-                        study._replace(make=factory))
+                        study._replace(run=failing))
     rep = scaling_study(_cfg())
     assert [s["status"] for s in rep.series] == ["ok", "failed"]
     assert rep.series[1]["error"] == "norm exceeds 1e6 x initial"
@@ -259,22 +254,19 @@ def test_failed_member_fails_the_sweep(monkeypatch):
 
 
 def _power_law(power):
-    """A study factory whose members return errors 0.01 eps^power (1 + t)."""
-    def factory(cfg):
-        def run(eps_list):
-            times = [0.0, 1.0, 2.0, 3.0, 4.0]
-            return [(times, [0.01 * eps**power * (1.0 + t) for t in times])
-                    for eps in eps_list]
+    """A study whose members return errors 0.01 eps^power (1 + t)."""
+    def run(cfg):
+        times = [0.0, 1.0, 2.0, 3.0, 4.0]
+        return [(times, [0.01 * eps**power * (1.0 + t) for t in times])
+                for eps in cfg.eps_list]
 
-        return run
-
-    return factory
+    return run
 
 
 def _power_law_study(monkeypatch, cfg, power):
     study = experiments._STUDIES[cfg.pair]
     monkeypatch.setitem(experiments._STUDIES, cfg.pair,
-                        study._replace(make=_power_law(power)))
+                        study._replace(run=_power_law(power)))
     rep = scaling_study(cfg)
     return rep, {v["criterion"]: v for v in rep.verdicts}
 
@@ -327,15 +319,12 @@ def test_the_envelope_study_has_no_slope_verdict(monkeypatch):
 
 
 def test_a_bug_in_a_member_propagates(monkeypatch):
-    def factory(cfg):
-        def run(eps_list):
-            raise NotImplementedError("pair not wired")
-
-        return run
+    def run(cfg):
+        raise NotImplementedError("pair not wired")
 
     study = experiments._STUDIES["kuznetsov-westervelt"]
     monkeypatch.setitem(experiments._STUDIES, "kuznetsov-westervelt",
-                        study._replace(make=factory))
+                        study._replace(run=run))
     with pytest.raises(NotImplementedError):
         scaling_study(_cfg())
 

@@ -20,6 +20,7 @@ from nlparax import (
     solve_npe,
     solve_westervelt,
 )
+from nlparax.models import base
 from nlparax.models.base import (
     HyperbolicityLost,
     SolverDiverged,
@@ -135,14 +136,32 @@ def test_westervelt_damped_mode(coeff):
     assert np.abs(out.primary.scalar - exact).max() / amp < 1e-6
 
 
+def _samples(grid, evol, state):
+    """A march's sample as it is: (evol, state arrays)."""
+    return evol, state
+
+
+def _row(coeff, grid, state, nsteps, n_samples, dt=0.01):
+    """A march row of nsteps steps of size dt."""
+    span = nsteps * dt
+    return (coeff, grid, state, span, StepControl(step=span,
+                                                  substeps=nsteps),
+            n_samples)
+
+
+def _wave_build(a_local, b_grad):
+    """The march's build of a _WaveStepper with the given nonlinear
+    coefficients (a_local for u_t u_tt, b_grad for grad u . grad u_t)."""
+    return lambda sp, coeff, eps, dt: _WaveStepper(sp, coeff, eps, dt,
+                                                   a_local, b_grad)
+
+
 def _wave_march(coeff, u0, u1, t_end, step, a_local, b_grad):
     """End state of a _WaveStepper march with the given nonlinear
-    coefficients (a_local for u_t u_tt, b_grad for grad u . grad u_t)."""
-    nsteps, dt = resolve_steps(t_end, StepControl(step=step))
-    stepper = _WaveStepper(Spectral(u0.grid), coeff, [coeff.eps], [dt],
-                           a_local, b_grad)
-    (out,) = march(lambda keep: stepper,
-                   [((u0.scalar, u1.scalar), nsteps, 2)], "kuznetsov")
+    coefficients."""
+    (out,) = march(_wave_build(a_local, b_grad),
+                   [(coeff, u0.grid, (u0.scalar, u1.scalar), t_end,
+                     StepControl(step=step), 2)], "kuznetsov", _samples)
     return out[-1]
 
 
@@ -307,20 +326,24 @@ def test_forced_march_from_rest_is_not_divergence(coeff):
     tau, y = g.mesh()
     source = np.sin(tau) * np.exp(-y**2)
     sp = Spectral(g)
-    forced = _OneWayStepper(sp, "tau", 1.0, 0.1, 0.05, [0.01], [0.3],
-                            sp.fft(source))
-    (out,) = march(lambda keep: forced, [((np.zeros(g.shape),), 20, 3)],
-                   "kzk")
+    source_h = sp.fft(source)
+
+    def forced(sp, _coeff, _eps, dt):
+        return _OneWayStepper(sp, "tau", 1.0, 0.1, 0.05, dt, [0.3], source_h)
+
+    rows = [_row(coeff, g, (np.zeros(g.shape),), 20, 3)]
+    (out,) = march(forced, rows, "kzk", _samples)
     final = out[-1][1][0]
     assert np.all(np.isfinite(final)) and np.max(np.abs(final)) > 0.0
     # a state that grows past 1e6 x that reference still fails, and the
     # message reports the reference
-    reference = 20 * 0.01 * math.sqrt(forced.sp.sum_sq(forced.forcing))
+    reference = 20 * 0.01 * math.sqrt(
+        sp.sum_sq(forced(sp, coeff, [coeff.eps], [0.01]).forcing))
     with pytest.raises(SolverDiverged,
                        match=rf"initial \({reference:.3e}\) during kzk "
                              r"step 7$"):
-        only_row(march(lambda keep: _Burst(forced, 7),
-                       [((np.zeros(g.shape),), 20, 3)], "kzk"))
+        only_row(march(lambda *args: _Burst(forced(*args), 7), rows, "kzk",
+                       _samples))
 
 
 class _Burst:
@@ -329,7 +352,7 @@ class _Burst:
 
     def __init__(self, stepper, at):
         self.inner, self.at = stepper, at
-        self.sp, self.dt, self.forcing = stepper.sp, stepper.dt, stepper.forcing
+        self.forcing = stepper.forcing
         self.carry, self.sample = stepper.carry, stepper.sample
 
     def step(self, carried, n):
@@ -343,7 +366,6 @@ class _Poisoned:
 
     def __init__(self, stepper, at):
         self.inner, self.at = stepper, at
-        self.sp, self.dt = stepper.sp, stepper.dt
         self.carry, self.sample = stepper.carry, stepper.sample
 
     def step(self, carried, n):
@@ -357,12 +379,11 @@ class _Poisoned:
 def test_nan_in_a_carried_spectrum_names_the_step(coeff):
     g = _grid1d(32)
     x = g.mesh()[0]
-    stepper = _Poisoned(_WaveStepper(Spectral(g), coeff, [coeff.eps],
-                                     [0.01], coeff.alpha, 2.0), 7)
+    wave = _wave_build(coeff.alpha, 2.0)
     with pytest.raises(SolverNaN) as info:
-        only_row(march(lambda keep: stepper,
-                       [((0.1 * np.sin(x), -0.1 * np.cos(x)), 20, 2)],
-                       "kuznetsov"))
+        only_row(march(lambda *args: _Poisoned(wave(*args), 7),
+                       [_row(coeff, g, (0.1 * np.sin(x), -0.1 * np.cos(x)),
+                             20, 2)], "kuznetsov", _samples))
     assert str(info.value) == "non-finite values during kuznetsov step 7"
 
 
@@ -404,6 +425,64 @@ def test_npe_mode_decay(coeff):
     assert np.abs(out.primary.scalar - exact).max() / amp < 1e-4
 
 
+@pytest.mark.parametrize("shape, bad", [
+    ((1, 16), 0.0), ((32, 1), 0.0), ((16,), 0.0), ((32, 16), np.nan),
+    ((32, 16), np.inf),
+], ids=["row", "column", "1d", "nan", "inf"])
+def test_kzk_refuses_a_source_that_is_not_a_finite_grid_array(coeff, shape,
+                                                              bad):
+    # a row or column used to broadcast into a forcing the caller did not
+    # give, a 1D source to fail with an IndexError and a NaN one to stop
+    # the march at step 1
+    g = Grid((Axis("tau", 2 * np.pi, 32), Axis("y1", 2.0, 16)), Frame.KZK)
+    I0 = Field(g, 0.01 * np.sin(g.mesh()[0]))
+    source = np.ones(shape)
+    source.flat[3] = bad
+    with pytest.raises(ValueError, match=re.escape(
+            f"source of shape {shape} must be a finite array of the grid's "
+            "shape (32, 16)")):
+        solve_kzk(coeff, I0, 1.0, StepControl(step=0.1), source=source)
+
+
+def _one_row_solves(coeff):
+    """Each solver of one member, as a function of its n_samples."""
+    g = _grid1d(16)
+    x = g.mesh()[0]
+    u = Field(g, 0.01 * np.sin(x))
+    ctl = StepControl(step=0.1)
+    kzk = Grid((Axis("tau", 2 * np.pi, 16),), Frame.KZK)
+    npe = Grid((Axis("z", 2 * np.pi, 16),), Frame.NPE)
+    init = FlowState.from_primitive(Field(g, 1.0 + 0.01 * np.sin(x)),
+                                    Field(g, (0.01 * np.cos(x))[..., None],
+                                          1))
+    return {
+        "kuznetsov": lambda n: solve_kuznetsov(coeff, u, u, 1.0, ctl, n),
+        "westervelt": lambda n: solve_westervelt(coeff, u, u, 1.0, ctl, n),
+        "kzk": lambda n: solve_kzk(coeff, Field(kzk, u.scalar), 1.0, ctl,
+                                   n_samples=n),
+        "npe": lambda n: solve_npe(coeff, Field(npe, u.scalar), 1.0, ctl,
+                                   n),
+        "flow": lambda n: solve_flow(coeff, init, 1.0, ctl, n),
+    }
+
+
+@pytest.mark.parametrize("solver", ["kuznetsov", "westervelt", "kzk", "npe",
+                                    "flow"])
+def test_every_solver_refuses_fewer_than_two_samples(coeff, monkeypatch,
+                                                     solver):
+    solve = _one_row_solves(coeff)[solver]
+    assert len(solve(2)) == 2
+    # refused before any work: the march builds no Spectral and no stepper
+    def no_work(grid):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(base, "Spectral", no_work)
+    for n in (0, 1, -5):
+        with pytest.raises(ValueError,
+                           match=rf"^n_samples {n} must be >= 2$"):
+            solve(n)
+
+
 def test_oneway_rejects_nonzero_mean(coeff):
     g = Grid((Axis("tau", 2 * np.pi, 32),), Frame.KZK)
     I0 = Field(g, 1.0 + np.sin(g.mesh()[0]))
@@ -441,12 +520,11 @@ def test_strang_self_convergence(coeff):
 def test_march_takes_at_most_one_sample_per_step(coeff):
     g = _grid1d(16)
     x = g.mesh()[0]
-    stepper = _WaveStepper(Spectral(g), coeff, [coeff.eps], [0.01],
-                           coeff.alpha, 2.0)
     state = (0.1 * np.sin(x), -0.1 * np.cos(x))
     nsteps = 5
-    every, beyond = (march(lambda keep: stepper, [(state, nsteps, n)],
-                           "kuznetsov")[0]
+    every, beyond = (march(_wave_build(coeff.alpha, 2.0),
+                           [_row(coeff, g, state, nsteps, n)], "kuznetsov",
+                           _samples)[0]
                      for n in (nsteps + 1, nsteps + 7))
     assert len(every) == nsteps + 1
     for (t, a), (s, b) in zip(every, beyond, strict=True):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,19 @@ from nlparax.spectral import Spectral, require_mean_zero
 
 def _grid1d(n=64, L=2 * np.pi, name="x1"):
     return Grid((Axis(name, L, n),), Frame.PHYSICAL)
+
+
+def _samples(grid, evol, state):
+    """A march's sample as it is: (evol, state arrays)."""
+    return evol, state
+
+
+def _row(coeff, grid, state, nsteps, n_samples, dt):
+    """A march row of nsteps steps of size dt."""
+    span = nsteps * dt
+    return (coeff, grid, state, span, StepControl(step=span,
+                                                  substeps=nsteps),
+            n_samples)
 
 
 modes = st.lists(
@@ -271,21 +285,20 @@ def test_one_numpy_call_per_transform_on_a_1d_grid(monkeypatch):
     g = _grid1d(64)
     npe = Grid((Axis("z", 2 * np.pi, 64),), Frame.NPE)
     u = 0.01 * np.cos(g.mesh()[0])
-    sp, sp_npe, eps = Spectral(g), Spectral(npe), [coeff.eps]
-    steppers = {
-        "kuznetsov": (_WaveStepper(sp, coeff, eps, [0.01], coeff.alpha, 2.0),
-                      (u, u)),
-        "westervelt": (_WaveStepper(sp, coeff, eps, [0.01], 2.4, 0.0),
-                       (u, u)),
-        "flow": (_FlowStepper(sp, coeff, eps, [0.01]),
-                 (1.0 + u, u[np.newaxis])),
-        "npe": (_OneWayStepper(sp_npe, "z", 1.0, 0.1, 0.5, [0.01], [0.0],
-                               None), (u,)),
+    builds = {
+        "kuznetsov": (lambda sp, co, eps, dt: _WaveStepper(
+                          sp, co, eps, dt, co.alpha, 2.0), g, (u, u)),
+        "westervelt": (lambda sp, co, eps, dt: _WaveStepper(
+                           sp, co, eps, dt, 2.4, 0.0), g, (u, u)),
+        "flow": (_FlowStepper, g, (1.0 + u, u[np.newaxis])),
+        "npe": (lambda sp, co, eps, dt: _OneWayStepper(
+                    sp, "z", 1.0, 0.1, 0.5, dt, [0.0], None), npe, (u,)),
     }
-    for label, (stepper, state) in steppers.items():
+    for label, (build, grid, state) in builds.items():
         numpy_calls.clear()
         core_calls.clear()
-        march(lambda keep: stepper, [(state, 3, 2)], label)
+        march(build, [_row(coeff, grid, state, 3, 2, 0.01)], label,
+              _samples)
         assert len(numpy_calls) == len(core_calls) > 0, label
 
 
@@ -343,27 +356,25 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
     def smooth(g):
         return 0.01 * np.cos(sum(g.mesh()))
 
-    # each case: (build(eps, dt), the state of one member), where build
-    # makes the stepper for the rows of the given eps and step sizes
+    # each case: (its grid, build, its coefficients, the state of one
+    # member), where build(sp, coeff, eps, dt) makes the stepper for the
+    # rows of the given eps and step sizes, as a march does
     def wave(g, a_local, b_grad):
-        sp, coeff = Spectral(g), ModelCoefficients(nu=0.2)
-        return (lambda eps, dt: _WaveStepper(sp, coeff, eps, dt, a_local,
-                                             b_grad),
-                (smooth(g), smooth(g)))
+        return (g, lambda sp, coeff, eps, dt: _WaveStepper(
+                    sp, coeff, eps, dt, a_local, b_grad),
+                ModelCoefficients(nu=0.2), (smooth(g), smooth(g)))
 
     def flow(g, nu):
-        sp, coeff = Spectral(g), ModelCoefficients(nu=nu)
-        return (lambda eps, dt: _FlowStepper(sp, coeff, eps, dt),
+        return (g, _FlowStepper, ModelCoefficients(nu=nu),
                 (1.0 + smooth(g), np.stack([smooth(g) for _ in g.axes])))
 
     def oneway(g, ax, source=None):
         # the fixed source is transformed once, before the march
-        sp = Spectral(g)
-        source_h = None if source is None else sp.fft(source)
-        return (lambda eps, dt: _OneWayStepper(
+        source_h = None if source is None else Spectral(g).fft(source)
+        return (g, lambda sp, coeff, eps, dt: _OneWayStepper(
                     sp, ax, 1.0, 0.1, 0.5, dt, [2.0 * e for e in eps],
                     source_h),
-                (smooth(g),))
+                ModelCoefficients(nu=0.2), (smooth(g),))
 
     alpha = ModelCoefficients().alpha
     budget = {
@@ -379,10 +390,10 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
         "kzk 2d with source": (oneway(kzk, "tau", smooth(kzk)), 4),
     }
     eps, dt = (0.05, 0.04, 0.03), (0.01, 0.008, 0.006)
-    for label, ((build, state), expect) in budget.items():
-        stepper = build(eps[:1], dt[:1])
+    for label, ((grid, build, coeff, state), expect) in budget.items():
+        stepper = build(Spectral(grid), coeff, eps[:1], dt[:1])
         # one member row, on the axis before the grid's
-        row = -len(stepper.sp.shape) - 1
+        row = -len(grid.shape) - 1
         calls.clear()
         carried = stepper.carry(tuple(np.expand_dims(a, row) for a in state))
         assert calls == ["_forward"], label
@@ -401,13 +412,16 @@ def test_fft_calls_per_step_are_pinned(monkeypatch):
                                    ([(6, 3), (4, 3), (2, 2)], 4)):
             built = []
 
-            def make(keep):
-                built.append(keep)
-                return build([eps[i] for i in keep], [dt[i] for i in keep])
+            def counted(sp, coeff, row_eps, row_dt):
+                built.append(list(row_eps))
+                return build(sp, coeff, row_eps, row_dt)
 
             calls.clear()
-            marched = march(make, [(state, *row) for row in rows], label)
+            marched = march(counted, [
+                _row(replace(coeff, eps=eps[i]), grid, state, nsteps, n,
+                     dt[i]) for i, (nsteps, n) in enumerate(rows)],
+                label, _samples)
             assert len(calls) == 1 + 6 * expect + sample_steps, label
             assert [len(samples) for samples in marched] == [
                 n for _, n in rows], label
-        assert built == [[0, 1, 2], [0, 1], [0]], label
+        assert built == [list(eps), list(eps[:2]), list(eps[:1])], label

@@ -8,7 +8,7 @@ time from physical space and back."""
 import numpy as np
 import pytest
 
-from nlparax import Axis, Frame, Grid, ModelCoefficients
+from nlparax import Axis, Frame, Grid, ModelCoefficients, StepControl
 from nlparax.flow import _FlowStepper, pressure_from_density
 from nlparax.models.base import march
 from nlparax.models.oneway import _OneWayStepper
@@ -245,8 +245,11 @@ def _long_march_cases(rng):
 
 def test_long_march_matches_the_steps_through_physical_space(rng):
     for label, (stepper, state) in _long_march_cases(rng).items():
-        (out,) = march(lambda keep: stepper, [(state, LONG_MARCH, 2)],
-                       label)
+        span = LONG_MARCH * 0.01
+        (out,) = march(lambda *_: stepper,
+                       [(COEFF, stepper.sp.grid, state, span,
+                         StepControl(step=span, substeps=LONG_MARCH), 2)],
+                       label, lambda grid, evol, arrays: (evol, arrays))
         _, carried = out[-1]
         physical = state
         for n in range(1, LONG_MARCH + 1):
