@@ -11,9 +11,11 @@ its `_STUDIES` row states, which also lists the dims the study runs in:
   * `decay_fit` fits exponential decay rates of viscous one-way trajectories.
 
 Horizons of the form C/eps use one C across the sweep, sized so the coarsest
-eps fits the step heuristics; error series are sampled on a common time grid
-(the coarsest run's horizon split into `samples` intervals) so slopes can be
-read off at fixed times without interpolation.
+eps fits the step heuristics.  Each member's horizon is a whole number of
+common sample intervals (the coarsest run's horizon split into `samples`),
+each of a whole number of steps as `models.base.resolve_steps` counts them,
+so slopes can be read off at fixed times without interpolation.  An error
+series carries the times of the march's own samples.
 
 The slope studies march each model once per sweep: the eps members are the
 rows of one batched march (`models.base.march`), each row with its own step
@@ -60,6 +62,7 @@ from .models.base import (
     ModelState,
     SolverError,
     StepControl,
+    resolve_steps,
 )
 from .models.oneway import solve_kzk, solve_npe, solve_npe_rows
 from .models.waves import (
@@ -427,9 +430,9 @@ def _paraxial_grid(cfg: ExperimentConfig, frame: Frame) -> Grid:
     return Grid(tuple(axes), frame)
 
 
-def _intervals(cfg: ExperimentConfig, eps: float) -> tuple[float, float, int]:
-    """(t_end, the sample spacing common across the sweep, the whole number
-    of those intervals up to t_end); refuses a horizon that is not one."""
+def _intervals(cfg: ExperimentConfig, eps: float) -> tuple[float, int]:
+    """(t_end, the whole number of sample intervals up to t_end, each as
+    long as the sweep's common one); refuses a horizon that is not one."""
     eps_max = cfg.eps_list[0]
     if cfg.horizon_over_eps:
         t_common = cfg.horizon / eps_max
@@ -439,31 +442,21 @@ def _intervals(cfg: ExperimentConfig, eps: float) -> tuple[float, float, int]:
                              "not a finite time span")
     else:
         t_common = t_end = cfg.horizon
-    ds = t_common / cfg.samples
-    n_int = t_end / ds
+    n_int = t_end / (t_common / cfg.samples)
     if abs(n_int - round(n_int)) > 1e-9 * max(n_int, 1.0):
         raise ValueError(
             f"eps = {eps} gives a horizon that is not a whole number of "
             f"common sample intervals; choose commensurate eps values"
         )
-    return t_end, ds, int(round(n_int))
-
-
-def _time_grid(cfg: ExperimentConfig, eps: float):
-    """(t_end, sample times) of one member."""
-    t_end, ds, n_int = _intervals(cfg, eps)
-    return t_end, ds * np.arange(n_int + 1)
+    return t_end, int(round(n_int))
 
 
 def _substeps(span: float, n_int: int, step_hint: float) -> StepControl:
     """`n_int` sample intervals of `per` steps each, the fewest that keep
-    the step at or below `step_hint`.  Raises a ValueError naming the span
-    when the step count is not a finite number that fits an index."""
-    per = span / n_int / step_hint - 1e-12
-    if not math.isfinite(per) or per * n_int >= sys.maxsize:
-        raise ValueError(f"time span {span!r} with step {step_hint!r} does "
-                         "not give a finite step count that fits an index")
-    return StepControl(step=span / n_int, substeps=max(1, math.ceil(per)))
+    the step at or below `step_hint`, as `resolve_steps` counts them; it
+    refuses a count that is not a finite number that fits an index."""
+    per, _ = resolve_steps(span / n_int, StepControl(step=step_hint))
+    return StepControl(step=span / n_int, substeps=per)
 
 
 def _default_wave_step(cfg: ExperimentConfig,
@@ -488,12 +481,12 @@ def _default_kzk_step(cfg: ExperimentConfig, coeff: ModelCoefficients,
 
 
 class _Member(NamedTuple):
-    """One eps of a sweep: its coefficients, horizon, sample times and the
-    wave-step control that fills them."""
+    """One eps of a sweep: its coefficients, horizon, number of samples and
+    the wave-step control that takes them."""
 
     coeff: ModelCoefficients
     t_end: float
-    times: np.ndarray
+    n_samples: int
     ctl: StepControl
 
 
@@ -501,9 +494,9 @@ def _members(cfg: ExperimentConfig) -> list[_Member]:
     out = []
     for eps in cfg.eps_list:
         coeff = replace(cfg.coeff, eps=eps)
-        t_end, times = _time_grid(cfg, eps)
-        ctl = _substeps(t_end, len(times) - 1, _default_wave_step(cfg, coeff))
-        out.append(_Member(coeff, t_end, times, ctl))
+        t_end, n_int = _intervals(cfg, eps)
+        ctl = _substeps(t_end, n_int, _default_wave_step(cfg, coeff))
+        out.append(_Member(coeff, t_end, n_int + 1, ctl))
     return out
 
 
@@ -519,12 +512,13 @@ def _march_survivors(earlier: list, row, solve_rows) -> list:
     return out
 
 
-def _errors(members: list[_Member], results: list, error) -> list:
-    """Per member i (its sample times, error(i, j) at each sample j), or
-    the SolverError that stopped one of its marches."""
+def _errors(results: list, error) -> list:
+    """Per member i (the times of its samples, their errors), where
+    error(i, j) is the (evol, error) of sample j of results[i], or the
+    SolverError that stopped one of its marches."""
     return [r if isinstance(r, SolverError) else
-            (list(m.times), [error(i, j) for j in range(len(m.times))])
-            for i, (m, r) in enumerate(zip(members, results))]
+            tuple(zip(*(error(i, j) for j in range(len(r)))))
+            for i, r in enumerate(results)]
 
 
 def _ns_kuznetsov(cfg: ExperimentConfig):
@@ -541,16 +535,16 @@ def _ns_kuznetsov(cfg: ExperimentConfig):
         if pert is not None:
             U0 = FlowState(U0.rho.with_values(U0.rho.values + pert.values),
                            U0.momentum)
-        return m.coeff, U0, m.t_end, m.ctl, len(m.times)
+        return m.coeff, U0, m.t_end, m.ctl, m.n_samples
 
     ms = _members(cfg)
     kuz = solve_kuznetsov_rows(
         [(m.coeff, u0, right_moving_velocity(m.coeff, u0), m.t_end,
-          m.ctl, len(m.times)) for m in ms])
+          m.ctl, m.n_samples) for m in ms])
     flow = _march_survivors(
         kuz, lambda i, traj: flow_row(ms[i], traj[0]), solve_flow_rows)
-    return _errors(ms, flow, lambda i, j: l2_error(
-        flow[i][j][1], ansatz_of(ms[i].coeff, kuz[i][j])))
+    return _errors(flow, lambda i, j: (flow[i][j][0], l2_error(
+        flow[i][j][1], ansatz_of(ms[i].coeff, kuz[i][j]))))
 
 
 def _kuznetsov_westervelt(cfg: ExperimentConfig):
@@ -567,14 +561,14 @@ def _kuznetsov_westervelt(cfg: ExperimentConfig):
     ms = _members(cfg)
     u1s = [right_moving_velocity(m.coeff, u0) for m in ms]
     kuz = solve_kuznetsov_rows(
-        [(m.coeff, u0, u1, m.t_end, m.ctl, len(m.times))
+        [(m.coeff, u0, u1, m.t_end, m.ctl, m.n_samples)
          for m, u1 in zip(ms, u1s)])
     wes = _march_survivors(kuz, lambda i, _traj: (
         ms[i].coeff, *westervelt_initial_data(ms[i].coeff, u0, u1s[i]),
-        ms[i].t_end, ms[i].ctl, len(ms[i].times)),
+        ms[i].t_end, ms[i].ctl, ms[i].n_samples),
         solve_westervelt_rows)
-    return _errors(ms, wes, lambda i, j: l2_error(
-        wes[i][j], reference(ms[i].coeff, kuz[i][j])))
+    return _errors(wes, lambda i, j: (wes[i][j].evol, l2_error(
+        wes[i][j], reference(ms[i].coeff, kuz[i][j]))))
 
 
 def _kuznetsov_npe(cfg: ExperimentConfig):
@@ -600,7 +594,7 @@ def _kuznetsov_npe(cfg: ExperimentConfig):
         # well-prepared data: u1 carries the slow O(eps) correction too
         ub0, ut0 = transported(m.coeff, start, 0.0)
         return (m.coeff, Field(grid, ub0), Field(grid, ut0), m.t_end, m.ctl,
-                len(m.times))
+                m.n_samples)
 
     def reference(m: _Member, ns: ModelState, t: float) -> ModelState:
         ub, ut = transported(m.coeff, ns, t)
@@ -610,14 +604,14 @@ def _kuznetsov_npe(cfg: ExperimentConfig):
     ms = _members(cfg)
     npe = solve_npe_rows(
         [(m.coeff, xi0, m.coeff.eps * m.t_end,
-          _substeps(m.coeff.eps * m.t_end, len(m.times) - 1,
+          _substeps(m.coeff.eps * m.t_end, m.n_samples - 1,
                     m.coeff.eps * _default_wave_step(cfg, m.coeff)),
-          len(m.times)) for m in ms])
+          m.n_samples) for m in ms])
     kuz = _march_survivors(
         npe, lambda i, traj: kuznetsov_row(ms[i], traj[0]),
         solve_kuznetsov_rows)
-    return _errors(ms, kuz, lambda i, j: l2_error(
-        kuz[i][j], reference(ms[i], npe[i][j], float(ms[i].times[j]))))
+    return _errors(kuz, lambda i, j: (kuz[i][j].evol, l2_error(
+        kuz[i][j], reference(ms[i], npe[i][j], kuz[i][j].evol))))
 
 
 def _kuznetsov_kzk(cfg: ExperimentConfig):

@@ -207,7 +207,8 @@ def march(build, rows, label: str, wrap) -> list:
     span, ctl, n_samples), where state is a tuple of arrays on grid.  The
     rows must share one grid and every coefficient but eps.  Each row takes
     its own steps over its span (see resolve_steps) and returns n_samples
-    (at least 2) samples.  build(sp, coeff, eps, dt) builds the stepper for
+    samples: an integer of at least 2, or an integral float that counts as
+    that integer.  build(sp, coeff, eps, dt) builds the stepper for
     the rows of the given eps and step sizes on the grid's Spectral `sp`:
     if it is forced, its `forcing` spectra along a leading member axis.
     The march builds it for every row to start, and again for the survivors
@@ -236,16 +237,19 @@ def march(build, rows, label: str, wrap) -> list:
     coeff, grid = rows[0][0], rows[0][1]
     steps = []
     for *_, span, ctl, n_samples in rows:
+        # n % 1 is 0 for an integral number alone, NaN for NaN and inf
+        if isinstance(n_samples, bool) or n_samples % 1 != 0:
+            raise ValueError(f"n_samples {n_samples!r} must be an integer")
         if n_samples < 2:
             raise ValueError(f"n_samples {n_samples!r} must be >= 2")
-        steps.append(resolve_steps(span, ctl))
+        steps.append((*resolve_steps(span, ctl), int(n_samples)))
     eps = [row[0].eps for row in rows]
     sp = Spectral(grid)
     ndim = len(sp.shape)
-    stepper = build(sp, coeff, eps, [dt for _, dt in steps])
+    stepper = build(sp, coeff, eps, [dt for _, dt, _ in steps])
     live, out = [], []
-    for i, (_, _, state, _, _, n_samples) in enumerate(rows):
-        nsteps, dt = steps[i]
+    for i, (_, _, state, *_) in enumerate(rows):
+        nsteps, dt, n_samples = steps[i]
         # a sample at every step is the most there can be
         n_samples = min(n_samples, nsteps + 1)
         sample_at = {round(j * nsteps / (n_samples - 1))

@@ -124,10 +124,10 @@ def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
               n_samples: int = 2) -> list[ModelState]:
     """March the KZK equation in z from the mean-zero profile I0(tau, y).
 
-    If `source` is given, an array S(tau, y) on I0's grid that does not vary
-    with z, eps*rho0/(2 c^2) * S is added to the right side of the c dI/dz
-    form (the mechanism used by the perturbed-comparison experiments); the
-    source is projected mean-zero along tau.
+    If `source` is given, a real array S(tau, y) on I0's grid that does not
+    vary with z, eps*rho0/(2 c^2) * S is added to the right side of the
+    c dI/dz form (the mechanism used by the perturbed-comparison
+    experiments); the source is projected mean-zero along tau.
     """
     return only_row(_oneway_rows([(coeff, I0, z_end, ctl, n_samples)],
                                  ModelKind.KZK, source))
@@ -170,9 +170,10 @@ def _oneway_rows(rows, model: ModelKind,
     for coeff, v0, span, ctl, n_samples in rows:
         require_mean_zero(v0, ax_name)
         if source is not None and (np.shape(source) != v0.grid.shape
+                                   or np.iscomplexobj(source)
                                    or not np.all(np.isfinite(source))):
             raise ValueError(
-                f"source of shape {np.shape(source)} must be a finite "
+                f"source of shape {np.shape(source)} must be a finite real "
                 f"array of the grid's shape {v0.grid.shape}")
         v = v0.scalar
         v = v - v.mean(axis=v0.grid.axis_index(ax_name), keepdims=True)

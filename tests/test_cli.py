@@ -460,7 +460,8 @@ def test_sweep_refuses_a_setting_that_would_skip_its_gate(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("over_eps, message", [
-    (False, "time span 1e+308 with step"),
+    (False, "span 2.5e+307 with step 0.03125 does not give a finite step "
+            "count"),
     (True, "horizon 1e+308 over eps = 0.04 is not a finite time span"),
 ], ids=["fixed-horizon", "horizon-over-eps"])
 def test_sweep_step_count_that_does_not_fit_exits_1(tmp_path, capsys,

@@ -427,20 +427,20 @@ def test_npe_mode_decay(coeff):
 
 @pytest.mark.parametrize("shape, bad", [
     ((1, 16), 0.0), ((32, 1), 0.0), ((16,), 0.0), ((32, 16), np.nan),
-    ((32, 16), np.inf),
-], ids=["row", "column", "1d", "nan", "inf"])
+    ((32, 16), np.inf), ((32, 16), 1j),
+], ids=["row", "column", "1d", "nan", "inf", "complex"])
 def test_kzk_refuses_a_source_that_is_not_a_finite_grid_array(coeff, shape,
                                                               bad):
     # a row or column used to broadcast into a forcing the caller did not
-    # give, a 1D source to fail with an IndexError and a NaN one to stop
-    # the march at step 1
+    # give, a 1D source to fail with an IndexError, a NaN one to stop the
+    # march at step 1 and a complex one to fail in the real transform
     g = Grid((Axis("tau", 2 * np.pi, 32), Axis("y1", 2.0, 16)), Frame.KZK)
     I0 = Field(g, 0.01 * np.sin(g.mesh()[0]))
-    source = np.ones(shape)
+    source = np.ones(shape, dtype=type(bad))
     source.flat[3] = bad
     with pytest.raises(ValueError, match=re.escape(
-            f"source of shape {shape} must be a finite array of the grid's "
-            "shape (32, 16)")):
+            f"source of shape {shape} must be a finite real array of the "
+            "grid's shape (32, 16)")):
         solve_kzk(coeff, I0, 1.0, StepControl(step=0.1), source=source)
 
 
@@ -480,6 +480,23 @@ def test_every_solver_refuses_fewer_than_two_samples(coeff, monkeypatch,
     for n in (0, 1, -5):
         with pytest.raises(ValueError,
                            match=rf"^n_samples {n} must be >= 2$"):
+            solve(n)
+
+
+@pytest.mark.parametrize("solver", ["kuznetsov", "westervelt", "kzk", "npe",
+                                    "flow"])
+def test_every_solver_refuses_a_sample_count_that_is_not_an_integer(
+        coeff, monkeypatch, solver):
+    solve = _one_row_solves(coeff)[solver]
+    assert len(solve(3.0)) == 3  # an integral float runs as its integer
+
+    def no_work(grid):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(base, "Spectral", no_work)
+    for n in (2.5, True, math.nan, math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_samples {n!r} must be an integer")):
             solve(n)
 
 
