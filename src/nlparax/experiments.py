@@ -20,9 +20,16 @@ series carries the times of the march's own samples.
 The slope studies march each model once per sweep: the eps members are the
 rows of one batched march (`models.base.march`), each row with its own step
 count, samples and health checks, retiring at its own horizon or at its
-failure.  A member whose first march fails is left out of its later ones and
-reports that failure; the others' numbers are those of marching each member
-alone.  The kuznetsov-kzk study marches its members one at a time.
+failure.  Each slope study builds the rows of both its marches up front
+and runs the second march in one child forked for it (`os.fork`) while
+this process runs the first; the child sends its per-row results back
+through a pipe and is reaped before the study returns or raises.  A member
+whose first march fails reports that failure; its second row marches in
+the child all the same, and an exception raised building that row is
+dropped.  The others' numbers are those of marching each member alone.
+Process-level measures of this process, such as the peak RSS that
+`resource.getrusage(RUSAGE_SELF)` reports, leave the child out.  The
+kuznetsov-kzk study marches its members one at a time, in this process.
 """
 
 from __future__ import annotations
@@ -31,8 +38,10 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import platform
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Callable, NamedTuple
 
@@ -64,7 +73,12 @@ from .models.base import (
     StepControl,
     resolve_steps,
 )
-from .models.oneway import solve_kzk, solve_npe, solve_npe_rows
+from .models.oneway import (
+    _start_profile,
+    solve_kzk,
+    solve_npe,
+    solve_npe_rows,
+)
 from .models.waves import (
     solve_kuznetsov,
     solve_kuznetsov_rows,
@@ -500,16 +514,101 @@ def _members(cfg: ExperimentConfig) -> list[_Member]:
     return out
 
 
-def _march_survivors(earlier: list, row, solve_rows) -> list:
-    """solve_rows over row(i, earlier[i]) for each member i whose earlier
-    result is not a SolverError, all as one batch; a member that failed
-    keeps its error and is left out of this march."""
-    ok = [i for i, r in enumerate(earlier) if not isinstance(r, SolverError)]
-    out = list(earlier)
-    if ok:
-        for i, r in zip(ok, solve_rows([row(i, earlier[i]) for i in ok])):
-            out[i] = r
-    return out
+def _march_pair(first, build_second, n: int, solve_second) -> tuple:
+    """(first(), per member i the result of solve_second over its row
+    build_second(i)): the rows are built first, and a child forked for it
+    marches them as one batch while this process runs the first march.  A
+    member whose first march failed keeps that SolverError, and an
+    exception raised building its row is dropped; for any other member,
+    that exception is raised."""
+    rows = []
+    for i in range(n):
+        try:
+            rows.append(build_second(i))
+        except Exception as exc:  # raised below, if member i survives
+            rows.append(exc)
+    built = [i for i, row in enumerate(rows) if not isinstance(row, Exception)]
+    with _forked(lambda: solve_second([rows[i] for i in built])) as second:
+        here = first()
+        for done, row in zip(here, rows):
+            if isinstance(row, Exception) and not isinstance(done,
+                                                             SolverError):
+                raise row
+        there = dict(zip(built, second()))
+    return here, [done if isinstance(done, SolverError) else there[i]
+                  for i, done in enumerate(here)]
+
+
+@contextmanager
+def _forked(work):
+    """Run work() in a child forked for it, and yield `result`, which waits
+    for the child and returns what work() returned or raises the exception
+    it raised.  The child always ends in os._exit: it never unwinds into
+    the caller or flushes the caller's stdio.  It is reaped on every path,
+    and killed first when the block is left before `result` returns."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as fh:
+                fh.write(_outcome(work))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    fh = open(read, "rb")
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        blob = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code:
+            how = (f"was killed by signal {-code}" if code < 0 else
+                   f"exited with status {code}")
+            raise RuntimeError(f"the forked march {how} before it sent "
+                               "its result")
+        out = pickle.loads(blob)
+        if isinstance(out, BaseException):
+            raise out
+        return out
+
+    try:
+        yield result
+    finally:
+        fh.close()
+        if not reaped:
+            import signal  # here alone: at module level it adds to start-up
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _outcome(work) -> bytes:
+    """The pickle of what work() returns or raises; an exception that
+    cannot come back through pickle comes back as a RuntimeError naming
+    it."""
+    try:
+        out = work()
+    except BaseException as exc:  # the child's, sent to the parent
+        out = exc
+    try:
+        blob = pickle.dumps(out)
+        if isinstance(out, BaseException):
+            pickle.loads(blob)
+    except Exception as exc:
+        blob = pickle.dumps(RuntimeError(
+            f"the forked march raised {type(out).__name__}: {out}, "
+            f"which cannot be sent back ({exc})"))
+    return blob
 
 
 def _errors(results: list, error) -> list:
@@ -538,11 +637,14 @@ def _ns_kuznetsov(cfg: ExperimentConfig):
         return m.coeff, U0, m.t_end, m.ctl, m.n_samples
 
     ms = _members(cfg)
-    kuz = solve_kuznetsov_rows(
-        [(m.coeff, u0, right_moving_velocity(m.coeff, u0), m.t_end,
-          m.ctl, m.n_samples) for m in ms])
-    flow = _march_survivors(
-        kuz, lambda i, traj: flow_row(ms[i], traj[0]), solve_flow_rows)
+    u1s = [right_moving_velocity(m.coeff, u0) for m in ms]
+    kuz, flow = _march_pair(
+        lambda: solve_kuznetsov_rows(
+            [(m.coeff, u0, u1, m.t_end, m.ctl, m.n_samples)
+             for m, u1 in zip(ms, u1s)]),
+        lambda i: flow_row(ms[i], ModelState(ModelKind.KUZNETSOV, 0.0, u0,
+                                             u1s[i])),
+        len(ms), solve_flow_rows)
     return _errors(flow, lambda i, j: (flow[i][j][0], l2_error(
         flow[i][j][1], ansatz_of(ms[i].coeff, kuz[i][j]))))
 
@@ -560,13 +662,14 @@ def _kuznetsov_westervelt(cfg: ExperimentConfig):
 
     ms = _members(cfg)
     u1s = [right_moving_velocity(m.coeff, u0) for m in ms]
-    kuz = solve_kuznetsov_rows(
-        [(m.coeff, u0, u1, m.t_end, m.ctl, m.n_samples)
-         for m, u1 in zip(ms, u1s)])
-    wes = _march_survivors(kuz, lambda i, _traj: (
-        ms[i].coeff, *westervelt_initial_data(ms[i].coeff, u0, u1s[i]),
-        ms[i].t_end, ms[i].ctl, ms[i].n_samples),
-        solve_westervelt_rows)
+    kuz, wes = _march_pair(
+        lambda: solve_kuznetsov_rows(
+            [(m.coeff, u0, u1, m.t_end, m.ctl, m.n_samples)
+             for m, u1 in zip(ms, u1s)]),
+        lambda i: (ms[i].coeff,
+                   *westervelt_initial_data(ms[i].coeff, u0, u1s[i]),
+                   ms[i].t_end, ms[i].ctl, ms[i].n_samples),
+        len(ms), solve_westervelt_rows)
     return _errors(wes, lambda i, j: (wes[i][j].evol, l2_error(
         wes[i][j], reference(ms[i].coeff, kuz[i][j]))))
 
@@ -602,14 +705,16 @@ def _kuznetsov_npe(cfg: ExperimentConfig):
                           Field(grid, ut))
 
     ms = _members(cfg)
-    npe = solve_npe_rows(
-        [(m.coeff, xi0, m.coeff.eps * m.t_end,
-          _substeps(m.coeff.eps * m.t_end, m.n_samples - 1,
-                    m.coeff.eps * _default_wave_step(cfg, m.coeff)),
-          m.n_samples) for m in ms])
-    kuz = _march_survivors(
-        npe, lambda i, traj: kuznetsov_row(ms[i], traj[0]),
-        solve_kuznetsov_rows)
+    npe_rows = [(m.coeff, xi0, m.coeff.eps * m.t_end,
+                 _substeps(m.coeff.eps * m.t_end, m.n_samples - 1,
+                           m.coeff.eps * _default_wave_step(cfg, m.coeff)),
+                 m.n_samples) for m in ms]
+    # the NPE march's first sample, which each Kuznetsov row starts from
+    start = ModelState(ModelKind.NPE, 0.0,
+                       Field(zgrid, _start_profile(ModelKind.NPE, xi0)))
+    npe, kuz = _march_pair(
+        lambda: solve_npe_rows(npe_rows),
+        lambda i: kuznetsov_row(ms[i], start), len(ms), solve_kuznetsov_rows)
     return _errors(kuz, lambda i, j: (kuz[i][j].evol, l2_error(
         kuz[i][j], reference(ms[i], npe[i][j], kuz[i][j].evol))))
 

@@ -164,7 +164,7 @@ def check_health(values: np.ndarray, initial_norm: float, where: str,
     spectrum in the layout of `sp.fft`, are not healthy; the norm is the
     grid's sum of squares either way, and the message names `where` and the
     step.  The norm may grow to 1e6 x initial_norm."""
-    limit = 1e6 * max(initial_norm, 1e-300)
+    limit = _norm_limit(initial_norm)
     # one reduction when healthy: the bound is finite only when every entry
     # is, and the norm cannot exceed its root, so this returns only where
     # the checks below pass
@@ -183,6 +183,11 @@ def check_health(values: np.ndarray, initial_norm: float, where: str,
             f"norm {norm:.3e} exceeds 1e6 x initial ({initial_norm:.3e}) "
             f"during {where} step {step}"
         )
+
+
+def _norm_limit(initial_norm: float) -> float:
+    """The largest grid norm check_health passes for an initial norm."""
+    return 1e6 * max(initial_norm, 1e-300)
 
 
 def resolve_steps(span: float, ctl: StepControl) -> tuple[int, float]:
@@ -220,10 +225,12 @@ def march(build, rows, label: str, wrap) -> list:
     After each step every row is health-checked on its own, one component
     of each carried array at a time, by the grid's sum of squares, against
     the norm of its initial state plus what its forcing can add over its
-    march.  A row retires when it has taken its own steps, or when it
-    fails: the health check, or a step that raises `RowsFailed` for it,
-    which the march then takes again with the other rows.  So each row's
-    numbers and its error are those of a march of its member alone.
+    march; one bound over all rows stands in for those checks while it
+    passes every row's limit.  A row retires when it has taken its own
+    steps, or when it fails: the health check, or a step that raises
+    `RowsFailed` for it, which the march then takes again with the other
+    rows.  So each row's numbers and its error are those of a march of its
+    member alone.
 
     Returns per row either its wrap(grid, evol, state) at n_samples steps
     evenly spaced in step count, always including the initial state, as
@@ -259,7 +266,8 @@ def march(build, rows, label: str, wrap) -> list:
             # a march from rest grows by the forcing alone
             ref_norm += nsteps * dt * math.sqrt(
                 sp.sum_sq(stepper.forcing[i]))
-        live.append(_Row(i, nsteps, sample_at, ref_norm, eps[i], dt))
+        live.append(_Row(i, nsteps, sample_at, ref_norm,
+                         _batch_limit(ref_norm), eps[i], dt))
         out.append([(0.0, state)])
     carried = stepper.carry(tuple(np.stack(parts, axis=-ndim - 1)
                                   for parts in zip(*(row[2] for row in rows))))
@@ -297,9 +305,23 @@ def march(build, rows, label: str, wrap) -> list:
             for done in out]
 
 
+def _batch_limit(ref_norm: float) -> float:
+    """The sums of squares _unhealthy passes for a row of that initial
+    norm: a margin inside the square of its norm limit, so that a sum in
+    another order than check_health's passes only where its would."""
+    limit = _norm_limit(ref_norm)
+    return (1.0 - 1e-6) * min(limit * limit, sys.float_info.max)
+
+
 def _unhealthy(carried, live, label: str, n: int, sp: Spectral) -> dict:
     """The SolverError of each live row whose carried arrays fail the
-    health check after step n."""
+    health check after step n.  One reduction per carried array bounds the
+    sum of squares of every row's components at once, and the per-row
+    check runs only when a bound does not pass the smallest row's limit (a
+    non-finite bound never does)."""
+    limit = min(row.limit_sq for row in live)
+    if all(sp.sum_sq_bound(a) <= limit for a in carried):
+        return {}
     ndim, failed = len(sp.shape), {}
     for r, row in enumerate(live):
         try:
@@ -319,6 +341,7 @@ class _Row(NamedTuple):
     nsteps: int
     sample_at: set
     ref_norm: float
+    limit_sq: float  # _batch_limit(ref_norm)
     eps: float
     dt: float
 

@@ -160,6 +160,15 @@ _MODELS = {
 }
 
 
+def _start_profile(model: ModelKind, v0: Field) -> np.ndarray:
+    """The array a march of either model starts from, and returns as its
+    first sample: the mean-zero profile v0 projected mean-zero along the
+    conjugate axis once more, so that no rounding of its means is left."""
+    v = v0.scalar
+    return v - v.mean(axis=v0.grid.axis_index(_MODELS[model][0]),
+                      keepdims=True)
+
+
 def _oneway_rows(rows, model: ModelKind,
                  source: np.ndarray | None) -> list:
     """The rows (coeff, v0, span, ctl, n_samples) of either model, marched
@@ -175,9 +184,8 @@ def _oneway_rows(rows, model: ModelKind,
             raise ValueError(
                 f"source of shape {np.shape(source)} must be a finite real "
                 f"array of the grid's shape {v0.grid.shape}")
-        v = v0.scalar
-        v = v - v.mean(axis=v0.grid.axis_index(ax_name), keepdims=True)
-        members.append((coeff, v0.grid, (v,), span, ctl, n_samples))
+        members.append((coeff, v0.grid, (_start_profile(model, v0),), span,
+                        ctl, n_samples))
     source_h = None
 
     def build(sp, coeff, eps, dt):

@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import signal
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -327,6 +330,127 @@ def test_a_bug_in_a_member_propagates(monkeypatch):
                         study._replace(run=run))
     with pytest.raises(NotImplementedError):
         scaling_study(_cfg())
+
+
+# --------------------------------------------- the forked second march
+
+#: per slope study, its first march's solver and a builder of its second
+#: march's rows that reads the member's coeff first
+_PAIRS = {
+    "ns-kuznetsov": ("solve_kuznetsov_rows", "assemble_ansatz"),
+    "kuznetsov-westervelt": ("solve_kuznetsov_rows",
+                             "westervelt_initial_data"),
+    "kuznetsov-npe": ("solve_npe_rows", "npe_potential"),
+}
+
+
+@contextmanager
+def _in_process(work):
+    yield work
+
+
+@pytest.mark.parametrize("pair", sorted(_PAIRS))
+def test_the_forked_march_gives_the_in_process_numbers(monkeypatch, pair):
+    cfg = _cfg(pair=pair, eps_list=(0.04, 0.02, 0.01))
+    forked = scaling_study(cfg).series
+    monkeypatch.setattr(experiments, "_forked", _in_process)
+    assert all(s["status"] == "ok" for s in forked)
+    assert scaling_study(cfg).series == forked
+
+
+def _fail_first_march(monkeypatch, pair, eps):
+    """Member eps's first march of the pair's study returns a SolverError."""
+    name = _PAIRS[pair][0]
+    solve = getattr(experiments, name)
+
+    def failing(rows):
+        return [SolverDiverged("first march diverged")
+                if row[0].eps == eps else result
+                for row, result in zip(rows, solve(rows))]
+
+    monkeypatch.setattr(experiments, name, failing)
+
+
+def _break_second_row(monkeypatch, pair, eps):
+    """Building member eps's second-march row raises a ValueError."""
+    name = _PAIRS[pair][1]
+    build = getattr(experiments, name)
+
+    def broken(coeff, *args):
+        if coeff.eps == eps:
+            raise ValueError("row cannot be built")
+        return build(coeff, *args)
+
+    monkeypatch.setattr(experiments, name, broken)
+
+
+@pytest.mark.parametrize("unbuildable", [False, True])
+@pytest.mark.parametrize("pair", sorted(_PAIRS))
+def test_a_member_whose_first_march_fails_changes_no_other(monkeypatch, pair,
+                                                           unbuildable):
+    alone = scaling_study(_cfg(pair=pair, eps_list=(0.04, 0.01))).series
+    _fail_first_march(monkeypatch, pair, 0.02)
+    if unbuildable:  # and its row is dropped, not raised
+        _break_second_row(monkeypatch, pair, 0.02)
+    series = scaling_study(_cfg(pair=pair, eps_list=(0.04, 0.02, 0.01))).series
+    assert series[1] == {"eps": 0.02, "status": "failed", "evol": [],
+                         "l2_error": [], "error": "first march diverged"}
+    assert [series[0], series[2]] == alone
+
+
+@pytest.mark.parametrize("pair", sorted(_PAIRS))
+def test_a_survivor_whose_row_cannot_be_built_raises(monkeypatch, pair):
+    _break_second_row(monkeypatch, pair, 0.02)
+    with pytest.raises(ValueError, match="row cannot be built"):
+        scaling_study(_cfg(pair=pair, eps_list=(0.04, 0.02, 0.01)))
+
+
+def test_an_exception_of_the_forked_march_is_raised_here(monkeypatch):
+    def not_wired(rows):
+        raise NotImplementedError(f"flow rows marched in {os.getpid()}")
+
+    monkeypatch.setattr(experiments, "solve_flow_rows", not_wired)
+    with pytest.raises(NotImplementedError) as info:
+        scaling_study(_cfg(pair="ns-kuznetsov"))
+    assert str(info.value) != f"flow rows marched in {os.getpid()}"
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its pickle."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_an_exception_that_cannot_come_back_is_named(monkeypatch):
+    def unpicklable(rows):
+        raise _TwoArgError("one", "two")
+
+    monkeypatch.setattr(experiments, "solve_flow_rows", unpicklable)
+    with pytest.raises(RuntimeError, match="_TwoArgError: one and two"):
+        scaling_study(_cfg(pair="ns-kuznetsov"))
+
+
+@pytest.mark.parametrize("end, how", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+])
+def test_a_child_that_ends_without_a_result_is_named(monkeypatch, end, how):
+    monkeypatch.setattr(experiments, "solve_flow_rows", lambda rows: end())
+    with pytest.raises(RuntimeError, match=how):
+        scaling_study(_cfg(pair="ns-kuznetsov"))
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_the_child_is_reaped_when_the_first_march_raises(monkeypatch, error):
+    def raising(rows):
+        raise error("first march")
+
+    monkeypatch.setattr(experiments, "solve_kuznetsov_rows", raising)
+    with pytest.raises(error, match="first march"):
+        scaling_study(_cfg(pair="ns-kuznetsov"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_study_is_deterministic(tmp_path):

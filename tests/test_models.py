@@ -319,6 +319,71 @@ def test_health_bound_raises_exactly_where_the_exact_check_does(lead, points,
     assert 0 < raised < len(probes)
 
 
+def _row_by_row(carried, live, label, n, sp):
+    """The march's health check as it was before its batched bound:
+    check_health on every component of every carried array of each row."""
+    ndim, failed = len(sp.shape), {}
+    for r, row in enumerate(live):
+        try:
+            for a in carried:
+                part = base._row(a, r, ndim)
+                for comp in part.reshape(-1, *part.shape[-ndim:]):
+                    check_health(comp, row.ref_norm, label, n, sp)
+        except SolverError as exc:
+            failed[r] = exc
+    return failed
+
+
+@pytest.mark.parametrize("lead, points", _HEALTH_SHAPES.values(),
+                         ids=_HEALTH_SHAPES.keys())
+def test_batched_health_check_fails_exactly_the_rows_each_check_does(
+        monkeypatch, lead, points, rng):
+    # three rows of different reference norms, carried as a real array and
+    # as a spectrum; one row is moved to within 1e-12 of its limit on both
+    # sides, or given a non-finite or overflowing entry
+    sp = Spectral(Grid(tuple(Axis(f"x{i + 1}", 1.0 + i, n)
+                             for i, n in enumerate(points))))
+    ref_norms = (1.0, 1e-3, 2.0)
+    live = [base._Row(r, 10, set(), ref, base._batch_limit(ref), 0.1, 0.01)
+            for r, ref in enumerate(ref_norms)]
+    # every component of every row of unit norm
+    healthy = rng.standard_normal((3,) + lead + points)
+    grid_axes = tuple(range(-len(points), 0))
+    healthy /= np.sqrt(np.sum(healthy**2, axis=grid_axes, keepdims=True))
+    probes = [healthy]
+    for r in range(3):
+        for rel in (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9):
+            # the others at rest too, so that one row makes the whole sum
+            for others in (healthy, np.zeros_like(healthy)):
+                v = others.copy()
+                v[r] = healthy[r] * 1e6 * ref_norms[r] * (1.0 + rel)
+                probes.append(v)
+        for bad in (np.nan, np.inf, 1e200):
+            v = healthy.copy()
+            v[r].flat[5] = bad
+            probes.append(v)
+    checks = []
+    monkeypatch.setattr(base, "check_health",
+                        lambda *args: checks.append(1) or check_health(*args))
+    raised = 0
+    for v in probes:
+        stacked = np.moveaxis(v, 0, len(lead))  # rows before the grid's axes
+        with np.errstate(over="ignore", invalid="ignore"):
+            forms = (stacked, sp.fft(stacked))
+        for carried in ((forms[0],), (forms[1],), forms):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expect = {r: (type(e), str(e)) for r, e in _row_by_row(
+                    carried, live, "probe", 3, sp).items()}
+                del checks[:]
+                got = base._unhealthy(carried, live, "probe", 3, sp)
+            assert {r: (type(e), str(e)) for r, e in got.items()} == expect
+            raised += bool(expect)
+            if v is healthy:  # one reduction per array, no per-row check
+                assert checks == []
+    # both outcomes are covered on every shape
+    assert 0 < raised < 3 * len(probes)
+
+
 def test_forced_march_from_rest_is_not_divergence(coeff):
     # the forcing alone moves the state off zero; the reference counts what
     # it can add over the march next to the initial norm
