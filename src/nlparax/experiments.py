@@ -27,9 +27,12 @@ through a pipe and is reaped before the study returns or raises.  A member
 whose first march fails reports that failure; its second row marches in
 the child all the same, and an exception raised building that row is
 dropped.  The others' numbers are those of marching each member alone.
-Process-level measures of this process, such as the peak RSS that
-`resource.getrusage(RUSAGE_SELF)` reports, leave the child out.  The
-kuznetsov-kzk study marches its members one at a time, in this process.
+The kuznetsov-kzk study forks one child as well: it marches the forced
+beams of the second half of the sweep while this process marches the clean
+beam and then the forced beams of the first half, one march per beam, and
+takes every error here.  Process-level measures of this process, such as
+the peak RSS that `resource.getrusage(RUSAGE_SELF)` reports, leave the
+child out.
 """
 
 from __future__ import annotations
@@ -568,7 +571,10 @@ def _forked(work):
 
     def result():
         nonlocal reaped
-        blob = fh.read()
+        try:
+            out = pickle.load(fh)
+        except Exception as exc:  # a stream cut short: the status says why
+            out = exc
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         reaped = True
         if code:
@@ -576,7 +582,6 @@ def _forked(work):
                    f"exited with status {code}")
             raise RuntimeError(f"the forked march {how} before it sent "
                                "its result")
-        out = pickle.loads(blob)
         if isinstance(out, BaseException):
             raise out
         return out
@@ -611,6 +616,16 @@ def _outcome(work) -> bytes:
     return blob
 
 
+@contextmanager
+def _naming_eps(eps: float):
+    """Raise a ValueError raised inside, an input of member eps refused,
+    again with its message prefixed by that eps and chained from it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"eps = {eps}: {exc}") from exc
+
+
 def _errors(results: list, error) -> list:
     """Per member i (the times of its samples, their errors), where
     error(i, j) is the (evol, error) of sample j of results[i], or the
@@ -627,7 +642,9 @@ def _ns_kuznetsov(cfg: ExperimentConfig):
             if cfg.delta > 0.0 else None)
 
     def ansatz_of(coeff: ModelCoefficients, state: ModelState) -> FlowState:
-        return assemble_ansatz(coeff, state, build_correctors(coeff, state))
+        with _naming_eps(coeff.eps):
+            return assemble_ansatz(coeff, state,
+                                   build_correctors(coeff, state))
 
     def flow_row(m: _Member, start: ModelState):
         U0 = ansatz_of(m.coeff, start)
@@ -660,16 +677,19 @@ def _kuznetsov_westervelt(cfg: ExperimentConfig):
                                             ks.velocity.scalar))
         return ModelState(ModelKind.WESTERVELT, ks.evol, pib, pib_t)
 
+    def westervelt_row(m: _Member, u1: Field):
+        with _naming_eps(m.coeff.eps):
+            pi0, pi1 = westervelt_initial_data(m.coeff, u0, u1)
+        return m.coeff, pi0, pi1, m.t_end, m.ctl, m.n_samples
+
     ms = _members(cfg)
     u1s = [right_moving_velocity(m.coeff, u0) for m in ms]
     kuz, wes = _march_pair(
         lambda: solve_kuznetsov_rows(
             [(m.coeff, u0, u1, m.t_end, m.ctl, m.n_samples)
              for m, u1 in zip(ms, u1s)]),
-        lambda i: (ms[i].coeff,
-                   *westervelt_initial_data(ms[i].coeff, u0, u1s[i]),
-                   ms[i].t_end, ms[i].ctl, ms[i].n_samples),
-        len(ms), solve_westervelt_rows)
+        lambda i: westervelt_row(ms[i], u1s[i]), len(ms),
+        solve_westervelt_rows)
     return _errors(wes, lambda i, j: (wes[i][j].evol, l2_error(
         wes[i][j], reference(ms[i].coeff, kuz[i][j]))))
 
@@ -721,7 +741,10 @@ def _kuznetsov_npe(cfg: ExperimentConfig):
 
 def _kuznetsov_kzk(cfg: ExperimentConfig):
     """Perturbed comparison: one clean march for the whole study and one
-    source-forced march per member."""
+    source-forced march per member.  A child forked for it marches the
+    forced beams of the second half of the sweep while this process marches
+    the clean beam and then those of the first half; every error is taken
+    here, against the clean beam."""
     grid = _paraxial_grid(cfg, Frame.KZK)
     I0 = preset_profile(cfg.preset, grid, cfg.preset_params)
     z_end = cfg.horizon  # the range variable is already slow; no 1/eps
@@ -731,22 +754,31 @@ def _kuznetsov_kzk(cfg: ExperimentConfig):
     size = cfg.source_size if cfg.source_size > 0.0 else 1.0
     S = band_limited_perturbation(grid, cfg.seed, size).scalar
 
-    def forced(base: list[ModelState], eps: float):
+    def forced(eps: float):
         try:
-            beam = solve_kzk(replace(cfg.coeff, eps=eps), I0, z_end, ctl,
+            return solve_kzk(replace(cfg.coeff, eps=eps), I0, z_end, ctl,
                              source=S, n_samples=n_int + 1)
         except SolverError as exc:
             return exc
+
+    def errors(base: list[ModelState], beam):
+        if isinstance(beam, SolverError):
+            return beam
         return ([s.evol for s in base],
                 [l2_error(a, b) for a, b in zip(base, beam)])
 
-    # Without a source the march reads c, rho0, gamma and nu but never eps,
-    # so every member shares it; when it fails, each member fails alike.
-    try:
-        base = solve_kzk(cfg.coeff, I0, z_end, ctl, n_samples=n_int + 1)
-    except SolverError as exc:
-        return [exc] * len(cfg.eps_list)
-    return [forced(base, eps) for eps in cfg.eps_list]
+    half = len(cfg.eps_list) // 2
+    with _forked(lambda: [forced(e) for e in cfg.eps_list[half:]]) as there:
+        # Without a source the march reads c, rho0, gamma and nu but never
+        # eps, so every member shares it; when it fails, each member fails
+        # alike.
+        try:
+            base = solve_kzk(cfg.coeff, I0, z_end, ctl, n_samples=n_int + 1)
+        except SolverError as exc:
+            return [exc] * len(cfg.eps_list)
+        # each beam marched here is dropped once its errors are taken
+        here = [errors(base, forced(e)) for e in cfg.eps_list[:half]]
+        return here + [errors(base, beam) for beam in there()]
 
 
 class _Study(NamedTuple):

@@ -3,7 +3,7 @@ import math
 import os
 import signal
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -349,9 +349,16 @@ def _in_process(work):
     yield work
 
 
-@pytest.mark.parametrize("pair", sorted(_PAIRS))
+def _study_cfg(pair):
+    """A three-member study of the pair."""
+    if pair == "kuznetsov-kzk":
+        return _kzk_cfg()
+    return _cfg(pair=pair, eps_list=(0.04, 0.02, 0.01))
+
+
+@pytest.mark.parametrize("pair", sorted(_PAIRS) + ["kuznetsov-kzk"])
 def test_the_forked_march_gives_the_in_process_numbers(monkeypatch, pair):
-    cfg = _cfg(pair=pair, eps_list=(0.04, 0.02, 0.01))
+    cfg = _study_cfg(pair)
     forked = scaling_study(cfg).series
     monkeypatch.setattr(experiments, "_forked", _in_process)
     assert all(s["status"] == "ok" for s in forked)
@@ -441,6 +448,35 @@ def test_a_child_that_ends_without_a_result_is_named(monkeypatch, end, how):
         scaling_study(_cfg(pair="ns-kuznetsov"))
 
 
+class _CutWriter:
+    """The child's end of the pipe: writes the first half of the result,
+    then ends the child with status 5."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self.fd)
+
+    def write(self, blob):
+        os.write(self.fd, blob[:len(blob) // 2])
+        os._exit(5)
+
+
+def test_a_child_that_sends_part_of_its_result_is_named(monkeypatch):
+    # the parent reads the stream as it unpickles; a cut one still names
+    # the child's end, not the truncated pickle
+    real_open = open
+    monkeypatch.setattr(experiments, "open", lambda fd, mode: (
+        _CutWriter(fd) if mode == "wb" else real_open(fd, mode)),
+        raising=False)
+    with pytest.raises(RuntimeError, match="exited with status 5"):
+        scaling_study(_cfg(pair="ns-kuznetsov"))
+
+
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_the_child_is_reaped_when_the_first_march_raises(monkeypatch, error):
     def raising(rows):
@@ -451,6 +487,42 @@ def test_the_child_is_reaped_when_the_first_march_raises(monkeypatch, error):
         scaling_study(_cfg(pair="ns-kuznetsov"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("pair, refusal", [
+    ("ns-kuznetsov", "density must be positive everywhere"),
+    ("kuznetsov-westervelt",
+     "degeneracy factor |1 - (gamma-1)/c^2 eps u1| dropped below 0.5"),
+])
+def test_a_refused_second_march_row_names_its_eps(pair, refusal):
+    # at amplitude 8 the eps = 0.2 member survives its Kuznetsov march, but
+    # the second model refuses its initial data: bad input, not a failure
+    cfg = _cfg(pair=pair, eps_list=(0.2, 0.1, 0.05),
+               preset_params={"amplitude": 8.0})
+    with pytest.raises(ValueError) as info:
+        scaling_study(cfg)
+    assert str(info.value) == f"eps = 0.2: {refusal}"
+    assert type(info.value.__cause__) is ValueError
+    assert str(info.value.__cause__) == refusal
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count descriptors")
+@pytest.mark.parametrize("pair, end", [
+    *((pair, "ok") for pair in sorted(_PAIRS) + ["kuznetsov-kzk"]),
+    ("kuznetsov-kzk", "clean march fails"),
+    ("kuznetsov-kzk", "child raises"),
+])
+def test_a_study_leaves_no_descriptor_open(monkeypatch, pair, end):
+    if end == "clean march fails":  # the study returns inside the fork
+        _patch_solve_kzk(monkeypatch, SolverDiverged("clean march diverged"))
+    elif end == "child raises":
+        _patch_solve_kzk(monkeypatch, forced_errors={0.01: OSError("lost")})
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with (pytest.raises(OSError, match="lost") if end == "child raises"
+          else nullcontext()):
+        scaling_study(_study_cfg(pair))
+    assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 def test_study_is_deterministic(tmp_path):
@@ -471,26 +543,71 @@ def _kzk_cfg(**kw):
     return _cfg(**base)
 
 
-def _patch_solve_kzk(monkeypatch, clean_error=None):
+def _patch_solve_kzk(monkeypatch, clean_error=None, forced_errors=None):
     """Record each study march as forced (True) or clean (False); with
-    `clean_error`, every clean march raises it."""
+    `clean_error`, every clean march raises it, and the forced march of an
+    eps that `forced_errors` maps raises that eps's exception."""
     solve, forced = experiments.solve_kzk, []
 
-    def patched(*args, source=None, **kwargs):
+    def patched(coeff, *args, source=None, **kwargs):
         forced.append(source is not None)
-        if clean_error is not None and source is None:
-            raise clean_error
-        return solve(*args, source=source, **kwargs)
+        error = (clean_error if source is None else
+                 (forced_errors or {}).get(coeff.eps))
+        if error is not None:
+            raise error
+        return solve(coeff, *args, source=source, **kwargs)
 
     monkeypatch.setattr(experiments, "solve_kzk", patched)
     return forced
 
 
 def test_kzk_study_marches_its_clean_beam_once(monkeypatch):
+    # in this process: the forked child's marches are not recorded here
+    monkeypatch.setattr(experiments, "_forked", _in_process)
     forced = _patch_solve_kzk(monkeypatch)
     rep = scaling_study(_kzk_cfg())
     assert [s["status"] for s in rep.series] == ["ok"] * 3
     assert forced == [False, True, True, True]
+
+
+@pytest.mark.parametrize("eps_list, here", [
+    ((0.04, 0.02, 0.01), [False, True]),
+    ((0.04,), [False]),
+])
+def test_the_forked_kzk_study_marches_half_its_beams_here(monkeypatch,
+                                                          eps_list, here):
+    # the clean beam and the forced beams of the first half of the sweep;
+    # the child marches the rest
+    forced = _patch_solve_kzk(monkeypatch)
+    rep = scaling_study(_kzk_cfg(eps_list=eps_list))
+    assert [s["status"] for s in rep.series] == ["ok"] * len(eps_list)
+    assert forced == here
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.01])  # marched here, in the child
+def test_a_failed_forced_kzk_march_fails_that_member_alone(monkeypatch, eps):
+    full = scaling_study(_kzk_cfg()).series
+    _patch_solve_kzk(monkeypatch,
+                     forced_errors={eps: SolverDiverged("forced diverged")})
+    series = scaling_study(_kzk_cfg()).series
+    i = (0.04, 0.02, 0.01).index(eps)
+    assert series[i] == {"eps": eps, "status": "failed", "evol": [],
+                         "l2_error": [], "error": "forced diverged"}
+    assert series[:i] + series[i + 1:] == full[:i] + full[i + 1:]
+
+
+def test_an_exception_of_a_forked_kzk_march_is_raised_here(monkeypatch):
+    solve = experiments.solve_kzk
+
+    def not_wired(coeff, *args, source=None, **kwargs):
+        if source is not None and coeff.eps == 0.01:
+            raise NotImplementedError(f"beam marched in {os.getpid()}")
+        return solve(coeff, *args, source=source, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_kzk", not_wired)
+    with pytest.raises(NotImplementedError) as info:
+        scaling_study(_kzk_cfg())
+    assert str(info.value) != f"beam marched in {os.getpid()}"
 
 
 def test_kzk_study_members_match_one_member_studies():

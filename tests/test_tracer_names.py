@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from nlparax import ExperimentConfig, ModelCoefficients, cli
+from nlparax import ExperimentConfig, ModelCoefficients, cli, experiments
 from nlparax.models.base import StepControl, resolve_steps
 
 from test_acceptance import NS_KUZ_CFG, PAIRWISE_CFG
+from test_experiments import _in_process
 
 
 def _load_perfbench(name: str):
@@ -57,9 +58,11 @@ def test_tracer_counts_the_steps_the_solvers_take(span, step, substeps):
     assert spans._steps(span, ctl) == resolve_steps(span, ctl)[0]
 
 
-def test_no_study_repeats_a_march():
+def test_no_study_repeats_a_march(monkeypatch):
     # the benchmark's experiments.duplicate_march_frac: the kuznetsov-kzk
-    # study marches its eps-independent clean beam once, not per member
+    # study marches its eps-independent clean beam once, not per member.
+    # The tracer cannot see a forked child's marches, so all run here.
+    monkeypatch.setattr(experiments, "_forked", _in_process)
     cfg = ExperimentConfig(
         name="envelope", pair="kuznetsov-kzk",
         coeff=ModelCoefficients(nu=0.3), eps_list=(0.04, 0.02, 0.01),
