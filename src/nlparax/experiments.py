@@ -20,19 +20,18 @@ series carries the times of the march's own samples.
 The slope studies march each model once per sweep: the eps members are the
 rows of one batched march (`models.base.march`), each row with its own step
 count, samples and health checks, retiring at its own horizon or at its
-failure.  Each slope study builds the rows of both its marches up front
-and runs the second march in one child forked for it (`os.fork`) while
-this process runs the first; the child sends its per-row results back
-through a pipe and is reaped before the study returns or raises.  A member
-whose first march fails reports that failure; its second row marches in
-the child all the same, and an exception raised building that row is
-dropped.  The others' numbers are those of marching each member alone.
-The kuznetsov-kzk study forks one child as well: it marches the forced
-beams of the second half of the sweep while this process marches the clean
-beam and then the forced beams of the first half, one march per beam, and
-takes every error here.  Process-level measures of this process, such as
-the peak RSS that `resource.getrusage(RUSAGE_SELF)` reports, leave the
-child out.
+failure.  A member whose first march fails reports that failure, and an
+exception raised building its second row is dropped.  The others' numbers
+are those of marching each member alone.
+
+Every study splits its marches by one rule, `_split(jobs)`: this process
+runs the first ceil(n/2) jobs while one child forked for it runs the rest
+and sends their results back through a pipe; the child is reaped before
+the study returns or raises.  A slope study's jobs are its two marches,
+the second over rows built up front; the kuznetsov-kzk study's are its
+clean beam and one forced beam per member, and it takes every error here.
+Process-level measures of this process, such as the peak RSS that
+`resource.getrusage(RUSAGE_SELF)` reports, leave the child out.
 """
 
 from __future__ import annotations
@@ -519,10 +518,9 @@ def _members(cfg: ExperimentConfig) -> list[_Member]:
 
 def _march_pair(first, build_second, n: int, solve_second) -> tuple:
     """(first(), per member i the result of solve_second over its row
-    build_second(i)): the rows are built first, and a child forked for it
-    marches them as one batch while this process runs the first march.  A
-    member whose first march failed keeps that SolverError, and an
-    exception raised building its row is dropped; for any other member,
+    build_second(i)): the rows are built first, and `_split` runs the two
+    marches.  A member whose first march failed keeps that SolverError, and
+    an exception raised building its row is dropped; for any other member,
     that exception is raised."""
     rows = []
     for i in range(n):
@@ -531,24 +529,24 @@ def _march_pair(first, build_second, n: int, solve_second) -> tuple:
         except Exception as exc:  # raised below, if member i survives
             rows.append(exc)
     built = [i for i, row in enumerate(rows) if not isinstance(row, Exception)]
-    with _forked(lambda: solve_second([rows[i] for i in built])) as second:
-        here = first()
-        for done, row in zip(here, rows):
-            if isinstance(row, Exception) and not isinstance(done,
-                                                             SolverError):
-                raise row
-        there = dict(zip(built, second()))
+    here, second = _split(
+        [first, lambda: solve_second([rows[i] for i in built])])
+    for done, row in zip(here, rows):
+        if isinstance(row, Exception) and not isinstance(done, SolverError):
+            raise row
+    there = dict(zip(built, second))
     return here, [done if isinstance(done, SolverError) else there[i]
                   for i, done in enumerate(here)]
 
 
-@contextmanager
-def _forked(work):
-    """Run work() in a child forked for it, and yield `result`, which waits
-    for the child and returns what work() returned or raises the exception
-    it raised.  The child always ends in os._exit: it never unwinds into
-    the caller or flushes the caller's stdio.  It is reaped on every path,
-    and killed first when the block is left before `result` returns."""
+def _split(jobs: list) -> list:
+    """What each job() returns, in order, or the SolverError it raised:
+    this process runs the first ceil(n/2) jobs while a child forked for it
+    runs the rest, and any other exception of a job is raised here.  The
+    child always ends in os._exit: it never unwinds into the caller or
+    flushes the caller's stdio.  It is reaped on every path, and killed
+    first when this process raises before the child's result is read."""
+    half = (len(jobs) + 1) // 2
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -561,40 +559,41 @@ def _forked(work):
         try:
             os.close(read)
             with open(write, "wb") as fh:
-                fh.write(_outcome(work))
+                fh.write(_outcome(lambda: [_solved(job)
+                                           for job in jobs[half:]]))
             code = 0
         finally:
             os._exit(code)
     os.close(write)
-    fh = open(read, "rb")
-    reaped = False
-
-    def result():
-        nonlocal reaped
-        try:
-            out = pickle.load(fh)
-        except Exception as exc:  # a stream cut short: the status says why
-            out = exc
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
-        if code:
-            how = (f"was killed by signal {-code}" if code < 0 else
-                   f"exited with status {code}")
-            raise RuntimeError(f"the forked march {how} before it sent "
-                               "its result")
-        if isinstance(out, BaseException):
-            raise out
-        return out
-
     try:
-        yield result
-    finally:
-        fh.close()
-        if not reaped:
-            import signal  # here alone: at module level it adds to start-up
+        with open(read, "rb") as fh:
+            here = [_solved(job) for job in jobs[:half]]
+            try:
+                there = pickle.load(fh)
+            except Exception as exc:  # a stream cut short: the status says why
+                there = exc
+    except BaseException:
+        import signal  # here alone: at module level it adds to start-up
 
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        how = (f"was killed by signal {-code}" if code < 0 else
+               f"exited with status {code}")
+        raise RuntimeError(f"the forked march {how} before it sent its result")
+    if isinstance(there, BaseException):
+        raise there
+    return here + there
+
+
+def _solved(job):
+    """job(), or the SolverError it raised."""
+    try:
+        return job()
+    except SolverError as exc:
+        return exc
 
 
 def _outcome(work) -> bytes:
@@ -741,10 +740,8 @@ def _kuznetsov_npe(cfg: ExperimentConfig):
 
 def _kuznetsov_kzk(cfg: ExperimentConfig):
     """Perturbed comparison: one clean march for the whole study and one
-    source-forced march per member.  A child forked for it marches the
-    forced beams of the second half of the sweep while this process marches
-    the clean beam and then those of the first half; every error is taken
-    here, against the clean beam."""
+    source-forced march per member, the jobs of one `_split`; every error
+    is taken here, against the clean beam."""
     grid = _paraxial_grid(cfg, Frame.KZK)
     I0 = preset_profile(cfg.preset, grid, cfg.preset_params)
     z_end = cfg.horizon  # the range variable is already slow; no 1/eps
@@ -755,30 +752,20 @@ def _kuznetsov_kzk(cfg: ExperimentConfig):
     S = band_limited_perturbation(grid, cfg.seed, size).scalar
 
     def forced(eps: float):
-        try:
-            return solve_kzk(replace(cfg.coeff, eps=eps), I0, z_end, ctl,
-                             source=S, n_samples=n_int + 1)
-        except SolverError as exc:
-            return exc
+        return lambda: solve_kzk(replace(cfg.coeff, eps=eps), I0, z_end, ctl,
+                                 source=S, n_samples=n_int + 1)
 
-    def errors(base: list[ModelState], beam):
-        if isinstance(beam, SolverError):
-            return beam
-        return ([s.evol for s in base],
-                [l2_error(a, b) for a, b in zip(base, beam)])
-
-    half = len(cfg.eps_list) // 2
-    with _forked(lambda: [forced(e) for e in cfg.eps_list[half:]]) as there:
-        # Without a source the march reads c, rho0, gamma and nu but never
-        # eps, so every member shares it; when it fails, each member fails
-        # alike.
-        try:
-            base = solve_kzk(cfg.coeff, I0, z_end, ctl, n_samples=n_int + 1)
-        except SolverError as exc:
-            return [exc] * len(cfg.eps_list)
-        # each beam marched here is dropped once its errors are taken
-        here = [errors(base, forced(e)) for e in cfg.eps_list[:half]]
-        return here + [errors(base, beam) for beam in there()]
+    base, *beams = _split(
+        [lambda: solve_kzk(cfg.coeff, I0, z_end, ctl, n_samples=n_int + 1)]
+        + [forced(e) for e in cfg.eps_list])
+    # Without a source the march reads c, rho0, gamma and nu but never eps,
+    # so every member shares it; when it fails, each member fails alike.
+    if isinstance(base, SolverError):
+        return [base] * len(cfg.eps_list)
+    return [beam if isinstance(beam, SolverError) else
+            ([s.evol for s in base],
+             [l2_error(a, b) for a, b in zip(base, beam)])
+            for beam in beams]
 
 
 class _Study(NamedTuple):

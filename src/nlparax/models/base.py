@@ -165,12 +165,6 @@ def check_health(values: np.ndarray, initial_norm: float, where: str,
     grid's sum of squares either way, and the message names `where` and the
     step.  The norm may grow to 1e6 x initial_norm."""
     limit = _norm_limit(initial_norm)
-    # one reduction when healthy: the bound is finite only when every entry
-    # is, and the norm cannot exceed its root, so this returns only where
-    # the checks below pass
-    bound = sp.sum_sq_bound(values)
-    if math.isfinite(bound) and math.sqrt(bound) <= limit:
-        return
     # a NaN or inf entry makes the sum of squares non-finite, and only then
     # is the finiteness scan needed to tell a non-finite entry from finite
     # values whose squares overflow

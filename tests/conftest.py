@@ -19,8 +19,8 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    # the slope studies fork one child per study; it is reaped before the
-    # study returns or raises, so no test leaves a process behind
+    # every study forks one child (experiments._split); it is reaped before
+    # the study returns or raises, so no test leaves a process behind
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -3,7 +3,7 @@ import math
 import os
 import signal
 import tracemalloc
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -344,9 +344,30 @@ _PAIRS = {
 }
 
 
-@contextmanager
-def _in_process(work):
-    yield work
+def _in_process(jobs):
+    """A stand-in for `experiments._split` that runs every job here."""
+    return [experiments._solved(job) for job in jobs]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_split_runs_the_first_half_of_its_jobs_here(n):
+    pids = experiments._split([os.getpid] * n)
+    here = math.ceil(n / 2)
+    assert pids[:here] == [os.getpid()] * here
+    assert len(set(pids[here:])) == 1 and os.getpid() not in pids[here:]
+
+
+@pytest.mark.parametrize("where", [0, 2])  # run here, in the child
+def test_split_takes_a_solver_error_as_that_jobs_result(where):
+    def diverged():
+        raise SolverDiverged("job diverged")
+
+    jobs = [lambda i=i: i for i in range(3)]
+    jobs[where] = diverged
+    out = experiments._split(jobs)
+    error = out.pop(where)
+    assert type(error) is SolverDiverged and str(error) == "job diverged"
+    assert out == [i for i in range(3) if i != where]
 
 
 def _study_cfg(pair):
@@ -360,7 +381,7 @@ def _study_cfg(pair):
 def test_the_forked_march_gives_the_in_process_numbers(monkeypatch, pair):
     cfg = _study_cfg(pair)
     forked = scaling_study(cfg).series
-    monkeypatch.setattr(experiments, "_forked", _in_process)
+    monkeypatch.setattr(experiments, "_split", _in_process)
     assert all(s["status"] == "ok" for s in forked)
     assert scaling_study(cfg).series == forked
 
@@ -514,7 +535,7 @@ def test_a_refused_second_march_row_names_its_eps(pair, refusal):
     ("kuznetsov-kzk", "child raises"),
 ])
 def test_a_study_leaves_no_descriptor_open(monkeypatch, pair, end):
-    if end == "clean march fails":  # the study returns inside the fork
+    if end == "clean march fails":  # every member fails with its error
         _patch_solve_kzk(monkeypatch, SolverDiverged("clean march diverged"))
     elif end == "child raises":
         _patch_solve_kzk(monkeypatch, forced_errors={0.01: OSError("lost")})
@@ -563,7 +584,7 @@ def _patch_solve_kzk(monkeypatch, clean_error=None, forced_errors=None):
 
 def test_kzk_study_marches_its_clean_beam_once(monkeypatch):
     # in this process: the forked child's marches are not recorded here
-    monkeypatch.setattr(experiments, "_forked", _in_process)
+    monkeypatch.setattr(experiments, "_split", _in_process)
     forced = _patch_solve_kzk(monkeypatch)
     rep = scaling_study(_kzk_cfg())
     assert [s["status"] for s in rep.series] == ["ok"] * 3

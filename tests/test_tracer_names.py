@@ -62,7 +62,7 @@ def test_no_study_repeats_a_march(monkeypatch):
     # the benchmark's experiments.duplicate_march_frac: the kuznetsov-kzk
     # study marches its eps-independent clean beam once, not per member.
     # The tracer cannot see a forked child's marches, so all run here.
-    monkeypatch.setattr(experiments, "_forked", _in_process)
+    monkeypatch.setattr(experiments, "_split", _in_process)
     cfg = ExperimentConfig(
         name="envelope", pair="kuznetsov-kzk",
         coeff=ModelCoefficients(nu=0.3), eps_list=(0.04, 0.02, 0.01),
