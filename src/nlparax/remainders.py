@@ -18,8 +18,11 @@ CLI passes, the variants, the grading, the frame and the table builder):
   kuznetsov-npe          Psi or xi (tau, z, y) -> single field
   kuznetsov-westervelt   u(t, x...)            -> single field
 
-A field that a term reads but the caller did not pass is derived the first
-time it is read, from its `_DERIVED` row.
+A field that a term reads but the caller did not pass is derived from its
+`_DERIVED` row.  The evaluation context counts every read of a table when
+it is built: a derived field, a Ref's derivative, and each Deriv, Prod and
+Sum node, equal nodes counting as one.  It evaluates each distinct one once
+and frees its value after its last read.
 
 The returned fields are the graded sums divided by eps^3 (flow pairs) or
 eps^2 (model-to-model pairs); fractional powers in the transverse momentum
@@ -517,11 +520,24 @@ _FD_STENCILS = {
 
 
 def _fd_deriv(arr: np.ndarray, ax: int, h: float, order: int) -> np.ndarray:
+    """out[i] = sum_o w_o arr[i + o] / h^order, wrapping around: each
+    weighted copy is added into the output by two slices, in stencil order,
+    so the sums are those of a roll."""
     offs, ws, _r = _FD_STENCILS[order]
+    n = arr.shape[ax]
     out = np.zeros_like(arr)
+    weighted = np.empty_like(arr)
+
+    def part(lo: int, hi: int) -> tuple:
+        return (slice(None),) * ax + (slice(lo, hi),)
+
     for o, w in zip(offs, ws):
-        out += w * np.roll(arr, -o, axis=ax)
-    return out / h**order
+        np.multiply(arr, w, out=weighted)
+        k = o % n
+        out[part(0, n - k)] += weighted[part(k, n)]
+        out[part(n - k, n)] += weighted[part(0, k)]
+    out /= h**order
+    return out
 
 
 @dataclass
@@ -555,44 +571,93 @@ _DERIVED = {
 }
 
 
+def _key(expr: Expr) -> Expr:
+    """What a read of expr is kept under: a Ref with its derivative orders
+    summed per axis, sorted by axis name; any other node as it is, matched by
+    equality."""
+    if not isinstance(expr, Ref):
+        return expr
+    total: dict[str, int] = {}
+    for axis, order in expr.derivs:
+        total[axis] = total.get(axis, 0) + order
+    return Ref(expr.name, tuple(sorted(total.items())))
+
+
+def _count_reads(reads: dict, key: Union[Expr, str], given: Mapping,
+                 xs: Sequence[str]) -> None:
+    """Count one read of `key` (a `_key` or the name of a derived field) in
+    `reads`; on its first read, also the reads its evaluation makes, so a
+    repeated node's subtree counts once.  Module level: a closure over the
+    context would make a reference cycle that keeps its arrays alive until
+    the cyclic collector runs."""
+    seen = reads.get(key, 0)
+    reads[key] = seen + 1
+    if seen:
+        return
+    if isinstance(key, str):
+        rule = _DERIVED.get(key, (None, ()))[1]
+        subs = rule(xs) if callable(rule) else ()
+    elif isinstance(key, Ref):
+        subs = () if key.name in given else (key.name,)
+    elif isinstance(key, Deriv):
+        subs = (key.expr,)
+    elif isinstance(key, Prod):
+        subs = key.factors
+    else:
+        subs = tuple(sub for _scale, sub in key.addends)
+    for sub in subs:
+        _count_reads(reads, sub if isinstance(sub, str) else _key(sub),
+                     given, xs)
+
+
 class _Ctx:
-    """Holds the input arrays, derives a missing field the first time a term
-    reads it, and performs cached derivative evaluation on the shared grid:
-    spectral along periodic axes, 4th-order FD along bounded ones (with
-    wrap-around edges tracked as margins)."""
+    """Holds the input arrays and evaluates expressions on the shared grid:
+    spectral derivatives along periodic axes, 4th-order FD along bounded
+    ones (with wrap-around edges tracked as margins).  A field that a term
+    reads but the caller did not pass is derived from its `_DERIVED` row.
+
+    The reads of `exprs` (each Ref key, Deriv, Prod and Sum node, and each
+    derived field) are counted when the context is built.  Each distinct
+    one is then evaluated once and kept only until its last counted read;
+    a context built with no expressions keeps nothing and recomputes each
+    read."""
 
     def __init__(self, grid: Grid, coeff: ModelCoefficients,
-                 inputs: Mapping[str, Field]):
+                 inputs: Mapping[str, Field], exprs: Sequence[Expr] = ()):
         self.grid = grid
         self.coeff = coeff
         self.sp = Spectral(grid)
         self.ax = {a.name: (i, a) for i, a in enumerate(grid.axes)}
+        self.xs = [n for n in self.ax if n.startswith("x")]
         self.fields = {name: _Val(np.asarray(f.scalar, dtype=np.float64), {})
                        for name, f in inputs.items()}
-        self._cache: dict[tuple, _Val] = {}
+        self._reads_left: dict = {}
+        for e in exprs:
+            _count_reads(self._reads_left, _key(e), self.fields, self.xs)
+        self._kept: dict = {}
+
+    def _read(self, key: Union[Expr, str]) -> _Val:
+        """One read of key: its kept value, or its evaluation; kept while
+        counted reads of it remain."""
+        val = self._kept.get(key)
+        if val is None:
+            val = self._evaluate(key)
+        left = self._reads_left.pop(key, 0) - 1
+        if left > 0:
+            self._reads_left[key] = left
+            self._kept[key] = val
+        else:
+            self._kept.pop(key, None)
+        return val
 
     def field(self, name: str) -> _Val:
-        """A given field, or a derived one computed on its first read."""
-        if name not in self.fields:
-            if name not in _DERIVED:
-                raise MissingInput(f"missing input field {name!r}")
-            formula, reads = _DERIVED[name]
-            if isinstance(reads, tuple):
-                # I and xi are derived from their potential, so a profile
-                # present here was given
-                src, axis = reads
-                if src not in self.fields:
-                    raise MissingInput(f"missing input field {name!r} "
-                                       f"(or {src!r})")
-                v = self.fields[src]
-                vals = [_Val(self.sp.inv(v.arr, axis), dict(v.margins))]
-            else:
-                vals = [self.eval(e) for e in
-                        reads([n for n in self.ax if n.startswith("x")])]
-            self.fields[name] = _Val(
-                formula(self.coeff, *(v.arr for v in vals)),
-                _merge(*(v.margins for v in vals)))
-        return self.fields[name]
+        """A given field, or a derived one."""
+        if name in self.fields:
+            return self.fields[name]
+        return self._read(name)
+
+    def eval(self, expr: Expr) -> _Val:
+        return self._read(_key(expr))
 
     def deriv(self, val: _Val, axis: str, order: int) -> _Val:
         if axis not in self.ax:
@@ -608,41 +673,51 @@ class _Ctx:
         margins[axis] = margins.get(axis, 0) + _FD_STENCILS[order][2]
         return _Val(_fd_deriv(val.arr, i, a.spacing, order), margins)
 
-    def ref(self, name: str, derivs: tuple) -> _Val:
-        total: dict[str, int] = {}
-        for axis, order in derivs:
-            total[axis] = total.get(axis, 0) + order
-        key = (name, tuple(sorted(total.items())))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        val = self.field(name)
-        for axis, order in sorted(total.items()):
-            val = self.deriv(val, axis, order)
-        self._cache[key] = val
-        return val
+    def _derive(self, name: str) -> _Val:
+        if name not in _DERIVED:
+            raise MissingInput(f"missing input field {name!r}")
+        formula, reads = _DERIVED[name]
+        if isinstance(reads, tuple):
+            # I and xi are derived from their potential, so a profile
+            # present here was given
+            src, axis = reads
+            if src not in self.fields:
+                raise MissingInput(f"missing input field {name!r} "
+                                   f"(or {src!r})")
+            v = self.fields[src]
+            vals = [_Val(self.sp.inv(v.arr, axis), dict(v.margins))]
+        else:
+            vals = [self.eval(e) for e in reads(self.xs)]
+        return _Val(formula(self.coeff, *(v.arr for v in vals)),
+                    _merge(*(v.margins for v in vals)))
 
-    def eval(self, expr: Expr) -> _Val:
-        if isinstance(expr, Ref):
-            return self.ref(expr.name, expr.derivs)
-        if isinstance(expr, Deriv):
-            return self.deriv(self.eval(expr.expr), expr.axis, expr.order)
-        if isinstance(expr, Prod):
-            vals = [self.eval(f) for f in expr.factors]
-            arr = vals[0].arr.copy()
-            for v in vals[1:]:
+    def _evaluate(self, key: Union[Expr, str]) -> _Val:
+        """The value of one key, reading its parts through `_read`."""
+        if isinstance(key, str):
+            return self._derive(key)
+        if isinstance(key, Ref):
+            val = self.field(key.name)
+            for axis, order in key.derivs:
+                val = self.deriv(val, axis, order)
+            return val
+        if isinstance(key, Deriv):
+            return self.deriv(self.eval(key.expr), key.axis, key.order)
+        if isinstance(key, Prod):
+            vals = [self.eval(f) for f in key.factors]
+            arr = np.multiply(vals[0].arr, vals[1].arr)
+            for v in vals[2:]:
                 arr *= v.arr
             return _Val(arr, _merge(*(v.margins for v in vals)))
-        if isinstance(expr, Sum):
+        if isinstance(key, Sum):
             arr = np.zeros(self.grid.shape)
             margins: dict = {}
-            for scale, sub in expr.addends:
+            for scale, sub in key.addends:
                 v = self.eval(sub)
                 s = scale(self.coeff) if callable(scale) else float(scale)
                 arr += s * v.arr
                 margins = _merge(margins, v.margins)
             return _Val(arr, margins)
-        raise TypeError(f"unknown expression node {expr!r}")
+        raise TypeError(f"unknown expression node {key!r}")
 
 
 @dataclass(frozen=True)
@@ -745,7 +820,8 @@ def evaluate_remainder(pair: str, coeff: ModelCoefficients,
     if grid.frame is not frame:
         raise ValueError(f"pair {pair!r} is evaluated in the {frame.value} "
                          f"frame, not in the {grid.frame.value} frame")
-    ctx = _Ctx(grid, coeff, inputs)
+    ctx = _Ctx(grid, coeff, inputs,
+               [t.expr for terms in tables.values() for t in terms])
     base = base_power(pair)
     eps = coeff.eps
 
@@ -765,6 +841,7 @@ def evaluate_remainder(pair: str, coeff: ModelCoefficients,
             l2 = float(np.sqrt(vol * np.sum(inner**2)))
             linf = float(np.max(np.abs(inner))) if inner.size else 0.0
             stats.append((comp, term.term_id, term.power, l2, linf))
+            del v, graded, inner  # before the next term is evaluated
         out_fields[comp] = Field(grid, total / float(eps) ** float(base))
         out_margins[comp] = margins
     return RemainderResult(pair, base, out_fields, out_margins, stats)

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from nlparax import (
     evaluate_remainder,
     term_table,
 )
+from nlparax import remainders
 from nlparax.remainders import (
     _FD_STENCILS,
     _PAIR_TABLE,
@@ -23,6 +26,7 @@ from nlparax.remainders import (
     Prod,
     Ref,
     _Ctx,
+    _fd_deriv,
     base_power,
     input_field,
 )
@@ -45,6 +49,20 @@ def _bandlimited(grid, seed=7, kmax=2, n_modes=6):
         phase = sum(k * t / a.length for k, t, a in zip(ks, ms, grid.axes))
         out += amp * np.sin(2 * np.pi * phase + ph)
     return out
+
+
+def test_fd_deriv_sums_the_stencil_as_a_roll_does(rng):
+    # the slice adds take the wrapped neighbours in stencil order, so each
+    # point sums the same products in the same order as np.roll would
+    arr = rng.standard_normal((9, 7, 6))
+    for order, (offs, ws, _r) in _FD_STENCILS.items():
+        for ax in range(arr.ndim):
+            want = np.zeros_like(arr)
+            for o, w in zip(offs, ws):
+                want += w * np.roll(arr, -o, axis=ax)
+            want = want / 0.3**order
+            got = _fd_deriv(arr, ax, 0.3, order)
+            assert got.tobytes() == want.tobytes(), (order, ax)
 
 
 def test_base_power():
@@ -88,7 +106,7 @@ def test_term_table_structure(coeff):
 
 def _derivative_orders(expr):
     """The orders _Ctx.deriv takes: the derivatives of a Ref summed per
-    axis, as _Ctx.ref sums them, and the order of each Deriv."""
+    axis, as remainders._key sums them, and the order of each Deriv."""
     if isinstance(expr, Ref):
         total = {}
         for axis, order in expr.derivs:
@@ -262,3 +280,85 @@ def test_input_field_names_the_profile_of_each_pair():
         "ns-npe": "xi", "kuznetsov-npe": "xi"}
     with pytest.raises(ValueError, match="unknown pair 'kzk-ns'"):
         input_field("kzk-ns")
+
+
+#: per frame, a small grid laid out as the CLI's trajectory grids are (one
+#: bounded evolution axis) and the fields a pair can be given on it
+_READ_GRIDS = {
+    Frame.PHYSICAL: (Grid((Axis("t", 1.0, 24, periodic=False),
+                           Axis("x1", 2.0, 12), Axis("x2", 2.5, 8)),
+                          Frame.PHYSICAL), ("u",)),
+    Frame.KZK: (Grid((Axis("tau", 2.0, 12), Axis("z", 3.0, 24, periodic=False),
+                      Axis("y1", 2.5, 8)), Frame.KZK), ("I", "Phi")),
+    Frame.NPE: (Grid((Axis("z", 3.0, 12), Axis("tau", 2.0, 24, periodic=False),
+                      Axis("y1", 2.5, 8)), Frame.NPE), ("xi", "Psi")),
+}
+
+_READ_CASES = [(pair, variant, name)
+               for pair in PAIRS for variant in _PAIR_TABLE[pair].variants
+               for name in _READ_GRIDS[_PAIR_TABLE[pair].frame][1]]
+
+
+def _read_input(pair, name):
+    # varies along every axis, so no term vanishes by symmetry
+    g = _READ_GRIDS[_PAIR_TABLE[pair].frame][0]
+    return {name: Field(g, 0.1 * _bandlimited(g, seed=3, kmax=2))}
+
+
+@pytest.mark.parametrize("pair, variant, name", _READ_CASES)
+def test_counted_reads_evaluate_each_node_once_bit_for_bit(
+        coeff, monkeypatch, pair, variant, name):
+    made = []
+
+    class Counted(_Ctx):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.evaluated = []
+            made.append(self)
+
+        def _evaluate(self, key):
+            self.evaluated.append(key)
+            return super()._evaluate(key)
+
+    class Recomputing(_Ctx):
+        def __init__(self, grid, coeff, inputs, exprs):
+            super().__init__(grid, coeff, inputs)
+
+    inputs = _read_input(pair, name)
+    monkeypatch.setattr(remainders, "_Ctx", Counted)
+    got = evaluate_remainder(pair, coeff, inputs, variant=variant)
+    monkeypatch.setattr(remainders, "_Ctx", Recomputing)
+    want = evaluate_remainder(pair, coeff, inputs, variant=variant)
+
+    assert got.term_stats == want.term_stats
+    assert all(row[3] > 0.0 for row in got.term_stats)
+    assert got.margins == want.margins
+    assert set(got.fields) == set(want.fields)
+    for comp, f in got.fields.items():
+        assert f.values.tobytes() == want.fields[comp].values.tobytes(), comp
+    (ctx,) = made
+    # a count too high leaves a value kept, one too low evaluates it again
+    assert ctx._kept == {} and ctx._reads_left == {}
+    assert len(ctx.evaluated) == len(set(ctx.evaluated))
+
+
+@pytest.mark.parametrize("pair, variant, name", _READ_CASES)
+def test_no_context_outlives_its_table(coeff, monkeypatch, pair, variant,
+                                       name):
+    # the context's arrays go when evaluate_remainder returns, without the
+    # cyclic collector: nothing it holds refers back to it
+    refs = []
+
+    class Watched(_Ctx):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    inputs = _read_input(pair, name)
+    monkeypatch.setattr(remainders, "_Ctx", Watched)
+    gc.disable()
+    try:
+        evaluate_remainder(pair, coeff, inputs, variant=variant)
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
