@@ -20,9 +20,13 @@ series carries the times of the march's own samples.
 The slope studies march each model once per sweep: the eps members are the
 rows of one batched march (`models.base.march`), each row with its own step
 count, samples and health checks, retiring at its own horizon or at its
-failure.  A member whose first march fails reports that failure, and an
-exception raised building its second row is dropped.  The others' numbers
-are those of marching each member alone.
+failure, so a member whose first or second march fails reports that failure
+and the others' numbers are those of marching each member alone.  A slope
+study states only its parts: its first march, each member's second-march
+row from the first march's first sample, and the (evol, error) of a pair of
+samples.  One runner, `_slope_study`, marches them, takes the errors, and
+alone names the eps of a member in a ValueError raised building its row or
+its reference.
 
 Every study splits its marches by one rule, `_split(jobs)`: this process
 runs the first ceil(n/2) jobs while one child forked for it runs the rest
@@ -516,29 +520,6 @@ def _members(cfg: ExperimentConfig) -> list[_Member]:
     return out
 
 
-def _march_pair(first, build_second, n: int, solve_second) -> tuple:
-    """(first(), per member i the result of solve_second over its row
-    build_second(i)): the rows are built first, and `_split` runs the two
-    marches.  A member whose first march failed keeps that SolverError, and
-    an exception raised building its row is dropped; for any other member,
-    that exception is raised."""
-    rows = []
-    for i in range(n):
-        try:
-            rows.append(build_second(i))
-        except Exception as exc:  # raised below, if member i survives
-            rows.append(exc)
-    built = [i for i, row in enumerate(rows) if not isinstance(row, Exception)]
-    here, second = _split(
-        [first, lambda: solve_second([rows[i] for i in built])])
-    for done, row in zip(here, rows):
-        if isinstance(row, Exception) and not isinstance(done, SolverError):
-            raise row
-    there = dict(zip(built, second))
-    return here, [done if isinstance(done, SolverError) else there[i]
-                  for i, done in enumerate(here)]
-
-
 def _split(jobs: list) -> list:
     """What each job() returns, in order, or the SolverError it raised:
     this process runs the first ceil(n/2) jobs while a child forked for it
@@ -625,25 +606,58 @@ def _naming_eps(eps: float):
         raise ValueError(f"eps = {eps}: {exc}") from exc
 
 
-def _errors(results: list, error) -> list:
-    """Per member i (the times of its samples, their errors), where
-    error(i, j) is the (evol, error) of sample j of results[i], or the
-    SolverError that stopped one of its marches."""
-    return [r if isinstance(r, SolverError) else
-            tuple(zip(*(error(i, j) for j in range(len(r)))))
-            for i, r in enumerate(results)]
+def _slope_study(ms: list[_Member], first, starts: list, second_row,
+                 solve_second, error) -> list:
+    """Per member of `ms`, (its sample times, their errors) or the
+    SolverError that stopped one of its marches.  first() marches every
+    member from starts[i] for ms[i]; second_row(m, start) is member m's row
+    of solve_second(rows); error(m, a, b) is the (evol, error) of samples a
+    of the first march and b of the second.  The rows are built before
+    `_split` runs the marches; a failed first march wins over its member's
+    row exception, and a survivor's is raised before any error is taken.
+    A ValueError raised building a row or taking an error names the eps."""
+    rows = []
+    for m, start in zip(ms, starts):
+        try:
+            with _naming_eps(m.coeff.eps):
+                rows.append(second_row(m, start))
+        except Exception as exc:  # raised below, if member m survives
+            rows.append(exc)
+    built = [row for row in rows if not isinstance(row, Exception)]
+    here, there = _split([first, lambda: solve_second(built)])
+    for row, a in zip(rows, here):
+        if isinstance(row, Exception) and not isinstance(a, SolverError):
+            raise row
+    there, out = iter(there), []
+    for m, row, a in zip(ms, rows, here):
+        b = row if isinstance(row, Exception) else next(there)
+        done = a if isinstance(a, SolverError) else b
+        if not isinstance(done, SolverError):
+            with _naming_eps(m.coeff.eps):
+                done = tuple(zip(*(error(m, sa, sb) for sa, sb in zip(a, b))))
+        out.append(done)
+    return out
+
+
+def _right_moving(cfg: ExperimentConfig) -> tuple:
+    """(the sweep's members, their Kuznetsov march from the preset u0 and
+    each member's right-moving u1, each member's first sample of it)."""
+    u0 = preset_profile(cfg.preset, _spatial_grid(cfg), cfg.preset_params)
+    ms = _members(cfg)
+    starts = [ModelState(ModelKind.KUZNETSOV, 0.0, u0,
+                         right_moving_velocity(m.coeff, u0)) for m in ms]
+    return ms, lambda: solve_kuznetsov_rows(
+        [(m.coeff, s.primary, s.velocity, m.t_end, m.ctl, m.n_samples)
+         for m, s in zip(ms, starts)]), starts
 
 
 def _ns_kuznetsov(cfg: ExperimentConfig):
-    grid = _spatial_grid(cfg)
-    u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
-    pert = (band_limited_perturbation(grid, cfg.seed, cfg.delta)
+    ms, first, starts = _right_moving(cfg)
+    pert = (band_limited_perturbation(_spatial_grid(cfg), cfg.seed, cfg.delta)
             if cfg.delta > 0.0 else None)
 
     def ansatz_of(coeff: ModelCoefficients, state: ModelState) -> FlowState:
-        with _naming_eps(coeff.eps):
-            return assemble_ansatz(coeff, state,
-                                   build_correctors(coeff, state))
+        return assemble_ansatz(coeff, state, build_correctors(coeff, state))
 
     def flow_row(m: _Member, start: ModelState):
         U0 = ansatz_of(m.coeff, start)
@@ -652,45 +666,29 @@ def _ns_kuznetsov(cfg: ExperimentConfig):
                            U0.momentum)
         return m.coeff, U0, m.t_end, m.ctl, m.n_samples
 
-    ms = _members(cfg)
-    u1s = [right_moving_velocity(m.coeff, u0) for m in ms]
-    kuz, flow = _march_pair(
-        lambda: solve_kuznetsov_rows(
-            [(m.coeff, u0, u1, m.t_end, m.ctl, m.n_samples)
-             for m, u1 in zip(ms, u1s)]),
-        lambda i: flow_row(ms[i], ModelState(ModelKind.KUZNETSOV, 0.0, u0,
-                                             u1s[i])),
-        len(ms), solve_flow_rows)
-    return _errors(flow, lambda i, j: (flow[i][j][0], l2_error(
-        flow[i][j][1], ansatz_of(ms[i].coeff, kuz[i][j]))))
+    return _slope_study(ms, first, starts, flow_row, solve_flow_rows,
+                        lambda m, kuz, flow: (flow[0], l2_error(
+                            flow[1], ansatz_of(m.coeff, kuz))))
 
 
 def _kuznetsov_westervelt(cfg: ExperimentConfig):
-    grid = _spatial_grid(cfg)
-    u0 = preset_profile(cfg.preset, grid, cfg.preset_params)
-    sp = Spectral(grid)
+    ms, first, starts = _right_moving(cfg)
+    sp = Spectral(_spatial_grid(cfg))
 
     def reference(coeff: ModelCoefficients, ks: ModelState) -> ModelState:
         pib = westervelt_transform(coeff, ks.primary, ks.velocity)
-        pib_t = Field(grid, westervelt_pi_t(sp, coeff, ks.primary.scalar,
-                                            ks.velocity.scalar))
+        pib_t = ks.velocity.with_values(westervelt_pi_t(
+            sp, coeff, ks.primary.scalar, ks.velocity.scalar))
         return ModelState(ModelKind.WESTERVELT, ks.evol, pib, pib_t)
 
-    def westervelt_row(m: _Member, u1: Field):
-        with _naming_eps(m.coeff.eps):
-            pi0, pi1 = westervelt_initial_data(m.coeff, u0, u1)
+    def westervelt_row(m: _Member, start: ModelState):
+        pi0, pi1 = westervelt_initial_data(m.coeff, start.primary,
+                                           start.velocity)
         return m.coeff, pi0, pi1, m.t_end, m.ctl, m.n_samples
 
-    ms = _members(cfg)
-    u1s = [right_moving_velocity(m.coeff, u0) for m in ms]
-    kuz, wes = _march_pair(
-        lambda: solve_kuznetsov_rows(
-            [(m.coeff, u0, u1, m.t_end, m.ctl, m.n_samples)
-             for m, u1 in zip(ms, u1s)]),
-        lambda i: westervelt_row(ms[i], u1s[i]), len(ms),
-        solve_westervelt_rows)
-    return _errors(wes, lambda i, j: (wes[i][j].evol, l2_error(
-        wes[i][j], reference(ms[i].coeff, kuz[i][j]))))
+    return _slope_study(ms, first, starts, westervelt_row,
+                        solve_westervelt_rows, lambda m, kuz, wes: (
+                            wes.evol, l2_error(wes, reference(m.coeff, kuz))))
 
 
 def _kuznetsov_npe(cfg: ExperimentConfig):
@@ -704,38 +702,33 @@ def _kuznetsov_npe(cfg: ExperimentConfig):
     xi0 = Field(zgrid, npe_xi(cfg.coeff, sp.d(psi0, "z")))
 
     def transported(coeff: ModelCoefficients, state: ModelState, t: float):
-        """u(x, t) = Psi(eps t, x - c t) and its time derivative."""
+        """u(x, t) = Psi(eps t, x - c t) and its time derivative, as a
+        Kuznetsov state on the spatial grid."""
         psi = npe_potential(coeff, sp.inv(state.primary.scalar, "z"))
-        dtau = _npe_dtau_psi(sp, coeff, psi)
-        dz = sp.d(psi, "z")
-        ut = coeff.eps * dtau - coeff.c * dz
+        ut = (coeff.eps * _npe_dtau_psi(sp, coeff, psi)
+              - coeff.c * sp.d(psi, "z"))
         shift = -coeff.c * t
-        return sp.shift(psi, "z", shift), sp.shift(ut, "z", shift)
+        return ModelState(ModelKind.KUZNETSOV, t,
+                          Field(grid, sp.shift(psi, "z", shift)),
+                          Field(grid, sp.shift(ut, "z", shift)))
 
     def kuznetsov_row(m: _Member, start: ModelState):
         # well-prepared data: u1 carries the slow O(eps) correction too
-        ub0, ut0 = transported(m.coeff, start, 0.0)
-        return (m.coeff, Field(grid, ub0), Field(grid, ut0), m.t_end, m.ctl,
-                m.n_samples)
-
-    def reference(m: _Member, ns: ModelState, t: float) -> ModelState:
-        ub, ut = transported(m.coeff, ns, t)
-        return ModelState(ModelKind.KUZNETSOV, t, Field(grid, ub),
-                          Field(grid, ut))
+        ks = transported(m.coeff, start, 0.0)
+        return m.coeff, ks.primary, ks.velocity, m.t_end, m.ctl, m.n_samples
 
     ms = _members(cfg)
     npe_rows = [(m.coeff, xi0, m.coeff.eps * m.t_end,
                  _substeps(m.coeff.eps * m.t_end, m.n_samples - 1,
                            m.coeff.eps * _default_wave_step(cfg, m.coeff)),
                  m.n_samples) for m in ms]
-    # the NPE march's first sample, which each Kuznetsov row starts from
     start = ModelState(ModelKind.NPE, 0.0,
                        Field(zgrid, _start_profile(ModelKind.NPE, xi0)))
-    npe, kuz = _march_pair(
-        lambda: solve_npe_rows(npe_rows),
-        lambda i: kuznetsov_row(ms[i], start), len(ms), solve_kuznetsov_rows)
-    return _errors(kuz, lambda i, j: (kuz[i][j].evol, l2_error(
-        kuz[i][j], reference(ms[i], npe[i][j], kuz[i][j].evol))))
+    return _slope_study(ms, lambda: solve_npe_rows(npe_rows),
+                        [start] * len(ms), kuznetsov_row,
+                        solve_kuznetsov_rows, lambda m, npe, kuz: (
+                            kuz.evol, l2_error(kuz, transported(
+                                m.coeff, npe, kuz.evol))))
 
 
 def _kuznetsov_kzk(cfg: ExperimentConfig):

@@ -1,6 +1,6 @@
 """Isentropic compressible Navier-Stokes / Euler reference solver.
 
-System (periodic 1D/2D, quadratic state law):
+System (periodic 1D to 3D, quadratic state law):
 
   d rho/dt + div(rho v) = 0
   rho (dv/dt + (v . grad) v) = -grad p(rho) + eps*nu Lap v

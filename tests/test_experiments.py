@@ -334,13 +334,15 @@ def test_a_bug_in_a_member_propagates(monkeypatch):
 
 # --------------------------------------------- the forked second march
 
-#: per slope study, its first march's solver and a builder of its second
-#: march's rows that reads the member's coeff first
+#: per slope study, its first and second marches' solvers and a builder of
+#: its second march's rows that reads the member's coeff first
 _PAIRS = {
-    "ns-kuznetsov": ("solve_kuznetsov_rows", "assemble_ansatz"),
-    "kuznetsov-westervelt": ("solve_kuznetsov_rows",
+    "ns-kuznetsov": ("solve_kuznetsov_rows", "solve_flow_rows",
+                     "assemble_ansatz"),
+    "kuznetsov-westervelt": ("solve_kuznetsov_rows", "solve_westervelt_rows",
                              "westervelt_initial_data"),
-    "kuznetsov-npe": ("solve_npe_rows", "npe_potential"),
+    "kuznetsov-npe": ("solve_npe_rows", "solve_kuznetsov_rows",
+                      "npe_potential"),
 }
 
 
@@ -386,13 +388,14 @@ def test_the_forked_march_gives_the_in_process_numbers(monkeypatch, pair):
     assert scaling_study(cfg).series == forked
 
 
-def _fail_first_march(monkeypatch, pair, eps):
-    """Member eps's first march of the pair's study returns a SolverError."""
-    name = _PAIRS[pair][0]
+def _fail_march(monkeypatch, pair, eps, march):
+    """Member eps's first or second march of the pair's study returns a
+    SolverError; the second march's, from the child."""
+    name = _PAIRS[pair][march == "second"]
     solve = getattr(experiments, name)
 
     def failing(rows):
-        return [SolverDiverged("first march diverged")
+        return [SolverDiverged(f"{march} march diverged")
                 if row[0].eps == eps else result
                 for row, result in zip(rows, solve(rows))]
 
@@ -401,7 +404,7 @@ def _fail_first_march(monkeypatch, pair, eps):
 
 def _break_second_row(monkeypatch, pair, eps):
     """Building member eps's second-march row raises a ValueError."""
-    name = _PAIRS[pair][1]
+    name = _PAIRS[pair][2]
     build = getattr(experiments, name)
 
     def broken(coeff, *args):
@@ -412,25 +415,27 @@ def _break_second_row(monkeypatch, pair, eps):
     monkeypatch.setattr(experiments, name, broken)
 
 
-@pytest.mark.parametrize("unbuildable", [False, True])
+@pytest.mark.parametrize("march, unbuildable", [
+    ("first", False), ("first", True), ("second", False)])
 @pytest.mark.parametrize("pair", sorted(_PAIRS))
 def test_a_member_whose_first_march_fails_changes_no_other(monkeypatch, pair,
-                                                           unbuildable):
+                                                           march, unbuildable):
     alone = scaling_study(_cfg(pair=pair, eps_list=(0.04, 0.01))).series
-    _fail_first_march(monkeypatch, pair, 0.02)
+    _fail_march(monkeypatch, pair, 0.02, march)
     if unbuildable:  # and its row is dropped, not raised
         _break_second_row(monkeypatch, pair, 0.02)
     series = scaling_study(_cfg(pair=pair, eps_list=(0.04, 0.02, 0.01))).series
     assert series[1] == {"eps": 0.02, "status": "failed", "evol": [],
-                         "l2_error": [], "error": "first march diverged"}
+                         "l2_error": [], "error": f"{march} march diverged"}
     assert [series[0], series[2]] == alone
 
 
 @pytest.mark.parametrize("pair", sorted(_PAIRS))
 def test_a_survivor_whose_row_cannot_be_built_raises(monkeypatch, pair):
     _break_second_row(monkeypatch, pair, 0.02)
-    with pytest.raises(ValueError, match="row cannot be built"):
+    with pytest.raises(ValueError) as info:
         scaling_study(_cfg(pair=pair, eps_list=(0.04, 0.02, 0.01)))
+    assert str(info.value) == "eps = 0.02: row cannot be built"
 
 
 def test_an_exception_of_the_forked_march_is_raised_here(monkeypatch):
