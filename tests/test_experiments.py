@@ -391,7 +391,7 @@ def test_the_forked_march_gives_the_in_process_numbers(monkeypatch, pair):
 def _fail_march(monkeypatch, pair, eps, march):
     """Member eps's first or second march of the pair's study returns a
     SolverError; the second march's, from the child."""
-    name = _PAIRS[pair][march == "second"]
+    name = _PAIRS[pair][0 if march == "first" else 1]
     solve = getattr(experiments, name)
 
     def failing(rows):
