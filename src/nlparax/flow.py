@@ -121,13 +121,15 @@ class _FlowStepper:
     Velocities travel stacked, one component per leading index.
     """
 
+    #: the leading carried arrays the march keeps physical: the density
+    physical = 1
+
     def __init__(self, sp: Spectral, coeff: ModelCoefficients, eps, dt):
         self.sp, self.coeff, self.dt = sp, coeff, dt
         self.ndim = len(sp.shape)
         eps, dt = member_axis(eps, self.ndim), member_axis(dt, self.ndim)
         # The multipliers that depend on eps or the step have a member axis;
         # real multipliers of spectra are stored complex.
-        self.viscous = coeff.nu != 0.0
         self.visc = eps * coeff.nu
         self.inv_rho0 = 1.0 / coeff.rho0
         # exact decay of the eps*nu/rho0 Lap v part per rfftn mode
@@ -139,14 +141,13 @@ class _FlowStepper:
         self.full_dt = dt
 
     def _velocity_fields(self, vh: np.ndarray) -> np.ndarray:
-        """grad v (one stack per axis), Lap v when viscous, and v, from the
-        spectrum vh in one inverse call."""
+        """grad v (one stack per axis), Lap v and v, from the spectrum vh in
+        one inverse call."""
         ik = self.sp.ik
-        block = np.empty((len(ik) + self.viscous + 1, *vh.shape), complex)
+        block = np.empty((len(ik) + 2, *vh.shape), complex)
         for j, k in enumerate(ik):
             np.multiply(k, vh, out=block[j])
-        if self.viscous:
-            np.multiply(self.neg_ksq, vh, out=block[-2])
+        np.multiply(self.neg_ksq, vh, out=block[-2])
         block[-1] = vh
         return self.sp.ifft(block)
 
@@ -165,11 +166,10 @@ class _FlowStepper:
         # would form them, so that v and its derivatives need no copies
         for j in range(nd):
             dv[j] *= v[j]
-        lap = fields[nd] if self.viscous else None
-        if lap is not None:
-            # correction beyond the exactly-propagated eps*nu/rho0 part
-            lap *= self.visc
-            lap *= 1.0 / rho - self.inv_rho0
+        # correction beyond the exactly-propagated eps*nu/rho0 part
+        lap = fields[nd]
+        lap *= self.visc
+        lap *= 1.0 / rho - self.inv_rho0
         spectra = sp.fft(flux)
         del flux
         mh, ph = spectra[:nd], spectra[nd]
@@ -187,27 +187,15 @@ class _FlowStepper:
         acc /= rho
         for adv in dv:
             acc -= adv
-        if lap is not None:
-            acc += lap
+        acc += lap
         del fields, v, dv, lap  # freed before the last transform
         acc_h = sp.fft(acc)
         return div_m, np.multiply(keep, acc_h, out=acc_h)
 
-    def carry(self, state):
-        """(rho, vh) of the physical state (rho, v), v stacked."""
-        rho, v = state
-        return rho, self.sp.fft(v)
-
-    def sample(self, carried):
-        """The physical state (rho, v) of (rho, vh)."""
-        rho, vh = carried
-        return rho, self.sp.ifft(vh)
-
     def step(self, carried, n: int):
         """Advance (rho, vh) from step n - 1 to step n."""
         rho, vh = carried
-        if self.viscous:
-            vh = vh * self.decay_half
+        vh = vh * self.decay_half
         # d rho/dt = -div(rho v): rho + h*d rho/dt is rho - h*div(rho v)
         div1, d1vh = self._tendency(rho, self._velocity_fields(vh))
         rho_m = rho - np.multiply(self.half_dt, div1, out=div1)

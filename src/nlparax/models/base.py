@@ -212,9 +212,13 @@ def march(build, rows, label: str, wrap) -> list:
     if it is forced, its `forcing` spectra along a leading member axis.
     The march builds it for every row to start, and again for the survivors
     when rows retire or fail.  The state arrays are stacked along the axis
-    before the grid's; `carry` turns them into the form the stepper carries
-    from step to step (spectra, mostly) once, and `sample` brings that back
-    to physical space.
+    before the grid's.  The march transforms them, in one call, into the
+    arrays the stepper carries when it starts, and back, in one call, at
+    each step that samples a row (see _transform): every carried array is
+    a spectrum but the leading ones the stepper keeps physical, as many as
+    its class constant `physical` says (the flow stepper's density, which
+    its positivity checks read).  stepper.step(carried, n) states only the
+    step: it returns the carried arrays of step n from those of n - 1.
 
     After each step every row is health-checked on its own, one component
     of each carried array at a time, by the grid's sum of squares, against
@@ -263,8 +267,9 @@ def march(build, rows, label: str, wrap) -> list:
         live.append(_Row(i, nsteps, sample_at, ref_norm,
                          _batch_limit(ref_norm), eps[i], dt))
         out.append([(0.0, state)])
-    carried = stepper.carry(tuple(np.stack(parts, axis=-ndim - 1)
-                                  for parts in zip(*(row[2] for row in rows))))
+    carried = _transform(stepper, tuple(
+        np.stack(parts, axis=-ndim - 1)
+        for parts in zip(*(row[2] for row in rows))), sp.fft)
     n = 0
     while live:
         try:
@@ -277,11 +282,11 @@ def march(build, rows, label: str, wrap) -> list:
             due = [r for r, row in enumerate(live)
                    if n in row.sample_at and r not in failed]
             if due:
-                physical = stepper.sample(carried)
+                state = _transform(stepper, carried, sp.ifft)
                 for r in due:
                     out[live[r].index].append(
                         (n * live[r].dt,
-                         tuple(_row(a, r, ndim) for a in physical)))
+                         tuple(_row(a, r, ndim) for a in state)))
         for r, exc in failed.items():
             out[live[r].index] = exc
         keep = [r for r, row in enumerate(live)
@@ -297,6 +302,17 @@ def march(build, rows, label: str, wrap) -> list:
     return [done if isinstance(done, SolverError) else
             [wrap(grid, evol, state) for evol, state in done]
             for done in out]
+
+
+def _transform(stepper, arrays: tuple, op) -> tuple:
+    """The arrays with all but the leading `stepper.physical` (0 when the
+    stepper declares none) passed through op, Spectral.fft or ifft, in one
+    call: a lone array as it is, several stacked."""
+    kept = getattr(stepper, "physical", 0)
+    head, rest = arrays[:kept], arrays[kept:]
+    if len(rest) == 1:
+        return (*head, op(rest[0]))
+    return (*head, *op(np.stack(rest)))
 
 
 def _batch_limit(ref_norm: float) -> float:

@@ -92,16 +92,6 @@ class _OneWayStepper:
             out += self.forcing
         return out
 
-    def carry(self, state):
-        """The spectrum (vh,) of the physical state (v,)."""
-        (v,) = state
-        return (self.sp.fft(v),)
-
-    def sample(self, carried):
-        """The physical state (v,) of the spectrum (vh,)."""
-        (vh,) = carried
-        return (self.sp.ifft(vh),)
-
     def step(self, carried, n: int):
         """Viscous half step, explicit midpoint, viscous half step."""
         sp = self.sp

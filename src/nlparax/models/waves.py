@@ -163,14 +163,6 @@ class _WaveStepper:
         out = sp.fft(rhs)
         return np.multiply(self.keep, out, out=out), du
 
-    def carry(self, state):
-        """The spectra (uh, wh) of the physical state (u, w)."""
-        return tuple(self.sp.fft(np.stack(state)))
-
-    def sample(self, carried):
-        """The physical state (u, w) of the spectra (uh, wh)."""
-        return tuple(self.sp.ifft(np.stack(carried)))
-
     def step(self, carried, n: int):
         """Linear half step, explicit midpoint for the nonlinear flow (u
         frozen, w evolves), linear half step."""

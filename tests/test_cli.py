@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ def test_preset_parameters_must_be_finite_numbers(tmp_path, capsys, params,
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_standard_json_tokens_are_refused(tmp_path, capsys, token):
     cfg = tmp_path / "solve.json"
-    cfg.write_text(open(_solve_cfg(tmp_path)).read().replace(
+    cfg.write_text(Path(_solve_cfg(tmp_path)).read_text().replace(
         '"span": 0.5', f'"span": {token}'))
     assert main(["solve", "--config", str(cfg), "--out",
                  str(tmp_path / "run")]) == 1

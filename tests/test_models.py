@@ -418,7 +418,6 @@ class _Burst:
     def __init__(self, stepper, at):
         self.inner, self.at = stepper, at
         self.forcing = stepper.forcing
-        self.carry, self.sample = stepper.carry, stepper.sample
 
     def step(self, carried, n):
         (vh,) = self.inner.step(carried, n)
@@ -431,7 +430,6 @@ class _Poisoned:
 
     def __init__(self, stepper, at):
         self.inner, self.at = stepper, at
-        self.carry, self.sample = stepper.carry, stepper.sample
 
     def step(self, carried, n):
         uh, wh = self.inner.step(carried, n)

@@ -10,7 +10,7 @@ import pytest
 
 from nlparax import Axis, Frame, Grid, ModelCoefficients, StepControl
 from nlparax.flow import _FlowStepper, pressure_from_density
-from nlparax.models.base import march
+from nlparax.models.base import _transform, march
 from nlparax.models.oneway import _OneWayStepper
 from nlparax.models.waves import _linear_propagator, _WaveStepper
 from nlparax.spectral import Spectral
@@ -45,10 +45,12 @@ def _assert_same_state(got, expect):
 def _one_step(stepper, state, n):
     """Step n of a one-row stepper from the physical state, back in
     physical space."""
-    row = -len(stepper.sp.shape) - 1  # the member axis, before the grid's
-    carried = stepper.carry(tuple(np.expand_dims(a, row) for a in state))
-    return tuple(np.squeeze(a, row)
-                 for a in stepper.sample(stepper.step(carried, n)))
+    sp = stepper.sp
+    row = -len(sp.shape) - 1  # the member axis, before the grid's
+    carried = _transform(stepper, tuple(np.expand_dims(a, row)
+                                        for a in state), sp.fft)
+    return tuple(np.squeeze(a, row) for a in _transform(
+        stepper, stepper.step(carried, n), sp.ifft))
 
 
 GRIDS_1D = _grid(Frame.PHYSICAL, ("x1", 2 * np.pi, 64))
