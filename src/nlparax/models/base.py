@@ -282,11 +282,11 @@ def march(build, rows, label: str, wrap) -> list:
             due = [r for r, row in enumerate(live)
                    if n in row.sample_at and r not in failed]
             if due:
-                state = _transform(stepper, carried, sp.ifft)
+                physical = _transform(stepper, carried, sp.ifft)
                 for r in due:
                     out[live[r].index].append(
                         (n * live[r].dt,
-                         tuple(_row(a, r, ndim) for a in state)))
+                         tuple(_row(a, r, ndim) for a in physical)))
         for r, exc in failed.items():
             out[live[r].index] = exc
         keep = [r for r, row in enumerate(live)
