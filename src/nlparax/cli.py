@@ -12,21 +12,20 @@ prints the resolved plan to standard output).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
-import platform
 import sys
 from importlib import resources
-
-import numpy as np
 
 from . import __version__
 from .ansatz import right_moving_velocity
 from .experiments import (
     ExperimentConfig,
     _coeff_from,
+    _digest,
+    _runtime,
+    _write_json,
     config_hash,
     emit_report,
     preset_profile,
@@ -153,18 +152,9 @@ def _grid_from(data: dict) -> Grid:
 
 
 def _manifest(out_dir: str, payload: dict, argv: list[str]) -> None:
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    manifest = {
-        "config_sha256": hashlib.sha256(blob).hexdigest(),
-        "tool_version": __version__,
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "argv": argv,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"),
+                dict(_runtime(), config_sha256=_digest(payload),
+                     tool_version=__version__, argv=argv))
 
 
 def _out_dir(args, default: str) -> str:
@@ -238,9 +228,7 @@ def _run_solve(args, argv) -> int:
         write_paf(os.path.join(out, name), f)
         index["evol"].append(float(t))
         index["files"].append(name)
-    with open(os.path.join(out, "index.json"), "w") as fh:
-        json.dump(index, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out, "index.json"), index)
     _manifest(out, cfg, argv)
     log.info("wrote %d samples to %s", len(samples), out)
     return 0

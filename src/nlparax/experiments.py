@@ -14,8 +14,10 @@ Horizons of the form C/eps use one C across the sweep, sized so the coarsest
 eps fits the step heuristics.  Each member's horizon is a whole number of
 common sample intervals (the coarsest run's horizon split into `samples`),
 each of a whole number of steps as `models.base.resolve_steps` counts them,
-so slopes can be read off at fixed times without interpolation.  An error
-series carries the times of the march's own samples.
+so sample j of every member lies j common intervals in: the slope at
+fraction f of the horizon is read at sample f*n of each member, n being the
+shortest member's interval count, and is undefined when f*n is not whole.
+An error series carries the times of the march's own samples.
 
 The slope studies march each model once per sweep: the eps members are the
 rows of one batched march (`models.base.march`), each row with its own step
@@ -257,6 +259,9 @@ class ExperimentConfig:
         if self.dim not in study.dims:
             raise ValueError(f"pair {self.pair!r} runs in dims "
                              f"{list(study.dims)}, not in dim {self.dim}")
+        if study.exponent is None and self.source_size <= 0.0:
+            raise ValueError(f"pair {self.pair!r} forces its beams with a "
+                             "source: source_size must be > 0")
         if study.exponent is not None:  # the studies that march this clock
             for e in eps:
                 _intervals(self, e)
@@ -290,8 +295,13 @@ def _coeff_from(data: dict | None) -> ModelCoefficients:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _digest(cfg.to_dict())
+
+
+def _digest(data: dict) -> str:
+    """SHA-256 of the canonical JSON of data: sorted keys, default
+    separators."""
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -315,19 +325,18 @@ class Report:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        return cls(**data)
+
+def _runtime() -> dict:
+    """The interpreter, numpy and platform a run record names."""
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "platform": platform.platform()}
 
 
-def _runtime_meta(seed: int) -> dict:
-    return {
-        "package_version": __version__,
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "seed": seed,
-    }
+def _write_json(path: str, data: dict) -> None:
+    """Write a run record: sorted, indented JSON with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 # ----------------------------------------------------------------------
@@ -741,8 +750,7 @@ def _kuznetsov_kzk(cfg: ExperimentConfig):
     n_int = cfg.samples
     ctl = _substeps(z_end, n_int, _default_kzk_step(cfg, cfg.coeff, grid))
 
-    size = cfg.source_size if cfg.source_size > 0.0 else 1.0
-    S = band_limited_perturbation(grid, cfg.seed, size).scalar
+    S = band_limited_perturbation(grid, cfg.seed, cfg.source_size).scalar
 
     def forced(eps: float):
         return lambda: solve_kzk(replace(cfg.coeff, eps=eps), I0, z_end, ctl,
@@ -787,19 +795,15 @@ def _slope_verdicts(cfg: ExperimentConfig, report: Report) -> None:
     study = _STUDIES[cfg.pair]
     ok = [s for s in report.series if s["status"] == "ok"]
     degenerate = ok and all(max(s["l2_error"]) <= 1e-13 for s in ok)
-    t_common = min(s["evol"][-1] for s in ok) if ok else 0.0
+    # sample j of every member lies j common intervals in, so fraction f of
+    # the shortest member's n intervals is sample f n of each, if f n is whole
+    n = min(len(s["evol"]) for s in ok) - 1 if ok else 0
 
     slopes = {}
     for frac in SLOPE_FRACTIONS:
-        target = frac * t_common
-        pts = []
-        for s in ok:
-            ts = np.asarray(s["evol"])
-            j = int(np.argmin(np.abs(ts - target)))
-            if abs(ts[j] - target) > 1e-9 * max(target, 1.0):
-                continue
-            if s["l2_error"][j] > 1e-13:
-                pts.append((s["eps"], s["l2_error"][j]))
+        j = frac * n
+        pts = [(s["eps"], s["l2_error"][int(j)]) for s in ok
+               if j.is_integer() and s["l2_error"][int(j)] > 1e-13]
         if len(pts) >= 2:
             e, v = np.array(pts).T
             slopes[f"{frac:g}"] = _fit_loglog_slope(e, v)
@@ -884,7 +888,8 @@ def scaling_study(cfg: ExperimentConfig) -> Report:
     study = _STUDIES[cfg.pair]
     report = Report(name=cfg.name, pair=cfg.pair, config=cfg.to_dict(),
                     config_sha256=config_hash(cfg),
-                    meta=_runtime_meta(cfg.seed))
+                    meta=dict(_runtime(), package_version=__version__,
+                              seed=cfg.seed))
 
     def member(eps: float, result) -> dict:
         if isinstance(result, SolverError):
@@ -964,9 +969,7 @@ def emit_report(report: Report, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     jpath = os.path.join(out_dir, "report.json")
-    with open(jpath, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(jpath, report.to_dict())
     paths["report"] = jpath
 
     cpath = os.path.join(out_dir, "errors.csv")

@@ -262,11 +262,9 @@ def _h(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
 
 
 def _eta(coeff: ModelCoefficients, U: FlowState) -> np.ndarray:
-    """Convex entropy eta = rho h(rho) + rho |v|^2 / 2 on the grid; refuses
-    a density that is not positive."""
+    """Convex entropy eta = rho h(rho) + rho |v|^2 / 2 on the grid; a
+    FlowState's density is positive, so log(rho) is defined."""
     rho = U.rho.scalar
-    if np.min(rho) <= 0.0:
-        raise ValueError("density must be positive")
     vsq = np.sum(U.velocity().values ** 2, axis=-1)
     return rho * _h(coeff, rho) + 0.5 * rho * vsq
 

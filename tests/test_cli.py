@@ -48,6 +48,7 @@ SOLVE = {
     "initial": {"preset": "gaussian_beam"},
     "span": 0.5, "step": 0.005, "samples": 3,
 }
+MODE = {"preset": "single_mode", "params": {"amplitude": 0.1}}
 
 
 def _solve_cfg(tmp_path, **solve_extra):
@@ -67,6 +68,39 @@ def test_solve_writes_artifacts(tmp_path):
     first = read_paf(tmp_path / "run" / index["files"][0])
     assert first.grid.frame is Frame.KZK
     assert np.isfinite(first.values).all()
+
+
+def _line(frame, axis):
+    return {"frame": frame,
+            "axes": [{"name": axis, "length": 2 * math.pi, "points": 32}]}
+
+
+#: per model, the grid of its frame and an initial profile on it
+SOLVE_MODELS = {
+    "kuznetsov": (_line("physical", "x1"), MODE),
+    "westervelt": (_line("physical", "x1"), MODE),
+    "ns": (_line("physical", "x1"), MODE),
+    "npe": (_line("npe", "z"), MODE),
+    "kzk": (SOLVE["grid"], SOLVE["initial"]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SOLVE_MODELS))
+def test_solve_writes_each_sample_of_every_model(tmp_path, model):
+    grid, initial = SOLVE_MODELS[model]
+    cfg = _solve_cfg(tmp_path, model=model, grid=grid, initial=initial,
+                     span=0.1, step=0.005, samples=5)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    index = json.loads((out / "index.json").read_text())
+    assert index["model"] == model
+    assert index["files"] == [f"sample_{i:04d}.paf" for i in range(5)]
+    assert index["evol"] == pytest.approx(np.linspace(0.0, 0.1, 5),
+                                          rel=1e-12, abs=1e-15)
+    for name in index["files"]:
+        f = read_paf(out / name)
+        assert f.grid.frame.value == grid["frame"]
+        assert np.isfinite(f.values).all()
 
 
 def test_solve_dry_run_prints_plan(tmp_path, capsys):
@@ -604,6 +638,24 @@ def test_study_counts_sizes_and_seed_are_checked_when_read(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and key in captured.err
+
+
+def test_a_kzk_sweep_without_a_source_size_is_refused(tmp_path, capsys):
+    # the envelope study forces its beams with a source of this size, so a
+    # config that leaves it at its default of 0 is refused when it is read
+    payload = dict(FAILING_STUDY, pair="kuznetsov-kzk", dim=2,
+                   trans_points=8, preset="gaussian_beam")
+    cfg = _write(tmp_path, "cfg.json", {"schema_version": 1,
+                                        "sweep": payload})
+    out = tmp_path / "kzk"
+    for dry_run in ([], ["--dry-run"]):
+        assert main(["sweep", "--config", cfg, "--out", str(out)]
+                    + dry_run) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "source_size must be > 0" in captured.err
+        assert not out.exists()
 
 
 def test_sweep_refuses_incommensurate_eps(tmp_path, capsys, monkeypatch):

@@ -225,7 +225,7 @@ def test_small_study_report_and_artifacts(tmp_path):
     assert rep.config_sha256 == config_hash(cfg)
 
     # JSON round trip preserves everything
-    again = Report.from_dict(json.loads(json.dumps(rep.to_dict())))
+    again = Report(**json.loads(json.dumps(rep.to_dict())))
     assert again == rep
 
     out = emit_report(rep, str(tmp_path / "run"))
@@ -301,6 +301,22 @@ def test_a_zero_amplitude_study_has_an_undefined_slope():
     assert rep.verdicts == [{
         "criterion": "eps-scaling-slope", "passed": True,
         "detail": "error series at rounding level; slope undefined"}]
+
+
+def test_a_fraction_between_samples_has_no_slope():
+    # in 6 sample intervals a quarter of the horizon falls between samples
+    # 1 and 2: that fraction has no slope, half the horizon is sample 3 and
+    # the whole horizon sample 6, and the median is taken over those two
+    rep = scaling_study(_cfg(samples=6))
+    assert [len(s["evol"]) for s in rep.series] == [7, 7]
+    eps = [s["eps"] for s in rep.series]
+
+    def fitted(j):
+        errs = [s["l2_error"][j] for s in rep.series]
+        return np.polyfit(np.log(eps), np.log(errs), 1)[0]
+
+    assert rep.slopes == {"0.25": None, "0.5": fitted(3), "1": fitted(6)}
+    assert rep.median_slope == (fitted(3) + fitted(6)) / 2
 
 
 def test_ns_kuznetsov_slope_below_its_claim_fails(monkeypatch):

@@ -28,8 +28,6 @@ NO_PROGRAM_READER = {
     "nlparax.experiments.decay_fit",
     # the reference that tests compare every stepper's dealiasing against
     "nlparax.spectral.Spectral.dealias",
-    # reads back a report that emit_report wrote
-    "nlparax.experiments.Report.from_dict",
     # the console script of pyproject.toml
     "nlparax.cli.entry",
 }
