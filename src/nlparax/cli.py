@@ -44,7 +44,7 @@ from .models.waves import solve_kuznetsov, solve_westervelt
 from .paf import read_paf, write_paf
 from .remainders import evaluate_remainder, input_field
 
-__all__ = ["main", "entry"]
+__all__ = ["main"]
 
 log = logging.getLogger("nlparax")
 
@@ -372,10 +372,6 @@ def main(argv=None) -> int:
     except (SolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-
-
-def entry() -> None:  # console-script wrapper
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -33,9 +33,13 @@ its reference.
 Every study splits its marches by one rule, `_split(jobs)`: this process
 runs the first ceil(n/2) jobs while one child forked for it runs the rest
 and sends their results back through a pipe; the child is reaped before
-the study returns or raises.  A slope study's jobs are its two marches,
-the second over rows built up front; the kuznetsov-kzk study's are its
-clean beam and one forced beam per member, and it takes every error here.
+the study returns or raises.  The jobs whose results do not come back
+(the fork was refused, a job raised there, or the child died or cut its
+stream) run here after one warning, so a study's numbers and exception
+are always those of running every job here.  A slope study's jobs are
+its two marches, the second over rows built up front; the kuznetsov-kzk
+study's are its clean beam and one forced beam per member, and it takes
+every error here.
 Process-level measures of this process, such as the peak RSS that
 `resource.getrusage(RUSAGE_SELF)` reports, leave the child out.
 """
@@ -530,27 +534,28 @@ def _members(cfg: ExperimentConfig) -> list[_Member]:
 
 
 def _split(jobs: list) -> list:
-    """What each job() returns, in order, or the SolverError it raised:
-    this process runs the first ceil(n/2) jobs while a child forked for it
-    runs the rest, and any other exception of a job is raised here.  The
-    child always ends in os._exit: it never unwinds into the caller or
+    """What each job() returns, in order, or the SolverError it raised,
+    exactly as when every job runs here: this process runs the first
+    ceil(n/2) jobs while a child forked for it runs the rest, and runs the
+    rest itself, after one warning, when the fork is refused or no result
+    comes back (a job raised there, or the child died or cut its stream).
+    The child always ends in os._exit: it never unwinds into the caller or
     flushes the caller's stdio.  It is reaped on every path, and killed
     first when this process raises before the child's result is read."""
     half = (len(jobs) + 1) // 2
     read, write = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except OSError as exc:
         os.close(read)
         os.close(write)
-        raise
+        return _run_here(jobs, f"os.fork failed ({exc})")
     if pid == 0:
         code = 1
         try:
             os.close(read)
             with open(write, "wb") as fh:
-                fh.write(_outcome(lambda: [_solved(job)
-                                           for job in jobs[half:]]))
+                pickle.dump([_solved(job) for job in jobs[half:]], fh)
             code = 0
         finally:
             os._exit(code)
@@ -560,8 +565,8 @@ def _split(jobs: list) -> list:
             here = [_solved(job) for job in jobs[:half]]
             try:
                 there = pickle.load(fh)
-            except Exception as exc:  # a stream cut short: the status says why
-                there = exc
+            except Exception:  # no result: the child's jobs run here
+                there = None
     except BaseException:
         import signal  # here alone: at module level it adds to start-up
 
@@ -569,13 +574,22 @@ def _split(jobs: list) -> list:
         os.waitpid(pid, 0)
         raise
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
+    if there is None:
         how = (f"was killed by signal {-code}" if code < 0 else
                f"exited with status {code}")
-        raise RuntimeError(f"the forked march {how} before it sent its result")
-    if isinstance(there, BaseException):
-        raise there
+        there = _run_here(jobs[half:], f"the forked child {how} and sent "
+                                       "no result")
     return here + there
+
+
+def _run_here(jobs: list, why: str) -> list:
+    """What each job() returns, or its SolverError, run in this process
+    after a warning on stderr that says why."""
+    import logging  # here alone: at module level it adds to start-up
+
+    logging.getLogger("nlparax").warning(
+        "%s: running %d march(es) in this process", why, len(jobs))
+    return [_solved(job) for job in jobs]
 
 
 def _solved(job):
@@ -584,25 +598,6 @@ def _solved(job):
         return job()
     except SolverError as exc:
         return exc
-
-
-def _outcome(work) -> bytes:
-    """The pickle of what work() returns or raises; an exception that
-    cannot come back through pickle comes back as a RuntimeError naming
-    it."""
-    try:
-        out = work()
-    except BaseException as exc:  # the child's, sent to the parent
-        out = exc
-    try:
-        blob = pickle.dumps(out)
-        if isinstance(out, BaseException):
-            pickle.loads(blob)
-    except Exception as exc:
-        blob = pickle.dumps(RuntimeError(
-            f"the forked march raised {type(out).__name__}: {out}, "
-            f"which cannot be sent back ({exc})"))
-    return blob
 
 
 @contextmanager

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -136,6 +137,15 @@ def test_module_entry_point_exits_with_main_status(tmp_path):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1  # the error, printed once
     assert "cannot read config" in proc.stderr
+
+
+def test_module_entry_point_prints_the_version():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlparax.cli", "--version"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "0.1.0\n"
 
 
 def test_missing_axis_is_bad_input(tmp_path, capsys):
@@ -439,6 +449,39 @@ def test_sweep_pass_and_artifacts(tmp_path):
         assert (out / name).exists(), name
     rep = json.loads((out / "report.json").read_text())
     assert all(v["passed"] for v in rep["verdicts"])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count descriptors")
+def test_a_refused_fork_runs_the_sweep_here(tmp_path, monkeypatch, caplog):
+    # a fork the system refuses is no config error: the sweep marches every
+    # member here and writes what the forked run writes
+    cfg = _write(tmp_path, "sweep.json", {"schema_version": 1, "sweep": {
+        **STUDY, "points": 32, "samples": 4, "horizon_over_eps": False,
+        "preset_params": {"amplitude": 0.3}}})
+    assert main(["sweep", "--config", cfg, "--out",
+                 str(tmp_path / "forked")]) == 0
+
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    caplog.clear()
+    open_fds = len(os.listdir("/proc/self/fd"))
+    assert main(["sweep", "--config", cfg, "--out",
+                 str(tmp_path / "here")]) == 0
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("nlparax", "os.fork failed ([Errno 11] Resource temporarily "
+                    "unavailable): running 2 march(es) in this process")]
+    forked, here = tmp_path / "forked", tmp_path / "here"
+    assert ((here / "errors.csv").read_bytes()
+            == (forked / "errors.csv").read_bytes())
+    reports = [json.loads((d / "report.json").read_text())
+               for d in (forked, here)]
+    for report in reports:
+        del report["meta"]
+    assert reports[0] == reports[1]
 
 
 def test_forced_sweep_from_rest_exits_0(tmp_path):

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -454,14 +455,45 @@ def test_a_survivor_whose_row_cannot_be_built_raises(monkeypatch, pair):
     assert str(info.value) == "eps = 0.02: row cannot be built"
 
 
-def test_an_exception_of_the_forked_march_is_raised_here(monkeypatch):
+def _result(cfg):
+    """The study's series, or the type and message of its exception."""
+    try:
+        return scaling_study(cfg).series
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _as_in_process(monkeypatch, caplog, cfg, why):
+    """The forked study's result, checked to equal the in-process one, and
+    to have logged one warning that names `why` and no other."""
+    forked = _result(cfg)
+    [record] = caplog.records
+    assert record.name == "nlparax" and why in record.getMessage()
+    monkeypatch.setattr(experiments, "_split", _in_process)
+    assert _result(cfg) == forked
+    return forked
+
+
+def test_a_refused_fork_gives_the_in_process_numbers(monkeypatch, caplog):
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    series = _as_in_process(monkeypatch, caplog, _study_cfg(
+        "kuznetsov-westervelt"), "os.fork failed ([Errno 11] Resource")
+    assert all(s["status"] == "ok" for s in series)
+
+
+def test_an_exception_of_the_forked_march_is_raised_here(monkeypatch,
+                                                         caplog):
+    # the child's march runs again here, so the exception is this process's
     def not_wired(rows):
         raise NotImplementedError(f"flow rows marched in {os.getpid()}")
 
     monkeypatch.setattr(experiments, "solve_flow_rows", not_wired)
-    with pytest.raises(NotImplementedError) as info:
-        scaling_study(_cfg(pair="ns-kuznetsov"))
-    assert str(info.value) != f"flow rows marched in {os.getpid()}"
+    assert _as_in_process(monkeypatch, caplog, _cfg(pair="ns-kuznetsov"),
+                          "exited with status 1") == (
+        NotImplementedError, f"flow rows marched in {os.getpid()}")
 
 
 class _TwoArgError(Exception):
@@ -471,28 +503,20 @@ class _TwoArgError(Exception):
         super().__init__(f"{a} and {b}")
 
 
-def test_an_exception_that_cannot_come_back_is_named(monkeypatch):
+def test_an_exception_that_cannot_come_back_is_raised_as_itself(monkeypatch,
+                                                                caplog):
     def unpicklable(rows):
         raise _TwoArgError("one", "two")
 
     monkeypatch.setattr(experiments, "solve_flow_rows", unpicklable)
-    with pytest.raises(RuntimeError, match="_TwoArgError: one and two"):
-        scaling_study(_cfg(pair="ns-kuznetsov"))
-
-
-@pytest.mark.parametrize("end, how", [
-    (lambda: os._exit(3), "exited with status 3"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
-])
-def test_a_child_that_ends_without_a_result_is_named(monkeypatch, end, how):
-    monkeypatch.setattr(experiments, "solve_flow_rows", lambda rows: end())
-    with pytest.raises(RuntimeError, match=how):
-        scaling_study(_cfg(pair="ns-kuznetsov"))
+    assert _as_in_process(monkeypatch, caplog, _cfg(pair="ns-kuznetsov"),
+                          "exited with status 1") == (
+        _TwoArgError, "one and two")
 
 
 class _CutWriter:
-    """The child's end of the pipe: writes the first half of the result,
-    then ends the child with status 5."""
+    """The child's end of the pipe: writes the first half of the first
+    block of the result, then ends the child with status 5."""
 
     def __init__(self, fd):
         self.fd = fd
@@ -508,15 +532,34 @@ class _CutWriter:
         os._exit(5)
 
 
-def test_a_child_that_sends_part_of_its_result_is_named(monkeypatch):
-    # the parent reads the stream as it unpickles; a cut one still names
-    # the child's end, not the truncated pickle
-    real_open = open
-    monkeypatch.setattr(experiments, "open", lambda fd, mode: (
-        _CutWriter(fd) if mode == "wb" else real_open(fd, mode)),
-        raising=False)
-    with pytest.raises(RuntimeError, match="exited with status 5"):
-        scaling_study(_cfg(pair="ns-kuznetsov"))
+@pytest.mark.parametrize("end, how", [
+    ("exit-3", "exited with status 3"),
+    ("SIGKILL", "killed by signal 9"),
+    ("cut-stream", "exited with status 5"),
+], ids=["exit-3", "SIGKILL", "cut-stream"])
+def test_a_child_that_ends_without_a_result_changes_no_number(
+        monkeypatch, caplog, end, how):
+    # the patched march ends the child alone: ending this process would
+    # end the test run
+    test_pid, solve = os.getpid(), experiments.solve_flow_rows
+
+    def ending(rows):
+        if os.getpid() != test_pid:
+            if end == "exit-3":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return solve(rows)
+
+    if end == "cut-stream":  # the parent reads the stream as it unpickles
+        real_open = open
+        monkeypatch.setattr(experiments, "open", lambda fd, mode: (
+            _CutWriter(fd) if mode == "wb" else real_open(fd, mode)),
+            raising=False)
+    else:
+        monkeypatch.setattr(experiments, "solve_flow_rows", ending)
+    series = _as_in_process(monkeypatch, caplog, _cfg(pair="ns-kuznetsov"),
+                            how)
+    assert all(s["status"] == "ok" for s in series)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -638,7 +681,8 @@ def test_a_failed_forced_kzk_march_fails_that_member_alone(monkeypatch, eps):
     assert series[:i] + series[i + 1:] == full[:i] + full[i + 1:]
 
 
-def test_an_exception_of_a_forked_kzk_march_is_raised_here(monkeypatch):
+def test_an_exception_of_a_forked_kzk_march_is_raised_here(monkeypatch,
+                                                          caplog):
     solve = experiments.solve_kzk
 
     def not_wired(coeff, *args, source=None, **kwargs):
@@ -647,9 +691,9 @@ def test_an_exception_of_a_forked_kzk_march_is_raised_here(monkeypatch):
         return solve(coeff, *args, source=source, **kwargs)
 
     monkeypatch.setattr(experiments, "solve_kzk", not_wired)
-    with pytest.raises(NotImplementedError) as info:
-        scaling_study(_kzk_cfg())
-    assert str(info.value) != f"beam marched in {os.getpid()}"
+    assert _as_in_process(monkeypatch, caplog, _kzk_cfg(),
+                          "exited with status 1") == (
+        NotImplementedError, f"beam marched in {os.getpid()}")
 
 
 def test_kzk_study_members_match_one_member_studies():

@@ -41,6 +41,13 @@ def test_grid_validation():
         Grid((ax,), Frame.PHYSICAL).axis_index("y1")
 
 
+def test_grid_stores_its_axes_as_a_tuple():
+    axes = [Axis("x1", 1.0, 8), Axis("x2", 2.0, 4)]
+    listed, tupled = Grid(axes), Grid(tuple(axes))
+    assert type(listed.axes) is tuple
+    assert listed == tupled and hash(listed) == hash(tupled)
+
+
 def test_cell_volume():
     g = Grid((Axis("x1", 2.0, 8), Axis("x2", 3.0, 6)), Frame.PHYSICAL)
     assert g.cell_volume == pytest.approx((2.0 / 8) * (3.0 / 6))

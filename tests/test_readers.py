@@ -28,8 +28,6 @@ NO_PROGRAM_READER = {
     "nlparax.experiments.decay_fit",
     # the reference that tests compare every stepper's dealiasing against
     "nlparax.spectral.Spectral.dealias",
-    # the console script of pyproject.toml
-    "nlparax.cli.entry",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -156,6 +156,12 @@ def _plane_wave(grid, modes):
     return np.cos(phase)
 
 
+def test_dealias_without_a_periodic_axis_returns_its_input():
+    v = np.arange(5.0)
+    grid = Grid((Axis("t", 1.0, 5, periodic=False),))
+    assert Spectral(grid).dealias(v) is v
+
+
 def test_dealias_cutoff(rng):
     # the 2/3 rule keeps exactly the modes with |k_i| <= N_i // 3 on every
     # axis and drops the rest
