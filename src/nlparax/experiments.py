@@ -146,12 +146,11 @@ def preset_profile(name: str, grid: Grid, params=None) -> Field:
         mode = int(mode)
         a = grid.axes[0]
         vals = amp * np.sin(2.0 * np.pi * mode * (mesh[0] - a.origin) / a.length)
-        vals = np.broadcast_to(vals, grid.shape).copy()
     elif name in ("gaussian_beam", "polynomial_amplitude"):
         if "tau" not in names:
             raise ValueError(f"preset {name!r} needs a tau axis")
         tau = mesh[names.index("tau")]
-        r2 = np.zeros(grid.shape)
+        r2 = 0.0
         for i, n in enumerate(names):
             if n.startswith("y"):
                 r2 = r2 + mesh[i] ** 2
@@ -163,7 +162,7 @@ def preset_profile(name: str, grid: Grid, params=None) -> Field:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
     if params:
         raise ValueError(f"unknown preset parameters {sorted(params)}")
-    return Field(grid, vals)
+    return Field(grid, np.broadcast_to(vals, grid.shape))
 
 
 def _preset_number(params: dict, key: str, default):

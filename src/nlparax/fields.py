@@ -133,8 +133,10 @@ class Grid:
         return float(np.prod([a.spacing for a in self.axes]))
 
     def mesh(self) -> list[np.ndarray]:
-        """Coordinate arrays broadcast to the grid shape (indexing='ij')."""
-        return list(np.meshgrid(*[a.coordinates() for a in self.axes], indexing="ij"))
+        """The open coordinate mesh (indexing='ij'): per axis, its
+        coordinates shaped to broadcast along the others."""
+        return list(np.meshgrid(*[a.coordinates() for a in self.axes],
+                                indexing="ij", sparse=True))
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,11 @@ CLI passes, the variants, the grading, the frame and the table builder):
 
 A field that a term reads but the caller did not pass is derived from its
 `_DERIVED` row.  The evaluation context counts every read of a table when
-it is built: a derived field, a Ref's derivative, and each Deriv, Prod and
-Sum node, equal nodes counting as one.  It evaluates each distinct one once
-and frees its value after its last read.
+it is built: a derived field, each Ref, Deriv, Prod and Sum node, equal
+nodes counting as one, and each derivative prefix: a Ref with derivatives
+reads the Ref of all but its last and takes that one step, so every
+derivative step is a counted node.  The context evaluates each distinct one
+once and frees its value after its last read.
 
 The returned fields are the graded sums divided by eps^3 (flow pairs) or
 eps^2 (model-to-model pairs); fractional powers in the transverse momentum
@@ -597,6 +599,8 @@ def _count_reads(reads: dict, key: Union[Expr, str], given: Mapping,
     if isinstance(key, str):
         rule = _DERIVED.get(key, (None, ()))[1]
         subs = rule(xs) if callable(rule) else ()
+    elif isinstance(key, Ref) and key.derivs:
+        subs = (Ref(key.name, key.derivs[:-1]),)
     elif isinstance(key, Ref):
         subs = () if key.name in given else (key.name,)
     elif isinstance(key, Deriv):
@@ -616,11 +620,13 @@ class _Ctx:
     ones (with wrap-around edges tracked as margins).  A field that a term
     reads but the caller did not pass is derived from its `_DERIVED` row.
 
-    The reads of `exprs` (each Ref key, Deriv, Prod and Sum node, and each
-    derived field) are counted when the context is built.  Each distinct
-    one is then evaluated once and kept only until its last counted read;
-    a context built with no expressions keeps nothing and recomputes each
-    read."""
+    The reads of `exprs` (each Ref key, Deriv, Prod and Sum node, each
+    derivative prefix of a Ref key, and each derived field) are counted
+    when the context is built.  A Ref key reads its prefix, the Ref of all
+    but its last derivative in sorted axis order, and takes that last step
+    alone.  Each distinct key is then evaluated once and kept only until
+    its last counted read; a context built with no expressions keeps
+    nothing and recomputes each read."""
 
     def __init__(self, grid: Grid, coeff: ModelCoefficients,
                  inputs: Mapping[str, Field], exprs: Sequence[Expr] = ()):
@@ -696,10 +702,11 @@ class _Ctx:
         if isinstance(key, str):
             return self._derive(key)
         if isinstance(key, Ref):
-            val = self.field(key.name)
-            for axis, order in key.derivs:
-                val = self.deriv(val, axis, order)
-            return val
+            if not key.derivs:
+                return self.field(key.name)
+            axis, order = key.derivs[-1]
+            return self.deriv(self._read(Ref(key.name, key.derivs[:-1])),
+                              axis, order)
         if isinstance(key, Deriv):
             return self.deriv(self.eval(key.expr), key.axis, key.order)
         if isinstance(key, Prod):
@@ -839,7 +846,10 @@ def evaluate_remainder(pair: str, coeff: ModelCoefficients,
             margins = _merge(margins, v.margins)
             inner = _trimmed(ctx, graded, v.margins)
             l2 = float(np.sqrt(vol * np.sum(inner**2)))
-            linf = float(np.max(np.abs(inner))) if inner.size else 0.0
+            # max |inner| without an |inner| copy; + 0.0 makes an all-zero
+            # term's -0.0 read 0
+            linf = (float(max(inner.max(), -inner.min())) + 0.0
+                    if inner.size else 0.0)
             stats.append((comp, term.term_id, term.power, l2, linf))
             del v, graded, inner  # before the next term is evaluated
         out_fields[comp] = Field(grid, total / float(eps) ** float(base))

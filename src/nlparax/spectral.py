@@ -33,9 +33,9 @@ def _check_periodic(axis: Axis) -> None:
 def _forward(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """rfftn of v over axes, the last axes of v; its leading axes are rows.
     On one axis, or for one row, that is one numpy call per axis.  On
-    several the rows go one at a time: that holds one row's intermediate at
-    a time, and at 128 x 128 it ran faster than one call per axis over a
-    block of rows."""
+    several the rows go one at a time, for memory: that holds one row's
+    intermediate at a time.  One call per axis over the block ran faster
+    once its pages were mapped, but raised the peak resident set."""
     grid = v.shape[-len(axes):]
     if len(axes) == 1 or v.size == math.prod(grid):
         return _rfftn(v, axes)
@@ -176,7 +176,9 @@ class Spectral:
         """v with its spectrum along one periodic axis multiplied by symbol
         (in the layout of `k_along`)."""
         j = self._axis(axis)
-        return _irfftn(_rfftn(v, (j,)) * symbol, (self.shape[j],), (j,))
+        vh = _rfftn(v, (j,))
+        vh *= symbol
+        return _irfftn(vh, (self.shape[j],), (j,))
 
     def d(self, v: np.ndarray, axis: str | int, order: int = 1) -> np.ndarray:
         """order-th derivative along a periodic axis.  An odd derivative of
@@ -207,7 +209,8 @@ class Spectral:
             return ik
 
         ik = self._symbol(("inv", j), build)
-        vh = _rfftn(v - v.mean(axis=j, keepdims=True), (j,)) / ik
+        vh = _rfftn(v - v.mean(axis=j, keepdims=True), (j,))
+        vh /= ik
         ends = (Ellipsis, [0, -1]) + (slice(None),) * (-1 - j)
         vh[ends] = 0.0  # mode 0 and the Nyquist mode
         return _irfftn(vh, (self.shape[j],), (j,))

@@ -181,7 +181,7 @@ def test_flow_order_two_under_step_halving(ndim):
     coeff = ModelCoefficients(nu=1.0, eps=0.04)
     g = Grid(tuple(Axis(f"x{i + 1}", 2 * np.pi, 32) for i in range(ndim)),
              Frame.PHYSICAL)
-    X = g.mesh()
+    X = np.broadcast_arrays(*g.mesh())
     rho = Field(g, coeff.rho0 * (1.0 + 0.2 * np.sin(sum(X))))
     v = Field(g, np.stack([0.2 * np.cos(x + i) for i, x in enumerate(X)],
                           axis=-1), ndim)

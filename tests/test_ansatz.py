@@ -91,7 +91,7 @@ def test_npe_correctors_consistency(coeff):
     # chi reads d/dtau of Psi, so the grid carries a tau axis
     g = Grid((Axis("z", 2 * np.pi, 64), Axis("tau", 2 * np.pi, 8)),
              Frame.NPE)
-    z = g.mesh()[0]
+    z = np.broadcast_arrays(*g.mesh())[0]
     xi = Field(g, 0.2 * np.sin(z) + 0.05 * np.cos(3 * z))
     dpsi = Spectral(g).d(_Ctx(g, coeff, {"xi": xi}).field("Psi").arr, 0)
     # xi = -rho0/c dPsi/dz

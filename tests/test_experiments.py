@@ -61,7 +61,7 @@ def test_gaussian_beam_preset():
 def test_polynomial_amplitude_preset_support():
     g = Grid((Axis("tau", 2 * np.pi, 32),
               Axis("y1", 4.0, 16, origin=-2.0)), Frame.KZK)
-    T, Y = g.mesh()
+    T, Y = np.broadcast_arrays(*g.mesh())
     f = preset_profile("polynomial_amplitude", g)
     outside = np.abs(Y) > 1.0
     assert np.all(f.scalar[outside] == 0.0)

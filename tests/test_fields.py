@@ -57,8 +57,9 @@ def test_mesh_shapes():
     g = Grid((Axis("x1", 1.0, 8), Axis("x2", 1.0, 4)), Frame.PHYSICAL)
     m = g.mesh()
     assert len(m) == 2
-    assert m[0].shape == (8, 4)
-    assert m[1].shape == (8, 4)
+    assert m[0].shape == (8, 1)
+    assert m[1].shape == (1, 4)
+    assert np.broadcast(*m).shape == (8, 4)
 
 
 def test_l2_norm_of_sine():

@@ -75,8 +75,8 @@ def test_transform_axes_follow_the_point_maps(src, dst, lead, trans, rng):
             g.shape))
         c, eps = float(rng.uniform(0.2, 5.0)), float(rng.uniform(1e-3, 0.5))
         out = transform_field(f, src, dst, c, eps)
-        source = [m.ravel() for m in g.mesh()]
-        target = [m.ravel() for m in out.grid.mesh()]
+        source = [m.ravel() for m in np.broadcast_arrays(*g.mesh())]
+        target = [m.ravel() for m in np.broadcast_arrays(*out.grid.mesh())]
         period = out.grid.axes[0].length
         for k, i in enumerate(out.scalar.ravel().astype(int)):
             want = snapshot_point(src, dst, [m[i] for m in source], c, eps)

@@ -498,7 +498,8 @@ def test_kzk_refuses_a_source_that_is_not_a_finite_grid_array(coeff, shape,
     # give, a 1D source to fail with an IndexError, a NaN one to stop the
     # march at step 1 and a complex one to fail in the real transform
     g = Grid((Axis("tau", 2 * np.pi, 32), Axis("y1", 2.0, 16)), Frame.KZK)
-    I0 = Field(g, 0.01 * np.sin(g.mesh()[0]))
+    tau, _y = np.broadcast_arrays(*g.mesh())
+    I0 = Field(g, 0.01 * np.sin(tau))
     source = np.ones(shape, dtype=type(bad))
     source.flat[3] = bad
     with pytest.raises(ValueError, match=re.escape(

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import math
 import re
 import weakref
 from fractions import Fraction
@@ -149,6 +151,12 @@ def test_zero_input_gives_zero_remainder(coeff):
     assert res.base == Fraction(2)
     for f in res.fields.values():
         assert f.linf_norm() == 0.0
+    # a term with a negative coefficient grades to -0.0 everywhere, and its
+    # max norm still reads +0.0
+    assert any(t.coeff(coeff) < 0.0
+               for t in term_table("kuznetsov-kzk", g)["model"])
+    for row in res.term_stats:
+        assert row[4] == 0.0 and math.copysign(1.0, row[4]) == 1.0, row
 
 
 def test_missing_input_field_raises(coeff):
@@ -340,6 +348,31 @@ def test_counted_reads_evaluate_each_node_once_bit_for_bit(
     # a count too high leaves a value kept, one too low evaluates it again
     assert ctx._kept == {} and ctx._reads_left == {}
     assert len(ctx.evaluated) == len(set(ctx.evaluated))
+
+
+@pytest.mark.parametrize("pair, variant, name", _READ_CASES)
+def test_each_derivative_is_taken_once(coeff, monkeypatch, pair, variant,
+                                       name):
+    # a Ref with derivatives reads its prefix as a counted node, so no table
+    # takes the same derivative of the same values twice
+    taken = []
+    fd_deriv, spectral_filter = remainders._fd_deriv, Spectral.filter
+
+    def digest(arr):
+        return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).digest()
+
+    def counted_fd(arr, ax, h, order):
+        taken.append(("fd", digest(arr), ax, order))
+        return fd_deriv(arr, ax, h, order)
+
+    def counted_filter(self, v, axis, symbol):
+        taken.append(("filter", digest(v), axis, digest(symbol)))
+        return spectral_filter(self, v, axis, symbol)
+
+    monkeypatch.setattr(remainders, "_fd_deriv", counted_fd)
+    monkeypatch.setattr(Spectral, "filter", counted_filter)
+    evaluate_remainder(pair, coeff, _read_input(pair, name), variant=variant)
+    assert taken and len(taken) == len(set(taken))
 
 
 @pytest.mark.parametrize("pair, variant, name", _READ_CASES)
