@@ -332,27 +332,6 @@ def test_counted_reads_evaluate_each_node_once_bit_for_bit(
         def __init__(self, grid, coeff, inputs, exprs):
             super().__init__(grid, coeff, inputs)
 
-    inputs = _read_input(pair, name)
-    monkeypatch.setattr(remainders, "_Ctx", Counted)
-    got = evaluate_remainder(pair, coeff, inputs, variant=variant)
-    monkeypatch.setattr(remainders, "_Ctx", Recomputing)
-    want = evaluate_remainder(pair, coeff, inputs, variant=variant)
-
-    assert got.term_stats == want.term_stats
-    assert all(row[3] > 0.0 for row in got.term_stats)
-    assert got.margins == want.margins
-    assert set(got.fields) == set(want.fields)
-    for comp, f in got.fields.items():
-        assert f.values.tobytes() == want.fields[comp].values.tobytes(), comp
-    (ctx,) = made
-    # a count too high leaves a value kept, one too low evaluates it again
-    assert ctx._kept == {} and ctx._reads_left == {}
-    assert len(ctx.evaluated) == len(set(ctx.evaluated))
-
-
-@pytest.mark.parametrize("pair, variant, name", _READ_CASES)
-def test_each_derivative_is_taken_once(coeff, monkeypatch, pair, variant,
-                                       name):
     # a Ref with derivatives reads its prefix as a counted node, so no table
     # takes the same derivative of the same values twice
     taken = []
@@ -369,9 +348,26 @@ def test_each_derivative_is_taken_once(coeff, monkeypatch, pair, variant,
         taken.append(("filter", digest(v), axis, digest(symbol)))
         return spectral_filter(self, v, axis, symbol)
 
+    inputs = _read_input(pair, name)
+    monkeypatch.setattr(remainders, "_Ctx", Counted)
     monkeypatch.setattr(remainders, "_fd_deriv", counted_fd)
     monkeypatch.setattr(Spectral, "filter", counted_filter)
-    evaluate_remainder(pair, coeff, _read_input(pair, name), variant=variant)
+    got = evaluate_remainder(pair, coeff, inputs, variant=variant)
+    monkeypatch.setattr(remainders, "_fd_deriv", fd_deriv)
+    monkeypatch.setattr(Spectral, "filter", spectral_filter)
+    monkeypatch.setattr(remainders, "_Ctx", Recomputing)
+    want = evaluate_remainder(pair, coeff, inputs, variant=variant)
+
+    assert got.term_stats == want.term_stats
+    assert all(row[3] > 0.0 for row in got.term_stats)
+    assert got.margins == want.margins
+    assert set(got.fields) == set(want.fields)
+    for comp, f in got.fields.items():
+        assert f.values.tobytes() == want.fields[comp].values.tobytes(), comp
+    (ctx,) = made
+    # a count too high leaves a value kept, one too low evaluates it again
+    assert ctx._kept == {} and ctx._reads_left == {}
+    assert len(ctx.evaluated) == len(set(ctx.evaluated))
     assert taken and len(taken) == len(set(taken))
 
 

@@ -1,16 +1,17 @@
 """Run alternating benchmark pairs of two checkouts and write their record.
 
     python tools/pairs.py PARENT CHANGE --label LABEL [--workload W ...]
-        [--pairs N] [--seconds S] [--what TEXT]
+        [--pairs N] [--what TEXT]
 
 PARENT and CHANGE are the roots of two checkouts of nlparax, each a clone of
 its commit.  For every workload (by default each that BENCHMARK.json lists)
-and every pair index n from 0 to N - 1 (10 pairs by default), each side runs
+and every pair index n from 0 to N - 1 (N at least 10, the fewest pairs that
+can show a gain; 10 by default), each side runs
 
     python3 perfbench/run.py --workload W --seed n --seconds S --trace 0
 
 from its own root, the parent first on even n and the change first on odd
-n, one run at a time; S defaults to BENCHMARK.json's `run_seconds`.  For
+n, one run at a time; S is BENCHMARK.json's `run_seconds`.  For
 each workload and end-to-end metric the script prints both sides' median
 and quartiles and the number of pairs in which the change reads lower, and
 it writes them with every run's value to `BENCH_<LABEL>.json` at the root
@@ -30,6 +31,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+MIN_PAIRS = 10
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -119,18 +121,18 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("change")
     p.add_argument("--label", required=True)
     p.add_argument("--workload", action="append", choices=workloads)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--what", default="")
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2 to give quartiles")
+    if args.pairs < MIN_PAIRS:
+        p.error(f"--pairs must be at least {MIN_PAIRS}")
+    seconds = bench["run_seconds"]
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
 
     record = {
         "command": ("python3 perfbench/run.py --workload W --seed N "
-                    f"--seconds {args.seconds:g} --trace 0"),
+                    f"--seconds {seconds:g} --trace 0"),
         "commits": {side: commit(roots[side]) for side in SIDES},
         "label": args.label,
         "machine": machine(),
@@ -138,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     for workload in args.workload or workloads:
-        result = run_workload(roots, workload, args.pairs, args.seconds)
+        result = run_workload(roots, workload, args.pairs, seconds)
         record["workloads"][workload] = result
         for metric, row in result["pairs"].items():
             print(f"{workload} {metric}: " + "  ".join(
