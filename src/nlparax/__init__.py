@@ -36,7 +36,6 @@ from .remainders import RemainderResult, evaluate_remainder, term_table
 from .experiments import (
     ExperimentConfig,
     Report,
-    decay_fit,
     emit_report,
     gronwall_envelope_check,
     l2_error,
@@ -77,7 +76,6 @@ __all__ = [
     "scaling_study",
     "l2_error",
     "gronwall_envelope_check",
-    "decay_fit",
     "emit_report",
     "preset_profile",
     "__version__",

@@ -7,8 +7,7 @@ its `_STUDIES` row states, which also lists the dims the study runs in:
   * slope studies gate the median slope of log(error) vs log(eps) at fixed
     times on grading - horizon exponent - 0.2; ns-kuznetsov also bounds
     error/eps at its horizon, and alone takes a delta perturbation,
-  * kuznetsov-kzk fits Gronwall envelopes up to z = horizon, never horizon/eps,
-  * `decay_fit` fits exponential decay rates of viscous one-way trajectories.
+  * kuznetsov-kzk fits Gronwall envelopes up to z = horizon, never horizon/eps.
 
 Horizons of the form C/eps use one C across the sweep, sized so the coarsest
 eps fits the step heuristics.  Each member's horizon is a whole number of
@@ -107,7 +106,6 @@ __all__ = [
     "Report",
     "band_limited_perturbation",
     "config_hash",
-    "decay_fit",
     "emit_report",
     "gronwall_envelope_check",
     "l2_error",
@@ -419,27 +417,6 @@ def gronwall_envelope_check(z, errors, eps: float, tag: str = "envelope") -> dic
     return {"tag": tag, "eps": float(eps), "C1": C1, "C2": C2,
             "passed": bool(max_ratio <= 1.1), "max_ratio": max_ratio,
             "detail": f"max measured/envelope ratio {max_ratio:.4f}"}
-
-
-def decay_fit(coeff: ModelCoefficients, trajectory) -> dict:
-    """Log-linear decay-rate fit of a viscous one-way trajectory.
-
-    Fits log ||state||_L2 against the evolution variable; passes when the
-    rate is negative and the fit residual stays within 10% of the dynamic
-    range.
-    """
-    if coeff.nu <= 0.0:
-        raise ValueError("decay_fit needs a viscous trajectory (nu > 0)")
-    if len(trajectory) < 3:
-        raise ValueError("need at least 3 samples")
-    zs_a = np.array([float(s.evol) for s in trajectory])
-    ys_a = np.array([math.log(s.primary.l2_norm()) for s in trajectory])
-    rate, intercept = np.polyfit(zs_a, ys_a, 1)
-    resid = float(np.sqrt(np.mean((ys_a - (rate * zs_a + intercept)) ** 2)))
-    span = float(np.max(ys_a) - np.min(ys_a))
-    passed = bool(rate < 0.0 and resid <= 0.1 * max(span, 1e-300))
-    return {"rate": float(rate), "intercept": float(intercept),
-            "residual": resid, "dynamic_range": span, "passed": passed}
 
 
 # ----------------------------------------------------------------------

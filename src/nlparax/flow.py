@@ -16,7 +16,10 @@ carries the density in physical space, where the positivity checks read it,
 and the velocity as its spectrum: each stage transforms v back and rho v, p
 and its momentum tendency forward once, and the velocity returns to
 physical space only at the samples the march returns.  The transforms of
-one direction in a stage go through the spectral core in one call.
+one direction in a stage go through the spectral core in one call: the
+velocity's derivatives and the fluxes as stacks that it fills when it
+reaches them, and div(rho v) and grad p formed in place of the flux
+spectra they read.
 
 Entropy diagnostics use the convex pair
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,7 +119,7 @@ class _FlowStepper:
     A march builds it for the member rows it steps, from one eps and one
     step size per row, and again for the survivors.  The carried state is
     (rho, vh): the density, and the spectrum of the velocity.  Each stage
-    makes two calls each way, each on one block of rows: v and its
+    makes two calls each way, each on the stacks of one block: v and its
     derivatives back to physical space, rho v and p forward, their
     derivatives back, and the velocity tendency forward.
     Velocities travel stacked, one component per leading index.
@@ -143,13 +147,9 @@ class _FlowStepper:
     def _velocity_fields(self, vh: np.ndarray) -> np.ndarray:
         """grad v (one stack per axis), Lap v and v, from the spectrum vh in
         one inverse call."""
-        ik = self.sp.ik
-        block = np.empty((len(ik) + 2, *vh.shape), complex)
-        for j, k in enumerate(ik):
-            np.multiply(k, vh, out=block[j])
-        np.multiply(self.neg_ksq, vh, out=block[-2])
-        block[-1] = vh
-        return self.sp.ifft(block)
+        sp = self.sp
+        return sp.ifft([*(partial(np.multiply, k, vh) for k in sp.ik),
+                        partial(np.multiply, self.neg_ksq, vh), vh], vh.shape)
 
     def _tendency(self, rho: np.ndarray, fields: np.ndarray):
         """div(rho v), dealiased, and the spectrum of dv/dt, at rho and the
@@ -158,10 +158,10 @@ class _FlowStepper:
         coeff, sp, keep, ik = self.coeff, self.sp, self.keep, self.sp.ik
         nd = self.ndim
         v, dv = fields[-1], fields[:nd]
-        # rows: rho v (one per axis) and p
-        flux = np.empty((nd + 1, *rho.shape))
-        np.multiply(rho, v, out=flux[:nd])
-        flux[nd] = _pressure(coeff, rho)
+        # stacks: rho v (one row per axis) and p
+        spectra = sp.fft([*(partial(np.multiply, rho, vj) for vj in v),
+                          lambda out: np.copyto(out, _pressure(coeff, rho))],
+                         rho.shape)
         # the advection and viscous terms, formed in place as the sum below
         # would form them, so that v and its derivatives need no copies
         for j in range(nd):
@@ -170,17 +170,20 @@ class _FlowStepper:
         lap = fields[nd]
         lap *= self.visc
         lap *= 1.0 / rho - self.inv_rho0
-        spectra = sp.fft(flux)
-        del flux
-        mh, ph = spectra[:nd], spectra[nd]
-        # rows: the dealiased div(rho v), and grad p (one per axis)
-        block = np.empty((nd + 1, *ph.shape), complex)
-        np.multiply(keep, sum(k * m for k, m in zip(ik, mh)), out=block[0])
+        # the dealiased div(rho v) and grad p (one per axis), formed in place
+        # of the spectra they read, so that the inverse call holds no other
+        # input; div as sum() forms it, from the int 0, which turns a -0.0
+        # product into +0.0
+        div, ph = spectra[0], spectra[nd]
+        div *= ik[0]
+        div += 0
+        for j in range(1, nd):
+            div += ik[j] * spectra[j]
+        div *= keep
         for j, k in enumerate(ik):
-            np.multiply(k, ph, out=block[1 + j])
-        del spectra, mh, ph
-        div_dp = sp.ifft(block)
-        del block
+            np.multiply(k, ph, out=spectra[1 + j])
+        div_dp = sp.ifft(spectra)
+        del spectra, div, ph
         div_m, acc = div_dp[0], div_dp[1:]
         # -grad p / rho
         acc = np.negative(acc, out=acc)

@@ -307,12 +307,12 @@ def march(build, rows, label: str, wrap) -> list:
 def _transform(stepper, arrays: tuple, op) -> tuple:
     """The arrays with all but the leading `stepper.physical` (0 when the
     stepper declares none) passed through op, Spectral.fft or ifft, in one
-    call: a lone array as it is, several stacked."""
+    call: a lone array as it is, several as the stacks of one block."""
     kept = getattr(stepper, "physical", 0)
     head, rest = arrays[:kept], arrays[kept:]
     if len(rest) == 1:
         return (*head, op(rest[0]))
-    return (*head, *op(np.stack(rest)))
+    return (*head, *op(rest, rest[0].shape))
 
 
 def _batch_limit(ref_norm: float) -> float:

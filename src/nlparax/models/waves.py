@@ -9,7 +9,7 @@ midpoint rule with dealiased products.  The march carries the spectra of
 multiplies and transforms each midpoint stage's products once, and the
 state returns to physical space only at the samples the march returns.  The
 transforms that one direction of a stage needs at once go through the
-spectral core in one call.
+spectral core in one call, as stacks that it fills when it reaches them.
 
 Kuznetsov:   u_tt - c^2 Lap u = eps d/dt( (grad u)^2
                                           + (gamma-1)/(2 c^2) (u_t)^2
@@ -24,6 +24,8 @@ a = (gamma+1)/c^2 (Westervelt, no gradient term).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -77,11 +79,10 @@ class _WaveStepper:
     A march builds it for the member rows it steps, from one eps and one
     step size per row, and again for the survivors.  The carried state is
     the spectra (uh, wh) of (u, w): a step runs both half-step propagations
-    and the midpoint stages on them.  A stage fills one block with the
-    spectra of grad w (and grad u on the first stage), w and the linear
-    tendency, and makes one inverse call on it; then a forward and an
-    inverse call for the gradient product, and a forward call for the
-    rest.
+    and the midpoint stages on them.  A stage makes one inverse call on
+    the stacks of the spectra of grad w (and grad u on the first stage), w
+    and the linear tendency; then a forward and an inverse call for the
+    gradient product, and a forward call for the rest.
     """
 
     def __init__(self, sp: Spectral, coeff: ModelCoefficients, eps, dt,
@@ -106,10 +107,9 @@ class _WaveStepper:
         self.eps_a = eps * a_local
         self.half_dt = (0.5 * dt).astype(complex)
         self.full_dt = dt.astype(complex)
-        # a stage's transform inputs, one row each: grad u and grad w when
-        # b_grad != 0, then w and the linear tendency
+        # the gradient stacks of a stage's inverse call: grad u and grad w
+        # when b_grad != 0
         self.grads = ndim if b_grad != 0.0 else 0
-        self.rows = 2 * self.grads + 2
 
     def _propagate(self, uh: np.ndarray, wh: np.ndarray):
         u = self.e11 * uh
@@ -127,16 +127,16 @@ class _WaveStepper:
         each member row, when the factor 1 - eps*a*w that the u_t u_tt term
         divides by is not positive everywhere in that row."""
         sp, ik, grads = self.sp, self.sp.ik, self.grads
-        block = np.empty((self.rows, *uh.shape), complex)
-        for j in range(grads):
-            if du is None:
-                np.multiply(ik[j], uh, out=block[j])
-            np.multiply(ik[j], wh, out=block[grads + j])
-        block[-2] = wh
-        lin_h = np.multiply(self.lin_u, uh, out=block[-1])
-        lin_h += self.lin_w * wh
-        fields = sp.ifft(block[0 if du is None else grads:])
-        del block  # freed before the products below
+
+        def lin_h(out):
+            np.multiply(self.lin_u, uh, out=out)
+            out += self.lin_w * wh
+
+        # stacks: grad u (on the first stage) and grad w, then w and the
+        # linear tendency
+        fields = sp.ifft([*(partial(np.multiply, k, f)
+                            for f in ((uh, wh) if du is None else (wh,))
+                            for k in ik[:grads]), wh, lin_h], uh.shape)
         if du is None:
             # a copy, so that the next stage does not keep all of fields
             du, fields = fields[:grads].copy(), fields[grads:]

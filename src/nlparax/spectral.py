@@ -5,10 +5,14 @@ of the solvers, correctors, remainders and error norms goes through one
 grid-bound `Spectral`, which caches its symbols (wavenumbers, multipliers,
 masks) on first use.  This is the only module that calls `numpy.fft`.
 Arrays carry the grid's axes last; leading axes (a stack of components, say)
-ride along.  `fft`/`ifft` take one array whose leading axes are rows, such
-as a block that a stepper fills with the transforms of one stage: one
-numpy call on a 1D grid, and row by row on more axes.  An operator along a
-bounded axis raises a ValueError naming it.
+ride along.  `fft`/`ifft` take one array whose leading axes are rows, or
+the inputs of one stage of a stepper as a list of stacks of one shape, each
+an array or a fill(out) that writes one.  On a 1D grid the stacks are
+filled into one block and every row goes through one numpy call.  On more
+axes a stack is filled only when the transform reaches it, after the one
+before it is transformed row by row into the output: a stage holds one
+stack's input at a time, not the block.  An operator along a bounded axis
+raises a ValueError naming it.
 Callers pass arrays: there are no Field-level wrappers.
 """
 
@@ -30,31 +34,66 @@ def _check_periodic(axis: Axis) -> None:
                          "operators require a periodic axis")
 
 
-def _forward(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """rfftn of v over axes, the last axes of v; its leading axes are rows.
-    On one axis, or for one row, that is one numpy call per axis.  On
-    several the rows go one at a time, for memory: that holds one row's
-    intermediate at a time.  One call per axis over the block ran faster
+def _forward(v, axes: tuple[int, ...], shape=None) -> np.ndarray:
+    """rfftn over axes, the last axes, of v: an array whose leading axes are
+    rows, or, when shape is given, the stacks of a block whose first axis
+    is the stack, each an array of that shape or a fill(out) that writes
+    one into out.  On one axis the stacks are filled into one block and
+    every row goes through one numpy call per axis.  On more the rows go
+    one at a time into the output, for memory, and a stack is filled only
+    once every row of the one before it is transformed, into one buffer
+    that they share: that holds one stack's input and one row's
+    intermediates at a time.  One call per axis over the block ran faster
     once its pages were mapped, but raised the peak resident set."""
-    grid = v.shape[-len(axes):]
-    if len(axes) == 1 or v.size == math.prod(grid):
-        return _rfftn(v, axes)
+    grid = (v.shape if shape is None else shape)[-len(axes):]
     spectrum = grid[:-1] + (grid[-1] // 2 + 1,)
-    out = np.empty(v.shape[:-len(axes)] + spectrum, complex)
-    for row, vh in zip(v.reshape(-1, *grid), out.reshape(-1, *spectrum)):
-        vh[...] = _rfftn(row, axes)
+    return _stream(v, shape, grid, spectrum, float, complex,
+                   lambda row: _rfftn(row, axes))
+
+
+def _inverse(vh, sizes, axes: tuple[int, ...], shape=None) -> np.ndarray:
+    """irfftn over axes of vh back to the given sizes, vh being an array
+    or the stacks of a block as in _forward."""
+    spectrum = (vh.shape if shape is None else shape)[-len(axes):]
+    return _stream(vh, shape, spectrum, tuple(sizes), complex, float,
+                   lambda row: _irfftn(row, sizes, axes))
+
+
+def _stream(v, shape, grid: tuple, out_grid: tuple, dtype, out_dtype,
+            op) -> np.ndarray:
+    """The loop of _forward and _inverse: op, a transform of one row from
+    grid to out_grid, over v, whose stacks (when shape is given) hold
+    dtype."""
+    if shape is None:
+        if len(grid) == 1 or v.size == math.prod(grid):
+            return op(v)
+        stacks, shape, lead = (v,), v.shape, ()
+    elif len(grid) == 1:
+        block = np.empty((len(v), *shape), dtype)
+        for stack, into in zip(v, block):
+            _fill(stack, into)
+        return op(block)
+    else:
+        stacks, lead = v, (len(v),)
+    out = np.empty(lead + shape[:-len(grid)] + out_grid, out_dtype)
+    into = None
+    for stack, rows in zip(stacks, out.reshape(len(stacks), -1, *out_grid)):
+        if callable(stack):
+            if into is None:
+                into = np.empty(shape, dtype)
+            stack = _fill(stack, into)
+        for row, done in zip(stack.reshape(-1, *grid), rows):
+            done[...] = op(row)
     return out
 
 
-def _inverse(vh: np.ndarray, sizes, axes: tuple[int, ...]) -> np.ndarray:
-    """irfftn of vh over axes back to the given sizes; see _forward."""
-    spectrum = vh.shape[-len(axes):]
-    if len(axes) == 1 or vh.size == math.prod(spectrum):
-        return _irfftn(vh, sizes, axes)
-    out = np.empty(vh.shape[:-len(axes)] + tuple(sizes))
-    for row, v in zip(vh.reshape(-1, *spectrum), out.reshape(-1, *sizes)):
-        v[...] = _irfftn(row, sizes, axes)
-    return out
+def _fill(stack, into: np.ndarray) -> np.ndarray:
+    """into, holding the stack: an array, or a fill(out) that writes it."""
+    if callable(stack):
+        stack(into)
+    else:
+        into[...] = stack
+    return into
 
 
 def _rfftn(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -141,14 +180,20 @@ class Spectral:
         """|k|^2 in the layout of `fft`."""
         return sum(k**2 for k in self.k)
 
-    def fft(self, v: np.ndarray) -> np.ndarray:
-        """Spectrum of v over every axis of the grid; the leading axes of v
-        are rows, transformed in one numpy call on a 1D grid."""
-        return _forward(v, self._axes)
+    def fft(self, v, shape=None) -> np.ndarray:
+        """Spectrum of v over every axis of the grid.  v is an array whose
+        leading axes are rows, or, when shape is given, a sequence of
+        stacks, each an array of that shape or a fill(out) that writes one:
+        the spectrum is then that of the block they stack into, whose first
+        axis is the stack.  On a 1D grid every row goes through one numpy
+        call; on more axes a stack is filled only when the transform
+        reaches it."""
+        return _forward(v, self._axes, shape)
 
-    def ifft(self, vh: np.ndarray) -> np.ndarray:
-        """Inverse of `fft`, with the leading axes of vh as rows."""
-        return _inverse(vh, self.shape, self._axes)
+    def ifft(self, vh, shape=None) -> np.ndarray:
+        """Inverse of `fft`: vh is a spectrum whose leading axes are rows,
+        or, when shape is given, a sequence of stacks of spectra."""
+        return _inverse(vh, self.shape, self._axes, shape)
 
     def sum_sq(self, v: np.ndarray) -> float:
         """Sum of squares over the grid of a real array, or, for a spectrum

@@ -22,7 +22,6 @@ from nlparax import (
     emit_report,
     entropy_hessian,
     evaluate_remainder,
-    decay_fit,
     preset_profile,
     scaling_study,
     solve_flow,
@@ -34,6 +33,7 @@ from nlparax.remainders import _fd_deriv
 from nlparax.spectral import Spectral
 
 from frame_maps import kzk_npe_bijection
+from test_experiments import decay_fit
 
 C_REF = ModelCoefficients(c=1.3, rho0=0.9, gamma=1.4, nu=0.2, eps=0.05)
 

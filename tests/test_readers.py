@@ -24,8 +24,6 @@ NO_PROGRAM_READER = {
     # the entropy with its flux, which the tests check for positivity; the
     # admissibility check reads the entropy alone
     "nlparax.flow.entropy_pair",
-    # the viscous-decay acceptance check
-    "nlparax.experiments.decay_fit",
     # the reference that tests compare every stepper's dealiasing against
     "nlparax.spectral.Spectral.dealias",
 }

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -263,6 +264,47 @@ def test_batched_transforms_equal_one_at_a_time(rng, points):
     assert back.shape == block.shape
     for vh, v in zip(rows, back.reshape(-1, *points), strict=True):
         assert np.array_equal(v, sp.ifft(vh))
+
+
+@pytest.mark.parametrize("points", [(64,), (32, 16), (8, 6, 4)],
+                         ids=["64", "32x16", "8x6x4"])
+def test_filled_stacks_transform_as_their_block(rng, monkeypatch, points):
+    # stacks, given as fills or as arrays, come back as the transform of the
+    # block they stack into, bit for bit.  On one axis they are filled first
+    # and go through one numpy call; on more, stack i is filled only once
+    # every row of stack i - 1 is transformed.
+    sp = Spectral(_periodic_grid(*points))
+    shape = (2, 3, *points)  # a component axis, then a member axis
+    block = rng.standard_normal((4, *shape))
+    events = []
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        def counted(*args, _op=getattr(np.fft, name), **kw):
+            events.append("transform")
+            return _op(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def fill(i, stack):
+        def into(out):
+            events.append(f"fill {i}")
+            np.copyto(out, stack)
+        return into
+
+    rows = math.prod(shape[:2])
+    for op, data in ((sp.fft, block), (sp.ifft, sp.fft(block))):
+        expect = op(data)
+        events.clear()
+        stacks = [fill(i, stack) for i, stack in enumerate(data)]
+        stacks[1] = data[1]  # an array stack goes as it is
+        got = op(stacks, data.shape[1:])
+        assert got.dtype == expect.dtype
+        assert np.array_equal(got, expect)
+        if len(points) == 1:
+            assert events == ["fill 0", "fill 2", "fill 3", "transform"]
+        else:
+            assert events == [
+                event for i in range(len(data))
+                for event in ([f"fill {i}"] if i != 1 else [])
+                + ["transform"] * (rows * len(points))]
 
 
 def test_one_numpy_call_per_transform_on_a_1d_grid(monkeypatch):

@@ -13,10 +13,11 @@ can show a gain; 10 by default), each side runs
 from its own root, the parent first on even n and the change first on odd
 n, one run at a time; S is BENCHMARK.json's `run_seconds`.  For
 each workload and end-to-end metric the script prints both sides' median
-and quartiles and the number of pairs in which the change reads lower, and
-it writes them with every run's value to `BENCH_<LABEL>.json` at the root
-of this checkout, in the layout of `BENCH_pr24.json` to `BENCH_pr34.json`.
-Quartiles interpolate linearly between order statistics.
+and quartiles, the number of pairs in which the change reads lower, and
+the verdict of the pairs (see `verdict`), and it writes them with every
+run's value to `BENCH_<LABEL>.json` at the root of this checkout, in the
+layout of `BENCH_pr24.json` to `BENCH_pr34.json` plus each metric's
+`verdict`.  Quartiles interpolate linearly between order statistics.
 """
 
 from __future__ import annotations
@@ -54,6 +55,23 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "n": len(values), "q1": q1, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float]) -> str:
+    """What paired runs of one metric, lower being better, show: "gain"
+    when the change reads lower in at least nine tenths of the pairs, ties
+    counting for neither, and its median is lower than the parent's by
+    more than the parent's interquartile range; "loss" when the same holds
+    with the change higher; "unresolved" otherwise."""
+    need = -(-9 * len(parent) // 10)
+    base = spread(parent)
+    iqr = base["q3"] - base["q1"]
+    gap = base["median"] - spread(change)["median"]
+    if sum(c < p for p, c in zip(parent, change)) >= need and gap > iqr:
+        return "gain"
+    if sum(c > p for p, c in zip(parent, change)) >= need and -gap > iqr:
+        return "loss"
+    return "unresolved"
+
+
 def run_workload(roots: dict, workload: str, pairs: int,
                  seconds: float) -> dict:
     runs: dict = {side: [] for side in SIDES}
@@ -83,6 +101,7 @@ def run_workload(roots: dict, workload: str, pairs: int,
             "change_runs": values["change"],
             "parent": spread(values["parent"]),
             "parent_runs": values["parent"],
+            "verdict": verdict(values["parent"], values["change"]),
         }
     correct = all(r["correct"] and r["failed"] == 0
                   for side in SIDES for r in runs[side])
@@ -147,7 +166,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{side} {row[side]['median']:.4g} "
                 f"[{row[side]['q1']:.4g}, {row[side]['q3']:.4g}]"
                 for side in SIDES)
-                + f"  change lower in {row['change_lower']} of {args.pairs}")
+                + f"  change lower in {row['change_lower']} of {args.pairs}"
+                + f"  {row['verdict']}")
         print(f"{workload} all correct: {result['all_correct']}")
 
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
