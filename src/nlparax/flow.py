@@ -147,9 +147,9 @@ class _FlowStepper:
     def _velocity_fields(self, vh: np.ndarray) -> np.ndarray:
         """grad v (one stack per axis), Lap v and v, from the spectrum vh in
         one inverse call."""
-        sp = self.sp
-        return sp.ifft([*(partial(np.multiply, k, vh) for k in sp.ik),
-                        partial(np.multiply, self.neg_ksq, vh), vh], vh.shape)
+        stacks = [partial(np.multiply, k, vh)
+                  for k in (*self.sp.ik, self.neg_ksq)]
+        return self.sp.ifft(stacks + [vh], vh.shape)
 
     def _tendency(self, rho: np.ndarray, fields: np.ndarray):
         """div(rho v), dealiased, and the spectrum of dv/dt, at rho and the
@@ -158,10 +158,10 @@ class _FlowStepper:
         coeff, sp, keep, ik = self.coeff, self.sp, self.keep, self.sp.ik
         nd = self.ndim
         v, dv = fields[-1], fields[:nd]
-        # stacks: rho v (one row per axis) and p
-        spectra = sp.fft([*(partial(np.multiply, rho, vj) for vj in v),
-                          lambda out: np.copyto(out, _pressure(coeff, rho))],
-                         rho.shape)
+        # stacks: rho v (one per axis) and p
+        stacks = [partial(np.multiply, rho, vj) for vj in v]
+        stacks.append(lambda out: np.copyto(out, _pressure(coeff, rho)))
+        spectra = sp.fft(stacks, rho.shape)
         # the advection and viscous terms, formed in place as the sum below
         # would form them, so that v and its derivatives need no copies
         for j in range(nd):

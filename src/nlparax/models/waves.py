@@ -134,9 +134,10 @@ class _WaveStepper:
 
         # stacks: grad u (on the first stage) and grad w, then w and the
         # linear tendency
-        fields = sp.ifft([*(partial(np.multiply, k, f)
-                            for f in ((uh, wh) if du is None else (wh,))
-                            for k in ik[:grads]), wh, lin_h], uh.shape)
+        stacks = [partial(np.multiply, k, f)
+                  for f in ((uh, wh) if du is None else (wh,))
+                  for k in ik[:grads]]
+        fields = sp.ifft(stacks + [wh, lin_h], uh.shape)
         if du is None:
             # a copy, so that the next stage does not keep all of fields
             du, fields = fields[:grads].copy(), fields[grads:]

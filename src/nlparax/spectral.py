@@ -39,40 +39,51 @@ def _forward(v, axes: tuple[int, ...], shape=None) -> np.ndarray:
     rows, or, when shape is given, the stacks of a block whose first axis
     is the stack, each an array of that shape or a fill(out) that writes
     one into out.  On one axis the stacks are filled into one block and
-    every row goes through one numpy call per axis.  On more the rows go
-    one at a time into the output, for memory, and a stack is filled only
-    once every row of the one before it is transformed, into one buffer
-    that they share: that holds one stack's input and one row's
-    intermediates at a time.  One call per axis over the block ran faster
-    once its pages were mapped, but raised the peak resident set."""
+    every row goes through one numpy call.  On more the rows go one at a
+    time into the output, for memory, and a stack is filled only once every
+    row of the one before it is transformed, into one buffer that they
+    share: that holds one stack's input and one row's intermediates at a
+    time.  One call per axis over the block ran faster once its pages were
+    mapped, but raised the peak resident set."""
+    if len(axes) == 1:
+        return _rfftn(v if shape is None else _block(v, shape, float), axes)
     grid = (v.shape if shape is None else shape)[-len(axes):]
     spectrum = grid[:-1] + (grid[-1] // 2 + 1,)
-    return _stream(v, shape, grid, spectrum, float, complex,
-                   lambda row: _rfftn(row, axes))
+    return _rows(v, shape, grid, spectrum, float, complex,
+                 lambda row: _rfftn(row, axes))
 
 
 def _inverse(vh, sizes, axes: tuple[int, ...], shape=None) -> np.ndarray:
     """irfftn over axes of vh back to the given sizes, vh being an array
     or the stacks of a block as in _forward."""
+    if len(axes) == 1:
+        return _irfftn(vh if shape is None else _block(vh, shape, complex),
+                       sizes, axes)
     spectrum = (vh.shape if shape is None else shape)[-len(axes):]
-    return _stream(vh, shape, spectrum, tuple(sizes), complex, float,
-                   lambda row: _irfftn(row, sizes, axes))
+    return _rows(vh, shape, spectrum, tuple(sizes), complex, float,
+                 lambda row: _irfftn(row, sizes, axes))
 
 
-def _stream(v, shape, grid: tuple, out_grid: tuple, dtype, out_dtype,
-            op) -> np.ndarray:
-    """The loop of _forward and _inverse: op, a transform of one row from
-    grid to out_grid, over v, whose stacks (when shape is given) hold
-    dtype."""
+def _block(stacks, shape, dtype) -> np.ndarray:
+    """The block of the stacks, as _forward takes them, of that shape."""
+    block = np.empty((len(stacks), *shape), dtype)
+    for stack, into in zip(stacks, block):
+        if callable(stack):
+            stack(into)
+        else:
+            into[...] = stack
+    return block
+
+
+def _rows(v, shape, grid: tuple, out_grid: tuple, dtype, out_dtype,
+          op) -> np.ndarray:
+    """The row loop of _forward and _inverse on more than one axis: op, a
+    transform of one row from grid to out_grid, over v, whose stacks (when
+    shape is given) hold dtype."""
     if shape is None:
-        if len(grid) == 1 or v.size == math.prod(grid):
+        if v.size == math.prod(grid):
             return op(v)
         stacks, shape, lead = (v,), v.shape, ()
-    elif len(grid) == 1:
-        block = np.empty((len(v), *shape), dtype)
-        for stack, into in zip(v, block):
-            _fill(stack, into)
-        return op(block)
     else:
         stacks, lead = v, (len(v),)
     out = np.empty(lead + shape[:-len(grid)] + out_grid, out_dtype)
@@ -81,19 +92,11 @@ def _stream(v, shape, grid: tuple, out_grid: tuple, dtype, out_dtype,
         if callable(stack):
             if into is None:
                 into = np.empty(shape, dtype)
-            stack = _fill(stack, into)
+            stack(into)
+            stack = into
         for row, done in zip(stack.reshape(-1, *grid), rows):
             done[...] = op(row)
     return out
-
-
-def _fill(stack, into: np.ndarray) -> np.ndarray:
-    """into, holding the stack: an array, or a fill(out) that writes it."""
-    if callable(stack):
-        stack(into)
-    else:
-        into[...] = stack
-    return into
 
 
 def _rfftn(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
