@@ -9,7 +9,7 @@ differences.  Finite-difference applications wrap around, so each result
 carries a per-axis margin of edge points to discard.
 
 Pairs and the base fields they need (a `_PAIR_TABLE` row names the one the
-CLI passes, the variants, the grading, the frame and the table builder):
+CLI passes, the grading, the frame and the table builder):
 
   ns-kuznetsov           u(t, x...)            -> mass + momentum per x axis
   ns-kzk                 Phi or I (tau, z, y)  -> mass + axial + transverse
@@ -42,8 +42,11 @@ rule writes d_i per component:
   NPE        d_x1 = d_z           at +0;            d_xa = d_ya at +1/2
 
 The outer derivative folds into a Ref's derivatives and wraps any other
-node in a Deriv.  The printed ns-kzk table keeps one slip no rule writes:
-the range part of J d_x1(b1) without its outer derivative.
+node in a Deriv.
+
+Each pair has one table, and each table closes exactly against the pair's
+full system: tests/test_symbolic.py expands both in computer algebra.  Where
+the paper's printed remainders differ, that module states the difference.
 """
 
 from __future__ import annotations
@@ -218,9 +221,9 @@ def _state_law(r1: str, r2: str) -> list[_Grad]:
 # term tables
 
 
-def _ns_kuznetsov_mass(xs: Sequence[str], variant: str) -> list[Term]:
+def _ns_kuznetsov_mass(xs: Sequence[str]) -> list[Term]:
     u_t = _R("u", ("t", 1))
-    terms = [
+    return [
         Term("mass-e3-ut-dt-ut2", Fraction(3),
              lambda C: C.rho0 * (C.gamma - 2.0) / (2.0 * C.c**6),
              _P(u_t, Deriv(_P(u_t, u_t), "t"))),
@@ -234,50 +237,33 @@ def _ns_kuznetsov_mass(xs: Sequence[str], variant: str) -> list[Term]:
              lambda C: -1.0, _dot("rho2", (), "u", (), xs)),
         Term("mass-e3-rho2-lap", Fraction(3),
              lambda C: -1.0, _P(_R("rho2"), _lap("u", xs))),
-    ]
-    if variant != "consistent":
-        terms += [
-            Term("mass-e3-ut-lap", Fraction(3),
-                 lambda C: -C.rho0 / C.c**2,
-                 _P(u_t, _lap("u", xs))),
-            Term("mass-e4-ut-gradrho2-gradu", Fraction(4),
-                 lambda C: 1.0 / C.c**2,
-                 _P(u_t, _dot("rho2", (), "u", (), xs))),
-            Term("mass-e4-ut-rho2-lap", Fraction(4),
-                 lambda C: 1.0 / C.c**2,
-                 _P(u_t, _R("rho2"), _lap("u", xs))),
-        ]
-    else:
         # the operator identity closes with + (rho0/c^4)(u_t)^2 Lap u at
         # eps^3 and (rho0/c^6)(u_t)^2 d_t N at eps^4, N being the full
         # nonlinear right side of the wave model
-        terms += [
-            Term("mass-e3-ut2-lap", Fraction(3),
-                 lambda C: C.rho0 / C.c**4,
-                 _P(u_t, u_t, _lap("u", xs))),
-            Term("mass-e4-ut2-dt-gradsq", Fraction(4),
-                 lambda C: C.rho0 / C.c**6,
-                 _P(u_t, u_t, Deriv(_grad_sq("u", xs), "t"))),
-            Term("mass-e4-ut2-dt-ut2", Fraction(4),
-                 lambda C: C.rho0 * (C.gamma - 1.0) / (2.0 * C.c**8),
-                 _P(u_t, u_t, Deriv(_P(u_t, u_t), "t"))),
-            Term("mass-e4-ut2-dtlap", Fraction(4),
-                 lambda C: C.nu / C.c**6,
-                 _P(u_t, u_t, _lap("u", xs, extra=(("t", 1),)))),
-        ]
-    return terms
+        Term("mass-e3-ut2-lap", Fraction(3),
+             lambda C: C.rho0 / C.c**4,
+             _P(u_t, u_t, _lap("u", xs))),
+        Term("mass-e4-ut2-dt-gradsq", Fraction(4),
+             lambda C: C.rho0 / C.c**6,
+             _P(u_t, u_t, Deriv(_grad_sq("u", xs), "t"))),
+        Term("mass-e4-ut2-dt-ut2", Fraction(4),
+             lambda C: C.rho0 * (C.gamma - 1.0) / (2.0 * C.c**8),
+             _P(u_t, u_t, Deriv(_P(u_t, u_t), "t"))),
+        Term("mass-e4-ut2-dtlap", Fraction(4),
+             lambda C: C.nu / C.c**6,
+             _P(u_t, u_t, _lap("u", xs, extra=(("t", 1),)))),
+    ]
 
 
-def _ns_kuznetsov(xs: Sequence[str], variant: str) -> dict[str, list[Term]]:
+def _ns_kuznetsov(xs: Sequence[str]) -> dict[str, list[Term]]:
     gsq = _grad_sq("u", xs)
     grads = [
         ("rho1-{d}gradsq", 3, lambda C: 0.5, _R("rho1"), gsq),
         ("rho2-dt{d}", 3, lambda C: -1.0, _R("rho2"), _R("u", ("t", 1))),
         ("rho2-{d}gradsq", 4, lambda C: 0.5, _R("rho2"), gsq),
+        *_state_law("rho1", "rho2"),
     ]
-    if variant == "consistent":
-        grads += _state_law("rho1", "rho2")
-    return {"mass": _ns_kuznetsov_mass(xs, variant),
+    return {"mass": _ns_kuznetsov_mass(xs),
             **_momentum(Frame.PHYSICAL, xs, grads)}
 
 
@@ -307,11 +293,7 @@ def _kzk_b3() -> Sum:
 _KZK_B4 = _P(_R("Phi", ("z", 1)), _R("Phi", ("z", 1)))  # (dz Phi)^2
 
 
-def _ns_kzk_mass(ys: Sequence[str], variant: str) -> list[Term]:
-    if variant == "consistent":
-        tag, line4 = "phi", _P(_R("J", ("z", 1)), _R("Phi", ("tau", 1)))
-    else:
-        tag, line4 = "j", _P(_R("J", ("z", 1)), _R("J", ("tau", 1)))
+def _ns_kzk_mass(ys: Sequence[str]) -> list[Term]:
     return [
         Term("mass-e3-dz2phi", Fraction(3), lambda C: -C.rho0,
              _R("Phi", ("z", 2))),
@@ -333,8 +315,8 @@ def _ns_kzk_mass(ys: Sequence[str], variant: str) -> list[Term]:
              _P(_R("I", ("z", 1)), _R("Phi", ("z", 1)))),
         Term("mass-e4-I-dz2phi", Fraction(4), lambda C: -1.0,
              _P(_R("I"), _R("Phi", ("z", 2)))),
-        Term(f"mass-e4-dzJ-dt-{tag}", Fraction(4), lambda C: 1.0 / C.c,
-             line4),
+        Term("mass-e4-dzJ-dt-phi", Fraction(4), lambda C: 1.0 / C.c,
+             _P(_R("J", ("z", 1)), _R("Phi", ("tau", 1)))),
         Term("mass-e4-dtJ-dzphi", Fraction(4), lambda C: 1.0 / C.c,
              _P(_R("J", ("tau", 1)), _R("Phi", ("z", 1)))),
         Term("mass-e4-gradJ-gradphi", Fraction(4), lambda C: -1.0,
@@ -350,12 +332,11 @@ def _ns_kzk_mass(ys: Sequence[str], variant: str) -> list[Term]:
     ]
 
 
-def _ns_kzk(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
+def _ns_kzk(ys: Sequence[str]) -> dict[str, list[Term]]:
     b1, b2, b3, b4 = _kzk_b1(ys), _kzk_b2(ys), _kzk_b3(), _KZK_B4
     I, J = _R("I"), _R("J")
-    # quadratic state-law cross terms, from re-deriving the momentum identity
-    grads = _state_law("I", "J") if variant == "consistent" else []
-    grads += [
+    grads = [
+        *_state_law("I", "J"),
         ("{d}-b1", 3, lambda C: C.rho0 / 2.0, None, b1),
         ("{d}-b2", 3, lambda C: C.nu, None, b2),
         ("I-{d}-b3", 3, lambda C: 0.5, I, b3),
@@ -368,16 +349,7 @@ def _ns_kzk(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
         ("J-{d}-b1", 5, lambda C: 0.5, J, b1),
         ("J-{d}-b4", 6, lambda C: 0.5, J, b4),
     ]
-    out = {"mass": _ns_kzk_mass(ys, variant),
-           **_momentum(Frame.KZK, ys, grads)}
-    if variant == "printed":
-        # the range part of J d_x1(b1) was transcribed with no outer
-        # derivative on the bracket
-        out["momentum_axial"] = [
-            Term("momax-e6-J-b1", Fraction(6), lambda C: 0.5, _P(J, b1))
-            if t.term_id == "momax-e6-J-dz-b1" else t
-            for t in out["momentum_axial"]]
-    return out
+    return {"mass": _ns_kzk_mass(ys), **_momentum(Frame.KZK, ys, grads)}
 
 
 def _ns_npe_mass(ys: Sequence[str]) -> list[Term]:
@@ -402,17 +374,13 @@ def _ns_npe_mass(ys: Sequence[str]) -> list[Term]:
 _NPE_DZ_SQ = _P(_R("Psi", ("z", 1)), _R("Psi", ("z", 1)))  # (dz Psi)^2
 
 
-def _ns_npe(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
+def _ns_npe(ys: Sequence[str]) -> dict[str, list[Term]]:
     gsq = _grad_sq("Psi", ys)
     xi, chi = _R("xi"), _R("chi")
     psi_t, psi_z = _R("Psi", ("tau", 1)), _R("Psi", ("z", 1))
-    # the sign of the acceleration cross term and the quadratic state-law
-    # contributions, from re-deriving the momentum identity
-    sign, grads = -1.0, []
-    if variant == "consistent":
-        sign, grads = 1.0, _state_law("xi", "chi")
-    grads += [
-        ("dzpsi-dt{d}psi", 3, lambda C: sign * C.rho0 / C.c, psi_z, psi_t),
+    grads = [
+        *_state_law("xi", "chi"),
+        ("dzpsi-dt{d}psi", 3, lambda C: C.rho0 / C.c, psi_z, psi_t),
         ("{d}-gradsq", 3, lambda C: C.rho0 / 2.0, None, gsq),
         ("{d}lappsi", 3, lambda C: C.nu, None, _lap("Psi", ys)),
         ("xi-{d}-dzsq", 3, lambda C: 0.5, xi, _NPE_DZ_SQ),
@@ -425,7 +393,7 @@ def _ns_npe(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
     return {"mass": _ns_npe_mass(ys), **_momentum(Frame.NPE, ys, grads)}
 
 
-def _kuznetsov_kzk(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
+def _kuznetsov_kzk(ys: Sequence[str]) -> dict[str, list[Term]]:
     return {"model": [
         Term("e2-dz2phi", Fraction(2), lambda C: -C.c**2,
              _R("Phi", ("z", 2))),
@@ -445,7 +413,7 @@ def _kuznetsov_kzk(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
     ]}
 
 
-def _kuznetsov_npe(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
+def _kuznetsov_npe(ys: Sequence[str]) -> dict[str, list[Term]]:
     return {"model": [
         Term("e2-dt2psi", Fraction(2), lambda C: 1.0,
              _R("Psi", ("tau", 2))),
@@ -480,8 +448,7 @@ def _kuznetsov_npe(ys: Sequence[str], variant: str) -> dict[str, list[Term]]:
     ]}
 
 
-def _kuznetsov_westervelt(xs: Sequence[str],
-                          variant: str) -> dict[str, list[Term]]:
+def _kuznetsov_westervelt(xs: Sequence[str]) -> dict[str, list[Term]]:
     u = _R("u")
     u_t = _R("u", ("t", 1))
     usq_tt = Deriv(_P(u, u), "t", 2)
@@ -491,13 +458,11 @@ def _kuznetsov_westervelt(xs: Sequence[str],
         (lambda C: C.nu / C.rho0, _lap("u", xs)),
     )
     lap_u_ut = Sum(tuple((1.0, Deriv(_P(u, u_t), ax, 2)) for ax in xs))
-    visc = lambda C: -1.0 / (2.0 * C.c**2)
-    if variant == "consistent":
+    return {"model": [
         # the dissipative Laplacian term inherits the nu/rho0 coefficient of
         # the wave model's right side
-        visc = lambda C: -C.nu / (C.rho0 * C.c**2)
-    return {"model": [
-        Term("e2-dt-lap-u-ut", Fraction(2), visc, Deriv(lap_u_ut, "t")),
+        Term("e2-dt-lap-u-ut", Fraction(2),
+             lambda C: -C.nu / (C.rho0 * C.c**2), Deriv(lap_u_ut, "t")),
         Term("e2-dt-ut-dt2usq", Fraction(2),
              lambda C: -(C.gamma + 1.0) / (2.0 * C.c**4),
              Deriv(_P(u_t, usq_tt), "t")),
@@ -730,24 +695,18 @@ class _Ctx:
 @dataclass(frozen=True)
 class _Pair:
     field: str  # the input field the CLI passes
-    variants: tuple[str, ...]  # default first
     base: int  # the eps power the output fields are divided by
     frame: Frame  # its x axes (physical) or y axes (paraxial) span the table
-    build: Callable[[Sequence[str], str], dict[str, list[Term]]]
+    build: Callable[[Sequence[str]], dict[str, list[Term]]]
 
 
-_BOTH = ("consistent", "printed")
-
-#: The "printed" source expressions contain slips that the
-#: residual-consistency oracle rejects, so each pair that has them defaults
-#: to the corrected ("consistent") form.
 _PAIR_TABLE = {
-    "ns-kuznetsov": _Pair("u", _BOTH, 3, Frame.PHYSICAL, _ns_kuznetsov),
-    "ns-kzk": _Pair("I", _BOTH, 3, Frame.KZK, _ns_kzk),
-    "ns-npe": _Pair("xi", _BOTH, 3, Frame.NPE, _ns_npe),
-    "kuznetsov-kzk": _Pair("I", ("",), 2, Frame.KZK, _kuznetsov_kzk),
-    "kuznetsov-npe": _Pair("xi", ("",), 2, Frame.NPE, _kuznetsov_npe),
-    "kuznetsov-westervelt": _Pair("u", _BOTH, 2, Frame.PHYSICAL,
+    "ns-kuznetsov": _Pair("u", 3, Frame.PHYSICAL, _ns_kuznetsov),
+    "ns-kzk": _Pair("I", 3, Frame.KZK, _ns_kzk),
+    "ns-npe": _Pair("xi", 3, Frame.NPE, _ns_npe),
+    "kuznetsov-kzk": _Pair("I", 2, Frame.KZK, _kuznetsov_kzk),
+    "kuznetsov-npe": _Pair("xi", 2, Frame.NPE, _kuznetsov_npe),
+    "kuznetsov-westervelt": _Pair("u", 2, Frame.PHYSICAL,
                                   _kuznetsov_westervelt),
 }
 PAIRS = tuple(_PAIR_TABLE)
@@ -769,19 +728,11 @@ def input_field(pair: str) -> str:
     return _pair_entry(pair).field
 
 
-def term_table(pair: str, grid: Grid,
-               variant: str | None = None) -> dict[str, list[Term]]:
-    """All term lists for one pair on one grid, keyed by output component;
-    `variant` defaults to the pair's first."""
+def term_table(pair: str, grid: Grid) -> dict[str, list[Term]]:
+    """All term lists for one pair on one grid, keyed by output component."""
     entry = _pair_entry(pair)
-    if variant is None:
-        variant = entry.variants[0]
-    elif variant not in entry.variants:
-        raise ValueError(f"unknown variant {variant!r} of pair {pair!r}; "
-                         f"expected one of {entry.variants}")
     lead = "x" if entry.frame is Frame.PHYSICAL else "y"
-    return entry.build([a.name for a in grid.axes if a.name.startswith(lead)],
-                       variant)
+    return entry.build([a.name for a in grid.axes if a.name.startswith(lead)])
 
 
 @dataclass
@@ -807,8 +758,7 @@ def _trimmed(ctx: _Ctx, arr: np.ndarray, margins: Mapping[str, int]):
 
 
 def evaluate_remainder(pair: str, coeff: ModelCoefficients,
-                       inputs: Mapping[str, Field],
-                       variant: str | None = None) -> RemainderResult:
+                       inputs: Mapping[str, Field]) -> RemainderResult:
     """Evaluate the graded remainder of one pair, term by term, with the L2
     and max norms of each graded term inside its margins.
 
@@ -822,7 +772,7 @@ def evaluate_remainder(pair: str, coeff: ModelCoefficients,
     if len(grids) != 1:
         raise ValueError("all input fields must share one grid")
     grid = grids.pop()
-    tables = term_table(pair, grid, variant=variant)
+    tables = term_table(pair, grid)
     frame = _pair_entry(pair).frame
     if grid.frame is not frame:
         raise ValueError(f"pair {pair!r} is evaluated in the {frame.value} "

@@ -146,9 +146,6 @@ def test_every_public_definition_has_a_program_reader():
 
 #: defaulted parameters that no call in the package passes, and why they stay
 NO_PROGRAM_SETTER = {
-    # the paper's printed remainders, which the tests compare the
-    # consistent ones against
-    "nlparax.remainders.evaluate_remainder(variant)",
     # the console script passes no argv; the tests and the benchmark do
     "nlparax.cli.main(argv)",
 }

@@ -92,16 +92,15 @@ def test_term_table_structure(coeff):
     # all components of a pair, not only within one
     grids = _table_grids()
     for pair in PAIRS:
-        for variant in _PAIR_TABLE[pair].variants:
-            tables = term_table(pair, grids[_PAIR_TABLE[pair].frame], variant)
-            assert tables
-            ids = [t.term_id for terms in tables.values() for t in terms]
-            assert len(ids) == len(set(ids)), (pair, variant)
-            for terms in tables.values():
-                assert terms
-                for t in terms:
-                    assert t.power >= 0
-                    assert np.isfinite(t.coeff(coeff))
+        tables = term_table(pair, grids[_PAIR_TABLE[pair].frame])
+        assert tables
+        ids = [t.term_id for terms in tables.values() for t in terms]
+        assert len(ids) == len(set(ids)), pair
+        for terms in tables.values():
+            assert terms
+            for t in terms:
+                assert t.power >= 0
+                assert np.isfinite(t.coeff(coeff))
     with pytest.raises(ValueError):
         term_table("kzk-ns", grids[Frame.KZK])
 
@@ -126,12 +125,10 @@ def test_every_derivative_order_has_one_fd_stencil():
     # ask for an order above the largest stencil's
     grids = _table_grids()
     for pair in PAIRS:
-        for variant in _PAIR_TABLE[pair].variants:
-            tables = term_table(pair, grids[_PAIR_TABLE[pair].frame], variant)
-            orders = set().union(*(_derivative_orders(t.expr)
-                                   for terms in tables.values()
-                                   for t in terms))
-            assert orders <= set(_FD_STENCILS), (pair, variant, orders)
+        tables = term_table(pair, grids[_PAIR_TABLE[pair].frame])
+        orders = set().union(*(_derivative_orders(t.expr)
+                               for terms in tables.values() for t in terms))
+        assert orders <= set(_FD_STENCILS), (pair, orders)
 
 
 def test_term_table_components_per_pair():
@@ -213,21 +210,6 @@ def test_term_stats_rows(coeff):
         assert l2 >= 0.0 and linf >= 0.0
 
 
-def test_printed_variant_differs_where_corrected(coeff):
-    # the pairs with a corrected default must actually produce different
-    # remainders under the two variants; the corrected one is the one the
-    # off-shell identity closes against (exercised in the acceptance tests)
-    g = _periodic3(Frame.KZK)
-    phi = Field(g, _bandlimited(g))
-    r_c = evaluate_remainder("ns-kzk", coeff, {"Phi": phi},
-                             variant="consistent")
-    r_p = evaluate_remainder("ns-kzk", coeff, {"Phi": phi},
-                             variant="printed")
-    diff = max(np.abs(r_c.fields[c].scalar - r_p.fields[c].scalar).max()
-               for c in r_c.fields)
-    assert diff > 1e-8
-
-
 def test_pairs_all_evaluable(coeff):
     # smoke: every pair accepts a suitable input and returns finite fields
     inputs = {
@@ -262,25 +244,6 @@ def test_context_derives_the_correctors_of_build_correctors(coeff):
     assert np.array_equal(ctx.field("rho2").arr, rho2)
 
 
-@pytest.mark.parametrize("pair", PAIRS)
-def test_every_pair_rejects_an_unknown_variant(coeff, pair):
-    g = _periodic3(Frame.KZK, 12)
-    with pytest.raises(ValueError,
-                       match=f"unknown variant 'bogus' of pair '{pair}'"):
-        term_table(pair, g, variant="bogus")
-
-
-@pytest.mark.parametrize("pair", ["kuznetsov-kzk", "kuznetsov-npe"])
-def test_pairs_without_a_printed_form_reject_printed(coeff, pair):
-    g = _periodic3(Frame.KZK, 12)
-    with pytest.raises(ValueError, match=r"expected one of \(''"):
-        term_table(pair, g, variant="printed")
-    f = Field(g, 0.01 * _bandlimited(g, seed=5, kmax=1))
-    with pytest.raises(ValueError, match="unknown variant 'printed'"):
-        evaluate_remainder(pair, coeff, {input_field(pair): f},
-                           variant="printed")
-
-
 def test_input_field_names_the_profile_of_each_pair():
     assert {p: input_field(p) for p in PAIRS} == {
         "ns-kuznetsov": "u", "kuznetsov-westervelt": "u",
@@ -302,8 +265,7 @@ _READ_GRIDS = {
                       Axis("y1", 2.5, 8)), Frame.NPE), ("xi", "Psi")),
 }
 
-_READ_CASES = [(pair, variant, name)
-               for pair in PAIRS for variant in _PAIR_TABLE[pair].variants
+_READ_CASES = [(pair, name) for pair in PAIRS
                for name in _READ_GRIDS[_PAIR_TABLE[pair].frame][1]]
 
 
@@ -313,9 +275,9 @@ def _read_input(pair, name):
     return {name: Field(g, 0.1 * _bandlimited(g, seed=3, kmax=2))}
 
 
-@pytest.mark.parametrize("pair, variant, name", _READ_CASES)
+@pytest.mark.parametrize("pair, name", _READ_CASES)
 def test_counted_reads_evaluate_each_node_once_bit_for_bit(
-        coeff, monkeypatch, pair, variant, name):
+        coeff, monkeypatch, pair, name):
     made = []
 
     class Counted(_Ctx):
@@ -352,11 +314,11 @@ def test_counted_reads_evaluate_each_node_once_bit_for_bit(
     monkeypatch.setattr(remainders, "_Ctx", Counted)
     monkeypatch.setattr(remainders, "_fd_deriv", counted_fd)
     monkeypatch.setattr(Spectral, "filter", counted_filter)
-    got = evaluate_remainder(pair, coeff, inputs, variant=variant)
+    got = evaluate_remainder(pair, coeff, inputs)
     monkeypatch.setattr(remainders, "_fd_deriv", fd_deriv)
     monkeypatch.setattr(Spectral, "filter", spectral_filter)
     monkeypatch.setattr(remainders, "_Ctx", Recomputing)
-    want = evaluate_remainder(pair, coeff, inputs, variant=variant)
+    want = evaluate_remainder(pair, coeff, inputs)
 
     assert got.term_stats == want.term_stats
     assert all(row[3] > 0.0 for row in got.term_stats)
@@ -371,9 +333,8 @@ def test_counted_reads_evaluate_each_node_once_bit_for_bit(
     assert taken and len(taken) == len(set(taken))
 
 
-@pytest.mark.parametrize("pair, variant, name", _READ_CASES)
-def test_no_context_outlives_its_table(coeff, monkeypatch, pair, variant,
-                                       name):
+@pytest.mark.parametrize("pair, name", _READ_CASES)
+def test_no_context_outlives_its_table(coeff, monkeypatch, pair, name):
     # the context's arrays go when evaluate_remainder returns, without the
     # cyclic collector: nothing it holds refers back to it
     refs = []
@@ -387,7 +348,7 @@ def test_no_context_outlives_its_table(coeff, monkeypatch, pair, variant,
     monkeypatch.setattr(remainders, "_Ctx", Watched)
     gc.disable()
     try:
-        evaluate_remainder(pair, coeff, inputs, variant=variant)
+        evaluate_remainder(pair, coeff, inputs)
         assert len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()
