@@ -205,8 +205,8 @@ class _Frame:
         a.  Each d_t^k u with k >= 2 and each derivative of w is replaced
         until none is left.  Then u_t is written through w and gamma - 1 is a
         symbol A: every denominator is a monomial, so the expansion is 0
-        exactly when expr vanishes on the solutions.  Expanding before each
-        substitution keeps the products small."""
+        exactly when expr vanishes on the solutions.  Expanding expr first
+        keeps the substituted products small."""
         t = self.sym["t"]
         u, w = self.f, sympy.Function("w")(*self.sym.values())
         u_t, u_tt = sympy.diff(u, t), sympy.diff(u, t, 2)
@@ -233,8 +233,7 @@ class _Frame:
             expr = expr.xreplace(done)
         A, W = sympy.symbols("A w", positive=True)
         (u_t_of_w,) = sympy.solve(a.xreplace({GAMMA: A + 1}) * W - 1, u_t)
-        expr = sympy.expand(expr.xreplace({w: W, GAMMA: A + 1}))
-        return sympy.expand(expr.xreplace({u_t: u_t_of_w}))
+        return sympy.expand(expr.xreplace({w: W, GAMMA: A + 1, u_t: u_t_of_w}))
 
 
 def residuals(pair: str, axes, extra=None) -> dict:
