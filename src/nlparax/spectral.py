@@ -3,12 +3,16 @@
 Every transform, derivative, antiderivative, shift and 2/3-rule truncation
 of the solvers, correctors, remainders and error norms goes through one
 grid-bound `Spectral`, which caches its symbols (wavenumbers, multipliers,
-masks) on first use.  This is the only module that calls `numpy.fft`.
+masks) on first use.  This is the only module that touches numpy's FFT: its
+transforms call pocketfft's kernels, the gufuncs of
+`numpy.fft._pocketfft_umath` (numpy 2.0 and later) that `numpy.fft` wraps,
+with the factors `numpy.fft` passes, so they give its bits without its
+argument handling.
 Arrays carry the grid's axes last; leading axes (a stack of components, say)
 ride along.  `fft`/`ifft` take one array whose leading axes are rows, or
 the inputs of one stage of a stepper as a list of stacks of one shape, each
 an array or a fill(out) that writes one.  On a 1D grid the stacks are
-filled into one block and every row goes through one numpy call.  On more
+filled into one block and every row goes through one kernel call.  On more
 axes a stack is filled only when the transform reaches it, after the one
 before it is transformed row by row into the output: a stage holds one
 stack's input at a time, not the block.  An operator along a bounded axis
@@ -22,10 +26,21 @@ import math
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .fields import Axis, Field, Grid
 
 __all__ = ["Spectral", "require_mean_zero"]
+
+
+# pocketfft's kernels, each kernel(v, factor, out=out) along the last axis of
+# v, or along another given as axes=[(j,), (), (j,)]; out, which they need,
+# sets the output's length along the axis.  Periodic axes have an even point
+# count, so rfft_n_even is the one forward real kernel.
+_rfft = _pocketfft.rfft_n_even
+_fft = _pocketfft.fft
+_ifft = _pocketfft.ifft
+_irfft = _pocketfft.irfft
 
 
 def _check_periodic(axis: Axis) -> None:
@@ -39,7 +54,7 @@ def _forward(v, axes: tuple[int, ...], shape=None) -> np.ndarray:
     rows, or, when shape is given, the stacks of a block whose first axis
     is the stack, each an array of that shape or a fill(out) that writes
     one into out.  On one axis the stacks are filled into one block and
-    every row goes through one numpy call.  On more the rows go one at a
+    every row goes through one kernel call.  On more the rows go one at a
     time into the output, for memory, and a stack is filled only once every
     row of the one before it is transformed, into one buffer that they
     share: that holds one stack's input and one row's intermediates at a
@@ -50,7 +65,7 @@ def _forward(v, axes: tuple[int, ...], shape=None) -> np.ndarray:
     grid = (v.shape if shape is None else shape)[-len(axes):]
     spectrum = grid[:-1] + (grid[-1] // 2 + 1,)
     return _rows(v, shape, grid, spectrum, float, complex,
-                 lambda row: _rfftn(row, axes))
+                 lambda row, out: _rfftn(row, axes, out))
 
 
 def _inverse(vh, sizes, axes: tuple[int, ...], shape=None) -> np.ndarray:
@@ -61,7 +76,7 @@ def _inverse(vh, sizes, axes: tuple[int, ...], shape=None) -> np.ndarray:
                        sizes, axes)
     spectrum = (vh.shape if shape is None else shape)[-len(axes):]
     return _rows(vh, shape, spectrum, tuple(sizes), complex, float,
-                 lambda row: _irfftn(row, sizes, axes))
+                 lambda row, out: _irfftn(row, sizes, axes, out))
 
 
 def _block(stacks, shape, dtype) -> np.ndarray:
@@ -77,12 +92,13 @@ def _block(stacks, shape, dtype) -> np.ndarray:
 
 def _rows(v, shape, grid: tuple, out_grid: tuple, dtype, out_dtype,
           op) -> np.ndarray:
-    """The row loop of _forward and _inverse on more than one axis: op, a
-    transform of one row from grid to out_grid, over v, whose stacks (when
-    shape is given) hold dtype."""
+    """The row loop of _forward and _inverse on more than one axis: op(row,
+    out), a transform of one row from grid to out_grid into out (a fresh
+    array when out is None), over v, whose stacks (when shape is given)
+    hold dtype."""
     if shape is None:
         if v.size == math.prod(grid):
-            return op(v)
+            return op(v, None)
         stacks, shape, lead = (v,), v.shape, ()
     else:
         stacks, lead = v, (len(v),)
@@ -95,25 +111,47 @@ def _rows(v, shape, grid: tuple, out_grid: tuple, dtype, out_dtype,
             stack(into)
             stack = into
         for row, done in zip(stack.reshape(-1, *grid), rows):
-            done[...] = op(row)
+            op(row, done)
     return out
 
 
-def _rfftn(v: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+def _kernel(kernel, v: np.ndarray, factor: float, n: int, j: int, dtype,
+            out=None) -> np.ndarray:
+    """kernel, one of pocketfft's, along axis j (counted from the end) of v
+    with factor, into out or, when out is None, a fresh array of n points
+    along axis j: never into v."""
+    if out is None:
+        shape = list(v.shape)
+        shape[j] = n
+        out = np.empty(shape, dtype)
+    if j == -1:  # the default axes, which cost a microsecond to parse
+        return kernel(v, factor, out=out)
+    return kernel(v, factor, axes=[(j,), (), (j,)], out=out)
+
+
+def _rfftn(v: np.ndarray, axes: tuple[int, ...], out=None) -> np.ndarray:
     """rfft along the last of axes, then fft along the others from the
-    second-last back: the calls rfftn makes inside, so the same bits,
-    without its argument handling."""
-    vh = np.fft.rfft(v, axis=axes[-1])
+    second-last back, the last call into out when given: the kernel calls
+    and factors of rfftn, so the same bits, without its argument
+    handling."""
+    j = axes[-1]
+    vh = _kernel(_rfft, v, 1.0, v.shape[j] // 2 + 1, j, complex,
+                 out if len(axes) == 1 else None)
     for j in axes[-2::-1]:
-        vh = np.fft.fft(vh, axis=j)
+        vh = _kernel(_fft, vh, 1.0, vh.shape[j], j, complex,
+                     out if j == axes[0] else None)
     return vh
 
 
-def _irfftn(vh: np.ndarray, sizes, axes: tuple[int, ...]) -> np.ndarray:
-    """The inverse of _rfftn, in the order of irfftn."""
+def _irfftn(vh: np.ndarray, sizes, axes: tuple[int, ...],
+            out=None) -> np.ndarray:
+    """The inverse of _rfftn, in the order and with the factors (1/n) of
+    irfftn, the last call into out when given."""
     for j in axes[:-1]:
-        vh = np.fft.ifft(vh, axis=j)
-    return np.fft.irfft(vh, n=sizes[-1], axis=axes[-1])
+        n = vh.shape[j]
+        vh = _kernel(_ifft, vh, 1.0 / n, n, j, complex)
+    n = sizes[-1]
+    return _kernel(_irfft, vh, 1.0 / n, n, axes[-1], float, out)
 
 
 def _real_sum_sq(v: np.ndarray) -> float:
@@ -188,7 +226,7 @@ class Spectral:
         leading axes are rows, or, when shape is given, a sequence of
         stacks, each an array of that shape or a fill(out) that writes one:
         the spectrum is then that of the block they stack into, whose first
-        axis is the stack.  On a 1D grid every row goes through one numpy
+        axis is the stack.  On a 1D grid every row goes through one kernel
         call; on more axes a stack is filled only when the transform
         reaches it."""
         return _forward(v, self._axes, shape)

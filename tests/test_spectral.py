@@ -26,6 +26,11 @@ from nlparax.models.waves import _WaveStepper
 from nlparax.spectral import Spectral, require_mean_zero
 
 
+#: the names spectral calls pocketfft's kernels by, and the numpy.fft
+#: transform each stands for
+KERNELS = {"_rfft": "rfft", "_irfft": "irfft", "_fft": "fft", "_ifft": "ifft"}
+
+
 def _grid1d(n=64, L=2 * np.pi, name="x1"):
     return Grid((Axis(name, L, n),), Frame.PHYSICAL)
 
@@ -271,17 +276,17 @@ def test_batched_transforms_equal_one_at_a_time(rng, points):
 def test_filled_stacks_transform_as_their_block(rng, monkeypatch, points):
     # stacks, given as fills or as arrays, come back as the transform of the
     # block they stack into, bit for bit.  On one axis they are filled first
-    # and go through one numpy call; on more, stack i is filled only once
+    # and go through one kernel call; on more, stack i is filled only once
     # every row of stack i - 1 is transformed.
     sp = Spectral(_periodic_grid(*points))
     shape = (2, 3, *points)  # a component axis, then a member axis
     block = rng.standard_normal((4, *shape))
     events = []
-    for name in ("rfft", "irfft", "fft", "ifft"):
-        def counted(*args, _op=getattr(np.fft, name), **kw):
+    for name in KERNELS:
+        def counted(*args, _op=getattr(spectral, name), **kw):
             events.append("transform")
             return _op(*args, **kw)
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(spectral, name, counted)
 
     def fill(i, stack):
         def into(out):
@@ -308,14 +313,14 @@ def test_filled_stacks_transform_as_their_block(rng, monkeypatch, points):
 
 
 def test_one_numpy_call_per_transform_on_a_1d_grid(monkeypatch):
-    # on one axis a block of any number of rows is one numpy.fft call, so
-    # every spectral-core call of a 1D stepper is one numpy call
+    # on one axis a block of any number of rows is one pocketfft kernel
+    # call, so every spectral-core call of a 1D stepper is one numpy call
     numpy_calls, core_calls = [], []
-    for name in ("rfft", "irfft", "fft", "ifft"):
-        def counted(*args, _op=getattr(np.fft, name), _name=name, **kw):
+    for name, label in KERNELS.items():
+        def counted(*args, _op=getattr(spectral, name), _name=label, **kw):
             numpy_calls.append(_name)
             return _op(*args, **kw)
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(spectral, name, counted)
     for name in ("_forward", "_inverse"):
         def counted(*args, _op=getattr(spectral, name), _name=name):
             core_calls.append(_name)
@@ -361,13 +366,70 @@ def test_multi_axis_transforms_equal_rfftn(rng, points):
 
 
 def test_only_spectral_calls_numpy_fft():
-    # every transform goes through the one spectral core
+    # every transform goes through the one spectral core, the one module
+    # that names numpy's FFT or its private pocketfft kernels
     src = Path(nlparax.__file__).parent
     offenders = sorted(
         str(p.relative_to(src)) for p in src.rglob("*.py")
         if p.name != "spectral.py"
-        and re.search(r"\b(np|numpy)\.fft\b", p.read_text()))
+        and re.search(r"\b(np|numpy)\.fft\b|_pocketfft", p.read_text()))
     assert offenders == []
+
+
+@pytest.mark.parametrize("points", [(64,), (32, 16), (8, 6, 4)],
+                         ids=["64", "32x16", "8x6x4"])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)],
+                         ids=["bare", "rows", "rows2"])
+def test_kernels_give_numpy_fft_bits_and_write_no_input(rng, points, lead):
+    # the core calls numpy's private pocketfft kernels; every result equals
+    # the public numpy.fft one bit for bit, and no input is written, so a
+    # numpy whose kernels change fails here
+    sp = Spectral(_periodic_grid(*points))
+    axes = tuple(range(-len(points), 0))
+    v = rng.standard_normal((*lead, *points))
+    vh = np.fft.rfftn(v, axes=axes)
+    stacks = list(rng.standard_normal((3, *lead, *points)))
+    inputs = [v, vh, *stacks]
+    before = [a.copy() for a in inputs]
+
+    assert np.array_equal(sp.fft(v), vh)
+    assert np.array_equal(sp.ifft(vh), np.fft.irfftn(vh, s=points, axes=axes))
+    spectra = sp.fft(stacks, v.shape)
+    assert np.array_equal(spectra, np.fft.rfftn(np.stack(stacks), axes=axes))
+    assert np.array_equal(sp.ifft(list(spectra), vh.shape),
+                          np.fft.irfftn(spectra, s=points, axes=axes))
+
+    def along(j, symbol):
+        # a one-axis operator as numpy.fft computes it
+        return np.fft.irfft(np.fft.rfft(v, axis=j) * symbol,
+                            n=points[j], axis=j)
+
+    for j in range(-len(points), 0):
+        name = f"x{j + len(points) + 1}"
+        k = sp.k_along(j)
+        ik = 1j * k
+        ik.flat[-1] = 0.0
+        assert np.array_equal(sp.filter(v, name, k), along(j, k))
+        assert np.array_equal(sp.d(v, name), along(j, ik))
+        assert np.array_equal(sp.d(v, name, 2), along(j, (1j * k) ** 2))
+        a = sp.grid.axes[j]
+        modes = sp._along(np.arange(a.points // 2 + 1), j)
+        assert np.array_equal(
+            sp.shift(v, name, 0.3),
+            along(j, np.exp(2j * np.pi * modes * 0.3 / a.length)))
+        mh = np.fft.rfft(v - v.mean(axis=j, keepdims=True), axis=j)
+        inv = 1j * k
+        inv.flat[0] = 1.0
+        mh /= inv
+        mh[(Ellipsis, [0, -1]) + (slice(None),) * (-1 - j)] = 0.0
+        assert np.array_equal(sp.inv(v, name),
+                              np.fft.irfft(mh, n=points[j], axis=j))
+    assert np.array_equal(
+        sp.dealias(v),
+        np.fft.irfftn(np.fft.rfftn(v, axes=axes) * sp.keep(), s=points,
+                      axes=axes))
+    for a, b in zip(inputs, before, strict=True):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("shape", [(64,), (32, 16), (8, 6, 10), (3, 32)],
