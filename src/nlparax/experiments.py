@@ -762,6 +762,20 @@ _STUDIES = {
 _SLOPE_ALLOWANCE = 0.2
 
 
+def _median(values: list[float]) -> float:
+    """np.median of a few floats, to the bit, without the `numpy.ma` that
+    np.median imports: the middle value, or the mean of the two middle
+    ones, each summed from +0.0 as numpy's mean sums; NaN when one is
+    NaN."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + ordered[mid]
+    return (0.0 + ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 def _slope_verdicts(cfg: ExperimentConfig, report: Report) -> None:
     study = _STUDIES[cfg.pair]
     ok = [s for s in report.series if s["status"] == "ok"]
@@ -782,7 +796,7 @@ def _slope_verdicts(cfg: ExperimentConfig, report: Report) -> None:
             slopes[f"{frac:g}"] = None
     report.slopes = slopes
     valid = [v for v in slopes.values() if v is not None]
-    report.median_slope = float(np.median(valid)) if valid else None
+    report.median_slope = _median(valid) if valid else None
 
     if degenerate:
         report.verdicts.append({

@@ -17,9 +17,8 @@ and the velocity as its spectrum: each stage transforms v back and rho v, p
 and its momentum tendency forward once, and the velocity returns to
 physical space only at the samples the march returns.  The transforms of
 one direction in a stage go through the spectral core in one call: the
-velocity's derivatives and the fluxes as stacks that it fills when it
-reaches them, and div(rho v) and grad p formed in place of the flux
-spectra they read.
+velocity's derivatives and the fluxes as stacks (see models.base.through),
+and div(rho v) and grad p formed in place of the flux spectra they read.
 
 Entropy diagnostics use the convex pair
 
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -46,10 +44,13 @@ from .models.base import (
     ModelCoefficients,
     PositivityLost,
     StepControl,
+    Work,
+    full,
     march,
     member_axis,
     only_row,
     require_positive,
+    through,
 )
 from .spectral import Spectral
 
@@ -97,15 +98,25 @@ def pressure_from_density(coeff: ModelCoefficients,
                           rho: np.ndarray) -> np.ndarray:
     if np.min(rho) <= 0.0:
         raise ValueError("density must be positive")
-    return _pressure(coeff, rho)
+    return _pressure(rho, _state_law(coeff), None, None)
 
 
-def _pressure(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
-    """p(rho) of a density known to be positive."""
+def _state_law(coeff: ModelCoefficients) -> tuple[float, float, float]:
+    """rho0, c^2 and (gamma-1) c^2 / (2 rho0): p(rho) = c^2 (rho - rho0)
+    + (gamma-1) c^2 / (2 rho0) (rho - rho0)^2."""
     c2 = coeff.c**2
-    dr = rho - coeff.rho0
-    quad = (coeff.gamma - 1.0) * c2 / (2.0 * coeff.rho0)
-    return c2 * dr + quad * dr**2
+    return coeff.rho0, c2, (coeff.gamma - 1.0) * c2 / (2.0 * coeff.rho0)
+
+
+def _pressure(rho: np.ndarray, law, scratch, out) -> np.ndarray:
+    """p(rho) of a density known to be positive under the state law's
+    constants law, into out unless it is None, its intermediate in scratch
+    (an array of rho's shape) unless it is None."""
+    rho0, c2, quad = law
+    dr = np.subtract(rho, rho0, scratch)
+    p = np.multiply(c2, dr, out)
+    p += np.multiply(quad, np.square(dr, scratch), scratch)
+    return p
 
 
 def _dpressure(coeff: ModelCoefficients, rho: np.ndarray) -> np.ndarray:
@@ -122,101 +133,146 @@ class _FlowStepper:
     makes two calls each way, each on the stacks of one block: v and its
     derivatives back to physical space, rho v and p forward, their
     derivatives back, and the velocity tendency forward.
-    Velocities travel stacked, one component per leading index.
+    Velocities travel stacked, one component per leading index.  On a 1D
+    grid every multiplier has the full shape of what it multiplies, and
+    every array of a step but the two it returns is one of its Work arrays.
     """
 
     #: the leading carried arrays the march keeps physical: the density
     physical = 1
 
     def __init__(self, sp: Spectral, coeff: ModelCoefficients, eps, dt):
-        self.sp, self.coeff, self.dt = sp, coeff, dt
-        self.ndim = len(sp.shape)
-        eps, dt = member_axis(eps, self.ndim), member_axis(dt, self.ndim)
+        self.sp, self.dt = sp, dt
+        self.ndim = nd = len(sp.shape)
+        eps, dt = member_axis(eps, nd), member_axis(dt, nd)
+        # the shapes of the rows' scalar spectra, their physical arrays,
+        # and the velocity's spectra and physical arrays
+        spectra, points = (len(eps), *sp.ksq.shape), (len(eps), *sp.shape)
+        v_spectra, v_points = (nd, *spectra), (nd, *points)
         # The multipliers that depend on eps or the step have a member axis;
         # real multipliers of spectra are stored complex.
-        self.visc = eps * coeff.nu
-        self.inv_rho0 = 1.0 / coeff.rho0
+        self.visc = full(sp, eps * coeff.nu, v_points)
+        self.law = tuple(full(sp, c, points) for c in _state_law(coeff))
+        self.inv_rho0 = full(sp, 1.0 / coeff.rho0, v_points)
+        self.one = full(sp, 1.0, v_points)
+        self.zero = full(sp, 0, spectra, complex)
         # exact decay of the eps*nu/rho0 Lap v part per rfftn mode
         visc0 = eps * coeff.nu / coeff.rho0
-        self.keep = sp.keep().astype(complex)
-        self.neg_ksq = (-sp.ksq).astype(complex)
-        self.decay_half = np.exp(-visc0 * sp.ksq * dt / 2.0).astype(complex)
-        self.half_dt = 0.5 * dt
-        self.full_dt = dt
+        keep = sp.keep().astype(complex)
+        self.keep = full(sp, keep, spectra)
+        self.keep_v = full(sp, keep, v_spectra)
+        self.neg_ksq = full(sp, (-sp.ksq).astype(complex), v_spectra)
+        self.decay_half = full(
+            sp, np.exp(-visc0 * sp.ksq * dt / 2.0).astype(complex),
+            v_spectra)
+        self.half_dt = full(sp, 0.5 * dt, points)
+        self.full_dt = full(sp, dt, points)
+        self.half_dt_h = full(sp, 0.5 * dt, v_spectra, complex)
+        self.full_dt_h = full(sp, dt, v_spectra, complex)
+        self.ik = sp.ik if nd > 1 else [full(sp, k, spectra) for k in sp.ik]
+        self.ik_v = sp.ik if nd > 1 else [full(sp, k, v_spectra)
+                                          for k in sp.ik]
+        self.work = Work(
+            sp, vh=(v_spectra, complex), d1vh=(v_spectra, complex),
+            velocity=((nd + 2, *v_spectra), complex),
+            fields=((nd + 2, *v_points), float),
+            fluxes=((nd + 1, *points), float),
+            spectra=((nd + 1, *spectra), complex),
+            div_dp=((nd + 1, *points), float),
+            rho_m=(points, float),
+            factor=(v_points, float), dr=(points, float))
 
     def _velocity_fields(self, vh: np.ndarray) -> np.ndarray:
         """grad v (one stack per axis), Lap v and v, from the spectrum vh in
         one inverse call."""
-        stacks = [partial(np.multiply, k, vh)
-                  for k in (*self.sp.ik, self.neg_ksq)]
-        return self.sp.ifft(stacks + [vh], vh.shape)
+        stacks = [(np.multiply, k, vh) for k in (*self.ik_v, self.neg_ksq)]
+        stacks.append(vh)
+        return through(self.sp, stacks, vh.shape, self.work.velocity,
+                       self.work.fields, inverse=True)
 
-    def _tendency(self, rho: np.ndarray, fields: np.ndarray):
-        """div(rho v), dealiased, and the spectrum of dv/dt, at rho and the
-        velocity whose fields _velocity_fields gave.  rho must be
-        positive."""
-        coeff, sp, keep, ik = self.coeff, self.sp, self.keep, self.sp.ik
+    def _tendency(self, rho: np.ndarray, fields: np.ndarray, out):
+        """div(rho v), dealiased, and the spectrum of dv/dt, into out, at
+        rho and the velocity whose fields _velocity_fields gave.  rho must
+        be positive."""
+        sp, keep, ik, work = self.sp, self.keep, self.ik, self.work
         nd = self.ndim
         v, dv = fields[-1], fields[:nd]
         # stacks: rho v (one per axis) and p
-        stacks = [partial(np.multiply, rho, vj) for vj in v]
-        stacks.append(lambda out: np.copyto(out, _pressure(coeff, rho)))
-        spectra = sp.fft(stacks, rho.shape)
+        stacks = [(np.multiply, rho, v[j]) for j in range(nd)]
+        stacks.append((self._pressure, rho, work.dr))
+        spectra = through(sp, stacks, rho.shape, work.fluxes, work.spectra)
         # the advection and viscous terms, formed in place as the sum below
-        # would form them, so that v and its derivatives need no copies
-        for j in range(nd):
-            dv[j] *= v[j]
-        # correction beyond the exactly-propagated eps*nu/rho0 part
+        # would form them, so that v and its derivatives need no copies: dv[j]
+        # times v[j], every j in one call
+        dv *= v[:, np.newaxis]
+        # correction beyond the exactly-propagated eps*nu/rho0 part; rho_v is
+        # rho with the velocity's component axis, which numpy takes faster
+        # than it broadcasts
+        rho_v = rho[np.newaxis]
         lap = fields[nd]
         lap *= self.visc
-        lap *= 1.0 / rho - self.inv_rho0
+        factor = np.divide(self.one, rho_v, work.factor)
+        lap *= np.subtract(factor, self.inv_rho0, factor)
         # the dealiased div(rho v) and grad p (one per axis), formed in place
         # of the spectra they read, so that the inverse call holds no other
         # input; div as sum() forms it, from the int 0, which turns a -0.0
         # product into +0.0
         div, ph = spectra[0], spectra[nd]
         div *= ik[0]
-        div += 0
+        div += self.zero
         for j in range(1, nd):
             div += ik[j] * spectra[j]
         div *= keep
-        for j, k in enumerate(ik):
-            np.multiply(k, ph, out=spectra[1 + j])
-        div_dp = sp.ifft(spectra)
+        for j in range(nd):
+            np.multiply(ik[j], ph, spectra[1 + j])
+        div_dp = sp.ifft(spectra, out=work.div_dp)
         del spectra, div, ph
         div_m, acc = div_dp[0], div_dp[1:]
         # -grad p / rho
-        acc = np.negative(acc, out=acc)
-        acc /= rho
-        for adv in dv:
-            acc -= adv
+        acc = np.negative(acc, acc)
+        acc /= rho_v
+        for j in range(nd):
+            acc -= dv[j]
         acc += lap
         del fields, v, dv, lap  # freed before the last transform
-        acc_h = sp.fft(acc)
-        return div_m, np.multiply(keep, acc_h, out=acc_h)
+        acc_h = sp.fft(acc, out=out)
+        return div_m, np.multiply(self.keep_v, acc_h, acc_h)
+
+    def _pressure(self, rho: np.ndarray, scratch, out) -> np.ndarray:
+        return _pressure(rho, self.law, scratch, out)
+
+    def _lost_mid(self, n: int, row: int, least: float):
+        return PositivityLost(
+            f"density positivity lost during midpoint stage at t = "
+            f"{(n - 0.5) * self.dt[row]:.6g} (min rho = {least:.3e})")
+
+    def _lost(self, n: int, row: int, least: float):
+        return PositivityLost(f"density positivity lost at t = "
+                              f"{n * self.dt[row]:.6g} (min rho = "
+                              f"{least:.3e})")
 
     def step(self, carried, n: int):
         """Advance (rho, vh) from step n - 1 to step n."""
+        work = self.work
         rho, vh = carried
-        vh = vh * self.decay_half
+        vh = np.multiply(vh, self.decay_half, work.vh)
         # d rho/dt = -div(rho v): rho + h*d rho/dt is rho - h*div(rho v)
-        div1, d1vh = self._tendency(rho, self._velocity_fields(vh))
-        rho_m = rho - np.multiply(self.half_dt, div1, out=div1)
+        div1, d1vh = self._tendency(rho, self._velocity_fields(vh),
+                                    work.d1vh)
+        rho_m = np.subtract(rho, np.multiply(self.half_dt, div1, div1),
+                            work.rho_m)
         del div1  # freed before the second stage's peak
-        require_positive(rho_m, self.sp, lambda row, least: PositivityLost(
-            f"density positivity lost during midpoint stage at t = "
-            f"{(n - 0.5) * self.dt[row]:.6g} (min rho = {least:.3e})"))
-        d1vh = np.multiply(self.half_dt, d1vh, out=d1vh)
-        fields = self._velocity_fields(np.add(vh, d1vh, out=d1vh))
+        require_positive(rho_m, self.sp, self._lost_mid, n)
+        d1vh = np.multiply(self.half_dt_h, d1vh, d1vh)
+        fields = self._velocity_fields(np.add(vh, d1vh, d1vh))
         del d1vh
-        div2, d2vh = self._tendency(rho_m, fields)
-        rho = rho - np.multiply(self.full_dt, div2, out=div2)
-        require_positive(rho, self.sp, lambda row, least: PositivityLost(
-            f"density positivity lost at t = {n * self.dt[row]:.6g} "
-            f"(min rho = {least:.3e})"))
-        d2vh = np.multiply(self.full_dt, d2vh, out=d2vh)
-        d2vh = np.add(vh, d2vh, out=d2vh)
-        return rho, np.multiply(d2vh, self.decay_half, out=d2vh)
+        # the new spectrum is the second stage's output, fresh
+        div2, d2vh = self._tendency(rho_m, fields, None)
+        rho = rho - np.multiply(self.full_dt, div2, div2)
+        require_positive(rho, self.sp, self._lost, n)
+        d2vh = np.multiply(self.full_dt_h, d2vh, d2vh)
+        d2vh = np.add(vh, d2vh, d2vh)
+        return rho, np.multiply(d2vh, self.decay_half, d2vh)
 
 
 def solve_flow(coeff: ModelCoefficients, init: FlowState, t_end: float,

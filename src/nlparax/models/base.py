@@ -7,6 +7,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -25,12 +26,15 @@ __all__ = [
     "PositivityLost",
     "HyperbolicityLost",
     "RowsFailed",
+    "Work",
     "check_health",
+    "full",
     "march",
     "member_axis",
     "only_row",
     "require_positive",
     "resolve_steps",
+    "through",
 ]
 
 
@@ -134,17 +138,62 @@ class RowsFailed(Exception):
         self.errors = errors
 
 
-def require_positive(values: np.ndarray, sp: Spectral, error) -> None:
+def require_positive(values: np.ndarray, sp: Spectral, error, n: int) -> None:
     """Raise RowsFailed for each member row of values (leading axes, then
-    the grid's) whose minimum is zero or below, with error(row, minimum);
-    a NaN minimum passes, for the health check to name."""
-    if np.minimum.reduce(values, axis=None) > 0.0:
+    the grid's) whose minimum is zero or below, with error(n, row,
+    minimum) for step n; a NaN minimum passes, for the health check to
+    name."""
+    if np.minimum.reduce(values.ravel()) > 0.0:
         return  # one reduction when every row passes
     mins = np.minimum.reduce(values.reshape(-1, math.prod(sp.shape)), axis=1)
     bad = mins <= 0.0
     if bad.any():
-        raise RowsFailed({int(r): error(int(r), float(mins[r]))
+        raise RowsFailed({int(r): error(n, int(r), float(mins[r]))
                           for r in np.flatnonzero(bad)})
+
+
+class Work:
+    """The arrays that a stepper's step writes and reads back within the
+    step, named by keyword as (shape, dtype).  On a 1D grid, where a step
+    costs its numpy calls rather than its flops, each is allocated once,
+    here; on more axes each is None, so that a call given it as its output
+    allocates as it goes and a stage holds only what it needs.  No array
+    holds a row's state from one step to the next."""
+
+    def __init__(self, sp: Spectral, **arrays):
+        for name, (shape, dtype) in arrays.items():
+            setattr(self, name,
+                    np.empty(shape, dtype) if len(sp.shape) == 1 else None)
+
+
+def full(sp: Spectral, a, shape, dtype=None):
+    """a as a step applies it to arrays of that shape: on a 1D grid a
+    contiguous array of the full shape (and of dtype, when given), so that
+    numpy runs its same-shape loops and not its broadcasting ones; on more
+    axes a itself."""
+    if len(sp.shape) > 1:
+        return a
+    return np.ascontiguousarray(np.broadcast_to(a, shape), dtype)
+
+
+def through(sp: Spectral, stacks: list, shape: tuple, block, out,
+            inverse: bool = False):
+    """sp.fft, or sp.ifft when inverse is true, of the block that the
+    stacks of one stage stack into, each of that shape: an array, or a
+    tuple (f, a, b) of a call f(a, b, out) that writes it into out.  On a
+    1D grid block is the stage's Work array: the stacks are written into
+    it, and it goes through one kernel call into out.  On more axes block
+    is None, and the transform fills each stack only when it reaches it."""
+    if block is None:
+        fills = [partial(*s) if type(s) is tuple else s for s in stacks]
+        return sp.ifft(fills, shape) if inverse else sp.fft(fills, shape)
+    for i, s in enumerate(stacks):  # faster than iterating over block
+        if type(s) is tuple:
+            f, a, b = s
+            f(a, b, block[i])
+        else:
+            block[i] = s
+    return sp.ifft(block, None, out) if inverse else sp.fft(block, None, out)
 
 
 def _rows_share(coeffs, grids) -> None:
@@ -218,7 +267,9 @@ def march(build, rows, label: str, wrap) -> list:
     a spectrum but the leading ones the stepper keeps physical, as many as
     its class constant `physical` says (the flow stepper's density, which
     its positivity checks read).  stepper.step(carried, n) states only the
-    step: it returns the carried arrays of step n from those of n - 1.
+    step: it returns the carried arrays of step n from those of n - 1,
+    which it leaves as they are, so that a step that raises `RowsFailed`
+    can be taken again from them.
 
     After each step every row is health-checked on its own, one component
     of each carried array at a time, by the grid's sum of squares, against
@@ -271,6 +322,7 @@ def march(build, rows, label: str, wrap) -> list:
         np.stack(parts, axis=-ndim - 1)
         for parts in zip(*(row[2] for row in rows))), sp.fft)
     n = 0
+    limit, sampled, retire = _live_set(live)
     while live:
         try:
             carried = stepper.step(carried, n + 1)
@@ -278,26 +330,29 @@ def march(build, rows, label: str, wrap) -> list:
             failed = exc.errors  # and step n + 1 again without them
         else:
             n += 1
-            failed = _unhealthy(carried, live, label, n, sp)
-            due = [r for r, row in enumerate(live)
-                   if n in row.sample_at and r not in failed]
+            failed = _unhealthy(carried, live, label, n, sp, limit)
+            due = ([r for r, row in enumerate(live)
+                    if n in row.sample_at and r not in failed]
+                   if n in sampled else ())
             if due:
                 physical = _transform(stepper, carried, sp.ifft)
                 for r in due:
                     out[live[r].index].append(
                         (n * live[r].dt,
                          tuple(_row(a, r, ndim) for a in physical)))
+        if not failed and n < retire:
+            continue
         for r, exc in failed.items():
             out[live[r].index] = exc
         keep = [r for r, row in enumerate(live)
                 if r not in failed and row.nsteps > n]
-        if len(keep) < len(live):
-            live = [live[r] for r in keep]
-            if live:
-                carried = tuple(np.take(a, keep, axis=-ndim - 1)
-                                for a in carried)
-                stepper = build(sp, coeff, [row.eps for row in live],
-                                [row.dt for row in live])
+        live = [live[r] for r in keep]
+        if live:
+            limit, sampled, retire = _live_set(live)
+            carried = tuple(np.take(a, keep, axis=-ndim - 1)
+                            for a in carried)
+            stepper = build(sp, coeff, [row.eps for row in live],
+                            [row.dt for row in live])
     del stepper, carried  # freed before the samples are wrapped
     return [done if isinstance(done, SolverError) else
             [wrap(grid, evol, state) for evol, state in done]
@@ -307,11 +362,14 @@ def march(build, rows, label: str, wrap) -> list:
 def _transform(stepper, arrays: tuple, op) -> tuple:
     """The arrays with all but the leading `stepper.physical` (0 when the
     stepper declares none) passed through op, Spectral.fft or ifft, in one
-    call: a lone array as it is, several as the stacks of one block."""
+    call: a lone array as it is, several as the stacks of one block, which
+    on a 1D grid is stacked here and goes through one kernel call."""
     kept = getattr(stepper, "physical", 0)
     head, rest = arrays[:kept], arrays[kept:]
     if len(rest) == 1:
         return (*head, op(rest[0]))
+    if len(op.__self__.shape) == 1:  # the grid of op's Spectral
+        return (*head, *op(np.stack(rest)))
     return (*head, *op(rest, rest[0].shape))
 
 
@@ -323,14 +381,29 @@ def _batch_limit(ref_norm: float) -> float:
     return (1.0 - 1e-6) * min(limit * limit, sys.float_info.max)
 
 
-def _unhealthy(carried, live, label: str, n: int, sp: Spectral) -> dict:
+def _live_set(live) -> tuple:
+    """What each step of the march reads of its live rows, computed once
+    per live set: the smallest of their limits for _unhealthy, the steps at
+    which any of them samples, and the first step after which one
+    retires."""
+    return (min(row.limit_sq for row in live),
+            set().union(*(row.sample_at for row in live)),
+            min(row.nsteps for row in live))
+
+
+def _unhealthy(carried, live, label: str, n: int, sp: Spectral,
+               limit: float | None = None) -> dict:
     """The SolverError of each live row whose carried arrays fail the
     health check after step n.  One reduction per carried array bounds the
     sum of squares of every row's components at once, and the per-row
-    check runs only when a bound does not pass the smallest row's limit (a
-    non-finite bound never does)."""
-    limit = min(row.limit_sq for row in live)
-    if all(sp.sum_sq_bound(a) <= limit for a in carried):
+    check runs only when a bound does not pass limit, the smallest row's
+    (computed here when not given; a non-finite bound never passes)."""
+    if limit is None:
+        limit = min(row.limit_sq for row in live)
+    for a in carried:
+        if not sp.sum_sq_bound(a) <= limit:
+            break
+    else:
         return {}
     ndim, failed = len(sp.shape), {}
     for r, row in enumerate(live):

@@ -31,6 +31,8 @@ from .base import (
     ModelKind,
     ModelState,
     StepControl,
+    Work,
+    full,
     march,
     member_axis,
     only_row,
@@ -48,6 +50,9 @@ class _OneWayStepper:
     linear operator is a multiplier on the whole-grid spectrum vh, which is
     the carried state: each stage of a step transforms v back and v^2
     forward.  The forcing src_scale * S is projected mean-zero along ax.
+    On a 1D grid every multiplier has the full shape of what it
+    multiplies, and every array of a step but the one it returns is one of
+    its Work arrays.
     A march builds the stepper for the member rows it steps, from one step
     size and src_scale per row and the spectrum source_h of S (None for no
     forcing), and again for the survivors.
@@ -61,31 +66,36 @@ class _OneWayStepper:
         k, ik = sp.k[self.ax], sp.ik[self.ax]
         ndim = len(sp.shape)
         dt = member_axis(dt, ndim)
+        # the shapes of the rows' spectra and of their physical arrays
+        spectra, points = (len(dt), *sp.ksq.shape), (len(dt), *sp.shape)
         # The multipliers that depend on eps or the step have a member axis.
         # Multipliers of spectra are stored complex: numpy would convert
         # them on every call.  The mean-zero projection along ax drops k = 0.
         mean_zero = (k != 0.0).astype(float)
-        self.mean_zero = mean_zero.astype(complex)
+        self.mean_zero = full(sp, mean_zero.astype(complex), spectra)
         self.forcing = None
         if source_h is not None:
             self.forcing = (member_axis(src_scale, ndim) * mean_zero
                             * source_h)
         self.decay_half = np.exp(-d_visc * k**2 * dt / 2.0).astype(complex)
-        self.half_dt = (0.5 * dt).astype(complex)
-        self.full_dt = dt.astype(complex)
+        self.half_dt = full(sp, (0.5 * dt).astype(complex), spectra)
+        self.full_dt = full(sp, dt.astype(complex), spectra)
         # a_nl * d_ax with the 2/3 rule along ax
-        self.nonlinear = a_nl * ik * sp.keep(self.ax)
+        self.nonlinear = full(sp, a_nl * ik * sp.keep(self.ax), spectra)
         # d_diff * Lap_y(invd_ax .): invd_ax drops mode 0 and the Nyquist mode
         self.diffraction = None
         ys = [sp.grid.axis_index(name) for name in sp.group("y")]
         if ys:
             inv = np.divide(1.0, ik, out=np.zeros_like(ik), where=ik != 0.0)
             self.diffraction = d_diff * -sum(sp.k[j]**2 for j in ys) * inv
+        self.work = Work(sp, vh=(spectra, complex), v=(points, float),
+                         k1=(spectra, complex))
 
-    def _tendency(self, v: np.ndarray, vh: np.ndarray) -> np.ndarray:
-        """Spectrum of the explicit tendency at v (spectrum vh)."""
-        out = self.sp.fft(np.multiply(v, v, out=v))
-        out = np.multiply(self.nonlinear, out, out=out)
+    def _tendency(self, v: np.ndarray, vh: np.ndarray, out) -> np.ndarray:
+        """Spectrum, into out, of the explicit tendency at v (spectrum
+        vh)."""
+        out = self.sp.fft(np.multiply(v, v, v), out=out)
+        out = np.multiply(self.nonlinear, out, out)
         if self.diffraction is not None:
             out += self.diffraction * vh
         if self.forcing is not None:
@@ -94,15 +104,16 @@ class _OneWayStepper:
 
     def step(self, carried, n: int):
         """Viscous half step, explicit midpoint, viscous half step."""
-        sp = self.sp
+        sp, work = self.sp, self.work
         (vh,) = carried
-        vh = vh * self.decay_half
-        k1 = self._tendency(sp.ifft(vh), vh)
-        vh_m = np.multiply(self.half_dt, k1, out=k1)
-        vh_m = np.add(vh, vh_m, out=vh_m)
-        k2 = self._tendency(sp.ifft(vh_m), vh_m)
-        out = np.multiply(self.full_dt, k2, out=k2)
-        out = np.add(vh, out, out=out)
+        vh = np.multiply(vh, self.decay_half, work.vh)
+        k1 = self._tendency(sp.ifft(vh, out=work.v), vh, work.k1)
+        vh_m = np.multiply(self.half_dt, k1, k1)
+        vh_m = np.add(vh, vh_m, vh_m)
+        # the new spectrum is the second stage's output, fresh
+        k2 = self._tendency(sp.ifft(vh_m, out=work.v), vh_m, None)
+        out = np.multiply(self.full_dt, k2, k2)
+        out = np.add(vh, out, out)
         out *= self.decay_half
         out *= self.mean_zero
         return (out,)

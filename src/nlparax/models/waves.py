@@ -9,7 +9,7 @@ midpoint rule with dealiased products.  The march carries the spectra of
 multiplies and transforms each midpoint stage's products once, and the
 state returns to physical space only at the samples the march returns.  The
 transforms that one direction of a stage needs at once go through the
-spectral core in one call, as stacks that it fills when it reaches them.
+spectral core in one call, as stacks (see models.base.through).
 
 Kuznetsov:   u_tt - c^2 Lap u = eps d/dt( (grad u)^2
                                           + (gamma-1)/(2 c^2) (u_t)^2
@@ -25,8 +25,6 @@ a = (gamma+1)/c^2 (Westervelt, no gradient term).
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from ..fields import Field
@@ -37,10 +35,13 @@ from .base import (
     ModelKind,
     ModelState,
     StepControl,
+    Work,
+    full,
     march,
     member_axis,
     only_row,
     require_positive,
+    through,
 )
 
 __all__ = ["solve_kuznetsov", "solve_kuznetsov_rows", "solve_westervelt",
@@ -82,7 +83,9 @@ class _WaveStepper:
     and the midpoint stages on them.  A stage makes one inverse call on
     the stacks of the spectra of grad w (and grad u on the first stage), w
     and the linear tendency; then a forward and an inverse call for the
-    gradient product, and a forward call for the rest.
+    gradient product, and a forward call for the rest.  On a 1D grid every
+    multiplier has the full shape of what it multiplies, and every array
+    of a step but the two it returns is one of its Work arrays.
     """
 
     def __init__(self, sp: Spectral, coeff: ModelCoefficients, eps, dt,
@@ -93,6 +96,8 @@ class _WaveStepper:
         damp = eps * coeff.nu / coeff.rho0
         ksq = sp.ksq
         keep = sp.keep()
+        # the shapes of the rows' spectra and of their physical arrays
+        spectra, points = (len(eps), *ksq.shape), (len(eps), *sp.shape)
         # The step's constants, folded as its formulas group them, with a
         # member axis where they depend on eps or the step.  Multipliers of
         # spectra are stored complex: numpy would convert them on every call.
@@ -100,80 +105,112 @@ class _WaveStepper:
             e.astype(complex) for e in
             _linear_propagator(ksq, coeff.c, damp, dt / 2.0))
         # linear tendency of w: -c^2 |k|^2 u - damp |k|^2 w
-        self.lin_u = (-coeff.c**2 * ksq).astype(complex)
+        self.lin_u = full(sp, (-coeff.c**2 * ksq).astype(complex), spectra)
         self.lin_w = (-damp * ksq).astype(complex)
-        self.keep = keep.astype(complex)
+        self.keep = full(sp, keep.astype(complex), spectra)
         self.gain = (keep * (eps * b_grad)).astype(complex)
-        self.eps_a = eps * a_local
-        self.half_dt = (0.5 * dt).astype(complex)
-        self.full_dt = dt.astype(complex)
+        self.eps_a = full(sp, eps * a_local, points)
+        self.one = full(sp, 1.0, points)
+        self.zero = full(sp, 0, points, float)
+        self.half_dt = full(sp, (0.5 * dt).astype(complex), spectra)
+        self.full_dt = full(sp, dt.astype(complex), spectra)
         # the gradient stacks of a stage's inverse call: grad u and grad w
         # when b_grad != 0
         self.grads = ndim if b_grad != 0.0 else 0
+        self.ik = sp.ik if ndim > 1 else [full(sp, k, spectra)
+                                          for k in sp.ik]
+        # the stacks of the first and the second stage's inverse call
+        first, second = 2 * self.grads + 2, self.grads + 2
+        self.work = Work(
+            sp, uh=(spectra, complex), wh=(spectra, complex),
+            tmp=(spectra, complex), k1=(spectra, complex),
+            k2=(spectra, complex), gh=(spectra, complex),
+            gdot=(points, float), rhs=(points, float),
+            block1=((first, *spectra), complex),
+            fields1=((first, *points), float),
+            block2=((second, *spectra), complex),
+            fields2=((second, *points), float))
 
-    def _propagate(self, uh: np.ndarray, wh: np.ndarray):
-        u = self.e11 * uh
-        u += self.e12 * wh
-        w = self.e21 * uh
-        w += self.e22 * wh
+    def _propagate(self, uh: np.ndarray, wh: np.ndarray, u_out, w_out):
+        """The linear half step of (uh, wh), into u_out and w_out (fresh
+        arrays when None)."""
+        u = np.multiply(self.e11, uh, u_out)
+        u += np.multiply(self.e12, wh, self.work.tmp)
+        w = np.multiply(self.e21, uh, w_out)
+        w += np.multiply(self.e22, wh, self.work.tmp)
         return u, w
 
+    def _lin(self, uh: np.ndarray, wh: np.ndarray, out: np.ndarray):
+        """The spectrum of the linear tendency of w, into out."""
+        np.multiply(self.lin_u, uh, out)
+        out += np.multiply(self.lin_w, wh, self.work.tmp)
+
     def _tendency(self, uh: np.ndarray, wh: np.ndarray,
-                  du: np.ndarray | None, n: int):
-        """Spectrum of the dealiased deviation of w_t from the linear
-        tendency at u (spectrum uh, gradient du) and w (spectrum wh), and
-        du.  When du is None, grad u is transformed in this stage's inverse
-        call and returned.  Raises RowsFailed, with a HyperbolicityLost for
-        each member row, when the factor 1 - eps*a*w that the u_t u_tt term
-        divides by is not positive everywhere in that row."""
-        sp, ik, grads = self.sp, self.sp.ik, self.grads
-
-        def lin_h(out):
-            np.multiply(self.lin_u, uh, out=out)
-            out += self.lin_w * wh
-
+                  du: np.ndarray | None, n: int, out):
+        """Spectrum, into out, of the dealiased deviation of w_t from the
+        linear tendency at u (spectrum uh, gradient du) and w (spectrum
+        wh), and du.  When du is None, grad u is transformed in this
+        stage's inverse call and returned.  Raises RowsFailed, with a
+        HyperbolicityLost for each member row, when the factor 1 - eps*a*w
+        that the u_t u_tt term divides by is not positive everywhere in
+        that row."""
+        sp, work, grads = self.sp, self.work, self.grads
         # stacks: grad u (on the first stage) and grad w, then w and the
         # linear tendency
-        stacks = [partial(np.multiply, k, f)
+        stacks = [(np.multiply, k, f)
                   for f in ((uh, wh) if du is None else (wh,))
-                  for k in ik[:grads]]
-        fields = sp.ifft(stacks + [wh, lin_h], uh.shape)
+                  for k in self.ik[:grads]]
+        stacks += [wh, (self._lin, uh, wh)]
         if du is None:
-            # a copy, so that the next stage does not keep all of fields
-            du, fields = fields[:grads].copy(), fields[grads:]
+            fields = through(sp, stacks, uh.shape, work.block1, work.fields1,
+                             inverse=True)
+            # on one axis a view of a Work array that the next stage leaves
+            # alone; on more a copy, so that it does not keep all of fields
+            du = fields[:grads]
+            if work.fields1 is None:
+                du = du.copy()
+        else:
+            fields = through(sp, stacks, uh.shape, work.block2, work.fields2,
+                             inverse=True)
+        dw, w, lin = fields[-2 - grads:-2], fields[-2], fields[-1]
         if grads:
-            dw, fields = fields[:grads], fields[grads:]
-            # eps*b grad u . grad w, dealiased; sum() starts from the int 0,
-            # which turns a -0.0 product into +0.0
-            gdot = sum(np.multiply(du, dw, out=dw))
-            gh = sp.fft(gdot)
-            gh = np.multiply(self.gain, gh, out=gh)
-        w, lin = fields
-        denom = np.multiply(self.eps_a, w, out=w)
-        denom = np.subtract(1.0, denom, out=denom)
-        require_positive(denom, sp, lambda _row, margin: HyperbolicityLost(
-            f"hyperbolicity lost at step {n}: min(1 - eps*a*w) = "
-            f"{margin:.3e}"))
+            # eps*b grad u . grad w, dealiased; the sum starts from 0, as
+            # sum() does, which turns a -0.0 product into +0.0
+            products = np.multiply(du, dw, dw)
+            gdot = np.add(products[0], self.zero, work.gdot)
+            for j in range(1, grads):
+                gdot += products[j]
+            gh = sp.fft(gdot, out=work.gh)
+            gh = np.multiply(self.gain, gh, gh)
+        denom = np.multiply(self.eps_a, w, w)
+        denom = np.subtract(self.one, denom, denom)
+        require_positive(denom, sp, _hyperbolicity_lost, n)
         if grads:
-            rhs = sp.ifft(gh)
-            rhs = np.add(lin, rhs, out=rhs)
+            rhs = sp.ifft(gh, out=work.rhs)
+            rhs = np.add(lin, rhs, rhs)
             rhs /= denom
         else:
-            rhs = lin / denom
+            rhs = np.divide(lin, denom, work.rhs)
         rhs -= lin
-        out = sp.fft(rhs)
-        return np.multiply(self.keep, out, out=out), du
+        out = sp.fft(rhs, out=out)
+        return np.multiply(self.keep, out, out), du
 
     def step(self, carried, n: int):
         """Linear half step, explicit midpoint for the nonlinear flow (u
         frozen, w evolves), linear half step."""
-        uh, wh = self._propagate(*carried)
-        k1, du = self._tendency(uh, wh, None, n)
-        k1 = np.multiply(self.half_dt, k1, out=k1)
-        k2, _ = self._tendency(uh, np.add(wh, k1, out=k1), du, n)
-        k2 = np.multiply(self.full_dt, k2, out=k2)
+        work = self.work
+        uh, wh = self._propagate(*carried, work.uh, work.wh)
+        k1, du = self._tendency(uh, wh, None, n, work.k1)
+        k1 = np.multiply(self.half_dt, k1, k1)
+        k2, _ = self._tendency(uh, np.add(wh, k1, k1), du, n, work.k2)
+        k2 = np.multiply(self.full_dt, k2, k2)
         wh += k2
-        return self._propagate(uh, wh)
+        return self._propagate(uh, wh, None, None)
+
+
+def _hyperbolicity_lost(n: int, _row: int, margin: float):
+    return HyperbolicityLost(f"hyperbolicity lost at step {n}: "
+                             f"min(1 - eps*a*w) = {margin:.3e}")
 
 
 def solve_kuznetsov(coeff: ModelCoefficients, u0: Field, u1: Field,

@@ -9,14 +9,15 @@ transforms call pocketfft's kernels, the gufuncs of
 with the factors `numpy.fft` passes, so they give its bits without its
 argument handling.
 Arrays carry the grid's axes last; leading axes (a stack of components, say)
-ride along.  `fft`/`ifft` take one array whose leading axes are rows, or
-the inputs of one stage of a stepper as a list of stacks of one shape, each
-an array or a fill(out) that writes one.  On a 1D grid the stacks are
-filled into one block and every row goes through one kernel call.  On more
-axes a stack is filled only when the transform reaches it, after the one
-before it is transformed row by row into the output: a stage holds one
-stack's input at a time, not the block.  An operator along a bounded axis
-raises a ValueError naming it.
+ride along.  `fft`/`ifft` take one array whose leading axes are rows, and
+write into a given output when there is one: on a 1D grid every row goes
+through one kernel call, so a 1D stepper writes a stage's stacks into one
+block of its own and transforms that.  They also take the inputs of one
+stage as a list of stacks of one shape, each an array or a fill(out) that
+writes one: a stack is filled only when the transform reaches it, after
+the one before it is transformed row by row into the output, so a stage on
+more axes holds one stack's input at a time, not the block.  An operator
+along a bounded axis raises a ValueError naming it.
 Callers pass arrays: there are no Field-level wrappers.
 """
 
@@ -49,60 +50,51 @@ def _check_periodic(axis: Axis) -> None:
                          "operators require a periodic axis")
 
 
-def _forward(v, axes: tuple[int, ...], shape=None) -> np.ndarray:
-    """rfftn over axes, the last axes, of v: an array whose leading axes are
-    rows, or, when shape is given, the stacks of a block whose first axis
-    is the stack, each an array of that shape or a fill(out) that writes
-    one into out.  On one axis the stacks are filled into one block and
-    every row goes through one kernel call.  On more the rows go one at a
-    time into the output, for memory, and a stack is filled only once every
-    row of the one before it is transformed, into one buffer that they
-    share: that holds one stack's input and one row's intermediates at a
-    time.  One call per axis over the block ran faster once its pages were
-    mapped, but raised the peak resident set."""
-    if len(axes) == 1:
-        return _rfftn(v if shape is None else _block(v, shape, float), axes)
+def _forward(v, axes: tuple[int, ...], shape=None, out=None) -> np.ndarray:
+    """rfftn over axes, the last axes, of v, into out when given: v is an
+    array whose leading axes are rows, or, when shape is given, the stacks
+    of a block whose first axis is the stack, each an array of that shape
+    or a fill(out) that writes one into out.  An array on one axis goes
+    through one kernel call.  Otherwise the rows go one at a time into the
+    output, for memory, and a stack is filled only once every row of the
+    one before it is transformed, into one buffer that they share: that
+    holds one stack's input and one row's intermediates at a time.  One
+    call per axis over the block ran faster once its pages were mapped, but
+    raised the peak resident set."""
+    if shape is None and len(axes) == 1:  # _rfftn's one kernel call
+        return _kernel(_rfft, v, 1.0, v.shape[-1] // 2 + 1, -1, complex, out)
     grid = (v.shape if shape is None else shape)[-len(axes):]
     spectrum = grid[:-1] + (grid[-1] // 2 + 1,)
     return _rows(v, shape, grid, spectrum, float, complex,
-                 lambda row, out: _rfftn(row, axes, out))
+                 lambda row, done: _rfftn(row, axes, done), out)
 
 
-def _inverse(vh, sizes, axes: tuple[int, ...], shape=None) -> np.ndarray:
-    """irfftn over axes of vh back to the given sizes, vh being an array
-    or the stacks of a block as in _forward."""
-    if len(axes) == 1:
-        return _irfftn(vh if shape is None else _block(vh, shape, complex),
-                       sizes, axes)
+def _inverse(vh, sizes, axes: tuple[int, ...], shape=None,
+             out=None) -> np.ndarray:
+    """irfftn over axes of vh back to the given sizes, into out when given,
+    vh being an array or the stacks of a block as in _forward."""
+    if shape is None and len(axes) == 1:  # _irfftn's one kernel call
+        n = sizes[-1]
+        return _kernel(_irfft, vh, 1.0 / n, n, -1, float, out)
     spectrum = (vh.shape if shape is None else shape)[-len(axes):]
     return _rows(vh, shape, spectrum, tuple(sizes), complex, float,
-                 lambda row, out: _irfftn(row, sizes, axes, out))
-
-
-def _block(stacks, shape, dtype) -> np.ndarray:
-    """The block of the stacks, as _forward takes them, of that shape."""
-    block = np.empty((len(stacks), *shape), dtype)
-    for stack, into in zip(stacks, block):
-        if callable(stack):
-            stack(into)
-        else:
-            into[...] = stack
-    return block
+                 lambda row, done: _irfftn(row, sizes, axes, done), out)
 
 
 def _rows(v, shape, grid: tuple, out_grid: tuple, dtype, out_dtype,
-          op) -> np.ndarray:
-    """The row loop of _forward and _inverse on more than one axis: op(row,
-    out), a transform of one row from grid to out_grid into out (a fresh
-    array when out is None), over v, whose stacks (when shape is given)
-    hold dtype."""
+          op, out=None) -> np.ndarray:
+    """The row loop of _forward and _inverse: op(row, done), a transform of
+    one row from grid to out_grid into done (a fresh array when done is
+    None), over v, whose stacks (when shape is given) hold dtype, into out
+    (a fresh array when out is None)."""
     if shape is None:
         if v.size == math.prod(grid):
-            return op(v, None)
+            return op(v, out)
         stacks, shape, lead = (v,), v.shape, ()
     else:
         stacks, lead = v, (len(v),)
-    out = np.empty(lead + shape[:-len(grid)] + out_grid, out_dtype)
+    if out is None:
+        out = np.empty(lead + shape[:-len(grid)] + out_grid, out_dtype)
     into = None
     for stack, rows in zip(stacks, out.reshape(len(stacks), -1, *out_grid)):
         if callable(stack):
@@ -125,7 +117,7 @@ def _kernel(kernel, v: np.ndarray, factor: float, n: int, j: int, dtype,
         shape[j] = n
         out = np.empty(shape, dtype)
     if j == -1:  # the default axes, which cost a microsecond to parse
-        return kernel(v, factor, out=out)
+        return kernel(v, factor, out)
     return kernel(v, factor, axes=[(j,), (), (j,)], out=out)
 
 
@@ -170,6 +162,7 @@ class Spectral:
     def __init__(self, grid: Grid):
         self.grid = grid
         self.shape = grid.shape
+        self._points = math.prod(self.shape)
         self._symbols: dict[tuple, np.ndarray] = {}
 
     def _axis(self, axis: str | int) -> int:
@@ -221,20 +214,20 @@ class Spectral:
         """|k|^2 in the layout of `fft`."""
         return sum(k**2 for k in self.k)
 
-    def fft(self, v, shape=None) -> np.ndarray:
-        """Spectrum of v over every axis of the grid.  v is an array whose
-        leading axes are rows, or, when shape is given, a sequence of
-        stacks, each an array of that shape or a fill(out) that writes one:
-        the spectrum is then that of the block they stack into, whose first
-        axis is the stack.  On a 1D grid every row goes through one kernel
-        call; on more axes a stack is filled only when the transform
-        reaches it."""
-        return _forward(v, self._axes, shape)
+    def fft(self, v, shape=None, out=None) -> np.ndarray:
+        """Spectrum of v over every axis of the grid, written into out when
+        it is given.  v is an array whose leading axes are rows, or, when
+        shape is given, a sequence of stacks, each an array of that shape
+        or a fill(out) that writes one: the spectrum is then that of the
+        block they stack into, whose first axis is the stack, and a stack
+        is filled only when the transform reaches it.  On a 1D grid an
+        array of any number of rows goes through one kernel call."""
+        return _forward(v, self._axes, shape, out)
 
-    def ifft(self, vh, shape=None) -> np.ndarray:
+    def ifft(self, vh, shape=None, out=None) -> np.ndarray:
         """Inverse of `fft`: vh is a spectrum whose leading axes are rows,
         or, when shape is given, a sequence of stacks of spectra."""
-        return _inverse(vh, self.shape, self._axes, shape)
+        return _inverse(vh, self.shape, self._axes, shape, out)
 
     def sum_sq(self, v: np.ndarray) -> float:
         """Sum of squares over the grid of a real array, or, for a spectrum
@@ -247,15 +240,15 @@ class Spectral:
         if not math.isfinite(total):
             return total  # and not inf - inf below
         return ((2.0 * total - _real_sum_sq(v[..., [0, -1]]))
-                / math.prod(self.shape))
+                / self._points)
 
     def sum_sq_bound(self, v: np.ndarray) -> float:
         """`sum_sq(v)` for a real array; for a spectrum, an upper bound of
         it in floating point from one reduction, counting every mode
-        twice.  Finite only when every entry of v is."""
-        if not np.iscomplexobj(v):
+        twice.  Finite only when every entry of v, an array, is."""
+        if v.dtype.kind != "c":
             return float(np.vdot(v, v))
-        return 2.0 * _real_sum_sq(v) / math.prod(self.shape)
+        return 2.0 * _real_sum_sq(v) / self._points
 
     def filter(self, v: np.ndarray, axis: str | int,
                symbol: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ of a march is built for its rows: each multiplier of a row is that of a
 stepper built for the row alone, and a march holds one stepper."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nlparax import (
 )
 from nlparax.flow import _FlowStepper, solve_flow, solve_flow_rows
 from nlparax.models import HyperbolicityLost, PositivityLost, SolverError
+from nlparax.models.base import Work, _transform
 from nlparax.models.oneway import _OneWayStepper, solve_npe, solve_npe_rows
 from nlparax.models.waves import (
     _WaveStepper,
@@ -200,11 +202,14 @@ def test_a_row_that_loses_positivity_mid_step_names_the_stage():
         assert _bytes(result) == _bytes(solve_flow(*r))
 
 
-def _stepper_builders():
+def _stepper_builders(line=False):
     """stepper class -> build(eps, dt) of a stepper for the rows of those
-    eps values and step sizes, whose multipliers all depend on them"""
-    g = Grid((Axis("x1", 2 * np.pi, 16), Axis("x2", 3.0, 8)))
-    kzk = Grid((Axis("tau", 2 * np.pi, 16), Axis("y1", 3.0, 8)), Frame.KZK)
+    eps values and step sizes, whose multipliers all depend on them, on a
+    2D grid or, when line is true, on a 1D one"""
+    g = Grid((Axis("x1", 2 * np.pi, 16),) if line else
+             (Axis("x1", 2 * np.pi, 16), Axis("x2", 3.0, 8)))
+    kzk = Grid((Axis("tau", 2 * np.pi, 16),) if line else
+               (Axis("tau", 2 * np.pi, 16), Axis("y1", 3.0, 8)), Frame.KZK)
     sp, sp_kzk, coeff = Spectral(g), Spectral(kzk), _coeff(0.01)
     source_h = sp_kzk.fft(np.cos(sum(kzk.mesh())))
     return {
@@ -217,31 +222,116 @@ def _stepper_builders():
     }
 
 
-@pytest.mark.parametrize("cls", [_WaveStepper, _FlowStepper, _OneWayStepper],
-                         ids=["wave", "flow", "oneway"])
-def test_each_row_of_a_stepper_is_that_row_alone(cls):
-    # an array with a leading member axis has one more axis than the grid;
-    # row r of it must be the array of a stepper built for row r alone,
-    # bit for bit, and every other attribute the same as that stepper's
-    build = _stepper_builders()[cls]
+def _same_but_rows(value, alone, r: int, name: str, contents=True) -> None:
+    """value, an attribute of a stepper of the rows EPS, is alone, that of
+    a stepper of row r alone, but for its member axis: the one axis, if
+    any, where value has len(EPS) entries and alone has 1, whose row r is
+    alone's row, bit for bit (when contents is true)."""
+    if isinstance(value, np.ndarray):
+        axes = [i for i, (a, b) in enumerate(zip(value.shape, alone.shape))
+                if a != b]
+        assert value.ndim == alone.ndim and len(axes) <= 1, name
+        if axes:
+            assert (value.shape[axes[0]], alone.shape[axes[0]]) == (
+                len(EPS), 1), name
+            value, alone = value.take(r, axes[0]), alone.take(0, axes[0])
+        assert not contents or value.tobytes() == alone.tobytes(), name
+    elif isinstance(value, (list, tuple)):  # symbols per axis, constants
+        assert len(value) == len(alone), name
+        for part, part_alone in zip(value, alone):
+            _same_but_rows(part, part_alone, r, name, contents)
+    elif isinstance(value, Work):
+        # arrays that a step writes before it reads them, which hold no
+        # row's state between steps: only their shapes are a row's
+        assert vars(value).keys() == vars(alone).keys(), name
+        for part, array in vars(value).items():
+            _same_but_rows(array, vars(alone)[part], r, f"{name}.{part}",
+                           contents=False)
+    else:
+        assert value is alone or value == alone, name
+
+
+@pytest.mark.parametrize("cls, line", [
+    (_WaveStepper, False), (_FlowStepper, False), (_OneWayStepper, False),
+    (_WaveStepper, True), (_FlowStepper, True), (_OneWayStepper, True),
+], ids=["wave", "flow", "oneway", "wave-1d", "flow-1d", "oneway-1d"])
+def test_each_row_of_a_stepper_is_that_row_alone(cls, line):
+    # an array with a member axis has len(EPS) entries on it; row r of it
+    # must be the array of a stepper built for row r alone, bit for bit,
+    # and every other attribute the same as that stepper's.  On a 1D grid
+    # each multiplier has the full shape of the arrays it multiplies, and
+    # the step's Work arrays are allocated; on more axes they are None.
+    build = _stepper_builders(line)[cls]
     dts = (0.01, 0.008, 0.005)
     rows = build(EPS, dts)
-    ndim = len(rows.sp.shape)
+    work = [a is not None for a in vars(rows.work).values()]
+    assert work and set(work) == {line}
     for r in range(len(EPS)):
         alone = vars(build(EPS[r:r + 1], dts[r:r + 1]))
         assert vars(rows).keys() == alone.keys()
         for name, value in vars(rows).items():
             if name == "dt":  # the flow stepper's, for its messages
                 assert (value[r], len(value)) == (alone[name][0], len(EPS))
-            elif isinstance(value, np.ndarray) and value.ndim > ndim:
-                assert value.shape[0] == len(EPS), name
-                assert alone[name].shape == (1, *value.shape[1:]), name
-                assert value[r].tobytes() == alone[name][0].tobytes(), name
-            elif isinstance(value, np.ndarray):
-                assert value.shape == alone[name].shape, name
-                assert value.tobytes() == alone[name].tobytes(), name
             else:
-                assert value is alone[name] or value == alone[name], name
+                _same_but_rows(value, alone[name], r, name)
+
+
+def _line_steppers(points: int) -> dict:
+    """stepper class -> (a stepper of the rows EPS on a 1D grid of that
+    many points, the carried arrays that it steps from)"""
+    g = _line(n=points)
+    x = g.mesh()[0]
+    sp, coeff, dts = Spectral(g), _coeff(0.01), (0.01, 0.008, 0.005)
+    rows = np.stack([0.5 * np.sin(x + e) for e in EPS])
+    built = {
+        _WaveStepper: (_WaveStepper(sp, coeff, EPS, dts, coeff.alpha, 2.0),
+                       (rows, -np.roll(rows, 3, axis=-1))),
+        _FlowStepper: (_FlowStepper(sp, coeff, EPS, dts),
+                       (1.0 + 0.1 * rows, 0.1 * rows[np.newaxis])),
+        _OneWayStepper: (_OneWayStepper(sp, "x1", 0.7, 0.05, 0.0, dts,
+                                        [2.0 * e for e in EPS],
+                                        sp.fft(np.cos(x))), (rows,)),
+    }
+    return {cls: (stepper, _transform(stepper, state, sp.fft))
+            for cls, (stepper, state) in built.items()}
+
+
+@pytest.mark.parametrize("cls", [_WaveStepper, _FlowStepper, _OneWayStepper],
+                         ids=["wave", "flow", "oneway"])
+def test_a_1d_step_keeps_no_state_in_its_work_arrays(cls):
+    # a step writes every Work array before it reads it: with each one
+    # spoiled by NaN before every step, the steps give the same bits
+    stepper, carried = _line_steppers(64)[cls]
+    spoiled, spoiled_carried = _line_steppers(64)[cls]
+    for n in range(1, 4):
+        for array in vars(spoiled.work).values():
+            array.fill(np.nan)
+        carried = stepper.step(carried, n)
+        spoiled_carried = spoiled.step(spoiled_carried, n)
+        assert [a.tobytes() for a in carried] == [
+            a.tobytes() for a in spoiled_carried]
+
+
+@pytest.mark.parametrize("cls", [_WaveStepper, _FlowStepper, _OneWayStepper],
+                         ids=["wave", "flow", "oneway"])
+def test_a_1d_step_allocates_only_what_it_returns(cls):
+    # after a warm step, a 1D step allocates the carried arrays it returns
+    # and nothing else of its size: every other array it writes is one of
+    # its Work arrays.  numpy's own bookkeeping within one call (iterators,
+    # reductions, the kernels' core dimensions) peaks near 1.5 KB; the
+    # smallest array of the step at 256 points takes 6 KB.
+    stepper, carried = _line_steppers(256)[cls]
+    carried = stepper.step(carried, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        carried = stepper.step(carried, 2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in carried)
+    assert peak - returned < min(a.nbytes for a in carried) / 2
 
 
 @pytest.mark.parametrize("cls, rows, solve_rows", [

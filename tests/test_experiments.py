@@ -3,6 +3,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import tracemalloc
 from contextlib import nullcontext
 
@@ -338,6 +340,41 @@ def test_a_fraction_between_samples_has_no_slope():
 
     assert rep.slopes == {"0.25": None, "0.5": fitted(3), "1": fitted(6)}
     assert rep.median_slope == (fitted(3) + fitted(6)) / 2
+
+
+def test_the_median_slope_is_numpys_median_to_the_bit():
+    # the median of at most three slopes, taken without np.median, which
+    # imports numpy.ma; signed zeros, infinities and NaN included
+    rng = np.random.default_rng(7)
+    specials = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e308, -1e308]
+    for _ in range(3000):
+        values = [float(v) for v in rng.standard_normal(rng.integers(1, 5))
+                  * 10.0 ** rng.integers(-300, 300)]
+        for i in range(len(values)):
+            if rng.random() < 0.2:
+                values[i] = float(rng.choice(specials))
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect = np.float64(np.median(values))
+        assert np.float64(experiments._median(values)).tobytes() == (
+            expect.tobytes()), values
+
+
+def test_a_slope_sweep_leaves_numpy_ma_out():
+    # numpy.ma adds to the resident set of every sweep process
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys\n"
+            "from nlparax import ExperimentConfig, ModelCoefficients, "
+            "scaling_study\n"
+            "rep = scaling_study(ExperimentConfig(name='t', "
+            "pair='kuznetsov-westervelt', coeff=ModelCoefficients(nu=0.3), "
+            "eps_list=(0.04, 0.02), horizon=2.0, horizon_over_eps=False, "
+            "points=32, samples=4, preset_params={'amplitude': 0.3}))\n"
+            "print(rep.median_slope is not None, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
 
 
 def test_ns_kuznetsov_slope_below_its_claim_fails(monkeypatch):
