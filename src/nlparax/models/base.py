@@ -384,8 +384,8 @@ def _batch_limit(ref_norm: float) -> float:
 def _live_set(live) -> tuple:
     """What each step of the march reads of its live rows, computed once
     per live set: the smallest of their limits for _unhealthy, the steps at
-    which any of them samples, and the first step after which one
-    retires."""
+    which any of them samples, and the first step at which one of them
+    has taken all its steps."""
     return (min(row.limit_sq for row in live),
             set().union(*(row.sample_at for row in live)),
             min(row.nsteps for row in live))
