@@ -132,10 +132,9 @@ class _FlowStepper:
     (rho, vh): the density, and the spectrum of the velocity.  Each stage
     makes two calls each way, each on the stacks of one block: v and its
     derivatives back to physical space, rho v and p forward, their
-    derivatives back, and the velocity tendency forward.
-    Velocities travel stacked, one component per leading index.  On a 1D
-    grid every multiplier has the full shape of what it multiplies, and
-    every array of a step but the two it returns is one of its Work arrays.
+    derivatives back, and the velocity tendency forward, in the layout of
+    models.base.prepared.  Velocities travel stacked, one component per
+    leading index.
     """
 
     #: the leading carried arrays the march keeps physical: the density
@@ -154,8 +153,6 @@ class _FlowStepper:
         self.visc = full(sp, eps * coeff.nu, v_points)
         self.law = tuple(full(sp, c, points) for c in _state_law(coeff))
         self.inv_rho0 = full(sp, 1.0 / coeff.rho0, v_points)
-        self.one = full(sp, 1.0, v_points)
-        self.zero = full(sp, 0, spectra, complex)
         # exact decay of the eps*nu/rho0 Lap v part per rfftn mode
         visc0 = eps * coeff.nu / coeff.rho0
         keep = sp.keep().astype(complex)
@@ -169,9 +166,8 @@ class _FlowStepper:
         self.full_dt = full(sp, dt, points)
         self.half_dt_h = full(sp, 0.5 * dt, v_spectra, complex)
         self.full_dt_h = full(sp, dt, v_spectra, complex)
-        self.ik = sp.ik if nd > 1 else [full(sp, k, spectra) for k in sp.ik]
-        self.ik_v = sp.ik if nd > 1 else [full(sp, k, v_spectra)
-                                          for k in sp.ik]
+        self.ik = [full(sp, k, spectra) for k in sp.ik]
+        self.ik_v = [full(sp, k, v_spectra) for k in sp.ik]
         self.work = Work(
             sp, vh=(v_spectra, complex), d1vh=(v_spectra, complex),
             velocity=((nd + 2, *v_spectra), complex),
@@ -211,15 +207,13 @@ class _FlowStepper:
         rho_v = rho[np.newaxis]
         lap = fields[nd]
         lap *= self.visc
-        factor = np.divide(self.one, rho_v, work.factor)
+        factor = np.reciprocal(rho_v, work.factor)
         lap *= np.subtract(factor, self.inv_rho0, factor)
         # the dealiased div(rho v) and grad p (one per axis), formed in place
         # of the spectra they read, so that the inverse call holds no other
-        # input; div as sum() forms it, from the int 0, which turns a -0.0
-        # product into +0.0
+        # input
         div, ph = spectra[0], spectra[nd]
         div *= ik[0]
-        div += self.zero
         for j in range(1, nd):
             div += ik[j] * spectra[j]
         div *= keep

@@ -61,11 +61,11 @@ def transform_field(f: Field, src: str, dst: str, c: float,
     if f.grid.frame is not Frame(src):
         raise ValueError(f"{src}->{dst} needs a snapshot in the {src!r} "
                          f"frame, got one in the {f.grid.frame.value!r} frame")
+    if not (0 < c < math.inf and 0 < eps < 1):
+        raise ValueError(f"transform needs c > 0 and eps > 0, both finite, "
+                         f"and eps < 1, got c={c}, eps={eps}")
     if src == dst:
         return f
-    if not (0 < c < math.inf and 0 < eps < math.inf):
-        raise ValueError(f"transform needs c > 0 and eps > 0, both finite, "
-                         f"got c={c}, eps={eps}")
     lead_src, lead_dst, scales = _CHANGES[src, dst]
     lead, *rest = f.grid.axes
     if lead.name != lead_src:

@@ -32,6 +32,7 @@ __all__ = [
     "march",
     "member_axis",
     "only_row",
+    "prepared",
     "require_positive",
     "resolve_steps",
     "through",
@@ -152,26 +153,33 @@ def require_positive(values: np.ndarray, sp: Spectral, error, n: int) -> None:
                           for r in np.flatnonzero(bad)})
 
 
+def prepared(sp: Spectral) -> bool:
+    """Whether steps on sp's grid take the prepared layout: on a 1D grid,
+    where a step costs its numpy calls rather than its flops, multipliers
+    have the full shape of what they multiply (see full), a step writes
+    into Work arrays, and a stage's block goes through one kernel call (see
+    through, _transform).  On more axes the layout streams, for memory:
+    multipliers broadcast, and a stage holds one stack at a time."""
+    return len(sp.shape) == 1
+
+
 class Work:
     """The arrays that a stepper's step writes and reads back within the
-    step, named by keyword as (shape, dtype).  On a 1D grid, where a step
-    costs its numpy calls rather than its flops, each is allocated once,
-    here; on more axes each is None, so that a call given it as its output
-    allocates as it goes and a stage holds only what it needs.  No array
-    holds a row's state from one step to the next."""
+    step, named by keyword as (shape, dtype): allocated once, here, where
+    the layout is prepared, else None, so that a call given one as its
+    output allocates.  No array holds a row's state between steps."""
 
     def __init__(self, sp: Spectral, **arrays):
         for name, (shape, dtype) in arrays.items():
             setattr(self, name,
-                    np.empty(shape, dtype) if len(sp.shape) == 1 else None)
+                    np.empty(shape, dtype) if prepared(sp) else None)
 
 
 def full(sp: Spectral, a, shape, dtype=None):
-    """a as a step applies it to arrays of that shape: on a 1D grid a
-    contiguous array of the full shape (and of dtype, when given), so that
-    numpy runs its same-shape loops and not its broadcasting ones; on more
-    axes a itself."""
-    if len(sp.shape) > 1:
+    """a as a step applies it to arrays of that shape: where the layout is
+    prepared, a contiguous array of the full shape (and of dtype, when
+    given); elsewhere a itself."""
+    if not prepared(sp):
         return a
     return np.ascontiguousarray(np.broadcast_to(a, shape), dtype)
 
@@ -180,11 +188,10 @@ def through(sp: Spectral, stacks: list, shape: tuple, block, out,
             inverse: bool = False):
     """sp.fft, or sp.ifft when inverse is true, of the block that the
     stacks of one stage stack into, each of that shape: an array, or a
-    tuple (f, a, b) of a call f(a, b, out) that writes it into out.  On a
-    1D grid block is the stage's Work array: the stacks are written into
-    it, and it goes through one kernel call into out.  On more axes block
-    is None, and the transform fills each stack only when it reaches it."""
-    if block is None:
+    tuple (f, a, b) of a call f(a, b, out) that writes it into out.  Where
+    the layout is prepared the stacks are written into block, a Work array,
+    which is transformed into out; elsewhere the transform fills them."""
+    if not prepared(sp):
         fills = [partial(*s) if type(s) is tuple else s for s in stacks]
         return sp.ifft(fills, shape) if inverse else sp.fft(fills, shape)
     for i, s in enumerate(stacks):  # faster than iterating over block
@@ -363,12 +370,12 @@ def _transform(stepper, arrays: tuple, op) -> tuple:
     """The arrays with all but the leading `stepper.physical` (0 when the
     stepper declares none) passed through op, Spectral.fft or ifft, in one
     call: a lone array as it is, several as the stacks of one block, which
-    on a 1D grid is stacked here and goes through one kernel call."""
+    is stacked here where the layout is prepared."""
     kept = getattr(stepper, "physical", 0)
     head, rest = arrays[:kept], arrays[kept:]
     if len(rest) == 1:
         return (*head, op(rest[0]))
-    if len(op.__self__.shape) == 1:  # the grid of op's Spectral
+    if prepared(op.__self__):  # the Spectral of op
         return (*head, *op(np.stack(rest)))
     return (*head, *op(rest, rest[0].shape))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fields import Field
+from ..fields import Field, Frame
 from ..spectral import Spectral, require_mean_zero
 from .base import (
     ModelCoefficients,
@@ -49,10 +49,8 @@ class _OneWayStepper:
     conjugate axis (tau for KZK, z for NPE) and S a fixed array.  Every
     linear operator is a multiplier on the whole-grid spectrum vh, which is
     the carried state: each stage of a step transforms v back and v^2
-    forward.  The forcing src_scale * S is projected mean-zero along ax.
-    On a 1D grid every multiplier has the full shape of what it
-    multiplies, and every array of a step but the one it returns is one of
-    its Work arrays.
+    forward, in the layout of models.base.prepared.  The forcing
+    src_scale * S is projected mean-zero along ax.
     A march builds the stepper for the member rows it steps, from one step
     size and src_scale per row and the spectrum source_h of S (None for no
     forcing), and again for the survivors.
@@ -178,6 +176,9 @@ def _oneway_rows(rows, model: ModelKind,
     ax_name, coefficients = _MODELS[model]
     members = []
     for coeff, v0, span, ctl, n_samples in rows:
+        if v0.grid.frame is not Frame(model.value):
+            raise ValueError(f"{model.value} profiles live on "
+                             f"{model.value}-frame grids")
         require_mean_zero(v0, ax_name)
         if source is not None and (np.shape(source) != v0.grid.shape
                                    or np.iscomplexobj(source)

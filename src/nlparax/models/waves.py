@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fields import Field
+from ..fields import Field, Frame
 from ..spectral import Spectral
 from .base import (
     HyperbolicityLost,
@@ -40,6 +40,7 @@ from .base import (
     march,
     member_axis,
     only_row,
+    prepared,
     require_positive,
     through,
 )
@@ -83,9 +84,8 @@ class _WaveStepper:
     and the midpoint stages on them.  A stage makes one inverse call on
     the stacks of the spectra of grad w (and grad u on the first stage), w
     and the linear tendency; then a forward and an inverse call for the
-    gradient product, and a forward call for the rest.  On a 1D grid every
-    multiplier has the full shape of what it multiplies, and every array
-    of a step but the two it returns is one of its Work arrays.
+    gradient product, and a forward call for the rest, in the layout of
+    models.base.prepared.
     """
 
     def __init__(self, sp: Spectral, coeff: ModelCoefficients, eps, dt,
@@ -111,21 +111,19 @@ class _WaveStepper:
         self.gain = (keep * (eps * b_grad)).astype(complex)
         self.eps_a = full(sp, eps * a_local, points)
         self.one = full(sp, 1.0, points)
-        self.zero = full(sp, 0, points, float)
         self.half_dt = full(sp, (0.5 * dt).astype(complex), spectra)
         self.full_dt = full(sp, dt.astype(complex), spectra)
         # the gradient stacks of a stage's inverse call: grad u and grad w
         # when b_grad != 0
         self.grads = ndim if b_grad != 0.0 else 0
-        self.ik = sp.ik if ndim > 1 else [full(sp, k, spectra)
-                                          for k in sp.ik]
+        self.ik = [full(sp, k, spectra) for k in sp.ik]
         # the stacks of the first and the second stage's inverse call
         first, second = 2 * self.grads + 2, self.grads + 2
         self.work = Work(
             sp, uh=(spectra, complex), wh=(spectra, complex),
             tmp=(spectra, complex), k1=(spectra, complex),
             k2=(spectra, complex), gh=(spectra, complex),
-            gdot=(points, float), rhs=(points, float),
+            rhs=(points, float),
             block1=((first, *spectra), complex),
             fields1=((first, *points), float),
             block2=((second, *spectra), complex),
@@ -164,22 +162,18 @@ class _WaveStepper:
         if du is None:
             fields = through(sp, stacks, uh.shape, work.block1, work.fields1,
                              inverse=True)
-            # on one axis a view of a Work array that the next stage leaves
-            # alone; on more a copy, so that it does not keep all of fields
-            du = fields[:grads]
-            if work.fields1 is None:
-                du = du.copy()
+            # prepared, a view of a Work array that the next stage leaves
+            # alone; streamed, a copy, so that it does not keep all of fields
+            du = fields[:grads] if prepared(sp) else fields[:grads].copy()
         else:
             fields = through(sp, stacks, uh.shape, work.block2, work.fields2,
                              inverse=True)
         dw, w, lin = fields[-2 - grads:-2], fields[-2], fields[-1]
         if grads:
-            # eps*b grad u . grad w, dealiased; the sum starts from 0, as
-            # sum() does, which turns a -0.0 product into +0.0
-            products = np.multiply(du, dw, dw)
-            gdot = np.add(products[0], self.zero, work.gdot)
+            # eps*b grad u . grad w, dealiased, summed in place of dw
+            gdot = np.multiply(du, dw, dw)[0]
             for j in range(1, grads):
-                gdot += products[j]
+                gdot += dw[j]
             gh = sp.fft(gdot, out=work.gh)
             gh = np.multiply(self.gain, gh, gh)
         denom = np.multiply(self.eps_a, w, w)
@@ -254,6 +248,8 @@ def _wave_rows(rows, model: ModelKind, names: str, a_local,
     for coeff, f0, f1, t_end, ctl, n_samples in rows:
         if f0.grid != f1.grid:
             raise ValueError(f"{names} must share one grid")
+        if f0.grid.frame is not Frame.PHYSICAL:
+            raise ValueError(f"{names} live on physical-frame grids")
         members.append((coeff, f0.grid, (f0.scalar, f1.scalar), t_end, ctl,
                         n_samples))
 

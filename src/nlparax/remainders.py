@@ -550,33 +550,39 @@ def _key(expr: Expr) -> Expr:
     return Ref(expr.name, tuple(sorted(total.items())))
 
 
-def _count_reads(reads: dict, key: Union[Expr, str], given: Mapping,
-                 xs: Sequence[str]) -> None:
-    """Count one read of `key` (a `_key` or the name of a derived field) in
-    `reads`; on its first read, also the reads its evaluation makes, so a
-    repeated node's subtree counts once.  Module level: a closure over the
-    context would make a reference cycle that keeps its arrays alive until
-    the cyclic collector runs."""
-    seen = reads.get(key, 0)
-    reads[key] = seen + 1
-    if seen:
-        return
+def _reads(key: Union[Expr, str], given: Mapping,
+           xs: Sequence[str]) -> tuple:
+    """The keys (each a `_key` or the name of a derived field) that the
+    evaluation of `key` reads through `_Ctx._read`, in its order."""
     if isinstance(key, str):
         rule = _DERIVED.get(key, (None, ()))[1]
         subs = rule(xs) if callable(rule) else ()
     elif isinstance(key, Ref) and key.derivs:
         subs = (Ref(key.name, key.derivs[:-1]),)
     elif isinstance(key, Ref):
-        subs = () if key.name in given else (key.name,)
+        return () if key.name in given else (key.name,)
     elif isinstance(key, Deriv):
         subs = (key.expr,)
     elif isinstance(key, Prod):
         subs = key.factors
-    else:
+    elif isinstance(key, Sum):
         subs = tuple(sub for _scale, sub in key.addends)
-    for sub in subs:
-        _count_reads(reads, sub if isinstance(sub, str) else _key(sub),
-                     given, xs)
+    else:
+        raise TypeError(f"unknown expression node {key!r}")
+    return tuple(_key(sub) for sub in subs)
+
+
+def _count_reads(reads: dict, key: Union[Expr, str], given: Mapping,
+                 xs: Sequence[str]) -> None:
+    """Count one read of `key` in `reads`, and on its first read its
+    `_reads`, so a repeated node's subtree counts once.  Module level: a
+    closure over the context would make a reference cycle that keeps its
+    arrays alive until the cyclic collector runs."""
+    seen = reads.get(key, 0)
+    reads[key] = seen + 1
+    if not seen:
+        for sub in _reads(key, given, xs):
+            _count_reads(reads, sub, given, xs)
 
 
 class _Ctx:
@@ -644,7 +650,7 @@ class _Ctx:
         margins[axis] = margins.get(axis, 0) + _FD_STENCILS[order][2]
         return _Val(_fd_deriv(val.arr, i, a.spacing, order), margins)
 
-    def _derive(self, name: str) -> _Val:
+    def _derive(self, name: str, vals) -> _Val:
         if name not in _DERIVED:
             raise MissingInput(f"missing input field {name!r}")
         formula, reads = _DERIVED[name]
@@ -657,39 +663,34 @@ class _Ctx:
                                    f"(or {src!r})")
             v = self.fields[src]
             vals = [_Val(self.sp.inv(v.arr, axis), dict(v.margins))]
-        else:
-            vals = [self.eval(e) for e in reads(self.xs)]
         return _Val(formula(self.coeff, *(v.arr for v in vals)),
                     _merge(*(v.margins for v in vals)))
 
     def _evaluate(self, key: Union[Expr, str]) -> _Val:
-        """The value of one key, reading its parts through `_read`."""
+        """The value of one key from its `_reads`, each read through
+        `_read` as the evaluation reaches it."""
+        vals = map(self._read, _reads(key, self.fields, self.xs))
         if isinstance(key, str):
-            return self._derive(key)
+            return self._derive(key, list(vals))
         if isinstance(key, Ref):
-            if not key.derivs:
-                return self.field(key.name)
-            axis, order = key.derivs[-1]
-            return self.deriv(self._read(Ref(key.name, key.derivs[:-1])),
-                              axis, order)
+            if key.derivs:
+                return self.deriv(next(vals), *key.derivs[-1])
+            return next(vals, None) or self.fields[key.name]  # or given
         if isinstance(key, Deriv):
-            return self.deriv(self.eval(key.expr), key.axis, key.order)
+            return self.deriv(next(vals), key.axis, key.order)
         if isinstance(key, Prod):
-            vals = [self.eval(f) for f in key.factors]
+            vals = list(vals)
             arr = np.multiply(vals[0].arr, vals[1].arr)
             for v in vals[2:]:
                 arr *= v.arr
             return _Val(arr, _merge(*(v.margins for v in vals)))
-        if isinstance(key, Sum):
-            arr = np.zeros(self.grid.shape)
-            margins: dict = {}
-            for scale, sub in key.addends:
-                v = self.eval(sub)
-                s = scale(self.coeff) if callable(scale) else float(scale)
-                arr += s * v.arr
-                margins = _merge(margins, v.margins)
-            return _Val(arr, margins)
-        raise TypeError(f"unknown expression node {key!r}")
+        arr = np.zeros(self.grid.shape)
+        margins: dict = {}
+        for (scale, _sub), v in zip(key.addends, vals):
+            s = scale(self.coeff) if callable(scale) else float(scale)
+            arr += s * v.arr
+            margins = _merge(margins, v.margins)
+        return _Val(arr, margins)
 
 
 @dataclass(frozen=True)

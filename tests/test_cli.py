@@ -218,6 +218,13 @@ def test_numerical_failure_exits_2(tmp_path):
     ("kuznetsov", {"axes": [{"name": "x1", "length": 2 * math.pi,
                              "points": 17, "periodic": False}]},
      "axis 'x1' is not periodic"),
+    # each model's own axes, tagged with another frame
+    ("kuznetsov", _line("kzk", "x1"), "u0 and u1 live on physical-frame grids"),
+    ("westervelt", _line("npe", "x1"),
+     "Pi0 and Pi1 live on physical-frame grids"),
+    ("kzk", dict(SOLVE["grid"], frame="npe"),
+     "kzk profiles live on kzk-frame grids"),
+    ("npe", _line("kzk", "z"), "npe profiles live on npe-frame grids"),
 ])
 def test_input_rejected_by_a_solver_exits_1(tmp_path, capsys, model, grid,
                                              message):
@@ -873,8 +880,10 @@ def test_transform_checks_the_frame_tag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--c", "0"], ["--eps", "0"],
-                                   ["--eps", "-0.1"]])
+                                   ["--eps", "-0.1"], ["--eps", "1.0"],
+                                   ["--eps", "5"], ["--eps", "1e300"]])
 def test_transform_rejects_nonpositive_c_and_eps(tmp_path, capsys, flags):
+    # eps lies in (0, 1), as ModelCoefficients requires
     src = _write_kzk_snapshot(tmp_path, Axis("tau", 2.0, 16))
     assert main(["transform", "--from", "kzk", "--to", "physical",
                  "--input", src, "--output", str(tmp_path / "p.paf")]
@@ -884,10 +893,11 @@ def test_transform_rejects_nonpositive_c_and_eps(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("dst, flags", [
     ("physical", ["--c", "inf"]), ("npe", ["--eps", "inf"]),
-    ("npe", ["--eps", "nan"])])
+    ("npe", ["--eps", "nan"]), ("kzk", ["--eps", "nan"])])
 def test_transform_rejects_a_non_finite_c_or_eps(tmp_path, capsys, dst,
                                                  flags):
-    # kzk -> physical reads no c and kzk -> npe no eps; both are refused
+    # kzk -> physical reads no c, kzk -> npe no eps and kzk -> kzk neither;
+    # each is refused
     src = _write_kzk_snapshot(tmp_path, Axis("tau", 2.0, 16))
     assert main(["transform", "--from", "kzk", "--to", dst, "--input", src,
                  "--output", str(tmp_path / "out.paf")] + flags) == 1

@@ -1,17 +1,21 @@
-"""Time the 1D steps of the steppers of two checkouts of nlparax.
+"""Time the steps of the steppers of two checkouts of nlparax.
 
     python tools/steps.py PARENT CHANGE
 
 PARENT and CHANGE are the roots of two checkouts of nlparax.  Each one's
 `src/nlparax` is imported under its own name (`nlparax_parent`,
 `nlparax_change`), so both run in one process.  The script builds the
-Kuznetsov, Westervelt, flow and NPE steppers of each side for ROWS rows
-(the eps values of the `ns-kuznetsov` study) of POINTS points, with the
-study's coefficients and wave step, and times STEPS steps of each from the
-same start, after one warm step.  The sides take turns over ROUNDS rounds,
-each going first in every other round.  It prints, per stepper and side,
-the median and the quartiles of the rounds' times in microseconds per step,
-and the change of the median.  It writes nothing into either tree.
+Kuznetsov, Westervelt, flow and NPE steppers of each side for the rows EPS
+(the eps values of the `ns-kuznetsov` study) on a line of POINTS points,
+with the study's coefficients and wave step.  It builds the 2D steppers of
+GRIDS_2D for one row, EPS[-1], with the same coefficients: the KZK stepper
+on the benchmark's beam grids and the Kuznetsov and flow steppers on its
+128 x 128 grid.  It times STEPS steps of each (STEPS_128 at 128 x 128)
+from the same start, after one warm step.  The sides take turns over
+ROUNDS rounds, each going first in every other round.  It prints, per
+stepper and side, the median and the quartiles of the rounds' times in
+microseconds per step, and the change of the median.  It writes nothing
+into either tree.
 """
 
 from __future__ import annotations
@@ -30,10 +34,15 @@ import numpy as np  # noqa: E402
 
 ROUNDS = 21
 STEPS = 400
+STEPS_128 = 40  # a 128 x 128 step costs 2-4 ms
 POINTS = 64
 EPS = (0.04, 0.02, 0.01)  # the ns-kuznetsov study's rows
 SIDES = ("parent", "change")
-STEPPERS = ("kuznetsov", "westervelt", "flow", "npe")
+#: label -> (stepper, axis points) of the 2D steppers, each of one row
+GRIDS_2D = {"kzk 64x16": ("kzk", (64, 16)), "kzk 64x32": ("kzk", (64, 32)),
+            "kuznetsov 128x128": ("kuznetsov", (128, 128)),
+            "flow 128x128": ("flow", (128, 128))}
+STEPPERS = ("kuznetsov", "westervelt", "flow", "npe", *GRIDS_2D)
 
 
 def load(root: str, name: str):
@@ -49,8 +58,8 @@ def load(root: str, name: str):
 
 
 def steppers(name: str) -> dict:
-    """stepper -> (stepper, carried arrays it starts from) of the package
-    imported as name."""
+    """label -> (stepper, carried arrays it starts from, steps to time) of
+    the package imported as name."""
     pkg = sys.modules[name]
     base = importlib.import_module(f"{name}.models.base")
     waves = importlib.import_module(f"{name}.models.waves")
@@ -81,17 +90,42 @@ def steppers(name: str) -> dict:
         "npe": (oneway._OneWayStepper(sp_npe, "z", a_nl, d_visc, d_diff, dt,
                                       src_scale, None), (profile,)),
     }
-    return {label: (stepper, base._transform(stepper, state, stepper.sp.fft))
+    a_nl, d_visc, d_diff, src_scale = oneway._MODELS[
+        pkg.ModelKind.KZK][1](coeff, EPS[-1:])
+    row, step = EPS[-1:], [0.005]  # one row, at grid-2d's step
+    for label, (kind, (n1, n2)) in GRIDS_2D.items():
+        if kind == "kzk":  # the grids of the kuznetsov-kzk sweep
+            grid = pkg.Grid((pkg.Axis("tau", 2.0 * math.pi, n1),
+                             pkg.Axis("y1", 2.0 * math.pi, n2,
+                                      origin=-math.pi)), pkg.Frame.KZK)
+        else:
+            grid = pkg.Grid((pkg.Axis("x1", 2.0 * math.pi, n1),
+                             pkg.Axis("x2", 2.0 * math.pi, n2)))
+        sp2, (a, b) = spectral.Spectral(grid), grid.mesh()
+        mode = (0.5 * np.sin(a + 2.0 * b))[None]  # mean-zero along a
+        if kind == "kzk":  # forced, as the sweep's members are
+            built[label] = (oneway._OneWayStepper(
+                sp2, "tau", a_nl, d_visc, d_diff, step, src_scale,
+                sp2.fft(np.cos(a) * np.cos(b))), (mode,))
+        elif kind == "kuznetsov":
+            built[label] = (waves._WaveStepper(sp2, coeff, row, step,
+                                               coeff.alpha, 2.0),
+                            (mode, -np.roll(mode, 16, axis=-1)))
+        else:
+            built[label] = (flow._FlowStepper(sp2, coeff, row, step),
+                            (1.0 + 0.01 * mode, 0.01 * np.stack([mode] * 2)))
+    return {label: (stepper, base._transform(stepper, state, stepper.sp.fft),
+                    STEPS_128 if "128" in label else STEPS)
             for label, (stepper, state) in built.items()}
 
 
-def per_step(stepper, carried) -> float:
-    """Microseconds per step of STEPS steps from carried, after one."""
+def per_step(stepper, carried, steps: int) -> float:
+    """Microseconds per step of that many steps from carried, after one."""
     carried = stepper.step(carried, 1)
     start = time.perf_counter()
-    for n in range(STEPS):
+    for n in range(steps):
         carried = stepper.step(carried, n + 2)
-    return (time.perf_counter() - start) / STEPS * 1e6
+    return (time.perf_counter() - start) / steps * 1e6
 
 
 def main(argv: list[str]) -> int:
@@ -107,8 +141,9 @@ def main(argv: list[str]) -> int:
         for side in SIDES if r % 2 == 0 else SIDES[::-1]:
             for label in STEPPERS:
                 times[side][label].append(per_step(*built[side][label]))
-    print(f"us/step, median [q1, q3] of {ROUNDS} rounds of {STEPS} steps, "
-          f"{len(EPS)} rows x {POINTS} points")
+    print(f"us/step, median [q1, q3] of {ROUNDS} rounds of {STEPS} steps "
+          f"({STEPS_128} at 128x128); 1D: {len(EPS)} rows x {POINTS} points, "
+          "2D: 1 row")
     for label in STEPPERS:
         cells, medians = [], []
         for side in SIDES:
@@ -117,7 +152,7 @@ def main(argv: list[str]) -> int:
             cells.append(f"{side} {median:6.1f} [{q1:6.1f}, {q3:6.1f}]")
             medians.append(median)
         change = medians[1] / medians[0] - 1.0
-        print(f"{label:<10}  " + "  ".join(cells) + f"  {change:+.0%}")
+        print(f"{label:<17}  " + "  ".join(cells) + f"  {change:+.0%}")
     return 0
 
 
