@@ -38,10 +38,12 @@ STEPS_128 = 40  # a 128 x 128 step costs 2-4 ms
 POINTS = 64
 EPS = (0.04, 0.02, 0.01)  # the ns-kuznetsov study's rows
 SIDES = ("parent", "change")
-#: label -> (stepper, axis points) of the 2D steppers, each of one row
-GRIDS_2D = {"kzk 64x16": ("kzk", (64, 16)), "kzk 64x32": ("kzk", (64, 32)),
-            "kuznetsov 128x128": ("kuznetsov", (128, 128)),
-            "flow 128x128": ("flow", (128, 128))}
+#: label -> (model, axis points, steps a round times) of the 2D steppers,
+#: each of one row
+GRIDS_2D = {"kzk 64x16": ("kzk", (64, 16), STEPS),
+            "kzk 64x32": ("kzk", (64, 32), STEPS),
+            "kuznetsov 128x128": ("kuznetsov", (128, 128), STEPS_128),
+            "flow 128x128": ("flow", (128, 128), STEPS_128)}
 STEPPERS = ("kuznetsov", "westervelt", "flow", "npe", *GRIDS_2D)
 
 
@@ -93,7 +95,9 @@ def steppers(name: str) -> dict:
     a_nl, d_visc, d_diff, src_scale = oneway._MODELS[
         pkg.ModelKind.KZK][1](coeff, EPS[-1:])
     row, step = EPS[-1:], [0.005]  # one row, at grid-2d's step
-    for label, (kind, (n1, n2)) in GRIDS_2D.items():
+    steps = dict.fromkeys(built, STEPS)
+    for label, (kind, (n1, n2), count) in GRIDS_2D.items():
+        steps[label] = count
         if kind == "kzk":  # the grids of the kuznetsov-kzk sweep
             grid = pkg.Grid((pkg.Axis("tau", 2.0 * math.pi, n1),
                              pkg.Axis("y1", 2.0 * math.pi, n2,
@@ -115,7 +119,7 @@ def steppers(name: str) -> dict:
             built[label] = (flow._FlowStepper(sp2, coeff, row, step),
                             (1.0 + 0.01 * mode, 0.01 * np.stack([mode] * 2)))
     return {label: (stepper, base._transform(stepper, state, stepper.sp.fft),
-                    STEPS_128 if "128" in label else STEPS)
+                    steps[label])
             for label, (stepper, state) in built.items()}
 
 
