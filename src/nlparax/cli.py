@@ -190,6 +190,9 @@ def _run_solve(args, argv) -> int:
     ctl = StepControl(step=payload["step"])
     n_samples = payload.get("samples", 2)
     out = _out_dir(args, f"{model}_run")
+    # sampled before the plan prints: a dry run refuses what the run does
+    init = preset_profile(payload["initial"]["preset"], grid,
+                          payload["initial"].get("params"))
 
     if args.dry_run:
         print(json.dumps({"action": "solve", "model": model,
@@ -199,8 +202,6 @@ def _run_solve(args, argv) -> int:
                          sort_keys=True))
         return 0
 
-    init = preset_profile(payload["initial"]["preset"], grid,
-                          payload["initial"].get("params"))
     if model == "ns":
         rho = Field(grid, coeff.rho0 * (1.0 + coeff.eps * init.scalar))
         state = FlowState(rho, Field.zeros(grid, len(grid.axes)))
@@ -275,12 +276,12 @@ def _run_residual(args, argv) -> int:
     grid = _grid_from(payload["grid"])
     fname = input_field(pair)
     out = _out_dir(args, f"residual_{pair}")
+    f = preset_profile(payload["initial"]["preset"], grid,
+                       payload["initial"].get("params"))
     if args.dry_run:
         print(json.dumps({"action": "residual", "pair": pair,
                           "field": fname, "out": out}, sort_keys=True))
         return 0
-    f = preset_profile(payload["initial"]["preset"], grid,
-                       payload["initial"].get("params"))
     result = evaluate_remainder(pair, coeff, {fname: f})
     os.makedirs(out, exist_ok=True)
     eps_base = float(coeff.eps) ** float(result.base)

@@ -18,27 +18,25 @@ fraction f of the horizon is read at sample f*n of each member, n being the
 shortest member's interval count, and is undefined when f*n is not whole.
 An error series carries the times of the march's own samples.
 
-The slope studies march each model once per sweep: the eps members are the
-rows of one batched march (`models.base.march`), each row with its own step
+Every study is two batched marches: the eps members are the rows of one
+march of each model (`models.base.march`), each row with its own step
 count, samples and health checks, retiring at its own horizon or at its
 failure, so a member whose first or second march fails reports that failure
-and the others' numbers are those of marching each member alone.  A slope
-study states only its parts: its first march, each member's second-march
-row from the first march's first sample, and the (evol, error) of a pair of
-samples.  One runner, `_slope_study`, marches them, takes the errors, and
-alone names the eps of a member in a ValueError raised building its row or
-its reference.
+and the others' numbers are those of marching each member alone.  A study
+states only its parts: its first march, each member's second-march row
+from the first march's first sample, and the (evol, error) of a pair of
+samples.  The kuznetsov-kzk study's first march is its clean beam, one row
+that every member shares, and its second the source-forced beams.  One
+runner, `_march_study`, marches them, takes the errors, and alone names the
+eps of a member in a ValueError raised building its row or its reference.
 
-Every study splits its marches by one rule, `_split(jobs)`: this process
-runs the first ceil(n/2) jobs while one child forked for it runs the rest
-and sends their results back through a pipe; the child is reaped before
-the study returns or raises.  The jobs whose results do not come back
-(the fork was refused, a job raised there, or the child died or cut its
-stream) run here after one warning, so a study's numbers and exception
-are always those of running every job here.  A slope study's jobs are
-its two marches, the second over rows built up front; the kuznetsov-kzk
-study's are its clean beam and one forced beam per member, and it takes
-every error here.
+`_split(here_job, there_job)` runs a study's two marches: this process runs
+the first while one child forked for it runs the second and sends its
+result back through a pipe; the child is reaped before the study returns
+or raises.  When the result does not come back (the fork was refused, the
+march raised there, or the child died or cut its stream) the second march
+runs here after one warning, so a study's numbers and exception are always
+those of running both marches here.
 Process-level measures of this process, such as the peak RSS that
 `resource.getrusage(RUSAGE_SELF)` reports, leave the child out.
 """
@@ -72,9 +70,10 @@ from .ansatz import (
 )
 from .fields import Axis, Field, Frame, Grid, require_finite
 # The studies march their eps members as the rows of one batch through the
-# *_rows solvers.  solve_flow, solve_npe, solve_kuznetsov and
+# *_rows solvers.  solve_flow, solve_kzk, solve_npe, solve_kuznetsov and
 # solve_westervelt are imported as well: perfbench/spans.py wraps each
-# solver by its name in this module.
+# solver by its name in this module, so its spans of them count no march
+# of a study.
 from .flow import FlowState, solve_flow, solve_flow_rows
 from .models.base import (
     ModelCoefficients,
@@ -87,6 +86,7 @@ from .models.base import (
 from .models.oneway import (
     _start_profile,
     solve_kzk,
+    solve_kzk_rows,
     solve_npe,
     solve_npe_rows,
 )
@@ -132,35 +132,43 @@ def preset_profile(name: str, grid: Grid, params=None) -> Field:
     tau and y coordinate values, so the axes should span full periods of sin.
     An amplitude must be a finite number and a mode a finite integral one.
     """
-    params = dict(params or {})
-    amp = float(_preset_number(params, "amplitude", 1.0))
+    amp, mode = _preset_check(name, grid, params)
     mesh = grid.mesh()
     names = [a.name for a in grid.axes]
+    if name == "single_mode":
+        a = grid.axes[0]
+        vals = amp * np.sin(2.0 * np.pi * mode * (mesh[0] - a.origin) / a.length)
+    else:
+        tau = mesh[names.index("tau")]
+        r2 = sum(m**2 for n, m in zip(names, mesh) if n.startswith("y"))
+        if name == "gaussian_beam":
+            vals = -amp * np.exp(-r2) * np.sin(tau)
+        else:
+            vals = -amp * (1.0 - r2) ** 2 * (r2 <= 1.0) * np.sin(tau)
+    return Field(grid, np.broadcast_to(vals, grid.shape))
+
+
+def _preset_check(name: str, grid: Grid, params=None) -> tuple[float, int]:
+    """The amplitude and mode (1 when the preset has none) with which
+    preset_profile samples preset `name` with params on grid, or the
+    ValueError that refuses them, without sampling it."""
+    params = dict(params or {})
+    amp = float(_preset_number(params, "amplitude", 1.0))
+    mode = 1
     if name == "single_mode":
         mode = _preset_number(params, "mode", 1)
         if not float(mode).is_integer():
             raise ValueError(f"preset parameter 'mode' must be an integral "
                              f"number, got {mode!r}")
         mode = int(mode)
-        a = grid.axes[0]
-        vals = amp * np.sin(2.0 * np.pi * mode * (mesh[0] - a.origin) / a.length)
     elif name in ("gaussian_beam", "polynomial_amplitude"):
-        if "tau" not in names:
+        if "tau" not in [a.name for a in grid.axes]:
             raise ValueError(f"preset {name!r} needs a tau axis")
-        tau = mesh[names.index("tau")]
-        r2 = 0.0
-        for i, n in enumerate(names):
-            if n.startswith("y"):
-                r2 = r2 + mesh[i] ** 2
-        if name == "gaussian_beam":
-            vals = -amp * np.exp(-r2) * np.sin(tau)
-        else:
-            vals = -amp * (1.0 - r2) ** 2 * (r2 <= 1.0) * np.sin(tau)
     else:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
     if params:
         raise ValueError(f"unknown preset parameters {sorted(params)}")
-    return Field(grid, np.broadcast_to(vals, grid.shape))
+    return amp, mode
 
 
 def _preset_number(params: dict, key: str, default):
@@ -247,8 +255,6 @@ class ExperimentConfig:
             raise ValueError("source_size must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}")
         if self.pair not in _STUDIES:
             raise ValueError(f"scaling_study does not drive pair {self.pair!r}; "
                              f"supported: {sorted(_STUDIES)}")
@@ -266,6 +272,8 @@ class ExperimentConfig:
         if study.exponent is not None:  # the studies that march this clock
             for e in eps:
                 _intervals(self, e)
+        # the preset and its parameters, on the grid the study samples
+        _preset_check(self.preset, study.grid(self), self.preset_params)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -429,7 +437,7 @@ def _spatial_grid(cfg: ExperimentConfig) -> Grid:
     return Grid(axes, Frame.PHYSICAL)
 
 
-def _paraxial_grid(cfg: ExperimentConfig, frame: Frame) -> Grid:
+def _paraxial_grid(cfg: ExperimentConfig, frame: Frame = Frame.KZK) -> Grid:
     lead = "tau" if frame is Frame.KZK else "z"
     axes = [Axis(lead, STUDY_LENGTH, cfg.points)]
     tp = cfg.trans_points or cfg.points
@@ -509,39 +517,36 @@ def _members(cfg: ExperimentConfig) -> list[_Member]:
     return out
 
 
-def _split(jobs: list) -> list:
-    """What each job() returns, in order, or the SolverError it raised,
-    exactly as when every job runs here: this process runs the first
-    ceil(n/2) jobs while a child forked for it runs the rest, and runs the
-    rest itself, after one warning, when the fork is refused or no result
-    comes back (a job raised there, or the child died or cut its stream).
-    The child always ends in os._exit: it never unwinds into the caller or
+def _split(here_job, there_job) -> tuple:
+    """What here_job() and there_job() return, or the SolverError each
+    raised, exactly as when both run here (see the module docstring).  The
+    child always ends in os._exit: it never unwinds into the caller or
     flushes the caller's stdio.  It is reaped on every path, and killed
     first when this process raises before the child's result is read."""
-    half = (len(jobs) + 1) // 2
     read, write = os.pipe()
     try:
         pid = os.fork()
     except OSError as exc:
         os.close(read)
         os.close(write)
-        return _run_here(jobs, f"os.fork failed ({exc})")
+        return tuple(_run_here([here_job, there_job],
+                               f"os.fork failed ({exc})"))
     if pid == 0:
         code = 1
         try:
             os.close(read)
             with open(write, "wb") as fh:
-                pickle.dump([_solved(job) for job in jobs[half:]], fh)
+                pickle.dump(_solved(there_job), fh)
             code = 0
         finally:
             os._exit(code)
     os.close(write)
     try:
         with open(read, "rb") as fh:
-            here = [_solved(job) for job in jobs[:half]]
+            here = _solved(here_job)
             try:
                 there = pickle.load(fh)
-            except Exception:  # no result: the child's jobs run here
+            except Exception:  # no result: the child's job runs here
                 there = None
     except BaseException:
         import signal  # here alone: at module level it adds to start-up
@@ -553,9 +558,9 @@ def _split(jobs: list) -> list:
     if there is None:
         how = (f"was killed by signal {-code}" if code < 0 else
                f"exited with status {code}")
-        there = _run_here(jobs[half:], f"the forked child {how} and sent "
-                                       "no result")
-    return here + there
+        (there,) = _run_here([there_job], f"the forked child {how} and "
+                                          "sent no result")
+    return here, there
 
 
 def _run_here(jobs: list, why: str) -> list:
@@ -586,16 +591,17 @@ def _naming_eps(eps: float):
         raise ValueError(f"eps = {eps}: {exc}") from exc
 
 
-def _slope_study(ms: list[_Member], first, starts: list, second_row,
+def _march_study(ms: list[_Member], first, starts: list, second_row,
                  solve_second, error) -> list:
     """Per member of `ms`, (its sample times, their errors) or the
     SolverError that stopped one of its marches.  first() marches every
     member from starts[i] for ms[i]; second_row(m, start) is member m's row
     of solve_second(rows); error(m, a, b) is the (evol, error) of samples a
     of the first march and b of the second.  The rows are built before
-    `_split` runs the marches; a failed first march wins over its member's
-    row exception, and a survivor's is raised before any error is taken.
-    A ValueError raised building a row or taking an error names the eps."""
+    `_split` runs the marches, the first here and the second in the child;
+    a failed first march wins over its member's row exception, and a
+    survivor's is raised before any error is taken.  A ValueError raised
+    building a row or taking an error names the eps."""
     rows = []
     for m, start in zip(ms, starts):
         try:
@@ -604,7 +610,7 @@ def _slope_study(ms: list[_Member], first, starts: list, second_row,
         except Exception as exc:  # raised below, if member m survives
             rows.append(exc)
     built = [row for row in rows if not isinstance(row, Exception)]
-    here, there = _split([first, lambda: solve_second(built)])
+    here, there = _split(first, lambda: solve_second(built))
     for row, a in zip(rows, here):
         if isinstance(row, Exception) and not isinstance(a, SolverError):
             raise row
@@ -646,7 +652,7 @@ def _ns_kuznetsov(cfg: ExperimentConfig):
                            U0.momentum)
         return m.coeff, U0, m.t_end, m.ctl, m.n_samples
 
-    return _slope_study(ms, first, starts, flow_row, solve_flow_rows,
+    return _march_study(ms, first, starts, flow_row, solve_flow_rows,
                         lambda m, kuz, flow: (flow[0], l2_error(
                             flow[1], ansatz_of(m.coeff, kuz))))
 
@@ -666,7 +672,7 @@ def _kuznetsov_westervelt(cfg: ExperimentConfig):
                                            start.velocity)
         return m.coeff, pi0, pi1, m.t_end, m.ctl, m.n_samples
 
-    return _slope_study(ms, first, starts, westervelt_row,
+    return _march_study(ms, first, starts, westervelt_row,
                         solve_westervelt_rows, lambda m, kuz, wes: (
                             wes.evol, l2_error(wes, reference(m.coeff, kuz))))
 
@@ -704,7 +710,7 @@ def _kuznetsov_npe(cfg: ExperimentConfig):
                  m.n_samples) for m in ms]
     start = ModelState(ModelKind.NPE, 0.0,
                        Field(zgrid, _start_profile(ModelKind.NPE, xi0)))
-    return _slope_study(ms, lambda: solve_npe_rows(npe_rows),
+    return _march_study(ms, lambda: solve_npe_rows(npe_rows),
                         [start] * len(ms), kuznetsov_row,
                         solve_kuznetsov_rows, lambda m, npe, kuz: (
                             kuz.evol, l2_error(kuz, transported(
@@ -712,32 +718,25 @@ def _kuznetsov_npe(cfg: ExperimentConfig):
 
 
 def _kuznetsov_kzk(cfg: ExperimentConfig):
-    """Perturbed comparison: one clean march for the whole study and one
-    source-forced march per member, the jobs of one `_split`; every error
-    is taken here, against the clean beam."""
-    grid = _paraxial_grid(cfg, Frame.KZK)
+    """Perturbed comparison: the clean beam, which reads no eps, is one row
+    that every member shares, so when it fails each member fails alike;
+    each member's error is its source-forced beam's against it."""
+    grid = _paraxial_grid(cfg)
     I0 = preset_profile(cfg.preset, grid, cfg.preset_params)
     z_end = cfg.horizon  # the range variable is already slow; no 1/eps
-    n_int = cfg.samples
-    ctl = _substeps(z_end, n_int, _default_kzk_step(cfg, cfg.coeff, grid))
-
+    ctl = _substeps(z_end, cfg.samples,
+                    _default_kzk_step(cfg, cfg.coeff, grid))
+    n = cfg.samples + 1
+    ms = [_Member(replace(cfg.coeff, eps=e), z_end, n, ctl)
+          for e in cfg.eps_list]
     S = band_limited_perturbation(grid, cfg.seed, cfg.source_size).scalar
-
-    def forced(eps: float):
-        return lambda: solve_kzk(replace(cfg.coeff, eps=eps), I0, z_end, ctl,
-                                 source=S, n_samples=n_int + 1)
-
-    base, *beams = _split(
-        [lambda: solve_kzk(cfg.coeff, I0, z_end, ctl, n_samples=n_int + 1)]
-        + [forced(e) for e in cfg.eps_list])
-    # Without a source the march reads c, rho0, gamma and nu but never eps,
-    # so every member shares it; when it fails, each member fails alike.
-    if isinstance(base, SolverError):
-        return [base] * len(cfg.eps_list)
-    return [beam if isinstance(beam, SolverError) else
-            ([s.evol for s in base],
-             [l2_error(a, b) for a, b in zip(base, beam)])
-            for beam in beams]
+    clean = [(cfg.coeff, I0, z_end, ctl, n)]
+    return _march_study(ms, lambda: solve_kzk_rows(clean) * len(ms),
+                        [I0] * len(ms), lambda m, start: (
+                            m.coeff, start, m.t_end, m.ctl, m.n_samples),
+                        lambda rows: solve_kzk_rows(rows, S),
+                        lambda m, base, beam: (base.evol,
+                                               l2_error(base, beam)))
 
 
 class _Study(NamedTuple):
@@ -750,6 +749,7 @@ class _Study(NamedTuple):
     exponent: int | None
     horizon_bounds: tuple[float, float] | None = None
     dims: tuple[int, ...] = (1, 2, 3)
+    grid: Callable = _spatial_grid  # grid(cfg): where the preset is sampled
 
 
 #: the pairs scaling_study drives
@@ -757,7 +757,7 @@ _STUDIES = {
     "ns-kuznetsov": _Study(_ns_kuznetsov, 1, (2.0, 3.0)),
     "kuznetsov-westervelt": _Study(_kuznetsov_westervelt, 0),
     "kuznetsov-npe": _Study(_kuznetsov_npe, 0, dims=(1,)),
-    "kuznetsov-kzk": _Study(_kuznetsov_kzk, None),
+    "kuznetsov-kzk": _Study(_kuznetsov_kzk, None, grid=_paraxial_grid),
 }
 _SLOPE_ALLOWANCE = 0.2
 

@@ -38,7 +38,7 @@ from .base import (
     only_row,
 )
 
-__all__ = ["solve_kzk", "solve_npe", "solve_npe_rows"]
+__all__ = ["solve_kzk", "solve_kzk_rows", "solve_npe", "solve_npe_rows"]
 
 
 class _OneWayStepper:
@@ -119,17 +119,19 @@ class _OneWayStepper:
 
 def solve_kzk(coeff: ModelCoefficients, I0: Field, z_end: float,
               ctl: StepControl,
-              source: np.ndarray | None = None,
               n_samples: int = 2) -> list[ModelState]:
-    """March the KZK equation in z from the mean-zero profile I0(tau, y).
+    """March the KZK equation in z from the mean-zero profile I0(tau, y)."""
+    return only_row(solve_kzk_rows([(coeff, I0, z_end, ctl, n_samples)]))
 
-    If `source` is given, a real array S(tau, y) on I0's grid that does not
-    vary with z, eps*rho0/(2 c^2) * S is added to the right side of the
-    c dI/dz form (the mechanism used by the perturbed-comparison
-    experiments); the source is projected mean-zero along tau.
-    """
-    return only_row(_oneway_rows([(coeff, I0, z_end, ctl, n_samples)],
-                                 ModelKind.KZK, source))
+
+def solve_kzk_rows(rows, source: np.ndarray | None = None) -> list:
+    """solve_kzk of each row (coeff, I0, z_end, ctl, n_samples), the rows
+    marched as one batch (see base.march): per row its states, or the
+    SolverError that stopped it.  If `source` is given, a real array
+    S(tau, y) on the rows' grid that does not vary with z, each row adds
+    eps*rho0/(2 c^2) * S, projected mean-zero along tau, to the right side
+    of its c dI/dz form (the perturbed comparison of the experiments)."""
+    return _oneway_rows(rows, ModelKind.KZK, source)
 
 
 def solve_npe(coeff: ModelCoefficients, xi0: Field, tau_end: float,
@@ -188,12 +190,11 @@ def _oneway_rows(rows, model: ModelKind,
                 f"array of the grid's shape {v0.grid.shape}")
         members.append((coeff, v0.grid, (_start_profile(model, v0),), span,
                         ctl, n_samples))
-    source_h = None
+    # the fixed source is transformed once per march
+    source_h = (Spectral(members[0][1]).fft(source)
+                if source is not None and members else None)
 
     def build(sp, coeff, eps, dt):
-        nonlocal source_h
-        if source is not None and source_h is None:
-            source_h = sp.fft(source)  # once per march
         a_nl, d_visc, d_diff, src_scale = coefficients(coeff, eps)
         return _OneWayStepper(sp, ax_name, a_nl, d_visc, d_diff, dt,
                               src_scale, source_h)

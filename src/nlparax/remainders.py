@@ -627,12 +627,6 @@ class _Ctx:
             self._kept.pop(key, None)
         return val
 
-    def field(self, name: str) -> _Val:
-        """A given field, or a derived one."""
-        if name in self.fields:
-            return self.fields[name]
-        return self._read(name)
-
     def eval(self, expr: Expr) -> _Val:
         return self._read(_key(expr))
 

@@ -8,16 +8,16 @@ transforms call pocketfft's kernels, the gufuncs of
 `numpy.fft._pocketfft_umath` (numpy 2.0 and later) that `numpy.fft` wraps,
 with the factors `numpy.fft` passes, so they give its bits without its
 argument handling.
-Arrays carry the grid's axes last; leading axes (a stack of components, say)
-ride along.  `fft`/`ifft` take one array whose leading axes are rows, and
-write into a given output when there is one: on a 1D grid every row goes
-through one kernel call, so a 1D stepper writes a stage's stacks into one
-block of its own and transforms that.  They also take the inputs of one
-stage as a list of stacks of one shape, each an array or a fill(out) that
-writes one: a stack is filled only when the transform reaches it, after
-the one before it is transformed row by row into the output, so a stage on
-more axes holds one stack's input at a time, not the block.  An operator
-along a bounded axis raises a ValueError naming it.
+Arrays carry the grid's axes last, after a batch's member axis and any
+leading axes (a stack of components, say).  `fft`/`ifft` take one array,
+or the inputs of one stage as a list of stacks of one shape, each an array
+or a fill(out) that writes one, and write into a given output when there is
+one.  On a 1D grid an array goes through one kernel call, so a 1D stepper
+writes a stage's stacks into one block of its own and transforms that.  On
+more axes the member rows of each component go through one kernel call per
+axis, and a stack is filled only when the transform reaches it: a stage
+holds one stack's input and that stack's intermediates at a time, not the
+block.  An operator along a bounded axis raises a ValueError naming it.
 Callers pass arrays: there are no Field-level wrappers.
 """
 
@@ -55,18 +55,13 @@ def _forward(v, axes: tuple[int, ...], shape=None, out=None) -> np.ndarray:
     array whose leading axes are rows, or, when shape is given, the stacks
     of a block whose first axis is the stack, each an array of that shape
     or a fill(out) that writes one into out.  An array on one axis goes
-    through one kernel call.  Otherwise the rows go one at a time into the
-    output, for memory, and a stack is filled only once every row of the
-    one before it is transformed, into one buffer that they share: that
-    holds one stack's input and one row's intermediates at a time.  One
-    call per axis over the block ran faster once its pages were mapped, but
-    raised the peak resident set."""
+    through one kernel call; otherwise see _rows."""
     if shape is None and len(axes) == 1:  # _rfftn's one kernel call
         return _kernel(_rfft, v, 1.0, v.shape[-1] // 2 + 1, -1, complex, out)
     grid = (v.shape if shape is None else shape)[-len(axes):]
     spectrum = grid[:-1] + (grid[-1] // 2 + 1,)
     return _rows(v, shape, grid, spectrum, float, complex,
-                 lambda row, done: _rfftn(row, axes, done), out)
+                 lambda rows, done: _rfftn(rows, axes, done), out)
 
 
 def _inverse(vh, sizes, axes: tuple[int, ...], shape=None,
@@ -78,32 +73,39 @@ def _inverse(vh, sizes, axes: tuple[int, ...], shape=None,
         return _kernel(_irfft, vh, 1.0 / n, n, -1, float, out)
     spectrum = (vh.shape if shape is None else shape)[-len(axes):]
     return _rows(vh, shape, spectrum, tuple(sizes), complex, float,
-                 lambda row, done: _irfftn(row, sizes, axes, done), out)
+                 lambda rows, done: _irfftn(rows, sizes, axes, done), out)
 
 
 def _rows(v, shape, grid: tuple, out_grid: tuple, dtype, out_dtype,
           op, out=None) -> np.ndarray:
-    """The row loop of _forward and _inverse: op(row, done), a transform of
-    one row from grid to out_grid into done (a fresh array when done is
-    None), over v, whose stacks (when shape is given) hold dtype, into out
-    (a fresh array when out is None)."""
+    """The component loop of _forward and _inverse over v, an array or the
+    stacks (when shape is given) of dtype of a block, into out (a fresh
+    array when None): op(rows, done) transforms the member rows of one
+    component (the axis before the grid's, if any) from grid to out_grid,
+    one kernel call per axis, into done (fresh when None).  A stack is
+    filled only once the one before it is transformed, into one buffer
+    that they share, so a stage holds one stack's input and intermediates
+    at a time.  One call per axis over the block ran faster once its pages
+    were mapped, but raised the peak resident set."""
     if shape is None:
-        if v.size == math.prod(grid):
+        if v.ndim <= len(grid) + 1:
             return op(v, out)
         stacks, shape, lead = (v,), v.shape, ()
     else:
         stacks, lead = v, (len(v),)
     if out is None:
         out = np.empty(lead + shape[:-len(grid)] + out_grid, out_dtype)
+    members = shape[-len(grid) - 1:-len(grid)]  # () when shape is the grid's
     into = None
-    for stack, rows in zip(stacks, out.reshape(len(stacks), -1, *out_grid)):
+    for stack, parts in zip(stacks, out.reshape(len(stacks), -1, *members,
+                                                *out_grid)):
         if callable(stack):
             if into is None:
                 into = np.empty(shape, dtype)
             stack(into)
             stack = into
-        for row, done in zip(stack.reshape(-1, *grid), rows):
-            op(row, done)
+        for rows, done in zip(stack.reshape(-1, *members, *grid), parts):
+            op(rows, done)
     return out
 
 

@@ -20,7 +20,7 @@ from nlparax.ansatz import (
     npe_xi,
 )
 from nlparax.models.base import ModelState
-from nlparax.remainders import _Ctx
+from nlparax.remainders import Ref, _Ctx
 from nlparax.spectral import Spectral
 
 
@@ -76,7 +76,7 @@ def test_kzk_correctors_consistency(coeff):
     T, Y = g.mesh()
     I = Field(g, 0.2 * np.sin(T) * (1.0 + 0.3 * np.cos(np.pi * Y)))
     ctx = _Ctx(g, coeff, {"I": I})
-    phi = ctx.field("Phi").arr
+    phi = ctx.eval(Ref("Phi")).arr
     # potential satisfies I = rho0/c^2 dPhi/dtau
     dphi = Spectral(g).d(phi, 0)
     assert np.abs(coeff.rho0 / coeff.c**2 * dphi - I.scalar).max() < 1e-12
@@ -84,7 +84,7 @@ def test_kzk_correctors_consistency(coeff):
     d2phi = Spectral(g).d(phi, 0, 2)
     expect = (-coeff.rho0 * (coeff.gamma - 1.0) / (2 * coeff.c**4) * dphi**2
               - coeff.nu / coeff.c**4 * d2phi)
-    assert np.abs(ctx.field("J").arr - expect).max() < 1e-12
+    assert np.abs(ctx.eval(Ref("J")).arr - expect).max() < 1e-12
 
 
 def test_npe_correctors_consistency(coeff):
@@ -93,7 +93,7 @@ def test_npe_correctors_consistency(coeff):
              Frame.NPE)
     z = np.broadcast_arrays(*g.mesh())[0]
     xi = Field(g, 0.2 * np.sin(z) + 0.05 * np.cos(3 * z))
-    dpsi = Spectral(g).d(_Ctx(g, coeff, {"xi": xi}).field("Psi").arr, 0)
+    dpsi = Spectral(g).d(_Ctx(g, coeff, {"xi": xi}).eval(Ref("Psi")).arr, 0)
     # xi = -rho0/c dPsi/dz
     assert np.abs(-coeff.rho0 / coeff.c * dpsi - xi.scalar).max() < 1e-12
 

@@ -30,6 +30,7 @@ from nlparax.models.waves import (
     solve_westervelt,
     solve_westervelt_rows,
 )
+from nlparax import spectral
 from nlparax.spectral import Spectral
 
 EPS = (0.04, 0.02, 0.01)
@@ -274,6 +275,37 @@ def test_each_row_of_a_stepper_is_that_row_alone(cls, line):
                 assert (value[r], len(value)) == (alone[name][0], len(EPS))
             else:
                 _same_but_rows(value, alone[name], r, name)
+
+
+@pytest.mark.parametrize("cls", [_WaveStepper, _FlowStepper, _OneWayStepper],
+                         ids=["wave", "flow", "oneway"])
+def test_the_rows_of_a_batch_share_every_kernel_call(monkeypatch, cls):
+    # on a 2D grid the spectral core transforms the member rows of a stack
+    # with one pocketfft kernel call per axis, so a step of three rows makes
+    # as many kernel calls as a step of one
+    build = _stepper_builders()[cls]
+    calls = []
+    for name in ("_rfft", "_fft", "_ifft", "_irfft"):
+        def counted(*args, _op=getattr(spectral, name), **kw):
+            calls.append(_op)
+            return _op(*args, **kw)
+        monkeypatch.setattr(spectral, name, counted)
+    dts, steps = (0.01, 0.008, 0.005), []
+    for rows in (1, 3):
+        stepper = build(EPS[:rows], dts[:rows])
+        sp = stepper.sp
+        profile = np.stack([0.5 * np.sin(sum(sp.grid.mesh()) + e)
+                            for e in EPS[:rows]])
+        state = {_WaveStepper: (profile, -np.roll(profile, 3, axis=-1)),
+                 _FlowStepper: (1.0 + 0.1 * profile,
+                                0.1 * np.stack([profile] * 2)),
+                 _OneWayStepper: (profile - profile.mean(axis=1,
+                                                         keepdims=True),)}
+        carried = _transform(stepper, state[cls], sp.fft)
+        calls.clear()
+        stepper.step(carried, 1)
+        steps.append(len(calls))
+    assert steps[0] > 0 and steps[1] == steps[0]
 
 
 def _line_steppers(points: int) -> dict:

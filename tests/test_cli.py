@@ -544,6 +544,34 @@ def test_sweep_refuses_a_setting_that_would_skip_its_gate(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, payload, message", [
+    ("sweep", dict(FAILING_STUDY, preset_params={"foo": 1}),
+     "unknown preset parameters ['foo']"),
+    ("compare", dict(FAILING_STUDY, preset="gaussian_beam"),
+     "preset 'gaussian_beam' needs a tau axis"),
+    ("solve", dict(SOLVE, grid=_line("physical", "x1")),
+     "preset 'gaussian_beam' needs a tau axis"),
+    ("residual", dict(RESIDUAL, initial={"preset": "single_mode",
+                                         "params": {"mode": 1.5}}),
+     "preset parameter 'mode' must be an integral number, got 1.5"),
+], ids=["sweep-unknown-param", "compare-beam-on-physical",
+        "solve-beam-on-physical", "residual-fractional-mode"])
+def test_a_dry_run_refuses_the_preset_the_run_refuses(tmp_path, capsys, cmd,
+                                                      payload, message):
+    # the preset and its parameters are checked against the grid they are
+    # sampled on before the plan prints
+    cfg = _write(tmp_path, "preset.json", {"schema_version": 1,
+                                           cmd: payload})
+    out = tmp_path / "out"
+    for dry_run in ([], ["--dry-run"]):
+        assert main([cmd, "--config", cfg, "--out", str(out)]
+                    + dry_run) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("over_eps, message", [
     (False, "span 2.5e+307 with step 0.03125 does not give a finite step "
             "count"),

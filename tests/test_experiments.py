@@ -420,30 +420,27 @@ _PAIRS = {
 }
 
 
-def _in_process(jobs):
-    """A stand-in for `experiments._split` that runs every job here."""
-    return [experiments._solved(job) for job in jobs]
+def _in_process(here_job, there_job):
+    """A stand-in for `experiments._split` that runs both jobs here."""
+    return experiments._solved(here_job), experiments._solved(there_job)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_split_runs_the_first_half_of_its_jobs_here(n):
-    pids = experiments._split([os.getpid] * n)
-    here = math.ceil(n / 2)
-    assert pids[:here] == [os.getpid()] * here
-    assert len(set(pids[here:])) == 1 and os.getpid() not in pids[here:]
+def test_split_runs_its_first_job_here():
+    here, there = experiments._split(os.getpid, os.getpid)
+    assert here == os.getpid() and there != os.getpid()
 
 
-@pytest.mark.parametrize("where", [0, 2])  # run here, in the child
+@pytest.mark.parametrize("where", [0, 1])  # run here, in the child
 def test_split_takes_a_solver_error_as_that_jobs_result(where):
     def diverged():
         raise SolverDiverged("job diverged")
 
-    jobs = [lambda i=i: i for i in range(3)]
+    jobs = [lambda i=i: i for i in range(2)]
     jobs[where] = diverged
-    out = experiments._split(jobs)
+    out = list(experiments._split(*jobs))
     error = out.pop(where)
     assert type(error) is SolverDiverged and str(error) == "job diverged"
-    assert out == [i for i in range(3) if i != where]
+    assert out == [1 - where]
 
 
 def _study_cfg(pair):
@@ -657,9 +654,11 @@ def test_a_refused_second_march_row_names_its_eps(pair, refusal):
 ])
 def test_a_study_leaves_no_descriptor_open(monkeypatch, pair, end):
     if end == "clean march fails":  # every member fails with its error
-        _patch_solve_kzk(monkeypatch, SolverDiverged("clean march diverged"))
+        _patch_solve_kzk_rows(monkeypatch,
+                              SolverDiverged("clean march diverged"))
     elif end == "child raises":
-        _patch_solve_kzk(monkeypatch, forced_errors={0.01: OSError("lost")})
+        _patch_solve_kzk_rows(monkeypatch,
+                              forced_errors={0.01: OSError("lost")})
     open_fds = len(os.listdir("/proc/self/fd"))
     with (pytest.raises(OSError, match="lost") if end == "child raises"
           else nullcontext()):
@@ -685,52 +684,55 @@ def _kzk_cfg(**kw):
     return _cfg(**base)
 
 
-def _patch_solve_kzk(monkeypatch, clean_error=None, forced_errors=None):
-    """Record each study march as forced (True) or clean (False); with
-    `clean_error`, every clean march raises it, and the forced march of an
-    eps that `forced_errors` maps raises that eps's exception."""
-    solve, forced = experiments.solve_kzk, []
+def _patch_solve_kzk_rows(monkeypatch, clean_error=None, forced_errors=None):
+    """Record the rows of each study march as (eps, forced); with
+    `clean_error`, a SolverError, the clean row returns it, and the forced
+    row of an eps that `forced_errors` maps returns that eps's SolverError
+    or raises its other exception."""
+    solve, marches = experiments.solve_kzk_rows, []
 
-    def patched(coeff, *args, source=None, **kwargs):
-        forced.append(source is not None)
-        error = (clean_error if source is None else
-                 (forced_errors or {}).get(coeff.eps))
-        if error is not None:
-            raise error
-        return solve(coeff, *args, source=source, **kwargs)
+    def patched(rows, source=None):
+        marches.append([(row[0].eps, source is not None) for row in rows])
+        out = solve(rows, source)
+        for i, row in enumerate(rows):
+            error = (clean_error if source is None else
+                     (forced_errors or {}).get(row[0].eps))
+            if isinstance(error, SolverDiverged):
+                out[i] = error
+            elif error is not None:
+                raise error
+        return out
 
-    monkeypatch.setattr(experiments, "solve_kzk", patched)
-    return forced
+    monkeypatch.setattr(experiments, "solve_kzk_rows", patched)
+    return marches
 
 
 def test_kzk_study_marches_its_clean_beam_once(monkeypatch):
     # in this process: the forked child's marches are not recorded here
     monkeypatch.setattr(experiments, "_split", _in_process)
-    forced = _patch_solve_kzk(monkeypatch)
+    marches = _patch_solve_kzk_rows(monkeypatch)
     rep = scaling_study(_kzk_cfg())
     assert [s["status"] for s in rep.series] == ["ok"] * 3
-    assert forced == [False, True, True, True]
+    assert marches == [[(0.01, False)],
+                       [(0.04, True), (0.02, True), (0.01, True)]]
 
 
-@pytest.mark.parametrize("eps_list, here", [
-    ((0.04, 0.02, 0.01), [False, True]),
-    ((0.04,), [False]),
-])
-def test_the_forked_kzk_study_marches_half_its_beams_here(monkeypatch,
-                                                          eps_list, here):
-    # the clean beam and the forced beams of the first half of the sweep;
-    # the child marches the rest
-    forced = _patch_solve_kzk(monkeypatch)
+@pytest.mark.parametrize("eps_list", [(0.04, 0.02, 0.01), (0.04,)])
+def test_the_forked_kzk_study_marches_its_clean_beam_here(monkeypatch,
+                                                          eps_list):
+    # the clean beam is this process's march; the child marches every
+    # forced beam as a row of one march
+    marches = _patch_solve_kzk_rows(monkeypatch)
     rep = scaling_study(_kzk_cfg(eps_list=eps_list))
     assert [s["status"] for s in rep.series] == ["ok"] * len(eps_list)
-    assert forced == here
+    assert marches == [[(0.01, False)]]
 
 
-@pytest.mark.parametrize("eps", [0.04, 0.01])  # marched here, in the child
+@pytest.mark.parametrize("eps", [0.04, 0.01])  # first and last row
 def test_a_failed_forced_kzk_march_fails_that_member_alone(monkeypatch, eps):
     full = scaling_study(_kzk_cfg()).series
-    _patch_solve_kzk(monkeypatch,
-                     forced_errors={eps: SolverDiverged("forced diverged")})
+    _patch_solve_kzk_rows(
+        monkeypatch, forced_errors={eps: SolverDiverged("forced diverged")})
     series = scaling_study(_kzk_cfg()).series
     i = (0.04, 0.02, 0.01).index(eps)
     assert series[i] == {"eps": eps, "status": "failed", "evol": [],
@@ -740,17 +742,17 @@ def test_a_failed_forced_kzk_march_fails_that_member_alone(monkeypatch, eps):
 
 def test_an_exception_of_a_forked_kzk_march_is_raised_here(monkeypatch,
                                                           caplog):
-    solve = experiments.solve_kzk
+    solve = experiments.solve_kzk_rows
 
-    def not_wired(coeff, *args, source=None, **kwargs):
-        if source is not None and coeff.eps == 0.01:
-            raise NotImplementedError(f"beam marched in {os.getpid()}")
-        return solve(coeff, *args, source=source, **kwargs)
+    def not_wired(rows, source=None):
+        if source is not None:
+            raise NotImplementedError(f"beams marched in {os.getpid()}")
+        return solve(rows, source)
 
-    monkeypatch.setattr(experiments, "solve_kzk", not_wired)
+    monkeypatch.setattr(experiments, "solve_kzk_rows", not_wired)
     assert _as_in_process(monkeypatch, caplog, _kzk_cfg(),
                           "exited with status 1") == (
-        NotImplementedError, f"beam marched in {os.getpid()}")
+        NotImplementedError, f"beams marched in {os.getpid()}")
 
 
 def test_kzk_study_members_match_one_member_studies():
@@ -761,7 +763,7 @@ def test_kzk_study_members_match_one_member_studies():
 
 def test_a_failed_clean_kzk_march_fails_every_member(monkeypatch):
     message = "norm 1.000e+07 exceeds 1e6 x initial (1.000e+00) during kzk"
-    _patch_solve_kzk(monkeypatch, SolverDiverged(message))
+    _patch_solve_kzk_rows(monkeypatch, SolverDiverged(message))
     rep = scaling_study(_kzk_cfg())
     assert [s["status"] for s in rep.series] == ["failed"] * 3
     assert [s["error"] for s in rep.series] == [message] * 3

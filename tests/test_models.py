@@ -31,7 +31,7 @@ from nlparax.models.base import (
     only_row,
     resolve_steps,
 )
-from nlparax.models.oneway import _OneWayStepper
+from nlparax.models.oneway import _OneWayStepper, solve_kzk_rows
 from nlparax.models.waves import _WaveStepper
 from nlparax.spectral import Spectral
 
@@ -505,7 +505,7 @@ def test_kzk_refuses_a_source_that_is_not_a_finite_grid_array(coeff, shape,
     with pytest.raises(ValueError, match=re.escape(
             f"source of shape {shape} must be a finite real array of the "
             "grid's shape (32, 16)")):
-        solve_kzk(coeff, I0, 1.0, StepControl(step=0.1), source=source)
+        solve_kzk_rows([(coeff, I0, 1.0, StepControl(step=0.1), 2)], source)
 
 
 def _one_row_solves(coeff):

@@ -240,8 +240,8 @@ def test_context_derives_the_correctors_of_build_correctors(coeff):
     ut = Field(g, Spectral(g).d(u.scalar, "t"))
     rho1, rho2 = build_correctors(
         coeff, ModelState(ModelKind.KUZNETSOV, 0.0, u, ut))
-    assert np.array_equal(ctx.field("rho1").arr, rho1)
-    assert np.array_equal(ctx.field("rho2").arr, rho2)
+    assert np.array_equal(ctx.eval(Ref("rho1")).arr, rho1)
+    assert np.array_equal(ctx.eval(Ref("rho2")).arr, rho2)
 
 
 def test_input_field_names_the_profile_of_each_pair():

@@ -6,7 +6,6 @@ workloads (`perfbench/workloads.py`) restate the acceptance configs."""
 import importlib
 import importlib.util
 import inspect
-import time
 from pathlib import Path
 
 import pytest
@@ -59,27 +58,31 @@ def test_tracer_counts_the_steps_the_solvers_take(span, step, substeps):
 
 
 def test_no_study_repeats_a_march(monkeypatch):
-    # the benchmark's experiments.duplicate_march_frac: the kuznetsov-kzk
-    # study marches its eps-independent clean beam once, not per member.
-    # The tracer cannot see a forked child's marches, so all run here.
+    # the kuznetsov-kzk study marches its eps-independent clean beam once,
+    # not per member, and each member's forced beam once, as rows of the
+    # solve_kzk_rows calls recorded here.  The tracer's
+    # experiments.duplicate_march_frac hashes the marches of the one-member
+    # solvers alone, which no study calls, so it has none to count.  All
+    # run here: the recorder does not see a forked child's rows.
     monkeypatch.setattr(experiments, "_split", _in_process)
+    solve, marched = experiments.solve_kzk_rows, []
+
+    def recorded(rows, source=None):
+        marched.extend((row[0].eps, source is not None) for row in rows)
+        return solve(rows, source)
+
+    monkeypatch.setattr(experiments, "solve_kzk_rows", recorded)
     cfg = ExperimentConfig(
         name="envelope", pair="kuznetsov-kzk",
         coeff=ModelCoefficients(nu=0.3), eps_list=(0.04, 0.02, 0.01),
         horizon=0.5, horizon_over_eps=False, points=32, dim=2,
         trans_points=8, preset="gaussian_beam", samples=4, seed=7,
         source_size=0.5)
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        start = time.perf_counter()
-        cli.scaling_study(cfg)
-        wall = time.perf_counter() - start
-    finally:
-        tracer.uninstall()
-    assert tracer.summary(1, wall)["experiments.duplicate_march_frac"] == 0
-    # one clean and three forced marches, so the ratio above has a base
-    assert sum(s.digest is not None for s in tracer.spans) == 4
+    cli.scaling_study(cfg)
+    # one clean row (at the config's eps, which it does not read) and one
+    # forced row per member
+    assert marched == [(cfg.coeff.eps, False), (0.04, True), (0.02, True),
+                       (0.01, True)]
 
 
 @pytest.mark.parametrize("pair, config", [

@@ -8,13 +8,15 @@ PARENT and CHANGE are the roots of two checkouts of nlparax.  Each one's
 Kuznetsov, Westervelt, flow and NPE steppers of each side for the rows EPS
 (the eps values of the `ns-kuznetsov` study) on a line of POINTS points,
 with the study's coefficients and wave step.  It builds the 2D steppers of
-GRIDS_2D for one row, EPS[-1], with the same coefficients: the KZK stepper
-on the benchmark's beam grids and the Kuznetsov and flow steppers on its
-128 x 128 grid.  It times STEPS steps of each (STEPS_128 at 128 x 128)
-from the same start, after one warm step.  The sides take turns over
-ROUNDS rounds, each going first in every other round.  It prints, per
-stepper and side, the median and the quartiles of the rounds' times in
-microseconds per step, and the change of the median.  It writes nothing
+GRIDS_2D with the same coefficients: the forced KZK stepper on the
+benchmark's beam grids, for one row, EPS[-1], and for the rows EPS as the
+`kuznetsov-kzk` study marches its forced beams, and the Kuznetsov and flow
+steppers on its 128 x 128 grid for one row.  It times STEPS steps of each
+(STEPS_128 at 128 x 128) from the same start, after one warm step.  The
+sides take turns over ROUNDS rounds, each going first in every other
+round.  It prints, per stepper and side, the median and the quartiles of
+the rounds' times in microseconds per step, the change of the median, and
+the verdict of `tools/pairs.py` on the rounds as pairs.  It writes nothing
 into either tree.
 """
 
@@ -32,18 +34,22 @@ sys.dont_write_bytecode = True  # leave the checkouts' trees as they are
 
 import numpy as np  # noqa: E402
 
+from pairs import verdict  # noqa: E402
+
 ROUNDS = 21
 STEPS = 400
 STEPS_128 = 40  # a 128 x 128 step costs 2-4 ms
 POINTS = 64
 EPS = (0.04, 0.02, 0.01)  # the ns-kuznetsov study's rows
 SIDES = ("parent", "change")
-#: label -> (model, axis points, steps a round times) of the 2D steppers,
-#: each of one row
-GRIDS_2D = {"kzk 64x16": ("kzk", (64, 16), STEPS),
-            "kzk 64x32": ("kzk", (64, 32), STEPS),
-            "kuznetsov 128x128": ("kuznetsov", (128, 128), STEPS_128),
-            "flow 128x128": ("flow", (128, 128), STEPS_128)}
+#: label -> (model, axis points, steps a round times, rows) of the 2D
+#: steppers
+GRIDS_2D = {"kzk 64x16": ("kzk", (64, 16), STEPS, 1),
+            "kzk 64x32": ("kzk", (64, 32), STEPS, 1),
+            "kzk 64x16 3 rows": ("kzk", (64, 16), STEPS, 3),
+            "kzk 64x32 3 rows": ("kzk", (64, 32), STEPS, 3),
+            "kuznetsov 128x128": ("kuznetsov", (128, 128), STEPS_128, 1),
+            "flow 128x128": ("flow", (128, 128), STEPS_128, 1)}
 STEPPERS = ("kuznetsov", "westervelt", "flow", "npe", *GRIDS_2D)
 
 
@@ -92,12 +98,10 @@ def steppers(name: str) -> dict:
         "npe": (oneway._OneWayStepper(sp_npe, "z", a_nl, d_visc, d_diff, dt,
                                       src_scale, None), (profile,)),
     }
-    a_nl, d_visc, d_diff, src_scale = oneway._MODELS[
-        pkg.ModelKind.KZK][1](coeff, EPS[-1:])
-    row, step = EPS[-1:], [0.005]  # one row, at grid-2d's step
     steps = dict.fromkeys(built, STEPS)
-    for label, (kind, (n1, n2), count) in GRIDS_2D.items():
+    for label, (kind, (n1, n2), count, rows) in GRIDS_2D.items():
         steps[label] = count
+        row, step = EPS[-rows:], [0.005] * rows  # at grid-2d's step
         if kind == "kzk":  # the grids of the kuznetsov-kzk sweep
             grid = pkg.Grid((pkg.Axis("tau", 2.0 * math.pi, n1),
                              pkg.Axis("y1", 2.0 * math.pi, n2,
@@ -106,8 +110,10 @@ def steppers(name: str) -> dict:
             grid = pkg.Grid((pkg.Axis("x1", 2.0 * math.pi, n1),
                              pkg.Axis("x2", 2.0 * math.pi, n2)))
         sp2, (a, b) = spectral.Spectral(grid), grid.mesh()
-        mode = (0.5 * np.sin(a + 2.0 * b))[None]  # mean-zero along a
+        mode = np.stack([0.5 * np.sin(a + 2.0 * b)] * rows)  # mean-zero in a
         if kind == "kzk":  # forced, as the sweep's members are
+            a_nl, d_visc, d_diff, src_scale = oneway._MODELS[
+                pkg.ModelKind.KZK][1](coeff, row)
             built[label] = (oneway._OneWayStepper(
                 sp2, "tau", a_nl, d_visc, d_diff, step, src_scale,
                 sp2.fft(np.cos(a) * np.cos(b))), (mode,))
@@ -147,7 +153,7 @@ def main(argv: list[str]) -> int:
                 times[side][label].append(per_step(*built[side][label]))
     print(f"us/step, median [q1, q3] of {ROUNDS} rounds of {STEPS} steps "
           f"({STEPS_128} at 128x128); 1D: {len(EPS)} rows x {POINTS} points, "
-          "2D: 1 row")
+          "2D: 1 row unless named; the verdict of the rounds as pairs")
     for label in STEPPERS:
         cells, medians = [], []
         for side in SIDES:
@@ -156,7 +162,8 @@ def main(argv: list[str]) -> int:
             cells.append(f"{side} {median:6.1f} [{q1:6.1f}, {q3:6.1f}]")
             medians.append(median)
         change = medians[1] / medians[0] - 1.0
-        print(f"{label:<17}  " + "  ".join(cells) + f"  {change:+.0%}")
+        print(f"{label:<17}  " + "  ".join(cells) + f"  {change:+.0%}  "
+              + verdict(times["parent"][label], times["change"][label]))
     return 0
 
 
